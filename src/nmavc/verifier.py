@@ -14,7 +14,6 @@ distance computation before it is returned.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,6 @@ from .distributions import (
     apply_copy,
     format_rational,
     mix,
-    outcome_to_json,
     statistical_distance,
 )
 from .errors import (
@@ -47,14 +45,6 @@ from .tampering import AffineFunction, BITFunction, enumerate_bit_functions
 BOT_MAP = Marker("bot-map")
 
 TamperingFunction = Union[BITFunction, AffineFunction, Marker]
-
-
-def thread_count() -> int:
-    """Parallelism cap from NMAVC_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("NMAVC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class StochasticCode:
@@ -149,6 +139,18 @@ class StochasticCode:
                 raise InvalidCodeError(
                     f"message {m!r} has {len(words)} codewords, expected 2^{rho}"
                 )
+            for word in words:
+                if not _is_word(word, n):
+                    raise InvalidCodeError(
+                        f"codeword {word!r} of message {m!r} is not in {{0,1}}^{n}"
+                    )
+        for word, m in dec_map.items():
+            if not _is_word(word, n):
+                raise InvalidCodeError(f"decoder key {word!r} is not in {{0,1}}^{n}")
+            if not _is_word(m, k):
+                raise InvalidCodeError(
+                    f"decoder maps {word!r} to {m!r}, not a message in {{0,1}}^{k}"
+                )
         return cls(
             k, n, rho,
             lambda m, r: enc_rows[m][r],
@@ -186,6 +188,11 @@ class StochasticCode:
             )
         except KeyError as missing:
             raise InvalidCodeError(f"code JSON lacks field {missing}") from None
+
+
+def _is_word(word: object, n: int) -> bool:
+    """True for a string of exactly n characters over {0, 1}."""
+    return isinstance(word, str) and len(word) == n and set(word) <= {"0", "1"}
 
 
 def _check_budget(cost: int, budget: Optional[int], what: str) -> None:
@@ -464,21 +471,6 @@ def certify_family(
     for f in functions:
         t_map = tamper_map(code, f, budget=budget)
         profiles.append(tuple(t_map[m] for m in messages))
-
-    workers = thread_count()
-    if workers > 1 and stop_at_or_above is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        todo = [p for p in set(profiles) if p not in cache]
-        todo.sort(key=lambda profile: [sorted(
-            (outcome_to_json(o), str(v)) for o, v in dist.items()) for dist in profile])
-
-        def solve(profile):
-            return optimal_simulator(dict(zip(messages, profile)))
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for profile, report in zip(todo, pool.map(solve, todo)):
-                cache[profile] = report
 
     epsilon: Optional[Fraction] = None
     worst_idx = 0

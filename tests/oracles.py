@@ -12,8 +12,13 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional, Sequence
 
 from nmavc import FiniteDistribution, apply_copy
+from nmavc.errors import LPInfeasibleError, LPUnboundedError
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def add_fractions_bigint(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -133,3 +138,161 @@ def random_extended_channel(rng: random.Random, max_denominator: int = 10):
         w0 = Fraction(rng.randint(0, den2), den2) * (1 - p)
         rows.append([w0, (1 - p) - w0, p])
     return ExtendedChannel.from_rows(rows)
+
+
+def fraction_solve_min(
+    c: Sequence[Fraction],
+    a_ub: Sequence[Sequence[Fraction]] = (),
+    b_ub: Sequence[Fraction] = (),
+    a_eq: Sequence[Sequence[Fraction]] = (),
+    b_eq: Sequence[Fraction] = (),
+) -> tuple[list[Fraction], Fraction]:
+    """Exact LP solve; returns (x, objective value).
+
+    The gcd-normalizing `Fraction` tableau that `nmavc.simplex.solve_min`
+    replaced, kept verbatim as an oracle: both must take the same Bland
+    pivots and so return the same vertex.
+
+    Raises LPInfeasibleError / LPUnboundedError.  Fully deterministic:
+    Bland's rule picks the lowest-index entering column and, on ratio
+    ties, the row whose basic variable has the lowest index.
+    """
+    n = len(c)
+    c = [Fraction(v) for v in c]
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    kinds: list[str] = []
+    for row, b in zip(a_eq, b_eq):
+        row = [Fraction(v) for v in row]
+        b = Fraction(b)
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        rows.append(row)
+        rhs.append(b)
+        kinds.append("eq")
+    for row, b in zip(a_ub, b_ub):
+        row = [Fraction(v) for v in row]
+        b = Fraction(b)
+        if b < 0:
+            # -row . x >= -b with -b > 0: needs a surplus and an artificial.
+            rows.append([-v for v in row])
+            rhs.append(-b)
+            kinds.append("ge")
+        else:
+            rows.append(row)
+            rhs.append(b)
+            kinds.append("ub")
+    m = len(rows)
+
+    n_slack = sum(1 for kind in kinds if kind in ("ub", "ge"))
+    n_art = sum(1 for kind in kinds if kind in ("eq", "ge"))
+    width = n + n_slack + n_art
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    slack_at = n
+    art_at = n + n_slack
+    artificial_cols = set(range(art_at, width))
+    for i, (row, kind) in enumerate(zip(rows, kinds)):
+        full = row + [ZERO] * (n_slack + n_art) + [rhs[i]]
+        if kind == "ub":
+            full[slack_at] = ONE
+            basis.append(slack_at)
+            slack_at += 1
+        elif kind == "ge":
+            full[slack_at] = -ONE
+            slack_at += 1
+            full[art_at] = ONE
+            basis.append(art_at)
+            art_at += 1
+        else:
+            full[art_at] = ONE
+            basis.append(art_at)
+            art_at += 1
+        tableau.append(full)
+
+    def reduced_costs(cost: list[Fraction]) -> list[Fraction]:
+        obj = cost + [ZERO]
+        for i, bvar in enumerate(basis):
+            cb = cost[bvar]
+            if cb != 0:
+                row = tableau[i]
+                obj = [o - cb * v for o, v in zip(obj, row)]
+        return obj
+
+    def pivot(i: int, j: int) -> None:
+        row = tableau[i]
+        factor = row[j]
+        if factor != 1:
+            tableau[i] = row = [v / factor for v in row]
+        for r in range(m):
+            if r != i and tableau[r][j] != 0:
+                f = tableau[r][j]
+                tableau[r] = [v - f * w for v, w in zip(tableau[r], row)]
+        basis[i] = j
+
+    def iterate(obj: list[Fraction], banned: set[int]) -> list[Fraction]:
+        while True:
+            entering = None
+            for j in range(width):
+                if j in banned:
+                    continue
+                if obj[j] < 0:
+                    entering = j
+                    break
+            if entering is None:
+                return obj
+            leaving = None
+            best_ratio: Optional[Fraction] = None
+            for i in range(m):
+                coef = tableau[i][entering]
+                if coef > 0:
+                    ratio = tableau[i][-1] / coef
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leaving])
+                    ):
+                        best_ratio = ratio
+                        leaving = i
+            if leaving is None:
+                raise LPUnboundedError("objective unbounded below")
+            factor = obj[entering]
+            pivot(leaving, entering)
+            row = tableau[leaving]
+            obj = [o - factor * v for o, v in zip(obj, row)]
+
+    if n_art:
+        phase1_cost = [ZERO] * width
+        for j in artificial_cols:
+            phase1_cost[j] = ONE
+        obj = iterate(reduced_costs(phase1_cost), banned=set())
+        if -obj[-1] > 0:
+            raise LPInfeasibleError(f"phase 1 optimum {-obj[-1]} > 0")
+        # Drive any artificial still in the basis out of it, or drop the row.
+        drop: list[int] = []
+        for i in range(m):
+            if basis[i] in artificial_cols:
+                target = None
+                for j in range(width):
+                    if j not in artificial_cols and tableau[i][j] != 0:
+                        target = j
+                        break
+                if target is None:
+                    drop.append(i)
+                else:
+                    pivot(i, target)
+        for i in reversed(drop):
+            del tableau[i]
+            del basis[i]
+        m = len(tableau)
+
+    phase2_cost = c + [ZERO] * (n_slack + n_art)
+    obj = iterate(reduced_costs(phase2_cost), banned=artificial_cols)
+
+    x = [ZERO] * width
+    for i, bvar in enumerate(basis):
+        x[bvar] = tableau[i][-1]
+    solution = x[:n]
+    value = sum((ci * xi for ci, xi in zip(c, solution)), ZERO)
+    return solution, value

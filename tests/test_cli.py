@@ -123,6 +123,31 @@ def test_nm_verify_requires_one_mode(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        # A codeword with a non-bit symbol, once certified at eps = 1/2.
+        {"k": 1, "n": 2, "rho": 0, "enc": {"0": ["0x"], "1": ["11"]},
+         "dec": {"0x": "0", "11": "1"}},
+        # A decoder value outside {0,1}^k.
+        {"k": 1, "n": 2, "rho": 0, "enc": {"0": ["00"], "1": ["11"]},
+         "dec": {"00": "0", "11": "1", "01": "7"}},
+        # A decoder key of the wrong length.
+        {"k": 1, "n": 2, "rho": 0, "enc": {"0": ["00"], "1": ["11"]},
+         "dec": {"00": "0", "11": "1", "111": "1"}},
+    ],
+    ids=["non-bit-codeword", "non-message-dec-value", "long-dec-key"],
+)
+def test_nm_verify_malformed_code_exit_2(runner, tmp_path, code):
+    path = write(tmp_path, "code.json", code)
+    result = runner.invoke(
+        main, ["nm-verify", path, "--family", "bit", "--budget", "1000"]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
 def test_search_reports_micro_epsilon(runner, tmp_path):
     out = str(tmp_path / "searched.json")
     result = runner.invoke(

@@ -1,11 +1,18 @@
-"""The exact-rational simplex: textbook optima, degeneracy, edge cases."""
+"""The exact simplex: textbook optima, degeneracy, edge cases, and
+agreement with the plain `Fraction` tableau it replaced."""
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nmavc.errors import LPInfeasibleError, LPUnboundedError
+import nmavc.verifier as verifier
+from nmavc.errors import LPInfeasibleError, LPUnboundedError, NmavcError
 from nmavc.simplex import solve_min
+from nmavc.tampering import BITFunction
+from nmavc.verifier import StochasticCode, optimal_simulator, tamper_map
+from oracles import fraction_solve_min
 
 
 def test_basic_maximization_as_minimization():
@@ -83,3 +90,103 @@ def test_redundant_equalities():
         b_eq=[F(2), F(2), F(4)],
     )
     assert value == 2
+
+
+def outcome(solver, *args):
+    """(x, value), or the error type the solver raised."""
+    try:
+        return solver(*args)
+    except NmavcError as exc:
+        return type(exc)
+
+
+def assert_same_as_oracle(*args):
+    got = outcome(solve_min, *args)
+    assert got == outcome(fraction_solve_min, *args)
+    return got
+
+
+# Non-dyadic denominators, so the global scale L is not a power of two.
+rationals = st.builds(
+    F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6, 7])
+)
+
+
+@st.composite
+def small_lps(draw):
+    """c, a_ub, b_ub, a_eq, b_eq with eq, ub and negative-rhs (ge) rows,
+    zero right-hand sides (degenerate vertices) and scaled copies of
+    earlier rows (redundant constraints)."""
+    n = draw(st.integers(1, 4))
+    vector = st.lists(rationals, min_size=n, max_size=n)
+    c = draw(vector)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.booleans()):
+            row, b = rows[draw(st.integers(0, len(rows) - 1))][1:]
+            factor = draw(st.sampled_from([F(1), F(2), F(-1, 3)]))
+            row, b = [factor * v for v in row], factor * b
+        else:
+            row, b = draw(vector), draw(st.one_of(st.just(F(0)), rationals))
+        rows.append((draw(st.sampled_from(["eq", "ub"])), row, b))
+
+    def pick(kind, i):
+        return [r[i] for r in rows if r[0] == kind]
+
+    return c, pick("ub", 1), pick("ub", 2), pick("eq", 1), pick("eq", 2)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_lps())
+def test_matches_fraction_tableau_on_random_lps(lp):
+    assert_same_as_oracle(*lp)
+
+
+@pytest.mark.parametrize(
+    "lp, expected",
+    [
+        # Phase 1 ends with the artificial of -x = 0 basic at level 0; its
+        # row reads -x + a = 0, so x is driven in on the pivot -1.
+        (([F(1)], (), (), [[F(-1)]], [F(0)]), ([F(0)], F(0))),
+        # x is driven in on its coefficient -2/5; then y enters in a
+        # degenerate phase-2 pivot.
+        (([F(0), F(-2)], (), (), [[F(-2, 5), F(-1, 3)]], [F(0)]),
+         ([F(0), F(0)], F(0))),
+        # x <= 1 and x >= 2.
+        (([F(1)], [[F(1)], [F(-1)]], [F(1), F(-2)]), LPInfeasibleError),
+        # x + y = 1/3 and x + y = 1/7.
+        (([F(1), F(0)], (), (), [[F(1), F(1)], [F(1), F(1)]], [F(1, 3), F(1, 7)]),
+         LPInfeasibleError),
+        (([F(-1)], [[F(-1)]], [F(0)]), LPUnboundedError),
+        # min -x + y with x - y = 1/3: unbounded along x = y + 1/3.
+        (([F(-1), F(1, 2)], (), (), [[F(1), F(-1)]], [F(1, 3)]), LPUnboundedError),
+    ],
+    ids=["drive-out-pivot-minus-1", "drive-out-then-phase-2",
+         "infeasible-ub", "infeasible-eq", "unbounded-ub", "unbounded-eq"],
+)
+def test_matches_fraction_tableau_on_edge_cases(lp, expected):
+    assert assert_same_as_oracle(*lp) == expected
+
+
+# KKK01 is the first worst bit function of the code below.  On KK1F1 the
+# phase-1 path depends on the scale being global: scaling each row by its
+# own lcm reaches a different optimal simulator.
+@pytest.mark.parametrize("function", ["KKK01", "KK1F1"])
+def test_matches_fraction_tableau_on_simulator_lp(monkeypatch, function):
+    # A fixed k=2, n=5, rho=1 code.
+    enc = {"00": ["10100", "10111"], "01": ["00110", "00111"],
+           "10": ["00000", "00001"], "11": ["01000", "10101"]}
+    dec = {word: m for m, words in enc.items() for word in words}
+    code = StochasticCode.from_tables(2, 5, 1, enc, dec)
+    recorded = []
+
+    def record(*args):
+        recorded.append(args)
+        return solve_min(*args)
+
+    monkeypatch.setattr(verifier, "solve_min", record)
+    report = optimal_simulator(tamper_map(code, BITFunction.from_string(function)))
+    assert report.epsilon == F(2, 3)
+    (args,) = recorded
+    x, value = assert_same_as_oracle(*args)
+    assert value == F(2, 3)
