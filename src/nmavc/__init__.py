@@ -79,7 +79,6 @@ from .verifier import (
     optimal_simulator,
     search_nm_code,
     tamper_distribution_channel,
-    tamper_distribution_channel_mixture,
     tamper_distribution_fn,
     tamper_map,
     verify_transfer,

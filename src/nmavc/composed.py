@@ -45,7 +45,6 @@ from .gf2 import (
 )
 from .tampering import (
     AffineFunction,
-    BitAction,
     BITFunction,
     NonAffineReport,
     enumerate_bit_functions,
@@ -153,13 +152,7 @@ def _closed_form(
     M_f is diagonal (1 where the action preserves the input), so G M_f
     just masks columns of G; erased columns never appear in R.
     """
-    keep_mask = 0
-    delta_full = 0
-    for j, action in enumerate(f.actions):
-        if action in (BitAction.KEEP, BitAction.FLIP):
-            keep_mask |= 1 << j
-        if action in (BitAction.FLIP, BitAction.SET1):
-            delta_full |= 1 << j
+    keep_mask, delta_full = f.masks
     masked = GF2Matrix(tuple(row & keep_mask for row in outer.rows), outer.ncols)
     sub = masked.submatrix_columns(recon.indices)
     matrix = sub.matmul(recon.inverse)

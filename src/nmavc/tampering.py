@@ -9,6 +9,7 @@ embedding is validated exhaustively rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Optional, Union
 
@@ -72,7 +73,23 @@ class BITFunction:
             raise ValueError(f"input length {len(x)} != {self.n}")
         return "".join(_APPLY[a](ch) for a, ch in zip(self.actions, x))
 
-    @property
+    @cached_property
+    def masks(self) -> tuple[int, int]:
+        """(keep, xor) with f(x) = (x & keep) ^ xor on words packed by bits_to_int.
+
+        Keep/Flip set bit i of keep, Flip/Set1 set bit i of xor.  An Erase
+        position is 0 in both, so the masks describe f only off its
+        erasure set.
+        """
+        keep = xor = 0
+        for i, action in enumerate(self.actions):
+            if action in (BitAction.KEEP, BitAction.FLIP):
+                keep |= 1 << i
+            if action in (BitAction.FLIP, BitAction.SET1):
+                xor |= 1 << i
+        return keep, xor
+
+    @cached_property
     def has_erase(self) -> bool:
         return BitAction.ERASE in self.actions
 
@@ -149,14 +166,9 @@ def bit_to_affine(f: BITFunction) -> AffineFunction:
         raise NotRepresentableError(
             "Erase has no affine form on {0,1}; resolve erasures first"
         )
-    n = f.n
-    rows = []
-    delta_bits = []
-    for i, action in enumerate(f.actions):
-        keep = action in (BitAction.KEEP, BitAction.FLIP)
-        rows.append((1 << i) if keep else 0)
-        delta_bits.append("1" if action in (BitAction.FLIP, BitAction.SET1) else "0")
-    return AffineFunction(GF2Matrix(tuple(rows), n), "".join(delta_bits))
+    keep, xor = f.masks
+    rows = tuple(keep & (1 << i) for i in range(f.n))
+    return AffineFunction(GF2Matrix(rows, f.n), int_to_bits(xor, f.n))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
+import numpy as np
+
 from .channels import StateSequence
 from .distributions import (
     BOT,
@@ -37,7 +39,7 @@ from .errors import (
     InvalidInstanceError,
     VerificationError,
 )
-from .gf2 import GF2Matrix, ecc_encode, int_to_bits
+from .gf2 import GF2Matrix, bits_to_int, ecc_encode, int_to_bits
 from .simplex import solve_min
 from .tampering import AffineFunction, BITFunction, enumerate_bit_functions
 
@@ -66,8 +68,7 @@ class StochasticCode:
         enc: Callable[[str, int], str],
         dec: Callable[[str], object],
     ) -> None:
-        if k < 0 or n < 1 or rho < 0:
-            raise InvalidCodeError(f"bad dimensions k={k}, n={n}, rho={rho}")
+        _check_dimensions(k, n, rho)
         self.k = k
         self.n = n
         self.rho = rho
@@ -89,9 +90,9 @@ class StochasticCode:
         for m in self.messages():
             for r in range(self.seed_count):
                 word = self.enc(m, r)
-                if len(word) != self.n:
+                if not _is_word(word, self.n):
                     raise InvalidCodeError(
-                        f"enc({m!r}, {r}) has length {len(word)}, expected {self.n}"
+                        f"enc({m!r}, {r}) = {word!r} is not in {{0,1}}^{self.n}"
                     )
                 decoded = self.dec(word)
                 if decoded != m:
@@ -129,6 +130,12 @@ class StochasticCode:
         enc_table: Mapping[str, list[str]],
         dec_table: Mapping[str, str],
     ) -> "StochasticCode":
+        _check_dimensions(k, n, rho)
+        if not isinstance(enc_table, Mapping) or not isinstance(dec_table, Mapping):
+            raise InvalidCodeError("encoder and decoder tables must be objects")
+        for m, words in enc_table.items():
+            if not isinstance(words, (list, tuple)):
+                raise InvalidCodeError(f"codewords of message {m!r} must be a list")
         enc_rows = {m: tuple(words) for m, words in enc_table.items()}
         dec_map = dict(dec_table)
         expected = set(all_bitstrings(k))
@@ -180,14 +187,24 @@ class StochasticCode:
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "StochasticCode":
+    def from_json(cls, obj: object) -> "StochasticCode":
+        if not isinstance(obj, Mapping):
+            raise InvalidCodeError("code JSON must be an object")
         try:
             return cls.from_tables(
-                int(obj["k"]), int(obj["n"]), int(obj["rho"]),
-                obj["enc"], obj.get("dec", {}),
+                obj["k"], obj["n"], obj["rho"], obj["enc"], obj.get("dec", {}),
             )
         except KeyError as missing:
             raise InvalidCodeError(f"code JSON lacks field {missing}") from None
+
+
+def _check_dimensions(k: object, n: object, rho: object) -> None:
+    """Raise unless k, rho >= 0 and n >= 1 are integers (bools excluded)."""
+    for name, value in (("k", k), ("n", n), ("rho", rho)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidCodeError(f"{name} must be an integer, got {value!r}")
+    if k < 0 or n < 1 or rho < 0:
+        raise InvalidCodeError(f"bad dimensions k={k}, n={n}, rho={rho}")
 
 
 def _is_word(word: object, n: int) -> bool:
@@ -200,6 +217,30 @@ def _check_budget(cost: int, budget: Optional[int], what: str) -> None:
         raise BudgetExceededError(f"{what} needs {cost} evaluations, budget {budget}")
 
 
+def _check_member(
+    code: StochasticCode, f: TamperingFunction, budget: Optional[int]
+) -> None:
+    """Raise unless f is a tampering function the experiment on code accepts."""
+    if f is BOT_MAP:
+        return
+    if isinstance(f, BITFunction):
+        if f.n != code.n:
+            raise InvalidInstanceError(f"function length {f.n} != n={code.n}")
+        if f.has_erase:
+            raise InvalidInstanceError(
+                "Erase actions are resolved by the erasure-code layer; a "
+                "plain code decodes binary words only"
+            )
+    elif isinstance(f, AffineFunction):
+        if f.in_dim != code.n or f.out_dim != code.n:
+            raise InvalidInstanceError(
+                f"affine shape {f.in_dim}->{f.out_dim} != n={code.n}"
+            )
+    else:
+        raise InvalidInstanceError(f"not a tampering function: {f!r}")
+    _check_budget(code.seed_count, budget, "tampering experiment")
+
+
 def tamper_distribution_fn(
     code: StochasticCode,
     f: TamperingFunction,
@@ -210,30 +251,13 @@ def tamper_distribution_fn(
     code.check_correctness()
     if len(m) != code.k:
         raise InvalidInstanceError(f"message length {len(m)} != k={code.k}")
+    _check_member(code, f, budget)
     if f is BOT_MAP:
         return FiniteDistribution.point(BOT)
-    if isinstance(f, BITFunction):
-        if f.n != code.n:
-            raise InvalidInstanceError(f"function length {f.n} != n={code.n}")
-        if f.has_erase:
-            raise InvalidInstanceError(
-                "Erase actions are resolved by the erasure-code layer; a "
-                "plain code decodes binary words only"
-            )
-        evaluate = f.apply
-    elif isinstance(f, AffineFunction):
-        if f.in_dim != code.n or f.out_dim != code.n:
-            raise InvalidInstanceError(
-                f"affine shape {f.in_dim}->{f.out_dim} != n={code.n}"
-            )
-        evaluate = f.apply
-    else:
-        raise InvalidInstanceError(f"not a tampering function: {f!r}")
-    _check_budget(code.seed_count, budget, "tampering experiment")
     share = Fraction(1, code.seed_count)
     masses: dict = {}
     for r in range(code.seed_count):
-        outcome = code.dec(evaluate(code.enc(m, r)))
+        outcome = code.dec(f.apply(code.enc(m, r)))
         masses[outcome] = masses.get(outcome, Fraction(0)) + share
     return FiniteDistribution(masses)
 
@@ -244,11 +268,8 @@ def tamper_distribution_channel(
     m: str,
     budget: Optional[int] = None,
 ) -> FiniteDistribution:
-    """Exact law of dec(y), y drawn from the channel sequence on enc(m, r).
-
-    Computed directly in product form; the elementary-pattern mixture
-    path (tamper_distribution_channel_mixture) must agree exactly.
-    """
+    """Exact law of dec(y), y drawn from the channel sequence on enc(m, r),
+    computed directly in product form."""
     code.check_correctness()
     if seq.extended:
         raise InvalidInstanceError(
@@ -267,17 +288,6 @@ def tamper_distribution_channel(
             outcome = code.dec(word)
             masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
     return FiniteDistribution(masses)
-
-
-def tamper_distribution_channel_mixture(
-    code: StochasticCode, seq: StateSequence, m: str
-) -> FiniteDistribution:
-    """Channel tamper law via the elementary-pattern mixture (cross-check)."""
-    components = [
-        (weight, tamper_distribution_fn(code, BITFunction(pattern), m))
-        for pattern, weight in seq.mixture_weights()
-    ]
-    return mix(components)
 
 
 def tamper_map(
@@ -445,6 +455,77 @@ class FamilyCertificate:
         }
 
 
+def _count_profiles(code: StochasticCode, functions: list) -> np.ndarray:
+    """Integer tamper profiles of every (validated) member in one pass.
+
+    Row i, column mi * (2^k + 1) + yi counts the seeds r with
+    dec(f_i(enc(m, r))) = y, indexing m and y by code.messages() and
+    BOT by 2^k; dividing a row by 2^rho gives tamper_map(code, f_i).
+    Words are packed by bits_to_int, and only the distinct tampered
+    words are decoded.
+    """
+    messages = code.messages()
+    width = len(messages) + 1
+    outcome_index = {m: i for i, m in enumerate(messages)}
+    outcome_index[BOT] = len(messages)
+    dtype = np.int64 if code.n <= 62 else object
+    enc = np.array(
+        [[bits_to_int(code.enc(m, r)) for r in range(code.seed_count)]
+         for m in messages],
+        dtype=dtype,
+    )
+    outcomes = np.full((len(functions), *enc.shape), len(messages))
+    members: list[int] = []
+    blocks = []
+    bit = [i for i, f in enumerate(functions) if isinstance(f, BITFunction)]
+    if bit:
+        keep, xor = np.array([functions[i].masks for i in bit], dtype=dtype).T
+        members += bit
+        blocks.append((enc & keep[:, None, None]) ^ xor[:, None, None])
+    affine = [i for i, f in enumerate(functions) if isinstance(f, AffineFunction)]
+    if affine:
+        rows = np.array([functions[i].matrix.rows for i in affine], dtype=dtype)
+        words = np.array(
+            [bits_to_int(functions[i].delta) for i in affine], dtype=dtype
+        )[:, None, None]
+        for j in range(code.n):
+            words = words ^ ((enc >> j) & 1) * rows[:, j, None, None]
+        members += affine
+        blocks.append(words)
+    if blocks:
+        words = np.concatenate(blocks)
+        distinct, inverse = np.unique(words, return_inverse=True)
+        decoded = []
+        for word in distinct.tolist():
+            outcome = code.dec(int_to_bits(word, code.n))
+            if outcome not in outcome_index:
+                raise InvalidInstanceError(
+                    f"outcome {outcome!r} outside {{0,1}}^{code.k} + bot"
+                )
+            decoded.append(outcome_index[outcome])
+        outcomes[members] = np.array(decoded)[inverse.reshape(words.shape)]
+    cells = np.arange(len(functions) * len(messages)).reshape(-1, len(messages), 1)
+    counts = np.bincount(
+        (cells * width + outcomes).ravel(), minlength=cells.size * width
+    )
+    return counts.reshape(len(functions), len(messages) * width)
+
+
+def _tamper_map_from_counts(
+    messages: list[str], row: list[int], seed_count: int
+) -> dict[str, FiniteDistribution]:
+    """The tamper map a count profile of _count_profiles stands for."""
+    outcomes = [*messages, BOT]
+    width = len(outcomes)
+    return {
+        m: FiniteDistribution({
+            y: Fraction(c, seed_count)
+            for y, c in zip(outcomes, row[i * width:(i + 1) * width]) if c
+        })
+        for i, m in enumerate(messages)
+    }
+
+
 def certify_family(
     code: StochasticCode,
     functions: Iterable[TamperingFunction],
@@ -454,10 +535,16 @@ def certify_family(
 ) -> Optional[FamilyCertificate]:
     """Optimal simulator for every family member; None when aborted early.
 
-    `cache` memoizes LP solutions by tamper profile across calls (the
-    profile determines the optimum).  With `stop_at_or_above`, returns
-    None as soon as the running maximum reaches that bound -- used by
-    the search loop, which only cares about strictly better codes.
+    Every member is validated first, in list order.  One vectorised
+    pass then builds each member's tamper profile as integer counts
+    over the common denominator 2^rho (_count_profiles).  `cache`
+    memoizes LP solutions across calls, keyed by (2^rho, count
+    profile), which determines the optimum.  On a miss, the member's
+    tamper map is re-derived by the string-level experiment
+    (tamper_map), checked equal to the counts over 2^rho, and handed to
+    the LP.  With `stop_at_or_above`, returns None as soon as the
+    running maximum reaches that bound -- used by the search loop,
+    which only cares about strictly better codes.
     """
     code.check_correctness()
     if cache is None:
@@ -466,34 +553,37 @@ def certify_family(
     functions = list(functions)
     if not functions:
         raise InvalidInstanceError("empty tampering family")
-
-    profiles: list[tuple] = []
     for f in functions:
-        t_map = tamper_map(code, f, budget=budget)
-        profiles.append(tuple(t_map[m] for m in messages))
+        _check_member(code, f, budget)
+    seed_count = code.seed_count
+    profiles = _count_profiles(code, functions).tolist()
 
     epsilon: Optional[Fraction] = None
-    worst_idx = 0
     per_function: dict = {}
     simulators: dict = {}
-    for idx, (f, profile) in enumerate(zip(functions, profiles)):
-        report = cache.get(profile)
+    for f, row in zip(functions, profiles):
+        key = (seed_count, tuple(row))
+        report = cache.get(key)
         if report is None:
-            report = optimal_simulator(dict(zip(messages, profile)))
-            cache[profile] = report
+            t_map = tamper_map(code, f, budget=budget)
+            if t_map != _tamper_map_from_counts(messages, row, seed_count):
+                raise VerificationError(
+                    f"count profile of {function_key(f)} disagrees with its "
+                    f"tampering experiment"
+                )
+            report = optimal_simulator(t_map)
+            cache[key] = report
         per_function[f] = report.epsilon
         simulators[f] = report.simulator
         if epsilon is None or report.epsilon > epsilon:
             epsilon = report.epsilon
-            worst_idx = idx
+            worst, worst_report = f, report
         if stop_at_or_above is not None and epsilon >= stop_at_or_above:
             return None
-    worst = functions[worst_idx]
-    worst_profile = profiles[worst_idx]
     return FamilyCertificate(
         epsilon=epsilon,
         worst=worst,
-        worst_report=cache[worst_profile],
+        worst_report=worst_report,
         per_function=per_function,
         simulators=simulators,
     )
@@ -669,6 +759,10 @@ def search_nm_code(
     if k + rho > n:
         raise InvalidInstanceError(
             f"injective encoding needs k + rho <= n, got {k}+{rho} > {n}"
+        )
+    if k < 0 or rho < 0 or n < 1:
+        raise InvalidInstanceError(
+            f"search needs k >= 0, rho >= 0 and n >= 1, got k={k}, n={n}, rho={rho}"
         )
     if trials < 1:
         raise InvalidInstanceError("trials must be >= 1")

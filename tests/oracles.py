@@ -14,7 +14,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from nmavc import FiniteDistribution, apply_copy
+from nmavc import (
+    BITFunction,
+    FiniteDistribution,
+    StateSequence,
+    StochasticCode,
+    apply_copy,
+    mix,
+    tamper_distribution_fn,
+)
 from nmavc.errors import LPInfeasibleError, LPUnboundedError
 
 ZERO = Fraction(0)
@@ -296,3 +304,14 @@ def fraction_solve_min(
     solution = x[:n]
     value = sum((ci * xi for ci, xi in zip(c, solution)), ZERO)
     return solution, value
+
+
+def tamper_distribution_channel_mixture(
+    code: StochasticCode, seq: StateSequence, m: str
+) -> FiniteDistribution:
+    """Channel tamper law via the elementary-pattern mixture (cross-check)."""
+    components = [
+        (weight, tamper_distribution_fn(code, BITFunction(pattern), m))
+        for pattern, weight in seq.mixture_weights()
+    ]
+    return mix(components)

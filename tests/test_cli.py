@@ -135,13 +135,38 @@ def test_nm_verify_requires_one_mode(runner, tmp_path):
         # A decoder key of the wrong length.
         {"k": 1, "n": 2, "rho": 0, "enc": {"0": ["00"], "1": ["11"]},
          "dec": {"00": "0", "11": "1", "111": "1"}},
+        # Not a code object, and dimensions that are not integers >= 0.
+        [1, 2],
+        {"k": "x", "n": 1, "rho": 0, "enc": {}, "dec": {}},
+        {"k": -1, "n": 1, "rho": 0, "enc": {}, "dec": {}},
+        {"k": True, "n": 1, "rho": 0, "enc": {"0": ["0"], "1": ["1"]},
+         "dec": {"0": "0", "1": "1"}},
+        # An encoder table that is not an object.
+        {"k": 1, "n": 1, "rho": 0, "enc": [], "dec": {}},
     ],
-    ids=["non-bit-codeword", "non-message-dec-value", "long-dec-key"],
+    ids=["non-bit-codeword", "non-message-dec-value", "long-dec-key",
+         "json-array", "string-k", "negative-k", "bool-k", "list-enc"],
 )
 def test_nm_verify_malformed_code_exit_2(runner, tmp_path, code):
     path = write(tmp_path, "code.json", code)
     result = runner.invoke(
         main, ["nm-verify", path, "--family", "bit", "--budget", "1000"]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [("1", "2", "-1"), ("-1", "2", "0"), ("0", "0", "0")],
+    ids=["negative-rho", "negative-k", "empty-block"],
+)
+def test_search_bad_dimensions_exit_2(runner, dims):
+    k, n, rho = dims
+    result = runner.invoke(
+        main, ["search", "--k", k, "--n", n, "--rho", rho,
+               "--trials", "2", "--seed", "1"]
     )
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)

@@ -6,10 +6,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nmavc.verifier as verifier
 from nmavc import (
     BOT,
+    BOT_MAP,
     SAME_STAR,
+    AffineFunction,
     BinaryChannel,
     BITFunction,
     FiniteDistribution,
@@ -20,23 +25,30 @@ from nmavc import (
     apply_copy,
     bit_to_affine,
     certify_bit_family,
+    certify_family,
     ds_mixture,
     ecc_encode,
     optimal_simulator,
     search_nm_code,
     statistical_distance,
     tamper_distribution_channel,
-    tamper_distribution_channel_mixture,
     tamper_distribution_fn,
     tamper_map,
     verify_transfer,
 )
+from nmavc.gf2 import int_to_bits
 from nmavc.errors import (
     BudgetExceededError,
     InvalidCodeError,
     InvalidInstanceError,
+    NmavcError,
 )
-from oracles import grid_optimum, random_binary_channel, random_distribution
+from oracles import (
+    grid_optimum,
+    random_binary_channel,
+    random_distribution,
+    tamper_distribution_channel_mixture,
+)
 
 point = FiniteDistribution.point
 
@@ -60,6 +72,14 @@ def test_broken_code_rejected():
     code = StochasticCode(1, 1, 0, lambda m, r: m, lambda w: BOT)
     with pytest.raises(InvalidCodeError):
         code.check_correctness()
+
+
+def test_non_bit_codeword_rejected():
+    code = StochasticCode(
+        1, 2, 0, lambda m, r: m + "e", lambda w: w[0] if w[1] == "e" else BOT
+    )
+    with pytest.raises(InvalidCodeError):
+        certify_bit_family(code)
 
 
 def test_code_json_round_trip():
@@ -317,3 +337,189 @@ def test_thread_cap_does_not_change_results(monkeypatch):
     assert sequential.epsilon == threaded.epsilon
     assert sequential.per_function == threaded.per_function
     assert sequential.simulators == threaded.simulators
+
+
+# ------------------------------------------------- batched count profiles
+
+@st.composite
+def small_codes(draw):
+    """Codes with k <= 2, n <= 5, rho <= 2; seeds may repeat a codeword,
+    and off-image words may decode to a message."""
+    k = draw(st.integers(0, 2))
+    n = draw(st.integers(max(k, 1), 5))
+    rho = draw(st.integers(0, 2))
+    messages = all_bitstrings(k)
+    words = [int_to_bits(w, n) for w in draw(st.permutations(range(1 << n)))]
+    # Word i < 2^k belongs to message i; each other word joins one
+    # encoder pool, decodes off-image to a message, or decodes to BOT.
+    pools = {m: [words[i]] for i, m in enumerate(messages)}
+    dec = {words[i]: m for i, m in enumerate(messages)}
+    for word in words[len(messages):]:
+        role = draw(st.sampled_from(["pool", "off-image", "bot"]))
+        if role != "bot":
+            m = draw(st.sampled_from(messages))
+            dec[word] = m
+            if role == "pool":
+                pools[m].append(word)
+    enc = {
+        m: [draw(st.sampled_from(pools[m])) for _ in range(1 << rho)]
+        for m in messages
+    }
+    return StochasticCode.from_tables(k, n, rho, enc, dec)
+
+
+def members(n: int):
+    """Random BIT, affine and BOT_MAP members for block length n."""
+    bit = st.text("KF01", min_size=n, max_size=n).map(BITFunction.from_string)
+    affine = st.builds(
+        lambda rows, delta: AffineFunction(GF2Matrix(tuple(rows), n), delta),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+        st.text("01", min_size=n, max_size=n),
+    )
+    return st.one_of(bit, affine, st.just(BOT_MAP))
+
+
+def assert_counts_match_tamper_map(code, functions):
+    counts = verifier._count_profiles(code, functions).tolist()
+    outcomes = [*code.messages(), BOT]
+    for f, row in zip(functions, counts):
+        t_map = tamper_map(code, f)
+        expected = [
+            t_map[m].probability(y) * code.seed_count
+            for m in code.messages() for y in outcomes
+        ]
+        assert row == expected, f
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_count_profiles_match_tamper_map(data):
+    code = data.draw(small_codes())
+    functions = data.draw(st.lists(members(code.n), min_size=1, max_size=12))
+    assert_counts_match_tamper_map(code, functions)
+
+
+def test_count_profiles_wide_words():
+    """Words wider than 62 bits take the Python-int path."""
+    n = 70
+    rng = random.Random(5)
+    words = [int_to_bits(rng.getrandbits(n), n) for _ in range(4)]
+    code = StochasticCode.from_tables(
+        1, n, 1, {"0": words[:2], "1": words[2:]},
+        {words[0]: "0", words[1]: "0", words[2]: "1", words[3]: "1",
+         "1" * n: "0"},
+    )
+    functions = [
+        BITFunction.from_string("".join(rng.choice("KF01") for _ in range(n)))
+        for _ in range(6)
+    ]
+    functions += [BITFunction.from_string("1" * n), BOT_MAP]
+    functions += [
+        AffineFunction(
+            GF2Matrix(tuple(rng.getrandbits(n) for _ in range(n)), n),
+            int_to_bits(rng.getrandbits(n), n),
+        )
+        for _ in range(3)
+    ]
+    assert_counts_match_tamper_map(code, functions)
+    cert = certify_family(code, functions)
+    assert cert.per_function[BOT_MAP] == 0
+
+
+def eager_error(code, functions, budget):
+    """The error the member-by-member string experiment raises, if any."""
+    try:
+        for f in functions:
+            tamper_map(code, f, budget=budget)
+    except NmavcError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_certify_family_rejects_like_the_eager_loop(data):
+    code = data.draw(small_codes())
+    n = code.n
+    bad = st.sampled_from([
+        BITFunction.from_string("E" + "K" * (n - 1)),
+        BITFunction.from_string("K" * (n + 1)),
+        AffineFunction(GF2Matrix.identity(n + 1), "0" * (n + 1)),
+        "KKK",
+        3,
+    ])
+    functions = data.draw(
+        st.lists(st.one_of(members(n), bad), min_size=1, max_size=8)
+    )
+    budget = data.draw(
+        st.sampled_from([None, code.seed_count - 1, code.seed_count])
+    )
+    expected = eager_error(code, functions, budget)
+    if expected is None:
+        certify_family(code, functions, budget=budget)
+        return
+    with pytest.raises(NmavcError) as raised:
+        certify_family(code, functions, budget=budget)
+    assert (type(raised.value), str(raised.value)) == expected
+
+
+def counting(monkeypatch, name):
+    """Replace verifier.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(verifier, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, name, wrapper)
+    return calls
+
+
+def test_search_lp_count_is_pinned(monkeypatch):
+    solves = counting(monkeypatch, "solve_min")
+    result = search_nm_code(1, 4, 2, trials=200, seed=404)
+    assert len(solves) == 129
+    assert result.certificate.epsilon == F(1, 4)
+    assert result.best_trial == 9
+
+
+def test_tamper_map_runs_once_per_cache_miss(monkeypatch):
+    code = StochasticCode.from_tables(
+        1, 4, 1,
+        {"0": ["0000", "0110"], "1": ["1011", "1101"]},
+        {"0000": "0", "0110": "0", "1011": "1", "1101": "1", "1111": "0"},
+    )
+    experiments = counting(monkeypatch, "tamper_map")
+    simulators = counting(monkeypatch, "optimal_simulator")
+    cache: dict = {}
+    first = certify_bit_family(code, cache=cache)
+    assert len(experiments) == len(simulators) == len(cache)
+    assert 0 < len(cache) < 4 ** code.n
+    again = certify_bit_family(code, cache=cache)
+    assert len(experiments) == len(cache)
+    assert again.per_function == first.per_function
+
+
+def test_shared_cache_keeps_codes_apart():
+    codes = [
+        StochasticCode.from_tables(
+            1, 3, 0, {"0": ["000"], "1": ["111"]}, {"000": "0", "111": "1"}
+        ),
+        StochasticCode.from_tables(
+            1, 3, 1, {"0": ["000", "011"], "1": ["111", "100"]},
+            {"000": "0", "011": "0", "111": "1", "100": "1"},
+        ),
+        StochasticCode.from_tables(
+            2, 3, 0, {"00": ["000"], "01": ["011"], "10": ["101"], "11": ["110"]},
+            {"000": "00", "011": "01", "101": "10", "110": "11"},
+        ),
+    ]
+    shared: dict = {}
+    for code in codes:
+        got = certify_bit_family(code, cache=shared)
+        alone = certify_bit_family(code)
+        assert got.epsilon == alone.epsilon
+        assert got.worst == alone.worst
+        assert got.per_function == alone.per_function
+        assert got.simulators == alone.simulators
