@@ -25,7 +25,6 @@ from .composed import (
     certify_induced_family,
     composed_decode,
     composed_encode,
-    composed_tamper_distribution,
     induced_family,
     induced_tamper,
     recovery_probability,

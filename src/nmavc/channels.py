@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .distributions import FiniteDistribution, mix, parse_rational
+from .distributions import FiniteDistribution, parse_rational
 from .errors import (
     InfeasibleCoefficientError,
     InvalidChannelError,
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedChannelError,
 )
 from .gf2 import ERASURE_CHAR
-from .tampering import ACTION_ORDER, BitAction, BITFunction
+from .tampering import ACTION_ORDER, BitAction
 
 _BINARY_SYMBOLS = ("0", "1")
 _EXTENDED_SYMBOLS = ("0", "1", ERASURE_CHAR)
@@ -383,19 +383,6 @@ class StateSequence:
                     nxt[prefix + sym] = wp * p
             acc = nxt
         return FiniteDistribution(acc)
-
-    def mixture_output_distribution(self, x: str) -> FiniteDistribution:
-        """Output law reconstructed as the elementary-pattern mixture.
-
-        Cross-validation path: must equal output_distribution exactly.
-        """
-        if len(x) != self.n:
-            raise ValueError(f"input length {len(x)} != {self.n}")
-        components = [
-            (weight, FiniteDistribution.point(BITFunction(pattern).apply(x)))
-            for pattern, weight in self.mixture_weights()
-        ]
-        return mix(components)
 
     def sample_output(self, x: str, seed_or_rng) -> str:
         """One draw from the output law; deterministic given the seed."""

@@ -306,9 +306,14 @@ def cmd_nm_verify(code_file, family, sequences_file, budget, threshold, out, fmt
             cert = certify_bit_family(code, budget=budget)
             per_sequence = {}
             epsilon = Fraction(0)
-            for seq in sequences:
+            for index, seq in enumerate(sequences):
                 result = verify_transfer(code, seq, budget=budget, certificate=cert)
-                per_sequence[result.sequence_label] = result.to_json()
+                # Repeated rows and inline channels (labelled by position)
+                # share labels; every sequence keeps an entry.
+                label = result.sequence_label
+                if label in per_sequence:
+                    label = f"{label}#{index}"
+                per_sequence[label] = result.to_json()
                 epsilon = max(epsilon, result.eps_channel)
             report = {
                 "mode": "sequences",

@@ -1,16 +1,16 @@
 """Two-step construction: inner stochastic code behind a linear erasure code.
 
-Encoding composes the inner encoder with the erasure-code encoder;
-decoding runs the reconstruction-set erasure decoder and feeds its
-output (or BOT) to the inner decoder.  Tampering the outer codeword
-with a per-bit action pattern induces an affine map (or the constant
-failure map) on the inner codeword: the induced map is fitted from the
-actual encode/tamper/decode pipeline, verified on the full domain, and
-matched against its closed matrix form.
+The scheme is a stochastic code over {0,1,e}: encoding composes the
+inner encoder with the erasure-code encoder; decoding runs the
+reconstruction-set erasure decoder and feeds its output (or BOT) to the
+inner decoder.  Tampering the outer codeword with a per-bit action
+pattern induces an affine map (or the constant failure map) on the
+inner codeword: the induced map is fitted from the actual
+encode/tamper/decode pipeline, verified on the full domain, and matched
+against its closed matrix form.
 
-Verification against an erasure-extended state dictionary decomposes
-each state, certifies a simulator per induced map, mixes them by
-pattern weight, and reports the exact worst-case distance per sequence.
+Verification certifies the inner code against the distinct maps that a
+sequence's patterns induce, then runs the verifier's mixture check.
 """
 
 from __future__ import annotations
@@ -20,15 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .channels import ExtendedChannel, StateSequence
-from .distributions import (
-    BOT,
-    FiniteDistribution,
-    all_bitstrings,
-    apply_copy,
-    format_rational,
-    mix,
-    statistical_distance,
-)
+from .distributions import BOT, format_rational
 from .errors import (
     BudgetExceededError,
     InvalidInstanceError,
@@ -55,8 +47,7 @@ from .verifier import (
     FamilyCertificate,
     StochasticCode,
     certify_family,
-    optimal_simulator,
-    tamper_map,
+    verify_mixture,
 )
 
 
@@ -77,10 +68,13 @@ class SpecialStateSpec:
         return ExtendedChannel.bec(self.p_star)
 
 
-class ComposedScheme:
-    """Inner (k -> m) stochastic code encoded by an outer (m -> n) generator."""
+class ComposedScheme(StochasticCode):
+    """Inner (k -> m) stochastic code encoded by an outer (m -> n) generator,
+    itself a code whose decoder reads words over {0,1,e}."""
 
     __slots__ = ("inner", "outer")
+
+    erasures = True
 
     def __init__(self, inner: StochasticCode, outer: GF2Matrix) -> None:
         if inner.n != outer.nrows:
@@ -94,33 +88,23 @@ class ComposedScheme:
         self.inner = inner
         self.outer = outer
 
-    @property
-    def k(self) -> int:
-        return self.inner.k
+        def decode(y: str):
+            """Erasure-decode then inner-decode; an outer failure is BOT."""
+            result = ecc_decode(outer, y)
+            return BOT if result is None else inner.dec(result.message)
 
-    @property
-    def m(self) -> int:
-        return self.inner.n
-
-    @property
-    def n(self) -> int:
-        return self.outer.ncols
-
-    @property
-    def rho(self) -> int:
-        return self.inner.rho
+        super().__init__(
+            inner.k, outer.ncols, inner.rho,
+            lambda m, r: ecc_encode(outer, inner.enc(m, r)), decode,
+        )
 
 
 def composed_encode(scheme: ComposedScheme, m: str, r: int) -> str:
-    return ecc_encode(scheme.outer, scheme.inner.enc(m, r))
+    return scheme.enc(m, r)
 
 
 def composed_decode(scheme: ComposedScheme, y: str):
-    """Erasure-decode then inner-decode; an outer failure propagates to BOT."""
-    result = ecc_decode(scheme.outer, y)
-    if result is None:
-        return BOT
-    return scheme.inner.dec(result.message)
+    return scheme.dec(y)
 
 
 @dataclass(frozen=True)
@@ -219,34 +203,6 @@ def induced_family(
     return members
 
 
-def composed_tamper_distribution(
-    scheme: ComposedScheme,
-    seq: StateSequence,
-    m: str,
-    budget: Optional[int] = None,
-) -> FiniteDistribution:
-    """Exact law of the composed decode under an extended state sequence."""
-    if not seq.extended:
-        raise InvalidInstanceError("composed verification uses extended sequences")
-    if seq.n != scheme.n:
-        raise InvalidInstanceError(f"sequence length {seq.n} != n={scheme.n}")
-    if len(m) != scheme.k:
-        raise InvalidInstanceError(f"message length {len(m)} != k={scheme.k}")
-    cost = (3 ** scheme.n) * scheme.inner.seed_count
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"direct channel experiment needs up to {cost} terms, budget {budget}"
-        )
-    share = Fraction(1, scheme.inner.seed_count)
-    masses: dict = {}
-    for r in range(scheme.inner.seed_count):
-        out = seq.output_distribution(composed_encode(scheme, m, r))
-        for word, p in out.items():
-            outcome = composed_decode(scheme, word)
-            masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
-    return FiniteDistribution(masses)
-
-
 def recovery_probability(
     scheme: ComposedScheme, spec: SpecialStateSpec, budget: int = 20
 ) -> Fraction:
@@ -269,13 +225,13 @@ def recovery_probability(
     recovered = Fraction(0)
     for mask in range(1 << n):
         outcomes = set()
-        for m in scheme.inner.messages():
-            for r in range(scheme.inner.seed_count):
-                word = composed_encode(scheme, m, r)
+        for m in scheme.messages():
+            for r in range(scheme.seed_count):
+                word = scheme.enc(m, r)
                 erased = "".join(
                     "e" if (mask >> j) & 1 else word[j] for j in range(n)
                 )
-                outcomes.add(composed_decode(scheme, erased) == m)
+                outcomes.add(scheme.dec(erased) == m)
         if len(outcomes) > 1:
             raise VerificationError(
                 "recovery is not a function of the erasure pattern alone"
@@ -355,9 +311,9 @@ def verify_composed(
     delta comes from the pipeline-enumeration route and is cross-checked
     against the rank-enumeration route exactly.  Each supplied sequence
     (which must differ from the all-special one) is decomposed into
-    positive-weight action patterns; each pattern's induced map gets an
-    optimal simulator; the weight-mixed simulator is then compared
-    against the exact composed tamper distributions.
+    positive-weight action patterns; the inner code is certified once
+    against their distinct induced maps; the weight-mixed simulator is
+    then compared against the exact composed tamper distributions.
     """
     recovery = recovery_probability(scheme, spec)
     delta = 1 - recovery
@@ -369,13 +325,8 @@ def verify_composed(
 
     special = spec.channel()
     induced_by_pattern: dict = {}
-    report_by_key: dict = {}
-    messages = scheme.inner.messages()
-    lp_cache: dict = {}
-
-    eps_by_sequence: dict[str, SequenceReport] = {}
-    eps_max = Fraction(0)
-    for index, seq in enumerate(states):
+    expanded = []
+    for seq in states:
         if not seq.extended:
             raise InvalidInstanceError(
                 "composed verification needs erasure-extended sequences"
@@ -394,52 +345,29 @@ def verify_composed(
             raise BudgetExceededError(
                 f"sequence expands into {len(patterns)} patterns, budget {budget}"
             )
-        components = []
-        weighted_bound = Fraction(0)
-        pattern_max = Fraction(0)
-        for pattern, weight in patterns:
-            f = BITFunction(pattern)
-            induced = induced_by_pattern.get(f)
-            if induced is None:
-                induced = induced_tamper(scheme.outer, f)
-                induced_by_pattern[f] = induced
-            key = induced.key()
-            report = report_by_key.get(key)
-            if report is None:
-                profile = tamper_map(scheme.inner, key)
-                profile_key = tuple(profile[m] for m in messages)
-                report = lp_cache.get(profile_key)
-                if report is None:
-                    report = optimal_simulator(profile)
-                    lp_cache[profile_key] = report
-                report_by_key[key] = report
-            components.append((weight, report.simulator))
-            weighted_bound += weight * report.epsilon
-            if report.epsilon > pattern_max:
-                pattern_max = report.epsilon
-        d_s = mix(components)
-        per_message = {}
-        for m in all_bitstrings(scheme.k):
-            tam = composed_tamper_distribution(scheme, seq, m, budget=None)
-            per_message[m] = statistical_distance(tam, apply_copy(d_s, m))
-        epsilon = max(per_message.values())
-        worst = min(m for m, sd in per_message.items() if sd == epsilon)
-        if not epsilon <= weighted_bound <= pattern_max:
-            raise VerificationError(
-                f"mixture bound violated: eps={epsilon}, "
-                f"weighted={weighted_bound}, max={pattern_max}"
-            )
+        for pattern, _ in patterns:
+            if pattern not in induced_by_pattern:
+                induced_by_pattern[pattern] = induced_tamper(
+                    scheme.outer, BITFunction(pattern)
+                ).key()
+        expanded.append(patterns)
+    members = list(dict.fromkeys(induced_by_pattern.values()))
+    certificate = certify_family(scheme.inner, members) if members else None
+
+    eps_by_sequence: dict[str, SequenceReport] = {}
+    eps_max = Fraction(0)
+    for index, (seq, patterns) in enumerate(zip(states, expanded)):
+        mixture = verify_mixture(scheme, seq, patterns, certificate, induced_by_pattern)
         label = _sequence_label(seq, index)
         eps_by_sequence[label] = SequenceReport(
             label=label,
-            epsilon=epsilon,
-            weighted_bound=weighted_bound,
-            pattern_max=pattern_max,
-            worst_message=worst,
+            epsilon=mixture.ds_sd,
+            weighted_bound=mixture.weighted_bound,
+            pattern_max=mixture.pattern_max,
+            worst_message=mixture.worst_message,
             pattern_count=len(patterns),
         )
-        if epsilon > eps_max:
-            eps_max = epsilon
+        eps_max = max(eps_max, mixture.ds_sd)
     return ComposedReport(
         delta=delta,
         recovery=recovery,

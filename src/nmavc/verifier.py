@@ -2,11 +2,13 @@
 
 Given a stochastic code (randomized encoder with an explicit uniform
 seed, deterministic decoder), this module computes the exact decoded
-distribution under a tampering function or a channel state sequence,
-finds the optimal message-independent simulator distribution by an
-exact-rational LP, and checks the bit-family-to-channel transfer: the
-mixture simulator built from per-function simulators stays within the
-certified bit-family error for every state sequence.
+distribution under a tampering function or a channel state sequence
+(over {0,1}, or {0,1,e} for a decoder that reads erasures), finds the
+optimal message-independent simulator distribution by an exact-rational
+LP, and checks the transfer from a certified family to a state
+sequence: the per-pattern simulators, mixed by pattern weight, stay
+within the weighted family error.  One mixture check serves the bit
+family and the composed scheme's induced maps.
 
 Every reported (epsilon, D) pair is re-verified by direct statistical
 distance computation before it is returned.
@@ -59,6 +61,7 @@ class StochasticCode:
     """
 
     __slots__ = ("k", "n", "rho", "enc", "dec", "_audited")
+    erasures = False  # True when dec reads words over {0,1,e}
 
     def __init__(
         self,
@@ -269,17 +272,20 @@ def tamper_distribution_channel(
     budget: Optional[int] = None,
 ) -> FiniteDistribution:
     """Exact law of dec(y), y drawn from the channel sequence on enc(m, r),
-    computed directly in product form."""
+    computed directly in product form; costs 2^rho |output alphabet|^n."""
     code.check_correctness()
-    if seq.extended:
+    if seq.extended != code.erasures:
         raise InvalidInstanceError(
             "extended sequences tamper the composed scheme, not a plain code"
+            if seq.extended else
+            "the composed scheme is tampered by extended sequences"
         )
     if seq.n != code.n:
         raise InvalidInstanceError(f"sequence length {seq.n} != n={code.n}")
     if len(m) != code.k:
         raise InvalidInstanceError(f"message length {len(m)} != k={code.k}")
-    _check_budget(code.seed_count * (1 << code.n), budget, "channel experiment")
+    symbols = len(seq.channels[0].output_symbols)
+    _check_budget(code.seed_count * symbols ** code.n, budget, "channel experiment")
     share = Fraction(1, code.seed_count)
     masses: dict = {}
     for r in range(code.seed_count):
@@ -601,24 +607,77 @@ def certify_bit_family(
     return cert
 
 
+def _mixture(
+    patterns: Iterable[tuple[tuple, Fraction]],
+    simulators: Mapping,
+    member_of: Optional[Mapping] = None,
+) -> tuple[FiniteDistribution, list[tuple[Fraction, TamperingFunction]]]:
+    """Simulators mixed by pattern weight, and the (weight, member) pairs.
+
+    A pattern's member is its BIT function, or member_of[pattern]; one
+    without a simulator is an error, as the mixture would not sum to 1.
+    """
+    members = []
+    for pattern, weight in patterns:
+        f = BITFunction(pattern) if member_of is None else member_of[pattern]
+        if f not in simulators:
+            raise InvalidInstanceError(
+                f"no simulator for positive-weight pattern "
+                f"{BITFunction(pattern).to_string()}"
+            )
+        members.append((weight, f))
+    return mix([(weight, simulators[f]) for weight, f in members]), members
+
+
 def ds_mixture(
     seq: StateSequence,
     simulators: Mapping[BITFunction, FiniteDistribution],
 ) -> FiniteDistribution:
-    """Sequence simulator: per-function simulators mixed by pattern weight.
+    """Sequence simulator: per-function simulators mixed by pattern weight."""
+    return _mixture(seq.mixture_weights(), simulators)[0]
 
-    Only patterns with positive weight are consulted; a missing one is
-    an error because the mixture would not be a distribution.
-    """
-    components = []
-    for pattern, weight in seq.mixture_weights():
-        f = BITFunction(pattern)
-        if f not in simulators:
-            raise InvalidInstanceError(
-                f"no simulator for positive-weight pattern {f.to_string()}"
-            )
-        components.append((weight, simulators[f]))
-    return mix(components)
+
+@dataclass
+class MixtureReport:
+    """D_s against a sequence's laws: ds_sd <= weighted_bound <= pattern_max."""
+
+    laws: dict[str, FiniteDistribution]
+    ds_sd: Fraction
+    weighted_bound: Fraction
+    pattern_max: Fraction
+    worst_message: str
+
+
+def verify_mixture(
+    code: StochasticCode,
+    seq: StateSequence,
+    patterns: Iterable[tuple[tuple, Fraction]],
+    certificate: FamilyCertificate,
+    member_of: Optional[Mapping] = None,
+    budget: Optional[int] = None,
+) -> MixtureReport:
+    """D_s, the certified simulators of seq's (pattern, weight) list mixed,
+    against seq's direct channel laws; member_of maps a pattern to the
+    certified member simulating it (default: its own BIT function)."""
+    laws = {
+        m: tamper_distribution_channel(code, seq, m, budget=budget)
+        for m in code.messages()
+    }
+    d_s, members = _mixture(patterns, certificate.simulators, member_of)
+    errors = [(weight, certificate.per_function[f]) for weight, f in members]
+    weighted_bound = sum((weight * eps for weight, eps in errors), Fraction(0))
+    pattern_max = max(eps for _, eps in errors)
+    per_message = {
+        m: statistical_distance(law, apply_copy(d_s, m)) for m, law in laws.items()
+    }
+    ds_sd = max(per_message.values())
+    worst = min(m for m, sd in per_message.items() if sd == ds_sd)
+    if not ds_sd <= weighted_bound <= pattern_max:
+        raise VerificationError(
+            f"mixture bound violated: ds_sd={ds_sd}, "
+            f"weighted={weighted_bound}, max={pattern_max}"
+        )
+    return MixtureReport(laws, ds_sd, weighted_bound, pattern_max, worst)
 
 
 @dataclass
@@ -656,43 +715,28 @@ def verify_transfer(
     budget: Optional[int] = None,
     certificate: Optional[FamilyCertificate] = None,
 ) -> TransferReport:
-    """Check the bit-family-to-AVC transfer on one binary state sequence.
-
-    Builds the mixture simulator D_s from the per-function optimal
-    simulators and verifies, exactly, that its worst-case distance to
-    the channel tamper distributions is within the certified bit-family
-    epsilon (and within the finer weighted bound).
-    """
+    """Check the bit-family-to-AVC transfer on one binary state sequence:
+    the mixture check, eps_channel <= ds_sd and pattern_max <= eps_bit."""
     if certificate is None:
         certificate = certify_bit_family(code, budget=budget)
-    channel_map = {
-        m: tamper_distribution_channel(code, seq, m, budget=budget)
-        for m in code.messages()
-    }
-    eps_channel = optimal_simulator(channel_map).epsilon
-    d_s = ds_mixture(seq, certificate.simulators)
-    per_message = {
-        m: statistical_distance(channel_map[m], apply_copy(d_s, m))
-        for m in code.messages()
-    }
-    ds_sd = max(per_message.values())
-    worst = min(m for m, sd in per_message.items() if sd == ds_sd)
-    weighted_bound = Fraction(0)
-    for pattern, weight in seq.mixture_weights():
-        weighted_bound += weight * certificate.per_function[BITFunction(pattern)]
-    if not (eps_channel <= ds_sd <= weighted_bound <= certificate.epsilon):
+    mixture = verify_mixture(
+        code, seq, seq.mixture_weights(), certificate, budget=budget
+    )
+    eps_channel = optimal_simulator(mixture.laws).epsilon
+    if not (eps_channel <= mixture.ds_sd
+            and mixture.pattern_max <= certificate.epsilon):
         raise VerificationError(
             f"transfer inequality violated: eps_channel={eps_channel}, "
-            f"ds_sd={ds_sd}, weighted={weighted_bound}, "
+            f"ds_sd={mixture.ds_sd}, weighted={mixture.weighted_bound}, "
             f"eps_bit={certificate.epsilon}"
         )
     label = ",".join(seq.labels) if seq.labels else f"n={seq.n}"
     return TransferReport(
         eps_bit=certificate.epsilon,
         eps_channel=eps_channel,
-        ds_sd=ds_sd,
-        weighted_bound=weighted_bound,
-        worst_message=worst,
+        ds_sd=mixture.ds_sd,
+        weighted_bound=mixture.weighted_bound,
+        worst_message=mixture.worst_message,
         sequence_label=label,
     )
 

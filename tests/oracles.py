@@ -16,14 +16,22 @@ from typing import Optional, Sequence
 
 from nmavc import (
     BITFunction,
+    ComposedScheme,
     FiniteDistribution,
     StateSequence,
     StochasticCode,
     apply_copy,
+    composed_decode,
+    composed_encode,
     mix,
     tamper_distribution_fn,
 )
-from nmavc.errors import LPInfeasibleError, LPUnboundedError
+from nmavc.errors import (
+    BudgetExceededError,
+    InvalidInstanceError,
+    LPInfeasibleError,
+    LPUnboundedError,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -315,3 +323,45 @@ def tamper_distribution_channel_mixture(
         for pattern, weight in seq.mixture_weights()
     ]
     return mix(components)
+
+
+def mixture_output_distribution(seq: StateSequence, x: str) -> FiniteDistribution:
+    """Output law reconstructed as the elementary-pattern mixture.
+
+    Cross-validation path: must equal seq.output_distribution(x) exactly.
+    """
+    if len(x) != seq.n:
+        raise ValueError(f"input length {len(x)} != {seq.n}")
+    components = [
+        (weight, FiniteDistribution.point(BITFunction(pattern).apply(x)))
+        for pattern, weight in seq.mixture_weights()
+    ]
+    return mix(components)
+
+
+def composed_tamper_distribution(
+    scheme: ComposedScheme,
+    seq: StateSequence,
+    m: str,
+    budget: Optional[int] = None,
+) -> FiniteDistribution:
+    """Exact law of the composed decode under an extended state sequence."""
+    if not seq.extended:
+        raise InvalidInstanceError("composed verification uses extended sequences")
+    if seq.n != scheme.n:
+        raise InvalidInstanceError(f"sequence length {seq.n} != n={scheme.n}")
+    if len(m) != scheme.k:
+        raise InvalidInstanceError(f"message length {len(m)} != k={scheme.k}")
+    cost = (3 ** scheme.n) * scheme.inner.seed_count
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(
+            f"direct channel experiment needs up to {cost} terms, budget {budget}"
+        )
+    share = Fraction(1, scheme.inner.seed_count)
+    masses: dict = {}
+    for r in range(scheme.inner.seed_count):
+        out = seq.output_distribution(composed_encode(scheme, m, r))
+        for word, p in out.items():
+            outcome = composed_decode(scheme, word)
+            masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
+    return FiniteDistribution(masses)

@@ -23,7 +23,11 @@ from nmavc.errors import (
     InvalidChannelError,
     UnsupportedChannelError,
 )
-from oracles import random_binary_channel, random_extended_channel
+from oracles import (
+    mixture_output_distribution,
+    random_binary_channel,
+    random_extended_channel,
+)
 
 K, FL, S0, S1, E = (
     BitAction.KEEP,
@@ -229,7 +233,7 @@ def test_product_equals_pattern_mixture_exactly():
         n = rng.randint(1, 3)
         seq = StateSequence([random_binary_channel(rng) for _ in range(n)])
         for x in all_bitstrings(n):
-            assert seq.output_distribution(x) == seq.mixture_output_distribution(x)
+            assert seq.output_distribution(x) == mixture_output_distribution(seq, x)
 
 
 def test_extended_product_law():

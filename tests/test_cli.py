@@ -94,6 +94,32 @@ def test_nm_verify_identity_code(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+
+def test_nm_verify_keeps_sequences_with_equal_labels(runner, tmp_path):
+    # Inline channels are labelled by position, so these two different
+    # sequences share the label "inline0,inline1"; both must be reported.
+    code = write(tmp_path, "code.json", LINEAR_CODE_K1_N3)
+    flip = {"rows": [["0", "1"], ["1", "0"]]}
+    seqs = write(
+        tmp_path, "seqs.json",
+        {"sequences": [[BSC, BSC, BSC], [flip, BSC, BSC], [BSC, BSC, BSC]]},
+    )
+    out = str(tmp_path / "report.json")
+    result = runner.invoke(
+        main, ["nm-verify", code, "--sequences", seqs, "--budget", "1000",
+               "--out", out],
+    )
+    assert result.exit_code == 0, result.output
+    assert "over 3 sequences" in result.output
+    reported = json.loads(Path(out).read_text())["sequences"]
+    assert sorted(reported) == [
+        "inline0,inline1,inline2",
+        "inline0,inline1,inline2#1",
+        "inline0,inline1,inline2#2",
+    ]
+    assert reported["inline0,inline1,inline2#1"] != reported["inline0,inline1,inline2"]
+    assert reported["inline0,inline1,inline2#2"] == reported["inline0,inline1,inline2"]
+
 def test_nm_verify_threshold_failure(runner, tmp_path):
     # The linear repetition code has bit-family epsilon 1/2 (offset
     # attack), which misses a threshold of 1/4.
@@ -266,3 +292,36 @@ def test_text_format(runner, tmp_path):
     result = runner.invoke(main, ["delta", path, "0", "--format", "text"])
     assert result.exit_code == 0
     assert "delta = 0" in result.output
+
+
+# ------------------------------------------------------------ golden reports
+# Reports generated before the plain and composed channel experiments
+# were merged; the whole JSON must stay the same apart from the
+# timestamp and the input paths the provenance echoes.
+
+DATA = Path(__file__).parent / "data"
+
+
+def report_without_run_fields(path) -> dict:
+    report = json.loads(Path(path).read_text())
+    for field in ("generated_at", "input", "sequences"):
+        report["provenance"].pop(field, None)
+    return report
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (["nm-verify", str(DATA / "transfer_code.json"), "--sequences",
+          str(DATA / "transfer_sequences.json"), "--budget", "1000"],
+         "golden_nm_verify_sequences.json"),
+        (["composed-verify", "--spec", str(DATA / "composed_spec.json")],
+         "golden_composed_verify.json"),
+    ],
+    ids=["nm-verify-sequences", "composed-verify"],
+)
+def test_report_matches_golden(runner, tmp_path, args, golden):
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert report_without_run_fields(out) == report_without_run_fields(DATA / golden)

@@ -30,14 +30,27 @@ from nmavc import (
     recovery_probability,
     search_nm_code,
     single_parity,
+    tamper_distribution_channel,
     verify_composed,
 )
+from nmavc import composed, simplex, verifier
 from nmavc.errors import InvalidInstanceError
+from oracles import composed_tamper_distribution, random_extended_channel
 
 
 def small_scheme(seed=3) -> ComposedScheme:
     inner = search_nm_code(k=1, n=2, rho=1, trials=4, seed=seed).code
     return ComposedScheme(inner, single_parity(2))
+
+
+def parity45_scheme() -> ComposedScheme:
+    """The shipped demo: its inner code behind the 4 -> 5 parity code."""
+    import json
+    from pathlib import Path
+
+    data = Path(__file__).parent.parent / "src" / "nmavc" / "data"
+    inner = json.loads((data / "demo_inner_code.json").read_text())
+    return ComposedScheme(StochasticCode.from_json(inner), single_parity(4))
 
 
 # ------------------------------------------------------------------ induced
@@ -173,6 +186,32 @@ def test_dimension_mismatch_rejected():
         ComposedScheme(inner, single_parity(2))
 
 
+
+@pytest.mark.parametrize("make_scheme", [small_scheme, parity45_scheme])
+def test_channel_experiment_matches_composed_oracle(make_scheme):
+    # The plain-code channel experiment, run on the composed scheme,
+    # equals the composed experiment it replaced, exactly.
+    scheme = make_scheme()
+    rng = random.Random(62)
+    for _ in range(4):
+        seq = StateSequence(
+            [random_extended_channel(rng) for _ in range(scheme.n)]
+        )
+        for m in scheme.messages():
+            assert tamper_distribution_channel(scheme, seq, m) == (
+                composed_tamper_distribution(scheme, seq, m)
+            )
+
+
+def test_composed_scheme_rejects_binary_sequence():
+    scheme = small_scheme()
+    seq = StateSequence.uniform(BinaryChannel.bsc(F(3, 10)), scheme.n)
+    with pytest.raises(InvalidInstanceError):
+        tamper_distribution_channel(scheme, seq, "0")
+    plain = StateSequence.uniform(ExtendedChannel.bec(F(1, 10)), scheme.inner.n)
+    with pytest.raises(InvalidInstanceError):
+        tamper_distribution_channel(scheme.inner, plain, "0")
+
 # -------------------------------------------------------------- verification
 
 def bec(p):
@@ -235,3 +274,48 @@ def test_certify_induced_family_bound_holds():
     )
     cert = certify_induced_family(inner.code, outer)
     assert cert.epsilon == inner.certificate.epsilon
+
+
+
+def counting(monkeypatch, module, name):
+    """Count calls to module.<name> wherever verifier or composed bind it."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for owner in {module, verifier, composed}:
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
+    scheme = parity45_scheme()
+    n = scheme.n
+    bsc = BinaryChannel.bsc(F(3, 10)).to_extended()
+    z = BinaryChannel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]).to_extended()
+    erase = bec((1, 5))
+    seqs = [
+        StateSequence.uniform(bsc, n, "bsc"),
+        StateSequence.uniform(z, n, "z"),
+        StateSequence([erase, z] + [bsc] * (n - 2)),
+        StateSequence([erase] * (n - 1) + [z]),
+    ]
+    induced = {
+        induced_tamper(scheme.outer, BITFunction(pattern)).key()
+        for seq in seqs for pattern, _ in seq.mixture_weights()
+    }
+    profiles = {
+        tuple(sorted(verifier.tamper_map(scheme.inner, f).items()))
+        for f in induced
+    }
+    experiments = counting(monkeypatch, verifier, "tamper_map")
+    simulators = counting(monkeypatch, verifier, "optimal_simulator")
+    solves = counting(monkeypatch, simplex, "solve_min")
+    verify_composed(scheme, seqs, SpecialStateSpec(F(1, 10), n))
+    assert (len(induced), len(profiles)) == (47, 32)
+    assert len(experiments) == len(simulators) == len(profiles)
+    assert len(solves) == 27
