@@ -20,11 +20,8 @@ from .channels import (
 )
 from .composed import (
     ComposedScheme,
-    InducedFunction,
     SpecialStateSpec,
     certify_induced_family,
-    composed_decode,
-    composed_encode,
     induced_family,
     induced_tamper,
     recovery_probability,
@@ -59,11 +56,9 @@ from .tampering import (
     AffineFunction,
     BitAction,
     BITFunction,
-    NonAffineReport,
     bit_to_affine,
     compose_affine,
     enumerate_bit_functions,
-    fit_affine,
 )
 from .verifier import (
     BOT_MAP,

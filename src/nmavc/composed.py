@@ -5,9 +5,9 @@ inner encoder with the erasure-code encoder; decoding runs the
 reconstruction-set erasure decoder and feeds its output (or BOT) to the
 inner decoder.  Tampering the outer codeword with a per-bit action
 pattern induces an affine map (or the constant failure map) on the
-inner codeword: the induced map is fitted from the actual
-encode/tamper/decode pipeline, verified on the full domain, and matched
-against its closed matrix form.
+inner codeword: the induced map is built in its closed matrix form and
+checked against the actual encode/tamper/decode pipeline on every inner
+word.
 
 Verification certifies the inner code against the distinct maps that a
 sequence's patterns induce, then runs the verifier's mixture check.
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .channels import ExtendedChannel, StateSequence
-from .distributions import BOT, format_rational
+from .distributions import BOT, Marker, all_bitstrings, format_rational
 from .errors import (
     BudgetExceededError,
     InvalidInstanceError,
@@ -35,13 +35,7 @@ from .gf2 import (
     int_to_bits,
     select_reconstruction,
 )
-from .tampering import (
-    AffineFunction,
-    BITFunction,
-    NonAffineReport,
-    enumerate_bit_functions,
-    fit_affine,
-)
+from .tampering import AffineFunction, BITFunction, enumerate_bit_functions
 from .verifier import (
     BOT_MAP,
     FamilyCertificate,
@@ -99,35 +93,6 @@ class ComposedScheme(StochasticCode):
         )
 
 
-def composed_encode(scheme: ComposedScheme, m: str, r: int) -> str:
-    return scheme.enc(m, r)
-
-
-def composed_decode(scheme: ComposedScheme, y: str):
-    return scheme.dec(y)
-
-
-@dataclass(frozen=True)
-class InducedFunction:
-    """What an outer-word action pattern does to the inner codeword.
-
-    Either an affine map on m bits (verified on all 2^m inputs and equal
-    to the closed form) or, with too many erasures, the constant failure
-    map (affine is None).
-    """
-
-    source: BITFunction
-    affine: Optional[AffineFunction]
-    reconstruction: Optional[ReconstructionSet]
-
-    @property
-    def is_failure(self) -> bool:
-        return self.affine is None
-
-    def key(self):
-        return BOT_MAP if self.affine is None else self.affine
-
-
 def _closed_form(
     outer: GF2Matrix, f: BITFunction, recon: ReconstructionSet
 ) -> AffineFunction:
@@ -148,40 +113,35 @@ def _closed_form(
     return AffineFunction(matrix, delta)
 
 
-def induced_tamper(outer: GF2Matrix, f: BITFunction) -> InducedFunction:
-    """The map decode(f(encode(u))) on inner codewords, dual-route verified.
+def induced_tamper(
+    outer: GF2Matrix, f: BITFunction
+) -> Union[AffineFunction, Marker]:
+    """The map decode(f(encode(u))) on inner codewords: BOT_MAP or affine.
 
-    One route fits an affine function from the real pipeline and checks
-    it on every input; the other builds the closed matrix form.  The two
-    must agree exactly.  The reconstruction set depends only on the
+    With too many erasures the map is the constant failure map BOT_MAP.
+    Otherwise it is the closed matrix form, built from the action masks
+    and checked against the string-level encode/tamper/decode pipeline on
+    every inner word.  The reconstruction set depends only on the
     erasure pattern of f, never on codeword bits.
     """
     if f.n != outer.ncols:
         raise InvalidInstanceError(
             f"pattern length {f.n} != outer block length {outer.ncols}"
         )
-    m = outer.nrows
     recon = select_reconstruction(outer, f.erasure_set())
     if recon is None:
-        return InducedFunction(source=f, affine=None, reconstruction=None)
-
-    def oracle(u: str) -> str:
-        result = ecc_decode(outer, f.apply(ecc_encode(outer, u)))
-        assert result is not None  # a reconstruction set exists
-        return result.message
-
-    fitted = fit_affine(oracle, m, m)
-    if isinstance(fitted, NonAffineReport):
-        raise VerificationError(
-            f"induced map of {f.to_string()} is not affine at input "
-            f"{fitted.witness}: pipeline {fitted.expected}, fit {fitted.fitted}"
-        )
+        return BOT_MAP
     closed = _closed_form(outer, f, recon)
-    if fitted != closed:
-        raise VerificationError(
-            f"induced map of {f.to_string()} disagrees with its closed form"
-        )
-    return InducedFunction(source=f, affine=fitted, reconstruction=recon)
+    for u in all_bitstrings(outer.nrows):
+        result = ecc_decode(outer, f.apply(ecc_encode(outer, u)))
+        actual = None if result is None else result.message
+        expected = closed.apply(u)
+        if actual != expected:
+            raise VerificationError(
+                f"induced map of {f.to_string()} disagrees with its closed "
+                f"form at input {u}: pipeline {actual}, closed form {expected}"
+            )
+    return closed
 
 
 def induced_family(
@@ -196,10 +156,9 @@ def induced_family(
     members = []
     for f in enumerate_bit_functions(outer.ncols, 5, budget=budget):
         induced = induced_tamper(outer, f)
-        key = induced.key()
-        if key not in seen:
-            seen.add(key)
-            members.append(key)
+        if induced not in seen:
+            seen.add(induced)
+            members.append(induced)
     return members
 
 
@@ -349,7 +308,7 @@ def verify_composed(
             if pattern not in induced_by_pattern:
                 induced_by_pattern[pattern] = induced_tamper(
                     scheme.outer, BITFunction(pattern)
-                ).key()
+                )
         expanded.append(patterns)
     members = list(dict.fromkeys(induced_by_pattern.values()))
     certificate = certify_family(scheme.inner, members) if members else None
@@ -358,7 +317,10 @@ def verify_composed(
     eps_max = Fraction(0)
     for index, (seq, patterns) in enumerate(zip(states, expanded)):
         mixture = verify_mixture(scheme, seq, patterns, certificate, induced_by_pattern)
+        # A repeated row keeps its own entry under its index.
         label = _sequence_label(seq, index)
+        if label in eps_by_sequence:
+            label = f"{label}#{index}"
         eps_by_sequence[label] = SequenceReport(
             label=label,
             epsilon=mixture.ds_sd,

@@ -40,12 +40,6 @@ def int_to_bits(value: int, n: int) -> str:
     return "".join("1" if (value >> i) & 1 else "0" for i in range(n))
 
 
-def xor_bits(a: str, b: str) -> str:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class GF2Matrix:
     """Dense matrix over GF(2) with bit-packed integer rows."""
@@ -110,16 +104,6 @@ class GF2Matrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         return GF2Matrix(tuple(other.vec_mul(row) for row in self.rows), other.ncols)
-
-    def transpose(self) -> "GF2Matrix":
-        cols = []
-        for j in range(self.ncols):
-            col = 0
-            for i, row in enumerate(self.rows):
-                if (row >> j) & 1:
-                    col |= 1 << i
-            cols.append(col)
-        return GF2Matrix(tuple(cols), self.nrows)
 
     def submatrix_columns(self, cols: Sequence[int]) -> "GF2Matrix":
         new_rows = []

@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from enum import Enum
 
-from .distributions import all_bitstrings
 from .errors import BudgetExceededError, NotRepresentableError
-from .gf2 import ERASURE_CHAR, GF2Matrix, bits_to_int, int_to_bits, xor_bits
+from .gf2 import ERASURE_CHAR, GF2Matrix, bits_to_int, int_to_bits
 
 
 class BitAction(Enum):
@@ -169,41 +168,6 @@ def bit_to_affine(f: BITFunction) -> AffineFunction:
     keep, xor = f.masks
     rows = tuple(keep & (1 << i) for i in range(f.n))
     return AffineFunction(GF2Matrix(rows, f.n), int_to_bits(xor, f.n))
-
-
-@dataclass(frozen=True)
-class NonAffineReport:
-    """Witness that an oracle is not affine: the fit disagrees at `witness`."""
-
-    witness: str
-    expected: str
-    fitted: str
-
-
-def fit_affine(
-    oracle: Callable[[str], str], a: int, b: int
-) -> Union[AffineFunction, NonAffineReport]:
-    """Interpolate an affine map from an oracle and verify on all 2^a inputs.
-
-    delta = oracle(0); row i of M = oracle(e_i) xor delta.  Non-affinity
-    is reported with the lexicographically first failing input, never
-    raised.
-    """
-    zero = "0" * a
-    delta = oracle(zero)
-    if len(delta) != b:
-        raise ValueError(f"oracle output length {len(delta)} != {b}")
-    rows = []
-    for i in range(a):
-        basis_input = "".join("1" if j == i else "0" for j in range(a))
-        rows.append(bits_to_int(xor_bits(oracle(basis_input), delta)))
-    candidate = AffineFunction(GF2Matrix(tuple(rows), b), delta)
-    for u in all_bitstrings(a):
-        fitted = candidate.apply(u)
-        actual = oracle(u)
-        if fitted != actual:
-            return NonAffineReport(witness=u, expected=actual, fitted=fitted)
-    return candidate
 
 
 def enumerate_bit_functions(

@@ -21,8 +21,6 @@ from nmavc import (
     StateSequence,
     StochasticCode,
     apply_copy,
-    composed_decode,
-    composed_encode,
     mix,
     tamper_distribution_fn,
 )
@@ -360,8 +358,8 @@ def composed_tamper_distribution(
     share = Fraction(1, scheme.inner.seed_count)
     masses: dict = {}
     for r in range(scheme.inner.seed_count):
-        out = seq.output_distribution(composed_encode(scheme, m, r))
+        out = seq.output_distribution(scheme.enc(m, r))
         for word, p in out.items():
-            outcome = composed_decode(scheme, word)
+            outcome = scheme.dec(word)
             masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
     return FiniteDistribution(masses)

@@ -16,6 +16,7 @@ from pathlib import Path
 from conftest import record_criterion
 from nmavc import (
     BOT,
+    BOT_MAP,
     BinaryChannel,
     BITFunction,
     ComposedScheme,
@@ -224,8 +225,8 @@ def test_c06_erasure_decoder_complete():
 
 
 def test_c07_induced_affinity_full_scan():
-    """Every extended pattern induces a verified affine map or the
-    failure map, matching the closed form, for 10 seeded outer codes."""
+    """Every extended pattern induces the failure map or its closed-form
+    affine map, checked against the pipeline, for 10 seeded outer codes."""
     t0 = time.perf_counter()
     rng = random.Random(1007)
     patterns_checked = 0
@@ -234,15 +235,15 @@ def test_c07_induced_affinity_full_scan():
         n = rng.randint(m + 1, 6)
         outer = random_full_rank(m, n, rng)
         for f in enumerate_bit_functions(n, 5):
-            # induced_tamper verifies the affine fit on all 2^m inputs
-            # and compares with the closed form, raising on any mismatch.
+            # induced_tamper checks the closed form against the pipeline
+            # on all 2^m inputs, raising on any mismatch.
             induced = induced_tamper(outer, f)
             has_r = select_reconstruction(outer, f.erasure_set()) is not None
-            assert induced.is_failure == (not has_r)
+            assert (induced is BOT_MAP) == (not has_r)
             patterns_checked += 1
     _done(
         "C7 induced affinity", 600, t0,
-        f"{patterns_checked} patterns over 10 outer codes, dual-route exact",
+        f"{patterns_checked} patterns over 10 outer codes, closed form = pipeline",
     )
 
 

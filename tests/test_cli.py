@@ -273,6 +273,35 @@ def test_composed_verify_demo_spec(runner, tmp_path):
     assert report["passed"] is True
 
 
+def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
+    # The first row is listed twice; each listing keeps its own entry.
+    bec = {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}
+    spec = {
+        "inner_code": json.loads((DATA / "transfer_code.json").read_text()),
+        "outer": json.loads((DATA / "parity34.json").read_text()),
+        "p_star": "1/10",
+        "states": {"bec": bec, "bsc": BSC},
+        "special_state": "bec",
+        "sequences": [["bsc", "bec", "bsc", "bsc"], ["bsc"] * 4,
+                      ["bsc", "bec", "bsc", "bsc"]],
+        "budget": 1000,
+    }
+    spec_file = write(tmp_path, "spec.json", spec)
+    out = str(tmp_path / "report.json")
+    result = runner.invoke(
+        main, ["composed-verify", "--spec", spec_file, "--out", out]
+    )
+    assert result.exit_code == 0, result.output
+    assert "over 3 sequences" in result.output
+    reported = json.loads(Path(out).read_text())["sequences"]
+    assert sorted(reported) == [
+        "bsc,bec,bsc,bsc", "bsc,bec,bsc,bsc#2", "bsc,bsc,bsc,bsc",
+    ]
+    first, repeat = reported["bsc,bec,bsc,bsc"], reported["bsc,bec,bsc,bsc#2"]
+    assert repeat["sequence"] == "bsc,bec,bsc,bsc#2"
+    assert {**repeat, "sequence": first["sequence"]} == first
+
+
 def test_composed_verify_missing_field_exit_2(runner, tmp_path):
     spec_file = write(tmp_path, "spec.json", {"outer": PARITY_45})
     result = runner.invoke(main, ["composed-verify", "--spec", str(spec_file)])
@@ -296,15 +325,16 @@ def test_text_format(runner, tmp_path):
 
 # ------------------------------------------------------------ golden reports
 # Reports generated before the plain and composed channel experiments
-# were merged; the whole JSON must stay the same apart from the
-# timestamp and the input paths the provenance echoes.
+# were merged, and (certify-inner) before induced maps were built from
+# their closed form alone; the whole JSON must stay the same apart from
+# the timestamp and the input paths the provenance echoes.
 
 DATA = Path(__file__).parent / "data"
 
 
 def report_without_run_fields(path) -> dict:
     report = json.loads(Path(path).read_text())
-    for field in ("generated_at", "input", "sequences"):
+    for field in ("generated_at", "input", "sequences", "generator"):
         report["provenance"].pop(field, None)
     return report
 
@@ -317,8 +347,11 @@ def report_without_run_fields(path) -> dict:
          "golden_nm_verify_sequences.json"),
         (["composed-verify", "--spec", str(DATA / "composed_spec.json")],
          "golden_composed_verify.json"),
+        (["certify-inner", str(DATA / "transfer_code.json"),
+          str(DATA / "parity34.json")],
+         "golden_certify_inner.json"),
     ],
-    ids=["nm-verify-sequences", "composed-verify"],
+    ids=["nm-verify-sequences", "composed-verify", "certify-inner"],
 )
 def test_report_matches_golden(runner, tmp_path, args, golden):
     out = tmp_path / "report.json"

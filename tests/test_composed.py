@@ -1,11 +1,13 @@
 """The composed construction: induced tampering, recovery, verification."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from nmavc import (
+    AffineFunction,
     BOT,
     BOT_MAP,
     BinaryChannel,
@@ -19,9 +21,8 @@ from nmavc import (
     all_bitstrings,
     bit_to_affine,
     certify_induced_family,
-    composed_decode,
-    composed_encode,
     delta_exact,
+    ecc_encode,
     enumerate_bit_functions,
     hamming_7_4,
     induced_family,
@@ -34,7 +35,8 @@ from nmavc import (
     verify_composed,
 )
 from nmavc import composed, simplex, verifier
-from nmavc.errors import InvalidInstanceError
+from nmavc.errors import InvalidInstanceError, VerificationError
+from nmavc.gf2 import select_reconstruction
 from oracles import composed_tamper_distribution, random_extended_channel
 
 
@@ -58,31 +60,28 @@ def parity45_scheme() -> ComposedScheme:
 def test_induced_identity_outer_equals_bit_to_affine():
     outer = GF2Matrix.identity(3)
     for f in enumerate_bit_functions(3, 4):
-        induced = induced_tamper(outer, f)
-        assert induced.affine == bit_to_affine(f)
+        assert induced_tamper(outer, f) == bit_to_affine(f)
 
 
 def test_induced_worked_example():
     outer = GF2Matrix.from_rows(["101", "011"])
     f = BITFunction.from_string("1KK")
     induced = induced_tamper(outer, f)
-    assert induced.affine.matrix == GF2Matrix.from_rows(["00", "01"])
-    assert induced.affine.delta == "10"
-    assert induced.affine.apply("11") == "11"
-    assert induced.reconstruction.indices == (0, 1)
+    assert induced.matrix == GF2Matrix.from_rows(["00", "01"])
+    assert induced.delta == "10"
+    assert induced.apply("11") == "11"
+    assert select_reconstruction(outer, f.erasure_set()).indices == (0, 1)
 
 
 def test_induced_all_erased_is_failure_map():
     outer = GF2Matrix.from_rows(["101", "011"])
-    induced = induced_tamper(outer, BITFunction.from_string("EEE"))
-    assert induced.is_failure
-    assert induced.key() is BOT_MAP
+    assert induced_tamper(outer, BITFunction.from_string("EEE")) is BOT_MAP
 
 
 def test_induced_affinity_random_outers():
     # Every extended pattern induces an affine map (or the failure map),
     # and the affine map reproduces the raw encode/tamper/decode pipeline.
-    from nmavc import ecc_decode, ecc_encode
+    from nmavc import ecc_decode
 
     rng = random.Random(60)
     for _ in range(3):
@@ -93,10 +92,45 @@ def test_induced_affinity_random_outers():
             induced = induced_tamper(outer, f)
             for u in all_bitstrings(m):
                 piped = ecc_decode(outer, f.apply(ecc_encode(outer, u)))
-                if induced.is_failure:
+                if induced is BOT_MAP:
                     assert piped is None
                 else:
-                    assert induced.affine.apply(u) == piped.message
+                    assert induced.apply(u) == piped.message
+
+
+def flip_first_bit(word: str) -> str:
+    return ("1" if word[0] == "0" else "0") + word[1:]
+
+
+def test_induced_rejects_wrong_closed_form(monkeypatch):
+    # A closed form off by one delta bit disagrees with the pipeline on
+    # every input; the first one, 000, is named.
+    closed_form = composed._closed_form
+
+    def off_by_one(outer, f, recon):
+        closed = closed_form(outer, f, recon)
+        return AffineFunction(closed.matrix, flip_first_bit(closed.delta))
+
+    monkeypatch.setattr(composed, "_closed_form", off_by_one)
+    with pytest.raises(VerificationError, match="FK1E.*at input 000"):
+        induced_tamper(single_parity(3), BITFunction.from_string("FK1E"))
+
+
+def test_induced_rejects_pipeline_wrong_on_one_word(monkeypatch):
+    outer = single_parity(3)
+    f = BITFunction.from_string("FK1E")
+    target = f.apply(ecc_encode(outer, "110"))
+    ecc_decode = composed.ecc_decode
+
+    def wrong_once(g, y):
+        result = ecc_decode(g, y)
+        if y != target:
+            return result
+        return dataclasses.replace(result, message=flip_first_bit(result.message))
+
+    monkeypatch.setattr(composed, "ecc_decode", wrong_once)
+    with pytest.raises(VerificationError, match="FK1E.*at input 110:"):
+        induced_tamper(outer, f)
 
 
 def test_induced_family_members_distinct():
@@ -112,13 +146,13 @@ def test_composed_round_trip_no_erasures():
     scheme = small_scheme()
     for m in all_bitstrings(scheme.k):
         for r in range(scheme.inner.seed_count):
-            word = composed_encode(scheme, m, r)
-            assert composed_decode(scheme, word) == m
+            word = scheme.enc(m, r)
+            assert scheme.dec(word) == m
 
 
 def test_composed_all_erased():
     scheme = small_scheme()
-    assert composed_decode(scheme, "e" * scheme.n) is BOT
+    assert scheme.dec("e" * scheme.n) is BOT
 
 
 def test_composed_correctable_erasures():
@@ -126,18 +160,16 @@ def test_composed_correctable_erasures():
     # the message, for every message and seed.
     scheme = small_scheme()
     n = scheme.n
-    from nmavc.gf2 import select_reconstruction
-
     for mask in range(1 << n):
         erased = frozenset(j for j in range(n) if (mask >> j) & 1)
         recoverable = select_reconstruction(scheme.outer, erased) is not None
         for m in all_bitstrings(scheme.k):
             for r in range(scheme.inner.seed_count):
-                word = composed_encode(scheme, m, r)
+                word = scheme.enc(m, r)
                 received = "".join(
                     "e" if j in erased else word[j] for j in range(n)
                 )
-                got = composed_decode(scheme, received)
+                got = scheme.dec(received)
                 if recoverable:
                     assert got == m
                 else:
@@ -305,7 +337,7 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
         StateSequence([erase] * (n - 1) + [z]),
     ]
     induced = {
-        induced_tamper(scheme.outer, BITFunction(pattern)).key()
+        induced_tamper(scheme.outer, BITFunction(pattern))
         for seq in seqs for pattern, _ in seq.mixture_weights()
     }
     profiles = {

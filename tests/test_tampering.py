@@ -1,4 +1,4 @@
-"""BIT and affine tampering functions, their conversions, and fitting."""
+"""BIT and affine tampering functions and their conversions."""
 
 import random
 
@@ -8,12 +8,10 @@ from nmavc import (
     AffineFunction,
     BITFunction,
     GF2Matrix,
-    NonAffineReport,
     all_bitstrings,
     bit_to_affine,
     compose_affine,
     enumerate_bit_functions,
-    fit_affine,
 )
 from nmavc.errors import BudgetExceededError, NotRepresentableError
 
@@ -103,49 +101,6 @@ def test_enumeration_counts_and_order():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_bit_functions(10, 4, budget=1000))
-
-
-def test_fit_affine_identity_and_constant():
-    ident = fit_affine(lambda u: u, 3, 3)
-    assert isinstance(ident, AffineFunction)
-    assert ident.matrix == GF2Matrix.identity(3) and ident.delta == "000"
-
-    const = fit_affine(lambda u: "10", 2, 2)
-    assert const.matrix == GF2Matrix.zero(2, 2) and const.delta == "10"
-
-
-def test_fit_affine_reports_and_witness():
-    bitand = lambda u: "1" if u == "11" else "0"
-    report = fit_affine(bitand, 2, 1)
-    assert isinstance(report, NonAffineReport)
-    assert report.witness == "11"
-    assert report.expected == "1" and report.fitted == "0"
-
-
-def test_fit_affine_sound_and_complete():
-    # Recovers random affine maps exactly; flags random single-point
-    # corruptions with a concrete witness.  Two distinct affine maps
-    # differ on at least 2^(a-1) inputs, so for a >= 2 a single-point
-    # corruption can never be affine.
-    rng = random.Random(21)
-    for _ in range(40):
-        a, b = rng.randint(2, 4), rng.randint(1, 4)
-        truth = AffineFunction(
-            GF2Matrix(tuple(rng.getrandbits(b) for _ in range(a)), b),
-            "".join(rng.choice("01") for _ in range(b)),
-        )
-        fitted = fit_affine(truth.apply, a, b)
-        assert fitted == truth
-
-        table = {u: truth.apply(u) for u in all_bitstrings(a)}
-        victim = rng.choice(sorted(table))
-        flipped = list(table[victim])
-        pos = rng.randrange(b)
-        flipped[pos] = "1" if flipped[pos] == "0" else "0"
-        table[victim] = "".join(flipped)
-        result = fit_affine(lambda u: table[u], a, b)
-        assert isinstance(result, NonAffineReport)
-        assert table[result.witness] != result.fitted
 
 
 def test_affine_json_round_trip():
