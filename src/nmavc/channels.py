@@ -1,7 +1,7 @@
 """Binary and erasure-extended memoryless channels with exact transition
 probabilities, their convex decomposition into the deterministic
 elementary channels (Keep / Flip / Set0 / Set1 / Erase), and state
-sequences with product output distributions.
+sequences of per-symbol channels.
 
 The decomposition is the workhorse: any 2x2 row-stochastic matrix is a
 convex combination of the four elementary channels, with a one-parameter
@@ -11,12 +11,11 @@ endpoint of the feasible interval, which maximizes the Keep mass.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .distributions import FiniteDistribution, parse_rational
+from .distributions import parse_rational
 from .errors import (
     InfeasibleCoefficientError,
     InvalidChannelError,
@@ -71,13 +70,6 @@ class BinaryChannel:
 
     def transition(self, x: int, y: int) -> Fraction:
         return self.rows[x][y]
-
-    def row_support(self, x: int) -> list[tuple[str, Fraction]]:
-        return [
-            (sym, p)
-            for sym, p in zip(_BINARY_SYMBOLS, self.rows[x])
-            if p > 0
-        ]
 
     @classmethod
     def from_rows(cls, rows) -> "BinaryChannel":
@@ -141,13 +133,6 @@ class ExtendedChannel:
 
     def transition(self, x: int, y: int) -> Fraction:
         return self.rows[x][y]
-
-    def row_support(self, x: int) -> list[tuple[str, Fraction]]:
-        return [
-            (sym, p)
-            for sym, p in zip(_EXTENDED_SYMBOLS, self.rows[x])
-            if p > 0
-        ]
 
     @classmethod
     def from_rows(cls, rows) -> "ExtendedChannel":
@@ -369,43 +354,6 @@ class StateSequence:
                 yield from walk(i + 1, actions + (action,), weight * a)
 
         yield from walk(0, (), Fraction(1))
-
-    def output_distribution(self, x: str) -> FiniteDistribution:
-        """Exact product distribution of the output word given input x."""
-        if len(x) != self.n:
-            raise ValueError(f"input length {len(x)} != {self.n}")
-        acc = {"": Fraction(1)}
-        for ch, bit in zip(self.channels, x):
-            row = ch.row_support(int(bit))
-            nxt: dict[str, Fraction] = {}
-            for prefix, wp in acc.items():
-                for sym, p in row:
-                    nxt[prefix + sym] = wp * p
-            acc = nxt
-        return FiniteDistribution(acc)
-
-    def sample_output(self, x: str, seed_or_rng) -> str:
-        """One draw from the output law; deterministic given the seed."""
-        if len(x) != self.n:
-            raise ValueError(f"input length {len(x)} != {self.n}")
-        rng = (
-            seed_or_rng
-            if isinstance(seed_or_rng, random.Random)
-            else random.Random(seed_or_rng)
-        )
-        out = []
-        for ch, bit in zip(self.channels, x):
-            row = ch.row_support(int(bit))
-            u = rng.random()
-            cumulative = 0.0
-            chosen = row[-1][0]
-            for sym, p in row:
-                cumulative += float(p)
-                if u < cumulative:
-                    chosen = sym
-                    break
-            out.append(chosen)
-        return "".join(out)
 
     def __repr__(self) -> str:
         if self.labels:

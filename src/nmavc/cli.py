@@ -419,9 +419,16 @@ def _composed_sequences(spec_obj, names, special_name, n) -> tuple[list, bool]:
     if isinstance(listing, list):
         rows = []
         for row in listing:
+            if not isinstance(row, list):
+                _fail(EXIT_INVALID_INPUT,
+                      f"sequence {row!r} must be a list of state names")
             if len(row) != n:
                 _fail(EXIT_INVALID_INPUT,
                       f"sequence {row} has length {len(row)}, expected {n}")
+            unknown = [name for name in row if name not in names]
+            if unknown:
+                _fail(EXIT_INVALID_INPUT,
+                      f"sequence {row} names unknown states {unknown}")
             rows.append(tuple(row))
         return rows, False
     _fail(EXIT_INVALID_INPUT, "sequences must be a list, 'exhaustive', or random spec")
@@ -444,6 +451,18 @@ def cmd_composed_verify(spec_file, threshold, out, fmt):
                       "special_state", "sequences", "budget"):
             if field not in spec_obj:
                 _fail(EXIT_INVALID_INPUT, f"spec lacks required field {field!r}")
+        budget = spec_obj["budget"]
+        if budget is not None and (
+            not isinstance(budget, int) or isinstance(budget, bool) or budget < 0
+        ):
+            _fail(EXIT_INVALID_INPUT,
+                  f"budget must be a non-negative integer or null, got {budget!r}")
+        if not isinstance(spec_obj["states"], dict):
+            _fail(EXIT_INVALID_INPUT, "states must be an object of named channels")
+        special_name = spec_obj["special_state"]
+        if not isinstance(special_name, str):
+            _fail(EXIT_INVALID_INPUT,
+                  f"special_state must be a state name, got {special_name!r}")
         inner_ref = spec_obj["inner_code"]
         if isinstance(inner_ref, str):
             inner_path = Path(spec_file).parent / inner_ref
@@ -458,15 +477,18 @@ def cmd_composed_verify(spec_file, threshold, out, fmt):
             name: _extended_channel(ch)
             for name, ch in spec_obj["states"].items()
         }
-        special_name = spec_obj["special_state"]
         if special_name not in states:
             _fail(EXIT_INVALID_INPUT, f"unknown special state {special_name!r}")
         if states[special_name] != spec.channel():
             _fail(EXIT_INVALID_INPUT,
                   f"state {special_name!r} must equal BEC(p_star) exactly")
         names = sorted(states)
-        budget = spec_obj["budget"]
+        if names == [special_name]:
+            _fail(EXIT_INVALID_INPUT,
+                  "states need at least one channel besides the special state")
         rows, exhaustive = _composed_sequences(spec_obj, names, special_name, scheme.n)
+        if not rows:
+            _fail(EXIT_INVALID_INPUT, "no sequences to verify")
         sequences = [
             StateSequence([states[name] for name in row], labels=row)
             for row in rows

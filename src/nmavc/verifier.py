@@ -16,9 +16,11 @@ distance computation before it is returned.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
@@ -41,7 +43,7 @@ from .errors import (
     InvalidInstanceError,
     VerificationError,
 )
-from .gf2 import GF2Matrix, bits_to_int, ecc_encode, int_to_bits
+from .gf2 import ERASURE_CHAR, GF2Matrix, bits_to_int, ecc_encode, int_to_bits
 from .simplex import solve_min
 from .tampering import AffineFunction, BITFunction, enumerate_bit_functions
 
@@ -60,7 +62,7 @@ class StochasticCode:
     audited exhaustively before any verification uses the code.
     """
 
-    __slots__ = ("k", "n", "rho", "enc", "dec", "_audited")
+    __slots__ = ("k", "n", "rho", "enc", "dec", "_audited", "_dec_table")
     erasures = False  # True when dec reads words over {0,1,e}
 
     def __init__(
@@ -78,6 +80,7 @@ class StochasticCode:
         self.enc = enc
         self.dec = dec
         self._audited = False
+        self._dec_table = None
 
     def messages(self) -> list[str]:
         return all_bitstrings(self.k)
@@ -104,6 +107,29 @@ class StochasticCode:
                         f"perfect correctness"
                     )
         self._audited = True
+
+    def decoder_table(self) -> np.ndarray:
+        """Outcome index of dec(y) for every word y over the decoder's
+        alphabet ({0,1}, or {0,1,e} when it reads erasures).
+
+        Words are in lexicographic order of the symbols 0 < 1 < e with
+        position 0 most significant; outcomes are indexed as in
+        _outcome_index.  Each word is decoded once, on first use, and the
+        table is kept on the code.
+        """
+        if self._dec_table is None:
+            symbols = ("0", "1", ERASURE_CHAR) if self.erasures else ("0", "1")
+            outcome_index = _outcome_index(self)
+            table = []
+            for word in product(symbols, repeat=self.n):
+                outcome = self.dec("".join(word))
+                if outcome not in outcome_index:
+                    raise InvalidInstanceError(
+                        f"outcome {outcome!r} outside {{0,1}}^{self.k} + bot"
+                    )
+                table.append(outcome_index[outcome])
+            self._dec_table = np.array(table, dtype=np.intp)
+        return self._dec_table
 
     @classmethod
     def identity(cls, k: int) -> "StochasticCode":
@@ -215,6 +241,13 @@ def _is_word(word: object, n: int) -> bool:
     return isinstance(word, str) and len(word) == n and set(word) <= {"0", "1"}
 
 
+def _outcome_index(code: StochasticCode) -> dict:
+    """Index of each decoder outcome: the messages in order, then BOT."""
+    index: dict = {m: i for i, m in enumerate(code.messages())}
+    index[BOT] = len(index)
+    return index
+
+
 def _check_budget(cost: int, budget: Optional[int], what: str) -> None:
     if budget is not None and cost > budget:
         raise BudgetExceededError(f"{what} needs {cost} evaluations, budget {budget}")
@@ -271,8 +304,18 @@ def tamper_distribution_channel(
     m: str,
     budget: Optional[int] = None,
 ) -> FiniteDistribution:
-    """Exact law of dec(y), y drawn from the channel sequence on enc(m, r),
-    computed directly in product form; costs 2^rho |output alphabet|^n."""
+    """Exact law of dec(y), y drawn from the channel sequence on enc(m, r).
+
+    Computed in integers, without the elementary-pattern decomposition:
+    every channel entry of seq is scaled by the lcm D of the entries'
+    denominators, so a codeword's output law over all |Y|^n words is the
+    outer product of its per-position integer rows, with total D^n.  The
+    laws are summed over the 2^rho seeds and read through the code's
+    decoder table (one decode per word, kept on the code); one np.add.at
+    gives the outcome counts, divided by D^n 2^rho only at the end.
+    Counts are int64 while D^n 2^rho < 2^63 and Python ints (dtype
+    object) beyond.  Costs 2^rho |Y|^n.
+    """
     code.check_correctness()
     if seq.extended != code.erasures:
         raise InvalidInstanceError(
@@ -286,14 +329,28 @@ def tamper_distribution_channel(
         raise InvalidInstanceError(f"message length {len(m)} != k={code.k}")
     symbols = len(seq.channels[0].output_symbols)
     _check_budget(code.seed_count * symbols ** code.n, budget, "channel experiment")
-    share = Fraction(1, code.seed_count)
-    masses: dict = {}
+    scale = math.lcm(
+        *(p.denominator for ch in seq.channels for row in ch.rows for p in row)
+    )
+    total = scale ** code.n * code.seed_count
+    dtype = np.int64 if total < 1 << 63 else object
+    rows = [
+        np.array([[p.numerator * (scale // p.denominator) for p in row]
+                  for row in ch.rows], dtype=dtype)
+        for ch in seq.channels
+    ]
+    weights = np.zeros(symbols ** code.n, dtype=dtype)
     for r in range(code.seed_count):
-        out = seq.output_distribution(code.enc(m, r))
-        for word, p in out.items():
-            outcome = code.dec(word)
-            masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
-    return FiniteDistribution(masses)
+        law = np.ones(1, dtype=dtype)
+        for ch_rows, bit in zip(rows, code.enc(m, r)):
+            law = np.multiply.outer(law, ch_rows[int(bit)]).ravel()
+        weights += law
+    outcomes = _outcome_index(code)
+    counts = np.zeros(len(outcomes), dtype=dtype)
+    np.add.at(counts, code.decoder_table(), weights)
+    return FiniteDistribution({
+        y: Fraction(c, total) for y, c in zip(outcomes, counts.tolist()) if c
+    })
 
 
 def tamper_map(
@@ -472,8 +529,7 @@ def _count_profiles(code: StochasticCode, functions: list) -> np.ndarray:
     """
     messages = code.messages()
     width = len(messages) + 1
-    outcome_index = {m: i for i, m in enumerate(messages)}
-    outcome_index[BOT] = len(messages)
+    outcome_index = _outcome_index(code)
     dtype = np.int64 if code.n <= 62 else object
     enc = np.array(
         [[bits_to_int(code.enc(m, r)) for r in range(code.seed_count)]
@@ -553,14 +609,36 @@ def certify_family(
     which only cares about strictly better codes.
     """
     code.check_correctness()
-    if cache is None:
-        cache = {}
-    messages = code.messages()
+    functions = _check_family(code, functions, budget)
+    return _certify_checked(code, functions, budget, cache, stop_at_or_above)
+
+
+def _check_family(
+    code: StochasticCode,
+    functions: Iterable[TamperingFunction],
+    budget: Optional[int],
+) -> list:
+    """The members as a list, each validated for codes of code's n and rho."""
     functions = list(functions)
     if not functions:
         raise InvalidInstanceError("empty tampering family")
     for f in functions:
         _check_member(code, f, budget)
+    return functions
+
+
+def _certify_checked(
+    code: StochasticCode,
+    functions: list,
+    budget: Optional[int],
+    cache: Optional[dict],
+    stop_at_or_above: Optional[Fraction],
+) -> Optional[FamilyCertificate]:
+    """certify_family on a family already passed through _check_family."""
+    code.check_correctness()
+    if cache is None:
+        cache = {}
+    messages = code.messages()
     seed_count = code.seed_count
     profiles = _count_profiles(code, functions).tolist()
 
@@ -819,12 +897,15 @@ def search_nm_code(
     rng = random.Random(seed)
     cache: dict = {}
     best: Optional[SearchResult] = None
+    checked: Optional[list] = None
     for trial in range(trials):
         code = _random_injective_code(k, n, rho, rng)
+        if checked is None:
+            # Every trial's code has the same n and rho, which is all
+            # member validation reads, so the family is checked once.
+            checked = _check_family(code, functions, budget)
         stop = best.certificate.epsilon if best is not None else None
-        cert = certify_family(
-            code, functions, budget=budget, cache=cache, stop_at_or_above=stop
-        )
+        cert = _certify_checked(code, checked, budget, cache, stop)
         if cert is None:
             continue
         best = SearchResult(

@@ -2,8 +2,8 @@
 
 These re-derive quantities by deliberately different routes than the
 library (event maximization, bounded-denominator grids, subset
-enumeration, big-integer arithmetic) so a defect cannot hide on both
-sides of a check.
+enumeration, big-integer arithmetic, Fraction dict products) so a defect
+cannot hide on both sides of a check.
 """
 
 from __future__ import annotations
@@ -323,10 +323,70 @@ def tamper_distribution_channel_mixture(
     return mix(components)
 
 
+def row_support(ch, x: int) -> list[tuple[str, Fraction]]:
+    """(output symbol, probability) pairs of input bit x, zeros skipped."""
+    return [(sym, p) for sym, p in zip(ch.output_symbols, ch.rows[x]) if p > 0]
+
+
+def output_distribution(seq: StateSequence, x: str) -> FiniteDistribution:
+    """Exact product distribution of the output word given input x, as a
+    dict of Fraction masses grown one position at a time."""
+    if len(x) != seq.n:
+        raise ValueError(f"input length {len(x)} != {seq.n}")
+    acc = {"": Fraction(1)}
+    for ch, bit in zip(seq.channels, x):
+        row = row_support(ch, int(bit))
+        nxt: dict[str, Fraction] = {}
+        for prefix, wp in acc.items():
+            for sym, p in row:
+                nxt[prefix + sym] = wp * p
+        acc = nxt
+    return FiniteDistribution(acc)
+
+
+def sample_output(seq: StateSequence, x: str, seed_or_rng) -> str:
+    """One draw from the output law; deterministic given the seed."""
+    if len(x) != seq.n:
+        raise ValueError(f"input length {len(x)} != {seq.n}")
+    rng = (
+        seed_or_rng
+        if isinstance(seed_or_rng, random.Random)
+        else random.Random(seed_or_rng)
+    )
+    out = []
+    for ch, bit in zip(seq.channels, x):
+        row = row_support(ch, int(bit))
+        u = rng.random()
+        cumulative = 0.0
+        chosen = row[-1][0]
+        for sym, p in row:
+            cumulative += float(p)
+            if u < cumulative:
+                chosen = sym
+                break
+        out.append(chosen)
+    return "".join(out)
+
+
+def product_tamper_distribution(
+    code: StochasticCode, seq: StateSequence, m: str
+) -> FiniteDistribution:
+    """Law of dec(y) under seq by the Fraction dict product: every output
+    word of every seed decoded one at a time (no integer scaling, no
+    decoder table)."""
+    share = Fraction(1, code.seed_count)
+    masses: dict = {}
+    for r in range(code.seed_count):
+        for word, p in output_distribution(seq, code.enc(m, r)).items():
+            outcome = code.dec(word)
+            masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
+    return FiniteDistribution(masses)
+
+
 def mixture_output_distribution(seq: StateSequence, x: str) -> FiniteDistribution:
     """Output law reconstructed as the elementary-pattern mixture.
 
-    Cross-validation path: must equal seq.output_distribution(x) exactly.
+    Cross-validation path: must equal output_distribution(seq, x) exactly.
     """
     if len(x) != seq.n:
         raise ValueError(f"input length {len(x)} != {seq.n}")
@@ -355,11 +415,4 @@ def composed_tamper_distribution(
         raise BudgetExceededError(
             f"direct channel experiment needs up to {cost} terms, budget {budget}"
         )
-    share = Fraction(1, scheme.inner.seed_count)
-    masses: dict = {}
-    for r in range(scheme.inner.seed_count):
-        out = seq.output_distribution(scheme.enc(m, r))
-        for word, p in out.items():
-            outcome = scheme.dec(word)
-            masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
-    return FiniteDistribution(masses)
+    return product_tamper_distribution(scheme, seq, m)

@@ -50,6 +50,7 @@ from nmavc.gf2 import rank_of_columns, select_reconstruction
 from oracles import (
     grid_optimum,
     lex_min_reconstruction,
+    output_distribution,
     random_binary_channel,
     random_distribution,
 )
@@ -97,7 +98,7 @@ def test_c02_product_decomposition_exact():
             weights = list(seq.mixture_weights())
             assert sum(w for _, w in weights) == 1
             for x in all_bitstrings(n):
-                direct = seq.output_distribution(x)
+                direct = output_distribution(seq, x)
                 masses: dict = {}
                 for pattern, w in weights:
                     word = BITFunction(pattern).apply(x)

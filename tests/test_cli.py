@@ -1,6 +1,7 @@
 """CLI contract: commands, formats, exit codes, reproducibility."""
 
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,68 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
     first, repeat = reported["bsc,bec,bsc,bsc"], reported["bsc,bec,bsc,bsc#2"]
     assert repeat["sequence"] == "bsc,bec,bsc,bsc#2"
     assert {**repeat, "sequence": first["sequence"]} == first
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"budget": "abc"},
+        {"budget": True},
+        {"budget": 1.5},
+        {"budget": -1},
+        {"states": []},
+        {"special_state": ["bec"]},
+        {"sequences": [["foo", "foo", "foo", "foo", "foo"]]},
+        # Specs that would verify no sequence, and so pass vacuously.
+        {"sequences": []},
+        {"sequences": {"random": -1, "seed": 1}},
+        # Only the special state: a random spec would never draw a row.
+        {"states": {"bec": {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}},
+         "sequences": "exhaustive"},
+    ],
+    ids=["string-budget", "bool-budget", "float-budget", "negative-budget",
+         "list-states", "list-special-state", "unknown-state-in-row",
+         "empty-sequence-list", "negative-random-count", "only-special-state"],
+)
+def test_composed_verify_malformed_spec_exit_2(runner, tmp_path, fields):
+    spec = json.loads((DATA / "composed_spec.json").read_text())
+    spec.update(fields)
+    spec_file = write(tmp_path, "spec.json", spec)
+    result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def test_composed_verify_decodes_each_word_once(runner, tmp_path, monkeypatch):
+    # The channel experiments of all 242 demo sequences read one decoder
+    # table: each word of {0,1,e}^5 is decoded once.  The only other
+    # decodes are the correctness audit's, one per (message, seed): 2 * 4,
+    # and the recovery route's, one per (erasure pattern, message, seed).
+    from nmavc import cli
+
+    decoded = []
+    verify = cli.verify_composed
+
+    def counting_verify(scheme, *args, **kwargs):
+        dec = scheme.dec
+
+        def counted(word):
+            decoded.append(word)
+            return dec(word)
+
+        scheme.dec = counted
+        return verify(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_composed", counting_verify)
+    out = str(tmp_path / "report.json")
+    result = runner.invoke(
+        main, ["composed-verify", "--spec", demo_spec_path(), "--out", out]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(Path(out).read_text())["sequences_checked"] == 242
+    assert len(decoded) == 3**5 + 2 * 4 + 2**5 * 2 * 4
+    assert set(decoded) == {"".join(w) for w in product("01e", repeat=5)}
 
 
 def test_composed_verify_missing_field_exit_2(runner, tmp_path):

@@ -17,6 +17,8 @@ from nmavc import (
     AffineFunction,
     BinaryChannel,
     BITFunction,
+    ComposedScheme,
+    ExtendedChannel,
     FiniteDistribution,
     GF2Matrix,
     StateSequence,
@@ -29,6 +31,7 @@ from nmavc import (
     ds_mixture,
     ecc_encode,
     optimal_simulator,
+    random_full_rank,
     search_nm_code,
     statistical_distance,
     tamper_distribution_channel,
@@ -45,6 +48,7 @@ from nmavc.errors import (
 )
 from oracles import (
     grid_optimum,
+    product_tamper_distribution,
     random_binary_channel,
     random_distribution,
     tamper_distribution_channel_mixture,
@@ -342,11 +346,11 @@ def test_thread_cap_does_not_change_results(monkeypatch):
 # ------------------------------------------------- batched count profiles
 
 @st.composite
-def small_codes(draw):
-    """Codes with k <= 2, n <= 5, rho <= 2; seeds may repeat a codeword,
-    and off-image words may decode to a message."""
+def small_codes(draw, max_n=5):
+    """Codes with k <= 2, n <= max_n, rho <= 2; seeds may repeat a
+    codeword, and off-image words may decode to a message."""
     k = draw(st.integers(0, 2))
-    n = draw(st.integers(max(k, 1), 5))
+    n = draw(st.integers(max(k, 1), max_n))
     rho = draw(st.integers(0, 2))
     messages = all_bitstrings(k)
     words = [int_to_bits(w, n) for w in draw(st.permutations(range(1 << n)))]
@@ -426,6 +430,72 @@ def test_count_profiles_wide_words():
     assert cert.per_function[BOT_MAP] == 0
 
 
+# ------------------------------------------------- integer channel laws
+
+def unit_rationals():
+    """Rationals in [0, 1] over mixed denominators, 0 and 1 included."""
+    return st.sampled_from([1, 2, 3, 4, 5, 7, 10, 12]).flatmap(
+        lambda den: st.integers(0, den).map(lambda num: F(num, den))
+    )
+
+
+@st.composite
+def channels(draw, extended):
+    """A binary channel, or an extended one with shared erasure mass."""
+    if not extended:
+        rows = [[w, 1 - w] for w in (draw(unit_rationals()), draw(unit_rationals()))]
+        return BinaryChannel.from_rows(rows)
+    p = draw(unit_rationals())
+    rows = []
+    for _ in range(2):
+        w = draw(unit_rationals())
+        rows.append([w * (1 - p), (1 - w) * (1 - p), p])
+    return ExtendedChannel.from_rows(rows)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_channel_law_matches_fraction_product(data):
+    # Plain codes under binary sequences, and the composed scheme (a
+    # small inner code behind a random full-rank outer code) under
+    # extended ones, against the Fraction dict product.
+    if data.draw(st.booleans(), label="composed"):
+        inner = data.draw(small_codes(max_n=4))
+        ncols = data.draw(st.integers(inner.n, 5))
+        outer = random_full_rank(inner.n, ncols, data.draw(st.integers(0, 999)))
+        code = ComposedScheme(inner, outer)
+    else:
+        code = data.draw(small_codes())
+    seq = StateSequence(
+        [data.draw(channels(code.erasures)) for _ in range(code.n)]
+    )
+    for m in code.messages():
+        assert tamper_distribution_channel(code, seq, m) == (
+            product_tamper_distribution(code, seq, m)
+        )
+
+
+def test_channel_law_beyond_int64_matches_fraction_product():
+    # Entries over 10007 at n = 5: D^n 2^rho >= 2^63, so the counts are
+    # Python ints (an int64 product would wrap).
+    rng = random.Random(10007)
+    code = StochasticCode.from_tables(
+        1, 5, 1, {"0": ["00000", "01101"], "1": ["11011", "10110"]},
+        {"00000": "0", "01101": "0", "11011": "1", "10110": "1", "11111": "0"},
+    )
+
+    def row():
+        w = F(rng.randint(1, 10006), 10007)
+        return [w, 1 - w]
+
+    seq = StateSequence([BinaryChannel.from_rows([row(), row()]) for _ in range(5)])
+    assert 10007**5 * code.seed_count >= 2**63
+    for m in code.messages():
+        assert tamper_distribution_channel(code, seq, m) == (
+            product_tamper_distribution(code, seq, m)
+        )
+
+
 def eager_error(code, functions, budget):
     """The error the member-by-member string experiment raises, if any."""
     try:
@@ -482,6 +552,17 @@ def test_search_lp_count_is_pinned(monkeypatch):
     assert len(solves) == 129
     assert result.certificate.epsilon == F(1, 4)
     assert result.best_trial == 9
+
+
+def test_search_validates_the_family_once(monkeypatch):
+    # The 256 members are checked once for all 200 codes; the only other
+    # checks are the string-level experiment's, one per message on each
+    # of the 144 LP-cache misses.
+    checks = counting(monkeypatch, "_check_member")
+    experiments = counting(monkeypatch, "tamper_map")
+    search_nm_code(1, 4, 2, trials=200, seed=404)
+    assert len(experiments) == 144
+    assert len(checks) == 4**4 + 2 * 144
 
 
 def test_tamper_map_runs_once_per_cache_miss(monkeypatch):
