@@ -45,7 +45,6 @@ from .gf2 import (
     delta_exact,
     delta_monte_carlo,
     ecc_decode,
-    ecc_encode,
     gf2_invert,
     hamming_7_4,
     min_distance,
@@ -56,8 +55,6 @@ from .tampering import (
     AffineFunction,
     BitAction,
     BITFunction,
-    bit_to_affine,
-    compose_affine,
     enumerate_bit_functions,
 )
 from .verifier import (

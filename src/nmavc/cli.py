@@ -405,7 +405,7 @@ def _composed_sequences(spec_obj, names, special_name, n) -> tuple[list, bool]:
     if isinstance(listing, dict):
         count = listing.get("random")
         seed = listing.get("seed")
-        if not isinstance(count, int) or not isinstance(seed, int):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (count, seed)):
             _fail(EXIT_INVALID_INPUT,
                   'random sequences need {"random": count, "seed": seed}')
         rng = random.Random(seed)

@@ -3,11 +3,12 @@
 The scheme is a stochastic code over {0,1,e}: encoding composes the
 inner encoder with the erasure-code encoder; decoding runs the
 reconstruction-set erasure decoder and feeds its output (or BOT) to the
-inner decoder.  Tampering the outer codeword with a per-bit action
-pattern induces an affine map (or the constant failure map) on the
-inner codeword: the induced map is built in its closed matrix form and
-checked against the actual encode/tamper/decode pipeline on every inner
-word.
+inner decoder.  Its enc/dec speak bitstrings, as every StochasticCode
+does; inside, an outer word is a (bits, erased) pair of ints.  Tampering
+the outer codeword with a per-bit action pattern induces an affine map
+(or the constant failure map) on the inner codeword: the induced map is
+built in its closed matrix form and checked against the actual
+encode/tamper/decode pipeline, on ints, on every inner word.
 
 Verification certifies the inner code against the distinct maps that a
 sequence's patterns induce, then runs the verifier's mixture check.
@@ -20,18 +21,19 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .channels import ExtendedChannel, StateSequence
-from .distributions import BOT, Marker, all_bitstrings, format_rational
+from .distributions import BOT, Marker, format_rational
 from .errors import (
     BudgetExceededError,
     InvalidInstanceError,
     VerificationError,
 )
 from .gf2 import (
+    ERASURE_CHAR,
     GF2Matrix,
     ReconstructionSet,
+    bits_to_int,
     delta_exact,
     ecc_decode,
-    ecc_encode,
     int_to_bits,
     select_reconstruction,
 )
@@ -81,16 +83,21 @@ class ComposedScheme(StochasticCode):
         inner.check_correctness()
         self.inner = inner
         self.outer = outer
+        n = outer.ncols
+
+        def encode(m: str, r: int) -> str:
+            return int_to_bits(outer.vec_mul(bits_to_int(inner.enc(m, r))), n)
 
         def decode(y: str):
             """Erasure-decode then inner-decode; an outer failure is BOT."""
-            result = ecc_decode(outer, y)
-            return BOT if result is None else inner.dec(result.message)
+            if len(y) != n:
+                raise ValueError(f"word length {len(y)} != {n}")
+            bits = bits_to_int(y.replace(ERASURE_CHAR, "0"))
+            erased = bits_to_int(y.replace("1", "0").replace(ERASURE_CHAR, "1"))
+            u = ecc_decode(outer, bits, erased)
+            return BOT if u is None else inner.dec(int_to_bits(u, outer.nrows))
 
-        super().__init__(
-            inner.k, outer.ncols, inner.rho,
-            lambda m, r: ecc_encode(outer, inner.enc(m, r)), decode,
-        )
+        super().__init__(inner.k, n, inner.rho, encode, decode)
 
 
 def _closed_form(
@@ -109,8 +116,15 @@ def _closed_form(
     for new_j, j in enumerate(recon.indices):
         if (delta_full >> j) & 1:
             delta_r |= 1 << new_j
-    delta = int_to_bits(recon.inverse.vec_mul(delta_r), outer.nrows)
-    return AffineFunction(matrix, delta)
+    return AffineFunction(matrix, recon.inverse.vec_mul(delta_r))
+
+
+def _inner_words(m: int) -> list[int]:
+    """The 2^m inner words in all_bitstrings order (position 0 leading)."""
+    words = [0]
+    for i in reversed(range(m)):
+        words = [(b << i) | u for b in (0, 1) for u in words]
+    return words
 
 
 def induced_tamper(
@@ -120,26 +134,29 @@ def induced_tamper(
 
     With too many erasures the map is the constant failure map BOT_MAP.
     Otherwise it is the closed matrix form, built from the action masks
-    and checked against the string-level encode/tamper/decode pipeline on
-    every inner word.  The reconstruction set depends only on the
-    erasure pattern of f, never on codeword bits.
+    and checked against the encode/tamper/decode pipeline
+    ecc_decode(G, f(u*G), erase mask of f) on every inner word u, in
+    all_bitstrings order.  The reconstruction set depends only on the
+    erasure mask of f, never on codeword bits.
     """
     if f.n != outer.ncols:
         raise InvalidInstanceError(
             f"pattern length {f.n} != outer block length {outer.ncols}"
         )
-    recon = select_reconstruction(outer, f.erasure_set())
+    recon = select_reconstruction(outer, f.erase)
     if recon is None:
         return BOT_MAP
     closed = _closed_form(outer, f, recon)
-    for u in all_bitstrings(outer.nrows):
-        result = ecc_decode(outer, f.apply(ecc_encode(outer, u)))
-        actual = None if result is None else result.message
+    m = outer.nrows
+    for u in _inner_words(m):
+        actual = ecc_decode(outer, f.apply(outer.vec_mul(u)), f.erase)
         expected = closed.apply(u)
         if actual != expected:
+            piped = None if actual is None else int_to_bits(actual, m)
             raise VerificationError(
                 f"induced map of {f.to_string()} disagrees with its closed "
-                f"form at input {u}: pipeline {actual}, closed form {expected}"
+                f"form at input {int_to_bits(u, m)}: pipeline {piped}, "
+                f"closed form {int_to_bits(expected, m)}"
             )
     return closed
 

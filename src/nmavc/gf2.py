@@ -4,11 +4,15 @@ Matrix rows are Python ints; bit ``i`` of a row is the entry in column
 ``i``, so a row operation is a single XOR and desk-scale widths
 (n <= 64) fit one machine word per row.
 
-The erasure code follows the reconstruction-set discipline: the decoder
-picks the lexicographically least set R of m non-erased columns whose
-generator submatrix G_R is invertible and outputs y_R * G_R^{-1}.  The
-choice of R depends only on the erasure pattern, never on received bit
-values.
+A word over {0,1,e}^n is a pair of ints (bits, erased): bit i of each
+stands for position i, as bits_to_int packs a bitstring, and bits is 0
+on erased.  Encoding a message u is g.vec_mul(u).  The erasure decoder
+follows the reconstruction-set discipline: it picks the
+lexicographically least set R of m non-erased columns whose generator
+submatrix G_R is invertible and outputs y_R * G_R^{-1}.  The choice of R
+depends only on the erasure mask, never on received bit values, and each
+generator keeps its own R per mask.  Bitstrings appear only at the JSON
+boundary (from_rows, row_strings).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -59,24 +64,31 @@ class GF2Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _reconstructions(self) -> dict:
+        """select_reconstruction's results on this generator, by erasure mask."""
+        return {}
+
     @classmethod
-    def from_rows(cls, rows: Sequence, ncols: Optional[int] = None) -> "GF2Matrix":
-        """Build from row bitstrings or sequences of 0/1 ints."""
-        packed = []
-        width = ncols
+    def from_rows(cls, rows: Sequence) -> "GF2Matrix":
+        """Build from a non-empty list of equal-length rows, each a
+        bitstring or a list of 0/1 ints; InvalidInstanceError otherwise."""
+        if not isinstance(rows, (list, tuple)) or not rows:
+            raise InvalidInstanceError(
+                f"matrix rows must be a non-empty list, got {rows!r}"
+            )
+        strings = []
         for row in rows:
-            if isinstance(row, str):
-                bits = row
-            else:
-                bits = "".join(str(int(v) & 1) for v in row)
-            if width is None:
-                width = len(bits)
-            elif len(bits) != width:
-                raise ValueError("ragged rows")
-            packed.append(bits_to_int(bits))
-        if width is None:
-            raise ValueError("cannot infer width of an empty matrix")
-        return cls(tuple(packed), width)
+            if isinstance(row, (list, tuple)) and all(
+                type(v) is int and v in (0, 1) for v in row
+            ):
+                row = "".join(map(str, row))
+            if not isinstance(row, str) or not row or set(row) - {"0", "1"}:
+                raise InvalidInstanceError(f"matrix row {row!r} is not a 0/1 row")
+            strings.append(row)
+        if len(set(map(len, strings))) > 1:
+            raise InvalidInstanceError("matrix rows differ in length")
+        return cls(tuple(map(bits_to_int, strings)), len(strings[0]))
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
@@ -95,9 +107,12 @@ class GF2Matrix:
     def vec_mul(self, u: int) -> int:
         """Row vector times matrix: bit i of u selects row i."""
         acc = 0
-        for i, row in enumerate(self.rows):
-            if (u >> i) & 1:
+        for row in self.rows:
+            if not u:
+                break
+            if u & 1:
                 acc ^= row
+            u >>= 1
         return acc
 
     def matmul(self, other: "GF2Matrix") -> "GF2Matrix":
@@ -188,21 +203,6 @@ def rank_of_columns(g: GF2Matrix, cols: Iterable[int]) -> int:
     return g.submatrix_columns(tuple(cols)).rank()
 
 
-def ecc_encode(g: GF2Matrix, u: str) -> str:
-    """Codeword u*G for a message bitstring u of length m."""
-    if len(u) != g.nrows:
-        raise ValueError(f"message length {len(u)} != {g.nrows}")
-    return int_to_bits(g.vec_mul(bits_to_int(u)), g.ncols)
-
-
-def erasure_set(y: str) -> frozenset[int]:
-    """Positions of erased symbols in a word over {0,1,e}."""
-    bad = set(y) - {"0", "1", ERASURE_CHAR}
-    if bad:
-        raise ValueError(f"invalid symbols {bad} in erased word {y!r}")
-    return frozenset(i for i, ch in enumerate(y) if ch == ERASURE_CHAR)
-
-
 @dataclass(frozen=True)
 class ReconstructionSet:
     """An m-subset R of non-erased columns with invertible G_R."""
@@ -211,35 +211,21 @@ class ReconstructionSet:
     inverse: GF2Matrix
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    message: str
-    reconstruction: ReconstructionSet
-
-
-_RECONSTRUCTION_CACHE: dict = {}
-
-
-def select_reconstruction(
-    g: GF2Matrix, erased: frozenset[int]
-) -> Optional[ReconstructionSet]:
-    """Lexicographically least reconstruction set for an erasure pattern.
+def select_reconstruction(g: GF2Matrix, erased: int) -> Optional[ReconstructionSet]:
+    """Lexicographically least reconstruction set for an erasure mask.
 
     Greedy Gaussian elimination over columns [n] \\ E in increasing index
-    order; depends only on the erasure pattern.  Returns None when fewer
-    than m independent columns survive.
+    order; depends only on the erasure mask.  Returns None when fewer
+    than m independent columns survive.  Kept on g, one entry per mask.
     """
-    erased_mask = 0
-    for i in erased:
-        erased_mask |= 1 << i
-    key = (g, erased_mask)
-    if key in _RECONSTRUCTION_CACHE:
-        return _RECONSTRUCTION_CACHE[key]
+    cache = g._reconstructions
+    if erased in cache:
+        return cache[erased]
     m = g.nrows
     chosen: list[int] = []
     basis: list[int] = []  # column vectors packed over rows, reduced
     for j in range(g.ncols):
-        if (erased_mask >> j) & 1:
+        if (erased >> j) & 1:
             continue
         col = 0
         for i in range(m):
@@ -263,32 +249,26 @@ def select_reconstruction(
         if isinstance(inverse, SingularReport):  # pragma: no cover - greedy guarantees
             raise AssertionError("greedy selection produced a singular submatrix")
         result = ReconstructionSet(tuple(chosen), inverse)
-    _RECONSTRUCTION_CACHE[key] = result
+    cache[erased] = result
     return result
 
 
-def ecc_decode(
-    g: GF2Matrix, y: str, max_erasures: Optional[int] = None
-) -> Optional[DecodeResult]:
-    """Reconstruction-set decoder; None stands for the failure output.
+def ecc_decode(g: GF2Matrix, bits: int, erased: int) -> Optional[int]:
+    """Reconstruction-set decoder on the word (bits, erased).
 
-    With max_erasures set, words with more erasures are rejected before
-    any reconstruction is attempted (the error-detection variant).
+    Returns the message u with u*G equal to bits on R, or None, the
+    failure output, when no reconstruction set survives the erasures.
     """
-    if len(y) != g.ncols:
-        raise ValueError(f"word length {len(y)} != {g.ncols}")
-    erased = erasure_set(y)
-    if max_erasures is not None and len(erased) > max_erasures:
-        return None
+    if (bits | erased) >> g.ncols or bits & erased:
+        raise ValueError(f"not a word of {{0,1,e}}^{g.ncols}: {(bits, erased)}")
     recon = select_reconstruction(g, erased)
     if recon is None:
         return None
     packed = 0
     for new_j, j in enumerate(recon.indices):
-        if y[j] == "1":
+        if (bits >> j) & 1:
             packed |= 1 << new_j
-    message = int_to_bits(recon.inverse.vec_mul(packed), g.nrows)
-    return DecodeResult(message, recon)
+    return recon.inverse.vec_mul(packed)
 
 
 def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = 20) -> Fraction:

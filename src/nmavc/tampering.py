@@ -1,9 +1,13 @@
 """Tampering function families: bitwise independent and affine over GF(2).
 
 Bitwise independent functions act per position with one of Keep, Flip,
-Set0, Set1, or (in erasure-extended contexts) Erase.  Erase-free
-functions embed into the affine family u -> u*M + delta, and that
-embedding is validated exhaustively rather than trusted.
+Set0, Set1, or (in erasure-extended contexts) Erase.  Both families map
+words packed as ints (bit i is position i, as gf2.bits_to_int packs a
+bitstring): a BIT function by keep/xor masks, with its Erase positions
+named by an erase mask, so that x maps to the word
+(f.apply(x), f.erase) over {0,1,e}; an affine map by u -> u*M + delta
+with delta an int.  Bitstrings appear only in to_json/from_json and
+repr.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import Iterator, Optional
 
 from enum import Enum
 
-from .errors import BudgetExceededError, NotRepresentableError
-from .gf2 import ERASURE_CHAR, GF2Matrix, bits_to_int, int_to_bits
+from .errors import BudgetExceededError
+from .gf2 import GF2Matrix, bits_to_int, int_to_bits
 
 
 class BitAction(Enum):
@@ -36,13 +40,10 @@ ACTION_ORDER = (
     BitAction.ERASE,
 )
 
-_APPLY = {
-    BitAction.KEEP: lambda ch: ch,
-    BitAction.FLIP: lambda ch: "1" if ch == "0" else "0",
-    BitAction.SET0: lambda ch: "0",
-    BitAction.SET1: lambda ch: "1",
-    BitAction.ERASE: lambda ch: ERASURE_CHAR,
-}
+# Members bound once: an Enum attribute lookup costs more than the test.
+_PRESERVING = (BitAction.KEEP, BitAction.FLIP)
+_SETTING_ONE = (BitAction.FLIP, BitAction.SET1)
+_ERASE = BitAction.ERASE
 
 
 @dataclass(frozen=True)
@@ -66,36 +67,40 @@ class BITFunction:
     def to_string(self) -> str:
         return "".join(action.value for action in self.actions)
 
-    def apply(self, x: str) -> str:
-        """Apply per-bit actions; Erase positions become 'e'."""
-        if len(x) != self.n:
-            raise ValueError(f"input length {len(x)} != {self.n}")
-        return "".join(_APPLY[a](ch) for a, ch in zip(self.actions, x))
+    def apply(self, x: int) -> int:
+        """The bits (x & keep) ^ xor of f(x); Erase positions come out 0."""
+        if x >> len(self.actions):
+            raise ValueError(f"input {x} is not a word of {{0,1}}^{self.n}")
+        keep, xor = self.masks
+        return (x & keep) ^ xor
 
     @cached_property
     def masks(self) -> tuple[int, int]:
-        """(keep, xor) with f(x) = (x & keep) ^ xor on words packed by bits_to_int.
+        """(keep, xor) with f(x) = (x & keep) ^ xor off the erase mask.
 
         Keep/Flip set bit i of keep, Flip/Set1 set bit i of xor.  An Erase
-        position is 0 in both, so the masks describe f only off its
-        erasure set.
+        position is 0 in both.
         """
         keep = xor = 0
         for i, action in enumerate(self.actions):
-            if action in (BitAction.KEEP, BitAction.FLIP):
+            if action in _PRESERVING:
                 keep |= 1 << i
-            if action in (BitAction.FLIP, BitAction.SET1):
+            if action in _SETTING_ONE:
                 xor |= 1 << i
         return keep, xor
 
     @cached_property
-    def has_erase(self) -> bool:
-        return BitAction.ERASE in self.actions
+    def erase(self) -> int:
+        """Mask of the Erase positions."""
+        erase = 0
+        for i, action in enumerate(self.actions):
+            if action is _ERASE:
+                erase |= 1 << i
+        return erase
 
-    def erasure_set(self) -> frozenset[int]:
-        return frozenset(
-            i for i, a in enumerate(self.actions) if a is BitAction.ERASE
-        )
+    @property
+    def has_erase(self) -> bool:
+        return self.erase != 0
 
     def __repr__(self) -> str:
         return f"BITFunction({self.to_string()!r})"
@@ -106,13 +111,12 @@ class AffineFunction:
     """u -> u*M + delta over GF(2), with M of shape (in_dim x out_dim)."""
 
     matrix: GF2Matrix
-    delta: str
+    delta: int
 
     def __post_init__(self):
-        if len(self.delta) != self.matrix.ncols:
-            raise ValueError("delta length must match the output dimension")
-        if set(self.delta) - {"0", "1"}:
-            raise ValueError(f"delta is not a bitstring: {self.delta!r}")
+        n = self.matrix.ncols
+        if not isinstance(self.delta, int) or self.delta < 0 or self.delta >> n:
+            raise ValueError(f"delta {self.delta!r} is not a word of {{0,1}}^{n}")
 
     @property
     def in_dim(self) -> int:
@@ -122,52 +126,34 @@ class AffineFunction:
     def out_dim(self) -> int:
         return self.matrix.ncols
 
-    def apply(self, u: str) -> str:
-        if len(u) != self.in_dim:
-            raise ValueError(f"input length {len(u)} != {self.in_dim}")
-        value = self.matrix.vec_mul(bits_to_int(u)) ^ bits_to_int(self.delta)
-        return int_to_bits(value, self.out_dim)
+    def apply(self, u: int) -> int:
+        if u >> len(self.matrix.rows):
+            raise ValueError(f"input {u} is not a word of {{0,1}}^{self.in_dim}")
+        return self.matrix.vec_mul(u) ^ self.delta
+
+    def delta_string(self) -> str:
+        return int_to_bits(self.delta, self.out_dim)
 
     def to_json(self) -> dict:
         return {
             "M": [[self.matrix.entry(i, j) for j in range(self.out_dim)]
                   for i in range(self.in_dim)],
-            "delta": self.delta,
+            "delta": self.delta_string(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "AffineFunction":
-        return cls(GF2Matrix.from_rows(obj["M"]), obj["delta"])
+        matrix = GF2Matrix.from_rows(obj["M"])
+        delta = obj["delta"]
+        if not isinstance(delta, str) or len(delta) != matrix.ncols:
+            raise ValueError("delta must be a bitstring of the output dimension")
+        return cls(matrix, bits_to_int(delta))
 
     def __repr__(self) -> str:
-        return f"AffineFunction(M={self.matrix.row_strings()}, delta={self.delta!r})"
-
-
-def compose_affine(first: AffineFunction, second: AffineFunction) -> AffineFunction:
-    """The affine function u -> second(first(u)) = u*M1*M2 + (d1*M2 + d2)."""
-    if first.out_dim != second.in_dim:
-        raise ValueError("dimension mismatch in composition")
-    matrix = first.matrix.matmul(second.matrix)
-    delta_int = second.matrix.vec_mul(bits_to_int(first.delta)) ^ bits_to_int(
-        second.delta
-    )
-    return AffineFunction(matrix, int_to_bits(delta_int, second.out_dim))
-
-
-def bit_to_affine(f: BITFunction) -> AffineFunction:
-    """Diagonal affine form of an erasure-free BIT function.
-
-    M is diagonal with a 1 exactly where the action preserves the input
-    (Keep/Flip); delta has a 1 exactly where the action inverts or sets
-    the bit (Flip/Set1).
-    """
-    if f.has_erase:
-        raise NotRepresentableError(
-            "Erase has no affine form on {0,1}; resolve erasures first"
+        return (
+            f"AffineFunction(M={self.matrix.row_strings()}, "
+            f"delta={self.delta_string()!r})"
         )
-    keep, xor = f.masks
-    rows = tuple(keep & (1 << i) for i in range(f.n))
-    return AffineFunction(GF2Matrix(rows, f.n), int_to_bits(xor, f.n))
 
 
 def enumerate_bit_functions(

@@ -43,7 +43,7 @@ from .errors import (
     InvalidInstanceError,
     VerificationError,
 )
-from .gf2 import ERASURE_CHAR, GF2Matrix, bits_to_int, ecc_encode, int_to_bits
+from .gf2 import ERASURE_CHAR, bits_to_int, int_to_bits
 from .simplex import solve_min
 from .tampering import AffineFunction, BITFunction, enumerate_bit_functions
 
@@ -136,19 +136,6 @@ class StochasticCode:
         if k < 1:
             raise InvalidCodeError("identity code needs k >= 1")
         return cls(k, k, 0, lambda m, r: m, lambda w: w)
-
-    @classmethod
-    def linear(cls, g: GF2Matrix) -> "StochasticCode":
-        """Deterministic linear code mG with table-inverse decoding."""
-        k = g.nrows
-        table = {}
-        for m in all_bitstrings(k):
-            word = ecc_encode(g, m)
-            if word in table:
-                raise InvalidCodeError("generator matrix is not injective")
-            table[word] = m
-        return cls(k, g.ncols, 0, lambda m, r: ecc_encode(g, m),
-                   lambda w: table.get(w, BOT))
 
     @classmethod
     def from_tables(
@@ -293,7 +280,8 @@ def tamper_distribution_fn(
     share = Fraction(1, code.seed_count)
     masses: dict = {}
     for r in range(code.seed_count):
-        outcome = code.dec(f.apply(code.enc(m, r)))
+        word = f.apply(bits_to_int(code.enc(m, r)))
+        outcome = code.dec(int_to_bits(word, code.n))
         masses[outcome] = masses.get(outcome, Fraction(0)) + share
     return FiniteDistribution(masses)
 
@@ -490,7 +478,7 @@ def function_key(f: TamperingFunction) -> str:
     if isinstance(f, BITFunction):
         return f.to_string()
     if isinstance(f, AffineFunction):
-        return f"M={'|'.join(f.matrix.row_strings())};d={f.delta}"
+        return f"M={'|'.join(f.matrix.row_strings())};d={f.delta_string()}"
     raise InvalidInstanceError(f"not a tampering function: {f!r}")
 
 
@@ -547,9 +535,8 @@ def _count_profiles(code: StochasticCode, functions: list) -> np.ndarray:
     affine = [i for i, f in enumerate(functions) if isinstance(f, AffineFunction)]
     if affine:
         rows = np.array([functions[i].matrix.rows for i in affine], dtype=dtype)
-        words = np.array(
-            [bits_to_int(functions[i].delta) for i in affine], dtype=dtype
-        )[:, None, None]
+        deltas = np.array([functions[i].delta for i in affine], dtype=dtype)
+        words = deltas[:, None, None]
         for j in range(code.n):
             words = words ^ ((enc >> j) & 1) * rows[:, j, None, None]
         members += affine

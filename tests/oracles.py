@@ -10,26 +10,36 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from nmavc import (
+    BOT,
+    AffineFunction,
+    BitAction,
     BITFunction,
     ComposedScheme,
     FiniteDistribution,
+    GF2Matrix,
     StateSequence,
     StochasticCode,
+    all_bitstrings,
     apply_copy,
+    gf2_invert,
     mix,
     tamper_distribution_fn,
 )
 from nmavc.errors import (
     BudgetExceededError,
+    InvalidCodeError,
     InvalidInstanceError,
     LPInfeasibleError,
     LPUnboundedError,
+    NotRepresentableError,
 )
+from nmavc.gf2 import ERASURE_CHAR, bits_to_int, int_to_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -115,6 +125,117 @@ def lex_min_reconstruction(g, erased) -> tuple[int, ...] | None:
         if rank_of_columns(g, cols) == m:
             return cols
     return None
+
+
+# ------------------------------------------------- words as strings over {0,1,e}
+# The library's erasure layer works on (bits, erased) int pairs; these are
+# the string-level routes it replaced, kept as reference implementations.
+
+_APPLY = {
+    BitAction.KEEP: lambda ch: ch,
+    BitAction.FLIP: lambda ch: "1" if ch == "0" else "0",
+    BitAction.SET0: lambda ch: "0",
+    BitAction.SET1: lambda ch: "1",
+    BitAction.ERASE: lambda ch: ERASURE_CHAR,
+}
+
+
+def apply_actions(f: BITFunction, x: str) -> str:
+    """Apply per-bit actions; Erase positions become 'e'."""
+    if len(x) != f.n:
+        raise ValueError(f"input length {len(x)} != {f.n}")
+    return "".join(_APPLY[a](ch) for a, ch in zip(f.actions, x))
+
+
+def split_word(y: str) -> tuple[int, int]:
+    """(bits, erased) of a word over {0,1,e}, one character at a time."""
+    bits = erased = 0
+    for i, ch in enumerate(y):
+        if ch == "1":
+            bits |= 1 << i
+        elif ch == ERASURE_CHAR:
+            erased |= 1 << i
+        elif ch != "0":
+            raise ValueError(f"invalid symbol {ch!r} in erased word {y!r}")
+    return bits, erased
+
+
+def ecc_encode(g: GF2Matrix, u: str) -> str:
+    """Codeword u*G for a message bitstring u of length m."""
+    if len(u) != g.nrows:
+        raise ValueError(f"message length {len(u)} != {g.nrows}")
+    return int_to_bits(g.vec_mul(bits_to_int(u)), g.ncols)
+
+
+def erasure_set(y: str) -> frozenset[int]:
+    """Positions of erased symbols in a word over {0,1,e}."""
+    bad = set(y) - {"0", "1", ERASURE_CHAR}
+    if bad:
+        raise ValueError(f"invalid symbols {bad} in erased word {y!r}")
+    return frozenset(i for i, ch in enumerate(y) if ch == ERASURE_CHAR)
+
+
+@dataclass(frozen=True)
+class DecodeResult:
+    message: str
+    indices: tuple[int, ...]
+
+
+def ecc_decode_string(g: GF2Matrix, y: str) -> Optional[DecodeResult]:
+    """Reconstruction-set decoder on a string word; None is the failure.
+
+    R comes from the brute-force scan lex_min_reconstruction, not from
+    the library's greedy selection.
+    """
+    if len(y) != g.ncols:
+        raise ValueError(f"word length {len(y)} != {g.ncols}")
+    indices = lex_min_reconstruction(g, erasure_set(y))
+    if indices is None:
+        return None
+    inverse = gf2_invert(g.submatrix_columns(indices))
+    packed = 0
+    for new_j, j in enumerate(indices):
+        if y[j] == "1":
+            packed |= 1 << new_j
+    message = int_to_bits(inverse.vec_mul(packed), g.nrows)
+    return DecodeResult(message, indices)
+
+
+def linear_code(g: GF2Matrix) -> StochasticCode:
+    """Deterministic linear code mG with table-inverse decoding."""
+    k = g.nrows
+    table = {}
+    for m in all_bitstrings(k):
+        word = ecc_encode(g, m)
+        if word in table:
+            raise InvalidCodeError("generator matrix is not injective")
+        table[word] = m
+    return StochasticCode(k, g.ncols, 0, lambda m, r: ecc_encode(g, m),
+                          lambda w: table.get(w, BOT))
+
+
+def compose_affine(first: AffineFunction, second: AffineFunction) -> AffineFunction:
+    """The affine function u -> second(first(u)) = u*M1*M2 + (d1*M2 + d2)."""
+    if first.out_dim != second.in_dim:
+        raise ValueError("dimension mismatch in composition")
+    matrix = first.matrix.matmul(second.matrix)
+    return AffineFunction(matrix, second.matrix.vec_mul(first.delta) ^ second.delta)
+
+
+def bit_to_affine(f: BITFunction) -> AffineFunction:
+    """Diagonal affine form of an erasure-free BIT function.
+
+    M is diagonal with a 1 exactly where the action preserves the input
+    (Keep/Flip); delta has a 1 exactly where the action inverts or sets
+    the bit (Flip/Set1).
+    """
+    if f.has_erase:
+        raise NotRepresentableError(
+            "Erase has no affine form on {0,1}; resolve erasures first"
+        )
+    keep, xor = f.masks
+    rows = tuple(keep & (1 << i) for i in range(f.n))
+    return AffineFunction(GF2Matrix(rows, f.n), xor)
 
 
 def random_distribution(rng: random.Random, outcomes, max_denominator: int = 12):
@@ -391,7 +512,7 @@ def mixture_output_distribution(seq: StateSequence, x: str) -> FiniteDistributio
     if len(x) != seq.n:
         raise ValueError(f"input length {len(x)} != {seq.n}")
     components = [
-        (weight, FiniteDistribution.point(BITFunction(pattern).apply(x)))
+        (weight, FiniteDistribution.point(apply_actions(BITFunction(pattern), x)))
         for pattern, weight in seq.mixture_weights()
     ]
     return mix(components)

@@ -33,7 +33,6 @@ from nmavc import (
     delta_exact,
     delta_monte_carlo,
     ecc_decode,
-    ecc_encode,
     enumerate_bit_functions,
     feasible_interval,
     induced_tamper,
@@ -48,8 +47,11 @@ from nmavc import (
 )
 from nmavc.gf2 import rank_of_columns, select_reconstruction
 from oracles import (
+    apply_actions,
+    ecc_encode,
     grid_optimum,
     lex_min_reconstruction,
+    linear_code,
     output_distribution,
     random_binary_channel,
     random_distribution,
@@ -101,7 +103,7 @@ def test_c02_product_decomposition_exact():
                 direct = output_distribution(seq, x)
                 masses: dict = {}
                 for pattern, w in weights:
-                    word = BITFunction(pattern).apply(x)
+                    word = apply_actions(BITFunction(pattern), x)
                     masses[word] = masses.get(word, F(0)) + w
                 assert direct == FiniteDistribution(masses)
             sequences += 1
@@ -141,7 +143,7 @@ def test_c04_linear_code_offset_attack():
     generators = {1: GF2Matrix.from_rows(["111"]),
                   2: GF2Matrix.from_rows(["101", "011"])}
     for k, g in generators.items():
-        code = StochasticCode.linear(g)
+        code = linear_code(g)
         delta = ecc_encode(g, "1" * k)
         attack = BITFunction.from_string(
             "".join("F" if ch == "1" else "K" for ch in delta)
@@ -206,18 +208,16 @@ def test_c06_erasure_decoder_complete():
             survivors = [j for j in range(n) if j not in erased]
             solvable = rank_of_columns(g, survivors) == m
             oracle_r = lex_min_reconstruction(g, erased)
-            for u in all_bitstrings(m):
-                word = ecc_encode(g, u)
-                received = "".join(
-                    "e" if j in erased else word[j] for j in range(n)
-                )
-                result = ecc_decode(g, received)
+            recon = select_reconstruction(g, mask)
+            for u in range(1 << m):
+                received = g.vec_mul(u) & ~mask
+                result = ecc_decode(g, received, mask)
                 if solvable:
                     assert result is not None
-                    assert result.message == u
-                    assert result.reconstruction.indices == oracle_r
+                    assert result == u
+                    assert recon.indices == oracle_r
                 else:
-                    assert result is None and oracle_r is None
+                    assert result is None and oracle_r is None and recon is None
     _done(
         "C6 reconstruction-set decoder", 120, t0,
         "50 codes (m<=3, n<=6), all 2^n patterns: success iff full rank, "
@@ -239,7 +239,7 @@ def test_c07_induced_affinity_full_scan():
             # induced_tamper checks the closed form against the pipeline
             # on all 2^m inputs, raising on any mismatch.
             induced = induced_tamper(outer, f)
-            has_r = select_reconstruction(outer, f.erasure_set()) is not None
+            has_r = select_reconstruction(outer, f.erase) is not None
             assert (induced is BOT_MAP) == (not has_r)
             patterns_checked += 1
     _done(

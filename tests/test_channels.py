@@ -24,6 +24,7 @@ from nmavc.errors import (
     UnsupportedChannelError,
 )
 from oracles import (
+    apply_actions,
     mixture_output_distribution,
     output_distribution,
     random_binary_channel,
@@ -177,7 +178,7 @@ def test_elementary_channels_match_actions():
             assert len(row) == 1
             from nmavc import BITFunction
 
-            expected = BITFunction((action,)).apply(str(x))
+            expected = apply_actions(BITFunction((action,)), str(x))
             assert row[expected] == 1
 
 

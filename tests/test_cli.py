@@ -80,6 +80,46 @@ def test_delta_budget_exit_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+MALFORMED_GENERATORS = [
+    {"rows": []},
+    {"rows": ["10x"]},
+    {"rows": ["101", "01"]},
+    {"rows": [5]},
+    {"rows": "101"},
+    {"rows": [[1, 0, 2]]},
+    {"rows": [[1, True]]},
+    {"rows": [""]},
+]
+MALFORMED_GENERATOR_IDS = [
+    "no-rows", "bad-symbol", "ragged", "int-row", "string-rows", "entry-2",
+    "bool-entry", "empty-row",
+]
+
+
+def assert_invalid_input(result):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("generator", MALFORMED_GENERATORS, ids=MALFORMED_GENERATOR_IDS)
+def test_malformed_generator_exit_2(runner, tmp_path, generator):
+    # Every command that reads a generator file rejects it as invalid input.
+    gen = write(tmp_path, "g.json", generator)
+    code = write(tmp_path, "code.json", LINEAR_CODE_K1_N3)
+    spec = json.loads((DATA / "composed_spec.json").read_text())
+    spec["outer"] = generator
+    spec_file = write(tmp_path, "spec.json", spec)
+    for args in (
+        ["delta", gen, "1/10"],
+        ["certify-inner", code, gen],
+        ["search", "--k", "1", "--n", "3", "--rho", "0", "--trials", "1",
+         "--seed", "0", "--induced-by", gen],
+        ["composed-verify", "--spec", spec_file],
+    ):
+        assert_invalid_input(runner.invoke(main, args))
+
+
 def test_nm_verify_identity_code(runner, tmp_path):
     code = write(tmp_path, "code.json", IDENTITY_CODE_K1)
     seqs = write(
@@ -316,13 +356,16 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
         # Specs that would verify no sequence, and so pass vacuously.
         {"sequences": []},
         {"sequences": {"random": -1, "seed": 1}},
+        {"sequences": {"random": True, "seed": 1}},
+        {"sequences": {"random": 2, "seed": True}},
         # Only the special state: a random spec would never draw a row.
         {"states": {"bec": {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}},
          "sequences": "exhaustive"},
     ],
     ids=["string-budget", "bool-budget", "float-budget", "negative-budget",
          "list-states", "list-special-state", "unknown-state-in-row",
-         "empty-sequence-list", "negative-random-count", "only-special-state"],
+         "empty-sequence-list", "negative-random-count", "bool-random-count",
+         "bool-random-seed", "only-special-state"],
 )
 def test_composed_verify_malformed_spec_exit_2(runner, tmp_path, fields):
     spec = json.loads((DATA / "composed_spec.json").read_text())

@@ -1,9 +1,13 @@
 """GF(2) matrices, the erasure decoder, and failure probabilities."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmavc import (
     GF2Matrix,
@@ -11,21 +15,27 @@ from nmavc import (
     delta_exact,
     delta_monte_carlo,
     ecc_decode,
-    ecc_encode,
     gf2_invert,
     hamming_7_4,
     min_distance,
     random_full_rank,
     single_parity,
 )
+from nmavc import gf2
 from nmavc.errors import BudgetExceededError
-from nmavc.gf2 import bits_to_int, int_to_bits, rank_of_columns
-from oracles import lex_min_reconstruction
+from nmavc.gf2 import bits_to_int, int_to_bits, rank_of_columns, select_reconstruction
+from oracles import ecc_decode_string, ecc_encode, lex_min_reconstruction, split_word
 
 
 def test_bit_packing_round_trip():
     for bits in ("0", "1", "1011", "0000", "111111"):
         assert int_to_bits(bits_to_int(bits), len(bits)) == bits
+
+
+def decode(g: GF2Matrix, y: str):
+    """ecc_decode on a string word; the message as a string, or None."""
+    u = ecc_decode(g, *split_word(y))
+    return None if u is None else int_to_bits(u, g.nrows)
 
 
 def test_encode_examples():
@@ -59,24 +69,23 @@ def test_inverse_property_random():
 def test_decode_no_erasures_round_trip():
     g = hamming_7_4()
     for u in ("0000", "1010", "1111"):
-        result = ecc_decode(g, ecc_encode(g, u))
-        assert result.message == u
+        assert decode(g, ecc_encode(g, u)) == u
 
 
 def test_decode_worked_example():
     g = GF2Matrix.from_rows(["101", "011"])
-    result = ecc_decode(g, "1e0")
-    assert result.message == "11"
-    assert result.reconstruction.indices == (0, 2)
+    assert decode(g, "1e0") == "11"
+    indices = select_reconstruction(g, split_word("1e0")[1]).indices
+    assert indices == (0, 2)
     # Re-encoding agrees with the received word on the reconstruction set.
-    word = ecc_encode(g, result.message)
-    for j in result.reconstruction.indices:
+    word = ecc_encode(g, "11")
+    for j in indices:
         assert word[j] == "1e0"[j]
 
 
 def test_decode_all_erased():
     g = GF2Matrix.identity(2)
-    assert ecc_decode(g, "ee") is None
+    assert decode(g, "ee") is None
 
 
 def test_decode_deterministic_and_lex_minimal():
@@ -90,14 +99,16 @@ def test_decode_deterministic_and_lex_minimal():
                 j for j in range(n) if rng.random() < 0.4
             )
             word = "".join("e" if j in erased else "0" for j in range(n))
-            first = ecc_decode(g, word)
-            second = ecc_decode(g, word)
+            mask = split_word(word)[1]
+            first = select_reconstruction(g, mask)
+            second = select_reconstruction(g, mask)
             oracle = lex_min_reconstruction(g, erased)
             if oracle is None:
                 assert first is None and second is None
+                assert decode(g, word) is None
             else:
-                assert first.reconstruction.indices == oracle
-                assert second.reconstruction.indices == oracle
+                assert first.indices == oracle
+                assert second.indices == oracle
 
 
 def test_decode_within_minimum_distance():
@@ -116,7 +127,7 @@ def test_decode_within_minimum_distance():
                     erased = "".join(
                         "e" if j in pattern else word[j] for j in range(n)
                     )
-                    assert ecc_decode(g, erased).message == u
+                    assert decode(g, erased) == u
 
 
 def test_reencode_agrees_on_reconstruction_set():
@@ -128,20 +139,71 @@ def test_reencode_agrees_on_reconstruction_set():
         n = rng.randint(m, 6)
         g = random_full_rank(m, n, rng)
         word = "".join(rng.choice("01e") for _ in range(n))
-        result = ecc_decode(g, word)
-        if result is None:
+        message = decode(g, word)
+        if message is None:
             continue
-        recoded = ecc_encode(g, result.message)
-        for j in result.reconstruction.indices:
+        recoded = ecc_encode(g, message)
+        for j in select_reconstruction(g, split_word(word)[1]).indices:
             assert recoded[j] == word[j]
 
 
-def test_max_erasures_variant():
-    g = hamming_7_4()
-    word = ecc_encode(g, "1011")
-    erased = "e" + word[1:]
-    assert ecc_decode(g, erased, max_erasures=0) is None
-    assert ecc_decode(g, erased, max_erasures=1).message == "1011"
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_decode_matches_string_oracle(data):
+    # The int decoder and its reconstruction set agree with the string
+    # decoder, whose R comes from a brute-force lex-min scan, on random
+    # full-rank generators and random words of {0,1,e}^n.
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(m, 7))
+    g = random_full_rank(m, n, data.draw(st.integers(0, 2**32)))
+    word = "".join(data.draw(st.lists(st.sampled_from("01e"), min_size=n, max_size=n)))
+    bits, erased = split_word(word)
+    expected = ecc_decode_string(g, word)
+    recon = select_reconstruction(g, erased)
+    if expected is None:
+        assert ecc_decode(g, bits, erased) is None and recon is None
+    else:
+        assert int_to_bits(ecc_decode(g, bits, erased), m) == expected.message
+        assert recon.indices == expected.indices
+
+
+def test_decode_rejects_non_words():
+    g = GF2Matrix.from_rows(["101", "011"])
+    for bits, erased in ((0b1000, 0), (0, 0b1000), (0b001, 0b001), (-1, 0)):
+        with pytest.raises(ValueError):
+            ecc_decode(g, bits, erased)
+
+
+def test_reconstruction_kept_per_generator():
+    # The reconstruction sets live on the generator and go with it.
+    g = random_full_rank(3, 6, 34)
+    for mask in range(1 << 6):
+        select_reconstruction(g, mask)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_reconstruction_inverts_once_per_mask(monkeypatch):
+    inversions = []
+    invert = gf2.gf2_invert
+
+    def counting_invert(a):
+        inversions.append(a)
+        return invert(a)
+
+    monkeypatch.setattr(gf2, "gf2_invert", counting_invert)
+    generators = [random_full_rank(3, 6, 35), random_full_rank(3, 6, 35)]
+    assert generators[0] == generators[1]
+    recoverable = 0
+    for g in generators:
+        for _ in range(2):
+            found = [select_reconstruction(g, mask) for mask in range(1 << 6)]
+        recoverable += sum(r is not None for r in found)
+    assert recoverable > 0
+    assert len(inversions) == recoverable
+
 
 
 def test_min_distances_of_stock_codes():

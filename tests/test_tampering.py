@@ -1,32 +1,52 @@
 """BIT and affine tampering functions and their conversions."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmavc import (
     AffineFunction,
+    BitAction,
     BITFunction,
     GF2Matrix,
-    all_bitstrings,
-    bit_to_affine,
-    compose_affine,
     enumerate_bit_functions,
 )
 from nmavc.errors import BudgetExceededError, NotRepresentableError
+from nmavc.gf2 import bits_to_int, int_to_bits
+from nmavc.verifier import function_key
+from oracles import apply_actions, bit_to_affine, compose_affine, split_word
 
 
 def test_apply_keep():
     f = BITFunction.from_string("KKK")
-    assert f.apply("101") == "101"
+    assert f.apply(bits_to_int("101")) == bits_to_int("101")
 
 
 def test_apply_flip_set1():
-    assert BITFunction.from_string("F1").apply("00") == "11"
+    assert BITFunction.from_string("F1").apply(bits_to_int("00")) == bits_to_int("11")
 
 
 def test_apply_erase():
-    assert BITFunction.from_string("EK").apply("10") == "e0"
+    f = BITFunction.from_string("EK")
+    assert (f.apply(bits_to_int("10")), f.erase) == split_word("e0")
+    assert f.has_erase and not BITFunction.from_string("KF01").has_erase
+
+
+def test_apply_rejects_long_input():
+    with pytest.raises(ValueError):
+        BITFunction.from_string("KK").apply(0b100)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(list(BitAction)), min_size=1, max_size=8), st.data())
+def test_apply_matches_per_character_oracle(actions, data):
+    # (apply(x), erase) is the word the per-character actions produce.
+    f = BITFunction(tuple(actions))
+    x = "".join(data.draw(st.lists(st.sampled_from("01"), min_size=f.n, max_size=f.n)))
+    assert (f.apply(bits_to_int(x)), f.erase) == split_word(apply_actions(f, x))
 
 
 def test_string_round_trip():
@@ -37,14 +57,14 @@ def test_string_round_trip():
 def test_bit_to_affine_examples():
     n = 3
     keep = bit_to_affine(BITFunction.from_string("K" * n))
-    assert keep.matrix == GF2Matrix.identity(n) and keep.delta == "0" * n
+    assert keep.matrix == GF2Matrix.identity(n) and keep.delta_string() == "0" * n
 
     fs1 = bit_to_affine(BITFunction.from_string("F1"))
     assert fs1.matrix == GF2Matrix.from_rows(["10", "00"])
-    assert fs1.delta == "11"
+    assert fs1.delta_string() == "11"
 
     zero = bit_to_affine(BITFunction.from_string("000"))
-    assert zero.matrix == GF2Matrix.zero(3, 3) and zero.delta == "000"
+    assert zero.matrix == GF2Matrix.zero(3, 3) and zero.delta_string() == "000"
 
 
 def test_bit_to_affine_rejects_erase():
@@ -58,19 +78,31 @@ def test_bit_to_affine_round_trip_exhaustive():
     for n in range(1, 5):
         for f in enumerate_bit_functions(n, 4):
             g = bit_to_affine(f)
-            for x in all_bitstrings(n):
+            for x in range(1 << n):
                 assert g.apply(x) == f.apply(x)
 
 
+def affine(rows, delta: str) -> AffineFunction:
+    return AffineFunction(GF2Matrix.from_rows(rows), bits_to_int(delta))
+
+
 def test_apply_affine_examples():
-    ident = AffineFunction(GF2Matrix.identity(2), "00")
-    assert ident.apply("10") == "10"
+    def apply(f, u):
+        return int_to_bits(f.apply(bits_to_int(u)), f.out_dim)
 
-    const = AffineFunction(GF2Matrix.zero(2, 2), "01")
-    assert const.apply("11") == "01"
+    ident = AffineFunction(GF2Matrix.identity(2), 0)
+    assert apply(ident, "10") == "10"
 
-    g = AffineFunction(GF2Matrix.from_rows(["11", "01"]), "10")
-    assert g.apply("11") == "00"
+    const = AffineFunction(GF2Matrix.zero(2, 2), bits_to_int("01"))
+    assert apply(const, "11") == "01"
+
+    assert apply(affine(["11", "01"], "10"), "11") == "00"
+
+
+def test_affine_rejects_bad_delta():
+    for delta in (-1, 0b100, "10"):
+        with pytest.raises(ValueError):
+            AffineFunction(GF2Matrix.identity(2), delta)
 
 
 def test_compose_affine_pointwise():
@@ -79,14 +111,14 @@ def test_compose_affine_pointwise():
         a, b, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
         f = AffineFunction(
             GF2Matrix(tuple(rng.getrandbits(b) for _ in range(a)), b),
-            "".join(rng.choice("01") for _ in range(b)),
+            bits_to_int("".join(rng.choice("01") for _ in range(b))),
         )
         g = AffineFunction(
             GF2Matrix(tuple(rng.getrandbits(c) for _ in range(b)), c),
-            "".join(rng.choice("01") for _ in range(c)),
+            bits_to_int("".join(rng.choice("01") for _ in range(c))),
         )
         h = compose_affine(f, g)
-        for u in all_bitstrings(a):
+        for u in range(1 << a):
             assert h.apply(u) == g.apply(f.apply(u))
 
 
@@ -104,5 +136,19 @@ def test_enumeration_budget():
 
 
 def test_affine_json_round_trip():
-    g = AffineFunction(GF2Matrix.from_rows(["11", "01"]), "10")
+    g = affine(["11", "01"], "10")
     assert AffineFunction.from_json(g.to_json()) == g
+
+
+def test_affine_renders_bitstrings():
+    # The int delta renders and parses as the same bytes a bitstring
+    # delta did: position 0 first.
+    g = affine(["110", "011"], "100")
+    text = '{"M": [[1, 1, 0], [0, 1, 1]], "delta": "100"}'
+    assert json.dumps(g.to_json()) == text
+    assert AffineFunction.from_json(json.loads(text)) == g
+    assert g.delta == 1
+    assert function_key(g) == "M=110|011;d=100"
+    assert repr(g) == "AffineFunction(M=['110', '011'], delta='100')"
+    with pytest.raises(ValueError):
+        AffineFunction.from_json({"M": [[1, 0]], "delta": "1"})

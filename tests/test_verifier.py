@@ -25,11 +25,9 @@ from nmavc import (
     StochasticCode,
     all_bitstrings,
     apply_copy,
-    bit_to_affine,
     certify_bit_family,
     certify_family,
     ds_mixture,
-    ecc_encode,
     optimal_simulator,
     random_full_rank,
     search_nm_code,
@@ -39,7 +37,7 @@ from nmavc import (
     tamper_map,
     verify_transfer,
 )
-from nmavc.gf2 import int_to_bits
+from nmavc.gf2 import bits_to_int, int_to_bits
 from nmavc.errors import (
     BudgetExceededError,
     InvalidCodeError,
@@ -47,7 +45,10 @@ from nmavc.errors import (
     NmavcError,
 )
 from oracles import (
+    bit_to_affine,
+    ecc_encode,
     grid_optimum,
+    linear_code,
     product_tamper_distribution,
     random_binary_channel,
     random_distribution,
@@ -114,7 +115,7 @@ def test_offset_attack_on_linear_code():
     # Adding the codeword of the all-ones message shifts every decoded
     # message by all-ones: the textbook malleability of linear codes.
     g = GF2Matrix.from_rows(["101", "011"])
-    code = StochasticCode.linear(g)
+    code = linear_code(g)
     f = offset_attack(g)
     for m in all_bitstrings(2):
         expected = "".join("1" if ch == "0" else "0" for ch in m)
@@ -378,7 +379,7 @@ def members(n: int):
     affine = st.builds(
         lambda rows, delta: AffineFunction(GF2Matrix(tuple(rows), n), delta),
         st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
-        st.text("01", min_size=n, max_size=n),
+        st.text("01", min_size=n, max_size=n).map(bits_to_int),
     )
     return st.one_of(bit, affine, st.just(BOT_MAP))
 
@@ -421,7 +422,7 @@ def test_count_profiles_wide_words():
     functions += [
         AffineFunction(
             GF2Matrix(tuple(rng.getrandbits(n) for _ in range(n)), n),
-            int_to_bits(rng.getrandbits(n), n),
+            rng.getrandbits(n),
         )
         for _ in range(3)
     ]
@@ -514,7 +515,7 @@ def test_certify_family_rejects_like_the_eager_loop(data):
     bad = st.sampled_from([
         BITFunction.from_string("E" + "K" * (n - 1)),
         BITFunction.from_string("K" * (n + 1)),
-        AffineFunction(GF2Matrix.identity(n + 1), "0" * (n + 1)),
+        AffineFunction(GF2Matrix.identity(n + 1), 0),
         "KKK",
         3,
     ])
