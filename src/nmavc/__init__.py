@@ -46,10 +46,6 @@ from .gf2 import (
     delta_monte_carlo,
     ecc_decode,
     gf2_invert,
-    hamming_7_4,
-    min_distance,
-    random_full_rank,
-    single_parity,
 )
 from .tampering import (
     AffineFunction,
@@ -66,7 +62,6 @@ from .verifier import (
     TransferReport,
     certify_bit_family,
     certify_family,
-    ds_mixture,
     optimal_simulator,
     search_nm_code,
     tamper_distribution_channel,

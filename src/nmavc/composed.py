@@ -1,14 +1,13 @@
 """Two-step construction: inner stochastic code behind a linear erasure code.
 
-The scheme is a stochastic code over {0,1,e}: encoding composes the
-inner encoder with the erasure-code encoder; decoding runs the
-reconstruction-set erasure decoder and feeds its output (or BOT) to the
-inner decoder.  Its enc/dec speak bitstrings, as every StochasticCode
-does; inside, an outer word is a (bits, erased) pair of ints.  Tampering
-the outer codeword with a per-bit action pattern induces an affine map
-(or the constant failure map) on the inner codeword: the induced map is
-built in its closed matrix form and checked against the actual
-encode/tamper/decode pipeline, on ints, on every inner word.
+The scheme is a stochastic code over {0,1,e}: its enc table holds the
+inner codewords encoded by the erasure code, and decode runs the
+reconstruction-set erasure decoder on the word (bits, erased) and feeds
+its output (or BOT) to the inner decoder.  Tampering the outer codeword
+with a per-bit action pattern induces an affine map (or the constant
+failure map) on the inner codeword: the induced map is built in its
+closed matrix form and checked against the actual encode/tamper/decode
+pipeline on every inner word.
 
 Verification certifies the inner code against the distinct maps that a
 sequence's patterns induce, then runs the verifier's mixture check.
@@ -28,14 +27,13 @@ from .errors import (
     VerificationError,
 )
 from .gf2 import (
-    ERASURE_CHAR,
     GF2Matrix,
     ReconstructionSet,
-    bits_to_int,
     delta_exact,
     ecc_decode,
     int_to_bits,
     select_reconstruction,
+    words_in_order,
 )
 from .tampering import AffineFunction, BITFunction, enumerate_bit_functions
 from .verifier import (
@@ -64,9 +62,19 @@ class SpecialStateSpec:
         return ExtendedChannel.bec(self.p_star)
 
 
+def _check_full_rank(outer: GF2Matrix) -> None:
+    """Raise unless the outer generator encodes injectively."""
+    if outer.rank() != outer.nrows:
+        raise InvalidInstanceError("outer generator must have full row rank")
+
+
 class ComposedScheme(StochasticCode):
     """Inner (k -> m) stochastic code encoded by an outer (m -> n) generator,
-    itself a code whose decoder reads words over {0,1,e}."""
+    itself a code whose decoder reads words over {0,1,e}.
+
+    enc[m][r] is outer.vec_mul(inner.enc[m][r]); the decoder is decode,
+    so the plain decoder table dec stays empty.
+    """
 
     __slots__ = ("inner", "outer")
 
@@ -78,26 +86,20 @@ class ComposedScheme(StochasticCode):
                 f"inner codeword length {inner.n} != outer message length "
                 f"{outer.nrows}"
             )
-        if outer.rank() != outer.nrows:
-            raise InvalidInstanceError("outer generator must have full row rank")
+        _check_full_rank(outer)
         inner.check_correctness()
         self.inner = inner
         self.outer = outer
-        n = outer.ncols
+        enc = {
+            m: [outer.vec_mul(word) for word in words]
+            for m, words in inner.enc.items()
+        }
+        super().__init__(inner.k, outer.ncols, inner.rho, enc, {})
 
-        def encode(m: str, r: int) -> str:
-            return int_to_bits(outer.vec_mul(bits_to_int(inner.enc(m, r))), n)
-
-        def decode(y: str):
-            """Erasure-decode then inner-decode; an outer failure is BOT."""
-            if len(y) != n:
-                raise ValueError(f"word length {len(y)} != {n}")
-            bits = bits_to_int(y.replace(ERASURE_CHAR, "0"))
-            erased = bits_to_int(y.replace("1", "0").replace(ERASURE_CHAR, "1"))
-            u = ecc_decode(outer, bits, erased)
-            return BOT if u is None else inner.dec(int_to_bits(u, outer.nrows))
-
-        super().__init__(inner.k, n, inner.rho, encode, decode)
+    def decode(self, bits: int, erased: int = 0):
+        """Erasure-decode, then inner-decode; an outer failure is BOT."""
+        u = ecc_decode(self.outer, bits, erased)
+        return BOT if u is None else self.inner.decode(u)
 
 
 def _closed_form(
@@ -117,14 +119,6 @@ def _closed_form(
         if (delta_full >> j) & 1:
             delta_r |= 1 << new_j
     return AffineFunction(matrix, recon.inverse.vec_mul(delta_r))
-
-
-def _inner_words(m: int) -> list[int]:
-    """The 2^m inner words in all_bitstrings order (position 0 leading)."""
-    words = [0]
-    for i in reversed(range(m)):
-        words = [(b << i) | u for b in (0, 1) for u in words]
-    return words
 
 
 def induced_tamper(
@@ -148,7 +142,7 @@ def induced_tamper(
         return BOT_MAP
     closed = _closed_form(outer, f, recon)
     m = outer.nrows
-    for u in _inner_words(m):
+    for u, _ in words_in_order(m):
         actual = ecc_decode(outer, f.apply(outer.vec_mul(u)), f.erase)
         expected = closed.apply(u)
         if actual != expected:
@@ -167,8 +161,10 @@ def induced_family(
     """Distinct induced maps over all 5^n action patterns, first-seen order.
 
     Members are AffineFunction values plus (when some pattern erases too
-    much) the BOT_MAP marker.
+    much) the BOT_MAP marker.  The generator must have full row rank, as
+    for ComposedScheme.
     """
+    _check_full_rank(outer)
     seen = set()
     members = []
     for f in enumerate_bit_functions(outer.ncols, 5, budget=budget):
@@ -201,13 +197,9 @@ def recovery_probability(
     recovered = Fraction(0)
     for mask in range(1 << n):
         outcomes = set()
-        for m in scheme.messages():
-            for r in range(scheme.seed_count):
-                word = scheme.enc(m, r)
-                erased = "".join(
-                    "e" if (mask >> j) & 1 else word[j] for j in range(n)
-                )
-                outcomes.add(scheme.dec(erased) == m)
+        for m, words in scheme.enc.items():
+            for word in words:
+                outcomes.add(scheme.decode(word & ~mask, mask) == m)
         if len(outcomes) > 1:
             raise VerificationError(
                 "recovery is not a function of the erasure pattern alone"

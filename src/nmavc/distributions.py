@@ -3,8 +3,7 @@
 All masses are `fractions.Fraction` values and every operation here is
 exact; floating point never enters a verification path.  Outcomes are
 message bitstrings (str over "01"), the decoding-failure marker ``BOT``,
-or the survival marker ``SAME_STAR``.  Channel output words (strings
-over "01e") reuse the same container.
+or the survival marker ``SAME_STAR``.
 """
 
 from __future__ import annotations
@@ -178,17 +177,6 @@ class FiniteDistribution:
     @classmethod
     def point(cls, outcome: Outcome) -> "FiniteDistribution":
         return cls({outcome: ONE})
-
-    @classmethod
-    def uniform(cls, outcomes: Iterable[Outcome]) -> "FiniteDistribution":
-        outcomes = list(outcomes)
-        if not outcomes:
-            raise InvalidDistributionError("uniform over empty set")
-        share = Fraction(1, len(outcomes))
-        masses: dict[Outcome, Fraction] = {}
-        for outcome in outcomes:
-            masses[outcome] = masses.get(outcome, ZERO) + share
-        return cls(masses)
 
     def probability(self, outcome: Outcome) -> Fraction:
         return self._masses.get(outcome, ZERO)

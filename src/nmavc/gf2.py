@@ -17,7 +17,6 @@ boundary (from_rows, row_strings).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,6 +42,18 @@ def bits_to_int(bits: str) -> int:
 
 def int_to_bits(value: int, n: int) -> str:
     return "".join("1" if (value >> i) & 1 else "0" for i in range(n))
+
+
+def words_in_order(n: int, erasures: bool = False) -> list[tuple[int, int]]:
+    """Every word over {0,1}^n (or {0,1,e}^n) as a (bits, erased) pair, in
+    lexicographic order of the symbols 0 < 1 < e, position 0 most
+    significant: the order of all_bitstrings."""
+    symbols = ((0, 0), (1, 0), (0, 1)) if erasures else ((0, 0), (1, 0))
+    words = [(0, 0)]
+    for i in reversed(range(n)):
+        words = [(bits | b << i, erased | e << i)
+                 for b, e in symbols for bits, erased in words]
+    return words
 
 
 @dataclass(frozen=True)
@@ -341,50 +352,3 @@ def delta_monte_carlo(
     estimate = failures / trials
     ci95 = 1.96 * (estimate * (1.0 - estimate) / trials) ** 0.5
     return estimate, ci95
-
-
-def min_distance(g: GF2Matrix) -> int:
-    """Minimum distance by exhaustive codeword enumeration (m <= 12)."""
-    m = g.nrows
-    if m > 12:
-        raise BudgetExceededError("min_distance enumerates 2^m codewords; m <= 12")
-    best = g.ncols + 1
-    for u in range(1, 1 << m):
-        weight = bin(g.vec_mul(u)).count("1")
-        if weight < best:
-            best = weight
-    return best
-
-
-def single_parity(m: int) -> GF2Matrix:
-    """[I_m | 1]: appends one even-parity bit."""
-    rows = tuple((1 << i) | (1 << m) for i in range(m))
-    return GF2Matrix(rows, m + 1)
-
-
-def hamming_7_4() -> GF2Matrix:
-    """Systematic Hamming(7,4) generator."""
-    return GF2Matrix.from_rows(
-        [
-            "1000110",
-            "0100101",
-            "0010011",
-            "0001111",
-        ]
-    )
-
-
-def random_full_rank(m: int, n: int, seed_or_rng) -> GF2Matrix:
-    """Seeded random m x n generator matrix of full row rank."""
-    if m > n:
-        raise InvalidInstanceError(f"full row rank needs m <= n, got {m} x {n}")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, random.Random)
-        else random.Random(seed_or_rng)
-    )
-    while True:
-        rows = tuple(rng.getrandbits(n) for _ in range(m))
-        g = GF2Matrix(rows, n)
-        if g.rank() == m:
-            return g

@@ -6,8 +6,7 @@ words packed as ints (bit i is position i, as gf2.bits_to_int packs a
 bitstring): a BIT function by keep/xor masks, with its Erase positions
 named by an erase mask, so that x maps to the word
 (f.apply(x), f.erase) over {0,1,e}; an affine map by u -> u*M + delta
-with delta an int.  Bitstrings appear only in to_json/from_json and
-repr.
+with delta an int.  Bitstrings appear only in to_json and repr.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Iterator, Optional
 from enum import Enum
 
 from .errors import BudgetExceededError
-from .gf2 import GF2Matrix, bits_to_int, int_to_bits
+from .gf2 import GF2Matrix, int_to_bits
 
 
 class BitAction(Enum):
@@ -140,14 +139,6 @@ class AffineFunction:
                   for i in range(self.in_dim)],
             "delta": self.delta_string(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AffineFunction":
-        matrix = GF2Matrix.from_rows(obj["M"])
-        delta = obj["delta"]
-        if not isinstance(delta, str) or len(delta) != matrix.ncols:
-            raise ValueError("delta must be a bitstring of the output dimension")
-        return cls(matrix, bits_to_int(delta))
 
     def __repr__(self) -> str:
         return (

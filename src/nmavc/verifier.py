@@ -20,8 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Sized, Union
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .errors import (
     InvalidInstanceError,
     VerificationError,
 )
-from .gf2 import ERASURE_CHAR, bits_to_int, int_to_bits
+from .gf2 import bits_to_int, int_to_bits, words_in_order
 from .simplex import solve_min
 from .tampering import AffineFunction, BITFunction, enumerate_bit_functions
 
@@ -54,31 +53,56 @@ TamperingFunction = Union[BITFunction, AffineFunction, Marker]
 
 
 class StochasticCode:
-    """A (k, n)-coding scheme with a rho-bit uniform encoder seed.
+    """A (k, n)-coding scheme with a rho-bit uniform encoder seed, as tables.
 
-    The encoder maps (message, seed) to a codeword; the decoder is a
-    deterministic total map from n-bit words to a message or BOT.
-    Perfect correctness (dec(enc(m, r)) = m for every m and seed) is
-    audited exhaustively before any verification uses the code.
+    enc[m][r] is the codeword of message m under seed r, packed as an int
+    (bit i is position i, as bits_to_int packs a bitstring): a dict from
+    each message bitstring to a tuple of 2^rho words.  The decoder is the
+    dict dec from packed words to messages; every other word decodes to
+    BOT.  decode(bits, erased) is the one decoding entry point, which a
+    code whose decoder reads erasures overrides.  The constructor
+    validates the tables; perfect correctness (decode(enc[m][r]) = m for
+    every m and seed) is audited exhaustively before any verification
+    uses the code.  Bitstrings appear only in from_tables/to_json.
     """
 
     __slots__ = ("k", "n", "rho", "enc", "dec", "_audited", "_dec_table")
-    erasures = False  # True when dec reads words over {0,1,e}
+    erasures = False  # True when decode reads words over {0,1,e}
 
     def __init__(
         self,
         k: int,
         n: int,
         rho: int,
-        enc: Callable[[str, int], str],
-        dec: Callable[[str], object],
+        enc: Mapping[str, Sequence[int]],
+        dec: Mapping[int, str],
     ) -> None:
         _check_dimensions(k, n, rho)
+        # Sizes first: 2^k and 2^rho are compared, never enumerated.
+        if not _has_power_size(enc, k) or not all(_is_word(m, k) for m in enc):
+            raise InvalidCodeError("encoder table must cover every message")
+        for m, words in enc.items():
+            if not _has_power_size(words, rho):
+                raise InvalidCodeError(
+                    f"message {m!r} has {len(words)} codewords, expected 2^{rho}"
+                )
+            for word in words:
+                if not _is_packed(word, n):
+                    raise InvalidCodeError(
+                        f"codeword {word!r} of message {m!r} is not in [0, 2^{n})"
+                    )
+        for word, m in dec.items():
+            if not _is_packed(word, n):
+                raise InvalidCodeError(f"decoder key {word!r} is not in [0, 2^{n})")
+            if not isinstance(m, str) or m not in enc:
+                raise InvalidCodeError(
+                    f"decoder maps {word!r} to {m!r}, not a message in {{0,1}}^{k}"
+                )
         self.k = k
         self.n = n
         self.rho = rho
-        self.enc = enc
-        self.dec = dec
+        self.enc = {m: tuple(words) for m, words in enc.items()}
+        self.dec = dict(dec)
         self._audited = False
         self._dec_table = None
 
@@ -89,18 +113,18 @@ class StochasticCode:
     def seed_count(self) -> int:
         return 1 << self.rho
 
+    def decode(self, bits: int, erased: int = 0):
+        """The message the word (bits, erased) decodes to, or BOT; the
+        decoder table holds binary words only, so an erasure fails."""
+        return BOT if erased else self.dec.get(bits, BOT)
+
     def check_correctness(self) -> None:
-        """Exhaustive dec(enc(m, r)) = m audit; cached after first pass."""
+        """Exhaustive decode(enc[m][r]) = m audit; cached after first pass."""
         if self._audited:
             return
         for m in self.messages():
-            for r in range(self.seed_count):
-                word = self.enc(m, r)
-                if not _is_word(word, self.n):
-                    raise InvalidCodeError(
-                        f"enc({m!r}, {r}) = {word!r} is not in {{0,1}}^{self.n}"
-                    )
-                decoded = self.dec(word)
+            for r, word in enumerate(self.enc[m]):
+                decoded = self.decode(word)
                 if decoded != m:
                     raise InvalidCodeError(
                         f"dec(enc({m!r}, {r})) = {decoded!r}, violating "
@@ -109,33 +133,21 @@ class StochasticCode:
         self._audited = True
 
     def decoder_table(self) -> np.ndarray:
-        """Outcome index of dec(y) for every word y over the decoder's
+        """Outcome index of decode(y) for every word y over the decoder's
         alphabet ({0,1}, or {0,1,e} when it reads erasures).
 
-        Words are in lexicographic order of the symbols 0 < 1 < e with
-        position 0 most significant; outcomes are indexed as in
-        _outcome_index.  Each word is decoded once, on first use, and the
-        table is kept on the code.
+        Words are in the order of words_in_order; outcomes are indexed as
+        in _outcome_index.  Each word is decoded once, on first use, and
+        the table is kept on the code.
         """
         if self._dec_table is None:
-            symbols = ("0", "1", ERASURE_CHAR) if self.erasures else ("0", "1")
             outcome_index = _outcome_index(self)
-            table = []
-            for word in product(symbols, repeat=self.n):
-                outcome = self.dec("".join(word))
-                if outcome not in outcome_index:
-                    raise InvalidInstanceError(
-                        f"outcome {outcome!r} outside {{0,1}}^{self.k} + bot"
-                    )
-                table.append(outcome_index[outcome])
-            self._dec_table = np.array(table, dtype=np.intp)
+            self._dec_table = np.array(
+                [outcome_index[self.decode(bits, erased)]
+                 for bits, erased in words_in_order(self.n, self.erasures)],
+                dtype=np.intp,
+            )
         return self._dec_table
-
-    @classmethod
-    def identity(cls, k: int) -> "StochasticCode":
-        if k < 1:
-            raise InvalidCodeError("identity code needs k >= 1")
-        return cls(k, k, 0, lambda m, r: m, lambda w: w)
 
     @classmethod
     def from_tables(
@@ -146,60 +158,28 @@ class StochasticCode:
         enc_table: Mapping[str, list[str]],
         dec_table: Mapping[str, str],
     ) -> "StochasticCode":
+        """The code of JSON-style tables, with every word a bitstring."""
         _check_dimensions(k, n, rho)
         if not isinstance(enc_table, Mapping) or not isinstance(dec_table, Mapping):
             raise InvalidCodeError("encoder and decoder tables must be objects")
+        enc = {}
         for m, words in enc_table.items():
             if not isinstance(words, (list, tuple)):
                 raise InvalidCodeError(f"codewords of message {m!r} must be a list")
-        enc_rows = {m: tuple(words) for m, words in enc_table.items()}
-        dec_map = dict(dec_table)
-        expected = set(all_bitstrings(k))
-        if set(enc_rows) != expected:
-            raise InvalidCodeError("encoder table must cover every message")
-        for m, words in enc_rows.items():
-            if len(words) != 1 << rho:
-                raise InvalidCodeError(
-                    f"message {m!r} has {len(words)} codewords, expected 2^{rho}"
-                )
-            for word in words:
-                if not _is_word(word, n):
-                    raise InvalidCodeError(
-                        f"codeword {word!r} of message {m!r} is not in {{0,1}}^{n}"
-                    )
-        for word, m in dec_map.items():
-            if not _is_word(word, n):
-                raise InvalidCodeError(f"decoder key {word!r} is not in {{0,1}}^{n}")
-            if not _is_word(m, k):
-                raise InvalidCodeError(
-                    f"decoder maps {word!r} to {m!r}, not a message in {{0,1}}^{k}"
-                )
-        return cls(
-            k, n, rho,
-            lambda m, r: enc_rows[m][r],
-            lambda w: dec_map.get(w, BOT),
-        )
+            enc[m] = [_pack(word, n) for word in words]
+        dec = {_pack(word, n): m for word, m in dec_table.items()}
+        return cls(k, n, rho, enc, dec)
 
     def to_json(self) -> dict:
-        enc_table = {}
-        dec_table = {}
-        for m in self.messages():
-            words = [self.enc(m, r) for r in range(self.seed_count)]
-            enc_table[m] = words
-            for word in words:
-                dec_table[word] = m
-        # Record any off-image words the decoder maps to a message.
-        for word in all_bitstrings(self.n):
-            if word not in dec_table:
-                decoded = self.dec(word)
-                if decoded is not BOT:
-                    dec_table[word] = decoded
         return {
             "k": self.k,
             "n": self.n,
             "rho": self.rho,
-            "enc": enc_table,
-            "dec": dec_table,
+            "enc": {
+                m: [int_to_bits(word, self.n) for word in words]
+                for m, words in self.enc.items()
+            },
+            "dec": {int_to_bits(word, self.n): m for word, m in self.dec.items()},
         }
 
     @classmethod
@@ -226,6 +206,25 @@ def _check_dimensions(k: object, n: object, rho: object) -> None:
 def _is_word(word: object, n: int) -> bool:
     """True for a string of exactly n characters over {0, 1}."""
     return isinstance(word, str) and len(word) == n and set(word) <= {"0", "1"}
+
+
+def _pack(word: object, n: int) -> int:
+    """The packed int of an n-bit bitstring; InvalidCodeError otherwise."""
+    if not _is_word(word, n):
+        raise InvalidCodeError(f"word {word!r} is not in {{0,1}}^{n}")
+    return bits_to_int(word)
+
+
+def _is_packed(word: object, n: int) -> bool:
+    """True for an int in [0, 2^n) (bools excluded)."""
+    return (isinstance(word, int) and not isinstance(word, bool)
+            and word >= 0 and not word >> n)
+
+
+def _has_power_size(items: Sized, exponent: int) -> bool:
+    """len(items) == 2^exponent, decided without building 2^exponent."""
+    size = len(items)
+    return exponent == size.bit_length() - 1 and size == 1 << exponent
 
 
 def _outcome_index(code: StochasticCode) -> dict:
@@ -270,7 +269,7 @@ def tamper_distribution_fn(
     m: str,
     budget: Optional[int] = None,
 ) -> FiniteDistribution:
-    """Exact law of dec(f(enc(m, r))) over the uniform encoder seed."""
+    """Exact law of decode(f(enc[m][r])) over the uniform encoder seed."""
     code.check_correctness()
     if len(m) != code.k:
         raise InvalidInstanceError(f"message length {len(m)} != k={code.k}")
@@ -279,9 +278,8 @@ def tamper_distribution_fn(
         return FiniteDistribution.point(BOT)
     share = Fraction(1, code.seed_count)
     masses: dict = {}
-    for r in range(code.seed_count):
-        word = f.apply(bits_to_int(code.enc(m, r)))
-        outcome = code.dec(int_to_bits(word, code.n))
+    for word in code.enc[m]:
+        outcome = code.decode(f.apply(word))
         masses[outcome] = masses.get(outcome, Fraction(0)) + share
     return FiniteDistribution(masses)
 
@@ -292,7 +290,7 @@ def tamper_distribution_channel(
     m: str,
     budget: Optional[int] = None,
 ) -> FiniteDistribution:
-    """Exact law of dec(y), y drawn from the channel sequence on enc(m, r).
+    """Exact law of decode(y), y drawn from the channel sequence on enc[m][r].
 
     Computed in integers, without the elementary-pattern decomposition:
     every channel entry of seq is scaled by the lcm D of the entries'
@@ -328,10 +326,10 @@ def tamper_distribution_channel(
         for ch in seq.channels
     ]
     weights = np.zeros(symbols ** code.n, dtype=dtype)
-    for r in range(code.seed_count):
+    for word in code.enc[m]:
         law = np.ones(1, dtype=dtype)
-        for ch_rows, bit in zip(rows, code.enc(m, r)):
-            law = np.multiply.outer(law, ch_rows[int(bit)]).ravel()
+        for j, ch_rows in enumerate(rows):
+            law = np.multiply.outer(law, ch_rows[(word >> j) & 1]).ravel()
         weights += law
     outcomes = _outcome_index(code)
     counts = np.zeros(len(outcomes), dtype=dtype)
@@ -510,20 +508,15 @@ def _count_profiles(code: StochasticCode, functions: list) -> np.ndarray:
     """Integer tamper profiles of every (validated) member in one pass.
 
     Row i, column mi * (2^k + 1) + yi counts the seeds r with
-    dec(f_i(enc(m, r))) = y, indexing m and y by code.messages() and
+    decode(f_i(enc[m][r])) = y, indexing m and y by code.messages() and
     BOT by 2^k; dividing a row by 2^rho gives tamper_map(code, f_i).
-    Words are packed by bits_to_int, and only the distinct tampered
-    words are decoded.
+    Only the distinct tampered words are decoded.
     """
     messages = code.messages()
     width = len(messages) + 1
     outcome_index = _outcome_index(code)
     dtype = np.int64 if code.n <= 62 else object
-    enc = np.array(
-        [[bits_to_int(code.enc(m, r)) for r in range(code.seed_count)]
-         for m in messages],
-        dtype=dtype,
-    )
+    enc = np.array([code.enc[m] for m in messages], dtype=dtype)
     outcomes = np.full((len(functions), *enc.shape), len(messages))
     members: list[int] = []
     blocks = []
@@ -544,14 +537,7 @@ def _count_profiles(code: StochasticCode, functions: list) -> np.ndarray:
     if blocks:
         words = np.concatenate(blocks)
         distinct, inverse = np.unique(words, return_inverse=True)
-        decoded = []
-        for word in distinct.tolist():
-            outcome = code.dec(int_to_bits(word, code.n))
-            if outcome not in outcome_index:
-                raise InvalidInstanceError(
-                    f"outcome {outcome!r} outside {{0,1}}^{code.k} + bot"
-                )
-            decoded.append(outcome_index[outcome])
+        decoded = [outcome_index[code.decode(word)] for word in distinct.tolist()]
         outcomes[members] = np.array(decoded)[inverse.reshape(words.shape)]
     cells = np.arange(len(functions) * len(messages)).reshape(-1, len(messages), 1)
     counts = np.bincount(
@@ -589,11 +575,12 @@ def certify_family(
     over the common denominator 2^rho (_count_profiles).  `cache`
     memoizes LP solutions across calls, keyed by (2^rho, count
     profile), which determines the optimum.  On a miss, the member's
-    tamper map is re-derived by the string-level experiment
-    (tamper_map), checked equal to the counts over 2^rho, and handed to
-    the LP.  With `stop_at_or_above`, returns None as soon as the
-    running maximum reaches that bound -- used by the search loop,
-    which only cares about strictly better codes.
+    tamper map is re-derived seed by seed by the tampering experiment
+    (tamper_map: one apply and one decode per codeword), checked equal
+    to the counts over 2^rho, and handed to the LP.  With
+    `stop_at_or_above`, returns None as soon as the running maximum
+    reaches that bound -- used by the search loop, which only cares
+    about strictly better codes.
     """
     code.check_correctness()
     functions = _check_family(code, functions, budget)
@@ -692,14 +679,6 @@ def _mixture(
             )
         members.append((weight, f))
     return mix([(weight, simulators[f]) for weight, f in members]), members
-
-
-def ds_mixture(
-    seq: StateSequence,
-    simulators: Mapping[BITFunction, FiniteDistribution],
-) -> FiniteDistribution:
-    """Sequence simulator: per-function simulators mixed by pattern weight."""
-    return _mixture(seq.mixture_weights(), simulators)[0]
 
 
 @dataclass
@@ -834,19 +813,13 @@ class SearchResult:
 def _random_injective_code(
     k: int, n: int, rho: int, rng: random.Random
 ) -> StochasticCode:
-    words = rng.sample(range(1 << n), (1 << k) * (1 << rho))
-    enc_table: dict[str, list[str]] = {}
-    dec_table: dict[str, str] = {}
-    idx = 0
-    for m in all_bitstrings(k):
-        row = []
-        for _ in range(1 << rho):
-            word = int_to_bits(words[idx], n)
-            row.append(word)
-            dec_table[word] = m
-            idx += 1
-        enc_table[m] = row
-    return StochasticCode.from_tables(k, n, rho, enc_table, dec_table)
+    seeds = 1 << rho
+    words = rng.sample(range(1 << n), (1 << k) * seeds)
+    enc = {
+        m: words[i * seeds:(i + 1) * seeds] for i, m in enumerate(all_bitstrings(k))
+    }
+    dec = {word: m for m, row in enc.items() for word in row}
+    return StochasticCode(k, n, rho, enc, dec)
 
 
 def search_nm_code(

@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from nmavc import (
-    BOT,
     AffineFunction,
     BitAction,
     BITFunction,
@@ -34,12 +33,14 @@ from nmavc import (
 from nmavc.errors import (
     BudgetExceededError,
     InvalidCodeError,
+    InvalidDistributionError,
     InvalidInstanceError,
     LPInfeasibleError,
     LPUnboundedError,
     NotRepresentableError,
 )
 from nmavc.gf2 import ERASURE_CHAR, bits_to_int, int_to_bits
+from nmavc.verifier import _mixture
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -206,12 +207,16 @@ def linear_code(g: GF2Matrix) -> StochasticCode:
     k = g.nrows
     table = {}
     for m in all_bitstrings(k):
-        word = ecc_encode(g, m)
+        word = bits_to_int(ecc_encode(g, m))
         if word in table:
             raise InvalidCodeError("generator matrix is not injective")
         table[word] = m
-    return StochasticCode(k, g.ncols, 0, lambda m, r: ecc_encode(g, m),
-                          lambda w: table.get(w, BOT))
+    return StochasticCode(k, g.ncols, 0, {m: (w,) for w, m in table.items()}, table)
+
+
+def identity_code(k: int) -> StochasticCode:
+    """The code that sends each message to itself, with no seed (k >= 1)."""
+    return linear_code(GF2Matrix.identity(k))
 
 
 def compose_affine(first: AffineFunction, second: AffineFunction) -> AffineFunction:
@@ -497,9 +502,9 @@ def product_tamper_distribution(
     decoder table)."""
     share = Fraction(1, code.seed_count)
     masses: dict = {}
-    for r in range(code.seed_count):
-        for word, p in output_distribution(seq, code.enc(m, r)).items():
-            outcome = code.dec(word)
+    for x in code.enc[m]:
+        for word, p in output_distribution(seq, int_to_bits(x, code.n)).items():
+            outcome = code.decode(*split_word(word))
             masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
     return FiniteDistribution(masses)
 
@@ -537,3 +542,80 @@ def composed_tamper_distribution(
             f"direct channel experiment needs up to {cost} terms, budget {budget}"
         )
     return product_tamper_distribution(scheme, seq, m)
+
+
+# ------------------------------------------------- fixtures the library dropped
+# Generators, distributions and parsers only the tests use.
+
+def uniform(outcomes) -> FiniteDistribution:
+    """Uniform distribution over a list; repeated outcomes add up."""
+    outcomes = list(outcomes)
+    if not outcomes:
+        raise InvalidDistributionError("uniform over empty set")
+    share = Fraction(1, len(outcomes))
+    masses: dict = {}
+    for outcome in outcomes:
+        masses[outcome] = masses.get(outcome, ZERO) + share
+    return FiniteDistribution(masses)
+
+
+def ds_mixture(seq: StateSequence, simulators) -> FiniteDistribution:
+    """Sequence simulator: per-function simulators mixed by pattern weight,
+    through the verifier's own mixture."""
+    return _mixture(seq.mixture_weights(), simulators)[0]
+
+
+def min_distance(g: GF2Matrix) -> int:
+    """Minimum distance by exhaustive codeword enumeration (m <= 12)."""
+    m = g.nrows
+    if m > 12:
+        raise BudgetExceededError("min_distance enumerates 2^m codewords; m <= 12")
+    best = g.ncols + 1
+    for u in range(1, 1 << m):
+        weight = bin(g.vec_mul(u)).count("1")
+        if weight < best:
+            best = weight
+    return best
+
+
+def single_parity(m: int) -> GF2Matrix:
+    """[I_m | 1]: appends one even-parity bit."""
+    rows = tuple((1 << i) | (1 << m) for i in range(m))
+    return GF2Matrix(rows, m + 1)
+
+
+def hamming_7_4() -> GF2Matrix:
+    """Systematic Hamming(7,4) generator."""
+    return GF2Matrix.from_rows(
+        [
+            "1000110",
+            "0100101",
+            "0010011",
+            "0001111",
+        ]
+    )
+
+
+def random_full_rank(m: int, n: int, seed_or_rng) -> GF2Matrix:
+    """Seeded random m x n generator matrix of full row rank."""
+    if m > n:
+        raise InvalidInstanceError(f"full row rank needs m <= n, got {m} x {n}")
+    rng = (
+        seed_or_rng
+        if isinstance(seed_or_rng, random.Random)
+        else random.Random(seed_or_rng)
+    )
+    while True:
+        rows = tuple(rng.getrandbits(n) for _ in range(m))
+        g = GF2Matrix(rows, n)
+        if g.rank() == m:
+            return g
+
+
+def affine_from_json(obj: dict) -> AffineFunction:
+    """Parse AffineFunction.to_json's {"M": rows, "delta": bitstring}."""
+    matrix = GF2Matrix.from_rows(obj["M"])
+    delta = obj["delta"]
+    if not isinstance(delta, str) or len(delta) != matrix.ncols:
+        raise ValueError("delta must be a bitstring of the output dimension")
+    return AffineFunction(matrix, bits_to_int(delta))

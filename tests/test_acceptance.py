@@ -37,7 +37,6 @@ from nmavc import (
     feasible_interval,
     induced_tamper,
     optimal_simulator,
-    random_full_rank,
     recovery_probability,
     search_nm_code,
     statistical_distance,
@@ -55,6 +54,7 @@ from oracles import (
     output_distribution,
     random_binary_channel,
     random_distribution,
+    random_full_rank,
 )
 
 DATA_DIR = Path(__file__).parent.parent / "src" / "nmavc" / "data"

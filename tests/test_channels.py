@@ -1,10 +1,13 @@
 """Channel decomposition (elementary convex combinations) and state
 sequences (product output laws vs. pattern mixtures)."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmavc import (
     BinaryChannel,
@@ -167,6 +170,22 @@ def test_channel_json_round_trip():
     assert channel_from_json(ch.to_json()) == ch
     ext = ExtendedChannel.bec(F(1, 10))
     assert channel_from_json(ext.to_json()) == ext
+
+
+unit = st.fractions(min_value=0, max_value=1)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(unit, unit, unit, st.booleans())
+def test_channel_json_round_trip_property(w0, w1, p, extended):
+    # Binary rows [w, 1 - w]; extended rows share the erasure mass p.
+    if extended:
+        ch = ExtendedChannel.from_rows(
+            [[w * (1 - p), (1 - w) * (1 - p), p] for w in (w0, w1)]
+        )
+    else:
+        ch = BinaryChannel.from_rows([[w, 1 - w] for w in (w0, w1)])
+    assert channel_from_json(json.loads(json.dumps(ch.to_json()))) == ch
 
 
 def test_elementary_channels_match_actions():

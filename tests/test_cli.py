@@ -1,13 +1,18 @@
 """CLI contract: commands, formats, exit codes, reproducibility."""
 
 import json
+import signal
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nmavc.cli import main
+from oracles import split_word
 
 BSC = {"rows": [["7/10", "3/10"], ["3/10", "7/10"]]}
 BAD_ROW_SUM = {"rows": [["7/10", "7/10"], ["3/10", "7/10"]]}
@@ -120,6 +125,23 @@ def test_malformed_generator_exit_2(runner, tmp_path, generator):
         assert_invalid_input(runner.invoke(main, args))
 
 
+@pytest.mark.parametrize("command", ["certify-inner", "search"])
+def test_rank_deficient_outer_exit_2(runner, tmp_path, command):
+    # Rows 11, 11 encode two messages alike: every pattern induces the
+    # failure map, and the vacuous family would certify eps = 0.
+    gen = write(tmp_path, "g.json", {"rows": ["11", "11"]})
+    code = write(tmp_path, "code.json", {
+        "k": 1, "n": 2, "rho": 0, "enc": {"0": ["00"], "1": ["11"]},
+        "dec": {"00": "0", "11": "1"},
+    })
+    args = {
+        "certify-inner": ["certify-inner", code, gen],
+        "search": ["search", "--k", "1", "--n", "2", "--rho", "0",
+                   "--trials", "2", "--seed", "0", "--induced-by", gen],
+    }[command]
+    assert_invalid_input(runner.invoke(main, args))
+
+
 def test_nm_verify_identity_code(runner, tmp_path):
     code = write(tmp_path, "code.json", IDENTITY_CODE_K1)
     seqs = write(
@@ -190,6 +212,21 @@ def test_nm_verify_requires_one_mode(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize(
     "code",
     [
@@ -210,18 +247,92 @@ def test_nm_verify_requires_one_mode(runner, tmp_path):
          "dec": {"0": "0", "1": "1"}},
         # An encoder table that is not an object.
         {"k": 1, "n": 1, "rho": 0, "enc": [], "dec": {}},
+        # 2^40 messages are named and none is given.
+        {"k": 40, "n": 41, "rho": 0, "enc": {}, "dec": {}},
     ],
     ids=["non-bit-codeword", "non-message-dec-value", "long-dec-key",
-         "json-array", "string-k", "negative-k", "bool-k", "list-enc"],
+         "json-array", "string-k", "negative-k", "bool-k", "list-enc",
+         "huge-k"],
 )
 def test_nm_verify_malformed_code_exit_2(runner, tmp_path, code):
+    path = write(tmp_path, "code.json", code)
+    with time_limit(2):
+        result = runner.invoke(
+            main, ["nm-verify", path, "--family", "bit", "--budget", "1000"]
+        )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+FUZZ_CODE = {
+    "k": 1, "n": 3, "rho": 1,
+    "enc": {"0": ["000", "011"], "1": ["111", "100"]},
+    "dec": {"000": "0", "011": "0", "111": "1", "100": "1", "110": "0"},
+}
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+NOT_INT = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+)
+NOT_LIST = SCALARS | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+NOT_OBJECT = SCALARS | st.lists(st.text(max_size=3), max_size=2)
+NOT_WORD_TEXT = st.text(max_size=5).filter(
+    lambda t: not (len(t) == 3 and set(t) <= {"0", "1"})
+)
+NOT_WORD = st.one_of(NOT_WORD_TEXT, st.integers(), st.none(),
+                     st.lists(st.integers(0, 1), max_size=3))
+NOT_MESSAGE = st.one_of(
+    st.text(max_size=3).filter(lambda t: t not in ("0", "1")),
+    st.integers(), st.none(), st.booleans(), st.lists(st.text(max_size=1)),
+)
+
+
+@st.composite
+def malformed_codes(draw):
+    """FUZZ_CODE with one mutation that makes it invalid."""
+    code = json.loads(json.dumps(FUZZ_CODE))
+    m = draw(st.sampled_from(["0", "1"]))
+    kind = draw(st.sampled_from([
+        "dimension-type", "bool-dimension", "table-type", "codeword-list-type",
+        "codeword", "codeword-count", "encoder-key", "decoder-key",
+        "decoder-value", "missing-field",
+    ]))
+    if kind == "dimension-type":
+        code[draw(st.sampled_from(["k", "n", "rho"]))] = draw(NOT_INT)
+    elif kind == "bool-dimension":
+        code[draw(st.sampled_from(["k", "n", "rho"]))] = draw(st.booleans())
+    elif kind == "table-type":
+        code[draw(st.sampled_from(["enc", "dec"]))] = draw(NOT_OBJECT)
+    elif kind == "codeword-list-type":
+        code["enc"][m] = draw(NOT_LIST)
+    elif kind == "codeword":
+        code["enc"][m][draw(st.integers(0, 1))] = draw(NOT_WORD)
+    elif kind == "codeword-count":
+        code["enc"][m] = draw(st.sampled_from([[], ["000"], ["000"] * 3]))
+    elif kind == "encoder-key":
+        code["enc"][draw(NOT_MESSAGE.filter(lambda v: isinstance(v, str)))] = (
+            code["enc"].pop(m)
+        )
+    elif kind == "decoder-key":
+        code["dec"][draw(NOT_WORD_TEXT)] = m
+    elif kind == "decoder-value":
+        code["dec"][draw(st.sampled_from(sorted(code["dec"])))] = draw(NOT_MESSAGE)
+    else:
+        del code[draw(st.sampled_from(["k", "n", "rho", "enc", "dec"]))]
+    return code
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed_codes())
+def test_nm_verify_fuzzed_code_exit_2(runner, tmp_path, code):
+    # A missing "dec" is an empty decoder, which fails the correctness audit.
     path = write(tmp_path, "code.json", code)
     result = runner.invoke(
         main, ["nm-verify", path, "--family", "bit", "--budget", "1000"]
     )
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
+    assert_invalid_input(result)
 
 
 @pytest.mark.parametrize(
@@ -382,19 +493,19 @@ def test_composed_verify_decodes_each_word_once(runner, tmp_path, monkeypatch):
     # table: each word of {0,1,e}^5 is decoded once.  The only other
     # decodes are the correctness audit's, one per (message, seed): 2 * 4,
     # and the recovery route's, one per (erasure pattern, message, seed).
-    from nmavc import cli
+    from nmavc import ComposedScheme, cli
 
     decoded = []
     verify = cli.verify_composed
 
     def counting_verify(scheme, *args, **kwargs):
-        dec = scheme.dec
+        decode = type(scheme).decode
 
-        def counted(word):
-            decoded.append(word)
-            return dec(word)
+        def counted(self, bits, erased=0):
+            decoded.append((bits, erased))
+            return decode(self, bits, erased)
 
-        scheme.dec = counted
+        monkeypatch.setattr(ComposedScheme, "decode", counted)
         return verify(scheme, *args, **kwargs)
 
     monkeypatch.setattr(cli, "verify_composed", counting_verify)
@@ -405,7 +516,7 @@ def test_composed_verify_decodes_each_word_once(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert json.loads(Path(out).read_text())["sequences_checked"] == 242
     assert len(decoded) == 3**5 + 2 * 4 + 2**5 * 2 * 4
-    assert set(decoded) == {"".join(w) for w in product("01e", repeat=5)}
+    assert set(decoded) == {split_word("".join(w)) for w in product("01e", repeat=5)}
 
 
 def test_composed_verify_missing_field_exit_2(runner, tmp_path):

@@ -21,23 +21,25 @@ from nmavc import (
     certify_induced_family,
     delta_exact,
     enumerate_bit_functions,
-    hamming_7_4,
     induced_family,
     induced_tamper,
-    random_full_rank,
     recovery_probability,
     search_nm_code,
-    single_parity,
     tamper_distribution_channel,
     verify_composed,
 )
 from nmavc import composed, simplex, verifier
 from nmavc.errors import InvalidInstanceError, VerificationError
-from nmavc.gf2 import bits_to_int, select_reconstruction
+from nmavc.gf2 import bits_to_int, int_to_bits, select_reconstruction
 from oracles import (
     bit_to_affine,
     composed_tamper_distribution,
+    hamming_7_4,
+    identity_code,
     random_extended_channel,
+    random_full_rank,
+    single_parity,
+    split_word,
 )
 
 
@@ -148,13 +150,13 @@ def test_composed_round_trip_no_erasures():
     scheme = small_scheme()
     for m in all_bitstrings(scheme.k):
         for r in range(scheme.inner.seed_count):
-            word = scheme.enc(m, r)
-            assert scheme.dec(word) == m
+            word = scheme.enc[m][r]
+            assert scheme.decode(word) == m
 
 
 def test_composed_all_erased():
     scheme = small_scheme()
-    assert scheme.dec("e" * scheme.n) is BOT
+    assert scheme.decode(*split_word("e" * scheme.n)) is BOT
 
 
 def test_composed_correctable_erasures():
@@ -167,11 +169,11 @@ def test_composed_correctable_erasures():
         recoverable = select_reconstruction(scheme.outer, mask) is not None
         for m in all_bitstrings(scheme.k):
             for r in range(scheme.inner.seed_count):
-                word = scheme.enc(m, r)
+                word = int_to_bits(scheme.enc[m][r], n)
                 received = "".join(
                     "e" if j in erased else word[j] for j in range(n)
                 )
-                got = scheme.dec(received)
+                got = scheme.decode(*split_word(received))
                 if recoverable:
                     assert got == m
                 else:
@@ -182,7 +184,7 @@ def test_recovery_probability_examples():
     scheme = small_scheme()
     assert recovery_probability(scheme, SpecialStateSpec(F(0), scheme.n)) == 1
 
-    ident_inner = StochasticCode.identity(2)
+    ident_inner = identity_code(2)
     ident_scheme = ComposedScheme(ident_inner, GF2Matrix.identity(2))
     got = recovery_probability(ident_scheme, SpecialStateSpec(F(1, 10), 2))
     assert got == F(81, 100)
@@ -194,7 +196,7 @@ def test_recovery_matches_delta_exact_two_routes():
         m = rng.randint(1, 3)
         n = rng.randint(m, 5)
         outer = random_full_rank(m, n, rng)
-        inner = StochasticCode.identity(m)
+        inner = identity_code(m)
         scheme = ComposedScheme(inner, outer)
         p = F(rng.randint(0, 5), 10)
         assert recovery_probability(
@@ -206,7 +208,7 @@ def test_recovery_hamming_with_monte_carlo():
     from nmavc import delta_monte_carlo
 
     outer = hamming_7_4()
-    scheme = ComposedScheme(StochasticCode.identity(4), outer)
+    scheme = ComposedScheme(identity_code(4), outer)
     p = F(1, 10)
     recovery = recovery_probability(scheme, SpecialStateSpec(p, 7))
     assert recovery == 1 - delta_exact(outer, p)
@@ -215,7 +217,7 @@ def test_recovery_hamming_with_monte_carlo():
 
 
 def test_dimension_mismatch_rejected():
-    inner = StochasticCode.identity(3)
+    inner = identity_code(3)
     with pytest.raises(InvalidInstanceError):
         ComposedScheme(inner, single_parity(2))
 

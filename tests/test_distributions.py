@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmavc import (
     BOT,
@@ -21,10 +23,9 @@ from nmavc.errors import (
     InvalidMixtureError,
     InvalidRationalError,
 )
-from oracles import add_fractions_bigint, random_distribution, sd_event_oracle
+from oracles import add_fractions_bigint, random_distribution, sd_event_oracle, uniform
 
 point = FiniteDistribution.point
-uniform = FiniteDistribution.uniform
 
 
 # ---------------------------------------------------------------- rationals
@@ -59,6 +60,12 @@ def test_format_rational():
     assert format_rational(F(3, 10)) == "3/10"
     assert format_rational(F(2)) == "2"
     assert format_rational(F(0)) == "0"
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.fractions())
+def test_rational_round_trip(q):
+    assert parse_rational(format_rational(q)) == q
 
 
 def test_fraction_addition_against_bigint_oracle():

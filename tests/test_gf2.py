@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from itertools import product
 from fractions import Fraction as F
 
 import pytest
@@ -16,20 +17,38 @@ from nmavc import (
     delta_monte_carlo,
     ecc_decode,
     gf2_invert,
-    hamming_7_4,
-    min_distance,
-    random_full_rank,
-    single_parity,
 )
 from nmavc import gf2
 from nmavc.errors import BudgetExceededError
-from nmavc.gf2 import bits_to_int, int_to_bits, rank_of_columns, select_reconstruction
-from oracles import ecc_decode_string, ecc_encode, lex_min_reconstruction, split_word
+from nmavc.gf2 import (
+    bits_to_int,
+    int_to_bits,
+    rank_of_columns,
+    select_reconstruction,
+    words_in_order,
+)
+from oracles import (
+    ecc_decode_string,
+    ecc_encode,
+    hamming_7_4,
+    lex_min_reconstruction,
+    min_distance,
+    random_full_rank,
+    single_parity,
+    split_word,
+)
 
 
 def test_bit_packing_round_trip():
     for bits in ("0", "1", "1011", "0000", "111111"):
         assert int_to_bits(bits_to_int(bits), len(bits)) == bits
+
+
+def test_words_in_order_is_lexicographic():
+    for n in range(7):
+        for erasures, alphabet in ((False, "01"), (True, "01e")):
+            expected = [split_word("".join(w)) for w in product(alphabet, repeat=n)]
+            assert list(words_in_order(n, erasures)) == expected
 
 
 def decode(g: GF2Matrix, y: str):

@@ -27,9 +27,7 @@ from nmavc import (
     apply_copy,
     certify_bit_family,
     certify_family,
-    ds_mixture,
     optimal_simulator,
-    random_full_rank,
     search_nm_code,
     statistical_distance,
     tamper_distribution_channel,
@@ -46,13 +44,17 @@ from nmavc.errors import (
 )
 from oracles import (
     bit_to_affine,
+    ds_mixture,
     ecc_encode,
     grid_optimum,
+    identity_code,
     linear_code,
     product_tamper_distribution,
     random_binary_channel,
     random_distribution,
+    random_full_rank,
     tamper_distribution_channel_mixture,
+    uniform,
 )
 
 point = FiniteDistribution.point
@@ -69,21 +71,23 @@ def offset_attack(g: GF2Matrix) -> BITFunction:
 # ------------------------------------------------------------ stochastic code
 
 def test_identity_code_correctness():
-    code = StochasticCode.identity(2)
+    code = identity_code(2)
     code.check_correctness()
 
 
 def test_broken_code_rejected():
-    code = StochasticCode(1, 1, 0, lambda m, r: m, lambda w: BOT)
+    # Every word decodes to BOT.
+    code = StochasticCode(1, 1, 0, {"0": (0,), "1": (1,)}, {})
     with pytest.raises(InvalidCodeError):
         code.check_correctness()
 
 
 def test_non_bit_codeword_rejected():
-    code = StochasticCode(
-        1, 2, 0, lambda m, r: m + "e", lambda w: w[0] if w[1] == "e" else BOT
-    )
+    # The codeword of "0" has a bit beyond position n - 1 = 1.
     with pytest.raises(InvalidCodeError):
+        code = StochasticCode(
+            1, 2, 0, {"0": (0b100,), "1": (0b11,)}, {0b100: "0", 0b11: "1"}
+        )
         certify_bit_family(code)
 
 
@@ -93,20 +97,20 @@ def test_code_json_round_trip():
     clone.check_correctness()
     for m in code.messages():
         for r in range(code.seed_count):
-            assert clone.enc(m, r) == code.enc(m, r)
+            assert clone.enc[m][r] == code.enc[m][r]
 
 
 # ------------------------------------------------------- tamper distributions
 
 def test_keep_yields_point_mass_on_message():
-    code = StochasticCode.identity(3)
+    code = identity_code(3)
     for m in ("000", "101"):
         got = tamper_distribution_fn(code, BITFunction.from_string("KKK"), m)
         assert got == point(m)
 
 
 def test_constant_function_yields_constant_image():
-    code = StochasticCode.identity(2)
+    code = identity_code(2)
     got = tamper_distribution_fn(code, BITFunction.from_string("00"), "10")
     assert got == point("00")
 
@@ -123,19 +127,19 @@ def test_offset_attack_on_linear_code():
 
 
 def test_affine_function_tampering():
-    code = StochasticCode.identity(2)
+    code = identity_code(2)
     f = bit_to_affine(BITFunction.from_string("F1"))
     assert tamper_distribution_fn(code, f, "00") == point("11")
 
 
 def test_erase_rejected_on_plain_code():
-    code = StochasticCode.identity(2)
+    code = identity_code(2)
     with pytest.raises(InvalidInstanceError):
         tamper_distribution_fn(code, BITFunction.from_string("KE"), "00")
 
 
 def test_channel_tamper_identity_and_constant():
-    code = StochasticCode.identity(2)
+    code = identity_code(2)
     ident = StateSequence.uniform(BinaryChannel.identity(), 2)
     assert tamper_distribution_channel(code, ident, "10") == point("10")
 
@@ -146,7 +150,7 @@ def test_channel_tamper_identity_and_constant():
 
 
 def test_channel_tamper_single_bsc():
-    code = StochasticCode.identity(1)
+    code = identity_code(1)
     seq = StateSequence([BinaryChannel.bsc(F(3, 10))])
     got = tamper_distribution_channel(code, seq, "1")
     assert got == FiniteDistribution({"1": F(7, 10), "0": F(3, 10)})
@@ -167,7 +171,7 @@ def test_product_equals_mixture_for_codes():
 
 
 def test_budget_errors():
-    code = StochasticCode.identity(2)
+    code = identity_code(2)
     seq = StateSequence.uniform(BinaryChannel.identity(), 2)
     with pytest.raises(BudgetExceededError):
         tamper_distribution_channel(code, seq, "00", budget=1)
@@ -188,7 +192,7 @@ def test_simulator_for_flip():
     tm = {"0": point("1"), "1": point("0")}
     report = optimal_simulator(tm)
     assert report.epsilon == F(1, 2)
-    assert report.simulator == FiniteDistribution.uniform(["0", "1"])
+    assert report.simulator == uniform(["0", "1"])
 
 
 def test_simulator_recovers_star_mass():
@@ -235,7 +239,7 @@ def test_lp_never_beaten_by_grid_oracle():
 # ----------------------------------------------------------------- transfer
 
 def test_ds_mixture_identity_sequence():
-    code = StochasticCode.identity(2)
+    code = identity_code(2)
     cert = certify_bit_family(code)
     seq = StateSequence.uniform(BinaryChannel.identity(), 2)
     d_s = ds_mixture(seq, cert.simulators)
@@ -246,7 +250,7 @@ def test_ds_mixture_example():
     seq = StateSequence([BinaryChannel.bsc(F(1, 2))])
     simulators = {
         BITFunction.from_string("K"): point(SAME_STAR),
-        BITFunction.from_string("F"): FiniteDistribution.uniform(["0", "1"]),
+        BITFunction.from_string("F"): uniform(["0", "1"]),
     }
     d_s = ds_mixture(seq, simulators)
     assert d_s == FiniteDistribution(
@@ -261,7 +265,7 @@ def test_ds_mixture_missing_pattern():
 
 
 def test_verify_transfer_trivial_sequences():
-    code = StochasticCode.identity(2)
+    code = identity_code(2)
     cert = certify_bit_family(code)
     ident = StateSequence.uniform(BinaryChannel.identity(), 2)
     report = verify_transfer(code, ident, certificate=cert)
@@ -273,7 +277,7 @@ def test_verify_transfer_trivial_sequences():
 
 
 def test_verify_transfer_builds_certificate_on_demand():
-    code = StochasticCode.identity(1)
+    code = identity_code(1)
     seq = StateSequence([BinaryChannel.bsc(F(3, 10))])
     report = verify_transfer(code, seq, budget=10_000)
     assert report.eps_bit == F(1, 2)  # the Flip pattern
@@ -335,7 +339,7 @@ def test_certificates_reverify():
 
 
 def test_thread_cap_does_not_change_results(monkeypatch):
-    code = StochasticCode.identity(2)
+    code = identity_code(2)
     sequential = certify_bit_family(code)
     monkeypatch.setenv("NMAVC_THREADS", "4")
     threaded = certify_bit_family(code)
@@ -402,6 +406,16 @@ def test_count_profiles_match_tamper_map(data):
     code = data.draw(small_codes())
     functions = data.draw(st.lists(members(code.n), min_size=1, max_size=12))
     assert_counts_match_tamper_map(code, functions)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_codes())
+def test_code_json_round_trip_keeps_tables(code):
+    # Off-image decoder entries and repeated codewords survive the trip.
+    clone = StochasticCode.from_json(json.loads(json.dumps(code.to_json())))
+    assert (clone.k, clone.n, clone.rho) == (code.k, code.n, code.rho)
+    assert clone.enc == code.enc
+    assert clone.dec == code.dec
 
 
 def test_count_profiles_wide_words():
