@@ -8,13 +8,11 @@ floating point appears only inside Monte-Carlo estimators.
 __version__ = "0.1.0"
 
 from .channels import (
-    BinaryChannel,
+    Channel,
     ElementaryDecomposition,
-    ExtendedChannel,
     StateSequence,
     channel_from_json,
     decompose,
-    decompose_extended,
     elementary_channel,
     feasible_interval,
 )

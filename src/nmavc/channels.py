@@ -1,21 +1,28 @@
-"""Binary and erasure-extended memoryless channels with exact transition
-probabilities, their convex decomposition into the deterministic
-elementary channels (Keep / Flip / Set0 / Set1 / Erase), and state
-sequences of per-symbol channels.
+"""Memoryless bit channels with exact transition probabilities, their
+convex decomposition into the deterministic elementary channels
+(Keep / Flip / Set0 / Set1 / Erase), and state sequences of per-symbol
+channels.
 
-The decomposition is the workhorse: any 2x2 row-stochastic matrix is a
-convex combination of the four elementary channels, with a one-parameter
-family of coefficient choices.  The canonical choice takes the lower
-endpoint of the feasible interval, which maximizes the Keep mass.
+One `Channel` class covers both alphabets: a 2x2 matrix has outputs
+{0, 1}, a 2x3 matrix has outputs {0, 1, e} and an erasure mass that must
+not depend on the input bit.  The decomposition is the workhorse.  The
+erasure mass p becomes the Erase weight, and the rest is a convex
+combination of the four binary elementary channels, with a one-parameter
+family of coefficient choices (the Set0 weight alpha3).  The canonical
+choice takes the lower endpoint of the feasible interval, which
+maximizes the Keep mass; a channel computes it once and keeps it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from functools import cached_property
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
-from .distributions import parse_rational
+from .distributions import format_rational, parse_rational
 from .errors import (
     InfeasibleCoefficientError,
     InvalidChannelError,
@@ -25,13 +32,10 @@ from .errors import (
 from .gf2 import ERASURE_CHAR
 from .tampering import ACTION_ORDER, BitAction
 
-_BINARY_SYMBOLS = ("0", "1")
-_EXTENDED_SYMBOLS = ("0", "1", ERASURE_CHAR)
+_OUTPUT_SYMBOLS = ("0", "1", ERASURE_CHAR)
 
 
-def _check_row(row, width: int) -> tuple[Fraction, ...]:
-    if len(row) != width:
-        raise InvalidChannelError(f"row of width {len(row)}, expected {width}")
+def _check_row(row) -> tuple[Fraction, ...]:
     entries = []
     for value in row:
         if isinstance(value, float):
@@ -52,104 +56,75 @@ def _check_row(row, width: int) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class BinaryChannel:
-    """2x2 row-stochastic transition matrix; rows = input bit, cols = output bit."""
+class Channel:
+    """Row-stochastic transition matrix; rows = input bit, columns = the
+    outputs 0, 1 and, in a width-3 (erasure-extended) channel, e.
 
-    rows: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-
-    def __post_init__(self):
-        if len(self.rows) != 2:
-            raise InvalidChannelError("a binary channel has exactly two rows")
-        object.__setattr__(
-            self, "rows", tuple(_check_row(row, 2) for row in self.rows)
-        )
-
-    @property
-    def output_symbols(self) -> tuple[str, ...]:
-        return _BINARY_SYMBOLS
-
-    def transition(self, x: int, y: int) -> Fraction:
-        return self.rows[x][y]
-
-    @classmethod
-    def from_rows(cls, rows) -> "BinaryChannel":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
-
-    @classmethod
-    def bsc(cls, p) -> "BinaryChannel":
-        p = Fraction(p)
-        return cls.from_rows([[1 - p, p], [p, 1 - p]])
-
-    @classmethod
-    def identity(cls) -> "BinaryChannel":
-        return cls.from_rows([[1, 0], [0, 1]])
-
-    def to_extended(self, p_erase=0) -> "ExtendedChannel":
-        """Lift to the erasure-extended alphabet with erasure mass p_erase."""
-        p = Fraction(p_erase)
-        scale = 1 - p
-        return ExtendedChannel(
-            tuple(
-                (row[0] * scale, row[1] * scale, p)
-                for row in self.rows
-            )
-        )
-
-    def to_json(self) -> dict:
-        from .distributions import format_rational
-
-        return {"rows": [[format_rational(v) for v in row] for row in self.rows]}
-
-
-@dataclass(frozen=True)
-class ExtendedChannel:
-    """2x3 row-stochastic matrix with outputs {0, 1, erasure}.
-
-    The erasure mass must not depend on the input bit; channels with
-    input-dependent erasure are outside the supported model and are
-    rejected loudly.
+    The erasure mass of an extended channel must not depend on the input
+    bit; channels with input-dependent erasure are outside the supported
+    model and are rejected loudly.
     """
 
     rows: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
     def __post_init__(self):
         if len(self.rows) != 2:
-            raise InvalidChannelError("an extended channel has exactly two rows")
-        rows = tuple(_check_row(row, 3) for row in self.rows)
+            raise InvalidChannelError("a channel has exactly two rows")
+        if {len(row) for row in self.rows} not in ({2}, {3}):
+            raise InvalidChannelError("rows must all have width 2 or all width 3")
+        rows = tuple(_check_row(row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        if rows[0][2] != rows[1][2]:
+        if self.extended and rows[0][2] != rows[1][2]:
             raise UnsupportedChannelError(
                 f"input-dependent erasure mass ({rows[0][2]} vs {rows[1][2]}) "
                 f"is outside the supported model"
             )
 
     @property
+    def extended(self) -> bool:
+        """Whether the outputs include the erasure symbol."""
+        return len(self.rows[0]) == 3
+
+    @property
     def output_symbols(self) -> tuple[str, ...]:
-        return _EXTENDED_SYMBOLS
+        return _OUTPUT_SYMBOLS[: len(self.rows[0])]
 
     @property
     def erasure_probability(self) -> Fraction:
-        return self.rows[0][2]
+        return self.rows[0][2] if self.extended else Fraction(0)
 
-    def transition(self, x: int, y: int) -> Fraction:
-        return self.rows[x][y]
+    @cached_property
+    def decomposition(self) -> "ElementaryDecomposition":
+        """The canonical decomposition, computed on first use and kept."""
+        return decompose(self)
 
     @classmethod
-    def from_rows(cls, rows) -> "ExtendedChannel":
+    def from_rows(cls, rows) -> "Channel":
         return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
 
     @classmethod
-    def bec(cls, p) -> "ExtendedChannel":
+    def bsc(cls, p) -> "Channel":
+        p = Fraction(p)
+        return cls.from_rows([[1 - p, p], [p, 1 - p]])
+
+    @classmethod
+    def bec(cls, p) -> "Channel":
         p = Fraction(p)
         return cls.from_rows([[1 - p, 0, p], [0, 1 - p, p]])
 
+    def to_extended(self, p_erase=0) -> "Channel":
+        """Lift a binary channel to the erasure-extended alphabet with
+        erasure mass p_erase."""
+        if self.extended:
+            raise InvalidChannelError("the channel is already erasure-extended")
+        p = Fraction(p_erase)
+        scale = 1 - p
+        return Channel(
+            tuple((row[0] * scale, row[1] * scale, p) for row in self.rows)
+        )
+
     def to_json(self) -> dict:
-        from .distributions import format_rational
-
         return {"rows": [[format_rational(v) for v in row] for row in self.rows]}
-
-
-Channel = Union[BinaryChannel, ExtendedChannel]
 
 
 def channel_from_json(obj) -> Channel:
@@ -163,19 +138,14 @@ def channel_from_json(obj) -> Channel:
         parsed = [[parse_rational(v) for v in row] for row in rows]
     except InvalidRationalError as exc:
         raise InvalidChannelError(str(exc)) from None
-    widths = {len(row) for row in parsed}
-    if widths == {2}:
-        return BinaryChannel.from_rows(parsed)
-    if widths == {3}:
-        return ExtendedChannel.from_rows(parsed)
-    raise InvalidChannelError("rows must all have width 2 or all width 3")
+    return Channel.from_rows(parsed)
 
 
 _ELEMENTARY_BINARY = {
-    BitAction.KEEP: BinaryChannel.from_rows([[1, 0], [0, 1]]),
-    BitAction.FLIP: BinaryChannel.from_rows([[0, 1], [1, 0]]),
-    BitAction.SET0: BinaryChannel.from_rows([[1, 0], [1, 0]]),
-    BitAction.SET1: BinaryChannel.from_rows([[0, 1], [0, 1]]),
+    BitAction.KEEP: Channel.from_rows([[1, 0], [0, 1]]),
+    BitAction.FLIP: Channel.from_rows([[0, 1], [1, 0]]),
+    BitAction.SET0: Channel.from_rows([[1, 0], [1, 0]]),
+    BitAction.SET1: Channel.from_rows([[0, 1], [0, 1]]),
 }
 
 
@@ -188,7 +158,7 @@ def elementary_channel(action: BitAction, extended: bool = False) -> Channel:
     if action is BitAction.ERASE:
         if not extended:
             raise InvalidChannelError("Erase is only a channel on the extended alphabet")
-        return ExtendedChannel.from_rows([[0, 0, 1], [0, 0, 1]])
+        return Channel.from_rows([[0, 0, 1], [0, 0, 1]])
     base = _ELEMENTARY_BINARY[action]
     return base.to_extended() if extended else base
 
@@ -209,9 +179,6 @@ class ElementaryDecomposition:
                 f"coefficients sum to {sum(self.alphas)}, expected 1"
             )
 
-    def weight(self, action: BitAction) -> Fraction:
-        return self.alphas[ACTION_ORDER.index(action)]
-
     def support(self) -> list[tuple[BitAction, Fraction]]:
         return [
             (action, a)
@@ -223,41 +190,44 @@ class ElementaryDecomposition:
         """Sum of alpha_i * W_i, for the exact-reconstruction check."""
         width = 3 if extended else 2
         acc = [[Fraction(0)] * width for _ in range(2)]
-        for action, a in zip(ACTION_ORDER, self.alphas):
-            if a == 0:
-                continue
-            ch = elementary_channel(action, extended=extended)
+        for action, a in self.support():
+            rows = elementary_channel(action, extended=extended).rows
             for x in range(2):
                 for y in range(width):
-                    acc[x][y] += a * ch.transition(x, y)
-        if extended:
-            return ExtendedChannel.from_rows(acc)
-        return BinaryChannel.from_rows(acc)
+                    acc[x][y] += a * rows[x][y]
+        return Channel.from_rows(acc)
 
 
-def feasible_interval(ch: BinaryChannel) -> tuple[Fraction, Fraction]:
+def feasible_interval(ch: Channel) -> tuple[Fraction, Fraction]:
     """The closed interval of valid Set0 coefficients; never empty."""
-    w11 = ch.transition(0, 0)
-    w22 = ch.transition(1, 1)
+    w11 = ch.rows[0][0]
+    w22 = ch.rows[1][1]
     lower = max(Fraction(0), w11 - w22)
-    upper = min(w11, 1 - w22)
+    upper = min(w11, 1 - ch.erasure_probability - w22)
     return lower, upper
 
 
 def decompose(
-    ch: BinaryChannel, alpha3: Optional[Fraction] = None
+    ch: Channel, alpha3: Optional[Fraction] = None
 ) -> ElementaryDecomposition:
-    """Convex decomposition into Keep/Flip/Set0/Set1.
+    """Convex decomposition into Keep/Flip/Set0/Set1/Erase.
 
-    The coefficients are alpha1 = w11 - alpha3, alpha2 = 1 - w22 - alpha3,
-    alpha4 = alpha3 - (w11 - w22).  The canonical alpha3 is the lower
-    endpoint max(0, w11 - w22), which maximizes the Keep mass.
+    With erasure mass p, the coefficients are alpha1 = w11 - alpha3,
+    alpha2 = 1 - p - w22 - alpha3, alpha4 = alpha3 - (w11 - w22) and
+    Erase = p.  The canonical alpha3 is the lower endpoint
+    max(0, w11 - w22), which maximizes the Keep mass; a binary channel
+    may take any alpha3 of its feasible interval instead.  The canonical
+    decomposition of a channel is read from ch.decomposition, which
+    calls this once.
     """
-    w11 = ch.transition(0, 0)
-    w22 = ch.transition(1, 1)
+    w11 = ch.rows[0][0]
+    w22 = ch.rows[1][1]
+    p = ch.erasure_probability
     lower, upper = feasible_interval(ch)
     if alpha3 is None:
         alpha3 = lower
+    elif ch.extended:
+        raise InfeasibleCoefficientError("alpha3 applies to binary channels only")
     else:
         alpha3 = Fraction(alpha3)
         if alpha3 < lower or alpha3 > upper:
@@ -266,37 +236,9 @@ def decompose(
                 f"[{lower}, {upper}]"
             )
     alpha1 = w11 - alpha3
-    alpha2 = 1 - w22 - alpha3
+    alpha2 = 1 - p - w22 - alpha3
     alpha4 = alpha3 - (w11 - w22)
-    return ElementaryDecomposition((alpha1, alpha2, alpha3, alpha4, Fraction(0)))
-
-
-def decompose_extended(ch: ExtendedChannel) -> ElementaryDecomposition:
-    """Decomposition over the extended elementary set.
-
-    The shared erasure mass becomes the Erase weight; the residual 2x2
-    channel (rows renormalized) is decomposed canonically and scaled.
-    """
-    p = ch.erasure_probability
-    if p == 1:
-        return ElementaryDecomposition(
-            (Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-        )
-    scale = 1 - p
-    residual = BinaryChannel.from_rows(
-        [[ch.transition(x, y) / scale for y in range(2)] for x in range(2)]
-    )
-    inner = decompose(residual)
-    a1, a2, a3, a4, _ = inner.alphas
-    return ElementaryDecomposition(
-        (a1 * scale, a2 * scale, a3 * scale, a4 * scale, p)
-    )
-
-
-def decompose_channel(ch: Channel) -> ElementaryDecomposition:
-    if isinstance(ch, BinaryChannel):
-        return decompose(ch)
-    return decompose_extended(ch)
+    return ElementaryDecomposition((alpha1, alpha2, alpha3, alpha4, p))
 
 
 class StateSequence:
@@ -312,8 +254,7 @@ class StateSequence:
         channels = tuple(channels)
         if not channels:
             raise InvalidChannelError("a state sequence needs n >= 1 states")
-        kinds = {type(ch) for ch in channels}
-        if len(kinds) > 1:
+        if len({ch.extended for ch in channels}) > 1:
             raise InvalidChannelError(
                 "all states must share one output alphabet; lift binary "
                 "channels with to_extended() before mixing"
@@ -334,26 +275,19 @@ class StateSequence:
 
     @property
     def extended(self) -> bool:
-        return isinstance(self.channels[0], ExtendedChannel)
-
-    def decompositions(self) -> list[ElementaryDecomposition]:
-        return [decompose_channel(ch) for ch in self.channels]
+        return self.channels[0].extended
 
     def mixture_weights(self) -> Iterator[tuple[tuple[BitAction, ...], Fraction]]:
         """Elementary patterns with their product weights; zeros skipped.
 
-        Weights are Prod_i alpha_{i, j_i} and sum to exactly 1.
+        Patterns run over the product of the positions' canonical
+        supports, position 0 varying slowest; weights are
+        Prod_i alpha_{i, j_i} and sum to exactly 1.
         """
-        supports = [dec.support() for dec in self.decompositions()]
-
-        def walk(i: int, actions: tuple, weight: Fraction):
-            if i == len(supports):
-                yield actions, weight
-                return
-            for action, a in supports[i]:
-                yield from walk(i + 1, actions + (action,), weight * a)
-
-        yield from walk(0, (), Fraction(1))
+        supports = [ch.decomposition.support() for ch in self.channels]
+        for choice in product(*supports):
+            actions, weights = zip(*choice)
+            yield actions, math.prod(weights)
 
     def __repr__(self) -> str:
         if self.labels:

@@ -23,12 +23,10 @@ import click
 
 from . import __version__
 from .channels import (
-    BinaryChannel,
-    ExtendedChannel,
+    Channel,
     StateSequence,
     channel_from_json,
     decompose,
-    decompose_extended,
     feasible_interval,
 )
 from .composed import (
@@ -155,20 +153,12 @@ def cmd_decompose(channel_file: str, alpha3: Optional[str], out, fmt):
     def run():
         obj = _load_json(channel_file)
         channel = channel_from_json(obj)
-        if isinstance(channel, BinaryChannel):
-            chosen = parse_rational(alpha3) if alpha3 is not None else None
-            dec = decompose(channel, chosen)
-            lower, upper = feasible_interval(channel)
-            interval = [format_rational(lower), format_rational(upper)]
-            reconstructed = dec.reconstruct(extended=False)
-        else:
-            if alpha3 is not None:
-                _fail(EXIT_INVALID_INPUT,
-                      "--alpha3 applies to binary channels only")
-            dec = decompose_extended(channel)
-            interval = None
-            reconstructed = dec.reconstruct(extended=True)
-        exact = reconstructed == channel
+        chosen = parse_rational(alpha3) if alpha3 is not None else None
+        dec = decompose(channel, chosen)
+        interval = None if channel.extended else [
+            format_rational(v) for v in feasible_interval(channel)
+        ]
+        exact = dec.reconstruct(extended=channel.extended) == channel
         if not exact:
             raise VerificationError("reconstruction does not match the channel")
         names = ["keep", "flip", "set0", "set1", "erase"]
@@ -237,7 +227,7 @@ def _load_code(path: str) -> StochasticCode:
     return StochasticCode.from_json(_load_json(path))
 
 
-def _binary_channel_from_entry(entry, dictionary: dict):
+def _channel_from_entry(entry, dictionary: dict):
     if isinstance(entry, str):
         if entry not in dictionary:
             _fail(EXIT_INVALID_INPUT, f"unknown channel name {entry!r}")
@@ -256,7 +246,7 @@ def _load_sequences(path: str) -> list[StateSequence]:
     }
     sequences = []
     for row in obj["sequences"]:
-        channels = [_binary_channel_from_entry(entry, dictionary) for entry in row]
+        channels = [_channel_from_entry(entry, dictionary) for entry in row]
         labels = [
             entry if isinstance(entry, str) else f"inline{i}"
             for i, entry in enumerate(row)
@@ -385,11 +375,9 @@ def cmd_search(k, n, rho, trials, seed, generator_file, budget, out, fmt):
     _guard(run)
 
 
-def _extended_channel(obj) -> ExtendedChannel:
+def _extended_channel(obj) -> Channel:
     channel = channel_from_json(obj)
-    if isinstance(channel, BinaryChannel):
-        return channel.to_extended()
-    return channel
+    return channel if channel.extended else channel.to_extended()
 
 
 def _composed_sequences(spec_obj, names, special_name, n) -> tuple[list, bool]:

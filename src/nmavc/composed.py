@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .channels import ExtendedChannel, StateSequence
+from .channels import Channel, StateSequence
 from .distributions import BOT, Marker, format_rational
 from .errors import (
     BudgetExceededError,
@@ -58,8 +58,8 @@ class SpecialStateSpec:
             raise InvalidInstanceError(f"p_star {p} outside [0, 1)")
         object.__setattr__(self, "p_star", p)
 
-    def channel(self) -> ExtendedChannel:
-        return ExtendedChannel.bec(self.p_star)
+    def channel(self) -> Channel:
+        return Channel.bec(self.p_star)
 
 
 def _check_full_rank(outer: GF2Matrix) -> None:

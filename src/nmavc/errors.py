@@ -31,10 +31,6 @@ class InfeasibleCoefficientError(NmavcError, ValueError):
     interval."""
 
 
-class NotRepresentableError(NmavcError, ValueError):
-    """A function cannot be expressed in the requested form."""
-
-
 class InvalidCodeError(NmavcError, ValueError):
     """A coding scheme violates its correctness contract."""
 

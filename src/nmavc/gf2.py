@@ -101,14 +101,6 @@ class GF2Matrix:
             raise InvalidInstanceError("matrix rows differ in length")
         return cls(tuple(map(bits_to_int, strings)), len(strings[0]))
 
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        return cls(tuple(1 << i for i in range(n)), n)
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "GF2Matrix":
-        return cls((0,) * nrows, ncols)
-
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 

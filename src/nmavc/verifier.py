@@ -271,8 +271,8 @@ def tamper_distribution_fn(
 ) -> FiniteDistribution:
     """Exact law of decode(f(enc[m][r])) over the uniform encoder seed."""
     code.check_correctness()
-    if len(m) != code.k:
-        raise InvalidInstanceError(f"message length {len(m)} != k={code.k}")
+    if m not in code.enc:
+        raise InvalidInstanceError(f"{m!r} is not a message of the code (k={code.k})")
     _check_member(code, f, budget)
     if f is BOT_MAP:
         return FiniteDistribution.point(BOT)
@@ -311,8 +311,8 @@ def tamper_distribution_channel(
         )
     if seq.n != code.n:
         raise InvalidInstanceError(f"sequence length {seq.n} != n={code.n}")
-    if len(m) != code.k:
-        raise InvalidInstanceError(f"message length {len(m)} != k={code.k}")
+    if m not in code.enc:
+        raise InvalidInstanceError(f"{m!r} is not a message of the code (k={code.k})")
     symbols = len(seq.channels[0].output_symbols)
     _check_budget(code.seed_count * symbols ** code.n, budget, "channel experiment")
     scale = math.lcm(

@@ -19,6 +19,7 @@ from nmavc import (
     AffineFunction,
     BitAction,
     BITFunction,
+    Channel,
     ComposedScheme,
     FiniteDistribution,
     GF2Matrix,
@@ -26,6 +27,7 @@ from nmavc import (
     StochasticCode,
     all_bitstrings,
     apply_copy,
+    decompose,
     gf2_invert,
     mix,
     tamper_distribution_fn,
@@ -37,13 +39,29 @@ from nmavc.errors import (
     InvalidInstanceError,
     LPInfeasibleError,
     LPUnboundedError,
-    NotRepresentableError,
+    NmavcError,
 )
 from nmavc.gf2 import ERASURE_CHAR, bits_to_int, int_to_bits
 from nmavc.verifier import _mixture
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class NotRepresentableError(NmavcError, ValueError):
+    """A function cannot be expressed in the requested form."""
+
+
+def gf2_identity(n: int) -> GF2Matrix:
+    return GF2Matrix(tuple(1 << i for i in range(n)), n)
+
+
+def gf2_zero(nrows: int, ncols: int) -> GF2Matrix:
+    return GF2Matrix((0,) * nrows, ncols)
+
+
+def identity_channel() -> Channel:
+    return Channel.from_rows([[1, 0], [0, 1]])
 
 
 def add_fractions_bigint(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -216,7 +234,7 @@ def linear_code(g: GF2Matrix) -> StochasticCode:
 
 def identity_code(k: int) -> StochasticCode:
     """The code that sends each message to itself, with no seed (k >= 1)."""
-    return linear_code(GF2Matrix.identity(k))
+    return linear_code(gf2_identity(k))
 
 
 def compose_affine(first: AffineFunction, second: AffineFunction) -> AffineFunction:
@@ -257,19 +275,15 @@ def random_distribution(rng: random.Random, outcomes, max_denominator: int = 12)
 
 def random_binary_channel(rng: random.Random, max_denominator: int = 12):
     """Random exactly-stochastic 2x2 channel with small denominators."""
-    from nmavc import BinaryChannel
-
     den1 = rng.randint(1, max_denominator)
     den2 = rng.randint(1, max_denominator)
     w11 = Fraction(rng.randint(0, den1), den1)
     w21 = Fraction(rng.randint(0, den2), den2)
-    return BinaryChannel.from_rows([[w11, 1 - w11], [w21, 1 - w21]])
+    return Channel.from_rows([[w11, 1 - w11], [w21, 1 - w21]])
 
 
 def random_extended_channel(rng: random.Random, max_denominator: int = 10):
     """Random extended channel with shared erasure mass."""
-    from nmavc import ExtendedChannel
-
     den = rng.randint(1, max_denominator)
     p = Fraction(rng.randint(0, den - 1) if den > 1 else 0, den)
     rows = []
@@ -277,7 +291,7 @@ def random_extended_channel(rng: random.Random, max_denominator: int = 10):
         den2 = rng.randint(1, max_denominator)
         w0 = Fraction(rng.randint(0, den2), den2) * (1 - p)
         rows.append([w0, (1 - p) - w0, p])
-    return ExtendedChannel.from_rows(rows)
+    return Channel.from_rows(rows)
 
 
 def fraction_solve_min(
@@ -447,6 +461,22 @@ def tamper_distribution_channel_mixture(
         for pattern, weight in seq.mixture_weights()
     ]
     return mix(components)
+
+
+def mixture_weights_walk(seq: StateSequence):
+    """Elementary patterns with their product weights, zeros skipped,
+    by a recursive walk over freshly computed decompositions: the order
+    StateSequence.mixture_weights must reproduce."""
+    supports = [decompose(ch).support() for ch in seq.channels]
+
+    def walk(i: int, actions: tuple, weight: Fraction):
+        if i == len(supports):
+            yield actions, weight
+            return
+        for action, a in supports[i]:
+            yield from walk(i + 1, actions + (action,), weight * a)
+
+    yield from walk(0, (), Fraction(1))
 
 
 def row_support(ch, x: int) -> list[tuple[str, Fraction]]:

@@ -17,10 +17,9 @@ from conftest import record_criterion
 from nmavc import (
     BOT,
     BOT_MAP,
-    BinaryChannel,
+    Channel,
     BITFunction,
     ComposedScheme,
-    ExtendedChannel,
     FiniteDistribution,
     GF2Matrix,
     SpecialStateSpec,
@@ -274,9 +273,9 @@ def test_c08_composed_demo_definition4():
     assert recovery == 1 - delta_exact(outer, spec.p_star)
 
     states = {
-        "bec": ExtendedChannel.bec(F(1, 10)),
-        "bsc": BinaryChannel.bsc(F(3, 10)).to_extended(),
-        "z": BinaryChannel.from_rows([[1, 0], [F(3, 10), F(7, 10)]]).to_extended(),
+        "bec": Channel.bec(F(1, 10)),
+        "bsc": Channel.bsc(F(3, 10)).to_extended(),
+        "z": Channel.from_rows([[1, 0], [F(3, 10), F(7, 10)]]).to_extended(),
     }
     names = sorted(states)
     rows = [row for row in product(names, repeat=scheme.n)

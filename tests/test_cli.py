@@ -542,9 +542,11 @@ def test_text_format(runner, tmp_path):
 
 # ------------------------------------------------------------ golden reports
 # Reports generated before the plain and composed channel experiments
-# were merged, and (certify-inner) before induced maps were built from
-# their closed form alone; the whole JSON must stay the same apart from
-# the timestamp and the input paths the provenance echoes.
+# were merged, (certify-inner) before induced maps were built from
+# their closed form alone, and (decompose) before the binary and
+# erasure-extended channel classes became one; the whole JSON must stay
+# the same apart from the timestamp and the input paths the provenance
+# echoes.
 
 DATA = Path(__file__).parent / "data"
 
@@ -567,11 +569,33 @@ def report_without_run_fields(path) -> dict:
         (["certify-inner", str(DATA / "transfer_code.json"),
           str(DATA / "parity34.json")],
          "golden_certify_inner.json"),
+        (["decompose", str(DATA / "channel_binary.json"), "--alpha3", "1/10"],
+         "golden_decompose_alpha3.json"),
+        (["decompose", str(DATA / "channel_lifted_bsc.json")],
+         "golden_decompose_lifted_bsc.json"),
+        (["decompose", str(DATA / "channel_erase.json")],
+         "golden_decompose_erase.json"),
     ],
-    ids=["nm-verify-sequences", "composed-verify", "certify-inner"],
+    ids=["nm-verify-sequences", "composed-verify", "certify-inner",
+         "decompose-alpha3", "decompose-lifted-bsc", "decompose-erase"],
 )
 def test_report_matches_golden(runner, tmp_path, args, golden):
     out = tmp_path / "report.json"
     result = runner.invoke(main, [*args, "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert report_without_run_fields(out) == report_without_run_fields(DATA / golden)
+
+
+@pytest.mark.parametrize(
+    "payload, extra",
+    [
+        (json.loads((DATA / "channel_erase.json").read_text()),
+         ["--alpha3", "0"]),
+        ({"rows": [["1", "0"], ["0", "0", "1"]]}, []),
+        ({"rows": [["9/10", "0", "1/10"], ["0", "4/5", "1/5"]]}, []),
+    ],
+    ids=["alpha3-on-3-columns", "mixed-width-rows", "input-dependent-erasure"],
+)
+def test_decompose_rejected_channel_exit_2(runner, tmp_path, payload, extra):
+    path = write(tmp_path, "ch.json", payload)
+    assert_invalid_input(runner.invoke(main, ["decompose", path, *extra]))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -9,10 +10,9 @@ from nmavc import (
     AffineFunction,
     BOT,
     BOT_MAP,
-    BinaryChannel,
+    Channel,
     BITFunction,
     ComposedScheme,
-    ExtendedChannel,
     GF2Matrix,
     SpecialStateSpec,
     StateSequence,
@@ -28,13 +28,15 @@ from nmavc import (
     tamper_distribution_channel,
     verify_composed,
 )
-from nmavc import composed, simplex, verifier
+from nmavc import channels, composed, simplex, verifier
 from nmavc.errors import InvalidInstanceError, VerificationError
 from nmavc.gf2 import bits_to_int, int_to_bits, select_reconstruction
 from oracles import (
     bit_to_affine,
     composed_tamper_distribution,
+    gf2_identity,
     hamming_7_4,
+    identity_channel,
     identity_code,
     random_extended_channel,
     random_full_rank,
@@ -61,7 +63,7 @@ def parity45_scheme() -> ComposedScheme:
 # ------------------------------------------------------------------ induced
 
 def test_induced_identity_outer_equals_bit_to_affine():
-    outer = GF2Matrix.identity(3)
+    outer = gf2_identity(3)
     for f in enumerate_bit_functions(3, 4):
         assert induced_tamper(outer, f) == bit_to_affine(f)
 
@@ -185,7 +187,7 @@ def test_recovery_probability_examples():
     assert recovery_probability(scheme, SpecialStateSpec(F(0), scheme.n)) == 1
 
     ident_inner = identity_code(2)
-    ident_scheme = ComposedScheme(ident_inner, GF2Matrix.identity(2))
+    ident_scheme = ComposedScheme(ident_inner, gf2_identity(2))
     got = recovery_probability(ident_scheme, SpecialStateSpec(F(1, 10), 2))
     assert got == F(81, 100)
 
@@ -241,24 +243,24 @@ def test_channel_experiment_matches_composed_oracle(make_scheme):
 
 def test_composed_scheme_rejects_binary_sequence():
     scheme = small_scheme()
-    seq = StateSequence.uniform(BinaryChannel.bsc(F(3, 10)), scheme.n)
+    seq = StateSequence.uniform(Channel.bsc(F(3, 10)), scheme.n)
     with pytest.raises(InvalidInstanceError):
         tamper_distribution_channel(scheme, seq, "0")
-    plain = StateSequence.uniform(ExtendedChannel.bec(F(1, 10)), scheme.inner.n)
+    plain = StateSequence.uniform(Channel.bec(F(1, 10)), scheme.inner.n)
     with pytest.raises(InvalidInstanceError):
         tamper_distribution_channel(scheme.inner, plain, "0")
 
 # -------------------------------------------------------------- verification
 
 def bec(p):
-    return ExtendedChannel.bec(F(*p))
+    return Channel.bec(F(*p))
 
 
 def test_verify_composed_trivial_sequences():
     scheme = small_scheme()
     spec = SpecialStateSpec(F(1, 10), scheme.n)
-    ident = BinaryChannel.identity().to_extended()
-    set0 = BinaryChannel.from_rows([[1, 0], [1, 0]]).to_extended()
+    ident = identity_channel().to_extended()
+    set0 = Channel.from_rows([[1, 0], [1, 0]]).to_extended()
     seqs = [
         StateSequence.uniform(ident, scheme.n, label="id"),
         StateSequence.uniform(set0, scheme.n, label="set0"),
@@ -284,7 +286,7 @@ def test_verify_composed_mixed_sequence_bounds():
     )
     scheme = ComposedScheme(inner_search.code, single_parity(2))
     spec = SpecialStateSpec(F(1, 10), scheme.n)
-    bsc = BinaryChannel.bsc(F(3, 10)).to_extended()
+    bsc = Channel.bsc(F(3, 10)).to_extended()
     seq = StateSequence([bsc, bec((1, 10)), bsc], labels=("bsc", "bec", "bsc"))
     report = verify_composed(scheme, [seq], spec)
     seq_report = report.eps_by_sequence["bsc,bec,bsc"]
@@ -296,7 +298,7 @@ def test_verify_composed_mixed_sequence_bounds():
 def test_verify_composed_deterministic():
     scheme = small_scheme()
     spec = SpecialStateSpec(F(1, 10), scheme.n)
-    bsc = BinaryChannel.bsc(F(3, 10)).to_extended()
+    bsc = Channel.bsc(F(3, 10)).to_extended()
     seq = StateSequence.uniform(bsc, scheme.n, label="bsc")
     a = verify_composed(scheme, [seq], spec).to_json()
     b = verify_composed(scheme, [seq], spec).to_json()
@@ -331,8 +333,8 @@ def counting(monkeypatch, module, name):
 def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
     scheme = parity45_scheme()
     n = scheme.n
-    bsc = BinaryChannel.bsc(F(3, 10)).to_extended()
-    z = BinaryChannel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]).to_extended()
+    bsc = Channel.bsc(F(3, 10)).to_extended()
+    z = Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]).to_extended()
     erase = bec((1, 5))
     seqs = [
         StateSequence.uniform(bsc, n, "bsc"),
@@ -355,3 +357,32 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
     assert (len(induced), len(profiles)) == (47, 32)
     assert len(experiments) == len(simulators) == len(profiles)
     assert len(solves) == 27
+
+
+def test_verify_composed_decomposes_each_state_once(monkeypatch):
+    # The demo's 242 sequences share its three state objects: each is
+    # decomposed once, on first use, and keeps its decomposition.
+    scheme = parity45_scheme()
+    bec_state = Channel.bec(F(1, 10))
+    states = [
+        bec_state,
+        Channel.bsc(F(3, 10)).to_extended(),
+        Channel.from_rows([[1, 0], [F(3, 10), F(7, 10)]]).to_extended(),
+    ]
+    sequences = [
+        StateSequence(row) for row in product(states, repeat=scheme.n)
+        if set(row) != {bec_state}
+    ]
+    decomposed = []
+    decompose = channels.decompose
+
+    def counted(ch, *args, **kwargs):
+        decomposed.append(ch)
+        return decompose(ch, *args, **kwargs)
+
+    monkeypatch.setattr(channels, "decompose", counted)
+    verify_composed(scheme, sequences, SpecialStateSpec(F(1, 10), scheme.n))
+    assert len(sequences) == 242
+    assert len(decomposed) == 3
+    assert {id(ch) for ch in decomposed} == {id(ch) for ch in states}
+

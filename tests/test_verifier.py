@@ -15,10 +15,9 @@ from nmavc import (
     BOT_MAP,
     SAME_STAR,
     AffineFunction,
-    BinaryChannel,
+    Channel,
     BITFunction,
     ComposedScheme,
-    ExtendedChannel,
     FiniteDistribution,
     GF2Matrix,
     StateSequence,
@@ -46,7 +45,9 @@ from oracles import (
     bit_to_affine,
     ds_mixture,
     ecc_encode,
+    gf2_identity,
     grid_optimum,
+    identity_channel,
     identity_code,
     linear_code,
     product_tamper_distribution,
@@ -132,6 +133,18 @@ def test_affine_function_tampering():
     assert tamper_distribution_fn(code, f, "00") == point("11")
 
 
+def test_tamper_fn_rejects_non_message():
+    # Right length, but not a message of the code.
+    with pytest.raises(InvalidInstanceError):
+        tamper_distribution_fn(identity_code(1), BITFunction.from_string("K"), "2")
+
+
+def test_tamper_channel_rejects_non_message():
+    seq = StateSequence([identity_channel()])
+    with pytest.raises(InvalidInstanceError):
+        tamper_distribution_channel(identity_code(1), seq, "2")
+
+
 def test_erase_rejected_on_plain_code():
     code = identity_code(2)
     with pytest.raises(InvalidInstanceError):
@@ -140,18 +153,18 @@ def test_erase_rejected_on_plain_code():
 
 def test_channel_tamper_identity_and_constant():
     code = identity_code(2)
-    ident = StateSequence.uniform(BinaryChannel.identity(), 2)
+    ident = StateSequence.uniform(identity_channel(), 2)
     assert tamper_distribution_channel(code, ident, "10") == point("10")
 
     set0 = StateSequence.uniform(
-        BinaryChannel.from_rows([[1, 0], [1, 0]]), 2
+        Channel.from_rows([[1, 0], [1, 0]]), 2
     )
     assert tamper_distribution_channel(code, set0, "10") == point("00")
 
 
 def test_channel_tamper_single_bsc():
     code = identity_code(1)
-    seq = StateSequence([BinaryChannel.bsc(F(3, 10))])
+    seq = StateSequence([Channel.bsc(F(3, 10))])
     got = tamper_distribution_channel(code, seq, "1")
     assert got == FiniteDistribution({"1": F(7, 10), "0": F(3, 10)})
 
@@ -172,7 +185,7 @@ def test_product_equals_mixture_for_codes():
 
 def test_budget_errors():
     code = identity_code(2)
-    seq = StateSequence.uniform(BinaryChannel.identity(), 2)
+    seq = StateSequence.uniform(identity_channel(), 2)
     with pytest.raises(BudgetExceededError):
         tamper_distribution_channel(code, seq, "00", budget=1)
     with pytest.raises(BudgetExceededError):
@@ -241,13 +254,13 @@ def test_lp_never_beaten_by_grid_oracle():
 def test_ds_mixture_identity_sequence():
     code = identity_code(2)
     cert = certify_bit_family(code)
-    seq = StateSequence.uniform(BinaryChannel.identity(), 2)
+    seq = StateSequence.uniform(identity_channel(), 2)
     d_s = ds_mixture(seq, cert.simulators)
     assert d_s == cert.simulators[BITFunction.from_string("KK")]
 
 
 def test_ds_mixture_example():
-    seq = StateSequence([BinaryChannel.bsc(F(1, 2))])
+    seq = StateSequence([Channel.bsc(F(1, 2))])
     simulators = {
         BITFunction.from_string("K"): point(SAME_STAR),
         BITFunction.from_string("F"): uniform(["0", "1"]),
@@ -259,7 +272,7 @@ def test_ds_mixture_example():
 
 
 def test_ds_mixture_missing_pattern():
-    seq = StateSequence([BinaryChannel.bsc(F(1, 2))])
+    seq = StateSequence([Channel.bsc(F(1, 2))])
     with pytest.raises(InvalidInstanceError):
         ds_mixture(seq, {BITFunction.from_string("K"): point(SAME_STAR)})
 
@@ -267,18 +280,18 @@ def test_ds_mixture_missing_pattern():
 def test_verify_transfer_trivial_sequences():
     code = identity_code(2)
     cert = certify_bit_family(code)
-    ident = StateSequence.uniform(BinaryChannel.identity(), 2)
+    ident = StateSequence.uniform(identity_channel(), 2)
     report = verify_transfer(code, ident, certificate=cert)
     assert report.ds_sd == 0 and report.eps_channel == 0
 
-    const = StateSequence.uniform(BinaryChannel.from_rows([[1, 0], [1, 0]]), 2)
+    const = StateSequence.uniform(Channel.from_rows([[1, 0], [1, 0]]), 2)
     report = verify_transfer(code, const, certificate=cert)
     assert report.eps_channel == 0
 
 
 def test_verify_transfer_builds_certificate_on_demand():
     code = identity_code(1)
-    seq = StateSequence([BinaryChannel.bsc(F(3, 10))])
+    seq = StateSequence([Channel.bsc(F(3, 10))])
     report = verify_transfer(code, seq, budget=10_000)
     assert report.eps_bit == F(1, 2)  # the Flip pattern
     assert report.eps_channel == 0  # symmetric noise is simulatable
@@ -459,13 +472,13 @@ def channels(draw, extended):
     """A binary channel, or an extended one with shared erasure mass."""
     if not extended:
         rows = [[w, 1 - w] for w in (draw(unit_rationals()), draw(unit_rationals()))]
-        return BinaryChannel.from_rows(rows)
+        return Channel.from_rows(rows)
     p = draw(unit_rationals())
     rows = []
     for _ in range(2):
         w = draw(unit_rationals())
         rows.append([w * (1 - p), (1 - w) * (1 - p), p])
-    return ExtendedChannel.from_rows(rows)
+    return Channel.from_rows(rows)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -503,7 +516,7 @@ def test_channel_law_beyond_int64_matches_fraction_product():
         w = F(rng.randint(1, 10006), 10007)
         return [w, 1 - w]
 
-    seq = StateSequence([BinaryChannel.from_rows([row(), row()]) for _ in range(5)])
+    seq = StateSequence([Channel.from_rows([row(), row()]) for _ in range(5)])
     assert 10007**5 * code.seed_count >= 2**63
     for m in code.messages():
         assert tamper_distribution_channel(code, seq, m) == (
@@ -529,7 +542,7 @@ def test_certify_family_rejects_like_the_eager_loop(data):
     bad = st.sampled_from([
         BITFunction.from_string("E" + "K" * (n - 1)),
         BITFunction.from_string("K" * (n + 1)),
-        AffineFunction(GF2Matrix.identity(n + 1), 0),
+        AffineFunction(gf2_identity(n + 1), 0),
         "KKK",
         3,
     ])
