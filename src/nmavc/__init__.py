@@ -32,7 +32,6 @@ from .distributions import (
     all_bitstrings,
     apply_copy,
     format_rational,
-    mix,
     parse_rational,
     statistical_distance,
 )

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .distributions import format_rational, parse_rational
 from .errors import (
@@ -98,6 +97,15 @@ class Channel:
         """The canonical decomposition, computed on first use and kept."""
         return decompose(self)
 
+    @cached_property
+    def integer_support(self) -> tuple[int, tuple[tuple[BitAction, int], ...]]:
+        """The canonical support over one denominator: (d, ((action,
+        numerator), ...)), d the lcm of the coefficients' denominators."""
+        support = self.decomposition.support()
+        d = math.lcm(*(a.denominator for _, a in support))
+        return d, tuple((action, a.numerator * (d // a.denominator))
+                        for action, a in support)
+
     @classmethod
     def from_rows(cls, rows) -> "Channel":
         return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
@@ -134,6 +142,8 @@ def channel_from_json(obj) -> Channel:
     rows = obj["rows"]
     if not isinstance(rows, list) or len(rows) != 2:
         raise InvalidChannelError("channel JSON needs exactly two rows")
+    if not all(isinstance(row, list) for row in rows):
+        raise InvalidChannelError("each channel row must be a list of entries")
     try:
         parsed = [[parse_rational(v) for v in row] for row in rows]
     except InvalidRationalError as exc:
@@ -277,17 +287,32 @@ class StateSequence:
     def extended(self) -> bool:
         return self.channels[0].extended
 
-    def mixture_weights(self) -> Iterator[tuple[tuple[BitAction, ...], Fraction]]:
-        """Elementary patterns with their product weights; zeros skipped.
+    @property
+    def pattern_count(self) -> int:
+        """How many patterns mixture_weights returns, without building them."""
+        return math.prod(len(ch.integer_support[1]) for ch in self.channels)
 
-        Patterns run over the product of the positions' canonical
-        supports, position 0 varying slowest; weights are
-        Prod_i alpha_{i, j_i} and sum to exactly 1.
+    def mixture_weights(self) -> tuple[int, list[tuple[tuple[BitAction, ...], int]]]:
+        """Elementary patterns with their product weights, in integers.
+
+        Returns (D, [(pattern, numerator), ...]): D is the product of the
+        positions' denominators (Channel.integer_support), a pattern's
+        weight is numerator / D = Prod_i alpha_{i, j_i}, and the
+        numerators sum to exactly D.  Patterns run over the product of
+        the positions' canonical supports, position 0 varying slowest;
+        zero coefficients are skipped.
         """
-        supports = [ch.decomposition.support() for ch in self.channels]
-        for choice in product(*supports):
-            actions, weights = zip(*choice)
-            yield actions, math.prod(weights)
+        denominator = 1
+        patterns: list = [((), 1)]
+        for ch in self.channels:
+            d, support = ch.integer_support
+            denominator *= d
+            patterns = [
+                (actions + (action,), weight * a)
+                for actions, weight in patterns
+                for action, a in support
+            ]
+        return denominator, patterns
 
     def __repr__(self) -> str:
         if self.labels:

@@ -308,24 +308,25 @@ def verify_composed(
                 "the all-special sequence is covered by the recovery "
                 "requirement, not the non-malleability one"
             )
-        patterns = list(seq.mixture_weights())
-        if budget is not None and len(patterns) > budget:
+        count = seq.pattern_count
+        if budget is not None and count > budget:
             raise BudgetExceededError(
-                f"sequence expands into {len(patterns)} patterns, budget {budget}"
+                f"sequence expands into {count} patterns, budget {budget}"
             )
-        for pattern, _ in patterns:
+        weights = seq.mixture_weights()
+        for pattern, _ in weights[1]:
             if pattern not in induced_by_pattern:
                 induced_by_pattern[pattern] = induced_tamper(
                     scheme.outer, BITFunction(pattern)
                 )
-        expanded.append(patterns)
+        expanded.append(weights)
     members = list(dict.fromkeys(induced_by_pattern.values()))
     certificate = certify_family(scheme.inner, members) if members else None
 
     eps_by_sequence: dict[str, SequenceReport] = {}
     eps_max = Fraction(0)
-    for index, (seq, patterns) in enumerate(zip(states, expanded)):
-        mixture = verify_mixture(scheme, seq, patterns, certificate, induced_by_pattern)
+    for index, (seq, weights) in enumerate(zip(states, expanded)):
+        mixture = verify_mixture(scheme, seq, weights, certificate, induced_by_pattern)
         # A repeated row keeps its own entry under its index.
         label = _sequence_label(seq, index)
         if label in eps_by_sequence:
@@ -336,7 +337,7 @@ def verify_composed(
             weighted_bound=mixture.weighted_bound,
             pattern_max=mixture.pattern_max,
             worst_message=mixture.worst_message,
-            pattern_count=len(patterns),
+            pattern_count=len(weights[1]),
         )
         eps_max = max(eps_max, mixture.ds_sd)
     return ComposedReport(

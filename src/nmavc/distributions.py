@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Hashable, Iterable, Mapping, Tuple
+from typing import Hashable, Mapping, Tuple
 
-from .errors import (
-    InvalidDistributionError,
-    InvalidMixtureError,
-    InvalidRationalError,
-)
+from .errors import InvalidDistributionError, InvalidRationalError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -232,29 +228,6 @@ def statistical_distance(p: FiniteDistribution, q: FiniteDistribution) -> Fracti
     for outcome in p.support | q.support:
         total += abs(p.probability(outcome) - q.probability(outcome))
     return total / 2
-
-
-def mix(components: Iterable[Tuple[Fraction, FiniteDistribution]]) -> FiniteDistribution:
-    """Pointwise convex combination of distributions.
-
-    Weights must be non-negative and sum to exactly 1.
-    """
-    masses: dict[Outcome, Fraction] = {}
-    total_weight = ZERO
-    for weight, dist in components:
-        weight = Fraction(weight)
-        if weight < 0:
-            raise InvalidMixtureError(f"negative mixture weight {weight}")
-        total_weight += weight
-        if weight == 0:
-            continue
-        for outcome, mass in dist._masses.items():
-            masses[outcome] = masses.get(outcome, ZERO) + weight * mass
-    if total_weight != ONE:
-        raise InvalidMixtureError(
-            f"mixture weights sum to {total_weight}, expected exactly 1"
-        )
-    return FiniteDistribution(masses)
 
 
 def apply_copy(d: FiniteDistribution, m: str) -> FiniteDistribution:

@@ -33,13 +33,13 @@ from .distributions import (
     all_bitstrings,
     apply_copy,
     format_rational,
-    mix,
     statistical_distance,
 )
 from .errors import (
     BudgetExceededError,
     InvalidCodeError,
     InvalidInstanceError,
+    InvalidMixtureError,
     VerificationError,
 )
 from .gf2 import bits_to_int, int_to_bits, words_in_order
@@ -660,25 +660,58 @@ def certify_bit_family(
 
 
 def _mixture(
-    patterns: Iterable[tuple[tuple, Fraction]],
-    simulators: Mapping,
+    weights: tuple[int, Iterable[tuple[tuple, int]]],
+    certificate: FamilyCertificate,
     member_of: Optional[Mapping] = None,
-) -> tuple[FiniteDistribution, list[tuple[Fraction, TamperingFunction]]]:
-    """Simulators mixed by pattern weight, and the (weight, member) pairs.
+) -> tuple[FiniteDistribution, Fraction, Fraction]:
+    """D_s and the error bounds of a sequence's integer pattern weights:
+    (D_s, weighted_bound, pattern_max).
 
-    A pattern's member is its BIT function, or member_of[pattern]; one
-    without a simulator is an error, as the mixture would not sum to 1.
+    weights is (D, [(pattern, numerator), ...]), as mixture_weights
+    returns it.  A pattern's member is its BIT function, or
+    member_of[pattern]; one without a simulator is an error, as the
+    mixture would not sum to 1.  The numerators are first summed per
+    member, and must total exactly D.  The members' simulators are then
+    mixed as integers over D * L, L the lcm of their masses'
+    denominators, and their errors as one sum over D * E, E the lcm of
+    the errors' denominators; each becomes a Fraction once, at the end.
     """
-    members = []
+    denominator, patterns = weights
+    grouped: dict = {}
     for pattern, weight in patterns:
+        if weight < 0:
+            raise InvalidMixtureError(f"negative mixture weight {weight}/{denominator}")
         f = BITFunction(pattern) if member_of is None else member_of[pattern]
-        if f not in simulators:
-            raise InvalidInstanceError(
-                f"no simulator for positive-weight pattern "
-                f"{BITFunction(pattern).to_string()}"
-            )
-        members.append((weight, f))
-    return mix([(weight, simulators[f]) for weight, f in members]), members
+        total = grouped.get(f)
+        if total is None:
+            if f not in certificate.simulators:
+                raise InvalidInstanceError(
+                    f"no simulator for positive-weight pattern "
+                    f"{BITFunction(pattern).to_string()}"
+                )
+            total = 0
+        grouped[f] = total + weight
+    if sum(grouped.values()) != denominator:
+        raise InvalidMixtureError(
+            f"mixture weights sum to {sum(grouped.values())}/{denominator}, "
+            f"expected exactly 1"
+        )
+
+    laws = [(w, certificate.simulators[f]) for f, w in grouped.items()]
+    mass_lcm = math.lcm(*(law.probability(o).denominator for _, law in laws for o in law))
+    counts: dict = {}
+    for w, law in laws:
+        for o in law:
+            p = law.probability(o)
+            counts[o] = counts.get(o, 0) + w * p.numerator * (mass_lcm // p.denominator)
+    mass_total = denominator * mass_lcm
+    d_s = FiniteDistribution({o: Fraction(c, mass_total) for o, c in counts.items()})
+
+    errors = [(w, certificate.per_function[f]) for f, w in grouped.items()]
+    error_lcm = math.lcm(*(eps.denominator for _, eps in errors))
+    weighted = sum(w * eps.numerator * (error_lcm // eps.denominator) for w, eps in errors)
+    pattern_max = max(eps for _, eps in errors)
+    return d_s, Fraction(weighted, denominator * error_lcm), pattern_max
 
 
 @dataclass
@@ -695,22 +728,25 @@ class MixtureReport:
 def verify_mixture(
     code: StochasticCode,
     seq: StateSequence,
-    patterns: Iterable[tuple[tuple, Fraction]],
+    weights: tuple[int, Iterable[tuple[tuple, int]]],
     certificate: FamilyCertificate,
     member_of: Optional[Mapping] = None,
     budget: Optional[int] = None,
 ) -> MixtureReport:
-    """D_s, the certified simulators of seq's (pattern, weight) list mixed,
-    against seq's direct channel laws; member_of maps a pattern to the
-    certified member simulating it (default: its own BIT function)."""
+    """D_s, the certified simulators mixed by seq's integer pattern
+    weights (D, [(pattern, numerator), ...]), against seq's direct
+    channel laws; member_of maps a pattern to the certified member
+    simulating it (default: its own BIT function).
+
+    The mixture side (_mixture) reads only the weights and the
+    certificate, and the laws only the channels, so the two routes stay
+    independent.
+    """
     laws = {
         m: tamper_distribution_channel(code, seq, m, budget=budget)
         for m in code.messages()
     }
-    d_s, members = _mixture(patterns, certificate.simulators, member_of)
-    errors = [(weight, certificate.per_function[f]) for weight, f in members]
-    weighted_bound = sum((weight * eps for weight, eps in errors), Fraction(0))
-    pattern_max = max(eps for _, eps in errors)
+    d_s, weighted_bound, pattern_max = _mixture(weights, certificate, member_of)
     per_message = {
         m: statistical_distance(law, apply_copy(d_s, m)) for m, law in laws.items()
     }

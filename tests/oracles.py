@@ -29,7 +29,6 @@ from nmavc import (
     apply_copy,
     decompose,
     gf2_invert,
-    mix,
     tamper_distribution_fn,
 )
 from nmavc.errors import (
@@ -37,12 +36,12 @@ from nmavc.errors import (
     InvalidCodeError,
     InvalidDistributionError,
     InvalidInstanceError,
+    InvalidMixtureError,
     LPInfeasibleError,
     LPUnboundedError,
     NmavcError,
 )
 from nmavc.gf2 import ERASURE_CHAR, bits_to_int, int_to_bits
-from nmavc.verifier import _mixture
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -452,13 +451,39 @@ def fraction_solve_min(
     return solution, value
 
 
+def mix(components) -> FiniteDistribution:
+    """Pointwise convex combination of (Fraction weight, distribution)
+    pairs, one component at a time; the weights must be non-negative and
+    sum to exactly 1."""
+    masses: dict = {}
+    total_weight = ZERO
+    for weight, dist in components:
+        weight = Fraction(weight)
+        if weight < 0:
+            raise InvalidMixtureError(f"negative mixture weight {weight}")
+        total_weight += weight
+        for outcome in dist:
+            masses[outcome] = masses.get(outcome, ZERO) + weight * dist.probability(outcome)
+    if total_weight != ONE:
+        raise InvalidMixtureError(
+            f"mixture weights sum to {total_weight}, expected exactly 1"
+        )
+    return FiniteDistribution(masses)
+
+
+def fraction_weights(seq: StateSequence) -> list[tuple[tuple, Fraction]]:
+    """StateSequence.mixture_weights as (pattern, Fraction weight) pairs."""
+    denominator, patterns = seq.mixture_weights()
+    return [(pattern, Fraction(w, denominator)) for pattern, w in patterns]
+
+
 def tamper_distribution_channel_mixture(
     code: StochasticCode, seq: StateSequence, m: str
 ) -> FiniteDistribution:
     """Channel tamper law via the elementary-pattern mixture (cross-check)."""
     components = [
         (weight, tamper_distribution_fn(code, BITFunction(pattern), m))
-        for pattern, weight in seq.mixture_weights()
+        for pattern, weight in fraction_weights(seq)
     ]
     return mix(components)
 
@@ -548,7 +573,7 @@ def mixture_output_distribution(seq: StateSequence, x: str) -> FiniteDistributio
         raise ValueError(f"input length {len(x)} != {seq.n}")
     components = [
         (weight, FiniteDistribution.point(apply_actions(BITFunction(pattern), x)))
-        for pattern, weight in seq.mixture_weights()
+        for pattern, weight in fraction_weights(seq)
     ]
     return mix(components)
 
@@ -589,10 +614,29 @@ def uniform(outcomes) -> FiniteDistribution:
     return FiniteDistribution(masses)
 
 
-def ds_mixture(seq: StateSequence, simulators) -> FiniteDistribution:
-    """Sequence simulator: per-function simulators mixed by pattern weight,
-    through the verifier's own mixture."""
-    return _mixture(seq.mixture_weights(), simulators)[0]
+def ds_mixture(seq: StateSequence, simulators, member_of=None) -> FiniteDistribution:
+    """Sequence simulator D_s in Fractions, pattern by pattern over
+    mixture_weights_walk: each pattern's member (its BIT function, or
+    member_of[pattern]) adds its simulator at the pattern's own weight."""
+    return mix(
+        (weight, simulators[_member(pattern, member_of)])
+        for pattern, weight in mixture_weights_walk(seq)
+    )
+
+
+def mixture_bounds(seq: StateSequence, errors, member_of=None) -> tuple[Fraction, Fraction]:
+    """(weighted bound, pattern max) of the members' errors, pattern by
+    pattern in Fractions over mixture_weights_walk."""
+    weighted, pattern_max = ZERO, ZERO
+    for pattern, weight in mixture_weights_walk(seq):
+        eps = errors[_member(pattern, member_of)]
+        weighted += weight * eps
+        pattern_max = max(pattern_max, eps)
+    return weighted, pattern_max
+
+
+def _member(pattern, member_of):
+    return BITFunction(pattern) if member_of is None else member_of[pattern]
 
 
 def min_distance(g: GF2Matrix) -> int:

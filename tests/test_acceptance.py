@@ -47,6 +47,7 @@ from nmavc.gf2 import rank_of_columns, select_reconstruction
 from oracles import (
     apply_actions,
     ecc_encode,
+    fraction_weights,
     grid_optimum,
     lex_min_reconstruction,
     linear_code,
@@ -96,7 +97,7 @@ def test_c02_product_decomposition_exact():
     for n in range(1, 6):
         for _ in range(20):
             seq = StateSequence([random_binary_channel(rng) for _ in range(n)])
-            weights = list(seq.mixture_weights())
+            weights = fraction_weights(seq)
             assert sum(w for _, w in weights) == 1
             for x in all_bitstrings(n):
                 direct = output_distribution(seq, x)

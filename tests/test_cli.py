@@ -18,6 +18,10 @@ BSC = {"rows": [["7/10", "3/10"], ["3/10", "7/10"]]}
 BAD_ROW_SUM = {"rows": [["7/10", "7/10"], ["3/10", "7/10"]]}
 FLOAT_ROWS = {"rows": [[0.7, 0.3], [0.3, 0.7]]}
 IDENTITY_2 = {"rows": ["10", "01"]}
+# Channel rows that are not lists: a string row must not be read
+# character by character as the identity channel.
+NUMBER_ROWS = {"rows": [5, 6]}
+STRING_ROWS = {"rows": ["10", "01"]}
 PARITY_45 = {"rows": ["10001", "01001", "00101", "00011"]}
 
 IDENTITY_CODE_K1 = {
@@ -182,6 +186,19 @@ def test_nm_verify_keeps_sequences_with_equal_labels(runner, tmp_path):
     ]
     assert reported["inline0,inline1,inline2#1"] != reported["inline0,inline1,inline2"]
     assert reported["inline0,inline1,inline2#2"] == reported["inline0,inline1,inline2"]
+
+@pytest.mark.parametrize("channel", [NUMBER_ROWS, STRING_ROWS],
+                         ids=["number-rows", "string-rows"])
+@pytest.mark.parametrize("inline", [False, True], ids=["named", "inline"])
+def test_nm_verify_malformed_channel_exit_2(runner, tmp_path, channel, inline):
+    code = write(tmp_path, "code.json", IDENTITY_CODE_K1)
+    listing = ({"sequences": [[channel]]} if inline
+               else {"channels": {"c": channel}, "sequences": [["c"]]})
+    seqs = write(tmp_path, "seqs.json", listing)
+    assert_invalid_input(runner.invoke(
+        main, ["nm-verify", code, "--sequences", seqs, "--budget", "1000"]
+    ))
+
 
 def test_nm_verify_threshold_failure(runner, tmp_path):
     # The linear repetition code has bit-family epsilon 1/2 (offset
@@ -425,6 +442,22 @@ def test_composed_verify_demo_spec(runner, tmp_path):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("budget, exit_code", [(31, 3), (32, 0)])
+def test_composed_verify_demo_pattern_budget(runner, tmp_path, budget, exit_code):
+    # Every demo sequence expands into 2^5 patterns (two per position);
+    # a budget below that stops the run before any pattern is built.
+    spec = json.loads(Path(demo_spec_path()).read_text())
+    spec["budget"] = budget
+    spec["inner_code"] = json.loads(
+        (Path(demo_spec_path()).parent / "demo_inner_code.json").read_text()
+    )
+    spec_file = write(tmp_path, "spec.json", spec)
+    result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
+    assert result.exit_code == exit_code, result.output
+    if exit_code == 3:
+        assert "sequence expands into 32 patterns, budget 31" in result.output
+
+
 def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
     # The first row is listed twice; each listing keeps its own entry.
     bec = {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}
@@ -472,11 +505,16 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
         # Only the special state: a random spec would never draw a row.
         {"states": {"bec": {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}},
          "sequences": "exhaustive"},
+        {"states": {"bec": {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]},
+                    "bsc": BSC, "z": NUMBER_ROWS}},
+        {"states": {"bec": {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]},
+                    "bsc": BSC, "z": STRING_ROWS}},
     ],
     ids=["string-budget", "bool-budget", "float-budget", "negative-budget",
          "list-states", "list-special-state", "unknown-state-in-row",
          "empty-sequence-list", "negative-random-count", "bool-random-count",
-         "bool-random-seed", "only-special-state"],
+         "bool-random-seed", "only-special-state", "number-row-state",
+         "string-row-state"],
 )
 def test_composed_verify_malformed_spec_exit_2(runner, tmp_path, fields):
     spec = json.loads((DATA / "composed_spec.json").read_text())
@@ -543,10 +581,11 @@ def test_text_format(runner, tmp_path):
 # ------------------------------------------------------------ golden reports
 # Reports generated before the plain and composed channel experiments
 # were merged, (certify-inner) before induced maps were built from
-# their closed form alone, and (decompose) before the binary and
-# erasure-extended channel classes became one; the whole JSON must stay
-# the same apart from the timestamp and the input paths the provenance
-# echoes.
+# their closed form alone, (decompose) before the binary and
+# erasure-extended channel classes became one, and (composed-demo, the
+# exhaustive shipped demo) before the pattern mixtures became integer;
+# the whole JSON must stay the same apart from the timestamp and the
+# input paths the provenance echoes.
 
 DATA = Path(__file__).parent / "data"
 
@@ -566,6 +605,8 @@ def report_without_run_fields(path) -> dict:
          "golden_nm_verify_sequences.json"),
         (["composed-verify", "--spec", str(DATA / "composed_spec.json")],
          "golden_composed_verify.json"),
+        (["composed-verify", "--spec", demo_spec_path()],
+         "golden_composed_demo.json"),
         (["certify-inner", str(DATA / "transfer_code.json"),
           str(DATA / "parity34.json")],
          "golden_certify_inner.json"),
@@ -576,7 +617,7 @@ def report_without_run_fields(path) -> dict:
         (["decompose", str(DATA / "channel_erase.json")],
          "golden_decompose_erase.json"),
     ],
-    ids=["nm-verify-sequences", "composed-verify", "certify-inner",
+    ids=["nm-verify-sequences", "composed-verify", "composed-demo", "certify-inner",
          "decompose-alpha3", "decompose-lifted-bsc", "decompose-erase"],
 )
 def test_report_matches_golden(runner, tmp_path, args, golden):
@@ -593,8 +634,11 @@ def test_report_matches_golden(runner, tmp_path, args, golden):
          ["--alpha3", "0"]),
         ({"rows": [["1", "0"], ["0", "0", "1"]]}, []),
         ({"rows": [["9/10", "0", "1/10"], ["0", "4/5", "1/5"]]}, []),
+        (NUMBER_ROWS, []),
+        (STRING_ROWS, []),
     ],
-    ids=["alpha3-on-3-columns", "mixed-width-rows", "input-dependent-erasure"],
+    ids=["alpha3-on-3-columns", "mixed-width-rows", "input-dependent-erasure",
+         "number-rows", "string-rows"],
 )
 def test_decompose_rejected_channel_exit_2(runner, tmp_path, payload, extra):
     path = write(tmp_path, "ch.json", payload)

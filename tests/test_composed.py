@@ -344,7 +344,7 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
     ]
     induced = {
         induced_tamper(scheme.outer, BITFunction(pattern))
-        for seq in seqs for pattern, _ in seq.mixture_weights()
+        for seq in seqs for pattern, _ in seq.mixture_weights()[1]
     }
     profiles = {
         tuple(sorted(verifier.tamper_map(scheme.inner, f).items()))

@@ -14,7 +14,6 @@ from nmavc import (
     all_bitstrings,
     apply_copy,
     format_rational,
-    mix,
     parse_rational,
     statistical_distance,
 )
@@ -23,7 +22,13 @@ from nmavc.errors import (
     InvalidMixtureError,
     InvalidRationalError,
 )
-from oracles import add_fractions_bigint, random_distribution, sd_event_oracle, uniform
+from oracles import (
+    add_fractions_bigint,
+    mix,
+    random_distribution,
+    sd_event_oracle,
+    uniform,
+)
 
 point = FiniteDistribution.point
 

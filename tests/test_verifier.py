@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nmavc.channels as channel_module
 import nmavc.verifier as verifier
 from nmavc import (
     BOT,
@@ -18,6 +19,7 @@ from nmavc import (
     Channel,
     BITFunction,
     ComposedScheme,
+    FamilyCertificate,
     FiniteDistribution,
     GF2Matrix,
     StateSequence,
@@ -35,10 +37,12 @@ from nmavc import (
     verify_transfer,
 )
 from nmavc.gf2 import bits_to_int, int_to_bits
+from nmavc.verifier import _mixture
 from nmavc.errors import (
     BudgetExceededError,
     InvalidCodeError,
     InvalidInstanceError,
+    InvalidMixtureError,
     NmavcError,
 )
 from oracles import (
@@ -50,9 +54,12 @@ from oracles import (
     identity_channel,
     identity_code,
     linear_code,
+    mixture_bounds,
+    mixture_weights_walk,
     product_tamper_distribution,
     random_binary_channel,
     random_distribution,
+    random_extended_channel,
     random_full_rank,
     tamper_distribution_channel_mixture,
     uniform,
@@ -183,6 +190,23 @@ def test_product_equals_mixture_for_codes():
                 assert direct == mixture
 
 
+def test_channel_route_reads_no_decomposition(monkeypatch):
+    # The channel laws are the side of the mixture check that must stay
+    # independent of the patterns: computing them decomposes no channel.
+    def refuse(ch, alpha3=None):
+        raise AssertionError("the channel route decomposed a channel")
+
+    monkeypatch.setattr(channel_module, "decompose", refuse)
+    code = search_nm_code(k=1, n=3, rho=1, trials=2, seed=1).code
+    seq = StateSequence([
+        Channel.bsc(F(3, 10)),
+        Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]),
+        Channel.bsc(F(1, 2)),
+    ])
+    for m in code.messages():
+        tamper_distribution_channel(code, seq, m)
+
+
 def test_budget_errors():
     code = identity_code(2)
     seq = StateSequence.uniform(identity_channel(), 2)
@@ -251,12 +275,22 @@ def test_lp_never_beaten_by_grid_oracle():
 
 # ----------------------------------------------------------------- transfer
 
+def mixture_certificate(simulators, errors=None) -> FamilyCertificate:
+    """A certificate holding only what the mixture reads: each member's
+    simulator and error (0 unless given)."""
+    if errors is None:
+        errors = dict.fromkeys(simulators, F(0))
+    worst = max(errors, key=errors.get)
+    return FamilyCertificate(errors[worst], worst, None, errors, simulators)
+
+
 def test_ds_mixture_identity_sequence():
     code = identity_code(2)
     cert = certify_bit_family(code)
     seq = StateSequence.uniform(identity_channel(), 2)
     d_s = ds_mixture(seq, cert.simulators)
     assert d_s == cert.simulators[BITFunction.from_string("KK")]
+    assert _mixture(seq.mixture_weights(), cert)[0] == d_s
 
 
 def test_ds_mixture_example():
@@ -269,12 +303,64 @@ def test_ds_mixture_example():
     assert d_s == FiniteDistribution(
         {SAME_STAR: F(1, 2), "0": F(1, 4), "1": F(1, 4)}
     )
+    cert = mixture_certificate(simulators)
+    assert _mixture(seq.mixture_weights(), cert)[0] == d_s
 
 
 def test_ds_mixture_missing_pattern():
     seq = StateSequence([Channel.bsc(F(1, 2))])
-    with pytest.raises(InvalidInstanceError):
-        ds_mixture(seq, {BITFunction.from_string("K"): point(SAME_STAR)})
+    cert = mixture_certificate({BITFunction.from_string("K"): point(SAME_STAR)})
+    with pytest.raises(InvalidInstanceError, match="pattern F"):
+        _mixture(seq.mixture_weights(), cert)
+
+
+def test_mixture_weights_must_sum_to_denominator():
+    keep, flip = BITFunction.from_string("K"), BITFunction.from_string("F")
+    cert = mixture_certificate({keep: point(SAME_STAR), flip: point("0")})
+    patterns = [(keep.actions, 1), (flip.actions, 1)]
+    with pytest.raises(InvalidMixtureError, match="sum to 2/3"):
+        _mixture((3, patterns), cert)
+    with pytest.raises(InvalidMixtureError, match="negative"):
+        _mixture((1, [(keep.actions, 2), (flip.actions, -1)]), cert)
+
+
+def random_law(rng: random.Random, outcomes) -> FiniteDistribution:
+    """A random distribution over outcomes (zero masses allowed) whose
+    masses share a denominator of 1, 4, 10, 97 or 10007."""
+    q = rng.choice([1, 4, 10, 97, 10007])
+    cuts = sorted(rng.randint(0, q) for _ in range(len(outcomes) - 1))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
+    return FiniteDistribution({o: F(c, q) for o, c in zip(outcomes, parts)})
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.booleans(), st.booleans(), st.integers(1, 4), st.integers(0, 2**32))
+def test_integer_mixture_matches_fraction_oracle(extended, shared, n, seed):
+    # D_s, the weighted bound and the pattern max of the integer route
+    # equal the pattern-by-pattern Fraction mix of the independent walk,
+    # with per-position denominators up to 10007 and, when shared, a few
+    # members each standing for many patterns (as induced maps do).
+    rng = random.Random(seed)
+    seq = StateSequence([
+        random_extended_channel(rng, rng.choice([2, 10, 10007])) if extended
+        else random_binary_channel(rng, rng.choice([2, 10, 10007]))
+        for _ in range(n)
+    ])
+    patterns = [pattern for pattern, _ in mixture_weights_walk(seq)]
+    if shared:
+        members = [f"member{i}" for i in range(rng.randint(1, 4))]
+        member_of = {pattern: rng.choice(members) for pattern in patterns}
+    else:
+        members = [BITFunction(pattern) for pattern in patterns]
+        member_of = None
+    outcomes = ["0", "1", BOT, SAME_STAR]
+    simulators = {f: random_law(rng, outcomes) for f in members}
+    errors = {f: F(rng.randint(0, 10007), 10007) * F(1, rng.randint(1, 12))
+              for f in members}
+    cert = mixture_certificate(simulators, errors)
+    got = _mixture(seq.mixture_weights(), cert, member_of)
+    assert got == (ds_mixture(seq, simulators, member_of),
+                   *mixture_bounds(seq, errors, member_of))
 
 
 def test_verify_transfer_trivial_sequences():
