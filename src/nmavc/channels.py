@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedChannelError,
 )
 from .gf2 import ERASURE_CHAR
-from .tampering import ACTION_ORDER, BitAction
+from .tampering import ACTION_ORDER, BITFunction, BitAction
 
 _OUTPUT_SYMBOLS = ("0", "1", ERASURE_CHAR)
 
@@ -98,13 +98,16 @@ class Channel:
         return decompose(self)
 
     @cached_property
-    def integer_support(self) -> tuple[int, tuple[tuple[BitAction, int], ...]]:
-        """The canonical support over one denominator: (d, ((action,
-        numerator), ...)), d the lcm of the coefficients' denominators."""
+    def integer_support(self) -> tuple[int, tuple[tuple[tuple[int, int, int], int], ...]]:
+        """The canonical support over one denominator: (d, ((masks,
+        numerator), ...)), d the lcm of the coefficients' denominators and
+        masks the one-position BITFunction.pattern of each action."""
         support = self.decomposition.support()
         d = math.lcm(*(a.denominator for _, a in support))
-        return d, tuple((action, a.numerator * (d // a.denominator))
-                        for action, a in support)
+        return d, tuple(
+            (BITFunction((action,)).pattern, a.numerator * (d // a.denominator))
+            for action, a in support
+        )
 
     @classmethod
     def from_rows(cls, rows) -> "Channel":
@@ -292,25 +295,26 @@ class StateSequence:
         """How many patterns mixture_weights returns, without building them."""
         return math.prod(len(ch.integer_support[1]) for ch in self.channels)
 
-    def mixture_weights(self) -> tuple[int, list[tuple[tuple[BitAction, ...], int]]]:
+    def mixture_weights(self) -> tuple[int, list[tuple[tuple[int, int, int], int]]]:
         """Elementary patterns with their product weights, in integers.
 
         Returns (D, [(pattern, numerator), ...]): D is the product of the
         positions' denominators (Channel.integer_support), a pattern's
         weight is numerator / D = Prod_i alpha_{i, j_i}, and the
-        numerators sum to exactly D.  Patterns run over the product of
-        the positions' canonical supports, position 0 varying slowest;
-        zero coefficients are skipped.
+        numerators sum to exactly D.  A pattern is its BIT function's
+        masks, BITFunction.pattern.  Patterns run over the product of the
+        positions' canonical supports, position 0 varying slowest; zero
+        coefficients are skipped.
         """
         denominator = 1
-        patterns: list = [((), 1)]
-        for ch in self.channels:
+        patterns: list = [((0, 0, 0), 1)]
+        for i, ch in enumerate(self.channels):
             d, support = ch.integer_support
             denominator *= d
             patterns = [
-                (actions + (action,), weight * a)
-                for actions, weight in patterns
-                for action, a in support
+                ((keep | k << i, xor | x << i, erase | e << i), weight * a)
+                for (keep, xor, erase), weight in patterns
+                for (k, x, e), a in support
             ]
         return denominator, patterns
 

@@ -185,7 +185,7 @@ def cmd_decompose(channel_file: str, alpha3: Optional[str], out, fmt):
 @main.command("delta")
 @click.argument("generator_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("p_star")
-@click.option("--budget", type=int, default=20, show_default=True,
+@click.option("--budget", type=click.IntRange(min=0), default=20, show_default=True,
               help="Max block length for exact 2^n enumeration.")
 @click.option("--monte-carlo", "trials", type=int, default=None,
               help="Also estimate by Monte Carlo with this many trials.")
@@ -262,7 +262,7 @@ def _load_sequences(path: str) -> list[StateSequence]:
 @click.option("--sequences", "sequences_file",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="Verify against the state sequences in this file.")
-@click.option("--budget", type=int, required=True,
+@click.option("--budget", type=click.IntRange(min=0), required=True,
               help="Cap on enumerated experiments (mandatory: enumeration "
                    "is exponential in n).")
 @click.option("--threshold", default=None,
@@ -341,7 +341,7 @@ def cmd_nm_verify(code_file, family, sequences_file, budget, threshold, out, fmt
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="Certify against the maps induced by this outer generator "
                    "instead of the raw bit family.")
-@click.option("--budget", type=int, default=1_000_000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=0), default=1_000_000, show_default=True)
 @out_option
 @format_option
 def cmd_search(k, n, rho, trials, seed, generator_file, budget, out, fmt):
@@ -505,7 +505,7 @@ def cmd_composed_verify(spec_file, threshold, out, fmt):
 @main.command("certify-inner")
 @click.argument("code_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("generator_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--budget", type=int, default=1_000_000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=0), default=1_000_000, show_default=True)
 @out_option
 @format_option
 def cmd_certify_inner(code_file, generator_file, budget, out, fmt):

@@ -31,6 +31,7 @@ from .gf2 import (
     ReconstructionSet,
     delta_exact,
     ecc_decode,
+    gather_bits,
     int_to_bits,
     select_reconstruction,
     words_in_order,
@@ -110,14 +111,10 @@ def _closed_form(
     M_f is diagonal (1 where the action preserves the input), so G M_f
     just masks columns of G; erased columns never appear in R.
     """
-    keep_mask, delta_full = f.masks
+    keep_mask, delta_full, _ = f.pattern
     masked = GF2Matrix(tuple(row & keep_mask for row in outer.rows), outer.ncols)
-    sub = masked.submatrix_columns(recon.indices)
-    matrix = sub.matmul(recon.inverse)
-    delta_r = 0
-    for new_j, j in enumerate(recon.indices):
-        if (delta_full >> j) & 1:
-            delta_r |= 1 << new_j
+    matrix = masked.submatrix_columns(recon.indices).matmul(recon.inverse)
+    delta_r = gather_bits(delta_full, recon.indices)
     return AffineFunction(matrix, recon.inverse.vec_mul(delta_r))
 
 
@@ -317,7 +314,7 @@ def verify_composed(
         for pattern, _ in weights[1]:
             if pattern not in induced_by_pattern:
                 induced_by_pattern[pattern] = induced_tamper(
-                    scheme.outer, BITFunction(pattern)
+                    scheme.outer, BITFunction.from_pattern(scheme.n, pattern)
                 )
         expanded.append(weights)
     members = list(dict.fromkeys(induced_by_pattern.values()))

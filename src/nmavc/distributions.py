@@ -174,6 +174,22 @@ class FiniteDistribution:
     def point(cls, outcome: Outcome) -> "FiniteDistribution":
         return cls({outcome: ONE})
 
+    @classmethod
+    def from_counts(
+        cls, counts: Mapping[Outcome, int], total: int
+    ) -> "FiniteDistribution":
+        """Mass count / total on each outcome, checked in integers: the
+        counts must be non-negative ints summing to exactly total > 0."""
+        if not (all(type(c) is int and c >= 0 for c in (total, *counts.values()))
+                and total > 0 and sum(counts.values()) == total):
+            raise InvalidDistributionError(
+                f"counts {dict(counts)} are not non-negative ints summing to {total!r} > 0"
+            )
+        masses = {outcome: Fraction(c, total) for outcome, c in counts.items() if c}
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "_masses", masses)
+        return dist
+
     def probability(self, outcome: Outcome) -> Fraction:
         return self._masses.get(outcome, ZERO)
 

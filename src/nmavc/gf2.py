@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceededError, InvalidInstanceError
 
 ERASURE_CHAR = "e"
@@ -42,6 +40,15 @@ def bits_to_int(bits: str) -> int:
 
 def int_to_bits(value: int, n: int) -> str:
     return "".join("1" if (value >> i) & 1 else "0" for i in range(n))
+
+
+def gather_bits(word: int, positions: Sequence[int]) -> int:
+    """Bit i of the result is bit positions[i] of word."""
+    packed = 0
+    for i, j in enumerate(positions):
+        if (word >> j) & 1:
+            packed |= 1 << i
+    return packed
 
 
 def words_in_order(n: int, erasures: bool = False) -> list[tuple[int, int]]:
@@ -124,14 +131,7 @@ class GF2Matrix:
         return GF2Matrix(tuple(other.vec_mul(row) for row in self.rows), other.ncols)
 
     def submatrix_columns(self, cols: Sequence[int]) -> "GF2Matrix":
-        new_rows = []
-        for row in self.rows:
-            packed = 0
-            for new_j, j in enumerate(cols):
-                if (row >> j) & 1:
-                    packed |= 1 << new_j
-            new_rows.append(packed)
-        return GF2Matrix(tuple(new_rows), len(cols))
+        return GF2Matrix(tuple(gather_bits(row, cols) for row in self.rows), len(cols))
 
     def rank(self) -> int:
         work = list(self.rows)
@@ -267,11 +267,7 @@ def ecc_decode(g: GF2Matrix, bits: int, erased: int) -> Optional[int]:
     recon = select_reconstruction(g, erased)
     if recon is None:
         return None
-    packed = 0
-    for new_j, j in enumerate(recon.indices):
-        if (bits >> j) & 1:
-            packed |= 1 << new_j
-    return recon.inverse.vec_mul(packed)
+    return recon.inverse.vec_mul(gather_bits(bits, recon.indices))
 
 
 def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = 20) -> Fraction:
@@ -281,7 +277,6 @@ def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = 20) -> Fraction:
     the surviving columns of G have rank below m.
     """
     n = g.ncols
-    m = g.nrows
     if n > budget:
         raise BudgetExceededError(
             f"delta_exact enumerates 2^{n} erasure patterns, above the "
@@ -290,23 +285,20 @@ def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = 20) -> Fraction:
     p = Fraction(p_star)
     if p < 0 or p > 1:
         raise InvalidInstanceError(f"erasure probability {p} outside [0,1]")
-    q = 1 - p
-    p_pow = [Fraction(1)] * (n + 1)
-    q_pow = [Fraction(1)] * (n + 1)
-    for i in range(1, n + 1):
-        p_pow[i] = p_pow[i - 1] * p
-        q_pow[i] = q_pow[i - 1] * q
+    p_pow = [p ** i for i in range(n + 1)]
+    q_pow = [(1 - p) ** i for i in range(n + 1)]
     failure = Fraction(0)
     for mask in range(1 << n):
-        erased_count = bin(mask).count("1")
-        if erased_count > n - m:
-            failed = True
-        else:
-            survivors = [j for j in range(n) if not (mask >> j) & 1]
-            failed = rank_of_columns(g, survivors) < m
-        if failed:
+        if _erasure_fails(g, mask):
+            erased_count = bin(mask).count("1")
             failure += p_pow[erased_count] * q_pow[n - erased_count]
     return failure
+
+
+def _erasure_fails(g: GF2Matrix, erased: int) -> bool:
+    """Whether the columns of g outside the erasure mask have rank below m."""
+    survivors = [j for j in range(g.ncols) if not (erased >> j) & 1]
+    return len(survivors) < g.nrows or rank_of_columns(g, survivors) < g.nrows
 
 
 def delta_monte_carlo(
@@ -317,30 +309,20 @@ def delta_monte_carlo(
     Returns (estimate, 95% normal-approximation half-width).  Erasure
     patterns are drawn with the counter-based Philox generator so the
     result is deterministic given the seed and independent of chunking.
+    numpy, for the Philox stream, is imported here only: the exact
+    routes run on Python ints.
     """
+    import numpy as np
+
     if trials < 1:
         raise InvalidInstanceError("trials must be >= 1")
     n = g.ncols
-    m = g.nrows
     p = float(Fraction(p_star))
     rng = np.random.Generator(np.random.Philox(seed))
     draws = rng.random((trials, n)) < p
-    weights = (1 << np.arange(n)).astype(np.int64)
-    masks = draws @ weights
-    failure_by_mask: dict[int, bool] = {}
-    failures = 0
-    for mask in masks:
-        mask = int(mask)
-        failed = failure_by_mask.get(mask)
-        if failed is None:
-            if bin(mask).count("1") > n - m:
-                failed = True
-            else:
-                survivors = [j for j in range(n) if not (mask >> j) & 1]
-                failed = rank_of_columns(g, survivors) < m
-            failure_by_mask[mask] = failed
-        if failed:
-            failures += 1
+    masks = (draws @ (1 << np.arange(n, dtype=np.int64))).tolist()
+    failed = {mask: _erasure_fails(g, mask) for mask in set(masks)}
+    failures = sum(failed[mask] for mask in masks)
     estimate = failures / trials
     ci95 = 1.96 * (estimate * (1.0 - estimate) / trials) ** 0.5
     return estimate, ci95

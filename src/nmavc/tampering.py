@@ -39,10 +39,11 @@ ACTION_ORDER = (
     BitAction.ERASE,
 )
 
-# Members bound once: an Enum attribute lookup costs more than the test.
-_PRESERVING = (BitAction.KEEP, BitAction.FLIP)
-_SETTING_ONE = (BitAction.FLIP, BitAction.SET1)
-_ERASE = BitAction.ERASE
+#: The (keep, xor, erase) bits of each action at one position, and back.
+_ACTION_BITS = dict(zip(
+    ACTION_ORDER, ((1, 0, 0), (1, 1, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1))
+))
+_ACTION_OF_BITS = {bits: action for action, bits in _ACTION_BITS.items()}
 
 
 @dataclass(frozen=True)
@@ -70,32 +71,34 @@ class BITFunction:
         """The bits (x & keep) ^ xor of f(x); Erase positions come out 0."""
         if x >> len(self.actions):
             raise ValueError(f"input {x} is not a word of {{0,1}}^{self.n}")
-        keep, xor = self.masks
+        keep, xor, _ = self.pattern
         return (x & keep) ^ xor
 
     @cached_property
-    def masks(self) -> tuple[int, int]:
-        """(keep, xor) with f(x) = (x & keep) ^ xor off the erase mask.
+    def pattern(self) -> tuple[int, int, int]:
+        """The masks (keep, xor, erase), which key a mixture pattern:
+        f(x) = (x & keep) ^ xor off the Erase positions named by erase.
 
         Keep/Flip set bit i of keep, Flip/Set1 set bit i of xor.  An Erase
         position is 0 in both.
         """
-        keep = xor = 0
+        keep = xor = erase = 0
         for i, action in enumerate(self.actions):
-            if action in _PRESERVING:
-                keep |= 1 << i
-            if action in _SETTING_ONE:
-                xor |= 1 << i
-        return keep, xor
+            k, x, e = _ACTION_BITS[action]
+            keep, xor, erase = keep | k << i, xor | x << i, erase | e << i
+        return keep, xor, erase
 
-    @cached_property
+    @classmethod
+    def from_pattern(cls, n: int, pattern: tuple[int, int, int]) -> "BITFunction":
+        """The length-n function with these pattern masks."""
+        keep, xor, erase = pattern
+        return cls(tuple(_ACTION_OF_BITS[keep >> i & 1, xor >> i & 1, erase >> i & 1]
+                         for i in range(n)))
+
+    @property
     def erase(self) -> int:
         """Mask of the Erase positions."""
-        erase = 0
-        for i, action in enumerate(self.actions):
-            if action is _ERASE:
-                erase |= 1 << i
-        return erase
+        return self.pattern[2]
 
     @property
     def has_erase(self) -> bool:

@@ -17,12 +17,11 @@ distance computation before it is returned.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Sized, Union
-
-import numpy as np
 
 from .channels import StateSequence
 from .distributions import (
@@ -132,7 +131,7 @@ class StochasticCode:
                     )
         self._audited = True
 
-    def decoder_table(self) -> np.ndarray:
+    def decoder_table(self) -> list[int]:
         """Outcome index of decode(y) for every word y over the decoder's
         alphabet ({0,1}, or {0,1,e} when it reads erasures).
 
@@ -142,11 +141,10 @@ class StochasticCode:
         """
         if self._dec_table is None:
             outcome_index = _outcome_index(self)
-            self._dec_table = np.array(
-                [outcome_index[self.decode(bits, erased)]
-                 for bits, erased in words_in_order(self.n, self.erasures)],
-                dtype=np.intp,
-            )
+            self._dec_table = [
+                outcome_index[self.decode(bits, erased)]
+                for bits, erased in words_in_order(self.n, self.erasures)
+            ]
         return self._dec_table
 
     @classmethod
@@ -229,9 +227,7 @@ def _has_power_size(items: Sized, exponent: int) -> bool:
 
 def _outcome_index(code: StochasticCode) -> dict:
     """Index of each decoder outcome: the messages in order, then BOT."""
-    index: dict = {m: i for i, m in enumerate(code.messages())}
-    index[BOT] = len(index)
-    return index
+    return {y: i for i, y in enumerate([*code.messages(), BOT])}
 
 
 def _check_budget(cost: int, budget: Optional[int], what: str) -> None:
@@ -297,10 +293,8 @@ def tamper_distribution_channel(
     denominators, so a codeword's output law over all |Y|^n words is the
     outer product of its per-position integer rows, with total D^n.  The
     laws are summed over the 2^rho seeds and read through the code's
-    decoder table (one decode per word, kept on the code); one np.add.at
-    gives the outcome counts, divided by D^n 2^rho only at the end.
-    Counts are int64 while D^n 2^rho < 2^63 and Python ints (dtype
-    object) beyond.  Costs 2^rho |Y|^n.
+    decoder table (one decode per word, kept on the code) into outcome
+    counts over D^n 2^rho.  Costs 2^rho |Y|^n.
     """
     code.check_correctness()
     if seq.extended != code.erasures:
@@ -318,25 +312,24 @@ def tamper_distribution_channel(
     scale = math.lcm(
         *(p.denominator for ch in seq.channels for row in ch.rows for p in row)
     )
-    total = scale ** code.n * code.seed_count
-    dtype = np.int64 if total < 1 << 63 else object
     rows = [
-        np.array([[p.numerator * (scale // p.denominator) for p in row]
-                  for row in ch.rows], dtype=dtype)
+        [[p.numerator * (scale // p.denominator) for p in row] for row in ch.rows]
         for ch in seq.channels
     ]
-    weights = np.zeros(symbols ** code.n, dtype=dtype)
+    weights = [0] * symbols ** code.n
     for word in code.enc[m]:
-        law = np.ones(1, dtype=dtype)
+        law = [1]
         for j, ch_rows in enumerate(rows):
-            law = np.multiply.outer(law, ch_rows[(word >> j) & 1]).ravel()
-        weights += law
+            row = ch_rows[(word >> j) & 1]
+            law = [a * b for a in law for b in row]
+        weights = list(map(operator.add, weights, law))
     outcomes = _outcome_index(code)
-    counts = np.zeros(len(outcomes), dtype=dtype)
-    np.add.at(counts, code.decoder_table(), weights)
-    return FiniteDistribution({
-        y: Fraction(c, total) for y, c in zip(outcomes, counts.tolist()) if c
-    })
+    counts = [0] * len(outcomes)
+    for y, w in zip(code.decoder_table(), weights):
+        counts[y] += w
+    return FiniteDistribution.from_counts(
+        dict(zip(outcomes, counts)), scale ** code.n * code.seed_count
+    )
 
 
 def tamper_map(
@@ -504,61 +497,51 @@ class FamilyCertificate:
         }
 
 
-def _count_profiles(code: StochasticCode, functions: list) -> np.ndarray:
-    """Integer tamper profiles of every (validated) member in one pass.
+class _Outcomes(dict):
+    """Outcome index of every word decoded so far; decodes on a miss, so
+    a hit in the profile loop is one plain dict lookup."""
 
-    Row i, column mi * (2^k + 1) + yi counts the seeds r with
-    decode(f_i(enc[m][r])) = y, indexing m and y by code.messages() and
-    BOT by 2^k; dividing a row by 2^rho gives tamper_map(code, f_i).
-    Only the distinct tampered words are decoded.
+    def __init__(self, code: StochasticCode) -> None:
+        super().__init__()
+        self.code = code
+        self.index = _outcome_index(code)
+
+    def __missing__(self, word: int) -> int:
+        y = self[word] = self.index[self.code.decode(word)]
+        return y
+
+
+def _count_profiles(code: StochasticCode, functions: list) -> list[list[int]]:
+    """Integer tamper profiles of every (validated) member.
+
+    Entry mi * (2^k + 1) + yi of member i's profile counts the seeds r
+    with decode(f_i(enc[m][r])) = y, indexing m and y by code.messages()
+    and BOT by 2^k; dividing a profile by 2^rho gives
+    tamper_map(code, f_i).  Each distinct tampered word is decoded once.
     """
     messages = code.messages()
     width = len(messages) + 1
-    outcome_index = _outcome_index(code)
-    dtype = np.int64 if code.n <= 62 else object
-    enc = np.array([code.enc[m] for m in messages], dtype=dtype)
-    outcomes = np.full((len(functions), *enc.shape), len(messages))
-    members: list[int] = []
-    blocks = []
-    bit = [i for i, f in enumerate(functions) if isinstance(f, BITFunction)]
-    if bit:
-        keep, xor = np.array([functions[i].masks for i in bit], dtype=dtype).T
-        members += bit
-        blocks.append((enc & keep[:, None, None]) ^ xor[:, None, None])
-    affine = [i for i, f in enumerate(functions) if isinstance(f, AffineFunction)]
-    if affine:
-        rows = np.array([functions[i].matrix.rows for i in affine], dtype=dtype)
-        deltas = np.array([functions[i].delta for i in affine], dtype=dtype)
-        words = deltas[:, None, None]
-        for j in range(code.n):
-            words = words ^ ((enc >> j) & 1) * rows[:, j, None, None]
-        members += affine
-        blocks.append(words)
-    if blocks:
-        words = np.concatenate(blocks)
-        distinct, inverse = np.unique(words, return_inverse=True)
-        decoded = [outcome_index[code.decode(word)] for word in distinct.tolist()]
-        outcomes[members] = np.array(decoded)[inverse.reshape(words.shape)]
-    cells = np.arange(len(functions) * len(messages)).reshape(-1, len(messages), 1)
-    counts = np.bincount(
-        (cells * width + outcomes).ravel(), minlength=cells.size * width
-    )
-    return counts.reshape(len(functions), len(messages) * width)
-
-
-def _tamper_map_from_counts(
-    messages: list[str], row: list[int], seed_count: int
-) -> dict[str, FiniteDistribution]:
-    """The tamper map a count profile of _count_profiles stands for."""
-    outcomes = [*messages, BOT]
-    width = len(outcomes)
-    return {
-        m: FiniteDistribution({
-            y: Fraction(c, seed_count)
-            for y, c in zip(outcomes, row[i * width:(i + 1) * width]) if c
-        })
-        for i, m in enumerate(messages)
-    }
+    size = len(messages) * width
+    cell_words = [
+        (cell, word)
+        for cell, m in zip(range(0, size, width), messages) for word in code.enc[m]
+    ]
+    outcome = _Outcomes(code)
+    profiles = []
+    for f in functions:
+        profile = [0] * size
+        if f is BOT_MAP:
+            profile[width - 1::width] = [code.seed_count] * len(messages)
+        elif isinstance(f, BITFunction):
+            # f.apply without a call per word: the search's hot loop.
+            keep, xor, _ = f.pattern
+            for cell, word in cell_words:
+                profile[cell + outcome[(word & keep) ^ xor]] += 1
+        else:
+            for cell, word in cell_words:
+                profile[cell + outcome[f.apply(word)]] += 1
+        profiles.append(profile)
+    return profiles
 
 
 def certify_family(
@@ -570,9 +553,9 @@ def certify_family(
 ) -> Optional[FamilyCertificate]:
     """Optimal simulator for every family member; None when aborted early.
 
-    Every member is validated first, in list order.  One vectorised
-    pass then builds each member's tamper profile as integer counts
-    over the common denominator 2^rho (_count_profiles).  `cache`
+    Every member is validated first, in list order.  One pass then
+    builds each member's tamper profile as integer counts over the
+    common denominator 2^rho (_count_profiles).  `cache`
     memoizes LP solutions across calls, keyed by (2^rho, count
     profile), which determines the optimum.  On a miss, the member's
     tamper map is re-derived seed by seed by the tampering experiment
@@ -613,8 +596,9 @@ def _certify_checked(
     if cache is None:
         cache = {}
     messages = code.messages()
+    outcomes = [*messages, BOT]
     seed_count = code.seed_count
-    profiles = _count_profiles(code, functions).tolist()
+    profiles = _count_profiles(code, functions)
 
     epsilon: Optional[Fraction] = None
     per_function: dict = {}
@@ -624,7 +608,8 @@ def _certify_checked(
         report = cache.get(key)
         if report is None:
             t_map = tamper_map(code, f, budget=budget)
-            if t_map != _tamper_map_from_counts(messages, row, seed_count):
+            if row != [t_map[m].probability(y) * seed_count
+                       for m in messages for y in outcomes]:
                 raise VerificationError(
                     f"count profile of {function_key(f)} disagrees with its "
                     f"tampering experiment"
@@ -660,7 +645,7 @@ def certify_bit_family(
 
 
 def _mixture(
-    weights: tuple[int, Iterable[tuple[tuple, int]]],
+    weights: tuple[int, Iterable[tuple[tuple[int, int, int], int]]],
     certificate: FamilyCertificate,
     member_of: Optional[Mapping] = None,
 ) -> tuple[FiniteDistribution, Fraction, Fraction]:
@@ -668,26 +653,36 @@ def _mixture(
     (D_s, weighted_bound, pattern_max).
 
     weights is (D, [(pattern, numerator), ...]), as mixture_weights
-    returns it.  A pattern's member is its BIT function, or
-    member_of[pattern]; one without a simulator is an error, as the
-    mixture would not sum to 1.  The numerators are first summed per
-    member, and must total exactly D.  The members' simulators are then
-    mixed as integers over D * L, L the lcm of their masses'
-    denominators, and their errors as one sum over D * E, E the lcm of
-    the errors' denominators; each becomes a Fraction once, at the end.
+    returns it, each pattern the (keep, xor, erase) masks of a BIT
+    function.  A pattern's member is member_of[pattern], by default the
+    certificate's BIT function with those masks; one without a simulator
+    is an error, as the mixture would not sum to 1.  The numerators are
+    first summed per member, and must total exactly D.  The members'
+    simulators are then mixed as integers over D * L, L the lcm of their
+    masses' denominators, and their errors as one sum over D * E, E the
+    lcm of the errors' denominators; each becomes a Fraction once, at
+    the end.
     """
     denominator, patterns = weights
+    if member_of is None:
+        member_of = {
+            f.pattern: f for f in certificate.simulators if isinstance(f, BITFunction)
+        }
     grouped: dict = {}
     for pattern, weight in patterns:
         if weight < 0:
             raise InvalidMixtureError(f"negative mixture weight {weight}/{denominator}")
-        f = BITFunction(pattern) if member_of is None else member_of[pattern]
+        f = member_of.get(pattern)
         total = grouped.get(f)
         if total is None:
             if f not in certificate.simulators:
+                # Masks leave trailing Set0s out: name the pattern at the
+                # length of the certificate's BIT functions, if one.
+                n = {g.n for g in certificate.simulators if isinstance(g, BITFunction)}
+                if len(n) == 1:
+                    pattern = BITFunction.from_pattern(*n, pattern).to_string()
                 raise InvalidInstanceError(
-                    f"no simulator for positive-weight pattern "
-                    f"{BITFunction(pattern).to_string()}"
+                    f"no simulator for positive-weight pattern {pattern}"
                 )
             total = 0
         grouped[f] = total + weight
@@ -704,8 +699,7 @@ def _mixture(
         for o in law:
             p = law.probability(o)
             counts[o] = counts.get(o, 0) + w * p.numerator * (mass_lcm // p.denominator)
-    mass_total = denominator * mass_lcm
-    d_s = FiniteDistribution({o: Fraction(c, mass_total) for o, c in counts.items()})
+    d_s = FiniteDistribution.from_counts(counts, denominator * mass_lcm)
 
     errors = [(w, certificate.per_function[f]) for f, w in grouped.items()]
     error_lcm = math.lcm(*(eps.denominator for _, eps in errors))

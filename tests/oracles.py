@@ -255,7 +255,7 @@ def bit_to_affine(f: BITFunction) -> AffineFunction:
         raise NotRepresentableError(
             "Erase has no affine form on {0,1}; resolve erasures first"
         )
-    keep, xor = f.masks
+    keep, xor, _ = f.pattern
     rows = tuple(keep & (1 << i) for i in range(f.n))
     return AffineFunction(GF2Matrix(rows, f.n), xor)
 
@@ -472,9 +472,11 @@ def mix(components) -> FiniteDistribution:
 
 
 def fraction_weights(seq: StateSequence) -> list[tuple[tuple, Fraction]]:
-    """StateSequence.mixture_weights as (pattern, Fraction weight) pairs."""
+    """StateSequence.mixture_weights as (action tuple, Fraction weight)
+    pairs, each pattern's masks read back as its BIT function's actions."""
     denominator, patterns = seq.mixture_weights()
-    return [(pattern, Fraction(w, denominator)) for pattern, w in patterns]
+    return [(BITFunction.from_pattern(seq.n, pattern).actions, Fraction(w, denominator))
+            for pattern, w in patterns]
 
 
 def tamper_distribution_channel_mixture(

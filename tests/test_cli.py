@@ -1,7 +1,10 @@
 """CLI contract: commands, formats, exit codes, reproducibility."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
@@ -643,3 +646,84 @@ def test_report_matches_golden(runner, tmp_path, args, golden):
 def test_decompose_rejected_channel_exit_2(runner, tmp_path, payload, extra):
     path = write(tmp_path, "ch.json", payload)
     assert_invalid_input(runner.invoke(main, ["decompose", path, *extra]))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "--k", "1", "--n", "3", "--rho", "1", "--seed", "1"],
+        ["nm-verify", str(DATA / "transfer_code.json"), "--family", "bit"],
+        ["certify-inner", str(DATA / "transfer_code.json"), str(DATA / "parity34.json")],
+        ["delta", str(DATA / "parity34.json"), "1/10"],
+    ],
+    ids=["search", "nm-verify", "certify-inner", "delta"],
+)
+def test_negative_budget_exit_2(runner, args):
+    # Rejected as input before any enumeration, not reported as exceeded.
+    result = runner.invoke(main, [*args, "--budget", "-1"])
+    assert_invalid_input(result)
+    assert "-1 is not in the range x>=0" in result.output
+
+
+def run_cli_process(args: list[str]) -> tuple[int, bool]:
+    """(exit code, whether numpy was imported) of one fresh process that
+    imports nmavc.cli and, given args, runs the CLI on them."""
+    script = (
+        "import sys\n"
+        "from nmavc.cli import main\n"
+        "code = 0\n"
+        "if sys.argv[1:]:\n"
+        "    try:\n"
+        "        main(sys.argv[1:])\n"
+        "    except SystemExit as exit:\n"
+        "        code = exit.code\n"
+        "sys.stderr.write(f\"numpy imported: {'numpy' in sys.modules}\\n\")\n"
+        "sys.exit(code)\n"
+    )
+    # The child imports nmavc from where this process does.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    imported = done.stderr.splitlines()[-1]
+    assert imported.startswith("numpy imported: "), done.stderr
+    return done.returncode, imported.endswith("True")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["search", "--k", "1", "--n", "3", "--rho", "1", "--trials", "3", "--seed", "1"],
+        ["nm-verify", str(DATA / "transfer_code.json"), "--sequences",
+         str(DATA / "transfer_sequences.json"), "--budget", "1000"],
+        ["decompose", str(DATA / "channel_erase.json")],
+        ["certify-inner", str(DATA / "transfer_code.json"), str(DATA / "parity34.json")],
+        ["composed-verify", "--spec", str(DATA / "composed_spec.json")],
+        ["delta", str(DATA / "parity34.json"), "1/10"],
+    ],
+    ids=["import", "search", "nm-verify", "decompose", "certify-inner",
+         "composed-verify", "delta-exact"],
+)
+def test_exact_commands_leave_numpy_unimported(tmp_path, args):
+    # numpy is the Monte-Carlo estimator's dependency only; the exact
+    # routes run on Python ints and must not pay for its import.
+    if args:
+        args = [*args, "--out", str(tmp_path / "report.json")]
+    code, numpy_imported = run_cli_process(args)
+    assert code == 0
+    assert not numpy_imported
+
+
+def test_monte_carlo_delta_keeps_its_estimate(tmp_path):
+    # The Philox draws, and so the estimate, are pinned bit for bit.
+    out = tmp_path / "report.json"
+    code, numpy_imported = run_cli_process(
+        ["delta", str(DATA / "parity34.json"), "1/10", "--monte-carlo", "100000",
+         "--seed", "7", "--out", str(out)]
+    )
+    assert code == 0 and numpy_imported
+    report = json.loads(out.read_text())
+    assert report["monte_carlo"] == {
+        "trials": 100000, "seed": 7,
+        "estimate": 0.05163, "ci95": 0.0013715007125516196,
+    }

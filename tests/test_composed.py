@@ -343,7 +343,7 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
         StateSequence([erase] * (n - 1) + [z]),
     ]
     induced = {
-        induced_tamper(scheme.outer, BITFunction(pattern))
+        induced_tamper(scheme.outer, BITFunction.from_pattern(n, pattern))
         for seq in seqs for pattern, _ in seq.mixture_weights()[1]
     }
     profiles = {

@@ -99,6 +99,32 @@ def test_distribution_rejects_bad_masses():
         FiniteDistribution({"0": 0.5, "1": 0.5})
 
 
+def test_from_counts_equals_checked_masses():
+    d = FiniteDistribution.from_counts({"0": 2, "1": 0, BOT: 6}, 8)
+    assert d == FiniteDistribution({"0": F(1, 4), BOT: F(3, 4)})
+    assert d.support == {"0", BOT}
+
+
+@pytest.mark.parametrize(
+    "counts, total",
+    [
+        ({"0": 1}, 2),
+        ({"0": 3, "1": -1}, 2),
+        ({"0": 1.0}, 1),
+        ({"0": True}, 1),
+        ({"0": F(1)}, 1),
+        ({"0": 0}, 0),
+        ({"0": 1}, True),
+        ({}, 0),
+    ],
+    ids=["short-sum", "negative", "float", "bool", "fraction", "zero-total",
+         "bool-total", "empty"],
+)
+def test_from_counts_rejects_bad_counts(counts, total):
+    with pytest.raises(InvalidDistributionError):
+        FiniteDistribution.from_counts(counts, total)
+
+
 def test_distribution_equality_and_hash():
     a = FiniteDistribution({"0": F(1, 2), "1": F(1, 2)})
     b = uniform(["0", "1"])

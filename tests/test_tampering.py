@@ -58,6 +58,15 @@ def test_apply_matches_per_character_oracle(actions, data):
     assert (f.apply(bits_to_int(x)), f.erase) == split_word(apply_actions(f, x))
 
 
+def test_pattern_round_trip():
+    # A mixture pattern's masks name exactly one function of each length.
+    for f in enumerate_bit_functions(3, 5):
+        keep, xor, erase = f.pattern
+        assert not erase & (keep | xor)
+        assert BITFunction.from_pattern(3, f.pattern) == f
+    assert BITFunction.from_string("KF01E").pattern == (0b00011, 0b01010, 0b10000)
+
+
 def test_string_round_trip():
     for text in ("KF01", "E", "KKKK", "10FE"):
         assert BITFunction.from_string(text).to_string() == text

@@ -44,6 +44,7 @@ from nmavc.errors import (
     InvalidInstanceError,
     InvalidMixtureError,
     NmavcError,
+    VerificationError,
 )
 from oracles import (
     bit_to_affine,
@@ -317,11 +318,11 @@ def test_ds_mixture_missing_pattern():
 def test_mixture_weights_must_sum_to_denominator():
     keep, flip = BITFunction.from_string("K"), BITFunction.from_string("F")
     cert = mixture_certificate({keep: point(SAME_STAR), flip: point("0")})
-    patterns = [(keep.actions, 1), (flip.actions, 1)]
+    patterns = [(keep.pattern, 1), (flip.pattern, 1)]
     with pytest.raises(InvalidMixtureError, match="sum to 2/3"):
         _mixture((3, patterns), cert)
     with pytest.raises(InvalidMixtureError, match="negative"):
-        _mixture((1, [(keep.actions, 2), (flip.actions, -1)]), cert)
+        _mixture((1, [(keep.pattern, 2), (flip.pattern, -1)]), cert)
 
 
 def random_law(rng: random.Random, outcomes) -> FiniteDistribution:
@@ -358,7 +359,9 @@ def test_integer_mixture_matches_fraction_oracle(extended, shared, n, seed):
     errors = {f: F(rng.randint(0, 10007), 10007) * F(1, rng.randint(1, 12))
               for f in members}
     cert = mixture_certificate(simulators, errors)
-    got = _mixture(seq.mixture_weights(), cert, member_of)
+    # The walk names patterns by their actions, mixture_weights by masks.
+    masks_of = member_of and {BITFunction(p).pattern: f for p, f in member_of.items()}
+    got = _mixture(seq.mixture_weights(), cert, masks_of)
     assert got == (ds_mixture(seq, simulators, member_of),
                    *mixture_bounds(seq, errors, member_of))
 
@@ -488,7 +491,7 @@ def members(n: int):
 
 
 def assert_counts_match_tamper_map(code, functions):
-    counts = verifier._count_profiles(code, functions).tolist()
+    counts = verifier._count_profiles(code, functions)
     outcomes = [*code.messages(), BOT]
     for f, row in zip(functions, counts):
         t_map = tamper_map(code, f)
@@ -542,6 +545,21 @@ def test_count_profiles_wide_words():
     assert_counts_match_tamper_map(code, functions)
     cert = certify_family(code, functions)
     assert cert.per_function[BOT_MAP] == 0
+
+
+def test_count_profile_checked_against_tampering_experiment(monkeypatch):
+    # A profile that disagrees with the seed-by-seed experiment never
+    # reaches the LP.
+    counted = verifier._count_profiles
+
+    def shifted(code, functions):
+        profiles = counted(code, functions)
+        profiles[0][0:2] = [profiles[0][0] - 1, profiles[0][1] + 1]
+        return profiles
+
+    monkeypatch.setattr(verifier, "_count_profiles", shifted)
+    with pytest.raises(VerificationError, match="count profile of KK disagrees"):
+        certify_family(identity_code(2), [BITFunction.from_string("KK")])
 
 
 # ------------------------------------------------- integer channel laws
