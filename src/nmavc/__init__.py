@@ -59,10 +59,9 @@ from .verifier import (
     TransferReport,
     certify_bit_family,
     certify_family,
+    channel_map,
     optimal_simulator,
     search_nm_code,
-    tamper_distribution_channel,
-    tamper_distribution_fn,
     tamper_map,
     verify_transfer,
 )

@@ -240,12 +240,16 @@ def _load_sequences(path: str) -> list[StateSequence]:
     if not isinstance(obj, dict) or "sequences" not in obj:
         _fail(EXIT_INVALID_INPUT,
               f'{path} must be {{"channels": {{...}}, "sequences": [...]}}')
-    dictionary = {
-        name: channel_from_json(ch)
-        for name, ch in obj.get("channels", {}).items()
-    }
+    named = obj.get("channels", {})
+    if not isinstance(named, dict):
+        _fail(EXIT_INVALID_INPUT, f'"channels" in {path} must be an object')
+    if not isinstance(obj["sequences"], list):
+        _fail(EXIT_INVALID_INPUT, f'"sequences" in {path} must be a list')
+    dictionary = {name: channel_from_json(ch) for name, ch in named.items()}
     sequences = []
     for row in obj["sequences"]:
+        if not isinstance(row, list):
+            _fail(EXIT_INVALID_INPUT, f"sequence {row!r} must be a list of channels")
         channels = [_channel_from_entry(entry, dictionary) for entry in row]
         labels = [
             entry if isinstance(entry, str) else f"inline{i}"
@@ -297,7 +301,7 @@ def cmd_nm_verify(code_file, family, sequences_file, budget, threshold, out, fmt
             per_sequence = {}
             epsilon = Fraction(0)
             for index, seq in enumerate(sequences):
-                result = verify_transfer(code, seq, budget=budget, certificate=cert)
+                result = verify_transfer(code, seq, cert, budget=budget)
                 # Repeated rows and inline channels (labelled by position)
                 # share labels; every sequence keeps an entry.
                 label = result.sequence_label

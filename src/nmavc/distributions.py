@@ -128,14 +128,6 @@ def outcome_to_json(outcome: Outcome) -> str:
     raise TypeError(f"not an outcome: {outcome!r}")
 
 
-def outcome_from_json(text: str) -> Outcome:
-    if text == "bot":
-        return BOT
-    if text == "same*":
-        return SAME_STAR
-    return text
-
-
 class FiniteDistribution:
     """Immutable exact distribution over a finite outcome set.
 
@@ -226,12 +218,6 @@ class FiniteDistribution:
             outcome_to_json(outcome): format_rational(mass)
             for outcome, mass in self.items()
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, object]) -> "FiniteDistribution":
-        return cls(
-            {outcome_from_json(key): parse_rational(value) for key, value in obj.items()}
-        )
 
 
 def statistical_distance(p: FiniteDistribution, q: FiniteDistribution) -> Fraction:

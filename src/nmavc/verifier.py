@@ -259,42 +259,44 @@ def _check_member(
     _check_budget(code.seed_count, budget, "tampering experiment")
 
 
-def tamper_distribution_fn(
-    code: StochasticCode,
-    f: TamperingFunction,
-    m: str,
-    budget: Optional[int] = None,
-) -> FiniteDistribution:
-    """Exact law of decode(f(enc[m][r])) over the uniform encoder seed."""
+def tamper_map(
+    code: StochasticCode, f: TamperingFunction, budget: Optional[int] = None
+) -> dict[str, FiniteDistribution]:
+    """Exact law of decode(f(enc[m][r])) over the uniform encoder seed,
+    for every message m.
+
+    Validates the code and f once, then runs the experiment seed by
+    seed: one f.apply and one decode per codeword, outcomes counted over
+    2^rho.  Costs 2^rho per message.
+    """
     code.check_correctness()
-    if m not in code.enc:
-        raise InvalidInstanceError(f"{m!r} is not a message of the code (k={code.k})")
     _check_member(code, f, budget)
     if f is BOT_MAP:
-        return FiniteDistribution.point(BOT)
-    share = Fraction(1, code.seed_count)
-    masses: dict = {}
-    for word in code.enc[m]:
-        outcome = code.decode(f.apply(word))
-        masses[outcome] = masses.get(outcome, Fraction(0)) + share
-    return FiniteDistribution(masses)
+        return {m: FiniteDistribution.point(BOT) for m in code.messages()}
+    laws = {}
+    for m in code.messages():
+        counts: dict = {}
+        for word in code.enc[m]:
+            outcome = code.decode(f.apply(word))
+            counts[outcome] = counts.get(outcome, 0) + 1
+        laws[m] = FiniteDistribution.from_counts(counts, code.seed_count)
+    return laws
 
 
-def tamper_distribution_channel(
-    code: StochasticCode,
-    seq: StateSequence,
-    m: str,
-    budget: Optional[int] = None,
-) -> FiniteDistribution:
-    """Exact law of decode(y), y drawn from the channel sequence on enc[m][r].
+def channel_map(
+    code: StochasticCode, seq: StateSequence, budget: Optional[int] = None
+) -> dict[str, FiniteDistribution]:
+    """Exact law of decode(y), y drawn from the channel sequence on
+    enc[m][r], for every message m.
 
     Computed in integers, without the elementary-pattern decomposition:
     every channel entry of seq is scaled by the lcm D of the entries'
     denominators, so a codeword's output law over all |Y|^n words is the
-    outer product of its per-position integer rows, with total D^n.  The
-    laws are summed over the 2^rho seeds and read through the code's
-    decoder table (one decode per word, kept on the code) into outcome
-    counts over D^n 2^rho.  Costs 2^rho |Y|^n.
+    outer product of its per-position integer rows, with total D^n.  A
+    message's laws are summed over the 2^rho seeds and read through the
+    code's decoder table (one decode per word, kept on the code) into
+    outcome counts over D^n 2^rho.  The checks, D and the integer rows
+    are set up once per sequence.  Costs 2^rho |Y|^n per message.
     """
     code.check_correctness()
     if seq.extended != code.erasures:
@@ -305,8 +307,6 @@ def tamper_distribution_channel(
         )
     if seq.n != code.n:
         raise InvalidInstanceError(f"sequence length {seq.n} != n={code.n}")
-    if m not in code.enc:
-        raise InvalidInstanceError(f"{m!r} is not a message of the code (k={code.k})")
     symbols = len(seq.channels[0].output_symbols)
     _check_budget(code.seed_count * symbols ** code.n, budget, "channel experiment")
     scale = math.lcm(
@@ -316,30 +316,23 @@ def tamper_distribution_channel(
         [[p.numerator * (scale // p.denominator) for p in row] for row in ch.rows]
         for ch in seq.channels
     ]
-    weights = [0] * symbols ** code.n
-    for word in code.enc[m]:
-        law = [1]
-        for j, ch_rows in enumerate(rows):
-            row = ch_rows[(word >> j) & 1]
-            law = [a * b for a in law for b in row]
-        weights = list(map(operator.add, weights, law))
-    outcomes = _outcome_index(code)
-    counts = [0] * len(outcomes)
-    for y, w in zip(code.decoder_table(), weights):
-        counts[y] += w
-    return FiniteDistribution.from_counts(
-        dict(zip(outcomes, counts)), scale ** code.n * code.seed_count
-    )
-
-
-def tamper_map(
-    code: StochasticCode, f: TamperingFunction, budget: Optional[int] = None
-) -> dict[str, FiniteDistribution]:
-    """Tamper distribution for every message under one function."""
-    return {
-        m: tamper_distribution_fn(code, f, m, budget=budget)
-        for m in code.messages()
-    }
+    table = code.decoder_table()
+    outcomes = list(_outcome_index(code))
+    total = scale ** code.n * code.seed_count
+    laws = {}
+    for m in code.messages():
+        weights = [0] * symbols ** code.n
+        for word in code.enc[m]:
+            law = [1]
+            for j, ch_rows in enumerate(rows):
+                row = ch_rows[(word >> j) & 1]
+                law = [a * b for a in law for b in row]
+            weights = list(map(operator.add, weights, law))
+        counts = [0] * len(outcomes)
+        for y, w in zip(table, weights):
+            counts[y] += w
+        laws[m] = FiniteDistribution.from_counts(dict(zip(outcomes, counts)), total)
+    return laws
 
 
 @dataclass(frozen=True)
@@ -453,13 +446,22 @@ def optimal_simulator(
     else:
         simulator = _simulator_lp(messages, tamper_by_message)
 
+    epsilon, worst, per_message = _worst_case(tamper_by_message, simulator)
+    return NMReport(epsilon, simulator, worst, per_message)
+
+
+def _worst_case(
+    laws: Mapping[str, FiniteDistribution], simulator: FiniteDistribution
+) -> tuple[Fraction, str, dict[str, Fraction]]:
+    """(epsilon, worst, per_message): the SD of every message's law to
+    Copy(simulator, m), their maximum epsilon, and the least message
+    that reaches it."""
     per_message = {
-        m: statistical_distance(tamper_by_message[m], apply_copy(simulator, m))
-        for m in messages
+        m: statistical_distance(law, apply_copy(simulator, m)) for m, law in laws.items()
     }
     epsilon = max(per_message.values())
     worst = min(m for m, sd in per_message.items() if sd == epsilon)
-    return NMReport(epsilon, simulator, worst, per_message)
+    return epsilon, worst, per_message
 
 
 def function_key(f: TamperingFunction) -> str:
@@ -736,16 +738,9 @@ def verify_mixture(
     certificate, and the laws only the channels, so the two routes stay
     independent.
     """
-    laws = {
-        m: tamper_distribution_channel(code, seq, m, budget=budget)
-        for m in code.messages()
-    }
+    laws = channel_map(code, seq, budget=budget)
     d_s, weighted_bound, pattern_max = _mixture(weights, certificate, member_of)
-    per_message = {
-        m: statistical_distance(law, apply_copy(d_s, m)) for m, law in laws.items()
-    }
-    ds_sd = max(per_message.values())
-    worst = min(m for m, sd in per_message.items() if sd == ds_sd)
+    ds_sd, worst, _ = _worst_case(laws, d_s)
     if not ds_sd <= weighted_bound <= pattern_max:
         raise VerificationError(
             f"mixture bound violated: ds_sd={ds_sd}, "
@@ -786,13 +781,12 @@ class TransferReport:
 def verify_transfer(
     code: StochasticCode,
     seq: StateSequence,
+    certificate: FamilyCertificate,
     budget: Optional[int] = None,
-    certificate: Optional[FamilyCertificate] = None,
 ) -> TransferReport:
-    """Check the bit-family-to-AVC transfer on one binary state sequence:
-    the mixture check, eps_channel <= ds_sd and pattern_max <= eps_bit."""
-    if certificate is None:
-        certificate = certify_bit_family(code, budget=budget)
+    """Check the bit-family-to-AVC transfer on one binary state sequence
+    against the code's bit-family certificate: the mixture check,
+    eps_channel <= ds_sd and pattern_max <= eps_bit."""
     mixture = verify_mixture(
         code, seq, seq.mixture_weights(), certificate, budget=budget
     )

@@ -16,6 +16,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from nmavc import (
+    BOT,
+    SAME_STAR,
     AffineFunction,
     BitAction,
     BITFunction,
@@ -29,7 +31,8 @@ from nmavc import (
     apply_copy,
     decompose,
     gf2_invert,
-    tamper_distribution_fn,
+    parse_rational,
+    tamper_map,
 )
 from nmavc.errors import (
     BudgetExceededError,
@@ -484,7 +487,7 @@ def tamper_distribution_channel_mixture(
 ) -> FiniteDistribution:
     """Channel tamper law via the elementary-pattern mixture (cross-check)."""
     components = [
-        (weight, tamper_distribution_fn(code, BITFunction(pattern), m))
+        (weight, tamper_map(code, BITFunction(pattern))[m])
         for pattern, weight in fraction_weights(seq)
     ]
     return mix(components)
@@ -686,6 +689,22 @@ def random_full_rank(m: int, n: int, seed_or_rng) -> GF2Matrix:
         g = GF2Matrix(rows, n)
         if g.rank() == m:
             return g
+
+
+def outcome_from_json(text: str):
+    """The outcome a distribution's JSON key names."""
+    if text == "bot":
+        return BOT
+    if text == "same*":
+        return SAME_STAR
+    return text
+
+
+def distribution_from_json(obj: dict) -> FiniteDistribution:
+    """Parse FiniteDistribution.to_json's {outcome: rational string}."""
+    return FiniteDistribution(
+        {outcome_from_json(key): parse_rational(value) for key, value in obj.items()}
+    )
 
 
 def affine_from_json(obj: dict) -> AffineFunction:

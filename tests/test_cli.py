@@ -203,6 +203,19 @@ def test_nm_verify_malformed_channel_exit_2(runner, tmp_path, channel, inline):
     ))
 
 
+@pytest.mark.parametrize(
+    "listing",
+    [{"sequences": 5}, {"sequences": [5]}, {"sequences": [["a"]], "channels": 3}],
+    ids=["sequences-not-list", "row-not-list", "channels-not-object"],
+)
+def test_nm_verify_malformed_sequences_exit_2(runner, tmp_path, listing):
+    code = write(tmp_path, "code.json", IDENTITY_CODE_K1)
+    seqs = write(tmp_path, "seqs.json", listing)
+    assert_invalid_input(runner.invoke(
+        main, ["nm-verify", code, "--sequences", seqs, "--budget", "1000"]
+    ))
+
+
 def test_nm_verify_threshold_failure(runner, tmp_path):
     # The linear repetition code has bit-family epsilon 1/2 (offset
     # attack), which misses a threshold of 1/4.
@@ -586,7 +599,9 @@ def test_text_format(runner, tmp_path):
 # were merged, (certify-inner) before induced maps were built from
 # their closed form alone, (decompose) before the binary and
 # erasure-extended channel classes became one, and (composed-demo, the
-# exhaustive shipped demo) before the pattern mixtures became integer;
+# exhaustive shipped demo) before the pattern mixtures became integer,
+# and (search-k1n4, nm-verify-bit) before the tamper experiments
+# returned every message's law in one call;
 # the whole JSON must stay the same apart from the timestamp and the
 # input paths the provenance echoes.
 
@@ -619,9 +634,16 @@ def report_without_run_fields(path) -> dict:
          "golden_decompose_lifted_bsc.json"),
         (["decompose", str(DATA / "channel_erase.json")],
          "golden_decompose_erase.json"),
+        (["search", "--k", "1", "--n", "4", "--rho", "2", "--trials", "200",
+          "--seed", "404"],
+         "golden_search_k1n4.json"),
+        (["nm-verify", str(DATA / "transfer_code.json"), "--family", "bit",
+          "--budget", "1000"],
+         "golden_nm_verify_bit.json"),
     ],
     ids=["nm-verify-sequences", "composed-verify", "composed-demo", "certify-inner",
-         "decompose-alpha3", "decompose-lifted-bsc", "decompose-erase"],
+         "decompose-alpha3", "decompose-lifted-bsc", "decompose-erase",
+         "search-k1n4", "nm-verify-bit"],
 )
 def test_report_matches_golden(runner, tmp_path, args, golden):
     out = tmp_path / "report.json"

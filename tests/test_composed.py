@@ -19,13 +19,13 @@ from nmavc import (
     StochasticCode,
     all_bitstrings,
     certify_induced_family,
+    channel_map,
     delta_exact,
     enumerate_bit_functions,
     induced_family,
     induced_tamper,
     recovery_probability,
     search_nm_code,
-    tamper_distribution_channel,
     verify_composed,
 )
 from nmavc import channels, composed, simplex, verifier
@@ -235,20 +235,19 @@ def test_channel_experiment_matches_composed_oracle(make_scheme):
         seq = StateSequence(
             [random_extended_channel(rng) for _ in range(scheme.n)]
         )
+        laws = channel_map(scheme, seq)
         for m in scheme.messages():
-            assert tamper_distribution_channel(scheme, seq, m) == (
-                composed_tamper_distribution(scheme, seq, m)
-            )
+            assert laws[m] == composed_tamper_distribution(scheme, seq, m)
 
 
 def test_composed_scheme_rejects_binary_sequence():
     scheme = small_scheme()
     seq = StateSequence.uniform(Channel.bsc(F(3, 10)), scheme.n)
     with pytest.raises(InvalidInstanceError):
-        tamper_distribution_channel(scheme, seq, "0")
+        channel_map(scheme, seq)
     plain = StateSequence.uniform(Channel.bec(F(1, 10)), scheme.inner.n)
     with pytest.raises(InvalidInstanceError):
-        tamper_distribution_channel(scheme.inner, plain, "0")
+        channel_map(scheme.inner, plain)
 
 # -------------------------------------------------------------- verification
 
@@ -359,10 +358,9 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
     assert len(solves) == 27
 
 
-def test_verify_composed_decomposes_each_state_once(monkeypatch):
-    # The demo's 242 sequences share its three state objects: each is
-    # decomposed once, on first use, and keeps its decomposition.
-    scheme = parity45_scheme()
+def demo_sequences(scheme):
+    """The demo's three states and its 242 sequences over them: every
+    length-n row but the all-erasure one."""
     bec_state = Channel.bec(F(1, 10))
     states = [
         bec_state,
@@ -373,6 +371,14 @@ def test_verify_composed_decomposes_each_state_once(monkeypatch):
         StateSequence(row) for row in product(states, repeat=scheme.n)
         if set(row) != {bec_state}
     ]
+    return states, sequences
+
+
+def test_verify_composed_decomposes_each_state_once(monkeypatch):
+    # The demo's 242 sequences share its three state objects: each is
+    # decomposed once, on first use, and keeps its decomposition.
+    scheme = parity45_scheme()
+    states, sequences = demo_sequences(scheme)
     decomposed = []
     decompose = channels.decompose
 
@@ -386,3 +392,12 @@ def test_verify_composed_decomposes_each_state_once(monkeypatch):
     assert len(decomposed) == 3
     assert {id(ch) for ch in decomposed} == {id(ch) for ch in states}
 
+
+def test_verify_composed_runs_one_channel_experiment_per_sequence(monkeypatch):
+    # Each sequence's laws for both messages come from one channel_map
+    # call, which sets the sequence's integer rows up once.
+    scheme = parity45_scheme()
+    _, sequences = demo_sequences(scheme)
+    experiments = counting(monkeypatch, verifier, "channel_map")
+    verify_composed(scheme, sequences, SpecialStateSpec(F(1, 10), scheme.n))
+    assert len(experiments) == len(sequences) == 242

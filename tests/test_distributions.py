@@ -24,6 +24,7 @@ from nmavc.errors import (
 )
 from oracles import (
     add_fractions_bigint,
+    distribution_from_json,
     mix,
     random_distribution,
     sd_event_oracle,
@@ -133,7 +134,7 @@ def test_distribution_equality_and_hash():
 
 def test_json_round_trip():
     d = FiniteDistribution({SAME_STAR: F(2, 5), BOT: F(1, 5), "01": F(2, 5)})
-    assert FiniteDistribution.from_json(d.to_json()) == d
+    assert distribution_from_json(d.to_json()) == d
 
 
 def test_all_bitstrings():

@@ -28,11 +28,10 @@ from nmavc import (
     apply_copy,
     certify_bit_family,
     certify_family,
+    channel_map,
     optimal_simulator,
     search_nm_code,
     statistical_distance,
-    tamper_distribution_channel,
-    tamper_distribution_fn,
     tamper_map,
     verify_transfer,
 )
@@ -113,14 +112,14 @@ def test_code_json_round_trip():
 
 def test_keep_yields_point_mass_on_message():
     code = identity_code(3)
+    laws = tamper_map(code, BITFunction.from_string("KKK"))
     for m in ("000", "101"):
-        got = tamper_distribution_fn(code, BITFunction.from_string("KKK"), m)
-        assert got == point(m)
+        assert laws[m] == point(m)
 
 
 def test_constant_function_yields_constant_image():
     code = identity_code(2)
-    got = tamper_distribution_fn(code, BITFunction.from_string("00"), "10")
+    got = tamper_map(code, BITFunction.from_string("00"))["10"]
     assert got == point("00")
 
 
@@ -129,51 +128,39 @@ def test_offset_attack_on_linear_code():
     # message by all-ones: the textbook malleability of linear codes.
     g = GF2Matrix.from_rows(["101", "011"])
     code = linear_code(g)
-    f = offset_attack(g)
+    laws = tamper_map(code, offset_attack(g))
     for m in all_bitstrings(2):
         expected = "".join("1" if ch == "0" else "0" for ch in m)
-        assert tamper_distribution_fn(code, f, m) == point(expected)
+        assert laws[m] == point(expected)
 
 
 def test_affine_function_tampering():
     code = identity_code(2)
     f = bit_to_affine(BITFunction.from_string("F1"))
-    assert tamper_distribution_fn(code, f, "00") == point("11")
-
-
-def test_tamper_fn_rejects_non_message():
-    # Right length, but not a message of the code.
-    with pytest.raises(InvalidInstanceError):
-        tamper_distribution_fn(identity_code(1), BITFunction.from_string("K"), "2")
-
-
-def test_tamper_channel_rejects_non_message():
-    seq = StateSequence([identity_channel()])
-    with pytest.raises(InvalidInstanceError):
-        tamper_distribution_channel(identity_code(1), seq, "2")
+    assert tamper_map(code, f)["00"] == point("11")
 
 
 def test_erase_rejected_on_plain_code():
     code = identity_code(2)
     with pytest.raises(InvalidInstanceError):
-        tamper_distribution_fn(code, BITFunction.from_string("KE"), "00")
+        tamper_map(code, BITFunction.from_string("KE"))
 
 
 def test_channel_tamper_identity_and_constant():
     code = identity_code(2)
     ident = StateSequence.uniform(identity_channel(), 2)
-    assert tamper_distribution_channel(code, ident, "10") == point("10")
+    assert channel_map(code, ident)["10"] == point("10")
 
     set0 = StateSequence.uniform(
         Channel.from_rows([[1, 0], [1, 0]]), 2
     )
-    assert tamper_distribution_channel(code, set0, "10") == point("00")
+    assert channel_map(code, set0)["10"] == point("00")
 
 
 def test_channel_tamper_single_bsc():
     code = identity_code(1)
     seq = StateSequence([Channel.bsc(F(3, 10))])
-    got = tamper_distribution_channel(code, seq, "1")
+    got = channel_map(code, seq)["1"]
     assert got == FiniteDistribution({"1": F(7, 10), "0": F(3, 10)})
 
 
@@ -185,10 +172,10 @@ def test_product_equals_mixture_for_codes():
         code = search_nm_code(k=1, n=n, rho=rho, trials=trials, seed=1).code
         for _ in range(2):
             seq = StateSequence([random_binary_channel(rng) for _ in range(n)])
+            direct = channel_map(code, seq)
             for m in code.messages():
-                direct = tamper_distribution_channel(code, seq, m)
                 mixture = tamper_distribution_channel_mixture(code, seq, m)
-                assert direct == mixture
+                assert direct[m] == mixture
 
 
 def test_channel_route_reads_no_decomposition(monkeypatch):
@@ -204,15 +191,14 @@ def test_channel_route_reads_no_decomposition(monkeypatch):
         Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]),
         Channel.bsc(F(1, 2)),
     ])
-    for m in code.messages():
-        tamper_distribution_channel(code, seq, m)
+    channel_map(code, seq)
 
 
 def test_budget_errors():
     code = identity_code(2)
     seq = StateSequence.uniform(identity_channel(), 2)
     with pytest.raises(BudgetExceededError):
-        tamper_distribution_channel(code, seq, "00", budget=1)
+        channel_map(code, seq, budget=1)
     with pytest.raises(BudgetExceededError):
         certify_bit_family(code, budget=3)
 
@@ -378,10 +364,11 @@ def test_verify_transfer_trivial_sequences():
     assert report.eps_channel == 0
 
 
-def test_verify_transfer_builds_certificate_on_demand():
+def test_verify_transfer_single_bsc():
     code = identity_code(1)
     seq = StateSequence([Channel.bsc(F(3, 10))])
-    report = verify_transfer(code, seq, budget=10_000)
+    cert = certify_bit_family(code, budget=10_000)
+    report = verify_transfer(code, seq, cert, budget=10_000)
     assert report.eps_bit == F(1, 2)  # the Flip pattern
     assert report.eps_channel == 0  # symmetric noise is simulatable
 
@@ -438,16 +425,6 @@ def test_certificates_reverify():
             for m in code.messages()
         )
         assert worst == result.certificate.per_function[f]
-
-
-def test_thread_cap_does_not_change_results(monkeypatch):
-    code = identity_code(2)
-    sequential = certify_bit_family(code)
-    monkeypatch.setenv("NMAVC_THREADS", "4")
-    threaded = certify_bit_family(code)
-    assert sequential.epsilon == threaded.epsilon
-    assert sequential.per_function == threaded.per_function
-    assert sequential.simulators == threaded.simulators
 
 
 # ------------------------------------------------- batched count profiles
@@ -601,10 +578,9 @@ def test_channel_law_matches_fraction_product(data):
     seq = StateSequence(
         [data.draw(channels(code.erasures)) for _ in range(code.n)]
     )
+    laws = channel_map(code, seq)
     for m in code.messages():
-        assert tamper_distribution_channel(code, seq, m) == (
-            product_tamper_distribution(code, seq, m)
-        )
+        assert laws[m] == product_tamper_distribution(code, seq, m)
 
 
 def test_channel_law_beyond_int64_matches_fraction_product():
@@ -622,10 +598,9 @@ def test_channel_law_beyond_int64_matches_fraction_product():
 
     seq = StateSequence([Channel.from_rows([row(), row()]) for _ in range(5)])
     assert 10007**5 * code.seed_count >= 2**63
+    laws = channel_map(code, seq)
     for m in code.messages():
-        assert tamper_distribution_channel(code, seq, m) == (
-            product_tamper_distribution(code, seq, m)
-        )
+        assert laws[m] == product_tamper_distribution(code, seq, m)
 
 
 def eager_error(code, functions, budget):
@@ -688,13 +663,13 @@ def test_search_lp_count_is_pinned(monkeypatch):
 
 def test_search_validates_the_family_once(monkeypatch):
     # The 256 members are checked once for all 200 codes; the only other
-    # checks are the string-level experiment's, one per message on each
-    # of the 144 LP-cache misses.
+    # checks are the seed-by-seed experiment's, one on each of the 144
+    # LP-cache misses.
     checks = counting(monkeypatch, "_check_member")
     experiments = counting(monkeypatch, "tamper_map")
     search_nm_code(1, 4, 2, trials=200, seed=404)
     assert len(experiments) == 144
-    assert len(checks) == 4**4 + 2 * 144
+    assert len(checks) == 4**4 + 144
 
 
 def test_tamper_map_runs_once_per_cache_miss(monkeypatch):
