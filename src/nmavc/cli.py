@@ -384,7 +384,9 @@ def _extended_channel(obj) -> Channel:
     return channel if channel.extended else channel.to_extended()
 
 
-def _composed_sequences(spec_obj, names, special_name, n) -> tuple[list, bool]:
+def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[list, bool]:
+    """(rows, exhaustive); a random count above a non-null budget stops
+    before the first row is drawn."""
     listing = spec_obj["sequences"]
     if listing == "exhaustive":
         from itertools import product as iproduct
@@ -400,6 +402,10 @@ def _composed_sequences(spec_obj, names, special_name, n) -> tuple[list, bool]:
         if any(not isinstance(v, int) or isinstance(v, bool) for v in (count, seed)):
             _fail(EXIT_INVALID_INPUT,
                   'random sequences need {"random": count, "seed": seed}')
+        if budget is not None and count > budget:
+            raise BudgetExceededError(
+                f"spec draws {count} random sequences, budget {budget}"
+            )
         rng = random.Random(seed)
         rows = []
         while len(rows) < count:
@@ -478,7 +484,9 @@ def cmd_composed_verify(spec_file, threshold, out, fmt):
         if names == [special_name]:
             _fail(EXIT_INVALID_INPUT,
                   "states need at least one channel besides the special state")
-        rows, exhaustive = _composed_sequences(spec_obj, names, special_name, scheme.n)
+        rows, exhaustive = _composed_sequences(
+            spec_obj, names, special_name, scheme.n, budget
+        )
         if not rows:
             _fail(EXIT_INVALID_INPUT, "no sequences to verify")
         sequences = [

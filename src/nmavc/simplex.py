@@ -1,4 +1,5 @@
-"""Exact two-phase simplex with Bland's anti-cycling rule, fraction-free.
+"""Exact two-phase simplex with Bland's anti-cycling rule, fraction-free
+and sparse.
 
 Solves  minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 exactly by integer-preserving (Bareiss) elimination: no gcd inside the
@@ -17,145 +18,192 @@ here moves either: L scales every slack, artificial and the phase-1
 objective alike, the objective row carries the positive factors d and
 lcm(den c), and d cancels in every ratio.  So the entering columns,
 ratio minima, ties and zero patterns, hence the pivots and the returned
-vertex, are those of the plain rational tableau.  A separate scale per
+vertex, are those of the plain rational tableau.  A separate scale L per
 row would not be safe: it reweights the phase-1 objective.
+
+The rows are sparse, and a pivot touches nonzeros only.  Each row is a
+dict from column to nonzero int, the right-hand side under the key
+`width` past the last column, so its keys are exactly its support; the
+LPs met here are mostly zeros (a simulator LP row has at most four
+nonzeros, and the k=2 tableaus stay ~85 % zeros).  Where T[r][j] = 0
+the pivot only rescales T[r] by p / d, which keeps zeros zero; and the
+cross term -T[r][j] * T[i] / d reaches only the pivot row's support.
+Entries that cancel to 0 are deleted.  The rescale is deferred: row r
+is stored as integers over the d of its last update, scales[r], and
+stands for the Bareiss row tableau[r] * d / scales[r], an exact
+division.  Its next update folds the deferred factor in, as
+(T[r] * p - T[r][j] * T[i]) / scales[r], which equals the eager result,
+so a row with no entry in the pivot column costs nothing.  The objective
+row is always updated, and a row is brought to d before it is pivoted
+on or priced.  Signs and each row's rhs/coef are unchanged by the
+positive factor d / scales[r], so Bland's choices are those above.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import LPInfeasibleError, LPUnboundedError
 
+Rational = Union[int, Fraction]
+
 
 def solve_min(
-    c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
-    b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
+    c: Sequence[Rational],
+    a_ub: Sequence[Mapping[int, Rational]] = (),
+    b_ub: Sequence[Rational] = (),
+    a_eq: Sequence[Mapping[int, Rational]] = (),
+    b_eq: Sequence[Rational] = (),
 ) -> tuple[list[Fraction], Fraction]:
     """Exact LP solve; returns (x, objective value).
 
-    Raises LPInfeasibleError / LPUnboundedError.  Fully deterministic:
-    Bland's rule picks the lowest-index entering column and, on ratio
-    ties, the row whose basic variable has the lowest index.
+    Each constraint row maps a column in range(len(c)) to its
+    coefficient; absent columns (and explicit zeros) are 0.  Raises
+    LPInfeasibleError / LPUnboundedError.  Fully deterministic: Bland's
+    rule picks the lowest-index entering column and, on ratio ties, the
+    row whose basic variable has the lowest index.
     """
     n = len(c)
-    c = [Fraction(v) for v in c]
-    rows: list[list[Fraction]] = []
+    rows: list[tuple[dict[int, Rational], Rational]] = []
     kinds: list[str] = []
     for kind, a, b in (("eq", a_eq, b_eq), ("ub", a_ub, b_ub)):
         for row, rhs in zip(a, b):
-            # Fraction(v) would copy a Fraction, at the cost of a gcd.
-            row = [v if type(v) is Fraction else Fraction(v) for v in (*row, rhs)]
-            rows.append(row)
+            rows.append(({j: v for j, v in row.items() if v}, rhs))
             # A negative-rhs `ub` row is negated into -row . x >= -b > 0,
             # which needs a surplus and an artificial.
-            kinds.append("ge" if kind == "ub" and row[-1] < 0 else kind)
-    m = len(rows)
-    scale = math.lcm(*{v.denominator for row in rows for v in row})
+            kinds.append("ge" if kind == "ub" and rhs < 0 else kind)
+    scale = math.lcm(
+        *{v.denominator for row, _ in rows for v in row.values()},
+        *{rhs.denominator for _, rhs in rows},
+    )
 
     n_slack = sum(1 for kind in kinds if kind in ("ub", "ge"))
     n_art = sum(1 for kind in kinds if kind in ("eq", "ge"))
     width = n + n_slack + n_art
-    tableau: list[list[int]] = []
+    rhs_key = width
+    tableau: list[dict[int, int]] = []
     basis: list[int] = []
     slack_at = n
     art_at = n + n_slack
     artificial_cols = set(range(art_at, width))
-    for row, kind in zip(rows, kinds):
-        sign = -1 if row[-1] < 0 else 1
-        ints = [sign * v.numerator * (scale // v.denominator) for v in row]
-        full = ints[:-1] + [0] * (n_slack + n_art) + ints[-1:]
+    for (row, rhs), kind in zip(rows, kinds):
+        sign = -1 if rhs < 0 else 1
+        ints = {
+            j: sign * v.numerator * (scale // v.denominator) for j, v in row.items()
+        }
+        if rhs:
+            ints[rhs_key] = sign * rhs.numerator * (scale // rhs.denominator)
         if kind != "eq":
-            full[slack_at] = 1 if kind == "ub" else -1
+            ints[slack_at] = 1 if kind == "ub" else -1
             slack_at += 1
         if kind == "ub":
             basis.append(slack_at - 1)
         else:
-            full[art_at] = 1
+            ints[art_at] = 1
             basis.append(art_at)
             art_at += 1
-        tableau.append(full)
+        tableau.append(ints)
     d = 1  # common positive denominator of the whole tableau
+    # Row r is stored over its own denominator scales[r], the d of its last
+    # update: its Bareiss row at the current d is tableau[r] * d / scales[r].
+    scales = [1] * len(tableau)
 
-    def reduced_costs(cost: list[int]) -> list[int]:
-        """d times the reduced-cost row of an integer cost vector."""
-        obj = [v * d for v in cost] + [0]
+    def current(i: int) -> dict[int, int]:
+        """Row i brought to the current d."""
+        e = scales[i]
+        if e != d:
+            tableau[i] = {k: v * d // e for k, v in tableau[i].items()}
+            scales[i] = d
+        return tableau[i]
+
+    def reduced_costs(cost: dict[int, int]) -> dict[int, int]:
+        """d times the reduced-cost row of a sparse integer cost vector."""
+        obj = {j: v * d for j, v in cost.items()}
         for i, bvar in enumerate(basis):
-            cb = cost[bvar]
-            if cb != 0:
-                obj = [o - cb * v for o, v in zip(obj, tableau[i])]
+            cb = cost.get(bvar)
+            if cb:
+                for j, v in current(i).items():
+                    o = obj.get(j, 0) - cb * v
+                    if o:
+                        obj[j] = o
+                    else:
+                        del obj[j]
         return obj
 
-    def pivot(i: int, j: int, obj: Optional[list[int]]) -> None:
-        """Bareiss pivot on T[i][j], updating `obj` too when given."""
+    def pivot(i: int, j: int, obj: Optional[dict]) -> Optional[dict]:
+        """Bareiss pivot on T[i][j]; returns the updated `obj` when given."""
         nonlocal d
-        prow = tableau[i]
+        prow = current(i)
         p = prow[j]
         if p < 0:
             # Only a phase-1 drive-out pivot can be negative; negating the
             # pivot row negates the next tableau and keeps d positive.
             p = -p
-            tableau[i] = prow = [-v for v in prow]
-        support = [(k, w) for k, w in enumerate(prow) if w]
-        others = tableau[:i] + tableau[i + 1:]
-        if obj is not None:
-            others.append(obj)
-        for row in others:
-            f = row[j]
-            # Off the pivot row's support the cross term vanishes.
-            crossed = (
-                [(k, (row[k] * p - f * w) // d) for k, w in support] if f else ()
-            )
-            if p != d:
-                row[:] = [v * p // d for v in row]
-            for k, v in crossed:
-                row[k] = v
-        d = p
-        basis[i] = j
+            tableau[i] = prow = {k: -w for k, w in prow.items()}
+        support = [(k, w) for k, w in prow.items() if k != j]
 
-    def iterate(obj: list[int], banned: set[int]) -> list[int]:
+        def eliminate(row: dict[int, int], e: int) -> dict[int, int]:
+            """(row * p - row[j] * prow) / e for a row over e with row[j] != 0."""
+            f = row.pop(j)
+            get = row.get
+            # From the old entries: on the support v * p // e need not be exact.
+            crossed = {k: (get(k, 0) * p - f * w) // e for k, w in support}
+            new = row if p == e else {k: v * p // e for k, v in row.items()}
+            new.update(crossed)
+            if 0 in crossed.values():
+                for k in [k for k, v in crossed.items() if not v]:
+                    del new[k]
+            return new
+
+        for r, row in enumerate(tableau):
+            if r != i and j in row:
+                tableau[r] = eliminate(row, scales[r])
+                scales[r] = p
+        if obj is not None:
+            obj = eliminate(obj, d)
+        scales[i] = d = p
+        basis[i] = j
+        return obj
+
+    def iterate(obj: dict[int, int], banned: set[int]) -> dict[int, int]:
         while True:
-            entering = next(
-                (j for j in range(width) if j not in banned and obj[j] < 0), None
+            entering = min(
+                (k for k, v in obj.items() if v < 0 and k not in banned), default=None
             )
             if entering is None:
                 return obj
             leaving = None
             best_num = best_den = 0
-            for i in range(m):
-                row = tableau[i]
-                coef = row[entering]
+            for i, row in enumerate(tableau):
+                coef = row.get(entering, 0)
                 if coef > 0:
                     # Compare rhs/coef with best_num/best_den (d cancels).
-                    lhs = row[-1] * best_den
+                    b = row.get(rhs_key, 0)
+                    lhs = b * best_den
                     rhs = best_num * coef
                     if (
                         leaving is None
                         or lhs < rhs
                         or (lhs == rhs and basis[i] < basis[leaving])
                     ):
-                        best_num, best_den = row[-1], coef
+                        best_num, best_den = b, coef
                         leaving = i
             if leaving is None:
                 raise LPUnboundedError("objective unbounded below")
-            pivot(leaving, entering, obj)
+            obj = pivot(leaving, entering, obj)
 
     if n_art:
-        phase1_cost = [0] * (n + n_slack) + [1] * n_art
-        obj = iterate(reduced_costs(phase1_cost), banned=set())
-        if obj[-1] < 0:
-            optimum = Fraction(-obj[-1], d * scale)
+        obj = iterate(reduced_costs(dict.fromkeys(artificial_cols, 1)), {rhs_key})
+        if obj.get(rhs_key, 0) < 0:
+            optimum = Fraction(-obj[rhs_key], d * scale)
             raise LPInfeasibleError(f"phase 1 optimum {optimum} > 0")
         # Drive any artificial still in the basis out of it, or drop the row.
         drop: list[int] = []
-        for i in range(m):
+        for i in range(len(tableau)):
             if basis[i] in artificial_cols:
-                target = next((j for j in range(n + n_slack) if tableau[i][j]), None)
+                target = min((k for k in tableau[i] if k < n + n_slack), default=None)
                 if target is None:
                     drop.append(i)
                 else:
@@ -163,16 +211,17 @@ def solve_min(
         for i in reversed(drop):
             del tableau[i]
             del basis[i]
-        m = len(tableau)
+            del scales[i]
 
     c_scale = math.lcm(*(v.denominator for v in c))
-    phase2_cost = [v.numerator * (c_scale // v.denominator) for v in c]
-    phase2_cost += [0] * (n_slack + n_art)
-    iterate(reduced_costs(phase2_cost), banned=artificial_cols)
+    phase2_cost = {
+        j: v.numerator * (c_scale // v.denominator) for j, v in enumerate(c) if v
+    }
+    iterate(reduced_costs(phase2_cost), artificial_cols | {rhs_key})
 
     solution = [Fraction(0)] * n
     for i, bvar in enumerate(basis):
         if bvar < n:
-            solution[bvar] = Fraction(tableau[i][-1], d)
+            solution[bvar] = Fraction(tableau[i].get(rhs_key, 0), scales[i])
     value = sum((ci * xi for ci, xi in zip(c, solution)), Fraction(0))
     return solution, value

@@ -378,29 +378,24 @@ def _simulator_lp(
     def t_col(mi: int, yi: int) -> int:
         return nd + mi * ny + yi
 
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    zero_row = [Fraction(0)] * n_vars
+    a_ub: list[dict[int, int]] = []
+    b_ub: list[int | Fraction] = []
     for mi, m in enumerate(messages):
         t_m = tamper_by_message[m]
         for yi, y in enumerate(y_outcomes):
-            row = zero_row.copy()
-            row[d_col[y]] = Fraction(-1)
+            row = {d_col[y]: -1, t_col(mi, yi): -1}
             if y == m:
-                row[d_col[SAME_STAR]] = Fraction(-1)
-            row[t_col(mi, yi)] = Fraction(-1)
+                row[d_col[SAME_STAR]] = -1
             a_ub.append(row)
             b_ub.append(-t_m.probability(y))
-        row = zero_row.copy()
-        for yi in range(ny):
-            row[t_col(mi, yi)] = Fraction(1)
-        row[eps_col] = Fraction(-1)
+        row = dict.fromkeys((t_col(mi, yi) for yi in range(ny)), 1)
+        row[eps_col] = -1
         a_ub.append(row)
-        b_ub.append(Fraction(0))
-    a_eq = [[Fraction(1)] * nd + [Fraction(0)] * (n_vars - nd)]
-    b_eq = [Fraction(1)]
-    c = zero_row.copy()
-    c[eps_col] = Fraction(1)
+        b_ub.append(0)
+    a_eq = [dict.fromkeys(range(nd), 1)]
+    b_eq = [1]
+    c = [0] * n_vars
+    c[eps_col] = 1
     x, _ = solve_min(c, a_ub, b_ub, a_eq, b_eq)
     return FiniteDistribution({z: x[i] for z, i in d_col.items() if x[i] != 0})
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from nmavc import (
     BOT,
@@ -239,6 +239,15 @@ def identity_code(k: int) -> StochasticCode:
     return linear_code(gf2_identity(k))
 
 
+def fixed_k2n5_code() -> StochasticCode:
+    """A fixed k=2, n=5, rho=1 code: its bit family needs 204 LPs, and
+    its certified epsilon is 2/3, first reached by KKK01."""
+    enc = {"00": ["10100", "10111"], "01": ["00110", "00111"],
+           "10": ["00000", "00001"], "11": ["01000", "10101"]}
+    dec = {word: m for m, words in enc.items() for word in words}
+    return StochasticCode.from_tables(2, 5, 1, enc, dec)
+
+
 def compose_affine(first: AffineFunction, second: AffineFunction) -> AffineFunction:
     """The affine function u -> second(first(u)) = u*M1*M2 + (d1*M2 + d2)."""
     if first.out_dim != second.in_dim:
@@ -298,16 +307,17 @@ def random_extended_channel(rng: random.Random, max_denominator: int = 10):
 
 def fraction_solve_min(
     c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
+    a_ub: Sequence[Mapping[int, Fraction]] = (),
     b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
+    a_eq: Sequence[Mapping[int, Fraction]] = (),
     b_eq: Sequence[Fraction] = (),
 ) -> tuple[list[Fraction], Fraction]:
     """Exact LP solve; returns (x, objective value).
 
-    The gcd-normalizing `Fraction` tableau that `nmavc.simplex.solve_min`
-    replaced, kept verbatim as an oracle: both must take the same Bland
-    pivots and so return the same vertex.
+    The gcd-normalizing dense `Fraction` tableau that `nmavc.simplex.solve_min`
+    replaced, kept as an oracle: both must take the same Bland pivots and
+    so return the same vertex.  It reads the same column-to-coefficient
+    rows and writes each out at width len(c).
 
     Raises LPInfeasibleError / LPUnboundedError.  Fully deterministic:
     Bland's rule picks the lowest-index entering column and, on ratio
@@ -315,11 +325,18 @@ def fraction_solve_min(
     """
     n = len(c)
     c = [Fraction(v) for v in c]
+
+    def dense(row: Mapping[int, Fraction]) -> list[Fraction]:
+        out = [ZERO] * n
+        for j, v in row.items():
+            out[j] = Fraction(v)
+        return out
+
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     kinds: list[str] = []
     for row, b in zip(a_eq, b_eq):
-        row = [Fraction(v) for v in row]
+        row = dense(row)
         b = Fraction(b)
         if b < 0:
             row = [-v for v in row]
@@ -328,7 +345,7 @@ def fraction_solve_min(
         rhs.append(b)
         kinds.append("eq")
     for row, b in zip(a_ub, b_ub):
-        row = [Fraction(v) for v in row]
+        row = dense(row)
         b = Fraction(b)
         if b < 0:
             # -row . x >= -b with -b > 0: needs a surplus and an artificial.

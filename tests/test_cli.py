@@ -436,20 +436,24 @@ def demo_spec_path() -> str:
     )
 
 
+def demo_spec_with(tmp_path, **fields) -> str:
+    """The shipped demo spec with the inner code inlined and `fields` set."""
+    spec = json.loads(Path(demo_spec_path()).read_text())
+    spec["inner_code"] = json.loads(
+        (Path(demo_spec_path()).parent / "demo_inner_code.json").read_text()
+    )
+    spec.update(fields)
+    return write(tmp_path, "spec.json", spec)
+
+
 def test_composed_verify_demo_spec(runner, tmp_path):
     # Scaled-down run of the shipped demo: random sequences keep it fast;
     # the acceptance suite runs the exhaustive version.  The inner code
     # is inlined so the spec is self-contained under tmp_path.
-    spec = json.loads(Path(demo_spec_path()).read_text())
-    spec["sequences"] = {"random": 5, "seed": 13}
-    spec["inner_code"] = json.loads(
-        (Path(demo_spec_path()).parent / "demo_inner_code.json").read_text()
-    )
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps(spec))
+    spec_file = demo_spec_with(tmp_path, sequences={"random": 5, "seed": 13})
     result = runner.invoke(
         main,
-        ["composed-verify", "--spec", str(spec_file), "--threshold", "3/8",
+        ["composed-verify", "--spec", spec_file, "--threshold", "3/8",
          "--format", "json"],
     )
     assert result.exit_code == 0, result.output
@@ -462,16 +466,33 @@ def test_composed_verify_demo_spec(runner, tmp_path):
 def test_composed_verify_demo_pattern_budget(runner, tmp_path, budget, exit_code):
     # Every demo sequence expands into 2^5 patterns (two per position);
     # a budget below that stops the run before any pattern is built.
-    spec = json.loads(Path(demo_spec_path()).read_text())
-    spec["budget"] = budget
-    spec["inner_code"] = json.loads(
-        (Path(demo_spec_path()).parent / "demo_inner_code.json").read_text()
-    )
-    spec_file = write(tmp_path, "spec.json", spec)
+    spec_file = demo_spec_with(tmp_path, budget=budget)
     result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
     assert result.exit_code == exit_code, result.output
     if exit_code == 3:
         assert "sequence expands into 32 patterns, budget 31" in result.output
+
+
+def test_composed_verify_huge_random_count_exits_3_at_once(runner, tmp_path):
+    # 10^12 rows would fill the memory long before the last was drawn.
+    spec_file = demo_spec_with(tmp_path, sequences={"random": 10**12, "seed": 1})
+    with time_limit(5):
+        result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
+    assert result.exit_code == 3, result.output
+    assert "spec draws 1000000000000 random sequences, budget 1000000" in result.output
+
+
+@pytest.mark.parametrize("count, exit_code", [(33, 3), (32, 0)])
+def test_composed_verify_random_sequence_budget(runner, tmp_path, count, exit_code):
+    # Budget 32 admits each sequence's 2^5 patterns, so only the count of
+    # random sequences decides.
+    spec_file = demo_spec_with(
+        tmp_path, budget=32, sequences={"random": count, "seed": 1}
+    )
+    result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
+    assert result.exit_code == exit_code, result.output
+    if exit_code == 3:
+        assert "spec draws 33 random sequences, budget 32" in result.output
 
 
 def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):

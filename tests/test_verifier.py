@@ -49,6 +49,7 @@ from oracles import (
     bit_to_affine,
     ds_mixture,
     ecc_encode,
+    fixed_k2n5_code,
     gf2_identity,
     grid_optimum,
     identity_channel,
@@ -498,7 +499,7 @@ def test_code_json_round_trip_keeps_tables(code):
 
 
 def test_count_profiles_wide_words():
-    """Words wider than 62 bits take the Python-int path."""
+    """Words wider than a 64-bit machine word count the same as tamper_map."""
     n = 70
     rng = random.Random(5)
     words = [int_to_bits(rng.getrandbits(n), n) for _ in range(4)]
@@ -659,6 +660,14 @@ def test_search_lp_count_is_pinned(monkeypatch):
     assert len(solves) == 129
     assert result.certificate.epsilon == F(1, 4)
     assert result.best_trial == 9
+
+
+def test_bit_family_lp_count_is_pinned(monkeypatch):
+    solves = counting(monkeypatch, "solve_min")
+    cert = certify_bit_family(fixed_k2n5_code())
+    assert len(solves) == 204
+    assert cert.epsilon == F(2, 3)
+    assert cert.worst == BITFunction.from_string("KKK01")
 
 
 def test_search_validates_the_family_once(monkeypatch):
