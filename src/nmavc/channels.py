@@ -114,11 +114,6 @@ class Channel:
         return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
 
     @classmethod
-    def bsc(cls, p) -> "Channel":
-        p = Fraction(p)
-        return cls.from_rows([[1 - p, p], [p, 1 - p]])
-
-    @classmethod
     def bec(cls, p) -> "Channel":
         p = Fraction(p)
         return cls.from_rows([[1 - p, 0, p], [0, 1 - p, p]])

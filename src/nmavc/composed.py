@@ -7,7 +7,7 @@ its output (or BOT) to the inner decoder.  Tampering the outer codeword
 with a per-bit action pattern induces an affine map (or the constant
 failure map) on the inner codeword: the induced map is built in its
 closed matrix form and checked against the actual encode/tamper/decode
-pipeline on every inner word.
+pipeline on every inner word, both sides read as tables over the words.
 
 Verification certifies the inner code against the distinct maps that a
 sequence's patterns induce, then runs the verifier's mixture check.
@@ -109,13 +109,14 @@ def _closed_form(
     """((u G M_f + Delta_f) restricted to R) G_R^{-1} as explicit (M, Delta).
 
     M_f is diagonal (1 where the action preserves the input), so G M_f
-    just masks columns of G; erased columns never appear in R.
+    just masks columns of G; erased columns never appear in R.  Products
+    with G_R^{-1} are read from its codeword table, kept per mask.
     """
-    keep_mask, delta_full, _ = f.pattern
-    masked = GF2Matrix(tuple(row & keep_mask for row in outer.rows), outer.ncols)
-    matrix = masked.submatrix_columns(recon.indices).matmul(recon.inverse)
-    delta_r = gather_bits(delta_full, recon.indices)
-    return AffineFunction(matrix, recon.inverse.vec_mul(delta_r))
+    keep, delta, _ = f.pattern
+    times_inverse = recon.inverse.codewords
+    rows = [times_inverse[gather_bits(row & keep, recon.indices)] for row in outer.rows]
+    delta_r = gather_bits(delta, recon.indices)
+    return AffineFunction(GF2Matrix(tuple(rows), outer.nrows), times_inverse[delta_r])
 
 
 def induced_tamper(
@@ -126,7 +127,9 @@ def induced_tamper(
     With too many erasures the map is the constant failure map BOT_MAP.
     Otherwise it is the closed matrix form, built from the action masks
     and checked against the encode/tamper/decode pipeline
-    ecc_decode(G, f(u*G), erase mask of f) on every inner word u, in
+    ecc_decode(G, f(u*G), erase mask of f) on every inner word u, both
+    sides read as tables over u (the codeword tables of G and M, and the
+    decoder results kept on G); a mismatch names the first failing u in
     all_bitstrings order.  The reconstruction set depends only on the
     erasure mask of f, never on codeword bits.
     """
@@ -138,17 +141,18 @@ def induced_tamper(
     if recon is None:
         return BOT_MAP
     closed = _closed_form(outer, f, recon)
-    m = outer.nrows
-    for u, _ in words_in_order(m):
-        actual = ecc_decode(outer, f.apply(outer.vec_mul(u)), f.erase)
-        expected = closed.apply(u)
-        if actual != expected:
-            piped = None if actual is None else int_to_bits(actual, m)
-            raise VerificationError(
-                f"induced map of {f.to_string()} disagrees with its closed "
-                f"form at input {int_to_bits(u, m)}: pipeline {piped}, "
-                f"closed form {int_to_bits(expected, m)}"
-            )
+    keep, xor, erase = f.pattern
+    piped = [ecc_decode(outer, (word & keep) ^ xor, erase) for word in outer.codewords]
+    expected = [word ^ closed.delta for word in closed.matrix.codewords]
+    if piped != expected:
+        m = outer.nrows
+        u = next(u for u, _ in words_in_order(m) if piped[u] != expected[u])
+        actual = None if piped[u] is None else int_to_bits(piped[u], m)
+        raise VerificationError(
+            f"induced map of {f.to_string()} disagrees with its closed "
+            f"form at input {int_to_bits(u, m)}: pipeline {actual}, "
+            f"closed form {int_to_bits(expected[u], m)}"
+        )
     return closed
 
 

@@ -10,9 +10,10 @@ on erased.  Encoding a message u is g.vec_mul(u).  The erasure decoder
 follows the reconstruction-set discipline: it picks the
 lexicographically least set R of m non-erased columns whose generator
 submatrix G_R is invertible and outputs y_R * G_R^{-1}.  The choice of R
-depends only on the erasure mask, never on received bit values, and each
-generator keeps its own R per mask.  Bitstrings appear only at the JSON
-boundary (from_rows, row_strings).
+depends only on the erasure mask, never on received bit values.  Each
+generator keeps its own R per mask, its decoder's result per word, and
+a table of its codewords g.vec_mul(u) for every u.  Bitstrings appear
+only at the JSON boundary (from_rows, row_strings).
 """
 
 from __future__ import annotations
@@ -87,6 +88,20 @@ class GF2Matrix:
         """select_reconstruction's results on this generator, by erasure mask."""
         return {}
 
+    @cached_property
+    def _decoded(self) -> dict:
+        """ecc_decode's results on this generator, by word (bits, erased)."""
+        return {}
+
+    @cached_property
+    def codewords(self) -> tuple[int, ...]:
+        """vec_mul(u) for every u in [0, 2^nrows), indexed by u, built by
+        XOR doubling: each row doubles the table so far."""
+        table = [0]
+        for row in self.rows:
+            table += [word ^ row for word in table]
+        return tuple(table)
+
     @classmethod
     def from_rows(cls, rows: Sequence) -> "GF2Matrix":
         """Build from a non-empty list of equal-length rows, each a
@@ -124,11 +139,6 @@ class GF2Matrix:
                 acc ^= row
             u >>= 1
         return acc
-
-    def matmul(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        return GF2Matrix(tuple(other.vec_mul(row) for row in self.rows), other.ncols)
 
     def submatrix_columns(self, cols: Sequence[int]) -> "GF2Matrix":
         return GF2Matrix(tuple(gather_bits(row, cols) for row in self.rows), len(cols))
@@ -261,13 +271,16 @@ def ecc_decode(g: GF2Matrix, bits: int, erased: int) -> Optional[int]:
 
     Returns the message u with u*G equal to bits on R, or None, the
     failure output, when no reconstruction set survives the erasures.
+    Kept on g, one entry per word decoded: at most 3^n.
     """
-    if (bits | erased) >> g.ncols or bits & erased:
-        raise ValueError(f"not a word of {{0,1,e}}^{g.ncols}: {(bits, erased)}")
-    recon = select_reconstruction(g, erased)
-    if recon is None:
-        return None
-    return recon.inverse.vec_mul(gather_bits(bits, recon.indices))
+    decoded, word = g._decoded, (bits, erased)
+    if word not in decoded:
+        if (bits | erased) >> g.ncols or bits & erased:
+            raise ValueError(f"not a word of {{0,1,e}}^{g.ncols}: {word}")
+        recon = select_reconstruction(g, erased)
+        decoded[word] = None if recon is None else recon.inverse.vec_mul(
+            gather_bits(bits, recon.indices))
+    return decoded[word]
 
 
 def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = 20) -> Fraction:

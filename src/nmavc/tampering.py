@@ -60,10 +60,6 @@ class BITFunction:
     def n(self) -> int:
         return len(self.actions)
 
-    @classmethod
-    def from_string(cls, text: str) -> "BITFunction":
-        return cls(tuple(BitAction(ch) for ch in text))
-
     def to_string(self) -> str:
         return "".join(action.value for action in self.actions)
 

@@ -21,7 +21,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Sized, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union
 
 from .channels import StateSequence
 from .distributions import (
@@ -508,13 +508,15 @@ class _Outcomes(dict):
         return y
 
 
-def _count_profiles(code: StochasticCode, functions: list) -> list[list[int]]:
-    """Integer tamper profiles of every (validated) member.
+def _count_profiles(code: StochasticCode, functions: list) -> Iterator[list[int]]:
+    """Integer tamper profiles of the (validated) members, one at a time.
 
     Entry mi * (2^k + 1) + yi of member i's profile counts the seeds r
     with decode(f_i(enc[m][r])) = y, indexing m and y by code.messages()
     and BOT by 2^k; dividing a profile by 2^rho gives
-    tamper_map(code, f_i).  Each distinct tampered word is decoded once.
+    tamper_map(code, f_i).  Yields member i's profile only when the
+    caller reads it, so a loop that stops early builds no more.  Each
+    distinct tampered word is decoded once per call.
     """
     messages = code.messages()
     width = len(messages) + 1
@@ -524,7 +526,6 @@ def _count_profiles(code: StochasticCode, functions: list) -> list[list[int]]:
         for cell, m in zip(range(0, size, width), messages) for word in code.enc[m]
     ]
     outcome = _Outcomes(code)
-    profiles = []
     for f in functions:
         profile = [0] * size
         if f is BOT_MAP:
@@ -537,8 +538,7 @@ def _count_profiles(code: StochasticCode, functions: list) -> list[list[int]]:
         else:
             for cell, word in cell_words:
                 profile[cell + outcome[f.apply(word)]] += 1
-        profiles.append(profile)
-    return profiles
+        yield profile
 
 
 def certify_family(
@@ -550,16 +550,16 @@ def certify_family(
 ) -> Optional[FamilyCertificate]:
     """Optimal simulator for every family member; None when aborted early.
 
-    Every member is validated first, in list order.  One pass then
-    builds each member's tamper profile as integer counts over the
-    common denominator 2^rho (_count_profiles).  `cache`
-    memoizes LP solutions across calls, keyed by (2^rho, count
-    profile), which determines the optimum.  On a miss, the member's
-    tamper map is re-derived seed by seed by the tampering experiment
-    (tamper_map: one apply and one decode per codeword), checked equal
-    to the counts over 2^rho, and handed to the LP.  With
-    `stop_at_or_above`, returns None as soon as the running maximum
-    reaches that bound -- used by the search loop, which only cares
+    Every member is validated first, in list order.  Then each member's
+    tamper profile, integer counts over the common denominator 2^rho,
+    is built when its turn comes (_count_profiles).  `cache` memoizes
+    LP solutions across calls, keyed by (2^rho, count profile), which
+    determines the optimum.  On a miss, the member's tamper map is
+    re-derived seed by seed by the tampering experiment (tamper_map:
+    one apply and one decode per codeword), checked equal to the counts
+    over 2^rho, and handed to the LP.  With `stop_at_or_above`, returns
+    None as soon as the running maximum reaches that bound, building no
+    later member's profile -- used by the search loop, which only cares
     about strictly better codes.
     """
     code.check_correctness()

@@ -62,8 +62,26 @@ def gf2_zero(nrows: int, ncols: int) -> GF2Matrix:
     return GF2Matrix((0,) * nrows, ncols)
 
 
+def gf2_matmul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
+    """The product a*b over GF(2): row i is row i of a times b."""
+    if a.ncols != b.nrows:
+        raise ValueError("dimension mismatch")
+    return GF2Matrix(tuple(b.vec_mul(row) for row in a.rows), b.ncols)
+
+
 def identity_channel() -> Channel:
     return Channel.from_rows([[1, 0], [0, 1]])
+
+
+def bsc(p) -> Channel:
+    """The binary symmetric channel that flips a bit with probability p."""
+    p = Fraction(p)
+    return Channel.from_rows([[1 - p, p], [p, 1 - p]])
+
+
+def bit_function(text: str) -> BITFunction:
+    """The BIT function of an action string over K, F, 0, 1 and E."""
+    return BITFunction(tuple(BitAction(ch) for ch in text))
 
 
 def add_fractions_bigint(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -252,7 +270,7 @@ def compose_affine(first: AffineFunction, second: AffineFunction) -> AffineFunct
     """The affine function u -> second(first(u)) = u*M1*M2 + (d1*M2 + d2)."""
     if first.out_dim != second.in_dim:
         raise ValueError("dimension mismatch in composition")
-    matrix = first.matrix.matmul(second.matrix)
+    matrix = gf2_matmul(first.matrix, second.matrix)
     return AffineFunction(matrix, second.matrix.vec_mul(first.delta) ^ second.delta)
 
 

@@ -46,6 +46,8 @@ from nmavc import (
 from nmavc.gf2 import rank_of_columns, select_reconstruction
 from oracles import (
     apply_actions,
+    bit_function,
+    bsc,
     ecc_encode,
     fraction_weights,
     grid_optimum,
@@ -145,7 +147,7 @@ def test_c04_linear_code_offset_attack():
     for k, g in generators.items():
         code = linear_code(g)
         delta = ecc_encode(g, "1" * k)
-        attack = BITFunction.from_string(
+        attack = bit_function(
             "".join("F" if ch == "1" else "K" for ch in delta)
         )
         tm = tamper_map(code, attack)
@@ -275,7 +277,7 @@ def test_c08_composed_demo_definition4():
 
     states = {
         "bec": Channel.bec(F(1, 10)),
-        "bsc": Channel.bsc(F(3, 10)).to_extended(),
+        "bsc": bsc(F(3, 10)).to_extended(),
         "z": Channel.from_rows([[1, 0], [F(3, 10), F(7, 10)]]).to_extended(),
     }
     names = sorted(states)

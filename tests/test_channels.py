@@ -26,6 +26,7 @@ from nmavc.errors import (
 )
 from oracles import (
     apply_actions,
+    bsc,
     fraction_weights,
     identity_channel,
     mixture_output_distribution,
@@ -54,7 +55,7 @@ def test_identity_decomposes_to_keep():
 
 
 def test_bsc_decomposition():
-    ch = Channel.bsc(F(3, 10))
+    ch = bsc(F(3, 10))
     dec = decompose(ch)
     assert dec.alphas == (F(7, 10), F(3, 10), 0, 0, 0)
     assert dec.reconstruct() == ch
@@ -68,7 +69,7 @@ def test_z_channel_decomposition():
 
 
 def test_feasible_interval_examples():
-    assert feasible_interval(Channel.bsc(F(3, 10))) == (0, F(3, 10))
+    assert feasible_interval(bsc(F(3, 10))) == (0, F(3, 10))
     # Identity pins alpha3 = 0 (pure Keep); the constant-0 channel pins
     # alpha3 = 1 (pure Set0).
     assert feasible_interval(identity_channel()) == (0, 0)
@@ -91,13 +92,13 @@ def test_interval_endpoints_always_reconstruct():
 
 
 def test_infeasible_alpha3_rejected():
-    ch = Channel.bsc(F(3, 10))
+    ch = bsc(F(3, 10))
     with pytest.raises(InfeasibleCoefficientError):
         decompose(ch, F(1, 2))
 
 
 def test_interior_alpha3_reconstructs():
-    ch = Channel.bsc(F(1, 2))
+    ch = bsc(F(1, 2))
     dec = decompose(ch, F(1, 4))
     assert dec.reconstruct() == ch
 
@@ -167,7 +168,7 @@ def test_channel_validation():
 
 
 def test_channel_json_round_trip():
-    ch = Channel.bsc(F(3, 10))
+    ch = bsc(F(3, 10))
     assert channel_from_json(ch.to_json()) == ch
     ext = Channel.bec(F(1, 10))
     assert channel_from_json(ext.to_json()) == ext
@@ -205,7 +206,7 @@ def test_elementary_channels_match_actions():
 # ----------------------------------------------- sequence output mixtures
 
 def test_mixture_weights_single_bsc():
-    seq = StateSequence([Channel.bsc(F(3, 10))])
+    seq = StateSequence([bsc(F(3, 10))])
     got = dict()
     for pattern, w in fraction_weights(seq):
         got[pattern] = w
@@ -213,7 +214,7 @@ def test_mixture_weights_single_bsc():
 
 
 def test_mixture_weights_bsc_half_squared():
-    seq = StateSequence.uniform(Channel.bsc(F(1, 2)), 2)
+    seq = StateSequence.uniform(bsc(F(1, 2)), 2)
     weights = dict(fraction_weights(seq))
     assert len(weights) == 4
     assert all(w == F(1, 4) for w in weights.values())
@@ -256,12 +257,12 @@ def test_output_distribution_examples():
     seq = StateSequence.uniform(set0, 3)
     assert output_distribution(seq, "101") == FiniteDistribution.point("000")
 
-    seq1 = StateSequence([Channel.bsc(F(3, 10))])
+    seq1 = StateSequence([bsc(F(3, 10))])
     assert output_distribution(seq1, "1") == FiniteDistribution(
         {"1": F(7, 10), "0": F(3, 10)}
     )
 
-    seq2 = StateSequence([Channel.bsc(F(3, 10)), identity_channel()])
+    seq2 = StateSequence([bsc(F(3, 10)), identity_channel()])
     assert output_distribution(seq2, "10") == FiniteDistribution(
         {"10": F(7, 10), "00": F(3, 10)}
     )
@@ -290,7 +291,7 @@ def test_extended_product_law():
 # ------------------------------------------------------------------ sampling
 
 def test_sample_output_deterministic_given_seed():
-    seq = StateSequence.uniform(Channel.bsc(F(3, 10)), 32)
+    seq = StateSequence.uniform(bsc(F(3, 10)), 32)
     x = "01" * 16
     assert sample_output(seq, x, 9) == sample_output(seq, x, 9)
 
@@ -305,7 +306,7 @@ def test_sample_output_trivial_channels():
 
 def test_sample_output_binomial_concentration():
     n = 10_000
-    seq = StateSequence.uniform(Channel.bsc(F(3, 10)), n)
+    seq = StateSequence.uniform(bsc(F(3, 10)), n)
     word = sample_output(seq, "0" * n, 42)
     ones = word.count("1")
     sigma = (n * 0.3 * 0.7) ** 0.5

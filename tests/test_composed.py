@@ -32,7 +32,9 @@ from nmavc import channels, composed, simplex, verifier
 from nmavc.errors import InvalidInstanceError, VerificationError
 from nmavc.gf2 import bits_to_int, int_to_bits, select_reconstruction
 from oracles import (
+    bit_function,
     bit_to_affine,
+    bsc,
     composed_tamper_distribution,
     gf2_identity,
     hamming_7_4,
@@ -70,7 +72,7 @@ def test_induced_identity_outer_equals_bit_to_affine():
 
 def test_induced_worked_example():
     outer = GF2Matrix.from_rows(["101", "011"])
-    f = BITFunction.from_string("1KK")
+    f = bit_function("1KK")
     induced = induced_tamper(outer, f)
     assert induced.matrix == GF2Matrix.from_rows(["00", "01"])
     assert induced.delta == bits_to_int("10")
@@ -80,7 +82,7 @@ def test_induced_worked_example():
 
 def test_induced_all_erased_is_failure_map():
     outer = GF2Matrix.from_rows(["101", "011"])
-    assert induced_tamper(outer, BITFunction.from_string("EEE")) is BOT_MAP
+    assert induced_tamper(outer, bit_function("EEE")) is BOT_MAP
 
 
 def test_induced_affinity_random_outers():
@@ -119,12 +121,12 @@ def test_induced_rejects_wrong_closed_form(monkeypatch):
 
     monkeypatch.setattr(composed, "_closed_form", off_by_one)
     with pytest.raises(VerificationError, match="FK1E.*at input 000"):
-        induced_tamper(single_parity(3), BITFunction.from_string("FK1E"))
+        induced_tamper(single_parity(3), bit_function("FK1E"))
 
 
 def test_induced_rejects_pipeline_wrong_on_one_word(monkeypatch):
     outer = single_parity(3)
-    f = BITFunction.from_string("FK1E")
+    f = bit_function("FK1E")
     target = f.apply(outer.vec_mul(bits_to_int("110")))
     ecc_decode = composed.ecc_decode
 
@@ -242,7 +244,7 @@ def test_channel_experiment_matches_composed_oracle(make_scheme):
 
 def test_composed_scheme_rejects_binary_sequence():
     scheme = small_scheme()
-    seq = StateSequence.uniform(Channel.bsc(F(3, 10)), scheme.n)
+    seq = StateSequence.uniform(bsc(F(3, 10)), scheme.n)
     with pytest.raises(InvalidInstanceError):
         channel_map(scheme, seq)
     plain = StateSequence.uniform(Channel.bec(F(1, 10)), scheme.inner.n)
@@ -285,8 +287,8 @@ def test_verify_composed_mixed_sequence_bounds():
     )
     scheme = ComposedScheme(inner_search.code, single_parity(2))
     spec = SpecialStateSpec(F(1, 10), scheme.n)
-    bsc = Channel.bsc(F(3, 10)).to_extended()
-    seq = StateSequence([bsc, bec((1, 10)), bsc], labels=("bsc", "bec", "bsc"))
+    flips = bsc(F(3, 10)).to_extended()
+    seq = StateSequence([flips, bec((1, 10)), flips], labels=("bsc", "bec", "bsc"))
     report = verify_composed(scheme, [seq], spec)
     seq_report = report.eps_by_sequence["bsc,bec,bsc"]
     assert seq_report.epsilon <= seq_report.weighted_bound
@@ -297,8 +299,8 @@ def test_verify_composed_mixed_sequence_bounds():
 def test_verify_composed_deterministic():
     scheme = small_scheme()
     spec = SpecialStateSpec(F(1, 10), scheme.n)
-    bsc = Channel.bsc(F(3, 10)).to_extended()
-    seq = StateSequence.uniform(bsc, scheme.n, label="bsc")
+    flips = bsc(F(3, 10)).to_extended()
+    seq = StateSequence.uniform(flips, scheme.n, label="bsc")
     a = verify_composed(scheme, [seq], spec).to_json()
     b = verify_composed(scheme, [seq], spec).to_json()
     assert a == b
@@ -332,13 +334,13 @@ def counting(monkeypatch, module, name):
 def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
     scheme = parity45_scheme()
     n = scheme.n
-    bsc = Channel.bsc(F(3, 10)).to_extended()
+    flips = bsc(F(3, 10)).to_extended()
     z = Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]).to_extended()
     erase = bec((1, 5))
     seqs = [
-        StateSequence.uniform(bsc, n, "bsc"),
+        StateSequence.uniform(flips, n, "bsc"),
         StateSequence.uniform(z, n, "z"),
-        StateSequence([erase, z] + [bsc] * (n - 2)),
+        StateSequence([erase, z] + [flips] * (n - 2)),
         StateSequence([erase] * (n - 1) + [z]),
     ]
     induced = {
@@ -364,7 +366,7 @@ def demo_sequences(scheme):
     bec_state = Channel.bec(F(1, 10))
     states = [
         bec_state,
-        Channel.bsc(F(3, 10)).to_extended(),
+        bsc(F(3, 10)).to_extended(),
         Channel.from_rows([[1, 0], [F(3, 10), F(7, 10)]]).to_extended(),
     ]
     sequences = [

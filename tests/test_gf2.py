@@ -31,6 +31,7 @@ from oracles import (
     ecc_decode_string,
     ecc_encode,
     gf2_identity,
+    gf2_matmul,
     hamming_7_4,
     lex_min_reconstruction,
     min_distance,
@@ -71,7 +72,7 @@ def test_invert_examples():
     a = GF2Matrix.from_rows(["11", "01"])
     inv = gf2_invert(a)
     assert inv == a  # self-inverse
-    assert a.matmul(inv) == gf2_identity(2)
+    assert gf2_matmul(a, inv) == gf2_identity(2)
     singular = gf2_invert(GF2Matrix.from_rows(["11", "11"]))
     assert singular == SingularReport(rank=1)
 
@@ -82,8 +83,8 @@ def test_inverse_property_random():
         n = rng.randint(1, 6)
         a = random_full_rank(n, n, rng)
         inv = gf2_invert(a)
-        assert a.matmul(inv) == gf2_identity(n)
-        assert inv.matmul(a) == gf2_identity(n)
+        assert gf2_matmul(a, inv) == gf2_identity(n)
+        assert gf2_matmul(inv, a) == gf2_identity(n)
 
 
 def test_decode_no_erasures_round_trip():
@@ -192,6 +193,37 @@ def test_decode_rejects_non_words():
     for bits, erased in ((0b1000, 0), (0, 0b1000), (0b001, 0b001), (-1, 0)):
         with pytest.raises(ValueError):
             ecc_decode(g, bits, erased)
+
+
+def test_decode_kept_per_generator(monkeypatch):
+    # Each word is decoded once; a second pass reads the results kept on
+    # the generator, and a generator equal to it decodes afresh.
+    selections = []
+    select = gf2.select_reconstruction
+
+    def counting_select(g, erased):
+        selections.append(erased)
+        return select(g, erased)
+
+    monkeypatch.setattr(gf2, "select_reconstruction", counting_select)
+    generators = [random_full_rank(3, 5, 36), random_full_rank(3, 5, 36)]
+    words = words_in_order(5, erasures=True)
+    first = [ecc_decode(generators[0], *word) for word in words]
+    assert [ecc_decode(generators[0], *word) for word in words] == first
+    assert len(selections) == len(words)
+    assert [ecc_decode(generators[1], *word) for word in words] == first
+    assert len(selections) == 2 * len(words)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_codeword_table_matches_vec_mul(data):
+    nrows = data.draw(st.integers(0, 6))
+    ncols = data.draw(st.integers(0, 9))
+    rows = data.draw(st.lists(st.integers(0, (1 << ncols) - 1),
+                              min_size=nrows, max_size=nrows))
+    g = GF2Matrix(tuple(rows), ncols)
+    assert g.codewords == tuple(g.vec_mul(u) for u in range(1 << nrows))
 
 
 def test_reconstruction_kept_per_generator():

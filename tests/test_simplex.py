@@ -13,9 +13,8 @@ import nmavc.verifier as verifier
 from nmavc.errors import LPInfeasibleError, LPUnboundedError, NmavcError
 from nmavc import BOT, FiniteDistribution, all_bitstrings
 from nmavc.simplex import solve_min
-from nmavc.tampering import BITFunction
 from nmavc.verifier import optimal_simulator, tamper_map
-from oracles import fixed_k2n5_code, fraction_solve_min
+from oracles import bit_function, fixed_k2n5_code, fraction_solve_min
 
 
 def test_basic_maximization_as_minimization():
@@ -208,7 +207,7 @@ def recorded_lps(function):
 @pytest.mark.parametrize("function", ["KKK01", "KK1F1"])
 def test_matches_fraction_tableau_on_simulator_lp(function):
     code = fixed_k2n5_code()
-    f = BITFunction.from_string(function)
+    f = bit_function(function)
     report, (args,) = recorded_lps(lambda: optimal_simulator(tamper_map(code, f)))
     assert report.epsilon == F(2, 3)
     x, value = assert_same_as_oracle(*args)

@@ -20,6 +20,7 @@ from nmavc.verifier import function_key
 from oracles import (
     affine_from_json,
     apply_actions,
+    bit_function,
     bit_to_affine,
     compose_affine,
     gf2_identity,
@@ -30,23 +31,23 @@ from oracles import (
 
 
 def test_apply_keep():
-    f = BITFunction.from_string("KKK")
+    f = bit_function("KKK")
     assert f.apply(bits_to_int("101")) == bits_to_int("101")
 
 
 def test_apply_flip_set1():
-    assert BITFunction.from_string("F1").apply(bits_to_int("00")) == bits_to_int("11")
+    assert bit_function("F1").apply(bits_to_int("00")) == bits_to_int("11")
 
 
 def test_apply_erase():
-    f = BITFunction.from_string("EK")
+    f = bit_function("EK")
     assert (f.apply(bits_to_int("10")), f.erase) == split_word("e0")
-    assert f.has_erase and not BITFunction.from_string("KF01").has_erase
+    assert f.has_erase and not bit_function("KF01").has_erase
 
 
 def test_apply_rejects_long_input():
     with pytest.raises(ValueError):
-        BITFunction.from_string("KK").apply(0b100)
+        bit_function("KK").apply(0b100)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -64,30 +65,30 @@ def test_pattern_round_trip():
         keep, xor, erase = f.pattern
         assert not erase & (keep | xor)
         assert BITFunction.from_pattern(3, f.pattern) == f
-    assert BITFunction.from_string("KF01E").pattern == (0b00011, 0b01010, 0b10000)
+    assert bit_function("KF01E").pattern == (0b00011, 0b01010, 0b10000)
 
 
 def test_string_round_trip():
     for text in ("KF01", "E", "KKKK", "10FE"):
-        assert BITFunction.from_string(text).to_string() == text
+        assert bit_function(text).to_string() == text
 
 
 def test_bit_to_affine_examples():
     n = 3
-    keep = bit_to_affine(BITFunction.from_string("K" * n))
+    keep = bit_to_affine(bit_function("K" * n))
     assert keep.matrix == gf2_identity(n) and keep.delta_string() == "0" * n
 
-    fs1 = bit_to_affine(BITFunction.from_string("F1"))
+    fs1 = bit_to_affine(bit_function("F1"))
     assert fs1.matrix == GF2Matrix.from_rows(["10", "00"])
     assert fs1.delta_string() == "11"
 
-    zero = bit_to_affine(BITFunction.from_string("000"))
+    zero = bit_to_affine(bit_function("000"))
     assert zero.matrix == gf2_zero(3, 3) and zero.delta_string() == "000"
 
 
 def test_bit_to_affine_rejects_erase():
     with pytest.raises(NotRepresentableError):
-        bit_to_affine(BITFunction.from_string("KE"))
+        bit_to_affine(bit_function("KE"))
 
 
 def test_bit_to_affine_round_trip_exhaustive():

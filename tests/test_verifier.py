@@ -46,7 +46,9 @@ from nmavc.errors import (
     VerificationError,
 )
 from oracles import (
+    bit_function,
     bit_to_affine,
+    bsc,
     ds_mixture,
     ecc_encode,
     fixed_k2n5_code,
@@ -72,7 +74,7 @@ point = FiniteDistribution.point
 def offset_attack(g: GF2Matrix) -> BITFunction:
     """x -> x + enc(all-ones): Flip where the codeword of 1...1 is set."""
     delta = ecc_encode(g, "1" * g.nrows)
-    return BITFunction.from_string(
+    return bit_function(
         "".join("F" if ch == "1" else "K" for ch in delta)
     )
 
@@ -113,14 +115,14 @@ def test_code_json_round_trip():
 
 def test_keep_yields_point_mass_on_message():
     code = identity_code(3)
-    laws = tamper_map(code, BITFunction.from_string("KKK"))
+    laws = tamper_map(code, bit_function("KKK"))
     for m in ("000", "101"):
         assert laws[m] == point(m)
 
 
 def test_constant_function_yields_constant_image():
     code = identity_code(2)
-    got = tamper_map(code, BITFunction.from_string("00"))["10"]
+    got = tamper_map(code, bit_function("00"))["10"]
     assert got == point("00")
 
 
@@ -137,14 +139,14 @@ def test_offset_attack_on_linear_code():
 
 def test_affine_function_tampering():
     code = identity_code(2)
-    f = bit_to_affine(BITFunction.from_string("F1"))
+    f = bit_to_affine(bit_function("F1"))
     assert tamper_map(code, f)["00"] == point("11")
 
 
 def test_erase_rejected_on_plain_code():
     code = identity_code(2)
     with pytest.raises(InvalidInstanceError):
-        tamper_map(code, BITFunction.from_string("KE"))
+        tamper_map(code, bit_function("KE"))
 
 
 def test_channel_tamper_identity_and_constant():
@@ -160,7 +162,7 @@ def test_channel_tamper_identity_and_constant():
 
 def test_channel_tamper_single_bsc():
     code = identity_code(1)
-    seq = StateSequence([Channel.bsc(F(3, 10))])
+    seq = StateSequence([bsc(F(3, 10))])
     got = channel_map(code, seq)["1"]
     assert got == FiniteDistribution({"1": F(7, 10), "0": F(3, 10)})
 
@@ -188,9 +190,9 @@ def test_channel_route_reads_no_decomposition(monkeypatch):
     monkeypatch.setattr(channel_module, "decompose", refuse)
     code = search_nm_code(k=1, n=3, rho=1, trials=2, seed=1).code
     seq = StateSequence([
-        Channel.bsc(F(3, 10)),
+        bsc(F(3, 10)),
         Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]),
-        Channel.bsc(F(1, 2)),
+        bsc(F(1, 2)),
     ])
     channel_map(code, seq)
 
@@ -277,15 +279,15 @@ def test_ds_mixture_identity_sequence():
     cert = certify_bit_family(code)
     seq = StateSequence.uniform(identity_channel(), 2)
     d_s = ds_mixture(seq, cert.simulators)
-    assert d_s == cert.simulators[BITFunction.from_string("KK")]
+    assert d_s == cert.simulators[bit_function("KK")]
     assert _mixture(seq.mixture_weights(), cert)[0] == d_s
 
 
 def test_ds_mixture_example():
-    seq = StateSequence([Channel.bsc(F(1, 2))])
+    seq = StateSequence([bsc(F(1, 2))])
     simulators = {
-        BITFunction.from_string("K"): point(SAME_STAR),
-        BITFunction.from_string("F"): uniform(["0", "1"]),
+        bit_function("K"): point(SAME_STAR),
+        bit_function("F"): uniform(["0", "1"]),
     }
     d_s = ds_mixture(seq, simulators)
     assert d_s == FiniteDistribution(
@@ -296,14 +298,14 @@ def test_ds_mixture_example():
 
 
 def test_ds_mixture_missing_pattern():
-    seq = StateSequence([Channel.bsc(F(1, 2))])
-    cert = mixture_certificate({BITFunction.from_string("K"): point(SAME_STAR)})
+    seq = StateSequence([bsc(F(1, 2))])
+    cert = mixture_certificate({bit_function("K"): point(SAME_STAR)})
     with pytest.raises(InvalidInstanceError, match="pattern F"):
         _mixture(seq.mixture_weights(), cert)
 
 
 def test_mixture_weights_must_sum_to_denominator():
-    keep, flip = BITFunction.from_string("K"), BITFunction.from_string("F")
+    keep, flip = bit_function("K"), bit_function("F")
     cert = mixture_certificate({keep: point(SAME_STAR), flip: point("0")})
     patterns = [(keep.pattern, 1), (flip.pattern, 1)]
     with pytest.raises(InvalidMixtureError, match="sum to 2/3"):
@@ -367,7 +369,7 @@ def test_verify_transfer_trivial_sequences():
 
 def test_verify_transfer_single_bsc():
     code = identity_code(1)
-    seq = StateSequence([Channel.bsc(F(3, 10))])
+    seq = StateSequence([bsc(F(3, 10))])
     cert = certify_bit_family(code, budget=10_000)
     report = verify_transfer(code, seq, cert, budget=10_000)
     assert report.eps_bit == F(1, 2)  # the Flip pattern
@@ -459,7 +461,7 @@ def small_codes(draw, max_n=5):
 
 def members(n: int):
     """Random BIT, affine and BOT_MAP members for block length n."""
-    bit = st.text("KF01", min_size=n, max_size=n).map(BITFunction.from_string)
+    bit = st.text("KF01", min_size=n, max_size=n).map(bit_function)
     affine = st.builds(
         lambda rows, delta: AffineFunction(GF2Matrix(tuple(rows), n), delta),
         st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
@@ -509,10 +511,10 @@ def test_count_profiles_wide_words():
          "1" * n: "0"},
     )
     functions = [
-        BITFunction.from_string("".join(rng.choice("KF01") for _ in range(n)))
+        bit_function("".join(rng.choice("KF01") for _ in range(n)))
         for _ in range(6)
     ]
-    functions += [BITFunction.from_string("1" * n), BOT_MAP]
+    functions += [bit_function("1" * n), BOT_MAP]
     functions += [
         AffineFunction(
             GF2Matrix(tuple(rng.getrandbits(n) for _ in range(n)), n),
@@ -531,13 +533,13 @@ def test_count_profile_checked_against_tampering_experiment(monkeypatch):
     counted = verifier._count_profiles
 
     def shifted(code, functions):
-        profiles = counted(code, functions)
+        profiles = list(counted(code, functions))
         profiles[0][0:2] = [profiles[0][0] - 1, profiles[0][1] + 1]
         return profiles
 
     monkeypatch.setattr(verifier, "_count_profiles", shifted)
     with pytest.raises(VerificationError, match="count profile of KK disagrees"):
-        certify_family(identity_code(2), [BITFunction.from_string("KK")])
+        certify_family(identity_code(2), [bit_function("KK")])
 
 
 # ------------------------------------------------- integer channel laws
@@ -620,8 +622,8 @@ def test_certify_family_rejects_like_the_eager_loop(data):
     code = data.draw(small_codes())
     n = code.n
     bad = st.sampled_from([
-        BITFunction.from_string("E" + "K" * (n - 1)),
-        BITFunction.from_string("K" * (n + 1)),
+        bit_function("E" + "K" * (n - 1)),
+        bit_function("K" * (n + 1)),
         AffineFunction(gf2_identity(n + 1), 0),
         "KKK",
         3,
@@ -667,7 +669,49 @@ def test_bit_family_lp_count_is_pinned(monkeypatch):
     cert = certify_bit_family(fixed_k2n5_code())
     assert len(solves) == 204
     assert cert.epsilon == F(2, 3)
-    assert cert.worst == BITFunction.from_string("KKK01")
+    assert cert.worst == bit_function("KKK01")
+
+
+def test_early_stop_applies_no_later_member():
+    # The first member reaches the bound, so the four after it are never
+    # applied to a codeword: their profiles are not built.
+    applies = []
+
+    class CountingAffine(AffineFunction):
+        def apply(self, u):
+            applies.append(u)
+            return super().apply(u)
+
+    later = [CountingAffine(gf2_identity(2), delta) for delta in range(4)]
+    family = [bit_function("00"), *later]
+    assert certify_family(identity_code(2), family, stop_at_or_above=F(0)) is None
+    assert applies == []
+
+
+def test_search_profile_count_is_pinned(monkeypatch):
+    # Each code after the best one stops at the first member whose
+    # epsilon reaches the best epsilon; no later member's profile is
+    # built, so 1,351 of the 200 * 256 profiles are.  A profile is
+    # counted when _count_profiles reads its member to build it.
+    built = []
+    counted = verifier._count_profiles
+
+    def counting_profiles(code, functions):
+        def read():
+            for f in functions:
+                built.append(f)
+                yield f
+        return counted(code, read())
+
+    monkeypatch.setattr(verifier, "_count_profiles", counting_profiles)
+    solves = counting(monkeypatch, "solve_min")
+    experiments = counting(monkeypatch, "tamper_map")
+    result = search_nm_code(1, 4, 2, trials=200, seed=404)
+    assert len(built) == 1351
+    assert len(solves) == 129
+    assert len(experiments) == 144
+    assert result.certificate.epsilon == F(1, 4)
+    assert result.best_trial == 9
 
 
 def test_search_validates_the_family_once(monkeypatch):
