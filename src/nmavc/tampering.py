@@ -152,6 +152,7 @@ def enumerate_bit_functions(
     """All BIT functions of length n in lexicographic action order.
 
     alphabet=4 walks {Keep, Flip, Set0, Set1}; alphabet=5 adds Erase.
+    Each function comes with its pattern masks already set.
     """
     if alphabet not in (4, 5):
         raise ValueError("alphabet must be 4 or 5")
@@ -159,6 +160,17 @@ def enumerate_bit_functions(
         raise BudgetExceededError(
             f"{alphabet}^{n} = {alphabet**n} functions exceed the budget {budget}"
         )
+    if n < 1:
+        raise ValueError("a BIT function needs at least one position")
+    # Each position's choices carry their mask bits already shifted, so a
+    # function's masks are sums of disjoint bits, with no per-action lookup.
     letters = ACTION_ORDER[:alphabet]
-    for actions in product(letters, repeat=n):
-        yield BITFunction(actions)
+    choices = [
+        [(action, *(bit << i for bit in _ACTION_BITS[action])) for action in letters]
+        for i in range(n)
+    ]
+    for cells in product(*choices):
+        actions, keep, xor, erase = zip(*cells)
+        f = BITFunction(actions)
+        f.__dict__["pattern"] = sum(keep), sum(xor), sum(erase)  # cached_property
+        yield f

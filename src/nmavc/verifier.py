@@ -11,7 +11,11 @@ within the weighted family error.  One mixture check serves the bit
 family and the composed scheme's induced maps.
 
 Every reported (epsilon, D) pair is re-verified by direct statistical
-distance computation before it is returned.
+distance computation before it is returned.  Family certification
+solves the LP only for members that could raise the running epsilon;
+each other member is bounded by an explicit trivial simulator (same*,
+or another message's law) whose distance is summed in integers from the
+member's counts, and its own optimum is solved when a mixture reads it.
 """
 
 from __future__ import annotations
@@ -471,18 +475,46 @@ def function_key(f: TamperingFunction) -> str:
 
 
 @dataclass
+class _Profile:
+    """The shared cache entry of one distinct tamper profile.
+
+    laws is tamper_map's result, checked equal to the profile; bound is
+    the profile's least trivial-simulator error (_profile_bound), an
+    upper bound on its optimum; report is the optimal simulator, None
+    until first asked for.
+    """
+
+    laws: dict[str, FiniteDistribution]
+    bound: Fraction
+    report: Optional[NMReport] = None
+
+    def solve(self) -> NMReport:
+        if self.report is None:
+            self.report = optimal_simulator(self.laws)
+        return self.report
+
+
+@dataclass
 class FamilyCertificate:
-    """Worst-case simulator error over a tampering family, with witnesses."""
+    """Worst-case simulator error over a tampering family, with witnesses.
+
+    members maps every distinct member, in list order, to its profile's
+    cache entry.  Only the worst member's optimum is needed for epsilon;
+    report(f) gives any member's, solving its LP on first use.
+    """
 
     epsilon: Fraction
     worst: TamperingFunction
     worst_report: NMReport
-    per_function: dict[TamperingFunction, Fraction]
-    simulators: dict[TamperingFunction, FiniteDistribution]
+    members: dict[TamperingFunction, _Profile]
 
     @property
     def size(self) -> int:
-        return len(self.per_function)
+        return len(self.members)
+
+    def report(self, f: TamperingFunction) -> NMReport:
+        """Member f's optimal simulator and its exact error."""
+        return self.members[f].solve()
 
     def to_json(self) -> dict:
         return {
@@ -548,19 +580,22 @@ def certify_family(
     cache: Optional[dict] = None,
     stop_at_or_above: Optional[Fraction] = None,
 ) -> Optional[FamilyCertificate]:
-    """Optimal simulator for every family member; None when aborted early.
+    """Worst-case optimal simulator error over the family; None when
+    aborted early.
 
     Every member is validated first, in list order.  Then each member's
     tamper profile, integer counts over the common denominator 2^rho,
-    is built when its turn comes (_count_profiles).  `cache` memoizes
-    LP solutions across calls, keyed by (2^rho, count profile), which
-    determines the optimum.  On a miss, the member's tamper map is
-    re-derived seed by seed by the tampering experiment (tamper_map:
-    one apply and one decode per codeword), checked equal to the counts
-    over 2^rho, and handed to the LP.  With `stop_at_or_above`, returns
-    None as soon as the running maximum reaches that bound, building no
-    later member's profile -- used by the search loop, which only cares
-    about strictly better codes.
+    is built when its turn comes (_count_profiles).  `cache` keeps one
+    _Profile per (2^rho, count profile), which determines the optimum,
+    across calls.  On a miss, the member's tamper map is re-derived seed
+    by seed by the tampering experiment (tamper_map: one apply and one
+    decode per codeword) and checked equal to the counts over 2^rho.  A
+    member whose trivial-simulator bound is at most the running maximum
+    cannot raise it, so its LP is skipped; every other member's is
+    solved.  The worst member is the first to reach the maximum.  With
+    `stop_at_or_above`, returns None as soon as the running maximum
+    reaches that bound, building no later member's profile -- used by
+    the search loop, which only cares about strictly better codes.
     """
     code.check_correctness()
     functions = _check_family(code, functions, budget)
@@ -598,12 +633,11 @@ def _certify_checked(
     profiles = _count_profiles(code, functions)
 
     epsilon: Optional[Fraction] = None
-    per_function: dict = {}
-    simulators: dict = {}
+    members: dict = {}
     for f, row in zip(functions, profiles):
         key = (seed_count, tuple(row))
-        report = cache.get(key)
-        if report is None:
+        entry = cache.get(key)
+        if entry is None:
             t_map = tamper_map(code, f, budget=budget)
             if row != [t_map[m].probability(y) * seed_count
                        for m in messages for y in outcomes]:
@@ -611,22 +645,39 @@ def _certify_checked(
                     f"count profile of {function_key(f)} disagrees with its "
                     f"tampering experiment"
                 )
-            report = optimal_simulator(t_map)
-            cache[key] = report
-        per_function[f] = report.epsilon
-        simulators[f] = report.simulator
+            entry = cache[key] = _Profile(
+                t_map, _profile_bound(row, len(outcomes), seed_count)
+            )
+        members[f] = entry
+        if epsilon is not None and entry.bound <= epsilon:
+            continue  # f's optimum <= bound: epsilon and worst stay
+        report = entry.solve()
         if epsilon is None or report.epsilon > epsilon:
             epsilon = report.epsilon
             worst, worst_report = f, report
         if stop_at_or_above is not None and epsilon >= stop_at_or_above:
             return None
     return FamilyCertificate(
-        epsilon=epsilon,
-        worst=worst,
-        worst_report=worst_report,
-        per_function=per_function,
-        simulators=simulators,
+        epsilon=epsilon, worst=worst, worst_report=worst_report, members=members
     )
+
+
+def _profile_bound(row: list[int], width: int, seed_count: int) -> Fraction:
+    """The least max_m SD(T_m, Copy(D, m)) over the trivial simulators,
+    from a count profile c (rows of width 2^k + 1 over 2^rho).
+
+    D = same* gives max_m (2^rho - c[m][m]) / 2^rho; D = T_m' gives
+    max_m sum_y |c[m][y] - c[m'][y]| / 2^(rho+1).  Every D is feasible,
+    so the bound is at least the member's optimum; it is summed in
+    integers over 2^(rho+1).
+    """
+    laws = [row[i:i + width] for i in range(0, len(row), width)]
+    best = max(2 * (seed_count - law[mi]) for mi, law in enumerate(laws))
+    for other in laws:
+        best = min(best, max(
+            sum(abs(a - b) for a, b in zip(law, other)) for law in laws
+        ))
+    return Fraction(best, 2 * seed_count)
 
 
 def certify_bit_family(
@@ -652,8 +703,10 @@ def _mixture(
     weights is (D, [(pattern, numerator), ...]), as mixture_weights
     returns it, each pattern the (keep, xor, erase) masks of a BIT
     function.  A pattern's member is member_of[pattern], by default the
-    certificate's BIT function with those masks; one without a simulator
-    is an error, as the mixture would not sum to 1.  The numerators are
+    certificate's BIT function with those masks; a pattern with no member
+    is an error, as the mixture would not sum to 1.  Each member's
+    simulator and error come from certificate.report, which solves the
+    LP of a member certification skipped.  The numerators are
     first summed per member, and must total exactly D.  The members'
     simulators are then mixed as integers over D * L, L the lcm of their
     masses' denominators, and their errors as one sum over D * E, E the
@@ -663,7 +716,7 @@ def _mixture(
     denominator, patterns = weights
     if member_of is None:
         member_of = {
-            f.pattern: f for f in certificate.simulators if isinstance(f, BITFunction)
+            f.pattern: f for f in certificate.members if isinstance(f, BITFunction)
         }
     grouped: dict = {}
     for pattern, weight in patterns:
@@ -672,10 +725,10 @@ def _mixture(
         f = member_of.get(pattern)
         total = grouped.get(f)
         if total is None:
-            if f not in certificate.simulators:
+            if f not in certificate.members:
                 # Masks leave trailing Set0s out: name the pattern at the
                 # length of the certificate's BIT functions, if one.
-                n = {g.n for g in certificate.simulators if isinstance(g, BITFunction)}
+                n = {g.n for g in certificate.members if isinstance(g, BITFunction)}
                 if len(n) == 1:
                     pattern = BITFunction.from_pattern(*n, pattern).to_string()
                 raise InvalidInstanceError(
@@ -689,7 +742,8 @@ def _mixture(
             f"expected exactly 1"
         )
 
-    laws = [(w, certificate.simulators[f]) for f, w in grouped.items()]
+    reports = [(w, certificate.report(f)) for f, w in grouped.items()]
+    laws = [(w, report.simulator) for w, report in reports]
     mass_lcm = math.lcm(*(law.probability(o).denominator for _, law in laws for o in law))
     counts: dict = {}
     for w, law in laws:
@@ -698,7 +752,7 @@ def _mixture(
             counts[o] = counts.get(o, 0) + w * p.numerator * (mass_lcm // p.denominator)
     d_s = FiniteDistribution.from_counts(counts, denominator * mass_lcm)
 
-    errors = [(w, certificate.per_function[f]) for f, w in grouped.items()]
+    errors = [(w, report.epsilon) for w, report in reports]
     error_lcm = math.lcm(*(eps.denominator for _, eps in errors))
     weighted = sum(w * eps.numerator * (error_lcm // eps.denominator) for w, eps in errors)
     pattern_max = max(eps for _, eps in errors)

@@ -622,7 +622,9 @@ def test_text_format(runner, tmp_path):
 # erasure-extended channel classes became one, and (composed-demo, the
 # exhaustive shipped demo) before the pattern mixtures became integer,
 # and (search-k1n4, nm-verify-bit) before the tamper experiments
-# returned every message's law in one call;
+# returned every message's law in one call, and (nm-verify-bit-k2n5, the
+# fixed k=2, n=5 code) before certification skipped the LP of members a
+# trivial simulator keeps within the running epsilon;
 # the whole JSON must stay the same apart from the timestamp and the
 # input paths the provenance echoes.
 
@@ -661,10 +663,13 @@ def report_without_run_fields(path) -> dict:
         (["nm-verify", str(DATA / "transfer_code.json"), "--family", "bit",
           "--budget", "1000"],
          "golden_nm_verify_bit.json"),
+        (["nm-verify", str(DATA / "fixed_k2n5_code.json"), "--family", "bit",
+          "--budget", "4096"],
+         "golden_nm_verify_bit_k2n5.json"),
     ],
     ids=["nm-verify-sequences", "composed-verify", "composed-demo", "certify-inner",
          "decompose-alpha3", "decompose-lifted-bsc", "decompose-erase",
-         "search-k1n4", "nm-verify-bit"],
+         "search-k1n4", "nm-verify-bit", "nm-verify-bit-k2n5"],
 )
 def test_report_matches_golden(runner, tmp_path, args, golden):
     out = tmp_path / "report.json"

@@ -18,6 +18,8 @@ from nmavc import (
     StateSequence,
     StochasticCode,
     all_bitstrings,
+    apply_copy,
+    certify_family,
     certify_induced_family,
     channel_map,
     delta_exact,
@@ -26,6 +28,7 @@ from nmavc import (
     induced_tamper,
     recovery_probability,
     search_nm_code,
+    statistical_distance,
     verify_composed,
 )
 from nmavc import channels, composed, simplex, verifier
@@ -35,11 +38,15 @@ from oracles import (
     bit_function,
     bit_to_affine,
     bsc,
+    certify_every_member,
     composed_tamper_distribution,
+    ds_mixture,
     gf2_identity,
     hamming_7_4,
     identity_channel,
     identity_code,
+    mixture_bounds,
+    mixture_weights_walk,
     random_extended_channel,
     random_full_rank,
     single_parity,
@@ -403,3 +410,64 @@ def test_verify_composed_runs_one_channel_experiment_per_sequence(monkeypatch):
     experiments = counting(monkeypatch, verifier, "channel_map")
     verify_composed(scheme, sequences, SpecialStateSpec(F(1, 10), scheme.n))
     assert len(experiments) == len(sequences) == 242
+
+
+def test_demo_certify_inner_lp_count_is_pinned(monkeypatch):
+    # 1,153 induced maps over 104 distinct profiles: the LP runs only for
+    # the members a trivial simulator does not keep within the running
+    # epsilon.
+    scheme = parity45_scheme()
+    experiments = counting(monkeypatch, verifier, "tamper_map")
+    solves = counting(monkeypatch, simplex, "solve_min")
+    cert = certify_induced_family(scheme.inner, scheme.outer)
+    assert (cert.size, cert.epsilon) == (1153, F(3, 8))
+    assert len(experiments) == 104
+    assert len(solves) == 47
+
+
+def test_demo_composed_verify_lp_count_is_pinned(monkeypatch):
+    # Every certified member has a positive-weight pattern, so the
+    # mixtures solve each member certification skipped: the demo's 242
+    # sequences need 77 LPs, and one experiment per distinct profile.
+    scheme = parity45_scheme()
+    _, sequences = demo_sequences(scheme)
+    experiments = counting(monkeypatch, verifier, "tamper_map")
+    simulators = counting(monkeypatch, verifier, "optimal_simulator")
+    solves = counting(monkeypatch, simplex, "solve_min")
+    report = verify_composed(scheme, sequences, SpecialStateSpec(F(1, 10), scheme.n))
+    assert report.eps_max == F(3903, 40000)
+    assert len(experiments) == len(simulators) == 87
+    assert len(solves) == 77
+
+
+def test_verify_composed_solves_pruned_members_on_demand():
+    # Certifying this sequence's 20 induced maps leaves 6 unsolved; its
+    # mixture solves them on demand, and the sequence's report matches
+    # the reference that solves every member.
+    scheme = parity45_scheme()
+    n = scheme.n
+    flips = bsc(F(3, 10)).to_extended()
+    z = Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]).to_extended()
+    seq = StateSequence([bec((1, 5)), z] + [flips] * (n - 2))
+    member_of = {
+        pattern: induced_tamper(scheme.outer, BITFunction(pattern))
+        for pattern, _ in mixture_weights_walk(seq)
+    }
+    members = list(dict.fromkeys(member_of.values()))
+    cert = certify_family(scheme.inner, members)
+    unsolved = [f for f, entry in cert.members.items() if entry.report is None]
+    assert (len(members), len(unsolved)) == (20, 6)
+    report = verify_composed(scheme, [seq], SpecialStateSpec(F(1, 10), n))
+    (got,) = report.eps_by_sequence.values()
+    reference = certify_every_member(scheme.inner, members)
+    simulators = {f: r.simulator for f, r in reference.reports.items()}
+    errors = {f: r.epsilon for f, r in reference.reports.items()}
+    d_s = ds_mixture(seq, simulators, member_of)
+    epsilon = max(
+        statistical_distance(composed_tamper_distribution(scheme, seq, m), apply_copy(d_s, m))
+        for m in scheme.messages()
+    )
+    assert all(cert.report(f) == reference.reports[f] for f in unsolved)
+    assert (got.epsilon, got.weighted_bound, got.pattern_max) == (
+        epsilon, *mixture_bounds(seq, errors, member_of)
+    )

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,17 @@ def test_enumeration_counts_and_order():
     assert len(list(enumerate_bit_functions(2, 4))) == 16
     assert len(list(enumerate_bit_functions(2, 5))) == 25
     assert len(set(enumerate_bit_functions(2, 5))) == 25
+
+
+@pytest.mark.parametrize("alphabet", [4, 5])
+def test_enumerated_masks_match_actions(alphabet):
+    # The masks set during enumeration are those pattern computes from
+    # the actions, and the functions come in product order.
+    letters = list(BitAction)[:alphabet]
+    for n in range(1, 5):
+        got = list(enumerate_bit_functions(n, alphabet))
+        assert [f.actions for f in got] == list(product(letters, repeat=n))
+        assert [f.pattern for f in got] == [BITFunction(f.actions).pattern for f in got]
 
 
 def test_enumeration_budget():

@@ -22,6 +22,7 @@ from nmavc import (
     FamilyCertificate,
     FiniteDistribution,
     GF2Matrix,
+    NMReport,
     StateSequence,
     StochasticCode,
     all_bitstrings,
@@ -29,6 +30,7 @@ from nmavc import (
     certify_bit_family,
     certify_family,
     channel_map,
+    enumerate_bit_functions,
     optimal_simulator,
     search_nm_code,
     statistical_distance,
@@ -49,6 +51,7 @@ from oracles import (
     bit_function,
     bit_to_affine,
     bsc,
+    certify_every_member,
     ds_mixture,
     ecc_encode,
     fixed_k2n5_code,
@@ -65,6 +68,7 @@ from oracles import (
     random_extended_channel,
     random_full_rank,
     tamper_distribution_channel_mixture,
+    trivial_simulator_bound,
     uniform,
 )
 
@@ -267,19 +271,23 @@ def test_lp_never_beaten_by_grid_oracle():
 
 def mixture_certificate(simulators, errors=None) -> FamilyCertificate:
     """A certificate holding only what the mixture reads: each member's
-    simulator and error (0 unless given)."""
+    solved report, with its simulator and error (0 unless given)."""
     if errors is None:
         errors = dict.fromkeys(simulators, F(0))
+    members = {
+        f: verifier._Profile({}, errors[f], NMReport(errors[f], simulators[f], "", {}))
+        for f in simulators
+    }
     worst = max(errors, key=errors.get)
-    return FamilyCertificate(errors[worst], worst, None, errors, simulators)
+    return FamilyCertificate(errors[worst], worst, None, members)
 
 
 def test_ds_mixture_identity_sequence():
     code = identity_code(2)
     cert = certify_bit_family(code)
     seq = StateSequence.uniform(identity_channel(), 2)
-    d_s = ds_mixture(seq, cert.simulators)
-    assert d_s == cert.simulators[bit_function("KK")]
+    d_s = ds_mixture(seq, {f: cert.report(f).simulator for f in cert.members})
+    assert d_s == cert.report(bit_function("KK")).simulator
     assert _mixture(seq.mixture_weights(), cert)[0] == d_s
 
 
@@ -421,13 +429,14 @@ def test_search_infeasible_dimensions():
 def test_certificates_reverify():
     result = search_nm_code(k=1, n=3, rho=1, trials=4, seed=2)
     code = result.code
-    for f, simulator in result.certificate.simulators.items():
+    for f in result.certificate.members:
+        report = result.certificate.report(f)
         tm = tamper_map(code, f)
         worst = max(
-            statistical_distance(tm[m], apply_copy(simulator, m))
+            statistical_distance(tm[m], apply_copy(report.simulator, m))
             for m in code.messages()
         )
-        assert worst == result.certificate.per_function[f]
+        assert worst == report.epsilon
 
 
 # ------------------------------------------------- batched count profiles
@@ -524,7 +533,7 @@ def test_count_profiles_wide_words():
     ]
     assert_counts_match_tamper_map(code, functions)
     cert = certify_family(code, functions)
-    assert cert.per_function[BOT_MAP] == 0
+    assert cert.report(BOT_MAP).epsilon == 0
 
 
 def test_count_profile_checked_against_tampering_experiment(monkeypatch):
@@ -659,7 +668,7 @@ def counting(monkeypatch, name):
 def test_search_lp_count_is_pinned(monkeypatch):
     solves = counting(monkeypatch, "solve_min")
     result = search_nm_code(1, 4, 2, trials=200, seed=404)
-    assert len(solves) == 129
+    assert len(solves) == 100
     assert result.certificate.epsilon == F(1, 4)
     assert result.best_trial == 9
 
@@ -667,7 +676,7 @@ def test_search_lp_count_is_pinned(monkeypatch):
 def test_bit_family_lp_count_is_pinned(monkeypatch):
     solves = counting(monkeypatch, "solve_min")
     cert = certify_bit_family(fixed_k2n5_code())
-    assert len(solves) == 204
+    assert len(solves) == 86
     assert cert.epsilon == F(2, 3)
     assert cert.worst == bit_function("KKK01")
 
@@ -708,7 +717,7 @@ def test_search_profile_count_is_pinned(monkeypatch):
     experiments = counting(monkeypatch, "tamper_map")
     result = search_nm_code(1, 4, 2, trials=200, seed=404)
     assert len(built) == 1351
-    assert len(solves) == 129
+    assert len(solves) == 100
     assert len(experiments) == 144
     assert result.certificate.epsilon == F(1, 4)
     assert result.best_trial == 9
@@ -717,7 +726,7 @@ def test_search_profile_count_is_pinned(monkeypatch):
 def test_search_validates_the_family_once(monkeypatch):
     # The 256 members are checked once for all 200 codes; the only other
     # checks are the seed-by-seed experiment's, one on each of the 144
-    # LP-cache misses.
+    # distinct profiles, solved or not.
     checks = counting(monkeypatch, "_check_member")
     experiments = counting(monkeypatch, "tamper_map")
     search_nm_code(1, 4, 2, trials=200, seed=404)
@@ -735,11 +744,17 @@ def test_tamper_map_runs_once_per_cache_miss(monkeypatch):
     simulators = counting(monkeypatch, "optimal_simulator")
     cache: dict = {}
     first = certify_bit_family(code, cache=cache)
-    assert len(experiments) == len(simulators) == len(cache)
+    # Every distinct profile is checked once; 15 of the 24 are kept at
+    # or below the running epsilon by a trivial simulator, unsolved.
+    assert len(experiments) == len(cache) == 24
+    assert len(simulators) == 9
     assert 0 < len(cache) < 4 ** code.n
     again = certify_bit_family(code, cache=cache)
     assert len(experiments) == len(cache)
-    assert again.per_function == first.per_function
+    assert len(simulators) == 9
+    reports = {f: again.report(f) for f in again.members}
+    assert len(simulators) == len(cache)
+    assert reports == {f: first.report(f) for f in first.members}
 
 
 def test_shared_cache_keeps_codes_apart():
@@ -762,5 +777,76 @@ def test_shared_cache_keeps_codes_apart():
         alone = certify_bit_family(code)
         assert got.epsilon == alone.epsilon
         assert got.worst == alone.worst
-        assert got.per_function == alone.per_function
-        assert got.simulators == alone.simulators
+        assert list(got.members) == list(alone.members)
+        assert all(got.report(f) == alone.report(f) for f in got.members)
+
+
+# ------------------------------------------------- pruned certification
+
+def assert_same_certificate(cert, reference):
+    assert (cert.epsilon, cert.worst, cert.size) == (
+        reference.epsilon, reference.worst, reference.size
+    )
+    assert cert.worst_report.to_json() == reference.worst_report.to_json()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_pruned_certificate_matches_every_member_solved(data):
+    # certify_family skips the LP of a member whose trivial-simulator
+    # bound is at most the running epsilon.  With or without an early
+    # stop (on one shared cache, so pruned entries are read again), it
+    # matches the reference that solves every member, and each member's
+    # optimum is at most its bound, which a trivial simulator attains.
+    code = data.draw(small_codes(max_n=4))
+    if code.n <= 3 and data.draw(st.booleans(), label="whole bit family"):
+        functions = list(enumerate_bit_functions(code.n))
+    else:
+        functions = data.draw(st.lists(members(code.n), min_size=1, max_size=16))
+    reference = certify_every_member(code, functions)
+    optima = sorted({report.epsilon for report in reference.reports.values()})
+    stop = data.draw(st.one_of(st.sampled_from(optima), unit_rationals()), label="stop")
+    cache: dict = {}
+    expected = certify_every_member(code, functions, stop)
+    stopped = certify_family(code, functions, cache=cache, stop_at_or_above=stop)
+    if expected is None:
+        assert stopped is None
+    else:
+        assert_same_certificate(stopped, expected)
+    cert = certify_family(code, functions, cache=cache)
+    assert_same_certificate(cert, reference)
+    for f, entry in cert.members.items():
+        assert entry.bound == trivial_simulator_bound(tamper_map(code, f))
+        assert reference.reports[f].epsilon <= entry.bound
+        assert cert.report(f) == reference.reports[f]
+
+
+def test_transfer_solves_pruned_members_on_demand():
+    # Certification leaves five of this sequence's positive-weight
+    # patterns unsolved; the mixture solves them on demand, and the
+    # transfer matches the reference that solves every member.
+    code = StochasticCode.from_tables(
+        1, 3, 1, {"0": ["000", "110"], "1": ["111", "100"]},
+        {"000": "0", "110": "0", "111": "1", "100": "1"},
+    )
+    z = Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]])
+    seq = StateSequence([bsc(F(3, 10)), z, bsc(F(1, 5))])
+    cert = certify_bit_family(code)
+    unsolved = {f for f, entry in cert.members.items() if entry.report is None}
+    read = {BITFunction.from_pattern(3, p) for p, _ in seq.mixture_weights()[1]}
+    assert sorted(f.to_string() for f in read & unsolved) == [
+        "F0F", "F0K", "FKF", "K0F", "K0K"
+    ]
+    report = verify_transfer(code, seq, cert)
+    reference = certify_every_member(code, enumerate_bit_functions(3))
+    assert all(cert.report(f) == reference.reports[f] for f in read)
+    simulators = {f: r.simulator for f, r in reference.reports.items()}
+    errors = {f: r.epsilon for f, r in reference.reports.items()}
+    d_s = ds_mixture(seq, simulators)
+    ds_sd = max(
+        statistical_distance(product_tamper_distribution(code, seq, m), apply_copy(d_s, m))
+        for m in code.messages()
+    )
+    assert (report.eps_bit, report.ds_sd, report.weighted_bound) == (
+        reference.epsilon, ds_sd, mixture_bounds(seq, errors)[0]
+    )
