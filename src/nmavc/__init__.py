@@ -25,16 +25,7 @@ from .composed import (
     recovery_probability,
     verify_composed,
 )
-from .distributions import (
-    BOT,
-    SAME_STAR,
-    FiniteDistribution,
-    all_bitstrings,
-    apply_copy,
-    format_rational,
-    parse_rational,
-    statistical_distance,
-)
+from .distributions import all_bitstrings, format_rational, parse_rational
 from .gf2 import (
     GF2Matrix,
     ReconstructionSet,

@@ -3,11 +3,12 @@
 The scheme is a stochastic code over {0,1,e}: its enc table holds the
 inner codewords encoded by the erasure code, and decode runs the
 reconstruction-set erasure decoder on the word (bits, erased) and feeds
-its output (or BOT) to the inner decoder.  Tampering the outer codeword
-with a per-bit action pattern induces an affine map (or the constant
-failure map) on the inner codeword: the induced map is built in its
-closed matrix form and checked against the actual encode/tamper/decode
-pipeline on every inner word, both sides read as tables over the words.
+its output to the inner decoder; an outer failure decodes to bot.
+Tampering the outer codeword with a per-bit action pattern induces an
+affine map (or the constant failure map) on the inner codeword: the
+induced map is built in its closed matrix form and checked against the
+actual encode/tamper/decode pipeline on every inner word, both sides
+read as tables over the words.
 
 Verification certifies the inner code against the distinct maps that a
 sequence's patterns induce, then runs the verifier's mixture check.
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .channels import Channel, StateSequence
-from .distributions import BOT, Marker, format_rational
+from .distributions import Marker, all_bitstrings, format_rational
 from .errors import (
     BudgetExceededError,
     InvalidInstanceError,
@@ -91,16 +92,13 @@ class ComposedScheme(StochasticCode):
         inner.check_correctness()
         self.inner = inner
         self.outer = outer
-        enc = {
-            m: [outer.vec_mul(word) for word in words]
-            for m, words in inner.enc.items()
-        }
+        enc = [[outer.vec_mul(word) for word in words] for words in inner.enc]
         super().__init__(inner.k, outer.ncols, inner.rho, enc, {})
 
-    def decode(self, bits: int, erased: int = 0):
-        """Erasure-decode, then inner-decode; an outer failure is BOT."""
+    def decode(self, bits: int, erased: int = 0) -> int:
+        """Erasure-decode, then inner-decode; an outer failure is bot (2^k)."""
         u = ecc_decode(self.outer, bits, erased)
-        return BOT if u is None else self.inner.decode(u)
+        return 1 << self.k if u is None else self.inner.decode(u)
 
 
 def _closed_form(
@@ -198,7 +196,7 @@ def recovery_probability(
     recovered = Fraction(0)
     for mask in range(1 << n):
         outcomes = set()
-        for m, words in scheme.enc.items():
+        for m, words in enumerate(scheme.enc):
             for word in words:
                 outcomes.add(scheme.decode(word & ~mask, mask) == m)
         if len(outcomes) > 1:
@@ -213,14 +211,16 @@ def recovery_probability(
 
 @dataclass
 class SequenceReport:
-    """Per-sequence composed verification outcome (exact)."""
+    """Per-sequence composed verification outcome (exact); worst_message
+    is a message index of the inner code's k."""
 
     label: str
     epsilon: Fraction
     weighted_bound: Fraction
     pattern_max: Fraction
-    worst_message: str
+    worst_message: int
     pattern_count: int
+    k: int
 
     def to_json(self) -> dict:
         return {
@@ -229,7 +229,7 @@ class SequenceReport:
             "epsilon_float": float(self.epsilon),
             "weighted_bound": format_rational(self.weighted_bound),
             "pattern_max": format_rational(self.pattern_max),
-            "worst_message": self.worst_message,
+            "worst_message": all_bitstrings(self.k)[self.worst_message],
             "patterns": self.pattern_count,
         }
 
@@ -339,6 +339,7 @@ def verify_composed(
             pattern_max=mixture.pattern_max,
             worst_message=mixture.worst_message,
             pattern_count=len(weights[1]),
+            k=scheme.k,
         )
         eps_max = max(eps_max, mixture.ds_sd)
     return ComposedReport(

@@ -9,10 +9,6 @@ class InvalidRationalError(NmavcError, ValueError):
     """A value could not be parsed as an exact rational."""
 
 
-class InvalidDistributionError(NmavcError, ValueError):
-    """Masses are negative or do not sum to exactly one."""
-
-
 class InvalidMixtureError(NmavcError, ValueError):
     """Mixture weights are negative or do not sum to exactly one."""
 

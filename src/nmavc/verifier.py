@@ -2,13 +2,20 @@
 
 Given a stochastic code (randomized encoder with an explicit uniform
 seed, deterministic decoder), this module computes the exact decoded
-distribution under a tampering function or a channel state sequence
-(over {0,1}, or {0,1,e} for a decoder that reads erasures), finds the
-optimal message-independent simulator distribution by an exact-rational
-LP, and checks the transfer from a certified family to a state
-sequence: the per-pattern simulators, mixed by pattern weight, stay
-within the weighted family error.  One mixture check serves the bit
-family and the composed scheme's induced maps.
+law under a tampering function or a channel state sequence (over {0,1},
+or {0,1,e} for a decoder that reads erasures), finds the optimal
+message-independent simulator by an exact-rational LP, and checks the
+transfer from a certified family to a state sequence: the per-pattern
+simulators, mixed by pattern weight, stay within the weighted family
+error.  One mixture check serves the bit family and the composed
+scheme's induced maps.
+
+A decoded outcome is an index: the messages are 0..2^k - 1 (in the
+order of all_bitstrings(k)), failure (bot) is 2^k, and a simulator adds
+same* at 2^k + 1.  A law table is (rows, total): one count row of width
+2^k + 1 per message, all over one total; a simulator is one row of
+width 2^k + 2 over its own total.  Labels appear only in from_tables
+and the to_json methods.
 
 Every reported (epsilon, D) pair is re-verified by direct statistical
 distance computation before it is returned.  Family certification
@@ -28,16 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union
 
 from .channels import StateSequence
-from .distributions import (
-    BOT,
-    SAME_STAR,
-    FiniteDistribution,
-    Marker,
-    all_bitstrings,
-    apply_copy,
-    format_rational,
-    statistical_distance,
-)
+from .distributions import Marker, all_bitstrings, format_rational
 from .errors import (
     BudgetExceededError,
     InvalidCodeError,
@@ -58,15 +56,16 @@ TamperingFunction = Union[BITFunction, AffineFunction, Marker]
 class StochasticCode:
     """A (k, n)-coding scheme with a rho-bit uniform encoder seed, as tables.
 
+    Messages are the indices 0..2^k - 1, and 2^k is the outcome bot.
     enc[m][r] is the codeword of message m under seed r, packed as an int
-    (bit i is position i, as bits_to_int packs a bitstring): a dict from
-    each message bitstring to a tuple of 2^rho words.  The decoder is the
-    dict dec from packed words to messages; every other word decodes to
-    BOT.  decode(bits, erased) is the one decoding entry point, which a
-    code whose decoder reads erasures overrides.  The constructor
-    validates the tables; perfect correctness (decode(enc[m][r]) = m for
-    every m and seed) is audited exhaustively before any verification
-    uses the code.  Bitstrings appear only in from_tables/to_json.
+    (bit i is position i, as bits_to_int packs a bitstring): a tuple of
+    2^k tuples of 2^rho words.  The decoder is the dict dec from packed
+    words to message indices; every other word decodes to bot.
+    decode(bits, erased) is the one decoding entry point, which a code
+    whose decoder reads erasures overrides.  The constructor validates
+    the tables; perfect correctness (decode(enc[m][r]) = m for every m
+    and seed) is audited exhaustively before any verification uses the
+    code.  Bitstrings appear only in from_tables/to_json.
     """
 
     __slots__ = ("k", "n", "rho", "enc", "dec", "_audited", "_dec_table")
@@ -77,76 +76,74 @@ class StochasticCode:
         k: int,
         n: int,
         rho: int,
-        enc: Mapping[str, Sequence[int]],
-        dec: Mapping[int, str],
+        enc: Sequence[Sequence[int]],
+        dec: Mapping[int, int],
     ) -> None:
         _check_dimensions(k, n, rho)
         # Sizes first: 2^k and 2^rho are compared, never enumerated.
-        if not _has_power_size(enc, k) or not all(_is_word(m, k) for m in enc):
+        if not _has_power_size(enc, k):
             raise InvalidCodeError("encoder table must cover every message")
-        for m, words in enc.items():
+        for m, words in enumerate(enc):
             if not _has_power_size(words, rho):
                 raise InvalidCodeError(
-                    f"message {m!r} has {len(words)} codewords, expected 2^{rho}"
+                    f"message {all_bitstrings(k)[m]!r} has {len(words)} "
+                    f"codewords, expected 2^{rho}"
                 )
             for word in words:
                 if not _is_packed(word, n):
                     raise InvalidCodeError(
-                        f"codeword {word!r} of message {m!r} is not in [0, 2^{n})"
+                        f"codeword {word!r} of message {all_bitstrings(k)[m]!r} "
+                        f"is not in [0, 2^{n})"
                     )
         for word, m in dec.items():
             if not _is_packed(word, n):
                 raise InvalidCodeError(f"decoder key {word!r} is not in [0, 2^{n})")
-            if not isinstance(m, str) or m not in enc:
+            if not _is_packed(m, k):
                 raise InvalidCodeError(
-                    f"decoder maps {word!r} to {m!r}, not a message in {{0,1}}^{k}"
+                    f"decoder maps {word!r} to {m!r}, not a message in [0, 2^{k})"
                 )
         self.k = k
         self.n = n
         self.rho = rho
-        self.enc = {m: tuple(words) for m, words in enc.items()}
+        self.enc = tuple(tuple(words) for words in enc)
         self.dec = dict(dec)
         self._audited = False
         self._dec_table = None
-
-    def messages(self) -> list[str]:
-        return all_bitstrings(self.k)
 
     @property
     def seed_count(self) -> int:
         return 1 << self.rho
 
-    def decode(self, bits: int, erased: int = 0):
-        """The message the word (bits, erased) decodes to, or BOT; the
-        decoder table holds binary words only, so an erasure fails."""
-        return BOT if erased else self.dec.get(bits, BOT)
+    def decode(self, bits: int, erased: int = 0) -> int:
+        """The outcome index of the word (bits, erased): its message, or
+        2^k (bot); the decoder table holds binary words only, so an
+        erasure fails."""
+        bot = 1 << self.k
+        return bot if erased else self.dec.get(bits, bot)
 
     def check_correctness(self) -> None:
         """Exhaustive decode(enc[m][r]) = m audit; cached after first pass."""
         if self._audited:
             return
-        for m in self.messages():
-            for r, word in enumerate(self.enc[m]):
+        for m, words in enumerate(self.enc):
+            for r, word in enumerate(words):
                 decoded = self.decode(word)
                 if decoded != m:
+                    labels = _labels(self.k)
                     raise InvalidCodeError(
-                        f"dec(enc({m!r}, {r})) = {decoded!r}, violating "
-                        f"perfect correctness"
+                        f"dec(enc({labels[m]!r}, {r})) = {labels[decoded]!r}, "
+                        f"violating perfect correctness"
                     )
         self._audited = True
 
     def decoder_table(self) -> list[int]:
-        """Outcome index of decode(y) for every word y over the decoder's
-        alphabet ({0,1}, or {0,1,e} when it reads erasures).
-
-        Words are in the order of words_in_order; outcomes are indexed as
-        in _outcome_index.  Each word is decoded once, on first use, and
-        the table is kept on the code.
-        """
+        """decode(y) for every word y over the decoder's alphabet ({0,1},
+        or {0,1,e} when it reads erasures), in the order of
+        words_in_order.  Each word is decoded once, on first use, and the
+        table is kept on the code."""
         if self._dec_table is None:
-            outcome_index = _outcome_index(self)
             self._dec_table = [
-                outcome_index[self.decode(bits, erased)]
+                self.decode(bits, erased)
                 for bits, erased in words_in_order(self.n, self.erasures)
             ]
         return self._dec_table
@@ -160,28 +157,40 @@ class StochasticCode:
         enc_table: Mapping[str, list[str]],
         dec_table: Mapping[str, str],
     ) -> "StochasticCode":
-        """The code of JSON-style tables, with every word a bitstring."""
+        """The code of JSON-style tables, with every word and message a
+        bitstring."""
         _check_dimensions(k, n, rho)
         if not isinstance(enc_table, Mapping) or not isinstance(dec_table, Mapping):
             raise InvalidCodeError("encoder and decoder tables must be objects")
-        enc = {}
-        for m, words in enc_table.items():
-            if not isinstance(words, (list, tuple)):
+        # 2^k distinct keys in {0,1}^k name every message, and sorted
+        # they are in index order; the size is compared first.
+        if not _has_power_size(enc_table, k) or not all(_is_word(m, k) for m in enc_table):
+            raise InvalidCodeError("encoder table must cover every message")
+        enc = []
+        for m in sorted(enc_table):
+            if not isinstance(enc_table[m], (list, tuple)):
                 raise InvalidCodeError(f"codewords of message {m!r} must be a list")
-            enc[m] = [_pack(word, n) for word in words]
-        dec = {_pack(word, n): m for word, m in dec_table.items()}
+            enc.append([_pack(word, n) for word in enc_table[m]])
+        dec = {}
+        for word, m in dec_table.items():
+            if not _is_word(m, k):
+                raise InvalidCodeError(
+                    f"decoder maps {word!r} to {m!r}, not a message in {{0,1}}^{k}"
+                )
+            dec[_pack(word, n)] = int("0" + m, 2)  # m's index; "" (k = 0) is 0
         return cls(k, n, rho, enc, dec)
 
     def to_json(self) -> dict:
+        labels = all_bitstrings(self.k)
         return {
             "k": self.k,
             "n": self.n,
             "rho": self.rho,
             "enc": {
-                m: [int_to_bits(word, self.n) for word in words]
-                for m, words in self.enc.items()
+                label: [int_to_bits(word, self.n) for word in words]
+                for label, words in zip(labels, self.enc)
             },
-            "dec": {int_to_bits(word, self.n): m for word, m in self.dec.items()},
+            "dec": {int_to_bits(word, self.n): labels[m] for word, m in self.dec.items()},
         }
 
     @classmethod
@@ -229,9 +238,10 @@ def _has_power_size(items: Sized, exponent: int) -> bool:
     return exponent == size.bit_length() - 1 and size == 1 << exponent
 
 
-def _outcome_index(code: StochasticCode) -> dict:
-    """Index of each decoder outcome: the messages in order, then BOT."""
-    return {y: i for i, y in enumerate([*code.messages(), BOT])}
+def _labels(k: int) -> list[str]:
+    """The JSON label of each outcome index: the messages' bitstrings,
+    then bot and same*."""
+    return [*all_bitstrings(k), "bot", "same*"]
 
 
 def _check_budget(cost: int, budget: Optional[int], what: str) -> None:
@@ -263,34 +273,39 @@ def _check_member(
     _check_budget(code.seed_count, budget, "tampering experiment")
 
 
+Laws = tuple[list[list[int]], int]
+
+
 def tamper_map(
     code: StochasticCode, f: TamperingFunction, budget: Optional[int] = None
-) -> dict[str, FiniteDistribution]:
-    """Exact law of decode(f(enc[m][r])) over the uniform encoder seed,
-    for every message m.
+) -> Laws:
+    """Exact law table of decode(f(enc[m][r])) over the uniform encoder
+    seed: for every message m, the count of each outcome index over
+    total 2^rho.
 
     Validates the code and f once, then runs the experiment seed by
-    seed: one f.apply and one decode per codeword, outcomes counted over
-    2^rho.  Costs 2^rho per message.
+    seed: one f.apply and one decode per codeword.  Costs 2^rho per
+    message.
     """
     code.check_correctness()
     _check_member(code, f, budget)
-    if f is BOT_MAP:
-        return {m: FiniteDistribution.point(BOT) for m in code.messages()}
-    laws = {}
-    for m in code.messages():
-        counts: dict = {}
-        for word in code.enc[m]:
-            outcome = code.decode(f.apply(word))
-            counts[outcome] = counts.get(outcome, 0) + 1
-        laws[m] = FiniteDistribution.from_counts(counts, code.seed_count)
-    return laws
+    bot = len(code.enc)
+    rows = []
+    for words in code.enc:
+        row = [0] * (bot + 1)
+        if f is BOT_MAP:
+            row[bot] = code.seed_count
+        else:
+            for word in words:
+                row[code.decode(f.apply(word))] += 1
+        rows.append(row)
+    return rows, code.seed_count
 
 
 def channel_map(
     code: StochasticCode, seq: StateSequence, budget: Optional[int] = None
-) -> dict[str, FiniteDistribution]:
-    """Exact law of decode(y), y drawn from the channel sequence on
+) -> Laws:
+    """Exact law table of decode(y), y drawn from the channel sequence on
     enc[m][r], for every message m.
 
     Computed in integers, without the elementary-pattern decomposition:
@@ -321,78 +336,81 @@ def channel_map(
         for ch in seq.channels
     ]
     table = code.decoder_table()
-    outcomes = list(_outcome_index(code))
-    total = scale ** code.n * code.seed_count
-    laws = {}
-    for m in code.messages():
+    laws = []
+    for words in code.enc:
         weights = [0] * symbols ** code.n
-        for word in code.enc[m]:
+        for word in words:
             law = [1]
             for j, ch_rows in enumerate(rows):
                 row = ch_rows[(word >> j) & 1]
                 law = [a * b for a in law for b in row]
             weights = list(map(operator.add, weights, law))
-        counts = [0] * len(outcomes)
+        counts = [0] * (len(code.enc) + 1)
         for y, w in zip(table, weights):
             counts[y] += w
-        laws[m] = FiniteDistribution.from_counts(dict(zip(outcomes, counts)), total)
-    return laws
+        laws.append(counts)
+    return laws, scale ** code.n * code.seed_count
 
 
 @dataclass(frozen=True)
 class NMReport:
-    """Certified simulator: epsilon is exactly max_m SD(T_m, Copy(D, m))."""
+    """Certified simulator: epsilon is exactly max_m SD(T_m, Copy(D, m)).
+
+    simulator is D as (row, total): the count of each outcome index (the
+    2^k messages, bot, same*) over total.  per_message_sd[m] is message
+    m's distance, and worst_message the least m that reaches epsilon.
+    Labels appear only in to_json.
+    """
 
     epsilon: Fraction
-    simulator: FiniteDistribution
-    worst_message: str
-    per_message_sd: dict[str, Fraction]
+    simulator: tuple[tuple[int, ...], int]
+    worst_message: int
+    per_message_sd: list[Fraction]
 
     def to_json(self) -> dict:
+        labels = _labels(len(self.per_message_sd).bit_length() - 1)
+        row, total = self.simulator
         return {
             "epsilon": format_rational(self.epsilon),
             "epsilon_float": float(self.epsilon),
-            "simulator": self.simulator.to_json(),
-            "worst_message": self.worst_message,
+            "simulator": {
+                labels[y]: format_rational(Fraction(c, total))
+                for y, c in enumerate(row) if c
+            },
+            "worst_message": labels[self.worst_message],
             "per_message_sd": {
-                m: format_rational(v) for m, v in sorted(self.per_message_sd.items())
+                labels[m]: format_rational(v) for m, v in enumerate(self.per_message_sd)
             },
         }
 
 
-def _simulator_lp(
-    messages: list[str], tamper_by_message: Mapping[str, FiniteDistribution]
-) -> FiniteDistribution:
-    """Optimal simulator via an exact LP.
+def _simulator_lp(rows: Sequence[Sequence[int]], total: int) -> tuple[tuple[int, ...], int]:
+    """Optimal simulator via an exact LP, as a count row over its lcm.
 
-    Variables: D(z) for z in messages + {BOT, SAME_STAR}, one slack per
-    (message, outcome) bounding the positive part of T_m - Copy(D, m),
-    and epsilon.  Since both sides are full distributions the positive
-    parts sum to the statistical distance, so per-message constraints
-    sum-of-slacks <= epsilon pin epsilon to the worst-case distance.
+    Variables: D(z) for every outcome index z (the messages, bot, same*),
+    one slack per (message, outcome) bounding the positive part of
+    T_m - Copy(D, m), and epsilon.  Since both sides are full
+    distributions the positive parts sum to the statistical distance, so
+    per-message constraints sum-of-slacks <= epsilon pin epsilon to the
+    worst-case distance.
     """
-    z_outcomes = [*messages, BOT, SAME_STAR]
-    y_outcomes = [*messages, BOT]
-    nd = len(z_outcomes)
-    ny = len(y_outcomes)
-    n_vars = nd + len(messages) * ny + 1
+    ny = len(rows) + 1  # a law's outcomes: the messages and bot
+    nd = ny + 1  # a simulator's: and same*
+    star = nd - 1
+    n_vars = nd + len(rows) * ny + 1
     eps_col = n_vars - 1
-    d_col = {z: i for i, z in enumerate(z_outcomes)}
-
-    def t_col(mi: int, yi: int) -> int:
-        return nd + mi * ny + yi
 
     a_ub: list[dict[int, int]] = []
     b_ub: list[int | Fraction] = []
-    for mi, m in enumerate(messages):
-        t_m = tamper_by_message[m]
-        for yi, y in enumerate(y_outcomes):
-            row = {d_col[y]: -1, t_col(mi, yi): -1}
+    for m, law in enumerate(rows):
+        t_cols = range(nd + m * ny, nd + (m + 1) * ny)
+        for y, (t_col, count) in enumerate(zip(t_cols, law)):
+            row = {y: -1, t_col: -1}
             if y == m:
-                row[d_col[SAME_STAR]] = -1
+                row[star] = -1
             a_ub.append(row)
-            b_ub.append(-t_m.probability(y))
-        row = dict.fromkeys((t_col(mi, yi) for yi in range(ny)), 1)
+            b_ub.append(Fraction(-count, total))
+        row = dict.fromkeys(t_cols, 1)
         row[eps_col] = -1
         a_ub.append(row)
         b_ub.append(0)
@@ -401,66 +419,70 @@ def _simulator_lp(
     c = [0] * n_vars
     c[eps_col] = 1
     x, _ = solve_min(c, a_ub, b_ub, a_eq, b_eq)
-    return FiniteDistribution({z: x[i] for z, i in d_col.items() if x[i] != 0})
+    scale = math.lcm(*(v.denominator for v in x[:nd]))
+    return tuple(v.numerator * (scale // v.denominator) for v in x[:nd]), scale
 
 
-def optimal_simulator(
-    tamper_by_message: Mapping[str, FiniteDistribution]
-) -> NMReport:
-    """Best simulator distribution and its exact worst-case distance.
+def _check_laws(rows: Sequence[Sequence[int]], total: int) -> None:
+    """Raise unless (rows, total) is a law table: 2^k rows, each of
+    2^k + 1 non-negative int counts summing to the int total > 0."""
+    if type(total) is not int or total <= 0:
+        raise InvalidInstanceError(f"law total {total!r} is not a positive int")
+    size = len(rows)
+    if not size or size & (size - 1):
+        raise InvalidInstanceError(
+            f"need one law per message in {{0,1}}^k, got {size} laws"
+        )
+    for law in rows:
+        if not (len(law) == size + 1
+                and all(type(c) is int and c >= 0 for c in law)
+                and sum(law) == total):
+            raise InvalidInstanceError(
+                f"law {law!r} is not {size + 1} non-negative int counts of the "
+                f"{size} messages and bot, summing to {total}"
+            )
+
+
+def optimal_simulator(rows: Sequence[Sequence[int]], total: int) -> NMReport:
+    """Best simulator distribution and its exact worst-case distance, for
+    the law table (rows, total).
 
     The non-malleability definitions are existential ("there exists a
     distribution"); this computes the witness constructively and
     re-verifies the reported epsilon by direct summation.
     """
-    if not tamper_by_message:
-        raise InvalidInstanceError("no tamper distributions supplied")
-    some_message = next(iter(tamper_by_message))
-    k = len(some_message)
-    messages = all_bitstrings(k)
-    if set(tamper_by_message) != set(messages):
-        raise InvalidInstanceError(
-            f"need one distribution per message in {{0,1}}^{k}"
-        )
-    for m, dist in tamper_by_message.items():
-        for outcome in dist.support:
-            if outcome is SAME_STAR:
-                raise InvalidInstanceError(
-                    "tamper distributions never contain same*"
-                )
-            if outcome is not BOT and (
-                not isinstance(outcome, str) or len(outcome) != k
-            ):
-                raise InvalidInstanceError(
-                    f"outcome {outcome!r} outside {{0,1}}^{k} + bot"
-                )
-
-    first = tamper_by_message[messages[0]]
-    if all(tamper_by_message[m] == first for m in messages):
-        simulator = first
-    elif all(
-        tamper_by_message[m] == FiniteDistribution.point(m) for m in messages
-    ):
-        simulator = FiniteDistribution.point(SAME_STAR)
+    _check_laws(rows, total)
+    first = rows[0]
+    if all(law == first for law in rows):
+        simulator = ((*first, 0), total)
+    elif all(law[m] == total for m, law in enumerate(rows)):
+        simulator = ((0,) * len(first) + (1,), 1)
     else:
-        simulator = _simulator_lp(messages, tamper_by_message)
+        simulator = _simulator_lp(rows, total)
 
-    epsilon, worst, per_message = _worst_case(tamper_by_message, simulator)
+    epsilon, worst, per_message = _worst_case(rows, total, simulator)
     return NMReport(epsilon, simulator, worst, per_message)
 
 
 def _worst_case(
-    laws: Mapping[str, FiniteDistribution], simulator: FiniteDistribution
-) -> tuple[Fraction, str, dict[str, Fraction]]:
+    rows: Sequence[Sequence[int]], total: int, simulator: tuple[Sequence[int], int]
+) -> tuple[Fraction, int, list[Fraction]]:
     """(epsilon, worst, per_message): the SD of every message's law to
     Copy(simulator, m), their maximum epsilon, and the least message
-    that reaches it."""
-    per_message = {
-        m: statistical_distance(law, apply_copy(simulator, m)) for m, law in laws.items()
-    }
-    epsilon = max(per_message.values())
-    worst = min(m for m, sd in per_message.items() if sd == epsilon)
-    return epsilon, worst, per_message
+    that reaches it.
+
+    A distance is one integer sum over total * L, L the simulator's
+    total, made a Fraction once.
+    """
+    d, scale = simulator
+    per_message = []
+    for m, law in enumerate(rows):
+        copied = list(d[:-1])
+        copied[m] += d[-1]
+        gap = sum(abs(c * scale - total * p) for c, p in zip(law, copied))
+        per_message.append(Fraction(gap, 2 * total * scale))
+    epsilon = max(per_message)
+    return epsilon, per_message.index(epsilon), per_message
 
 
 def function_key(f: TamperingFunction) -> str:
@@ -478,19 +500,21 @@ def function_key(f: TamperingFunction) -> str:
 class _Profile:
     """The shared cache entry of one distinct tamper profile.
 
-    laws is tamper_map's result, checked equal to the profile; bound is
-    the profile's least trivial-simulator error (_profile_bound), an
-    upper bound on its optimum; report is the optimal simulator, None
-    until first asked for.
+    laws is the profile as count rows over total = 2^rho, the very rows
+    of the cache key, checked equal to tamper_map's table; bound is the
+    profile's least trivial-simulator error (_profile_bound), an upper
+    bound on its optimum; report is the optimal simulator, None until
+    first asked for.
     """
 
-    laws: dict[str, FiniteDistribution]
+    laws: tuple[tuple[int, ...], ...]
+    total: int
     bound: Fraction
     report: Optional[NMReport] = None
 
     def solve(self) -> NMReport:
         if self.report is None:
-            self.report = optimal_simulator(self.laws)
+            self.report = optimal_simulator(self.laws, self.total)
         return self.report
 
 
@@ -527,41 +551,38 @@ class FamilyCertificate:
 
 
 class _Outcomes(dict):
-    """Outcome index of every word decoded so far; decodes on a miss, so
+    """decode(word) of every word decoded so far; decodes on a miss, so
     a hit in the profile loop is one plain dict lookup."""
 
     def __init__(self, code: StochasticCode) -> None:
         super().__init__()
         self.code = code
-        self.index = _outcome_index(code)
 
     def __missing__(self, word: int) -> int:
-        y = self[word] = self.index[self.code.decode(word)]
+        y = self[word] = self.code.decode(word)
         return y
 
 
 def _count_profiles(code: StochasticCode, functions: list) -> Iterator[list[int]]:
     """Integer tamper profiles of the (validated) members, one at a time.
 
-    Entry mi * (2^k + 1) + yi of member i's profile counts the seeds r
-    with decode(f_i(enc[m][r])) = y, indexing m and y by code.messages()
-    and BOT by 2^k; dividing a profile by 2^rho gives
-    tamper_map(code, f_i).  Yields member i's profile only when the
-    caller reads it, so a loop that stops early builds no more.  Each
-    distinct tampered word is decoded once per call.
+    Entry m * (2^k + 1) + y of member i's profile counts the seeds r
+    with decode(f_i(enc[m][r])) = y; read as 2^k rows, a profile is the
+    table tamper_map(code, f_i) gives.  Yields member i's profile only
+    when the caller reads it, so a loop that stops early builds no more.
+    Each distinct tampered word is decoded once per call.
     """
-    messages = code.messages()
-    width = len(messages) + 1
-    size = len(messages) * width
+    width = len(code.enc) + 1
+    size = len(code.enc) * width
     cell_words = [
         (cell, word)
-        for cell, m in zip(range(0, size, width), messages) for word in code.enc[m]
+        for cell, words in zip(range(0, size, width), code.enc) for word in words
     ]
     outcome = _Outcomes(code)
     for f in functions:
         profile = [0] * size
         if f is BOT_MAP:
-            profile[width - 1::width] = [code.seed_count] * len(messages)
+            profile[width - 1::width] = [code.seed_count] * len(code.enc)
         elif isinstance(f, BITFunction):
             # f.apply without a call per word: the search's hot loop.
             keep, xor, _ = f.pattern
@@ -627,26 +648,25 @@ def _certify_checked(
     code.check_correctness()
     if cache is None:
         cache = {}
-    messages = code.messages()
-    outcomes = [*messages, BOT]
     seed_count = code.seed_count
+    width = len(code.enc) + 1
     profiles = _count_profiles(code, functions)
 
     epsilon: Optional[Fraction] = None
     members: dict = {}
     for f, row in zip(functions, profiles):
-        key = (seed_count, tuple(row))
+        laws = tuple(tuple(row[i:i + width]) for i in range(0, len(row), width))
+        key = (seed_count, laws)
         entry = cache.get(key)
         if entry is None:
-            t_map = tamper_map(code, f, budget=budget)
-            if row != [t_map[m].probability(y) * seed_count
-                       for m in messages for y in outcomes]:
+            table, _ = tamper_map(code, f, budget=budget)
+            if list(map(list, laws)) != table:
                 raise VerificationError(
                     f"count profile of {function_key(f)} disagrees with its "
                     f"tampering experiment"
                 )
             entry = cache[key] = _Profile(
-                t_map, _profile_bound(row, len(outcomes), seed_count)
+                laws, seed_count, _profile_bound(laws, seed_count)
             )
         members[f] = entry
         if epsilon is not None and entry.bound <= epsilon:
@@ -662,22 +682,12 @@ def _certify_checked(
     )
 
 
-def _profile_bound(row: list[int], width: int, seed_count: int) -> Fraction:
-    """The least max_m SD(T_m, Copy(D, m)) over the trivial simulators,
-    from a count profile c (rows of width 2^k + 1 over 2^rho).
-
-    D = same* gives max_m (2^rho - c[m][m]) / 2^rho; D = T_m' gives
-    max_m sum_y |c[m][y] - c[m'][y]| / 2^(rho+1).  Every D is feasible,
-    so the bound is at least the member's optimum; it is summed in
-    integers over 2^(rho+1).
-    """
-    laws = [row[i:i + width] for i in range(0, len(row), width)]
-    best = max(2 * (seed_count - law[mi]) for mi, law in enumerate(laws))
-    for other in laws:
-        best = min(best, max(
-            sum(abs(a - b) for a, b in zip(law, other)) for law in laws
-        ))
-    return Fraction(best, 2 * seed_count)
+def _profile_bound(laws: Sequence[Sequence[int]], total: int) -> Fraction:
+    """The least max_m SD(T_m, Copy(D, m)) over the trivial simulators D:
+    same*, and every message's own law.  Every D is feasible, so the
+    bound is at least the member's optimum."""
+    trivial = [((0,) * len(laws[0]) + (1,), 1), *(((*law, 0), total) for law in laws)]
+    return min(_worst_case(laws, total, d)[0] for d in trivial)
 
 
 def certify_bit_family(
@@ -696,7 +706,7 @@ def _mixture(
     weights: tuple[int, Iterable[tuple[tuple[int, int, int], int]]],
     certificate: FamilyCertificate,
     member_of: Optional[Mapping] = None,
-) -> tuple[FiniteDistribution, Fraction, Fraction]:
+) -> tuple[tuple[list[int], int], Fraction, Fraction]:
     """D_s and the error bounds of a sequence's integer pattern weights:
     (D_s, weighted_bound, pattern_max).
 
@@ -708,10 +718,9 @@ def _mixture(
     simulator and error come from certificate.report, which solves the
     LP of a member certification skipped.  The numerators are
     first summed per member, and must total exactly D.  The members'
-    simulators are then mixed as integers over D * L, L the lcm of their
-    masses' denominators, and their errors as one sum over D * E, E the
-    lcm of the errors' denominators; each becomes a Fraction once, at
-    the end.
+    simulator rows are then mixed as one row over D * L, L the lcm of
+    their totals, and their errors as one sum over D * E, E the lcm of
+    the errors' denominators, which becomes a Fraction once, at the end.
     """
     denominator, patterns = weights
     if member_of is None:
@@ -743,14 +752,13 @@ def _mixture(
         )
 
     reports = [(w, certificate.report(f)) for f, w in grouped.items()]
-    laws = [(w, report.simulator) for w, report in reports]
-    mass_lcm = math.lcm(*(law.probability(o).denominator for _, law in laws for o in law))
-    counts: dict = {}
-    for w, law in laws:
-        for o in law:
-            p = law.probability(o)
-            counts[o] = counts.get(o, 0) + w * p.numerator * (mass_lcm // p.denominator)
-    d_s = FiniteDistribution.from_counts(counts, denominator * mass_lcm)
+    scale = math.lcm(*(report.simulator[1] for _, report in reports))
+    mixed = [0] * len(reports[0][1].simulator[0])
+    for w, report in reports:
+        row, total = report.simulator
+        factor = w * (scale // total)
+        mixed = [a + factor * c for a, c in zip(mixed, row)]
+    d_s = (mixed, denominator * scale)
 
     errors = [(w, report.epsilon) for w, report in reports]
     error_lcm = math.lcm(*(eps.denominator for _, eps in errors))
@@ -761,13 +769,14 @@ def _mixture(
 
 @dataclass
 class MixtureReport:
-    """D_s against a sequence's laws: ds_sd <= weighted_bound <= pattern_max."""
+    """D_s against a sequence's law table: ds_sd <= weighted_bound <=
+    pattern_max, first reached at the message index worst_message."""
 
-    laws: dict[str, FiniteDistribution]
+    laws: Laws
     ds_sd: Fraction
     weighted_bound: Fraction
     pattern_max: Fraction
-    worst_message: str
+    worst_message: int
 
 
 def verify_mixture(
@@ -789,7 +798,7 @@ def verify_mixture(
     """
     laws = channel_map(code, seq, budget=budget)
     d_s, weighted_bound, pattern_max = _mixture(weights, certificate, member_of)
-    ds_sd, worst, _ = _worst_case(laws, d_s)
+    ds_sd, worst, _ = _worst_case(*laws, d_s)
     if not ds_sd <= weighted_bound <= pattern_max:
         raise VerificationError(
             f"mixture bound violated: ds_sd={ds_sd}, "
@@ -803,15 +812,17 @@ class TransferReport:
     """Exact transfer check from the bit family to one state sequence.
 
     Invariant chain, checked exactly on every run:
-    eps_channel <= ds_sd <= weighted_bound <= eps_bit.
+    eps_channel <= ds_sd <= weighted_bound <= eps_bit.  worst_message is
+    a message index of the code's k.
     """
 
     eps_bit: Fraction
     eps_channel: Fraction
     ds_sd: Fraction
     weighted_bound: Fraction
-    worst_message: str
+    worst_message: int
     sequence_label: str
+    k: int
 
     def to_json(self) -> dict:
         return {
@@ -822,7 +833,7 @@ class TransferReport:
             "ds_sd": format_rational(self.ds_sd),
             "ds_sd_float": float(self.ds_sd),
             "weighted_bound": format_rational(self.weighted_bound),
-            "worst_message": self.worst_message,
+            "worst_message": all_bitstrings(self.k)[self.worst_message],
             "sequence": self.sequence_label,
         }
 
@@ -839,7 +850,7 @@ def verify_transfer(
     mixture = verify_mixture(
         code, seq, seq.mixture_weights(), certificate, budget=budget
     )
-    eps_channel = optimal_simulator(mixture.laws).epsilon
+    eps_channel = optimal_simulator(*mixture.laws).epsilon
     if not (eps_channel <= mixture.ds_sd
             and mixture.pattern_max <= certificate.epsilon):
         raise VerificationError(
@@ -855,6 +866,7 @@ def verify_transfer(
         weighted_bound=mixture.weighted_bound,
         worst_message=mixture.worst_message,
         sequence_label=label,
+        k=code.k,
     )
 
 
@@ -888,10 +900,8 @@ def _random_injective_code(
 ) -> StochasticCode:
     seeds = 1 << rho
     words = rng.sample(range(1 << n), (1 << k) * seeds)
-    enc = {
-        m: words[i * seeds:(i + 1) * seeds] for i, m in enumerate(all_bitstrings(k))
-    }
-    dec = {word: m for m, row in enc.items() for word in row}
+    enc = [words[m * seeds:(m + 1) * seeds] for m in range(1 << k)]
+    dec = {word: m for m, row in enumerate(enc) for word in row}
     return StochasticCode(k, n, rho, enc, dec)
 
 
@@ -906,7 +916,7 @@ def search_nm_code(
 ) -> SearchResult:
     """Seeded random search for a low-error injective code.
 
-    Samples injective encoders (decoder = inverse on the image, BOT
+    Samples injective encoders (decoder = inverse on the image, bot
     elsewhere), certifies each against the family, and keeps the first
     code attaining the lowest worst-case epsilon.  Bit-for-bit
     reproducible from the seed.

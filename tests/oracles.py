@@ -3,7 +3,10 @@
 These re-derive quantities by deliberately different routes than the
 library (event maximization, bounded-denominator grids, subset
 enumeration, big-integer arithmetic, Fraction dict products) so a defect
-cannot hide on both sides of a check.
+cannot hide on both sides of a check.  The reference laws are
+FiniteDistributions over string-keyed outcomes (message bitstrings, BOT
+and SAME_STAR); law_of and laws_of read the library's integer count
+rows into them.
 """
 
 from __future__ import annotations
@@ -15,33 +18,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Hashable, Mapping, Optional, Sequence, Tuple
 
 from nmavc import (
-    BOT,
-    SAME_STAR,
     AffineFunction,
     BitAction,
     BITFunction,
     Channel,
     ComposedScheme,
-    FiniteDistribution,
     GF2Matrix,
     NMReport,
     StateSequence,
     StochasticCode,
     all_bitstrings,
-    apply_copy,
     decompose,
+    format_rational,
     gf2_invert,
     optimal_simulator,
     parse_rational,
     tamper_map,
 )
+from nmavc.distributions import Marker
 from nmavc.errors import (
     BudgetExceededError,
     InvalidCodeError,
-    InvalidDistributionError,
     InvalidInstanceError,
     InvalidMixtureError,
     LPInfeasibleError,
@@ -52,6 +52,196 @@ from nmavc.gf2 import ERASURE_CHAR, bits_to_int, int_to_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# ------------------------------------------------- reference distributions
+# Exact Fraction laws keyed by outcome: the form every law took in the
+# library before its laws became integer count rows over the outcome
+# index.  Kept as the independent reference those rows are read into.
+
+#: Decoder output signaling detected tampering / decoding failure.
+BOT = Marker("bot")
+
+#: Placeholder outcome meaning "the original message survives".
+SAME_STAR = Marker("same*")
+
+Outcome = Hashable
+
+
+class InvalidDistributionError(NmavcError, ValueError):
+    """Masses are negative or do not sum to exactly one."""
+
+
+def outcome_sort_key(outcome: Outcome) -> tuple:
+    """Deterministic ordering: message strings first, then BOT, SAME_STAR."""
+    if isinstance(outcome, str):
+        return (0, outcome)
+    if outcome is BOT:
+        return (1,)
+    if outcome is SAME_STAR:
+        return (2,)
+    raise TypeError(f"not an outcome: {outcome!r}")
+
+
+def outcome_to_json(outcome: Outcome) -> str:
+    if outcome is BOT:
+        return "bot"
+    if outcome is SAME_STAR:
+        return "same*"
+    if isinstance(outcome, str):
+        return outcome
+    raise TypeError(f"not an outcome: {outcome!r}")
+
+
+class FiniteDistribution:
+    """Immutable exact distribution over a finite outcome set.
+
+    Masses must be non-negative Fractions summing to exactly 1;
+    zero-mass outcomes are dropped from the support.
+    """
+
+    __slots__ = ("_masses",)
+
+    def __init__(self, masses: Mapping[Outcome, Fraction]) -> None:
+        cleaned: dict[Outcome, Fraction] = {}
+        total = ZERO
+        for outcome, mass in masses.items():
+            if isinstance(mass, float):
+                raise InvalidDistributionError(
+                    f"float mass {mass!r} rejected (exact rationals only)"
+                )
+            mass = Fraction(mass)
+            if mass < 0:
+                raise InvalidDistributionError(
+                    f"negative mass {mass} on {outcome!r}"
+                )
+            total += mass
+            if mass > 0:
+                cleaned[outcome] = mass
+        if total != ONE:
+            raise InvalidDistributionError(
+                f"masses sum to {total}, expected exactly 1"
+            )
+        object.__setattr__(self, "_masses", cleaned)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteDistribution is immutable")
+
+    @classmethod
+    def point(cls, outcome: Outcome) -> "FiniteDistribution":
+        return cls({outcome: ONE})
+
+    @classmethod
+    def from_counts(
+        cls, counts: Mapping[Outcome, int], total: int
+    ) -> "FiniteDistribution":
+        """Mass count / total on each outcome, checked in integers: the
+        counts must be non-negative ints summing to exactly total > 0."""
+        if not (all(type(c) is int and c >= 0 for c in (total, *counts.values()))
+                and total > 0 and sum(counts.values()) == total):
+            raise InvalidDistributionError(
+                f"counts {dict(counts)} are not non-negative ints summing to {total!r} > 0"
+            )
+        masses = {outcome: Fraction(c, total) for outcome, c in counts.items() if c}
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "_masses", masses)
+        return dist
+
+    def probability(self, outcome: Outcome) -> Fraction:
+        return self._masses.get(outcome, ZERO)
+
+    @property
+    def support(self) -> frozenset:
+        return frozenset(self._masses)
+
+    def items(self) -> list[Tuple[Outcome, Fraction]]:
+        """Support as (outcome, mass) pairs in deterministic order."""
+        return sorted(self._masses.items(), key=lambda kv: outcome_sort_key(kv[0]))
+
+    def __iter__(self):
+        return iter(self._masses)
+
+    def __len__(self) -> int:
+        return len(self._masses)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteDistribution):
+            return NotImplemented
+        return self._masses == other._masses
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._masses.items()))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(
+            f"{outcome!r}: {format_rational(mass)}" for outcome, mass in self.items()
+        )
+        return f"FiniteDistribution({{{inner}}})"
+
+    def to_json(self) -> dict:
+        return {
+            outcome_to_json(outcome): format_rational(mass)
+            for outcome, mass in self.items()
+        }
+
+
+def statistical_distance(p: FiniteDistribution, q: FiniteDistribution) -> Fraction:
+    """Total variation distance: half the L1 distance, exact.
+
+    Missing outcomes count as mass 0, so p and q may have different
+    supports over the same universe.
+    """
+    total = ZERO
+    for outcome in p.support | q.support:
+        total += abs(p.probability(outcome) - q.probability(outcome))
+    return total / 2
+
+
+def apply_copy(d: FiniteDistribution, m: str) -> FiniteDistribution:
+    """Transfer the SAME_STAR mass of d onto the message m.
+
+    The result is the distribution of: draw z from d, output m if z is
+    SAME_STAR and z otherwise.
+    """
+    if not isinstance(m, str):
+        raise TypeError(f"message must be a bitstring, got {m!r}")
+    star = d.probability(SAME_STAR)
+    if star == 0:
+        return d
+    masses = {o: p for o, p in d._masses.items() if o is not SAME_STAR}
+    masses[m] = masses.get(m, ZERO) + star
+    return FiniteDistribution(masses)
+
+
+def outcomes(k: int) -> list:
+    """The reference outcome of each library outcome index: the message
+    bitstrings, then BOT and SAME_STAR."""
+    return [*all_bitstrings(k), BOT, SAME_STAR]
+
+
+def law_of(k: int, row: Sequence[int], total: int) -> FiniteDistribution:
+    """The reference law of a count row over total (a law of width 2^k + 1
+    or a simulator of width 2^k + 2)."""
+    assert len(row) in ((1 << k) + 1, (1 << k) + 2), row
+    return FiniteDistribution({o: Fraction(c, total) for o, c in zip(outcomes(k), row)})
+
+
+def laws_of(k: int, rows: Sequence[Sequence[int]], total: int) -> dict[str, FiniteDistribution]:
+    """The reference law of each message's row of a law table, keyed by
+    the message bitstring."""
+    assert len(rows) == 1 << k, rows
+    return {m: law_of(k, row, total) for m, row in zip(all_bitstrings(k), rows)}
+
+
+def law_table(laws: Mapping[str, FiniteDistribution]) -> tuple[list[list[int]], int]:
+    """The law table (rows, total) of one reference law per message of
+    {0,1}^k on its messages and BOT, over the lcm of the masses'
+    denominators: the library's input form."""
+    k = len(next(iter(laws)))
+    universe = outcomes(k)[:-1]
+    total = math.lcm(*(p.denominator for law in laws.values() for _, p in law.items()))
+    rows = [[int(laws[m].probability(o) * total) for o in universe] for m in all_bitstrings(k)]
+    return rows, total
 
 
 class NotRepresentableError(NmavcError, ValueError):
@@ -144,8 +334,6 @@ def grid_simulators(outcomes, max_denominator: int):
 
 def grid_optimum(tamper_by_message, simulator_outcomes, max_denominator: int) -> Fraction:
     """Best worst-case distance over the bounded-denominator simulator grid."""
-    from nmavc import statistical_distance
-
     best = None
     for d in grid_simulators(simulator_outcomes, max_denominator):
         worst = max(
@@ -248,12 +436,12 @@ def linear_code(g: GF2Matrix) -> StochasticCode:
     """Deterministic linear code mG with table-inverse decoding."""
     k = g.nrows
     table = {}
-    for m in all_bitstrings(k):
-        word = bits_to_int(ecc_encode(g, m))
+    for m, label in enumerate(all_bitstrings(k)):
+        word = bits_to_int(ecc_encode(g, label))
         if word in table:
             raise InvalidCodeError("generator matrix is not injective")
         table[word] = m
-    return StochasticCode(k, g.ncols, 0, {m: (w,) for w, m in table.items()}, table)
+    return StochasticCode(k, g.ncols, 0, [(w,) for w in table], table)
 
 
 def identity_code(k: int) -> StochasticCode:
@@ -523,13 +711,14 @@ def fraction_weights(seq: StateSequence) -> list[tuple[tuple, Fraction]]:
 
 
 def tamper_distribution_channel_mixture(
-    code: StochasticCode, seq: StateSequence, m: str
+    code: StochasticCode, seq: StateSequence, m: int
 ) -> FiniteDistribution:
-    """Channel tamper law via the elementary-pattern mixture (cross-check)."""
-    components = [
-        (weight, tamper_map(code, BITFunction(pattern))[m])
-        for pattern, weight in fraction_weights(seq)
-    ]
+    """Channel tamper law of message m via the elementary-pattern mixture
+    of the patterns' tamper laws (cross-check)."""
+    components = []
+    for pattern, weight in fraction_weights(seq):
+        rows, total = tamper_map(code, BITFunction(pattern))
+        components.append((weight, law_of(code.k, rows[m], total)))
     return mix(components)
 
 
@@ -595,16 +784,17 @@ def sample_output(seq: StateSequence, x: str, seed_or_rng) -> str:
 
 
 def product_tamper_distribution(
-    code: StochasticCode, seq: StateSequence, m: str
+    code: StochasticCode, seq: StateSequence, m: int
 ) -> FiniteDistribution:
-    """Law of dec(y) under seq by the Fraction dict product: every output
-    word of every seed decoded one at a time (no integer scaling, no
-    decoder table)."""
+    """Law of dec(y) under seq for message m by the Fraction dict product:
+    every output word of every seed decoded one at a time (no integer
+    scaling, no decoder table)."""
     share = Fraction(1, code.seed_count)
+    named = outcomes(code.k)
     masses: dict = {}
     for x in code.enc[m]:
         for word, p in output_distribution(seq, int_to_bits(x, code.n)).items():
-            outcome = code.decode(*split_word(word))
+            outcome = named[code.decode(*split_word(word))]
             masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
     return FiniteDistribution(masses)
 
@@ -626,16 +816,17 @@ def mixture_output_distribution(seq: StateSequence, x: str) -> FiniteDistributio
 def composed_tamper_distribution(
     scheme: ComposedScheme,
     seq: StateSequence,
-    m: str,
+    m: int,
     budget: Optional[int] = None,
 ) -> FiniteDistribution:
-    """Exact law of the composed decode under an extended state sequence."""
+    """Exact law of the composed decode of message m under an extended
+    state sequence."""
     if not seq.extended:
         raise InvalidInstanceError("composed verification uses extended sequences")
     if seq.n != scheme.n:
         raise InvalidInstanceError(f"sequence length {seq.n} != n={scheme.n}")
-    if len(m) != scheme.k:
-        raise InvalidInstanceError(f"message length {len(m)} != k={scheme.k}")
+    if not 0 <= m < 1 << scheme.k:
+        raise InvalidInstanceError(f"message {m} outside [0, 2^{scheme.k})")
     cost = (3 ** scheme.n) * scheme.inner.seed_count
     if budget is not None and cost > budget:
         raise BudgetExceededError(
@@ -674,7 +865,7 @@ def certify_every_member(
     epsilon = None
     for f in functions:
         if f not in reports:
-            reports[f] = optimal_simulator(tamper_map(code, f))
+            reports[f] = optimal_simulator(*tamper_map(code, f))
         if epsilon is None or reports[f].epsilon > epsilon:
             epsilon, worst = reports[f].epsilon, f
         if stop_at_or_above is not None and epsilon >= stop_at_or_above:

@@ -15,18 +15,15 @@ from pathlib import Path
 
 from conftest import record_criterion
 from nmavc import (
-    BOT,
     BOT_MAP,
     Channel,
     BITFunction,
     ComposedScheme,
-    FiniteDistribution,
     GF2Matrix,
     SpecialStateSpec,
     StateSequence,
     StochasticCode,
     all_bitstrings,
-    apply_copy,
     certify_induced_family,
     decompose,
     delta_exact,
@@ -38,25 +35,32 @@ from nmavc import (
     optimal_simulator,
     recovery_probability,
     search_nm_code,
-    statistical_distance,
     tamper_map,
     verify_composed,
     verify_transfer,
 )
 from nmavc.gf2 import rank_of_columns, select_reconstruction
 from oracles import (
+    BOT,
+    SAME_STAR,
+    FiniteDistribution,
     apply_actions,
+    apply_copy,
     bit_function,
     bsc,
     ecc_encode,
     fraction_weights,
     grid_optimum,
+    law_of,
+    law_table,
+    laws_of,
     lex_min_reconstruction,
     linear_code,
     output_distribution,
     random_binary_channel,
     random_distribution,
     random_full_rank,
+    statistical_distance,
 )
 
 DATA_DIR = Path(__file__).parent.parent / "src" / "nmavc" / "data"
@@ -150,15 +154,14 @@ def test_c04_linear_code_offset_attack():
         attack = bit_function(
             "".join("F" if ch == "1" else "K" for ch in delta)
         )
-        tm = tamper_map(code, attack)
+        table = tamper_map(code, attack)
+        tm = laws_of(k, *table)
         for m in all_bitstrings(k):
             flipped = "".join("1" if ch == "0" else "0" for ch in m)
             assert tm[m] == FiniteDistribution.point(flipped)
-        report = optimal_simulator(tm)
+        report = optimal_simulator(*table)
         expected = 1 - F(1, 2**k)
         assert report.epsilon == expected
-        from nmavc import SAME_STAR
-
         grid_best = grid_optimum(
             tm, all_bitstrings(k) + [BOT, SAME_STAR], 8
         )
@@ -174,17 +177,16 @@ def test_c05_lp_soundness_against_grid():
     """The LP optimum is never beaten by the bounded-denominator grid,
     and every reported (eps, D) re-verifies by direct summation."""
     t0 = time.perf_counter()
-    from nmavc import SAME_STAR
-
     rng = random.Random(1005)
     outcomes = ["0", "1", BOT]
     simulator_outcomes = ["0", "1", BOT, SAME_STAR]
     for _ in range(50):
         tm = {m: random_distribution(rng, outcomes, max_denominator=8)
               for m in ("0", "1")}
-        report = optimal_simulator(tm)
+        report = optimal_simulator(*law_table(tm))
+        simulator = law_of(1, *report.simulator)
         direct = max(
-            statistical_distance(tm[m], apply_copy(report.simulator, m))
+            statistical_distance(tm[m], apply_copy(simulator, m))
             for m in tm
         )
         assert direct == report.epsilon

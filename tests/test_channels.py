@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nmavc import (
     Channel,
     BitAction,
-    FiniteDistribution,
     StateSequence,
     channel_from_json,
     decompose,
@@ -25,6 +24,7 @@ from nmavc.errors import (
     UnsupportedChannelError,
 )
 from oracles import (
+    FiniteDistribution,
     apply_actions,
     bsc,
     fraction_weights,

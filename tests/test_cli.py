@@ -624,7 +624,11 @@ def test_text_format(runner, tmp_path):
 # and (search-k1n4, nm-verify-bit) before the tamper experiments
 # returned every message's law in one call, and (nm-verify-bit-k2n5, the
 # fixed k=2, n=5 code) before certification skipped the LP of members a
-# trivial simulator keeps within the running epsilon;
+# trivial simulator keeps within the running epsilon, and (nm-verify-bit
+# k1n4 and k0n2, codes of _random_injective_code(1, 4, 2, Random(5)) and
+# _random_injective_code(0, 2, 1, Random(1))) before laws became integer
+# rows over the outcome index: the first pins a simulator with same*
+# mass, the second the empty message label of k = 0;
 # the whole JSON must stay the same apart from the timestamp and the
 # input paths the provenance echoes.
 
@@ -666,10 +670,17 @@ def report_without_run_fields(path) -> dict:
         (["nm-verify", str(DATA / "fixed_k2n5_code.json"), "--family", "bit",
           "--budget", "4096"],
          "golden_nm_verify_bit_k2n5.json"),
+        (["nm-verify", str(DATA / "random_k1n4_code.json"), "--family", "bit",
+          "--budget", "4096"],
+         "golden_nm_verify_bit_k1n4.json"),
+        (["nm-verify", str(DATA / "random_k0n2_code.json"), "--family", "bit",
+          "--budget", "4096"],
+         "golden_nm_verify_bit_k0n2.json"),
     ],
     ids=["nm-verify-sequences", "composed-verify", "composed-demo", "certify-inner",
          "decompose-alpha3", "decompose-lifted-bsc", "decompose-erase",
-         "search-k1n4", "nm-verify-bit", "nm-verify-bit-k2n5"],
+         "search-k1n4", "nm-verify-bit", "nm-verify-bit-k2n5",
+         "nm-verify-bit-k1n4-same-star", "nm-verify-bit-k0n2-empty-message"],
 )
 def test_report_matches_golden(runner, tmp_path, args, golden):
     out = tmp_path / "report.json"

@@ -8,7 +8,6 @@ import pytest
 
 from nmavc import (
     AffineFunction,
-    BOT,
     BOT_MAP,
     Channel,
     BITFunction,
@@ -18,7 +17,6 @@ from nmavc import (
     StateSequence,
     StochasticCode,
     all_bitstrings,
-    apply_copy,
     certify_family,
     certify_induced_family,
     channel_map,
@@ -28,13 +26,13 @@ from nmavc import (
     induced_tamper,
     recovery_probability,
     search_nm_code,
-    statistical_distance,
     verify_composed,
 )
 from nmavc import channels, composed, simplex, verifier
 from nmavc.errors import InvalidInstanceError, VerificationError
 from nmavc.gf2 import bits_to_int, int_to_bits, select_reconstruction
 from oracles import (
+    apply_copy,
     bit_function,
     bit_to_affine,
     bsc,
@@ -45,12 +43,15 @@ from oracles import (
     hamming_7_4,
     identity_channel,
     identity_code,
+    law_of,
+    laws_of,
     mixture_bounds,
     mixture_weights_walk,
     random_extended_channel,
     random_full_rank,
     single_parity,
     split_word,
+    statistical_distance,
 )
 
 
@@ -159,15 +160,15 @@ def test_induced_family_members_distinct():
 
 def test_composed_round_trip_no_erasures():
     scheme = small_scheme()
-    for m in all_bitstrings(scheme.k):
-        for r in range(scheme.inner.seed_count):
-            word = scheme.enc[m][r]
+    for m, words in enumerate(scheme.enc):
+        for word in words:
             assert scheme.decode(word) == m
 
 
 def test_composed_all_erased():
     scheme = small_scheme()
-    assert scheme.decode(*split_word("e" * scheme.n)) is BOT
+    # Decoding failure is the outcome index 2^k.
+    assert scheme.decode(*split_word("e" * scheme.n)) == 1 << scheme.k
 
 
 def test_composed_correctable_erasures():
@@ -178,17 +179,14 @@ def test_composed_correctable_erasures():
     for mask in range(1 << n):
         erased = frozenset(j for j in range(n) if (mask >> j) & 1)
         recoverable = select_reconstruction(scheme.outer, mask) is not None
-        for m in all_bitstrings(scheme.k):
-            for r in range(scheme.inner.seed_count):
-                word = int_to_bits(scheme.enc[m][r], n)
+        for m, words in enumerate(scheme.enc):
+            for packed in words:
+                word = int_to_bits(packed, n)
                 received = "".join(
                     "e" if j in erased else word[j] for j in range(n)
                 )
                 got = scheme.decode(*split_word(received))
-                if recoverable:
-                    assert got == m
-                else:
-                    assert got is BOT
+                assert got == (m if recoverable else 1 << scheme.k)
 
 
 def test_recovery_probability_examples():
@@ -244,9 +242,9 @@ def test_channel_experiment_matches_composed_oracle(make_scheme):
         seq = StateSequence(
             [random_extended_channel(rng) for _ in range(scheme.n)]
         )
-        laws = channel_map(scheme, seq)
-        for m in scheme.messages():
-            assert laws[m] == composed_tamper_distribution(scheme, seq, m)
+        laws = laws_of(scheme.k, *channel_map(scheme, seq))
+        for m, label in enumerate(all_bitstrings(scheme.k)):
+            assert laws[label] == composed_tamper_distribution(scheme, seq, m)
 
 
 def test_composed_scheme_rejects_binary_sequence():
@@ -355,8 +353,7 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
         for seq in seqs for pattern, _ in seq.mixture_weights()[1]
     }
     profiles = {
-        tuple(sorted(verifier.tamper_map(scheme.inner, f).items()))
-        for f in induced
+        tuple(map(tuple, verifier.tamper_map(scheme.inner, f)[0])) for f in induced
     }
     experiments = counting(monkeypatch, verifier, "tamper_map")
     simulators = counting(monkeypatch, verifier, "optimal_simulator")
@@ -460,12 +457,12 @@ def test_verify_composed_solves_pruned_members_on_demand():
     report = verify_composed(scheme, [seq], SpecialStateSpec(F(1, 10), n))
     (got,) = report.eps_by_sequence.values()
     reference = certify_every_member(scheme.inner, members)
-    simulators = {f: r.simulator for f, r in reference.reports.items()}
+    simulators = {f: law_of(scheme.k, *r.simulator) for f, r in reference.reports.items()}
     errors = {f: r.epsilon for f, r in reference.reports.items()}
     d_s = ds_mixture(seq, simulators, member_of)
     epsilon = max(
-        statistical_distance(composed_tamper_distribution(scheme, seq, m), apply_copy(d_s, m))
-        for m in scheme.messages()
+        statistical_distance(composed_tamper_distribution(scheme, seq, m), apply_copy(d_s, label))
+        for m, label in enumerate(all_bitstrings(scheme.k))
     )
     assert all(cert.report(f) == reference.reports[f] for f in unsolved)
     assert (got.epsilon, got.weighted_bound, got.pattern_max) == (

@@ -1,4 +1,6 @@
-"""Exact distribution primitives: statistical distance, mixtures, Copy."""
+"""Exact rationals, and the reference distribution primitives the tests
+compare the library's integer laws against: statistical distance,
+mixtures, Copy."""
 
 import random
 from fractions import Fraction as F
@@ -7,27 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmavc import (
+from nmavc import all_bitstrings, format_rational, parse_rational
+from nmavc.errors import InvalidMixtureError, InvalidRationalError
+from oracles import (
     BOT,
     SAME_STAR,
     FiniteDistribution,
-    all_bitstrings,
-    apply_copy,
-    format_rational,
-    parse_rational,
-    statistical_distance,
-)
-from nmavc.errors import (
     InvalidDistributionError,
-    InvalidMixtureError,
-    InvalidRationalError,
-)
-from oracles import (
     add_fractions_bigint,
+    apply_copy,
     distribution_from_json,
     mix,
     random_distribution,
     sd_event_oracle,
+    statistical_distance,
     uniform,
 )
 

@@ -1,6 +1,7 @@
 """The exact simplex: textbook optima, degeneracy, edge cases, and
 agreement with the plain `Fraction` tableau it replaced."""
 
+import math
 from fractions import Fraction as F
 
 from unittest.mock import patch
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 import nmavc.verifier as verifier
 from nmavc.errors import LPInfeasibleError, LPUnboundedError, NmavcError
-from nmavc import BOT, FiniteDistribution, all_bitstrings
 from nmavc.simplex import solve_min
 from nmavc.verifier import optimal_simulator, tamper_map
 from oracles import bit_function, fixed_k2n5_code, fraction_solve_min
@@ -208,7 +208,7 @@ def recorded_lps(function):
 def test_matches_fraction_tableau_on_simulator_lp(function):
     code = fixed_k2n5_code()
     f = bit_function(function)
-    report, (args,) = recorded_lps(lambda: optimal_simulator(tamper_map(code, f)))
+    report, (args,) = recorded_lps(lambda: optimal_simulator(*tamper_map(code, f)))
     assert report.epsilon == F(2, 3)
     x, value = assert_same_as_oracle(*args)
     assert value == F(2, 3)
@@ -216,25 +216,23 @@ def test_matches_fraction_tableau_on_simulator_lp(function):
 
 @st.composite
 def tamper_laws(draw):
-    """One law on {0,1}^k + bot per message, k in {1, 2}, over dyadic
-    denominators (as a code's seeds give) and 3, 5 or 7; messages may
-    share a law, which makes the simulator LP degenerate."""
-    messages = all_bitstrings(draw(st.integers(1, 2)))
-    outcomes = [*messages, BOT]
+    """A law table (rows, total): one count row on {0,1}^k + bot per
+    message, k in {1, 2}, each drawn over a dyadic denominator (as a
+    code's seeds give) or 3, 5 or 7, all scaled to the lcm of theirs;
+    messages may share a row, which makes the simulator LP degenerate."""
+    size = 1 << draw(st.integers(1, 2))
     pool = []
-    for _ in range(draw(st.integers(1, len(messages)))):
+    for _ in range(draw(st.integers(1, size))):
         den = draw(st.sampled_from([1, 2, 4, 8, 3, 5, 7]))
-        cuts = sorted(draw(st.lists(
-            st.integers(0, den), min_size=len(outcomes) - 1, max_size=len(outcomes) - 1
-        )))
-        masses = [F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
-        pool.append(FiniteDistribution(dict(zip(outcomes, masses))))
-    return {m: draw(st.sampled_from(pool)) for m in messages}
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=size, max_size=size)))
+        pool.append(([b - a for a, b in zip([0, *cuts], [*cuts, den])], den))
+    laws = [draw(st.sampled_from(pool)) for _ in range(size)]
+    total = math.lcm(*(den for _, den in laws))
+    return [[c * (total // den) for c in row] for row, den in laws], total
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(tamper_laws())
 def test_matches_fraction_tableau_on_simulator_lps(laws):
-    messages = sorted(laws)
-    _, (args,) = recorded_lps(lambda: verifier._simulator_lp(messages, laws))
+    _, (args,) = recorded_lps(lambda: verifier._simulator_lp(*laws))
     assert_same_as_oracle(*args)

@@ -12,28 +12,24 @@ from hypothesis import strategies as st
 import nmavc.channels as channel_module
 import nmavc.verifier as verifier
 from nmavc import (
-    BOT,
     BOT_MAP,
-    SAME_STAR,
     AffineFunction,
     Channel,
     BITFunction,
     ComposedScheme,
     FamilyCertificate,
-    FiniteDistribution,
     GF2Matrix,
     NMReport,
     StateSequence,
     StochasticCode,
     all_bitstrings,
-    apply_copy,
     certify_bit_family,
     certify_family,
     channel_map,
+    elementary_channel,
     enumerate_bit_functions,
     optimal_simulator,
     search_nm_code,
-    statistical_distance,
     tamper_map,
     verify_transfer,
 )
@@ -48,6 +44,10 @@ from nmavc.errors import (
     VerificationError,
 )
 from oracles import (
+    BOT,
+    SAME_STAR,
+    FiniteDistribution,
+    apply_copy,
     bit_function,
     bit_to_affine,
     bsc,
@@ -59,6 +59,9 @@ from oracles import (
     grid_optimum,
     identity_channel,
     identity_code,
+    law_of,
+    law_table,
+    laws_of,
     linear_code,
     mixture_bounds,
     mixture_weights_walk,
@@ -67,6 +70,8 @@ from oracles import (
     random_distribution,
     random_extended_channel,
     random_full_rank,
+    sd_event_oracle,
+    statistical_distance,
     tamper_distribution_channel_mixture,
     trivial_simulator_bound,
     uniform,
@@ -91,8 +96,8 @@ def test_identity_code_correctness():
 
 
 def test_broken_code_rejected():
-    # Every word decodes to BOT.
-    code = StochasticCode(1, 1, 0, {"0": (0,), "1": (1,)}, {})
+    # Every word decodes to bot.
+    code = StochasticCode(1, 1, 0, [(0,), (1,)], {})
     with pytest.raises(InvalidCodeError):
         code.check_correctness()
 
@@ -100,9 +105,7 @@ def test_broken_code_rejected():
 def test_non_bit_codeword_rejected():
     # The codeword of "0" has a bit beyond position n - 1 = 1.
     with pytest.raises(InvalidCodeError):
-        code = StochasticCode(
-            1, 2, 0, {"0": (0b100,), "1": (0b11,)}, {0b100: "0", 0b11: "1"}
-        )
+        code = StochasticCode(1, 2, 0, [(0b100,), (0b11,)], {0b100: 0, 0b11: 1})
         certify_bit_family(code)
 
 
@@ -110,23 +113,21 @@ def test_code_json_round_trip():
     code = search_nm_code(k=1, n=3, rho=1, trials=4, seed=3).code
     clone = StochasticCode.from_json(code.to_json())
     clone.check_correctness()
-    for m in code.messages():
-        for r in range(code.seed_count):
-            assert clone.enc[m][r] == code.enc[m][r]
+    assert clone.enc == code.enc
 
 
 # ------------------------------------------------------- tamper distributions
 
 def test_keep_yields_point_mass_on_message():
     code = identity_code(3)
-    laws = tamper_map(code, bit_function("KKK"))
+    laws = laws_of(3, *tamper_map(code, bit_function("KKK")))
     for m in ("000", "101"):
         assert laws[m] == point(m)
 
 
 def test_constant_function_yields_constant_image():
     code = identity_code(2)
-    got = tamper_map(code, bit_function("00"))["10"]
+    got = laws_of(2, *tamper_map(code, bit_function("00")))["10"]
     assert got == point("00")
 
 
@@ -135,7 +136,7 @@ def test_offset_attack_on_linear_code():
     # message by all-ones: the textbook malleability of linear codes.
     g = GF2Matrix.from_rows(["101", "011"])
     code = linear_code(g)
-    laws = tamper_map(code, offset_attack(g))
+    laws = laws_of(2, *tamper_map(code, offset_attack(g)))
     for m in all_bitstrings(2):
         expected = "".join("1" if ch == "0" else "0" for ch in m)
         assert laws[m] == point(expected)
@@ -144,7 +145,7 @@ def test_offset_attack_on_linear_code():
 def test_affine_function_tampering():
     code = identity_code(2)
     f = bit_to_affine(bit_function("F1"))
-    assert tamper_map(code, f)["00"] == point("11")
+    assert laws_of(2, *tamper_map(code, f))["00"] == point("11")
 
 
 def test_erase_rejected_on_plain_code():
@@ -156,18 +157,18 @@ def test_erase_rejected_on_plain_code():
 def test_channel_tamper_identity_and_constant():
     code = identity_code(2)
     ident = StateSequence.uniform(identity_channel(), 2)
-    assert channel_map(code, ident)["10"] == point("10")
+    assert laws_of(2, *channel_map(code, ident))["10"] == point("10")
 
     set0 = StateSequence.uniform(
         Channel.from_rows([[1, 0], [1, 0]]), 2
     )
-    assert channel_map(code, set0)["10"] == point("00")
+    assert laws_of(2, *channel_map(code, set0))["10"] == point("00")
 
 
 def test_channel_tamper_single_bsc():
     code = identity_code(1)
     seq = StateSequence([bsc(F(3, 10))])
-    got = channel_map(code, seq)["1"]
+    got = laws_of(1, *channel_map(code, seq))["1"]
     assert got == FiniteDistribution({"1": F(7, 10), "0": F(3, 10)})
 
 
@@ -179,10 +180,10 @@ def test_product_equals_mixture_for_codes():
         code = search_nm_code(k=1, n=n, rho=rho, trials=trials, seed=1).code
         for _ in range(2):
             seq = StateSequence([random_binary_channel(rng) for _ in range(n)])
-            direct = channel_map(code, seq)
-            for m in code.messages():
+            direct = laws_of(code.k, *channel_map(code, seq))
+            for m, label in enumerate(all_bitstrings(code.k)):
                 mixture = tamper_distribution_channel_mixture(code, seq, m)
-                assert direct[m] == mixture
+                assert direct[label] == mixture
 
 
 def test_channel_route_reads_no_decomposition(monkeypatch):
@@ -213,56 +214,82 @@ def test_budget_errors():
 # ------------------------------------------------------------------- the LP
 
 def test_simulator_for_perfect_transmission():
-    tm = {m: point(m) for m in all_bitstrings(1)}
-    report = optimal_simulator(tm)
+    # Rows are the messages 0 and 1; columns 0, 1 and bot.
+    report = optimal_simulator([[1, 0, 0], [0, 1, 0]], 1)
     assert report.epsilon == 0
-    assert report.simulator == point(SAME_STAR)
+    assert law_of(1, *report.simulator) == point(SAME_STAR)
 
 
 def test_simulator_for_flip():
-    tm = {"0": point("1"), "1": point("0")}
-    report = optimal_simulator(tm)
+    report = optimal_simulator([[0, 1, 0], [1, 0, 0]], 1)
     assert report.epsilon == F(1, 2)
-    assert report.simulator == uniform(["0", "1"])
+    assert law_of(1, *report.simulator) == uniform(["0", "1"])
 
 
 def test_simulator_recovers_star_mass():
-    tm = {
-        "0": FiniteDistribution({"0": F(7, 10), "1": F(3, 10)}),
-        "1": FiniteDistribution({"1": F(7, 10), "0": F(3, 10)}),
-    }
-    report = optimal_simulator(tm)
+    report = optimal_simulator([[7, 3, 0], [3, 7, 0]], 10)
     assert report.epsilon == 0
-    assert report.simulator == FiniteDistribution(
+    assert law_of(1, *report.simulator) == FiniteDistribution(
         {SAME_STAR: F(2, 5), "0": F(3, 10), "1": F(3, 10)}
     )
 
 
 def test_simulator_k0_trivial():
-    tm = {"": FiniteDistribution({BOT: F(1, 3), "": F(2, 3)})}
-    report = optimal_simulator(tm)
+    # The one message "" decodes to itself 2 times in 3, else to bot.
+    report = optimal_simulator([[2, 1]], 3)
     assert report.epsilon == 0
+    assert report.to_json()["worst_message"] == ""
 
 
-def test_simulator_requires_all_messages():
+@pytest.mark.parametrize(
+    "rows, total",
+    [
+        ([], 1),
+        ([[1, 0, 0]], 1),
+        ([[1, 0, 0, 0, 0]] * 3, 1),
+        ({"0": point("0"), "1": point("1")}, 1),
+        ([[1, 0], [0, 1]], 1),
+        ([[1, 0, 0, 0], [0, 1, 0, 0]], 1),
+        ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], 1),
+        ([[2, -1, 0], [0, 1, 0]], 1),
+        ([[True, 0, 0], [0, 1, 0]], 1),
+        ([[1.0, 0, 0], [0, 1, 0]], 1),
+        ([[F(1), 0, 0], [0, 1, 0]], 1),
+        ([["0", 0, 0], [0, 1, 0]], 1),
+        ([[1, 1, 0], [0, 1, 0]], 1),
+        ([[0, 0, 0], [0, 0, 0]], 0),
+        ([[-1, 0, 0], [0, -1, 0]], -1),
+        ([[1, 0, 0], [0, 1, 0]], True),
+        ([[1, 0, 0], [0, 1, 0]], F(1)),
+    ],
+    ids=["no-message", "missing-message-k1", "missing-message-k2",
+         "string-keyed-laws", "short-rows", "same-star-column",
+         "outcome-outside-k", "negative-count", "bool-count", "float-count",
+         "fraction-count", "string-count", "row-sum-not-total", "zero-total",
+         "negative-total", "bool-total", "fraction-total"],
+)
+def test_simulator_rejects_malformed_laws(rows, total):
+    # A law table has 2^k rows of 2^k + 1 non-negative int counts (the
+    # messages and bot, never same*), each summing to the int total > 0.
     with pytest.raises(InvalidInstanceError):
-        optimal_simulator({"0": point("0")})
+        optimal_simulator(rows, total)
 
 
 def test_lp_never_beaten_by_grid_oracle():
     # Exhaustive bounded-denominator simulators can never improve on the
-    # LP optimum, and the reported epsilon re-verifies by direct SD.
+    # LP optimum, and the reported distances re-verify by maximizing
+    # over events.
     rng = random.Random(51)
     outcomes = ["0", "1", BOT]
     simulator_outcomes = ["0", "1", BOT, SAME_STAR]
     for _ in range(10):
         tm = {m: random_distribution(rng, outcomes) for m in ("0", "1")}
-        report = optimal_simulator(tm)
-        recomputed = max(
-            statistical_distance(t, apply_copy(report.simulator, m))
-            for m, t in tm.items()
-        )
-        assert recomputed == report.epsilon
+        report = optimal_simulator(*law_table(tm))
+        simulator = law_of(1, *report.simulator)
+        assert report.per_message_sd == [
+            sd_event_oracle(t, apply_copy(simulator, m)) for m, t in tm.items()
+        ]
+        assert max(report.per_message_sd) == report.epsilon
         grid_best = grid_optimum(tm, simulator_outcomes, 6)
         assert report.epsilon <= grid_best
 
@@ -271,11 +298,12 @@ def test_lp_never_beaten_by_grid_oracle():
 
 def mixture_certificate(simulators, errors=None) -> FamilyCertificate:
     """A certificate holding only what the mixture reads: each member's
-    solved report, with its simulator and error (0 unless given)."""
+    solved report, with its simulator (row, total) and error (0 unless
+    given)."""
     if errors is None:
         errors = dict.fromkeys(simulators, F(0))
     members = {
-        f: verifier._Profile({}, errors[f], NMReport(errors[f], simulators[f], "", {}))
+        f: verifier._Profile((), 1, errors[f], NMReport(errors[f], simulators[f], 0, []))
         for f in simulators
     }
     worst = max(errors, key=errors.get)
@@ -286,35 +314,36 @@ def test_ds_mixture_identity_sequence():
     code = identity_code(2)
     cert = certify_bit_family(code)
     seq = StateSequence.uniform(identity_channel(), 2)
-    d_s = ds_mixture(seq, {f: cert.report(f).simulator for f in cert.members})
-    assert d_s == cert.report(bit_function("KK")).simulator
-    assert _mixture(seq.mixture_weights(), cert)[0] == d_s
+    d_s = ds_mixture(seq, {f: law_of(2, *cert.report(f).simulator) for f in cert.members})
+    assert d_s == law_of(2, *cert.report(bit_function("KK")).simulator)
+    assert law_of(2, *_mixture(seq.mixture_weights(), cert)[0]) == d_s
 
 
 def test_ds_mixture_example():
     seq = StateSequence([bsc(F(1, 2))])
+    # Columns 0, 1, bot and same*.
     simulators = {
-        bit_function("K"): point(SAME_STAR),
-        bit_function("F"): uniform(["0", "1"]),
+        bit_function("K"): ((0, 0, 0, 1), 1),
+        bit_function("F"): ((1, 1, 0, 0), 2),
     }
-    d_s = ds_mixture(seq, simulators)
+    d_s = ds_mixture(seq, {f: law_of(1, *d) for f, d in simulators.items()})
     assert d_s == FiniteDistribution(
         {SAME_STAR: F(1, 2), "0": F(1, 4), "1": F(1, 4)}
     )
     cert = mixture_certificate(simulators)
-    assert _mixture(seq.mixture_weights(), cert)[0] == d_s
+    assert law_of(1, *_mixture(seq.mixture_weights(), cert)[0]) == d_s
 
 
 def test_ds_mixture_missing_pattern():
     seq = StateSequence([bsc(F(1, 2))])
-    cert = mixture_certificate({bit_function("K"): point(SAME_STAR)})
+    cert = mixture_certificate({bit_function("K"): ((0, 0, 0, 1), 1)})
     with pytest.raises(InvalidInstanceError, match="pattern F"):
         _mixture(seq.mixture_weights(), cert)
 
 
 def test_mixture_weights_must_sum_to_denominator():
     keep, flip = bit_function("K"), bit_function("F")
-    cert = mixture_certificate({keep: point(SAME_STAR), flip: point("0")})
+    cert = mixture_certificate({keep: ((0, 0, 0, 1), 1), flip: ((1, 0, 0, 0), 1)})
     patterns = [(keep.pattern, 1), (flip.pattern, 1)]
     with pytest.raises(InvalidMixtureError, match="sum to 2/3"):
         _mixture((3, patterns), cert)
@@ -322,13 +351,12 @@ def test_mixture_weights_must_sum_to_denominator():
         _mixture((1, [(keep.pattern, 2), (flip.pattern, -1)]), cert)
 
 
-def random_law(rng: random.Random, outcomes) -> FiniteDistribution:
-    """A random distribution over outcomes (zero masses allowed) whose
-    masses share a denominator of 1, 4, 10, 97 or 10007."""
+def random_law(rng: random.Random, width: int) -> tuple[tuple[int, ...], int]:
+    """A random count row of the given width (zeros allowed) over a total
+    of 1, 4, 10, 97 or 10007."""
     q = rng.choice([1, 4, 10, 97, 10007])
-    cuts = sorted(rng.randint(0, q) for _ in range(len(outcomes) - 1))
-    parts = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
-    return FiniteDistribution({o: F(c, q) for o, c in zip(outcomes, parts)})
+    cuts = sorted(rng.randint(0, q) for _ in range(width - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, q])), q
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -351,16 +379,17 @@ def test_integer_mixture_matches_fraction_oracle(extended, shared, n, seed):
     else:
         members = [BITFunction(pattern) for pattern in patterns]
         member_of = None
-    outcomes = ["0", "1", BOT, SAME_STAR]
-    simulators = {f: random_law(rng, outcomes) for f in members}
+    # Simulators of k = 1: columns 0, 1, bot and same*.
+    simulators = {f: random_law(rng, 4) for f in members}
     errors = {f: F(rng.randint(0, 10007), 10007) * F(1, rng.randint(1, 12))
               for f in members}
     cert = mixture_certificate(simulators, errors)
     # The walk names patterns by their actions, mixture_weights by masks.
     masks_of = member_of and {BITFunction(p).pattern: f for p, f in member_of.items()}
-    got = _mixture(seq.mixture_weights(), cert, masks_of)
-    assert got == (ds_mixture(seq, simulators, member_of),
-                   *mixture_bounds(seq, errors, member_of))
+    d_s, *bounds = _mixture(seq.mixture_weights(), cert, masks_of)
+    reference = {f: law_of(1, *d) for f, d in simulators.items()}
+    assert (law_of(1, *d_s), *bounds) == (ds_mixture(seq, reference, member_of),
+                                          *mixture_bounds(seq, errors, member_of))
 
 
 def test_verify_transfer_trivial_sequences():
@@ -431,11 +460,9 @@ def test_certificates_reverify():
     code = result.code
     for f in result.certificate.members:
         report = result.certificate.report(f)
-        tm = tamper_map(code, f)
-        worst = max(
-            statistical_distance(tm[m], apply_copy(report.simulator, m))
-            for m in code.messages()
-        )
+        tm = laws_of(code.k, *tamper_map(code, f))
+        simulator = law_of(code.k, *report.simulator)
+        worst = max(statistical_distance(t, apply_copy(simulator, m)) for m, t in tm.items())
         assert worst == report.epsilon
 
 
@@ -451,7 +478,7 @@ def small_codes(draw, max_n=5):
     messages = all_bitstrings(k)
     words = [int_to_bits(w, n) for w in draw(st.permutations(range(1 << n)))]
     # Word i < 2^k belongs to message i; each other word joins one
-    # encoder pool, decodes off-image to a message, or decodes to BOT.
+    # encoder pool, decodes off-image to a message, or decodes to bot.
     pools = {m: [words[i]] for i, m in enumerate(messages)}
     dec = {words[i]: m for i, m in enumerate(messages)}
     for word in words[len(messages):]:
@@ -480,15 +507,19 @@ def members(n: int):
 
 
 def assert_counts_match_tamper_map(code, functions):
+    # Each profile is its member's tamper_map table read row by row; a
+    # BIT function's laws are also the deterministic channels of its
+    # actions, so they equal the Fraction product of output_distribution.
     counts = verifier._count_profiles(code, functions)
-    outcomes = [*code.messages(), BOT]
     for f, row in zip(functions, counts):
-        t_map = tamper_map(code, f)
-        expected = [
-            t_map[m].probability(y) * code.seed_count
-            for m in code.messages() for y in outcomes
-        ]
-        assert row == expected, f
+        rows, total = tamper_map(code, f)
+        assert total == code.seed_count
+        assert row == [c for law in rows for c in law], f
+        if isinstance(f, BITFunction):
+            seq = StateSequence([elementary_channel(a) for a in f.actions])
+            laws = laws_of(code.k, rows, total)
+            for m, label in enumerate(all_bitstrings(code.k)):
+                assert laws[label] == product_tamper_distribution(code, seq, m), f
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -590,9 +621,9 @@ def test_channel_law_matches_fraction_product(data):
     seq = StateSequence(
         [data.draw(channels(code.erasures)) for _ in range(code.n)]
     )
-    laws = channel_map(code, seq)
-    for m in code.messages():
-        assert laws[m] == product_tamper_distribution(code, seq, m)
+    laws = laws_of(code.k, *channel_map(code, seq))
+    for m, label in enumerate(all_bitstrings(code.k)):
+        assert laws[label] == product_tamper_distribution(code, seq, m)
 
 
 def test_channel_law_beyond_int64_matches_fraction_product():
@@ -609,10 +640,11 @@ def test_channel_law_beyond_int64_matches_fraction_product():
         return [w, 1 - w]
 
     seq = StateSequence([Channel.from_rows([row(), row()]) for _ in range(5)])
-    assert 10007**5 * code.seed_count >= 2**63
-    laws = channel_map(code, seq)
-    for m in code.messages():
-        assert laws[m] == product_tamper_distribution(code, seq, m)
+    laws, total = channel_map(code, seq)
+    assert total == 10007**5 * code.seed_count >= 2**63
+    reference = laws_of(1, laws, total)
+    for m, label in enumerate(all_bitstrings(1)):
+        assert reference[label] == product_tamper_distribution(code, seq, m)
 
 
 def eager_error(code, functions, budget):
@@ -816,7 +848,7 @@ def test_pruned_certificate_matches_every_member_solved(data):
     cert = certify_family(code, functions, cache=cache)
     assert_same_certificate(cert, reference)
     for f, entry in cert.members.items():
-        assert entry.bound == trivial_simulator_bound(tamper_map(code, f))
+        assert entry.bound == trivial_simulator_bound(laws_of(code.k, *tamper_map(code, f)))
         assert reference.reports[f].epsilon <= entry.bound
         assert cert.report(f) == reference.reports[f]
 
@@ -840,12 +872,12 @@ def test_transfer_solves_pruned_members_on_demand():
     report = verify_transfer(code, seq, cert)
     reference = certify_every_member(code, enumerate_bit_functions(3))
     assert all(cert.report(f) == reference.reports[f] for f in read)
-    simulators = {f: r.simulator for f, r in reference.reports.items()}
+    simulators = {f: law_of(1, *r.simulator) for f, r in reference.reports.items()}
     errors = {f: r.epsilon for f, r in reference.reports.items()}
     d_s = ds_mixture(seq, simulators)
     ds_sd = max(
-        statistical_distance(product_tamper_distribution(code, seq, m), apply_copy(d_s, m))
-        for m in code.messages()
+        statistical_distance(product_tamper_distribution(code, seq, m), apply_copy(d_s, label))
+        for m, label in enumerate(all_bitstrings(1))
     )
     assert (report.eps_bit, report.ds_sd, report.weighted_bound) == (
         reference.epsilon, ds_sd, mixture_bounds(seq, errors)[0]
