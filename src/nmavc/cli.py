@@ -10,6 +10,7 @@ apart from the generated_at timestamp.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import random
@@ -36,7 +37,12 @@ from .composed import (
     verify_composed,
 )
 from .distributions import format_rational, parse_rational
-from .errors import BudgetExceededError, NmavcError, VerificationError
+from .errors import (
+    BudgetExceededError,
+    InvalidInstanceError,
+    NmavcError,
+    VerificationError,
+)
 from .gf2 import GF2Matrix, delta_exact, delta_monte_carlo
 from .verifier import (
     StochasticCode,
@@ -61,9 +67,9 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        _fail(EXIT_INVALID_INPUT, f"cannot read {path}: {exc}")
+        raise InvalidInstanceError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        _fail(EXIT_INVALID_INPUT, f"{path} is not valid JSON: {exc}")
+        raise InvalidInstanceError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _provenance(**fields) -> dict:
@@ -106,7 +112,10 @@ def _render(report: dict, fmt: str) -> str:
 def _emit(report: dict, out: Optional[str], fmt: str, summary: str) -> None:
     rendered = _render(report, fmt)
     if out:
-        Path(out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            raise InvalidInstanceError(f"cannot write {out}: {exc}") from None
         click.echo(summary)
         click.echo(f"report written to {out}")
     else:
@@ -114,26 +123,11 @@ def _emit(report: dict, out: Optional[str], fmt: str, summary: str) -> None:
         click.echo(rendered, nl=False)
 
 
-def _guard(fn):
-    """Run fn, mapping package errors onto the exit-code contract."""
-    try:
-        return fn()
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc))
-    except VerificationError as exc:
-        _fail(EXIT_VERIFICATION_FAILED, f"exact invariant violated: {exc}")
-    except NmavcError as exc:
-        _fail(EXIT_INVALID_INPUT, str(exc))
-
-
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-    default="json", show_default=True, help="Report rendering."
-)
-out_option = click.option(
-    "--out", type=click.Path(dir_okay=False), default=None,
-    help="Write the report to a file instead of stdout."
-)
+def _verdict(report: dict, epsilon: Fraction, limit: Optional[Fraction]) -> bool:
+    """Record the --threshold in the report, and whether epsilon meets it."""
+    report["threshold"] = format_rational(limit) if limit is not None else None
+    report["passed"] = limit is None or epsilon <= limit
+    return report["passed"]
 
 
 @click.group()
@@ -142,47 +136,76 @@ def main():
     """Exact verification lab for non-malleable coding over binary AVCs."""
 
 
-@main.command("decompose")
+def _command(name: str):
+    """Register the decorated body as subcommand `name` of main, with
+    --out and --format after its own parameters.
+
+    The body returns (report, summary, passed).  The runner is the one
+    place where errors become exit codes: a budget overrun exits 3, a
+    failed exact invariant 1, and any other package error (invalid
+    input, an unwritable --out included) 2.  Otherwise the report is
+    emitted, and the command exits 0, or 1 when it did not pass.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(out, fmt, **params):
+            try:
+                report, summary, passed = body(**params)
+                _emit(report, out, fmt, summary)
+            except BudgetExceededError as exc:
+                _fail(EXIT_BUDGET, str(exc))
+            except VerificationError as exc:
+                _fail(EXIT_VERIFICATION_FAILED, f"exact invariant violated: {exc}")
+            except NmavcError as exc:
+                _fail(EXIT_INVALID_INPUT, str(exc))
+            sys.exit(EXIT_PASS if passed else EXIT_VERIFICATION_FAILED)
+
+        command = main.command(name)(run)
+        command.params += [
+            click.Option(["--out"], type=click.Path(dir_okay=False), default=None,
+                         help="Write the report to a file instead of stdout."),
+            click.Option(["--format", "fmt"], type=click.Choice(["json", "csv", "text"]),
+                         default="json", show_default=True, help="Report rendering."),
+        ]
+        return command
+
+    return register
+
+
+@_command("decompose")
 @click.argument("channel_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--alpha3", default=None, help="Set0 coefficient (rational string).")
-@out_option
-@format_option
-def cmd_decompose(channel_file: str, alpha3: Optional[str], out, fmt):
+def cmd_decompose(channel_file: str, alpha3: Optional[str]):
     """Decompose a channel into elementary channels and check reconstruction."""
-
-    def run():
-        obj = _load_json(channel_file)
-        channel = channel_from_json(obj)
-        chosen = parse_rational(alpha3) if alpha3 is not None else None
-        dec = decompose(channel, chosen)
-        interval = None if channel.extended else [
-            format_rational(v) for v in feasible_interval(channel)
-        ]
-        exact = dec.reconstruct(extended=channel.extended) == channel
-        if not exact:
-            raise VerificationError("reconstruction does not match the channel")
-        names = ["keep", "flip", "set0", "set1", "erase"]
-        report = {
-            "alphas": {
-                name: format_rational(a) for name, a in zip(names, dec.alphas)
-            },
-            "alphas_float": {
-                name: float(a) for name, a in zip(names, dec.alphas)
-            },
-            "feasible_alpha3_interval": interval,
-            "reconstruction_exact": exact,
-            "provenance": _provenance(input=channel_file),
-        }
-        alphas_text = ", ".join(
-            f"{name}={format_rational(a)}" for name, a in zip(names, dec.alphas) if a
-        )
-        _emit(report, out, fmt, f"decomposition: {alphas_text}")
-        sys.exit(EXIT_PASS)
-
-    _guard(run)
+    channel = channel_from_json(_load_json(channel_file))
+    chosen = parse_rational(alpha3) if alpha3 is not None else None
+    dec = decompose(channel, chosen)
+    interval = None if channel.extended else [
+        format_rational(v) for v in feasible_interval(channel)
+    ]
+    exact = dec.reconstruct(extended=channel.extended) == channel
+    if not exact:
+        raise VerificationError("reconstruction does not match the channel")
+    names = ["keep", "flip", "set0", "set1", "erase"]
+    report = {
+        "alphas": {
+            name: format_rational(a) for name, a in zip(names, dec.alphas)
+        },
+        "alphas_float": {
+            name: float(a) for name, a in zip(names, dec.alphas)
+        },
+        "feasible_alpha3_interval": interval,
+        "reconstruction_exact": exact,
+        "provenance": _provenance(input=channel_file),
+    }
+    alphas_text = ", ".join(
+        f"{name}={format_rational(a)}" for name, a in zip(names, dec.alphas) if a
+    )
+    return report, f"decomposition: {alphas_text}", True
 
 
-@main.command("delta")
+@_command("delta")
 @click.argument("generator_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("p_star")
 @click.option("--budget", type=click.IntRange(min=0), default=20, show_default=True,
@@ -191,36 +214,29 @@ def cmd_decompose(channel_file: str, alpha3: Optional[str], out, fmt):
               help="Also estimate by Monte Carlo with this many trials.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for the Monte-Carlo estimate.")
-@out_option
-@format_option
-def cmd_delta(generator_file, p_star, budget, trials, seed, out, fmt):
+def cmd_delta(generator_file, p_star, budget, trials, seed):
     """Exact erasure-decoding failure probability of a generator matrix."""
-
-    def run():
-        g = GF2Matrix.from_json(_load_json(generator_file))
-        p = parse_rational(p_star)
-        value = delta_exact(g, p, budget=budget)
-        report = {
-            "m": g.nrows,
-            "n": g.ncols,
-            "p_star": format_rational(p),
-            "delta": format_rational(value),
-            "delta_float": float(value),
-            "recovery_probability": format_rational(1 - value),
-            "provenance": _provenance(input=generator_file, budget=budget),
+    g = GF2Matrix.from_json(_load_json(generator_file))
+    p = parse_rational(p_star)
+    value = delta_exact(g, p, budget=budget)
+    report = {
+        "m": g.nrows,
+        "n": g.ncols,
+        "p_star": format_rational(p),
+        "delta": format_rational(value),
+        "delta_float": float(value),
+        "recovery_probability": format_rational(1 - value),
+        "provenance": _provenance(input=generator_file, budget=budget),
+    }
+    if trials is not None:
+        estimate, ci95 = delta_monte_carlo(g, p, trials, seed)
+        report["monte_carlo"] = {
+            "trials": trials,
+            "seed": seed,
+            "estimate": estimate,
+            "ci95": ci95,
         }
-        if trials is not None:
-            estimate, ci95 = delta_monte_carlo(g, p, trials, seed)
-            report["monte_carlo"] = {
-                "trials": trials,
-                "seed": seed,
-                "estimate": estimate,
-                "ci95": ci95,
-            }
-        _emit(report, out, fmt, f"delta = {format_rational(value)}")
-        sys.exit(EXIT_PASS)
-
-    _guard(run)
+    return report, f"delta = {format_rational(value)}", True
 
 
 def _load_code(path: str) -> StochasticCode:
@@ -230,7 +246,7 @@ def _load_code(path: str) -> StochasticCode:
 def _channel_from_entry(entry, dictionary: dict):
     if isinstance(entry, str):
         if entry not in dictionary:
-            _fail(EXIT_INVALID_INPUT, f"unknown channel name {entry!r}")
+            raise InvalidInstanceError(f"unknown channel name {entry!r}")
         return dictionary[entry]
     return channel_from_json(entry)
 
@@ -238,18 +254,19 @@ def _channel_from_entry(entry, dictionary: dict):
 def _load_sequences(path: str) -> list[StateSequence]:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "sequences" not in obj:
-        _fail(EXIT_INVALID_INPUT,
-              f'{path} must be {{"channels": {{...}}, "sequences": [...]}}')
+        raise InvalidInstanceError(
+            f'{path} must be {{"channels": {{...}}, "sequences": [...]}}'
+        )
     named = obj.get("channels", {})
     if not isinstance(named, dict):
-        _fail(EXIT_INVALID_INPUT, f'"channels" in {path} must be an object')
+        raise InvalidInstanceError(f'"channels" in {path} must be an object')
     if not isinstance(obj["sequences"], list):
-        _fail(EXIT_INVALID_INPUT, f'"sequences" in {path} must be a list')
+        raise InvalidInstanceError(f'"sequences" in {path} must be a list')
     dictionary = {name: channel_from_json(ch) for name, ch in named.items()}
     sequences = []
     for row in obj["sequences"]:
         if not isinstance(row, list):
-            _fail(EXIT_INVALID_INPUT, f"sequence {row!r} must be a list of channels")
+            raise InvalidInstanceError(f"sequence {row!r} must be a list of channels")
         channels = [_channel_from_entry(entry, dictionary) for entry in row]
         labels = [
             entry if isinstance(entry, str) else f"inline{i}"
@@ -259,7 +276,7 @@ def _load_sequences(path: str) -> list[StateSequence]:
     return sequences
 
 
-@main.command("nm-verify")
+@_command("nm-verify")
 @click.argument("code_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--family", type=click.Choice(["bit"]), default=None,
               help="Certify against the full bitwise independent family.")
@@ -271,70 +288,58 @@ def _load_sequences(path: str) -> list[StateSequence]:
                    "is exponential in n).")
 @click.option("--threshold", default=None,
               help="Exit 1 unless the reported epsilon is <= this rational.")
-@out_option
-@format_option
-def cmd_nm_verify(code_file, family, sequences_file, budget, threshold, out, fmt):
+def cmd_nm_verify(code_file, family, sequences_file, budget, threshold):
     """Certify a code's non-malleability error exactly."""
     if (family is None) == (sequences_file is None):
-        _fail(EXIT_INVALID_INPUT, "choose exactly one of --family / --sequences")
-
-    def run():
-        code = _load_code(code_file)
-        limit = parse_rational(threshold) if threshold is not None else None
-        if family == "bit":
-            cert = certify_bit_family(code, budget=budget)
-            epsilon = cert.epsilon
-            report = {
-                "mode": "bit-family",
-                "certificate": cert.to_json(),
-                "provenance": _provenance(input=code_file, budget=budget),
-            }
-            summary = (
-                f"eps over 4^{code.n} bit functions = {format_rational(epsilon)} "
-                f"(worst: {report['certificate']['worst_function']})"
-            )
-        else:
-            sequences = _load_sequences(sequences_file)
-            if not sequences:
-                _fail(EXIT_INVALID_INPUT, "no sequences to verify")
-            cert = certify_bit_family(code, budget=budget)
-            per_sequence = {}
-            epsilon = Fraction(0)
-            for index, seq in enumerate(sequences):
-                result = verify_transfer(code, seq, cert, budget=budget)
-                # Repeated rows and inline channels (labelled by position)
-                # share labels; every sequence keeps an entry.
-                label = result.sequence_label
-                if label in per_sequence:
-                    label = f"{label}#{index}"
-                per_sequence[label] = result.to_json()
-                epsilon = max(epsilon, result.eps_channel)
-            report = {
-                "mode": "sequences",
-                "eps_bit": format_rational(cert.epsilon),
-                "eps_max_over_sequences": format_rational(epsilon),
-                "sequences": per_sequence,
-                "provenance": _provenance(
-                    input=code_file, sequences=sequences_file, budget=budget
-                ),
-            }
-            summary = (
-                f"max per-sequence eps = {format_rational(epsilon)} over "
-                f"{len(sequences)} sequences (bit-family bound "
-                f"{format_rational(cert.epsilon)})"
-            )
-        report["threshold"] = (
-            format_rational(limit) if limit is not None else None
+        raise InvalidInstanceError("choose exactly one of --family / --sequences")
+    code = _load_code(code_file)
+    limit = parse_rational(threshold) if threshold is not None else None
+    if family == "bit":
+        cert = certify_bit_family(code, budget=budget)
+        epsilon = cert.epsilon
+        report = {
+            "mode": "bit-family",
+            "certificate": cert.to_json(),
+            "provenance": _provenance(input=code_file, budget=budget),
+        }
+        summary = (
+            f"eps over 4^{code.n} bit functions = {format_rational(epsilon)} "
+            f"(worst: {report['certificate']['worst_function']})"
         )
-        passed = limit is None or epsilon <= limit
-        report["passed"] = passed
-        _emit(report, out, fmt, summary)
-        sys.exit(EXIT_PASS if passed else EXIT_VERIFICATION_FAILED)
+    else:
+        sequences = _load_sequences(sequences_file)
+        if not sequences:
+            raise InvalidInstanceError("no sequences to verify")
+        cert = certify_bit_family(code, budget=budget)
+        per_sequence = {}
+        epsilon = Fraction(0)
+        for index, seq in enumerate(sequences):
+            result = verify_transfer(code, seq, cert, budget=budget)
+            # Repeated rows and inline channels (labelled by position)
+            # share labels; every sequence keeps an entry.
+            label = result.sequence_label
+            if label in per_sequence:
+                label = f"{label}#{index}"
+            per_sequence[label] = result.to_json()
+            epsilon = max(epsilon, result.eps_channel)
+        report = {
+            "mode": "sequences",
+            "eps_bit": format_rational(cert.epsilon),
+            "eps_max_over_sequences": format_rational(epsilon),
+            "sequences": per_sequence,
+            "provenance": _provenance(
+                input=code_file, sequences=sequences_file, budget=budget
+            ),
+        }
+        summary = (
+            f"max per-sequence eps = {format_rational(epsilon)} over "
+            f"{len(sequences)} sequences (bit-family bound "
+            f"{format_rational(cert.epsilon)})"
+        )
+    return report, summary, _verdict(report, epsilon, limit)
 
-    _guard(run)
 
-
-@main.command("search")
+@_command("search")
 @click.option("--k", type=int, required=True, help="Message bits.")
 @click.option("--n", type=int, required=True, help="Block bits.")
 @click.option("--rho", type=int, required=True, help="Encoder seed bits.")
@@ -346,37 +351,31 @@ def cmd_nm_verify(code_file, family, sequences_file, budget, threshold, out, fmt
               help="Certify against the maps induced by this outer generator "
                    "instead of the raw bit family.")
 @click.option("--budget", type=click.IntRange(min=0), default=1_000_000, show_default=True)
-@out_option
-@format_option
-def cmd_search(k, n, rho, trials, seed, generator_file, budget, out, fmt):
+def cmd_search(k, n, rho, trials, seed, generator_file, budget):
     """Search seeded random injective codes, keeping the lowest-epsilon one."""
+    if generator_file is not None:
+        from .composed import induced_family
 
-    def run():
-        if generator_file is not None:
-            from .composed import induced_family
-
-            outer = GF2Matrix.from_json(_load_json(generator_file))
-            if outer.nrows != n:
-                _fail(EXIT_INVALID_INPUT,
-                      f"outer generator has m={outer.nrows}, but the inner "
-                      f"code produces n={n} bits")
-            family = induced_family(outer, budget=budget)
-        else:
-            family = "bit"
-        result = search_nm_code(
-            k, n, rho, family=family, trials=trials, seed=seed, budget=budget
-        )
-        report = result.to_json()
-        report["provenance"] = _provenance(budget=budget)
-        _emit(
-            report, out, fmt,
-            f"best eps = {format_rational(result.certificate.epsilon)} "
-            f"(trial {result.best_trial} of {trials}, family size "
-            f"{result.family_size})",
-        )
-        sys.exit(EXIT_PASS)
-
-    _guard(run)
+        outer = GF2Matrix.from_json(_load_json(generator_file))
+        if outer.nrows != n:
+            raise InvalidInstanceError(
+                f"outer generator has m={outer.nrows}, but the inner "
+                f"code produces n={n} bits"
+            )
+        family = induced_family(outer, budget=budget)
+    else:
+        family = "bit"
+    result = search_nm_code(
+        k, n, rho, family=family, trials=trials, seed=seed, budget=budget
+    )
+    report = result.to_json()
+    report["provenance"] = _provenance(budget=budget)
+    summary = (
+        f"best eps = {format_rational(result.certificate.epsilon)} "
+        f"(trial {result.best_trial} of {trials}, family size "
+        f"{result.family_size})"
+    )
+    return report, summary, True
 
 
 def _extended_channel(obj) -> Channel:
@@ -400,8 +399,9 @@ def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[list,
         count = listing.get("random")
         seed = listing.get("seed")
         if any(not isinstance(v, int) or isinstance(v, bool) for v in (count, seed)):
-            _fail(EXIT_INVALID_INPUT,
-                  'random sequences need {"random": count, "seed": seed}')
+            raise InvalidInstanceError(
+                'random sequences need {"random": count, "seed": seed}'
+            )
         if budget is not None and count > budget:
             raise BudgetExceededError(
                 f"spec draws {count} random sequences, budget {budget}"
@@ -418,127 +418,121 @@ def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[list,
         rows = []
         for row in listing:
             if not isinstance(row, list):
-                _fail(EXIT_INVALID_INPUT,
-                      f"sequence {row!r} must be a list of state names")
+                raise InvalidInstanceError(
+                    f"sequence {row!r} must be a list of state names"
+                )
             if len(row) != n:
-                _fail(EXIT_INVALID_INPUT,
-                      f"sequence {row} has length {len(row)}, expected {n}")
+                raise InvalidInstanceError(
+                    f"sequence {row} has length {len(row)}, expected {n}"
+                )
             unknown = [name for name in row if name not in names]
             if unknown:
-                _fail(EXIT_INVALID_INPUT,
-                      f"sequence {row} names unknown states {unknown}")
+                raise InvalidInstanceError(
+                    f"sequence {row} names unknown states {unknown}"
+                )
             rows.append(tuple(row))
         return rows, False
-    _fail(EXIT_INVALID_INPUT, "sequences must be a list, 'exhaustive', or random spec")
+    raise InvalidInstanceError("sequences must be a list, 'exhaustive', or random spec")
 
 
-@main.command("composed-verify")
+@_command("composed-verify")
 @click.option("--spec", "spec_file", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Experiment spec JSON (codes, states, sequences, budget).")
 @click.option("--threshold", default=None,
               help="Exit 1 unless eps_max is <= this rational.")
-@out_option
-@format_option
-def cmd_composed_verify(spec_file, threshold, out, fmt):
+def cmd_composed_verify(spec_file, threshold):
     """Verify a composed (inner code + erasure code) scheme end to end."""
-
-    def run():
-        spec_obj = _load_json(spec_file)
-        for field in ("inner_code", "outer", "p_star", "states",
-                      "special_state", "sequences", "budget"):
-            if field not in spec_obj:
-                _fail(EXIT_INVALID_INPUT, f"spec lacks required field {field!r}")
-        budget = spec_obj["budget"]
-        if budget is not None and (
-            not isinstance(budget, int) or isinstance(budget, bool) or budget < 0
-        ):
-            _fail(EXIT_INVALID_INPUT,
-                  f"budget must be a non-negative integer or null, got {budget!r}")
-        if not isinstance(spec_obj["states"], dict):
-            _fail(EXIT_INVALID_INPUT, "states must be an object of named channels")
-        special_name = spec_obj["special_state"]
-        if not isinstance(special_name, str):
-            _fail(EXIT_INVALID_INPUT,
-                  f"special_state must be a state name, got {special_name!r}")
-        inner_ref = spec_obj["inner_code"]
-        if isinstance(inner_ref, str):
-            inner_path = Path(spec_file).parent / inner_ref
-            inner = StochasticCode.from_json(_load_json(str(inner_path)))
-        else:
-            inner = StochasticCode.from_json(inner_ref)
-        outer = GF2Matrix.from_json(spec_obj["outer"])
-        scheme = ComposedScheme(inner, outer)
-        p_star = parse_rational(spec_obj["p_star"])
-        spec = SpecialStateSpec(p_star=p_star, n=scheme.n)
-        states = {
-            name: _extended_channel(ch)
-            for name, ch in spec_obj["states"].items()
-        }
-        if special_name not in states:
-            _fail(EXIT_INVALID_INPUT, f"unknown special state {special_name!r}")
-        if states[special_name] != spec.channel():
-            _fail(EXIT_INVALID_INPUT,
-                  f"state {special_name!r} must equal BEC(p_star) exactly")
-        names = sorted(states)
-        if names == [special_name]:
-            _fail(EXIT_INVALID_INPUT,
-                  "states need at least one channel besides the special state")
-        rows, exhaustive = _composed_sequences(
-            spec_obj, names, special_name, scheme.n, budget
+    spec_obj = _load_json(spec_file)
+    if not isinstance(spec_obj, dict):
+        raise InvalidInstanceError(f"spec {spec_file} must be a JSON object")
+    for field in ("inner_code", "outer", "p_star", "states",
+                  "special_state", "sequences", "budget"):
+        if field not in spec_obj:
+            raise InvalidInstanceError(f"spec lacks required field {field!r}")
+    budget = spec_obj["budget"]
+    if budget is not None and (
+        not isinstance(budget, int) or isinstance(budget, bool) or budget < 0
+    ):
+        raise InvalidInstanceError(
+            f"budget must be a non-negative integer or null, got {budget!r}"
         )
-        if not rows:
-            _fail(EXIT_INVALID_INPUT, "no sequences to verify")
-        sequences = [
-            StateSequence([states[name] for name in row], labels=row)
-            for row in rows
-        ]
-        report_obj = verify_composed(
-            scheme, sequences, spec, budget=budget, exhaustive=exhaustive
+    if not isinstance(spec_obj["states"], dict):
+        raise InvalidInstanceError("states must be an object of named channels")
+    special_name = spec_obj["special_state"]
+    if not isinstance(special_name, str):
+        raise InvalidInstanceError(
+            f"special_state must be a state name, got {special_name!r}"
         )
-        limit = parse_rational(threshold) if threshold is not None else None
-        report = report_obj.to_json()
-        report["threshold"] = format_rational(limit) if limit is not None else None
-        passed = limit is None or report_obj.eps_max <= limit
-        report["passed"] = passed
-        report["provenance"] = _provenance(input=spec_file, budget=budget)
-        _emit(
-            report, out, fmt,
-            f"delta = {format_rational(report_obj.delta)}, eps_max = "
-            f"{format_rational(report_obj.eps_max)} over "
-            f"{report_obj.sequences_checked} sequences"
-            + (" (exhaustive)" if exhaustive else ""),
+    inner_ref = spec_obj["inner_code"]
+    if isinstance(inner_ref, str):
+        inner = _load_code(str(Path(spec_file).parent / inner_ref))
+    else:
+        inner = StochasticCode.from_json(inner_ref)
+    outer = GF2Matrix.from_json(spec_obj["outer"])
+    scheme = ComposedScheme(inner, outer)
+    p_star = parse_rational(spec_obj["p_star"])
+    spec = SpecialStateSpec(p_star=p_star, n=scheme.n)
+    states = {
+        name: _extended_channel(ch)
+        for name, ch in spec_obj["states"].items()
+    }
+    if special_name not in states:
+        raise InvalidInstanceError(f"unknown special state {special_name!r}")
+    if states[special_name] != spec.channel():
+        raise InvalidInstanceError(
+            f"state {special_name!r} must equal BEC(p_star) exactly"
         )
-        sys.exit(EXIT_PASS if passed else EXIT_VERIFICATION_FAILED)
+    names = sorted(states)
+    if names == [special_name]:
+        raise InvalidInstanceError(
+            "states need at least one channel besides the special state"
+        )
+    rows, exhaustive = _composed_sequences(
+        spec_obj, names, special_name, scheme.n, budget
+    )
+    if not rows:
+        raise InvalidInstanceError("no sequences to verify")
+    sequences = [
+        StateSequence([states[name] for name in row], labels=row)
+        for row in rows
+    ]
+    report_obj = verify_composed(
+        scheme, sequences, spec, budget=budget, exhaustive=exhaustive
+    )
+    limit = parse_rational(threshold) if threshold is not None else None
+    report = report_obj.to_json()
+    passed = _verdict(report, report_obj.eps_max, limit)
+    report["provenance"] = _provenance(input=spec_file, budget=budget)
+    summary = (
+        f"delta = {format_rational(report_obj.delta)}, eps_max = "
+        f"{format_rational(report_obj.eps_max)} over "
+        f"{report_obj.sequences_checked} sequences"
+        + (" (exhaustive)" if exhaustive else "")
+    )
+    return report, summary, passed
 
-    _guard(run)
 
-
-@main.command("certify-inner")
+@_command("certify-inner")
 @click.argument("code_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("generator_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--budget", type=click.IntRange(min=0), default=1_000_000, show_default=True)
-@out_option
-@format_option
-def cmd_certify_inner(code_file, generator_file, budget, out, fmt):
+def cmd_certify_inner(code_file, generator_file, budget):
     """Certify an inner code against the maps induced by an outer generator."""
-
-    def run():
-        inner = _load_code(code_file)
-        outer = GF2Matrix.from_json(_load_json(generator_file))
-        cert = certify_induced_family(inner, outer, budget=budget)
-        report = {
-            "certificate": cert.to_json(),
-            "provenance": _provenance(
-                input=code_file, generator=generator_file, budget=budget
-            ),
-        }
-        _emit(report, out, fmt,
-              f"eps over induced family = {format_rational(cert.epsilon)} "
-              f"({cert.size} distinct maps)")
-        sys.exit(EXIT_PASS)
-
-    _guard(run)
+    inner = _load_code(code_file)
+    outer = GF2Matrix.from_json(_load_json(generator_file))
+    cert = certify_induced_family(inner, outer, budget=budget)
+    report = {
+        "certificate": cert.to_json(),
+        "provenance": _provenance(
+            input=code_file, generator=generator_file, budget=budget
+        ),
+    }
+    summary = (
+        f"eps over induced family = {format_rational(cert.epsilon)} "
+        f"({cert.size} distinct maps)"
+    )
+    return report, summary, True
 
 
 if __name__ == "__main__":

@@ -356,7 +356,4 @@ def certify_induced_family(
     inner: StochasticCode, outer: GF2Matrix, budget: Optional[int] = None
 ) -> FamilyCertificate:
     """Certify the inner code against every map induced by the outer code."""
-    members = induced_family(outer, budget=budget)
-    cert = certify_family(inner, members, budget=budget)
-    assert cert is not None
-    return cert
+    return certify_family(inner, induced_family(outer, budget=budget), budget=budget)

@@ -32,6 +32,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union
 
 from .channels import StateSequence
@@ -550,77 +551,62 @@ class FamilyCertificate:
         }
 
 
-class _Outcomes(dict):
-    """decode(word) of every word decoded so far; decodes on a miss, so
-    a hit in the profile loop is one plain dict lookup."""
-
-    def __init__(self, code: StochasticCode) -> None:
-        super().__init__()
-        self.code = code
-
-    def __missing__(self, word: int) -> int:
-        y = self[word] = self.code.decode(word)
-        return y
-
-
-def _count_profiles(code: StochasticCode, functions: list) -> Iterator[list[int]]:
+def _count_profiles(
+    code: StochasticCode, functions: list
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Integer tamper profiles of the (validated) members, one at a time.
 
-    Entry m * (2^k + 1) + y of member i's profile counts the seeds r
-    with decode(f_i(enc[m][r])) = y; read as 2^k rows, a profile is the
-    table tamper_map(code, f_i) gives.  Yields member i's profile only
-    when the caller reads it, so a loop that stops early builds no more.
-    Each distinct tampered word is decoded once per call.
+    Member i's profile is the law table tamper_map(code, f_i) gives, as
+    a tuple of count-row tuples over 2^rho: entry y of row m counts the
+    seeds r with decode(f_i(enc[m][r])) = y.  Yields member i's profile
+    only when the caller reads it, so a loop that stops early builds no
+    more.  A plain code's words are looked up in its dec table.
     """
-    width = len(code.enc) + 1
-    size = len(code.enc) * width
-    cell_words = [
-        (cell, word)
-        for cell, words in zip(range(0, size, width), code.enc) for word in words
-    ]
-    outcome = _Outcomes(code)
+    bot = len(code.enc)
+    if type(code).decode is StochasticCode.decode:
+        decode, default = code.dec.get, bot
+    else:
+        decode, default = code.decode, 0  # decode(bits, erased=0)
+
     for f in functions:
-        profile = [0] * size
         if f is BOT_MAP:
-            profile[width - 1::width] = [code.seed_count] * len(code.enc)
-        elif isinstance(f, BITFunction):
+            yield ((0,) * bot + (code.seed_count,),) * bot
+            continue
+        if isinstance(f, BITFunction):
             # f.apply without a call per word: the search's hot loop.
             keep, xor, _ = f.pattern
-            for cell, word in cell_words:
-                profile[cell + outcome[(word & keep) ^ xor]] += 1
+            tampered = [[(word & keep) ^ xor for word in words] for words in code.enc]
         else:
-            for cell, word in cell_words:
-                profile[cell + outcome[f.apply(word)]] += 1
-        yield profile
+            tampered = [map(f.apply, words) for words in code.enc]
+        table = []
+        for words in tampered:
+            row = [0] * (bot + 1)
+            for y in map(decode, words, repeat(default)):
+                row[y] += 1
+            table.append(tuple(row))
+        yield tuple(table)
 
 
 def certify_family(
     code: StochasticCode,
     functions: Iterable[TamperingFunction],
     budget: Optional[int] = None,
-    cache: Optional[dict] = None,
-    stop_at_or_above: Optional[Fraction] = None,
-) -> Optional[FamilyCertificate]:
-    """Worst-case optimal simulator error over the family; None when
-    aborted early.
+) -> FamilyCertificate:
+    """Worst-case optimal simulator error over the family.
 
     Every member is validated first, in list order.  Then each member's
-    tamper profile, integer counts over the common denominator 2^rho,
-    is built when its turn comes (_count_profiles).  `cache` keeps one
-    _Profile per (2^rho, count profile), which determines the optimum,
-    across calls.  On a miss, the member's tamper map is re-derived seed
-    by seed by the tampering experiment (tamper_map: one apply and one
-    decode per codeword) and checked equal to the counts over 2^rho.  A
-    member whose trivial-simulator bound is at most the running maximum
-    cannot raise it, so its LP is skipped; every other member's is
-    solved.  The worst member is the first to reach the maximum.  With
-    `stop_at_or_above`, returns None as soon as the running maximum
-    reaches that bound, building no later member's profile -- used by
-    the search loop, which only cares about strictly better codes.
+    tamper profile, its law table in integer counts over 2^rho, is built
+    when its turn comes (_count_profiles).  One _Profile is kept per
+    distinct (2^rho, profile), which determines the optimum.  On a miss,
+    the member's tamper map is re-derived seed by seed by the tampering
+    experiment (tamper_map: one apply and one decode per codeword) and
+    checked equal to the counts.  A member whose trivial-simulator bound
+    is at most the running maximum cannot raise it, so its LP is
+    skipped; every other member's is solved.  The worst member is the
+    first to reach the maximum.
     """
-    code.check_correctness()
     functions = _check_family(code, functions, budget)
-    return _certify_checked(code, functions, budget, cache, stop_at_or_above)
+    return _certify_checked(code, functions, budget, {}, None)
 
 
 def _check_family(
@@ -641,21 +627,21 @@ def _certify_checked(
     code: StochasticCode,
     functions: list,
     budget: Optional[int],
-    cache: Optional[dict],
+    cache: dict,
     stop_at_or_above: Optional[Fraction],
 ) -> Optional[FamilyCertificate]:
-    """certify_family on a family already passed through _check_family."""
+    """certify_family on a family already passed through _check_family,
+    with its _Profile entries kept in `cache` across calls.  Returns
+    None as soon as the running maximum reaches `stop_at_or_above`,
+    building no later member's profile: the search loop only cares
+    about strictly better codes."""
     code.check_correctness()
-    if cache is None:
-        cache = {}
     seed_count = code.seed_count
-    width = len(code.enc) + 1
     profiles = _count_profiles(code, functions)
 
     epsilon: Optional[Fraction] = None
     members: dict = {}
-    for f, row in zip(functions, profiles):
-        laws = tuple(tuple(row[i:i + width]) for i in range(0, len(row), width))
+    for f, laws in zip(functions, profiles):
         key = (seed_count, laws)
         entry = cache.get(key)
         if entry is None:
@@ -691,15 +677,11 @@ def _profile_bound(laws: Sequence[Sequence[int]], total: int) -> Fraction:
 
 
 def certify_bit_family(
-    code: StochasticCode, budget: Optional[int] = None, cache: Optional[dict] = None
+    code: StochasticCode, budget: Optional[int] = None
 ) -> FamilyCertificate:
     """Certificate over the full 4^n bitwise independent family."""
     _check_budget((4 ** code.n) * code.seed_count, budget, "bit-family certification")
-    cert = certify_family(
-        code, enumerate_bit_functions(code.n, 4), budget=budget, cache=cache
-    )
-    assert cert is not None
-    return cert
+    return certify_family(code, enumerate_bit_functions(code.n, 4), budget=budget)
 
 
 def _mixture(

@@ -563,6 +563,18 @@ def test_composed_verify_malformed_spec_exit_2(runner, tmp_path, fields):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("spec", [5, None, [], "spec"],
+                         ids=["number", "null", "list", "string"])
+def test_composed_verify_non_object_spec_exit_2(runner, tmp_path, spec):
+    # Valid JSON that is not an object is rejected before the
+    # required-field loop reads it.
+    spec_file = write(tmp_path, "spec.json", spec)
+    result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: spec {spec_file} must be a JSON object" in result.output
+
+
 def test_composed_verify_decodes_each_word_once(runner, tmp_path, monkeypatch):
     # The channel experiments of all 242 demo sequences read one decoder
     # table: each word of {0,1,e}^5 is decoded once.  The only other
@@ -771,6 +783,30 @@ def test_exact_commands_leave_numpy_unimported(tmp_path, args):
     code, numpy_imported = run_cli_process(args)
     assert code == 0
     assert not numpy_imported
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", str(DATA / "channel_erase.json")],
+        ["delta", str(DATA / "parity34.json"), "1/10"],
+        ["nm-verify", str(DATA / "transfer_code.json"), "--family", "bit",
+         "--budget", "100000"],
+        ["search", "--k", "1", "--n", "3", "--rho", "1", "--trials", "3", "--seed", "1"],
+        ["composed-verify", "--spec", str(DATA / "composed_spec.json")],
+        ["certify-inner", str(DATA / "transfer_code.json"), str(DATA / "parity34.json")],
+    ],
+    ids=["decompose", "delta", "nm-verify", "search", "composed-verify",
+         "certify-inner"],
+)
+def test_unwritable_out_exit_2(runner, tmp_path, args):
+    # A report that cannot be written is invalid input, not a traceback.
+    out = tmp_path / "missing" / "report.json"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: cannot write {out}: " in result.output
+    assert "Traceback" not in result.output
 
 
 def test_monte_carlo_delta_keeps_its_estimate(tmp_path):

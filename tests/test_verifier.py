@@ -507,14 +507,14 @@ def members(n: int):
 
 
 def assert_counts_match_tamper_map(code, functions):
-    # Each profile is its member's tamper_map table read row by row; a
-    # BIT function's laws are also the deterministic channels of its
+    # Each profile is its member's tamper_map table as count-row tuples;
+    # a BIT function's laws are also the deterministic channels of its
     # actions, so they equal the Fraction product of output_distribution.
     counts = verifier._count_profiles(code, functions)
-    for f, row in zip(functions, counts):
+    for f, profile in zip(functions, counts):
         rows, total = tamper_map(code, f)
         assert total == code.seed_count
-        assert row == [c for law in rows for c in law], f
+        assert profile == tuple(map(tuple, rows)), f
         if isinstance(f, BITFunction):
             seq = StateSequence([elementary_channel(a) for a in f.actions])
             laws = laws_of(code.k, rows, total)
@@ -574,7 +574,9 @@ def test_count_profile_checked_against_tampering_experiment(monkeypatch):
 
     def shifted(code, functions):
         profiles = list(counted(code, functions))
-        profiles[0][0:2] = [profiles[0][0] - 1, profiles[0][1] + 1]
+        rows = [list(row) for row in profiles[0]]
+        rows[0][0:2] = [rows[0][0] - 1, rows[0][1] + 1]
+        profiles[0] = tuple(map(tuple, rows))
         return profiles
 
     monkeypatch.setattr(verifier, "_count_profiles", shifted)
@@ -684,6 +686,14 @@ def test_certify_family_rejects_like_the_eager_loop(data):
     assert (type(raised.value), str(raised.value)) == expected
 
 
+def certify_checked(code, functions, cache=None, stop=None):
+    """The search's cached, early-stopping certification path."""
+    checked = verifier._check_family(code, functions, None)
+    return verifier._certify_checked(
+        code, checked, None, {} if cache is None else cache, stop
+    )
+
+
 def counting(monkeypatch, name):
     """Replace verifier.<name> by a wrapper that counts its calls."""
     calls = []
@@ -725,7 +735,7 @@ def test_early_stop_applies_no_later_member():
 
     later = [CountingAffine(gf2_identity(2), delta) for delta in range(4)]
     family = [bit_function("00"), *later]
-    assert certify_family(identity_code(2), family, stop_at_or_above=F(0)) is None
+    assert certify_checked(identity_code(2), family, stop=F(0)) is None
     assert applies == []
 
 
@@ -775,13 +785,13 @@ def test_tamper_map_runs_once_per_cache_miss(monkeypatch):
     experiments = counting(monkeypatch, "tamper_map")
     simulators = counting(monkeypatch, "optimal_simulator")
     cache: dict = {}
-    first = certify_bit_family(code, cache=cache)
+    first = certify_checked(code, enumerate_bit_functions(code.n), cache)
     # Every distinct profile is checked once; 15 of the 24 are kept at
     # or below the running epsilon by a trivial simulator, unsolved.
     assert len(experiments) == len(cache) == 24
     assert len(simulators) == 9
     assert 0 < len(cache) < 4 ** code.n
-    again = certify_bit_family(code, cache=cache)
+    again = certify_checked(code, enumerate_bit_functions(code.n), cache)
     assert len(experiments) == len(cache)
     assert len(simulators) == 9
     reports = {f: again.report(f) for f in again.members}
@@ -805,7 +815,7 @@ def test_shared_cache_keeps_codes_apart():
     ]
     shared: dict = {}
     for code in codes:
-        got = certify_bit_family(code, cache=shared)
+        got = certify_checked(code, enumerate_bit_functions(code.n), shared)
         alone = certify_bit_family(code)
         assert got.epsilon == alone.epsilon
         assert got.worst == alone.worst
@@ -825,7 +835,7 @@ def assert_same_certificate(cert, reference):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.data())
 def test_pruned_certificate_matches_every_member_solved(data):
-    # certify_family skips the LP of a member whose trivial-simulator
+    # Certification skips the LP of a member whose trivial-simulator
     # bound is at most the running epsilon.  With or without an early
     # stop (on one shared cache, so pruned entries are read again), it
     # matches the reference that solves every member, and each member's
@@ -840,12 +850,12 @@ def test_pruned_certificate_matches_every_member_solved(data):
     stop = data.draw(st.one_of(st.sampled_from(optima), unit_rationals()), label="stop")
     cache: dict = {}
     expected = certify_every_member(code, functions, stop)
-    stopped = certify_family(code, functions, cache=cache, stop_at_or_above=stop)
+    stopped = certify_checked(code, functions, cache, stop)
     if expected is None:
         assert stopped is None
     else:
         assert_same_certificate(stopped, expected)
-    cert = certify_family(code, functions, cache=cache)
+    cert = certify_checked(code, functions, cache)
     assert_same_certificate(cert, reference)
     for f, entry in cert.members.items():
         assert entry.bound == trivial_simulator_bound(laws_of(code.k, *tamper_map(code, f)))
