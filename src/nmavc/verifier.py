@@ -20,9 +20,10 @@ and the to_json methods.
 Every reported (epsilon, D) pair is re-verified by direct statistical
 distance computation before it is returned.  Family certification
 solves the LP only for members that could raise the running epsilon;
-each other member is bounded by an explicit trivial simulator (same*,
-or another message's law) whose distance is summed in integers from the
-member's counts, and its own optimum is solved when a mixture reads it.
+each other member is bounded by an explicit feasible simulator (a
+trivial one, or an optimum an earlier member's LP returned) whose
+distance is summed in integers from the member's counts, and its own
+optimum is solved when a mixture reads it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ from .tampering import AffineFunction, BITFunction, enumerate_bit_functions
 BOT_MAP = Marker("bot-map")
 
 TamperingFunction = Union[BITFunction, AffineFunction, Marker]
+
+#: How many distinct optimal simulators one certification keeps, most
+#: recently solved first, to bound later members before their LP.
+_POOL_SIZE = 16
 
 
 class StochasticCode:
@@ -473,17 +478,39 @@ def _worst_case(
     that reaches it.
 
     A distance is one integer sum over total * L, L the simulator's
-    total, made a Fraction once.
+    total (_gaps), made a Fraction once.
     """
+    over = 2 * total * simulator[1]
+    per_message = [Fraction(gap, over) for gap in _gaps(rows, total, simulator)]
+    epsilon = max(per_message)
+    return epsilon, per_message.index(epsilon), per_message
+
+
+def _gaps(
+    rows: Sequence[Sequence[int]], total: int, simulator: tuple[Sequence[int], int]
+) -> Iterator[int]:
+    """Message by message, 2 * total * L times SD(T_m, Copy(simulator, m)),
+    L the simulator's total: sum_y |L c[m][y] - total D'[y]|, where D' is
+    the simulator's row with its same* mass added at m."""
     d, scale = simulator
-    per_message = []
     for m, law in enumerate(rows):
         copied = list(d[:-1])
         copied[m] += d[-1]
-        gap = sum(abs(c * scale - total * p) for c, p in zip(law, copied))
-        per_message.append(Fraction(gap, 2 * total * scale))
-    epsilon = max(per_message)
-    return epsilon, per_message.index(epsilon), per_message
+        yield sum(abs(c * scale - total * p) for c, p in zip(law, copied))
+
+
+def _within(
+    rows: Sequence[Sequence[int]],
+    total: int,
+    simulator: tuple[Sequence[int], int],
+    epsilon: Fraction,
+) -> bool:
+    """max_m SD(T_m, Copy(simulator, m)) <= epsilon, decided in integers
+    and stopping at the first message over epsilon."""
+    limit = 2 * total * simulator[1] * epsilon.numerator
+    return all(
+        gap * epsilon.denominator <= limit for gap in _gaps(rows, total, simulator)
+    )
 
 
 def function_key(f: TamperingFunction) -> str:
@@ -505,7 +532,8 @@ class _Profile:
     of the cache key, checked equal to tamper_map's table; bound is the
     profile's least trivial-simulator error (_profile_bound), an upper
     bound on its optimum; report is the optimal simulator, None until
-    first asked for.
+    first asked for.  It stays None for a member certification bounded
+    by a trivial or pooled simulator instead.
     """
 
     laws: tuple[tuple[int, ...], ...]
@@ -524,7 +552,9 @@ class FamilyCertificate:
     """Worst-case simulator error over a tampering family, with witnesses.
 
     members maps every distinct member, in list order, to its profile's
-    cache entry.  Only the worst member's optimum is needed for epsilon;
+    cache entry.  Only the worst member's optimum is needed for epsilon,
+    so certification leaves unsolved each member that a trivial simulator
+    or an earlier member's optimal simulator keeps within epsilon;
     report(f) gives any member's, solving its LP on first use.
     """
 
@@ -600,10 +630,16 @@ def certify_family(
     distinct (2^rho, profile), which determines the optimum.  On a miss,
     the member's tamper map is re-derived seed by seed by the tampering
     experiment (tamper_map: one apply and one decode per codeword) and
-    checked equal to the counts.  A member whose trivial-simulator bound
-    is at most the running maximum cannot raise it, so its LP is
-    skipped; every other member's is solved.  The worst member is the
-    first to reach the maximum.
+    checked equal to the counts.  Any feasible simulator D bounds a
+    member's optimum by max_m SD(T_m, Copy(D, m)), so a member that some
+    D keeps at or below the running maximum cannot raise it, and its LP
+    is skipped.  D is tried first among the trivial simulators (the
+    entry's bound), then, for a member not solved yet, among a pool of
+    the _POOL_SIZE distinct optimal simulators this certification solved
+    most recently, newest first, each checked in integers (_within).
+    Every other member's LP is solved.  The pool is deterministic, and
+    a skip never changes epsilon or the worst member, which is the first
+    to reach the maximum.
     """
     functions = _check_family(code, functions, budget)
     return _certify_checked(code, functions, budget, {}, None)
@@ -634,13 +670,16 @@ def _certify_checked(
     with its _Profile entries kept in `cache` across calls.  Returns
     None as soon as the running maximum reaches `stop_at_or_above`,
     building no later member's profile: the search loop only cares
-    about strictly better codes."""
+    about strictly better codes.  The simulator pool is this call's own:
+    each simulator the loop reads from an entry, solved now or earlier,
+    moves to the pool's front, and the oldest beyond _POOL_SIZE leaves."""
     code.check_correctness()
     seed_count = code.seed_count
     profiles = _count_profiles(code, functions)
 
     epsilon: Optional[Fraction] = None
     members: dict = {}
+    pool: list = []  # distinct optimal simulators, latest first
     for f, laws in zip(functions, profiles):
         key = (seed_count, laws)
         entry = cache.get(key)
@@ -655,9 +694,17 @@ def _certify_checked(
                 laws, seed_count, _profile_bound(laws, seed_count)
             )
         members[f] = entry
-        if epsilon is not None and entry.bound <= epsilon:
-            continue  # f's optimum <= bound: epsilon and worst stay
+        if epsilon is not None and (
+            entry.bound <= epsilon
+            or (entry.report is None
+                and any(_within(laws, seed_count, d, epsilon) for d in pool))
+        ):
+            continue  # f's optimum <= a feasible D's error <= epsilon
         report = entry.solve()
+        if report.simulator in pool:
+            pool.remove(report.simulator)
+        pool.insert(0, report.simulator)
+        del pool[_POOL_SIZE:]
         if epsilon is None or report.epsilon > epsilon:
             epsilon = report.epsilon
             worst, worst_report = f, report

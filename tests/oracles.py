@@ -452,9 +452,9 @@ def identity_code(k: int) -> StochasticCode:
 def fixed_k2n5_code() -> StochasticCode:
     """The fixed k=2, n=5, rho=1 code of data/fixed_k2n5_code.json.  Its
     bit family has 213 distinct profiles, 204 of which need the LP when
-    every member is solved, and 86 when certification skips the members
-    a trivial simulator keeps within the running epsilon; its certified
-    epsilon is 2/3, first reached by KKK01."""
+    every member is solved, and 7 when certification skips the members
+    a trivial simulator or a pooled optimal one keeps within the running
+    epsilon; its certified epsilon is 2/3, first reached by KKK01."""
     path = Path(__file__).parent / "data" / "fixed_k2n5_code.json"
     return StochasticCode.from_json(json.loads(path.read_text()))
 

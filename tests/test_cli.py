@@ -636,8 +636,9 @@ def test_text_format(runner, tmp_path):
 # and (search-k1n4, nm-verify-bit) before the tamper experiments
 # returned every message's law in one call, and (nm-verify-bit-k2n5, the
 # fixed k=2, n=5 code) before certification skipped the LP of members a
-# trivial simulator keeps within the running epsilon, and (nm-verify-bit
-# k1n4 and k0n2, codes of _random_injective_code(1, 4, 2, Random(5)) and
+# trivial simulator, or later a pooled optimal one, keeps within the
+# running epsilon, and (nm-verify-bit k1n4 and k0n2, codes of
+# _random_injective_code(1, 4, 2, Random(5)) and
 # _random_injective_code(0, 2, 1, Random(1))) before laws became integer
 # rows over the outcome index: the first pins a simulator with same*
 # mass, the second the empty message label of k = 0;

@@ -411,15 +411,15 @@ def test_verify_composed_runs_one_channel_experiment_per_sequence(monkeypatch):
 
 def test_demo_certify_inner_lp_count_is_pinned(monkeypatch):
     # 1,153 induced maps over 104 distinct profiles: the LP runs only for
-    # the members a trivial simulator does not keep within the running
-    # epsilon.
+    # the members neither a trivial simulator nor a pooled optimal one
+    # keeps within the running epsilon.
     scheme = parity45_scheme()
     experiments = counting(monkeypatch, verifier, "tamper_map")
     solves = counting(monkeypatch, simplex, "solve_min")
     cert = certify_induced_family(scheme.inner, scheme.outer)
     assert (cert.size, cert.epsilon) == (1153, F(3, 8))
     assert len(experiments) == 104
-    assert len(solves) == 47
+    assert len(solves) == 15
 
 
 def test_demo_composed_verify_lp_count_is_pinned(monkeypatch):
@@ -438,7 +438,7 @@ def test_demo_composed_verify_lp_count_is_pinned(monkeypatch):
 
 
 def test_verify_composed_solves_pruned_members_on_demand():
-    # Certifying this sequence's 20 induced maps leaves 6 unsolved; its
+    # Certifying this sequence's 20 induced maps leaves 13 unsolved; its
     # mixture solves them on demand, and the sequence's report matches
     # the reference that solves every member.
     scheme = parity45_scheme()
@@ -453,7 +453,7 @@ def test_verify_composed_solves_pruned_members_on_demand():
     members = list(dict.fromkeys(member_of.values()))
     cert = certify_family(scheme.inner, members)
     unsolved = [f for f, entry in cert.members.items() if entry.report is None]
-    assert (len(members), len(unsolved)) == (20, 6)
+    assert (len(members), len(unsolved)) == (20, 13)
     report = verify_composed(scheme, [seq], SpecialStateSpec(F(1, 10), n))
     (got,) = report.eps_by_sequence.values()
     reference = certify_every_member(scheme.inner, members)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmavc.channels as channel_module
@@ -710,7 +710,7 @@ def counting(monkeypatch, name):
 def test_search_lp_count_is_pinned(monkeypatch):
     solves = counting(monkeypatch, "solve_min")
     result = search_nm_code(1, 4, 2, trials=200, seed=404)
-    assert len(solves) == 100
+    assert len(solves) == 77
     assert result.certificate.epsilon == F(1, 4)
     assert result.best_trial == 9
 
@@ -718,7 +718,7 @@ def test_search_lp_count_is_pinned(monkeypatch):
 def test_bit_family_lp_count_is_pinned(monkeypatch):
     solves = counting(monkeypatch, "solve_min")
     cert = certify_bit_family(fixed_k2n5_code())
-    assert len(solves) == 86
+    assert len(solves) == 7
     assert cert.epsilon == F(2, 3)
     assert cert.worst == bit_function("KKK01")
 
@@ -759,7 +759,7 @@ def test_search_profile_count_is_pinned(monkeypatch):
     experiments = counting(monkeypatch, "tamper_map")
     result = search_nm_code(1, 4, 2, trials=200, seed=404)
     assert len(built) == 1351
-    assert len(solves) == 100
+    assert len(solves) == 77
     assert len(experiments) == 144
     assert result.certificate.epsilon == F(1, 4)
     assert result.best_trial == 9
@@ -786,14 +786,15 @@ def test_tamper_map_runs_once_per_cache_miss(monkeypatch):
     simulators = counting(monkeypatch, "optimal_simulator")
     cache: dict = {}
     first = certify_checked(code, enumerate_bit_functions(code.n), cache)
-    # Every distinct profile is checked once; 15 of the 24 are kept at
-    # or below the running epsilon by a trivial simulator, unsolved.
+    # Every distinct profile is checked once; 20 of the 24 are kept at
+    # or below the running epsilon by a trivial or pooled simulator,
+    # unsolved.
     assert len(experiments) == len(cache) == 24
-    assert len(simulators) == 9
+    assert len(simulators) == 4
     assert 0 < len(cache) < 4 ** code.n
     again = certify_checked(code, enumerate_bit_functions(code.n), cache)
     assert len(experiments) == len(cache)
-    assert len(simulators) == 9
+    assert len(simulators) == 4
     reports = {f: again.report(f) for f in again.members}
     assert len(simulators) == len(cache)
     assert reports == {f: first.report(f) for f in first.members}
@@ -832,22 +833,81 @@ def assert_same_certificate(cert, reference):
     assert cert.worst_report.to_json() == reference.worst_report.to_json()
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.data())
-def test_pruned_certificate_matches_every_member_solved(data):
-    # Certification skips the LP of a member whose trivial-simulator
-    # bound is at most the running epsilon.  With or without an early
-    # stop (on one shared cache, so pruned entries are read again), it
-    # matches the reference that solves every member, and each member's
-    # optimum is at most its bound, which a trivial simulator attains.
-    code = data.draw(small_codes(max_n=4))
-    if code.n <= 3 and data.draw(st.booleans(), label="whole bit family"):
+def k1n3_code():
+    """A k=1, n=3, rho=1 code with bot off its image."""
+    return StochasticCode.from_tables(
+        1, 3, 1, {"0": ["000", "110"], "1": ["111", "100"]},
+        {"000": "0", "110": "0", "111": "1", "100": "1"},
+    )
+
+
+def k2n3_code():
+    """A seedless k=2, n=3 code; its bit family certification skips 44
+    members by a pooled simulator."""
+    return StochasticCode.from_tables(
+        2, 3, 0, {"00": ["001"], "01": ["010"], "10": ["100"], "11": ["110"]},
+        {"001": "00", "010": "01", "100": "10", "110": "11"},
+    )
+
+
+def k2n4_code():
+    """An injective k=2, n=4, rho=2 code onto every word of length 4.
+    Certifying [KK1F, K1FK] solves both LPs: KK1F's optimal simulator is
+    7/20 from K1FK's laws, 1/20 above the running epsilon 3/10, and
+    K1FK's optimum 1/3 is the certified epsilon."""
+    enc = {
+        "00": ["1100", "1000", "1001", "1010"],
+        "01": ["0011", "0101", "1111", "1110"],
+        "10": ["0100", "0000", "0001", "0111"],
+        "11": ["1011", "0010", "0110", "1101"],
+    }
+    dec = {word: m for m, words in enc.items() for word in words}
+    return StochasticCode.from_tables(2, 4, 2, enc, dec)
+
+
+#: (code, family, stop, pool skips before the stop, pool skips on the
+#: shared cache): families where a pooled optimal simulator skips a
+#: member's LP in the early-stopped run and again in the run after it.
+POOL_CASES = [
+    (k1n3_code(), [bit_function(s) for s in ("K1K", "K0K", "KFF")], F(1, 2), 1, 1),
+    (k2n3_code(), list(enumerate_bit_functions(3)), F(3, 4), 1, 44),
+    (k2n3_code(), list(enumerate_bit_functions(3)), F(1), 44, 44),
+]
+
+
+@st.composite
+def pruning_cases(draw):
+    """(code, functions, stop): a small code, its whole bit family or up
+    to 16 random members, and an early-stop level, one of the members'
+    optima or any unit rational."""
+    code = draw(small_codes(max_n=4))
+    if code.n <= 3 and draw(st.booleans(), label="whole bit family"):
         functions = list(enumerate_bit_functions(code.n))
     else:
-        functions = data.draw(st.lists(members(code.n), min_size=1, max_size=16))
+        functions = draw(st.lists(members(code.n), min_size=1, max_size=16))
+    reports = certify_every_member(code, functions).reports.values()
+    optima = sorted({report.epsilon for report in reports})
+    stop = draw(st.one_of(st.sampled_from(optima), unit_rationals()), label="stop")
+    return code, functions, stop
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pruning_cases())
+@example(POOL_CASES[0][:3])
+@example(POOL_CASES[1][:3])
+@example(POOL_CASES[2][:3])
+@example((k2n4_code(), [bit_function("KK1F"), bit_function("K1FK")], F(1)))
+def test_pruned_certificate_matches_every_member_solved(case):
+    # Certification skips the LP of a member that a trivial simulator
+    # (its entry's bound) or a pooled optimal simulator keeps within the
+    # running epsilon.  With or without an early stop (on one shared
+    # cache, so pruned entries are read again), it matches the reference
+    # that solves every member, and each member's optimum is at most its
+    # bound, which a trivial simulator attains.  The explicit examples
+    # are POOL_CASES, where the pool skips members in both runs, and a
+    # member the pool misses by 1/20 (k2n4_code).
+    code, functions, stop = case
     reference = certify_every_member(code, functions)
-    optima = sorted({report.epsilon for report in reference.reports.values()})
-    stop = data.draw(st.one_of(st.sampled_from(optima), unit_rationals()), label="stop")
     cache: dict = {}
     expected = certify_every_member(code, functions, stop)
     stopped = certify_checked(code, functions, cache, stop)
@@ -857,20 +917,118 @@ def test_pruned_certificate_matches_every_member_solved(data):
         assert_same_certificate(stopped, expected)
     cert = certify_checked(code, functions, cache)
     assert_same_certificate(cert, reference)
+    # A member left unsolved was skipped wherever it occurs, so its
+    # optimum is within the epsilon of the members before it.
+    unsolved = {f for f, entry in cert.members.items() if entry.report is None}
+    running = F(0)
+    for f in functions:
+        if f in unsolved:
+            assert reference.reports[f].epsilon <= running
+        running = max(running, reference.reports[f].epsilon)
     for f, entry in cert.members.items():
         assert entry.bound == trivial_simulator_bound(laws_of(code.k, *tamper_map(code, f)))
         assert reference.reports[f].epsilon <= entry.bound
         assert cert.report(f) == reference.reports[f]
 
 
+@pytest.mark.parametrize(
+    "code, functions, stop, before, after", POOL_CASES,
+    ids=["k1n3-three-members", "k2n3-stopped", "k2n3-unstopped"],
+)
+def test_pool_cases_skip_before_and_after_the_stop(
+    monkeypatch, code, functions, stop, before, after
+):
+    # The explicit examples of the pruning property do exercise the
+    # pool, with the early stop and on the shared cache.
+    skips = []
+    within = verifier._within
+
+    def recording(*args):
+        kept = within(*args)
+        if kept:
+            skips.append(args)
+        return kept
+
+    monkeypatch.setattr(verifier, "_within", recording)
+    cache: dict = {}
+    certify_checked(code, functions, cache, stop)
+    assert len(skips) == before
+    skips.clear()
+    certify_checked(code, functions, cache)
+    assert len(skips) == after
+
+
+def test_pooled_simulator_alone_skips_a_member(monkeypatch):
+    # K1K's optimal simulator, with same* mass 1/4, keeps K0K within
+    # epsilon = 1/4, while every trivial simulator is 1/2 from K0K's
+    # laws: only the pool can skip K0K's LP, and it does.
+    code = k1n3_code()
+    first, second = bit_function("K1K"), bit_function("K0K")
+    solves = counting(monkeypatch, "solve_min")
+    cert = certify_family(code, [first, second])
+    assert len(solves) == 1
+    laws = laws_of(code.k, *tamper_map(code, second))
+    assert cert.members[second].bound == trivial_simulator_bound(laws) == F(1, 2)
+    assert cert.epsilon == F(1, 4)
+    assert cert.members[second].report is None
+    pooled = law_of(code.k, *cert.members[first].report.simulator)
+    assert pooled.probability(SAME_STAR) == F(1, 4)
+    assert max(
+        sd_event_oracle(law, apply_copy(pooled, m)) for m, law in laws.items()
+    ) == F(1, 4)
+    reference = certify_every_member(code, [first, second])
+    assert_same_certificate(cert, reference)
+    assert all(cert.report(f) == reference.reports[f] for f in (first, second))
+
+
+@st.composite
+def pool_checks(draw):
+    """(rows, total, simulator, epsilon): a law table with k <= 2, a
+    simulator over its own total whose same* mass may be non-zero, and
+    epsilon the simulator's exact worst case, a rational just beside it,
+    or any unit rational."""
+    size = 1 << draw(st.integers(0, 2))
+
+    def counts(width, total):
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=width - 1,
+                                    max_size=width - 1)))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+    total = draw(st.integers(1, 8))
+    rows = [counts(size + 1, total) for _ in range(size)]
+    scale = draw(st.integers(1, 8))
+    simulator = (tuple(counts(size + 2, scale)), scale)
+    worst = verifier._worst_case(rows, total, simulator)[0]
+    step = F(1, 4 * total * scale)
+    epsilon = draw(st.one_of(
+        st.sampled_from([worst, worst + step, max(worst - step, F(0))]),
+        unit_rationals(),
+    ))
+    return rows, total, simulator, epsilon
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pool_checks())
+@example(([[7, 3, 0], [3, 7, 0]], 10, ((3, 3, 0, 4), 10), F(0)))
+@example(([[1, 1, 0], [0, 1, 1]], 2, ((1, 1, 1, 1), 4), F(1, 4)))
+@example(([[1, 1, 0], [0, 1, 1]], 2, ((1, 1, 1, 1), 4), F(1, 5)))
+def test_pool_check_agrees_with_worst_case(check):
+    # The integer pool check, stopping at the first message over
+    # epsilon, decides exactly whether the simulator's Fraction worst
+    # case is at most epsilon.  The examples put same* mass on the
+    # simulator, at the boundary and below it: a law table that keeps
+    # its own star, and K0K's laws against K1K's simulator (above).
+    rows, total, simulator, epsilon = check
+    assert verifier._within(rows, total, simulator, epsilon) == (
+        verifier._worst_case(rows, total, simulator)[0] <= epsilon
+    )
+
+
 def test_transfer_solves_pruned_members_on_demand():
     # Certification leaves five of this sequence's positive-weight
     # patterns unsolved; the mixture solves them on demand, and the
     # transfer matches the reference that solves every member.
-    code = StochasticCode.from_tables(
-        1, 3, 1, {"0": ["000", "110"], "1": ["111", "100"]},
-        {"000": "0", "110": "0", "111": "1", "100": "1"},
-    )
+    code = k1n3_code()
     z = Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]])
     seq = StateSequence([bsc(F(3, 10)), z, bsc(F(1, 5))])
     cert = certify_bit_family(code)
