@@ -109,6 +109,18 @@ class Channel:
             for action, a in support
         )
 
+    @cached_property
+    def integer_rows(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """The transition rows over one denominator, zeros dropped: (d,
+        rows), d the lcm of the entries' denominators and rows[x] the
+        (output index, numerator) pairs of input x's non-zero entries, in
+        the order of output_symbols."""
+        d = math.lcm(*(p.denominator for row in self.rows for p in row))
+        return d, tuple(
+            tuple((y, p.numerator * (d // p.denominator)) for y, p in enumerate(row) if p)
+            for row in self.rows
+        )
+
     @classmethod
     def from_rows(cls, rows) -> "Channel":
         return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))

@@ -8,7 +8,8 @@ Tampering the outer codeword with a per-bit action pattern induces an
 affine map (or the constant failure map) on the inner codeword: the
 induced map is built in its closed matrix form and checked against the
 actual encode/tamper/decode pipeline on every inner word, both sides
-read as tables over the words.
+read as tables over the words: the pipeline's decoder results come from
+the generator's table for the pattern's erasure mask.
 
 Verification certifies the inner code against the distinct maps that a
 sequence's patterns induce, then runs the verifier's mixture check.
@@ -30,6 +31,7 @@ from .errors import (
 from .gf2 import (
     GF2Matrix,
     ReconstructionSet,
+    decode_table,
     delta_exact,
     ecc_decode,
     gather_bits,
@@ -126,10 +128,10 @@ def induced_tamper(
     Otherwise it is the closed matrix form, built from the action masks
     and checked against the encode/tamper/decode pipeline
     ecc_decode(G, f(u*G), erase mask of f) on every inner word u, both
-    sides read as tables over u (the codeword tables of G and M, and the
-    decoder results kept on G); a mismatch names the first failing u in
-    all_bitstrings order.  The reconstruction set depends only on the
-    erasure mask of f, never on codeword bits.
+    sides read as tables over u (the codeword tables of G and M, and
+    G's decode_table for the erase mask of f); a mismatch names the
+    first failing u in all_bitstrings order.  The reconstruction set
+    depends only on the erasure mask of f, never on codeword bits.
     """
     if f.n != outer.ncols:
         raise InvalidInstanceError(
@@ -140,7 +142,8 @@ def induced_tamper(
         return BOT_MAP
     closed = _closed_form(outer, f, recon)
     keep, xor, erase = f.pattern
-    piped = [ecc_decode(outer, (word & keep) ^ xor, erase) for word in outer.codewords]
+    decoded = decode_table(outer, erase)
+    piped = [decoded[(word & keep) ^ xor] for word in outer.codewords]
     expected = [word ^ closed.delta for word in closed.matrix.codewords]
     if piped != expected:
         m = outer.nrows
@@ -164,14 +167,11 @@ def induced_family(
     for ComposedScheme.
     """
     _check_full_rank(outer)
-    seen = set()
-    members = []
+    members: dict = {}
     for f in enumerate_bit_functions(outer.ncols, 5, budget=budget):
         induced = induced_tamper(outer, f)
-        if induced not in seen:
-            seen.add(induced)
-            members.append(induced)
-    return members
+        members.setdefault(induced, induced)
+    return list(members)
 
 
 def recovery_probability(
@@ -294,6 +294,9 @@ def verify_composed(
 
     special = spec.channel()
     induced_by_pattern: dict = {}
+    # One object per distinct map, the first seen: the mixtures' lookups
+    # of a pattern's member then hit by identity, not by __eq__.
+    canonical: dict = {}
     expanded = []
     for seq in states:
         if not seq.extended:
@@ -317,11 +320,12 @@ def verify_composed(
         weights = seq.mixture_weights()
         for pattern, _ in weights[1]:
             if pattern not in induced_by_pattern:
-                induced_by_pattern[pattern] = induced_tamper(
+                induced = induced_tamper(
                     scheme.outer, BITFunction.from_pattern(scheme.n, pattern)
                 )
+                induced_by_pattern[pattern] = canonical.setdefault(induced, induced)
         expanded.append(weights)
-    members = list(dict.fromkeys(induced_by_pattern.values()))
+    members = list(canonical)
     certificate = certify_family(scheme.inner, members) if members else None
 
     eps_by_sequence: dict[str, SequenceReport] = {}

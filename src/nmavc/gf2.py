@@ -11,9 +11,10 @@ follows the reconstruction-set discipline: it picks the
 lexicographically least set R of m non-erased columns whose generator
 submatrix G_R is invertible and outputs y_R * G_R^{-1}.  The choice of R
 depends only on the erasure mask, never on received bit values.  Each
-generator keeps its own R per mask, its decoder's result per word, and
-a table of its codewords g.vec_mul(u) for every u.  Bitstrings appear
-only at the JSON boundary (from_rows, row_strings).
+generator keeps its own R per mask, its decoder's results per mask (one
+list over the words of that mask), and a table of its codewords
+g.vec_mul(u) for every u.  Bitstrings appear only at the JSON boundary
+(from_rows, row_strings).
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ class GF2Matrix:
         return {}
 
     @cached_property
-    def _decoded(self) -> dict:
-        """ecc_decode's results on this generator, by word (bits, erased)."""
+    def _decode_tables(self) -> dict:
+        """decode_table's lists on this generator, by erasure mask."""
         return {}
 
     @cached_property
@@ -271,16 +272,30 @@ def ecc_decode(g: GF2Matrix, bits: int, erased: int) -> Optional[int]:
 
     Returns the message u with u*G equal to bits on R, or None, the
     failure output, when no reconstruction set survives the erasures.
-    Kept on g, one entry per word decoded: at most 3^n.
+    Decodes afresh from the R kept on g for the mask; decode_table keeps
+    a mask's results for every word.
     """
-    decoded, word = g._decoded, (bits, erased)
-    if word not in decoded:
-        if (bits | erased) >> g.ncols or bits & erased:
-            raise ValueError(f"not a word of {{0,1,e}}^{g.ncols}: {word}")
-        recon = select_reconstruction(g, erased)
-        decoded[word] = None if recon is None else recon.inverse.vec_mul(
-            gather_bits(bits, recon.indices))
-    return decoded[word]
+    if (bits | erased) >> g.ncols or bits & erased:
+        raise ValueError(f"not a word of {{0,1,e}}^{g.ncols}: {(bits, erased)}")
+    recon = select_reconstruction(g, erased)
+    if recon is None:
+        return None
+    return recon.inverse.vec_mul(gather_bits(bits, recon.indices))
+
+
+def decode_table(g: GF2Matrix, erased: int) -> list[Optional[int]]:
+    """ecc_decode(g, bits, erased) for every bits in [0, 2^n), indexed by
+    bits; an entry whose bits meet the erased positions is not a word,
+    and is None.  Kept on g, one list per mask, built on the mask's first
+    read with one ecc_decode call per word: 2^(n - |erased|) calls.
+    """
+    tables = g._decode_tables
+    if erased not in tables:
+        tables[erased] = [
+            None if bits & erased else ecc_decode(g, bits, erased)
+            for bits in range(1 << g.ncols)
+        ]
+    return tables[erased]
 
 
 def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = 20) -> Fraction:

@@ -116,6 +116,15 @@ class AffineFunction:
         if not isinstance(self.delta, int) or self.delta < 0 or self.delta >> n:
             raise ValueError(f"delta {self.delta!r} is not a word of {{0,1}}^{n}")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.matrix, self.delta))
+
+    def __hash__(self) -> int:
+        """The field hash, computed once: a map keys the family's dicts,
+        and the mixtures look each member up per sequence."""
+        return self._hash
+
     @property
     def in_dim(self) -> int:
         return self.matrix.nrows

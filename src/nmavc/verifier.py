@@ -29,7 +29,6 @@ optimum is solved when a mixture reads it.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -315,13 +314,17 @@ def channel_map(
     enc[m][r], for every message m.
 
     Computed in integers, without the elementary-pattern decomposition:
-    every channel entry of seq is scaled by the lcm D of the entries'
-    denominators, so a codeword's output law over all |Y|^n words is the
-    outer product of its per-position integer rows, with total D^n.  A
-    message's laws are summed over the 2^rho seeds and read through the
-    code's decoder table (one decode per word, kept on the code) into
-    outcome counts over D^n 2^rho.  The checks, D and the integer rows
-    are set up once per sequence.  Costs 2^rho |Y|^n per message.
+    each channel's non-zero entries over its own lcm (Channel.integer_rows)
+    are scaled to the lcm D of the n channels' denominators.  A
+    codeword's output law is the product of its positions' sparse rows:
+    only the words whose every symbol has a non-zero entry, at most
+    Prod_j nnz_j of the |Y|^n, each with its integer weight over D^n.
+    Their weights go straight into the message's outcome counts through
+    the code's decoder table (one decode per word, kept on the code),
+    summed over the 2^rho seeds into counts over D^n 2^rho.  The checks,
+    D and the scaled rows are set up once per sequence.  Costs 2^rho
+    Prod_j nnz_j per message; the budget is charged 2^rho |Y|^n, the
+    words the decoder table covers.
     """
     code.check_correctness()
     if seq.extended != code.erasures:
@@ -334,26 +337,24 @@ def channel_map(
         raise InvalidInstanceError(f"sequence length {seq.n} != n={code.n}")
     symbols = len(seq.channels[0].output_symbols)
     _check_budget(code.seed_count * symbols ** code.n, budget, "channel experiment")
-    scale = math.lcm(
-        *(p.denominator for ch in seq.channels for row in ch.rows for p in row)
-    )
-    rows = [
-        [[p.numerator * (scale // p.denominator) for p in row] for row in ch.rows]
-        for ch in seq.channels
-    ]
+    scale = math.lcm(*(ch.integer_rows[0] for ch in seq.channels))
+    rows = []
+    for ch in seq.channels:
+        d, ch_rows = ch.integer_rows
+        rows.append([[(y, w * (scale // d)) for y, w in row] for row in ch_rows])
     table = code.decoder_table()
     laws = []
     for words in code.enc:
-        weights = [0] * symbols ** code.n
+        counts = [0] * (len(code.enc) + 1)
         for word in words:
-            law = [1]
+            # (index in words_in_order, weight) of each reachable word;
+            # position 0 is the most significant symbol.
+            law = [(0, 1)]
             for j, ch_rows in enumerate(rows):
                 row = ch_rows[(word >> j) & 1]
-                law = [a * b for a in law for b in row]
-            weights = list(map(operator.add, weights, law))
-        counts = [0] * (len(code.enc) + 1)
-        for y, w in zip(table, weights):
-            counts[y] += w
+                law = [(i * symbols + y, a * b) for i, a in law for y, b in row]
+            for i, w in law:
+                counts[table[i]] += w
         laws.append(counts)
     return laws, scale ** code.n * code.seed_count
 

@@ -28,7 +28,7 @@ from nmavc import (
     search_nm_code,
     verify_composed,
 )
-from nmavc import channels, composed, simplex, verifier
+from nmavc import channels, composed, gf2, simplex, verifier
 from nmavc.errors import InvalidInstanceError, VerificationError
 from nmavc.gf2 import bits_to_int, int_to_bits, select_reconstruction
 from oracles import (
@@ -133,10 +133,12 @@ def test_induced_rejects_wrong_closed_form(monkeypatch):
 
 
 def test_induced_rejects_pipeline_wrong_on_one_word(monkeypatch):
+    # The pipeline reads the generator's decode table for the erasure
+    # mask, built by ecc_decode: one wrong decode is caught at its input.
     outer = single_parity(3)
     f = bit_function("FK1E")
     target = f.apply(outer.vec_mul(bits_to_int("110")))
-    ecc_decode = composed.ecc_decode
+    ecc_decode = gf2.ecc_decode
 
     def wrong_once(g, bits, erased):
         result = ecc_decode(g, bits, erased)
@@ -144,7 +146,7 @@ def test_induced_rejects_pipeline_wrong_on_one_word(monkeypatch):
             return result
         return flip_first_bit(result)
 
-    monkeypatch.setattr(composed, "ecc_decode", wrong_once)
+    monkeypatch.setattr(gf2, "ecc_decode", wrong_once)
     with pytest.raises(VerificationError, match="FK1E.*at input 110:"):
         induced_tamper(outer, f)
 
@@ -435,6 +437,24 @@ def test_demo_composed_verify_lp_count_is_pinned(monkeypatch):
     assert report.eps_max == F(3903, 40000)
     assert len(experiments) == len(simulators) == 87
     assert len(solves) == 77
+
+
+def test_demo_decode_work_is_pinned(monkeypatch):
+    # The induced maps read one decode table per erasure mask, built
+    # with one ecc_decode per word of the mask: on the 4 -> 5 parity code
+    # 32 + 5 * 16 = 112 for the masks with at most one erasure, the only
+    # ones a reconstruction set survives.  certify-inner builds them
+    # once; composed-verify builds them again on its own generator, then
+    # decodes the 2^5 * 8 recovery words, the 8 codewords of its
+    # correctness audit and the 3^5 words of its decoder table.  Decoding
+    # per pattern instead took 47,739 calls.
+    decodes = counting(monkeypatch, gf2, "ecc_decode")
+    induced_family(single_parity(4))
+    assert len(decodes) == 112
+    scheme = parity45_scheme()
+    _, sequences = demo_sequences(scheme)
+    verify_composed(scheme, sequences, SpecialStateSpec(F(1, 10), scheme.n))
+    assert len(decodes) == 112 + 112 + 32 * 8 + 8 + 3**5
 
 
 def test_verify_composed_solves_pruned_members_on_demand():

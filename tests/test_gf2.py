@@ -22,6 +22,7 @@ from nmavc import gf2
 from nmavc.errors import BudgetExceededError
 from nmavc.gf2 import (
     bits_to_int,
+    decode_table,
     int_to_bits,
     rank_of_columns,
     select_reconstruction,
@@ -196,23 +197,45 @@ def test_decode_rejects_non_words():
 
 
 def test_decode_kept_per_generator(monkeypatch):
-    # Each word is decoded once; a second pass reads the results kept on
-    # the generator, and a generator equal to it decodes afresh.
-    selections = []
-    select = gf2.select_reconstruction
+    # Each mask's table is built once, with one decode per word of the
+    # mask; a second read returns the kept list, and a generator equal to
+    # it builds its own.
+    calls = []
+    decode = gf2.ecc_decode
 
-    def counting_select(g, erased):
-        selections.append(erased)
-        return select(g, erased)
+    def counting_decode(g, bits, erased):
+        calls.append((bits, erased))
+        return decode(g, bits, erased)
 
-    monkeypatch.setattr(gf2, "select_reconstruction", counting_select)
+    monkeypatch.setattr(gf2, "ecc_decode", counting_decode)
     generators = [random_full_rank(3, 5, 36), random_full_rank(3, 5, 36)]
     words = words_in_order(5, erasures=True)
-    first = [ecc_decode(generators[0], *word) for word in words]
-    assert [ecc_decode(generators[0], *word) for word in words] == first
-    assert len(selections) == len(words)
-    assert [ecc_decode(generators[1], *word) for word in words] == first
-    assert len(selections) == 2 * len(words)
+    first = [decode_table(generators[0], erased) for erased in range(32)]
+    assert all(decode_table(generators[0], erased) is first[erased] for erased in range(32))
+    assert sorted(calls) == sorted(words)
+    assert [decode_table(generators[1], erased) for erased in range(32)] == first
+    assert len(calls) == 2 * len(words)
+
+
+def test_decode_table_matches_ecc_decode():
+    # Every mask's table holds ecc_decode's result at each word of the
+    # mask, and the string decoder's; bits on an erased position make no
+    # word, which the table leaves None and ecc_decode rejects.
+    g = single_parity(3)
+    for word in map("".join, product("01e", repeat=g.ncols)):
+        bits, erased = split_word(word)
+        u = decode_table(g, erased)[bits]
+        assert u == ecc_decode(g, bits, erased)
+        expected = ecc_decode_string(g, word)
+        assert u == (None if expected is None else bits_to_int(expected.message))
+    for erased in range(1 << g.ncols):
+        table = decode_table(g, erased)
+        assert len(table) == 1 << g.ncols
+        for bits in range(1 << g.ncols):
+            if bits & erased:
+                assert table[bits] is None
+                with pytest.raises(ValueError):
+                    ecc_decode(g, bits, erased)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

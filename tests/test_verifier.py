@@ -2,8 +2,10 @@
 to channel transfer."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +54,7 @@ from oracles import (
     bit_to_affine,
     bsc,
     certify_every_member,
+    composed_tamper_distribution,
     ds_mixture,
     ecc_encode,
     fixed_k2n5_code,
@@ -71,6 +74,7 @@ from oracles import (
     random_extended_channel,
     random_full_rank,
     sd_event_oracle,
+    single_parity,
     statistical_distance,
     tamper_distribution_channel_mixture,
     trivial_simulator_bound,
@@ -209,6 +213,75 @@ def test_budget_errors():
         channel_map(code, seq, budget=1)
     with pytest.raises(BudgetExceededError):
         certify_bit_family(code, budget=3)
+
+
+@lru_cache(maxsize=None)
+def length4_codes() -> tuple[StochasticCode, ComposedScheme]:
+    """A plain code and a composed scheme, both of block length 4."""
+    plain = search_nm_code(k=1, n=4, rho=2, trials=2, seed=1).code
+    inner = search_nm_code(k=1, n=3, rho=1, trials=2, seed=1).code
+    return plain, ComposedScheme(inner, single_parity(3))
+
+
+def zero_heavy_channels(extended: bool) -> list[Channel]:
+    """Channels with zero entries: the deterministic ones first (each
+    input has one output), then Z, BEC(p) and a lifted BSC at p = 0."""
+    binary = [
+        identity_channel(),
+        Channel.from_rows([[0, 1], [1, 0]]),
+        Channel.from_rows([[1, 0], [1, 0]]),
+        Channel.from_rows([[0, 1], [0, 1]]),
+        Channel.from_rows([[1, 0], [F(1, 3), F(2, 3)]]),
+    ]
+    if not extended:
+        return binary
+    return [
+        *(ch.to_extended() for ch in binary[:4]),
+        Channel.from_rows([[0, 0, 1], [0, 0, 1]]),
+        binary[4].to_extended(F(1, 5)),
+        Channel.bec(F(1, 10)),
+        bsc(0).to_extended(F(2, 7)),
+    ]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    extended=st.booleans(),
+    picks=st.lists(st.integers(0, 11), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+@example(extended=False, picks=[0, 1, 2, 3], seed=0)
+@example(extended=True, picks=[0, 4, 2, 3], seed=0)
+def test_sparse_channel_laws_match_fraction_oracles(extended, picks, seed):
+    # channel_map multiplies only non-zero channel entries.  On sequences
+    # mixing zero-heavy channels with dense random ones it equals the
+    # Fraction oracles: the pattern mixture for a plain code, the word
+    # by word product for the composed scheme.  The total stays D^n 2^rho,
+    # D the lcm of every entry's denominator, and the budget is still
+    # charged 2^rho |Y|^n.  The examples use deterministic channels only:
+    # each codeword's law is then a single word, over D = 1.
+    plain, scheme = length4_codes()
+    code = scheme if extended else plain
+    rng = random.Random(seed)
+    sparse = zero_heavy_channels(extended)
+    seq = StateSequence([
+        sparse[pick] if pick < len(sparse)
+        else random_extended_channel(rng) if extended else random_binary_channel(rng)
+        for pick in picks
+    ])
+    rows, total = channel_map(code, seq)
+    d = math.lcm(*(p.denominator for ch in seq.channels for row in ch.rows for p in row))
+    assert total == d ** code.n * code.seed_count
+    assert all(sum(row) == total for row in rows)
+    laws = laws_of(code.k, rows, total)
+    for m, label in enumerate(all_bitstrings(code.k)):
+        expected = (composed_tamper_distribution(scheme, seq, m) if extended
+                    else tamper_distribution_channel_mixture(code, seq, m))
+        assert laws[label] == expected
+    cost = code.seed_count * (3 if extended else 2) ** code.n
+    with pytest.raises(BudgetExceededError):
+        channel_map(code, seq, budget=cost - 1)
+    assert channel_map(code, seq, budget=cost) == (rows, total)
 
 
 # ------------------------------------------------------------------- the LP
