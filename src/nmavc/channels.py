@@ -16,7 +16,6 @@ maximizes the Keep mass; a channel computes it once and keeps it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -54,30 +53,34 @@ def _check_row(row) -> tuple[Fraction, ...]:
     return tuple(entries)
 
 
-@dataclass(frozen=True)
 class Channel:
     """Row-stochastic transition matrix; rows = input bit, columns = the
     outputs 0, 1 and, in a width-3 (erasure-extended) channel, e.
 
     The erasure mass of an extended channel must not depend on the input
     bit; channels with input-dependent erasure are outside the supported
-    model and are rejected loudly.
+    model and are rejected loudly.  Channels compare and hash by rows.
     """
 
-    rows: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-
-    def __post_init__(self):
-        if len(self.rows) != 2:
+    def __init__(self, rows: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]) -> None:
+        if len(rows) != 2:
             raise InvalidChannelError("a channel has exactly two rows")
-        if {len(row) for row in self.rows} not in ({2}, {3}):
+        if {len(row) for row in rows} not in ({2}, {3}):
             raise InvalidChannelError("rows must all have width 2 or all width 3")
-        rows = tuple(_check_row(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows = tuple(_check_row(row) for row in rows)
         if self.extended and rows[0][2] != rows[1][2]:
             raise UnsupportedChannelError(
                 f"input-dependent erasure mass ({rows[0][2]} vs {rows[1][2]}) "
                 f"is outside the supported model"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
 
     @property
     def extended(self) -> bool:
@@ -183,21 +186,32 @@ def elementary_channel(action: BitAction, extended: bool = False) -> Channel:
     return base.to_extended() if extended else base
 
 
-@dataclass(frozen=True)
 class ElementaryDecomposition:
-    """Convex weights over (Keep, Flip, Set0, Set1, Erase) reconstructing a channel."""
+    """Convex weights over (Keep, Flip, Set0, Set1, Erase) reconstructing a
+    channel; decompositions compare and hash by their weights."""
 
-    alphas: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
+    __slots__ = ("alphas",)
 
-    def __post_init__(self):
-        if len(self.alphas) != 5:
+    def __init__(
+        self, alphas: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
+    ) -> None:
+        if len(alphas) != 5:
             raise ValueError("five coefficients expected")
-        if any(a < 0 for a in self.alphas):
-            raise InfeasibleCoefficientError(f"negative coefficient in {self.alphas}")
-        if sum(self.alphas) != 1:
+        if any(a < 0 for a in alphas):
+            raise InfeasibleCoefficientError(f"negative coefficient in {alphas}")
+        if sum(alphas) != 1:
             raise InfeasibleCoefficientError(
-                f"coefficients sum to {sum(self.alphas)}, expected 1"
+                f"coefficients sum to {sum(alphas)}, expected 1"
             )
+        self.alphas = alphas
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alphas == other.alphas
+
+    def __hash__(self) -> int:
+        return hash(self.alphas)
 
     def support(self) -> list[tuple[BitAction, Fraction]]:
         return [

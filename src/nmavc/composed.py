@@ -17,7 +17,6 @@ sequence's patterns induce, then runs the verifier's mixture check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -49,18 +48,17 @@ from .verifier import (
 )
 
 
-@dataclass(frozen=True)
 class SpecialStateSpec:
     """The designated all-erasure state: BEC with erasure probability p_star."""
 
-    p_star: Fraction
-    n: int
+    __slots__ = ("p_star", "n")
 
-    def __post_init__(self):
-        p = Fraction(self.p_star)
+    def __init__(self, p_star: Fraction, n: int) -> None:
+        p = Fraction(p_star)
         if p < 0 or p >= 1:
             raise InvalidInstanceError(f"p_star {p} outside [0, 1)")
-        object.__setattr__(self, "p_star", p)
+        self.p_star = p
+        self.n = n
 
     def channel(self) -> Channel:
         return Channel.bec(self.p_star)
@@ -209,18 +207,30 @@ def recovery_probability(
     return recovered
 
 
-@dataclass
 class SequenceReport:
     """Per-sequence composed verification outcome (exact); worst_message
     is a message index of the inner code's k."""
 
-    label: str
-    epsilon: Fraction
-    weighted_bound: Fraction
-    pattern_max: Fraction
-    worst_message: int
-    pattern_count: int
-    k: int
+    __slots__ = ("label", "epsilon", "weighted_bound", "pattern_max",
+                 "worst_message", "pattern_count", "k")
+
+    def __init__(
+        self,
+        label: str,
+        epsilon: Fraction,
+        weighted_bound: Fraction,
+        pattern_max: Fraction,
+        worst_message: int,
+        pattern_count: int,
+        k: int,
+    ) -> None:
+        self.label = label
+        self.epsilon = epsilon
+        self.weighted_bound = weighted_bound
+        self.pattern_max = pattern_max
+        self.worst_message = worst_message
+        self.pattern_count = pattern_count
+        self.k = k
 
     def to_json(self) -> dict:
         return {
@@ -234,16 +244,27 @@ class SequenceReport:
         }
 
 
-@dataclass
 class ComposedReport:
     """Recovery probability plus per-sequence worst-case distances."""
 
-    delta: Fraction
-    recovery: Fraction
-    eps_by_sequence: dict[str, SequenceReport]
-    eps_max: Fraction
-    sequences_checked: int
-    exhaustive: bool
+    __slots__ = ("delta", "recovery", "eps_by_sequence", "eps_max",
+                 "sequences_checked", "exhaustive")
+
+    def __init__(
+        self,
+        delta: Fraction,
+        recovery: Fraction,
+        eps_by_sequence: dict[str, SequenceReport],
+        eps_max: Fraction,
+        sequences_checked: int,
+        exhaustive: bool,
+    ) -> None:
+        self.delta = delta
+        self.recovery = recovery
+        self.eps_by_sequence = eps_by_sequence
+        self.eps_max = eps_max
+        self.sequences_checked = sequences_checked
+        self.exhaustive = exhaustive
 
     def to_json(self) -> dict:
         return {

@@ -19,7 +19,6 @@ g.vec_mul(u) for every u.  Bitstrings appear only at the JSON boundary
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -65,20 +64,27 @@ def words_in_order(n: int, erasures: bool = False) -> list[tuple[int, int]]:
     return words
 
 
-@dataclass(frozen=True)
 class GF2Matrix:
-    """Dense matrix over GF(2) with bit-packed integer rows."""
+    """Dense matrix over GF(2) with bit-packed integer rows; matrices
+    compare and hash by (rows, ncols)."""
 
-    rows: tuple[int, ...]
-    ncols: int
-
-    def __post_init__(self):
-        if self.ncols < 0:
+    def __init__(self, rows: tuple[int, ...], ncols: int) -> None:
+        if ncols < 0:
             raise ValueError("negative column count")
-        mask = (1 << self.ncols) - 1
-        for row in self.rows:
+        mask = (1 << ncols) - 1
+        for row in rows:
             if row < 0 or row & ~mask:
                 raise ValueError("row has bits outside the column range")
+        self.rows = rows
+        self.ncols = ncols
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows and self.ncols == other.ncols
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.ncols))
 
     @property
     def nrows(self) -> int:
@@ -174,11 +180,22 @@ class GF2Matrix:
         return cls.from_rows(obj["rows"])
 
 
-@dataclass(frozen=True)
 class SingularReport:
-    """Returned instead of an inverse when the matrix is singular."""
+    """Returned instead of an inverse when the matrix is singular; reports
+    compare and hash by rank."""
 
-    rank: int
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int) -> None:
+        self.rank = rank
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash(self.rank)
 
 
 def gf2_invert(a: GF2Matrix):
@@ -217,12 +234,14 @@ def rank_of_columns(g: GF2Matrix, cols: Iterable[int]) -> int:
     return g.submatrix_columns(tuple(cols)).rank()
 
 
-@dataclass(frozen=True)
 class ReconstructionSet:
     """An m-subset R of non-erased columns with invertible G_R."""
 
-    indices: tuple[int, ...]
-    inverse: GF2Matrix
+    __slots__ = ("indices", "inverse")
+
+    def __init__(self, indices: tuple[int, ...], inverse: GF2Matrix) -> None:
+        self.indices = indices
+        self.inverse = inverse
 
 
 def select_reconstruction(g: GF2Matrix, erased: int) -> Optional[ReconstructionSet]:

@@ -11,7 +11,6 @@ with delta an int.  Bitstrings appear only in to_json and repr.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
@@ -46,15 +45,22 @@ _ACTION_BITS = dict(zip(
 _ACTION_OF_BITS = {bits: action for action, bits in _ACTION_BITS.items()}
 
 
-@dataclass(frozen=True)
 class BITFunction:
-    """A bitwise independent tampering function, one action per position."""
+    """A bitwise independent tampering function, one action per position;
+    functions compare and hash by their actions."""
 
-    actions: tuple[BitAction, ...]
-
-    def __post_init__(self):
-        if not self.actions:
+    def __init__(self, actions: tuple[BitAction, ...]) -> None:
+        if not actions:
             raise ValueError("a BIT function needs at least one position")
+        self.actions = actions
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.actions == other.actions
+
+    def __hash__(self) -> int:
+        return hash(self.actions)
 
     @property
     def n(self) -> int:
@@ -104,17 +110,21 @@ class BITFunction:
         return f"BITFunction({self.to_string()!r})"
 
 
-@dataclass(frozen=True)
 class AffineFunction:
-    """u -> u*M + delta over GF(2), with M of shape (in_dim x out_dim)."""
+    """u -> u*M + delta over GF(2), with M of shape (in_dim x out_dim);
+    maps compare and hash by (matrix, delta)."""
 
-    matrix: GF2Matrix
-    delta: int
+    def __init__(self, matrix: GF2Matrix, delta: int) -> None:
+        n = matrix.ncols
+        if not isinstance(delta, int) or delta < 0 or delta >> n:
+            raise ValueError(f"delta {delta!r} is not a word of {{0,1}}^{n}")
+        self.matrix = matrix
+        self.delta = delta
 
-    def __post_init__(self):
-        n = self.matrix.ncols
-        if not isinstance(self.delta, int) or self.delta < 0 or self.delta >> n:
-            raise ValueError(f"delta {self.delta!r} is not a word of {{0,1}}^{n}")
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrix == other.matrix and self.delta == other.delta
 
     @cached_property
     def _hash(self) -> int:

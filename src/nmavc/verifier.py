@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union
@@ -359,20 +358,38 @@ def channel_map(
     return laws, scale ** code.n * code.seed_count
 
 
-@dataclass(frozen=True)
 class NMReport:
     """Certified simulator: epsilon is exactly max_m SD(T_m, Copy(D, m)).
 
     simulator is D as (row, total): the count of each outcome index (the
     2^k messages, bot, same*) over total.  per_message_sd[m] is message
     m's distance, and worst_message the least m that reaches epsilon.
-    Labels appear only in to_json.
+    Reports compare by these four fields.  Labels appear only in to_json.
     """
 
-    epsilon: Fraction
-    simulator: tuple[tuple[int, ...], int]
-    worst_message: int
-    per_message_sd: list[Fraction]
+    __slots__ = ("epsilon", "simulator", "worst_message", "per_message_sd")
+
+    def __init__(
+        self,
+        epsilon: Fraction,
+        simulator: tuple[tuple[int, ...], int],
+        worst_message: int,
+        per_message_sd: list[Fraction],
+    ) -> None:
+        self.epsilon = epsilon
+        self.simulator = simulator
+        self.worst_message = worst_message
+        self.per_message_sd = per_message_sd
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.epsilon == other.epsilon
+            and self.simulator == other.simulator
+            and self.worst_message == other.worst_message
+            and self.per_message_sd == other.per_message_sd
+        )
 
     def to_json(self) -> dict:
         labels = _labels(len(self.per_message_sd).bit_length() - 1)
@@ -525,7 +542,6 @@ def function_key(f: TamperingFunction) -> str:
     raise InvalidInstanceError(f"not a tampering function: {f!r}")
 
 
-@dataclass
 class _Profile:
     """The shared cache entry of one distinct tamper profile.
 
@@ -537,10 +553,19 @@ class _Profile:
     by a trivial or pooled simulator instead.
     """
 
-    laws: tuple[tuple[int, ...], ...]
-    total: int
-    bound: Fraction
-    report: Optional[NMReport] = None
+    __slots__ = ("laws", "total", "bound", "report")
+
+    def __init__(
+        self,
+        laws: tuple[tuple[int, ...], ...],
+        total: int,
+        bound: Fraction,
+        report: Optional[NMReport] = None,
+    ) -> None:
+        self.laws = laws
+        self.total = total
+        self.bound = bound
+        self.report = report
 
     def solve(self) -> NMReport:
         if self.report is None:
@@ -548,7 +573,6 @@ class _Profile:
         return self.report
 
 
-@dataclass
 class FamilyCertificate:
     """Worst-case simulator error over a tampering family, with witnesses.
 
@@ -559,10 +583,19 @@ class FamilyCertificate:
     report(f) gives any member's, solving its LP on first use.
     """
 
-    epsilon: Fraction
-    worst: TamperingFunction
-    worst_report: NMReport
-    members: dict[TamperingFunction, _Profile]
+    __slots__ = ("epsilon", "worst", "worst_report", "members")
+
+    def __init__(
+        self,
+        epsilon: Fraction,
+        worst: TamperingFunction,
+        worst_report: NMReport,
+        members: dict[TamperingFunction, _Profile],
+    ) -> None:
+        self.epsilon = epsilon
+        self.worst = worst
+        self.worst_report = worst_report
+        self.members = members
 
     @property
     def size(self) -> int:
@@ -719,9 +752,15 @@ def _certify_checked(
 def _profile_bound(laws: Sequence[Sequence[int]], total: int) -> Fraction:
     """The least max_m SD(T_m, Copy(D, m)) over the trivial simulators D:
     same*, and every message's own law.  Every D is feasible, so the
-    bound is at least the member's optimum."""
-    trivial = [((0,) * len(laws[0]) + (1,), 1), *(((*law, 0), total) for law in laws)]
-    return min(_worst_case(laws, total, d)[0] for d in trivial)
+    bound is at least the member's optimum.
+
+    Each D's largest _gaps sum is over 2 * total * L: L = 1 for same*
+    and L = total for a law, so the least is taken in integers over
+    2 * total^2 and made a Fraction once.
+    """
+    star = max(_gaps(laws, total, ((0,) * len(laws[0]) + (1,), 1)))
+    own = min(max(_gaps(laws, total, ((*law, 0), total))) for law in laws)
+    return Fraction(min(star * total, own), 2 * total * total)
 
 
 def certify_bit_family(
@@ -750,7 +789,8 @@ def _mixture(
     first summed per member, and must total exactly D.  The members'
     simulator rows are then mixed as one row over D * L, L the lcm of
     their totals, and their errors as one sum over D * E, E the lcm of
-    the errors' denominators, which becomes a Fraction once, at the end.
+    the errors' denominators, which becomes a Fraction once, at the end;
+    pattern_max is the largest error numerator over E.
     """
     denominator, patterns = weights
     if member_of is None:
@@ -790,23 +830,33 @@ def _mixture(
         mixed = [a + factor * c for a, c in zip(mixed, row)]
     d_s = (mixed, denominator * scale)
 
-    errors = [(w, report.epsilon) for w, report in reports]
-    error_lcm = math.lcm(*(eps.denominator for _, eps in errors))
-    weighted = sum(w * eps.numerator * (error_lcm // eps.denominator) for w, eps in errors)
-    pattern_max = max(eps for _, eps in errors)
-    return d_s, Fraction(weighted, denominator * error_lcm), pattern_max
+    errors = [report.epsilon for _, report in reports]
+    error_lcm = math.lcm(*(eps.denominator for eps in errors))
+    scaled = [eps.numerator * (error_lcm // eps.denominator) for eps in errors]
+    weighted = sum(w * e for (w, _), e in zip(reports, scaled))
+    return (d_s, Fraction(weighted, denominator * error_lcm),
+            Fraction(max(scaled), error_lcm))
 
 
-@dataclass
 class MixtureReport:
     """D_s against a sequence's law table: ds_sd <= weighted_bound <=
     pattern_max, first reached at the message index worst_message."""
 
-    laws: Laws
-    ds_sd: Fraction
-    weighted_bound: Fraction
-    pattern_max: Fraction
-    worst_message: int
+    __slots__ = ("laws", "ds_sd", "weighted_bound", "pattern_max", "worst_message")
+
+    def __init__(
+        self,
+        laws: Laws,
+        ds_sd: Fraction,
+        weighted_bound: Fraction,
+        pattern_max: Fraction,
+        worst_message: int,
+    ) -> None:
+        self.laws = laws
+        self.ds_sd = ds_sd
+        self.weighted_bound = weighted_bound
+        self.pattern_max = pattern_max
+        self.worst_message = worst_message
 
 
 def verify_mixture(
@@ -837,7 +887,6 @@ def verify_mixture(
     return MixtureReport(laws, ds_sd, weighted_bound, pattern_max, worst)
 
 
-@dataclass
 class TransferReport:
     """Exact transfer check from the bit family to one state sequence.
 
@@ -846,13 +895,26 @@ class TransferReport:
     a message index of the code's k.
     """
 
-    eps_bit: Fraction
-    eps_channel: Fraction
-    ds_sd: Fraction
-    weighted_bound: Fraction
-    worst_message: int
-    sequence_label: str
-    k: int
+    __slots__ = ("eps_bit", "eps_channel", "ds_sd", "weighted_bound",
+                 "worst_message", "sequence_label", "k")
+
+    def __init__(
+        self,
+        eps_bit: Fraction,
+        eps_channel: Fraction,
+        ds_sd: Fraction,
+        weighted_bound: Fraction,
+        worst_message: int,
+        sequence_label: str,
+        k: int,
+    ) -> None:
+        self.eps_bit = eps_bit
+        self.eps_channel = eps_channel
+        self.ds_sd = ds_sd
+        self.weighted_bound = weighted_bound
+        self.worst_message = worst_message
+        self.sequence_label = sequence_label
+        self.k = k
 
     def to_json(self) -> dict:
         return {
@@ -900,16 +962,26 @@ def verify_transfer(
     )
 
 
-@dataclass
 class SearchResult:
     """Best code found by seeded random search, with its certificate."""
 
-    code: StochasticCode
-    certificate: FamilyCertificate
-    trials: int
-    seed: int
-    best_trial: int
-    family_size: int
+    __slots__ = ("code", "certificate", "trials", "seed", "best_trial", "family_size")
+
+    def __init__(
+        self,
+        code: StochasticCode,
+        certificate: FamilyCertificate,
+        trials: int,
+        seed: int,
+        best_trial: int,
+        family_size: int,
+    ) -> None:
+        self.code = code
+        self.certificate = certificate
+        self.trials = trials
+        self.seed = seed
+        self.best_trial = best_trial
+        self.family_size = family_size
 
     def to_json(self) -> dict:
         payload = self.code.to_json()

@@ -737,9 +737,10 @@ def test_negative_budget_exit_2(runner, args):
     assert "-1 is not in the range x>=0" in result.output
 
 
-def run_cli_process(args: list[str]) -> tuple[int, bool]:
-    """(exit code, whether numpy was imported) of one fresh process that
-    imports nmavc.cli and, given args, runs the CLI on them."""
+def run_cli_process(args: list[str]) -> tuple[int, bool, bool]:
+    """(exit code, whether numpy was imported, whether dataclasses was
+    imported) of one fresh process that imports nmavc.cli and, given
+    args, runs the CLI on them."""
     script = (
         "import sys\n"
         "from nmavc.cli import main\n"
@@ -750,15 +751,17 @@ def run_cli_process(args: list[str]) -> tuple[int, bool]:
         "    except SystemExit as exit:\n"
         "        code = exit.code\n"
         "sys.stderr.write(f\"numpy imported: {'numpy' in sys.modules}\\n\")\n"
+        "sys.stderr.write(f\"dataclasses imported: {'dataclasses' in sys.modules}\\n\")\n"
         "sys.exit(code)\n"
     )
     # The child imports nmavc from where this process does.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
-    imported = done.stderr.splitlines()[-1]
-    assert imported.startswith("numpy imported: "), done.stderr
-    return done.returncode, imported.endswith("True")
+    numpy, dataclasses = done.stderr.splitlines()[-2:]
+    assert numpy.startswith("numpy imported: "), done.stderr
+    assert dataclasses.startswith("dataclasses imported: "), done.stderr
+    return done.returncode, numpy.endswith("True"), dataclasses.endswith("True")
 
 
 @pytest.mark.parametrize(
@@ -778,12 +781,15 @@ def run_cli_process(args: list[str]) -> tuple[int, bool]:
 )
 def test_exact_commands_leave_numpy_unimported(tmp_path, args):
     # numpy is the Monte-Carlo estimator's dependency only; the exact
-    # routes run on Python ints and must not pay for its import.
+    # routes run on Python ints and must not pay for its import.  Nor may
+    # a process pay for dataclasses, which generates and compiles the
+    # methods of each decorated class at import.
     if args:
         args = [*args, "--out", str(tmp_path / "report.json")]
-    code, numpy_imported = run_cli_process(args)
+    code, numpy_imported, dataclasses_imported = run_cli_process(args)
     assert code == 0
     assert not numpy_imported
+    assert not dataclasses_imported
 
 
 @pytest.mark.parametrize(
@@ -813,7 +819,7 @@ def test_unwritable_out_exit_2(runner, tmp_path, args):
 def test_monte_carlo_delta_keeps_its_estimate(tmp_path):
     # The Philox draws, and so the estimate, are pinned bit for bit.
     out = tmp_path / "report.json"
-    code, numpy_imported = run_cli_process(
+    code, numpy_imported, _ = run_cli_process(
         ["delta", str(DATA / "parity34.json"), "1/10", "--monte-carlo", "100000",
          "--seed", "7", "--out", str(out)]
     )

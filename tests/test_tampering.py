@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction as F
 from itertools import product
 
 import pytest
@@ -12,7 +13,10 @@ from nmavc import (
     AffineFunction,
     BitAction,
     BITFunction,
+    Channel,
+    ElementaryDecomposition,
     GF2Matrix,
+    SingularReport,
     enumerate_bit_functions,
 )
 from nmavc.errors import BudgetExceededError
@@ -183,3 +187,33 @@ def test_affine_renders_bitstrings():
     assert repr(g) == "AffineFunction(M=['110', '011'], delta='100')"
     with pytest.raises(ValueError):
         affine_from_json({"M": [[1, 0]], "delta": "1"})
+
+
+@pytest.mark.parametrize(
+    "make, other",
+    [
+        (lambda: GF2Matrix.from_rows(["101", "011"]),
+         lambda: GF2Matrix.from_rows(["101", "010"])),
+        (lambda: bit_function("KF0"), lambda: bit_function("KF1")),
+        (lambda: affine(["11", "01"], "10"), lambda: affine(["11", "01"], "01")),
+        (lambda: Channel.from_rows([[F(9, 10), F(1, 10)], [0, 1]]),
+         lambda: Channel.from_rows([[F(9, 10), F(1, 10)], [F(1, 10), F(9, 10)]])),
+        (lambda: ElementaryDecomposition((F(1, 2), 0, F(1, 4), F(1, 4), 0)),
+         lambda: ElementaryDecomposition((F(1, 2), 0, F(1, 4), 0, F(1, 4)))),
+        (lambda: SingularReport(rank=1), lambda: SingularReport(rank=2)),
+    ],
+    ids=["GF2Matrix", "BITFunction", "AffineFunction", "Channel",
+         "ElementaryDecomposition", "SingularReport"],
+)
+def test_value_semantics(make, other):
+    # Values that key dicts or are compared by the library and the tests:
+    # equal constructions are equal and hash equal, other values differ,
+    # and an unrelated object compares unequal without raising.
+    first, second, different = make(), make(), other()
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    assert first != different and not first == different
+    assert (first == "unrelated") is False
+    assert (first != "unrelated") is True
