@@ -497,11 +497,10 @@ def cmd_composed_verify(spec_file, threshold):
         StateSequence([states[name] for name in row], labels=row)
         for row in rows
     ]
-    report_obj = verify_composed(
-        scheme, sequences, spec, budget=budget, exhaustive=exhaustive
-    )
+    report_obj = verify_composed(scheme, sequences, spec, budget=budget)
     limit = parse_rational(threshold) if threshold is not None else None
     report = report_obj.to_json()
+    report["exhaustive"] = exhaustive
     passed = _verdict(report, report_obj.eps_max, limit)
     report["provenance"] = _provenance(input=spec_file, budget=budget)
     summary = (

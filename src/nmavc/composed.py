@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .channels import Channel, StateSequence
-from .distributions import Marker, all_bitstrings, format_rational
+from .distributions import Marker, Record, all_bitstrings, format_rational
 from .errors import (
     BudgetExceededError,
     InvalidInstanceError,
@@ -207,30 +207,12 @@ def recovery_probability(
     return recovered
 
 
-class SequenceReport:
+class SequenceReport(Record):
     """Per-sequence composed verification outcome (exact); worst_message
     is a message index of the inner code's k."""
 
     __slots__ = ("label", "epsilon", "weighted_bound", "pattern_max",
                  "worst_message", "pattern_count", "k")
-
-    def __init__(
-        self,
-        label: str,
-        epsilon: Fraction,
-        weighted_bound: Fraction,
-        pattern_max: Fraction,
-        worst_message: int,
-        pattern_count: int,
-        k: int,
-    ) -> None:
-        self.label = label
-        self.epsilon = epsilon
-        self.weighted_bound = weighted_bound
-        self.pattern_max = pattern_max
-        self.worst_message = worst_message
-        self.pattern_count = pattern_count
-        self.k = k
 
     def to_json(self) -> dict:
         return {
@@ -244,27 +226,11 @@ class SequenceReport:
         }
 
 
-class ComposedReport:
+class ComposedReport(Record):
     """Recovery probability plus per-sequence worst-case distances."""
 
     __slots__ = ("delta", "recovery", "eps_by_sequence", "eps_max",
-                 "sequences_checked", "exhaustive")
-
-    def __init__(
-        self,
-        delta: Fraction,
-        recovery: Fraction,
-        eps_by_sequence: dict[str, SequenceReport],
-        eps_max: Fraction,
-        sequences_checked: int,
-        exhaustive: bool,
-    ) -> None:
-        self.delta = delta
-        self.recovery = recovery
-        self.eps_by_sequence = eps_by_sequence
-        self.eps_max = eps_max
-        self.sequences_checked = sequences_checked
-        self.exhaustive = exhaustive
+                 "sequences_checked")
 
     def to_json(self) -> dict:
         return {
@@ -274,7 +240,6 @@ class ComposedReport:
             "eps_max": format_rational(self.eps_max),
             "eps_max_float": float(self.eps_max),
             "sequences_checked": self.sequences_checked,
-            "exhaustive": self.exhaustive,
             "sequences": {
                 label: report.to_json()
                 for label, report in sorted(self.eps_by_sequence.items())
@@ -293,7 +258,6 @@ def verify_composed(
     states: Sequence[StateSequence],
     spec: SpecialStateSpec,
     budget: Optional[int] = None,
-    exhaustive: bool = False,
 ) -> ComposedReport:
     """Verify recovery under the special sequence and non-malleability
     elsewhere.
@@ -373,7 +337,6 @@ def verify_composed(
         eps_by_sequence=eps_by_sequence,
         eps_max=eps_max,
         sequences_checked=len(states),
-        exhaustive=exhaustive,
     )
 
 

@@ -4,8 +4,10 @@ Rationals are parsed from and rendered to exact strings; floating point
 never enters a verification path.  Inside the package a decoded outcome
 is an index (the messages 0..2^k - 1, then bot and same*) and a law is
 an integer count row over one total; all_bitstrings(k) gives the
-messages' labels, in index order.  Marker is an interned non-message
-value, such as the verifier's constant failure map.
+messages' labels, in index order.  Record is the base of the result
+records, such as the verifier's NMReport: fields named by __slots__,
+compared and hashed by value.  Marker is an interned non-message value,
+such as the verifier's constant failure map.
 """
 
 from __future__ import annotations
@@ -18,13 +20,47 @@ from .errors import InvalidRationalError
 MAX_DECIMAL_DIGITS = 9
 
 
-class Marker:
+class Record:
+    """Base of a record whose fields are its class's __slots__ tuple.
+
+    The constructor sets each field exactly once, by position or by
+    keyword, and raises TypeError on a missing, repeated or unknown one.
+    Records of one class compare and hash by their fields.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        fields = dict(zip(names, args))
+        if len(args) > len(names) or fields.keys() & kwargs.keys():
+            raise TypeError(f"{type(self).__name__}: extra or repeated fields")
+        fields.update(kwargs)
+        if fields.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, "
+                            f"got {tuple(fields)}")
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class Marker(Record):
     """Interned named value; compared by identity."""
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return self.name

@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from .distributions import Record
 from .errors import BudgetExceededError, InvalidInstanceError
 
 ERASURE_CHAR = "e"
@@ -180,22 +181,11 @@ class GF2Matrix:
         return cls.from_rows(obj["rows"])
 
 
-class SingularReport:
+class SingularReport(Record):
     """Returned instead of an inverse when the matrix is singular; reports
     compare and hash by rank."""
 
     __slots__ = ("rank",)
-
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rank == other.rank
-
-    def __hash__(self) -> int:
-        return hash(self.rank)
 
 
 def gf2_invert(a: GF2Matrix):
@@ -234,14 +224,10 @@ def rank_of_columns(g: GF2Matrix, cols: Iterable[int]) -> int:
     return g.submatrix_columns(tuple(cols)).rank()
 
 
-class ReconstructionSet:
+class ReconstructionSet(Record):
     """An m-subset R of non-erased columns with invertible G_R."""
 
     __slots__ = ("indices", "inverse")
-
-    def __init__(self, indices: tuple[int, ...], inverse: GF2Matrix) -> None:
-        self.indices = indices
-        self.inverse = inverse
 
 
 def select_reconstruction(g: GF2Matrix, erased: int) -> Optional[ReconstructionSet]:
@@ -363,11 +349,17 @@ def delta_monte_carlo(
 
     if trials < 1:
         raise InvalidInstanceError("trials must be >= 1")
-    n = g.ncols
+    if seed < 0:
+        raise InvalidInstanceError("seed must be >= 0")
     p = float(Fraction(p_star))
     rng = np.random.Generator(np.random.Philox(seed))
-    draws = rng.random((trials, n)) < p
-    masks = (draws @ (1 << np.arange(n, dtype=np.int64))).tolist()
+    draws = rng.random((trials, g.ncols)) < p
+    # Masks are packed 62 columns at a time, so no int64 weight overflows.
+    masks = [0] * trials
+    for start in range(0, g.ncols, 62):
+        block = draws[:, start:start + 62]
+        packed = (block @ (1 << np.arange(block.shape[1], dtype=np.int64))).tolist()
+        masks = [mask | bits << start for mask, bits in zip(masks, packed)]
     failed = {mask: _erasure_fails(g, mask) for mask in set(masks)}
     failures = sum(failed[mask] for mask in masks)
     estimate = failures / trials

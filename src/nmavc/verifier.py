@@ -35,7 +35,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union
 
 from .channels import StateSequence
-from .distributions import Marker, all_bitstrings, format_rational
+from .distributions import Marker, Record, all_bitstrings, format_rational
 from .errors import (
     BudgetExceededError,
     InvalidCodeError,
@@ -358,7 +358,7 @@ def channel_map(
     return laws, scale ** code.n * code.seed_count
 
 
-class NMReport:
+class NMReport(Record):
     """Certified simulator: epsilon is exactly max_m SD(T_m, Copy(D, m)).
 
     simulator is D as (row, total): the count of each outcome index (the
@@ -368,28 +368,6 @@ class NMReport:
     """
 
     __slots__ = ("epsilon", "simulator", "worst_message", "per_message_sd")
-
-    def __init__(
-        self,
-        epsilon: Fraction,
-        simulator: tuple[tuple[int, ...], int],
-        worst_message: int,
-        per_message_sd: list[Fraction],
-    ) -> None:
-        self.epsilon = epsilon
-        self.simulator = simulator
-        self.worst_message = worst_message
-        self.per_message_sd = per_message_sd
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.epsilon == other.epsilon
-            and self.simulator == other.simulator
-            and self.worst_message == other.worst_message
-            and self.per_message_sd == other.per_message_sd
-        )
 
     def to_json(self) -> dict:
         labels = _labels(len(self.per_message_sd).bit_length() - 1)
@@ -490,7 +468,7 @@ def optimal_simulator(rows: Sequence[Sequence[int]], total: int) -> NMReport:
 
 def _worst_case(
     rows: Sequence[Sequence[int]], total: int, simulator: tuple[Sequence[int], int]
-) -> tuple[Fraction, int, list[Fraction]]:
+) -> tuple[Fraction, int, tuple[Fraction, ...]]:
     """(epsilon, worst, per_message): the SD of every message's law to
     Copy(simulator, m), their maximum epsilon, and the least message
     that reaches it.
@@ -499,7 +477,7 @@ def _worst_case(
     total (_gaps), made a Fraction once.
     """
     over = 2 * total * simulator[1]
-    per_message = [Fraction(gap, over) for gap in _gaps(rows, total, simulator)]
+    per_message = tuple(Fraction(gap, over) for gap in _gaps(rows, total, simulator))
     epsilon = max(per_message)
     return epsilon, per_message.index(epsilon), per_message
 
@@ -542,7 +520,7 @@ def function_key(f: TamperingFunction) -> str:
     raise InvalidInstanceError(f"not a tampering function: {f!r}")
 
 
-class _Profile:
+class _Profile(Record):
     """The shared cache entry of one distinct tamper profile.
 
     laws is the profile as count rows over total = 2^rho, the very rows
@@ -555,25 +533,13 @@ class _Profile:
 
     __slots__ = ("laws", "total", "bound", "report")
 
-    def __init__(
-        self,
-        laws: tuple[tuple[int, ...], ...],
-        total: int,
-        bound: Fraction,
-        report: Optional[NMReport] = None,
-    ) -> None:
-        self.laws = laws
-        self.total = total
-        self.bound = bound
-        self.report = report
-
     def solve(self) -> NMReport:
         if self.report is None:
             self.report = optimal_simulator(self.laws, self.total)
         return self.report
 
 
-class FamilyCertificate:
+class FamilyCertificate(Record):
     """Worst-case simulator error over a tampering family, with witnesses.
 
     members maps every distinct member, in list order, to its profile's
@@ -584,18 +550,6 @@ class FamilyCertificate:
     """
 
     __slots__ = ("epsilon", "worst", "worst_report", "members")
-
-    def __init__(
-        self,
-        epsilon: Fraction,
-        worst: TamperingFunction,
-        worst_report: NMReport,
-        members: dict[TamperingFunction, _Profile],
-    ) -> None:
-        self.epsilon = epsilon
-        self.worst = worst
-        self.worst_report = worst_report
-        self.members = members
 
     @property
     def size(self) -> int:
@@ -725,7 +679,7 @@ def _certify_checked(
                     f"tampering experiment"
                 )
             entry = cache[key] = _Profile(
-                laws, seed_count, _profile_bound(laws, seed_count)
+                laws, seed_count, _profile_bound(laws, seed_count), None
             )
         members[f] = entry
         if epsilon is not None and (
@@ -754,13 +708,16 @@ def _profile_bound(laws: Sequence[Sequence[int]], total: int) -> Fraction:
     same*, and every message's own law.  Every D is feasible, so the
     bound is at least the member's optimum.
 
-    Each D's largest _gaps sum is over 2 * total * L: L = 1 for same*
-    and L = total for a law, so the least is taken in integers over
-    2 * total^2 and made a Fraction once.
+    Both are taken in integers over 2 * total and made a Fraction once:
+    at message m, same* has the gap 2 * (total - c[m][m]) and the law
+    c[m'] the gap sum_y |c[m][y] - c[m'][y]|.
     """
-    star = max(_gaps(laws, total, ((0,) * len(laws[0]) + (1,), 1)))
-    own = min(max(_gaps(laws, total, ((*law, 0), total))) for law in laws)
-    return Fraction(min(star * total, own), 2 * total * total)
+    star = 2 * max(total - law[m] for m, law in enumerate(laws))
+    own = min(
+        max(sum(abs(a - b) for a, b in zip(law, other)) for law in laws)
+        for other in laws
+    )
+    return Fraction(min(star, own), 2 * total)
 
 
 def certify_bit_family(
@@ -838,25 +795,11 @@ def _mixture(
             Fraction(max(scaled), error_lcm))
 
 
-class MixtureReport:
+class MixtureReport(Record):
     """D_s against a sequence's law table: ds_sd <= weighted_bound <=
     pattern_max, first reached at the message index worst_message."""
 
     __slots__ = ("laws", "ds_sd", "weighted_bound", "pattern_max", "worst_message")
-
-    def __init__(
-        self,
-        laws: Laws,
-        ds_sd: Fraction,
-        weighted_bound: Fraction,
-        pattern_max: Fraction,
-        worst_message: int,
-    ) -> None:
-        self.laws = laws
-        self.ds_sd = ds_sd
-        self.weighted_bound = weighted_bound
-        self.pattern_max = pattern_max
-        self.worst_message = worst_message
 
 
 def verify_mixture(
@@ -887,7 +830,7 @@ def verify_mixture(
     return MixtureReport(laws, ds_sd, weighted_bound, pattern_max, worst)
 
 
-class TransferReport:
+class TransferReport(Record):
     """Exact transfer check from the bit family to one state sequence.
 
     Invariant chain, checked exactly on every run:
@@ -897,24 +840,6 @@ class TransferReport:
 
     __slots__ = ("eps_bit", "eps_channel", "ds_sd", "weighted_bound",
                  "worst_message", "sequence_label", "k")
-
-    def __init__(
-        self,
-        eps_bit: Fraction,
-        eps_channel: Fraction,
-        ds_sd: Fraction,
-        weighted_bound: Fraction,
-        worst_message: int,
-        sequence_label: str,
-        k: int,
-    ) -> None:
-        self.eps_bit = eps_bit
-        self.eps_channel = eps_channel
-        self.ds_sd = ds_sd
-        self.weighted_bound = weighted_bound
-        self.worst_message = worst_message
-        self.sequence_label = sequence_label
-        self.k = k
 
     def to_json(self) -> dict:
         return {
@@ -962,26 +887,10 @@ def verify_transfer(
     )
 
 
-class SearchResult:
+class SearchResult(Record):
     """Best code found by seeded random search, with its certificate."""
 
     __slots__ = ("code", "certificate", "trials", "seed", "best_trial", "family_size")
-
-    def __init__(
-        self,
-        code: StochasticCode,
-        certificate: FamilyCertificate,
-        trials: int,
-        seed: int,
-        best_trial: int,
-        family_size: int,
-    ) -> None:
-        self.code = code
-        self.certificate = certificate
-        self.trials = trials
-        self.seed = seed
-        self.best_trial = best_trial
-        self.family_size = family_size
 
     def to_json(self) -> dict:
         payload = self.code.to_json()

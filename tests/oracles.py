@@ -883,6 +883,22 @@ def trivial_simulator_bound(laws: Mapping[str, FiniteDistribution]) -> Fraction:
     )
 
 
+def profile_bound_by_gaps(laws: Sequence[Sequence[int]], total: int) -> Fraction:
+    """The least trivial-simulator error of a law table, each simulator's
+    gaps scaled to 2 * total * L (L = 1 for same*, total for a law) and
+    compared over 2 * total^2: verifier._profile_bound's earlier form."""
+
+    def gaps(d, scale):
+        for m, law in enumerate(laws):
+            copied = list(d[:-1])
+            copied[m] += d[-1]
+            yield sum(abs(c * scale - total * p) for c, p in zip(law, copied))
+
+    star = max(gaps((0,) * len(laws[0]) + (1,), 1))
+    own = min(max(gaps((*law, 0), total)) for law in laws)
+    return Fraction(min(star * total, own), 2 * total * total)
+
+
 # ------------------------------------------------- fixtures the library dropped
 # Generators, distributions and parsers only the tests use.
 

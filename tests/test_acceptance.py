@@ -290,7 +290,7 @@ def test_c08_composed_demo_definition4():
         StateSequence([states[name] for name in row], labels=row)
         for row in rows
     ]
-    report = verify_composed(scheme, sequences, spec, exhaustive=True)
+    report = verify_composed(scheme, sequences, spec)
     assert report.delta == delta_exact(outer, spec.p_star)
     assert report.eps_max <= cert.epsilon
     for seq_report in report.eps_by_sequence.values():

@@ -737,6 +737,14 @@ def test_negative_budget_exit_2(runner, args):
     assert "-1 is not in the range x>=0" in result.output
 
 
+def test_negative_monte_carlo_seed_exit_2(runner):
+    # The Philox stream takes no negative seed; it is invalid input.
+    result = runner.invoke(main, ["delta", str(DATA / "parity34.json"), "1/10",
+                                  "--monte-carlo", "100", "--seed", "-1"])
+    assert_invalid_input(result)
+    assert "seed must be >= 0" in result.output
+
+
 def run_cli_process(args: list[str]) -> tuple[int, bool, bool]:
     """(exit code, whether numpy was imported, whether dataclasses was
     imported) of one fresh process that imports nmavc.cli and, given

@@ -318,6 +318,15 @@ def test_delta_monte_carlo_deterministic():
     )
 
 
+def test_delta_monte_carlo_past_64_columns():
+    # One row with ones at columns 63 and 64 of n = 66 fails to decode
+    # exactly when both are erased: 1/4 at p = 1/2.  Each erasure mask
+    # keeps every column, the ones past an int64's 63 bits included.
+    g = GF2Matrix.from_rows(["0" * 63 + "110"])
+    estimate, ci95 = delta_monte_carlo(g, F(1, 2), 20_000, 3)
+    assert abs(estimate - 0.25) <= ci95
+
+
 def test_random_full_rank_has_full_rank():
     rng = random.Random(32)
     for _ in range(20):

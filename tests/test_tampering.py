@@ -16,9 +16,13 @@ from nmavc import (
     Channel,
     ElementaryDecomposition,
     GF2Matrix,
+    NMReport,
+    ReconstructionSet,
     SingularReport,
     enumerate_bit_functions,
 )
+from nmavc.composed import SequenceReport
+from nmavc.distributions import Record
 from nmavc.errors import BudgetExceededError
 from nmavc.gf2 import bits_to_int, int_to_bits
 from nmavc.verifier import function_key
@@ -201,9 +205,16 @@ def test_affine_renders_bitstrings():
         (lambda: ElementaryDecomposition((F(1, 2), 0, F(1, 4), F(1, 4), 0)),
          lambda: ElementaryDecomposition((F(1, 2), 0, F(1, 4), 0, F(1, 4)))),
         (lambda: SingularReport(rank=1), lambda: SingularReport(rank=2)),
+        (lambda: NMReport(F(1, 4), ((1, 0, 0, 0), 1), 0, (F(1, 4), F(0))),
+         lambda: NMReport(F(1, 4), ((1, 0, 0, 0), 1), 1, (F(0), F(1, 4)))),
+        (lambda: ReconstructionSet((0, 2), gf2_identity(2)),
+         lambda: ReconstructionSet((1, 2), gf2_identity(2))),
+        (lambda: SequenceReport("K,F", F(1, 8), F(1, 4), F(1, 2), 0, 3, k=1),
+         lambda: SequenceReport("K,F", F(1, 8), F(1, 4), F(1, 2), 1, 3, k=1)),
     ],
     ids=["GF2Matrix", "BITFunction", "AffineFunction", "Channel",
-         "ElementaryDecomposition", "SingularReport"],
+         "ElementaryDecomposition", "SingularReport", "NMReport",
+         "ReconstructionSet", "SequenceReport"],
 )
 def test_value_semantics(make, other):
     # Values that key dicts or are compared by the library and the tests:
@@ -217,3 +228,20 @@ def test_value_semantics(make, other):
     assert first != different and not first == different
     assert (first == "unrelated") is False
     assert (first != "unrelated") is True
+
+
+def test_record_fields_are_set_once():
+    # A record takes each of its __slots__ exactly once, by position or
+    # by keyword; records of two classes never compare equal.
+    assert SingularReport(1) == SingularReport(rank=1)
+    for args, kwargs in [((), {}), ((1,), {"rank": 1}), ((1, 2), {}),
+                         ((), {"rnk": 1}), ((1,), {"rank2": 2})]:
+        with pytest.raises(TypeError):
+            SingularReport(*args, **kwargs)
+    with pytest.raises(TypeError):
+        ReconstructionSet((0,))
+
+    class Rank(Record):
+        __slots__ = ("rank",)
+
+    assert Rank(1) != SingularReport(1) and not Rank(1) == SingularReport(1)

@@ -69,6 +69,7 @@ from oracles import (
     mixture_bounds,
     mixture_weights_walk,
     product_tamper_distribution,
+    profile_bound_by_gaps,
     random_binary_channel,
     random_distribution,
     random_extended_channel,
@@ -359,9 +360,9 @@ def test_lp_never_beaten_by_grid_oracle():
         tm = {m: random_distribution(rng, outcomes) for m in ("0", "1")}
         report = optimal_simulator(*law_table(tm))
         simulator = law_of(1, *report.simulator)
-        assert report.per_message_sd == [
+        assert report.per_message_sd == tuple(
             sd_event_oracle(t, apply_copy(simulator, m)) for m, t in tm.items()
-        ]
+        )
         assert max(report.per_message_sd) == report.epsilon
         grid_best = grid_optimum(tm, simulator_outcomes, 6)
         assert report.epsilon <= grid_best
@@ -1002,6 +1003,29 @@ def test_pruned_certificate_matches_every_member_solved(case):
         assert entry.bound == trivial_simulator_bound(laws_of(code.k, *tamper_map(code, f)))
         assert reference.reports[f].epsilon <= entry.bound
         assert cert.report(f) == reference.reports[f]
+
+
+@st.composite
+def count_tables(draw):
+    """2^k count rows, k <= 2, each of 2^k + 1 counts over one total."""
+    size = 2 ** draw(st.integers(0, 2))
+    total = draw(st.integers(1, 12))
+
+    def row():
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=size, max_size=size)))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+    return [row() for _ in range(size)], total
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(count_tables())
+@example(([(2, 0, 0), (0, 2, 0)], 2))
+@example(([(1, 1, 0), (1, 1, 0)], 2))
+def test_profile_bound_matches_its_gap_form(table):
+    # The closed-form gaps over 2 * total give the same Fraction as each
+    # trivial simulator's _gaps sums over 2 * total^2.
+    assert verifier._profile_bound(*table) == profile_bound_by_gaps(*table)
 
 
 @pytest.mark.parametrize(
