@@ -29,11 +29,9 @@ from .distributions import all_bitstrings, format_rational, parse_rational
 from .gf2 import (
     GF2Matrix,
     ReconstructionSet,
-    SingularReport,
     delta_exact,
     delta_monte_carlo,
     ecc_decode,
-    gf2_invert,
 )
 from .tampering import (
     AffineFunction,

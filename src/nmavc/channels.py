@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .distributions import format_rational, parse_rational
+from .distributions import parse_rational
 from .errors import (
     InfeasibleCoefficientError,
     InvalidChannelError,
@@ -143,9 +143,6 @@ class Channel:
         return Channel(
             tuple((row[0] * scale, row[1] * scale, p) for row in self.rows)
         )
-
-    def to_json(self) -> dict:
-        return {"rows": [[format_rational(v) for v in row] for row in self.rows]}
 
 
 def channel_from_json(obj) -> Channel:

@@ -17,6 +17,7 @@ import random
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +35,7 @@ from .composed import (
     ComposedScheme,
     SpecialStateSpec,
     certify_induced_family,
+    induced_family,
     verify_composed,
 )
 from .distributions import format_rational, parse_rational
@@ -354,8 +356,6 @@ def cmd_nm_verify(code_file, family, sequences_file, budget, threshold):
 def cmd_search(k, n, rho, trials, seed, generator_file, budget):
     """Search seeded random injective codes, keeping the lowest-epsilon one."""
     if generator_file is not None:
-        from .composed import induced_family
-
         outer = GF2Matrix.from_json(_load_json(generator_file))
         if outer.nrows != n:
             raise InvalidInstanceError(
@@ -388,10 +388,8 @@ def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[list,
     before the first row is drawn."""
     listing = spec_obj["sequences"]
     if listing == "exhaustive":
-        from itertools import product as iproduct
-
         rows = [
-            row for row in iproduct(names, repeat=n)
+            row for row in product(names, repeat=n)
             if set(row) != {special_name}
         ]
         return rows, True

@@ -131,9 +131,6 @@ class GF2Matrix:
             raise InvalidInstanceError("matrix rows differ in length")
         return cls(tuple(map(bits_to_int, strings)), len(strings[0]))
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def row_strings(self) -> list[str]:
         return [int_to_bits(row, self.ncols) for row in self.rows]
 
@@ -171,53 +168,11 @@ class GF2Matrix:
                 break
         return rank
 
-    def to_json(self) -> dict:
-        return {"rows": self.row_strings()}
-
     @classmethod
     def from_json(cls, obj) -> "GF2Matrix":
         if not isinstance(obj, dict) or "rows" not in obj:
             raise InvalidInstanceError('matrix JSON must be {"rows": [...]}')
         return cls.from_rows(obj["rows"])
-
-
-class SingularReport(Record):
-    """Returned instead of an inverse when the matrix is singular; reports
-    compare and hash by rank."""
-
-    __slots__ = ("rank",)
-
-
-def gf2_invert(a: GF2Matrix):
-    """Invert a square matrix by Gauss-Jordan; SingularReport on failure."""
-    n = a.nrows
-    if a.ncols != n:
-        raise ValueError("inverse of a non-square matrix")
-    # Augment each row with the identity in bits n..2n-1.
-    work = [a.rows[i] | (1 << (n + i)) for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(n):
-            if r != rank and (work[r] >> col) & 1:
-                work[r] ^= work[rank]
-        rank += 1
-    if rank < n:
-        return SingularReport(rank=rank)
-    mask = (1 << n) - 1
-    inverse_rows = [0] * n
-    for r in range(n):
-        # After full elimination row r has a single 1 in some left column.
-        col = (work[r] & mask).bit_length() - 1
-        inverse_rows[col] = work[r] >> n
-    return GF2Matrix(tuple(inverse_rows), n)
 
 
 def rank_of_columns(g: GF2Matrix, cols: Iterable[int]) -> int:
@@ -233,40 +188,38 @@ class ReconstructionSet(Record):
 def select_reconstruction(g: GF2Matrix, erased: int) -> Optional[ReconstructionSet]:
     """Lexicographically least reconstruction set for an erasure mask.
 
-    Greedy Gaussian elimination over columns [n] \\ E in increasing index
-    order; depends only on the erasure mask.  Returns None when fewer
-    than m independent columns survive.  Kept on g, one entry per mask.
+    One Gauss-Jordan pass over the rows of g, each augmented with its
+    identity row in bits n..n+m-1, pivots on the columns outside the mask
+    in increasing order until m pivots are found.  The pivot columns are
+    R; the reduced rows read E*G_R = I, so their identity parts are the
+    rows of G_R^{-1}.  Depends only on the mask; None when fewer than m
+    pivots survive.  Kept on g, one entry per mask.
     """
     cache = g._reconstructions
     if erased in cache:
         return cache[erased]
-    m = g.nrows
+    n, m = g.ncols, g.nrows
+    work = [row | 1 << (n + i) for i, row in enumerate(g.rows)]
     chosen: list[int] = []
-    basis: list[int] = []  # column vectors packed over rows, reduced
-    for j in range(g.ncols):
+    for j in range(n):
+        if len(chosen) == m:
+            break
         if (erased >> j) & 1:
             continue
-        col = 0
-        for i in range(m):
-            if (g.rows[i] >> j) & 1:
-                col |= 1 << i
-        reduced = col
-        for vec in basis:
-            low = vec & (-vec)
-            if reduced & low:
-                reduced ^= vec
-        if reduced:
-            basis.append(reduced)
-            chosen.append(j)
-            if len(chosen) == m:
+        rank = len(chosen)
+        for r in range(rank, m):
+            if (work[r] >> j) & 1:
                 break
-    if len(chosen) < m:
-        result = None
-    else:
-        sub = g.submatrix_columns(chosen)
-        inverse = gf2_invert(sub)
-        if isinstance(inverse, SingularReport):  # pragma: no cover - greedy guarantees
-            raise AssertionError("greedy selection produced a singular submatrix")
+        else:
+            continue
+        work[rank], work[r] = work[r], work[rank]
+        for i in range(m):
+            if i != rank and (work[i] >> j) & 1:
+                work[i] ^= work[rank]
+        chosen.append(j)
+    result = None
+    if len(chosen) == m:
+        inverse = GF2Matrix(tuple(row >> n for row in work), m)
         result = ReconstructionSet(tuple(chosen), inverse)
     cache[erased] = result
     return result
@@ -309,15 +262,13 @@ def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = 20) -> Fraction:
     Sums p^{|E|} (1-p)^{n-|E|} over the 2^n erasure patterns E for which
     the surviving columns of G have rank below m.
     """
+    p = _erasure_probability(p_star)
     n = g.ncols
     if n > budget:
         raise BudgetExceededError(
             f"delta_exact enumerates 2^{n} erasure patterns, above the "
             f"budget of 2^{budget}; use delta_monte_carlo instead"
         )
-    p = Fraction(p_star)
-    if p < 0 or p > 1:
-        raise InvalidInstanceError(f"erasure probability {p} outside [0,1]")
     p_pow = [p ** i for i in range(n + 1)]
     q_pow = [(1 - p) ** i for i in range(n + 1)]
     failure = Fraction(0)
@@ -326,6 +277,13 @@ def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = 20) -> Fraction:
             erased_count = bin(mask).count("1")
             failure += p_pow[erased_count] * q_pow[n - erased_count]
     return failure
+
+
+def _erasure_probability(p_star) -> Fraction:
+    p = Fraction(p_star)
+    if p < 0 or p > 1:
+        raise InvalidInstanceError(f"erasure probability {p} outside [0,1]")
+    return p
 
 
 def _erasure_fails(g: GF2Matrix, erased: int) -> bool:
@@ -351,7 +309,7 @@ def delta_monte_carlo(
         raise InvalidInstanceError("trials must be >= 1")
     if seed < 0:
         raise InvalidInstanceError("seed must be >= 0")
-    p = float(Fraction(p_star))
+    p = float(_erasure_probability(p_star))
     rng = np.random.Generator(np.random.Philox(seed))
     draws = rng.random((trials, g.ncols)) < p
     # Masks are packed 62 columns at a time, so no int64 weight overflows.

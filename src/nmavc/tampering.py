@@ -6,7 +6,7 @@ words packed as ints (bit i is position i, as gf2.bits_to_int packs a
 bitstring): a BIT function by keep/xor masks, with its Erase positions
 named by an erase mask, so that x maps to the word
 (f.apply(x), f.erase) over {0,1,e}; an affine map by u -> u*M + delta
-with delta an int.  Bitstrings appear only in to_json and repr.
+with delta an int.  Bitstrings appear only in delta_string and repr.
 """
 
 from __future__ import annotations
@@ -150,13 +150,6 @@ class AffineFunction:
 
     def delta_string(self) -> str:
         return int_to_bits(self.delta, self.out_dim)
-
-    def to_json(self) -> dict:
-        return {
-            "M": [[self.matrix.entry(i, j) for j in range(self.out_dim)]
-                  for i in range(self.in_dim)],
-            "delta": self.delta_string(),
-        }
 
     def __repr__(self) -> str:
         return (

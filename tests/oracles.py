@@ -33,7 +33,6 @@ from nmavc import (
     all_bitstrings,
     decompose,
     format_rational,
-    gf2_invert,
     optimal_simulator,
     parse_rational,
     tamper_map,
@@ -415,20 +414,19 @@ class DecodeResult:
 def ecc_decode_string(g: GF2Matrix, y: str) -> Optional[DecodeResult]:
     """Reconstruction-set decoder on a string word; None is the failure.
 
-    R comes from the brute-force scan lex_min_reconstruction, not from
-    the library's greedy selection.
+    R comes from the brute-force scan lex_min_reconstruction, and the
+    message from a scan over all 2^m messages for the one whose codeword
+    equals y on R; neither uses the library's elimination.
     """
     if len(y) != g.ncols:
         raise ValueError(f"word length {len(y)} != {g.ncols}")
     indices = lex_min_reconstruction(g, erasure_set(y))
     if indices is None:
         return None
-    inverse = gf2_invert(g.submatrix_columns(indices))
-    packed = 0
-    for new_j, j in enumerate(indices):
-        if y[j] == "1":
-            packed |= 1 << new_j
-    message = int_to_bits(inverse.vec_mul(packed), g.nrows)
+    codewords = {u: ecc_encode(g, u) for u in all_bitstrings(g.nrows)}
+    (message,) = [
+        u for u, word in codewords.items() if all(word[j] == y[j] for j in indices)
+    ]
     return DecodeResult(message, indices)
 
 
@@ -1000,12 +998,3 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
     return FiniteDistribution(
         {outcome_from_json(key): parse_rational(value) for key, value in obj.items()}
     )
-
-
-def affine_from_json(obj: dict) -> AffineFunction:
-    """Parse AffineFunction.to_json's {"M": rows, "delta": bitstring}."""
-    matrix = GF2Matrix.from_rows(obj["M"])
-    delta = obj["delta"]
-    if not isinstance(delta, str) or len(delta) != matrix.ncols:
-        raise ValueError("delta must be a bitstring of the output dimension")
-    return AffineFunction(matrix, bits_to_int(delta))

@@ -92,6 +92,16 @@ def test_delta_budget_exit_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_delta_checks_p_star_before_budget(runner, tmp_path):
+    # An erasure probability outside [0, 1] is invalid input (exit 2),
+    # even when the block length is also above the budget.
+    path = write(tmp_path, "g45.json", {"rows": ["10001", "01001", "00101", "00011"]})
+    for args in (["2"], ["2", "--budget", "1"], ["3/2", "--budget", "1"]):
+        result = runner.invoke(main, ["delta", path, *args])
+        assert_invalid_input(result)
+        assert "outside [0,1]" in result.output
+
+
 MALFORMED_GENERATORS = [
     {"rows": []},
     {"rows": ["10x"]},

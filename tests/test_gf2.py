@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 
 from nmavc import (
     GF2Matrix,
-    SingularReport,
     delta_exact,
     delta_monte_carlo,
     ecc_decode,
-    gf2_invert,
 )
 from nmavc import gf2
-from nmavc.errors import BudgetExceededError
+from nmavc.errors import BudgetExceededError, InvalidInstanceError
 from nmavc.gf2 import (
     bits_to_int,
     decode_table,
@@ -68,24 +66,35 @@ def test_encode_examples():
     assert ecc_encode(g, "00") == "000"
 
 
-def test_invert_examples():
-    assert gf2_invert(gf2_identity(3)) == gf2_identity(3)
+def test_reconstruction_examples():
+    # A self-inverse square generator, the identity, and a rank-1 one.
     a = GF2Matrix.from_rows(["11", "01"])
-    inv = gf2_invert(a)
-    assert inv == a  # self-inverse
-    assert gf2_matmul(a, inv) == gf2_identity(2)
-    singular = gf2_invert(GF2Matrix.from_rows(["11", "11"]))
-    assert singular == SingularReport(rank=1)
+    assert select_reconstruction(a, 0).inverse == a
+    assert select_reconstruction(gf2_identity(3), 0).inverse == gf2_identity(3)
+    assert select_reconstruction(GF2Matrix.from_rows(["11", "11"]), 0) is None
 
 
-def test_inverse_property_random():
-    rng = random.Random(30)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        a = random_full_rank(n, n, rng)
-        inv = gf2_invert(a)
-        assert gf2_matmul(a, inv) == gf2_identity(n)
-        assert gf2_matmul(inv, a) == gf2_identity(n)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_reconstruction_inverts_lex_min_set(data):
+    # On every mask of a random full-rank generator, R is the brute-force
+    # lex-min set, the inverse is G_R^{-1} on both sides, and the result
+    # is None exactly when the surviving columns have rank below m.
+    m = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(m, 9))
+    g = random_full_rank(m, n, data.draw(st.integers(0, 2**32)))
+    for mask in range(1 << n):
+        recon = select_reconstruction(g, mask)
+        survivors = [j for j in range(n) if not (mask >> j) & 1]
+        erased = frozenset(range(n)) - set(survivors)
+        assert (recon is None) == (rank_of_columns(g, survivors) < m)
+        if recon is None:
+            assert lex_min_reconstruction(g, erased) is None
+            continue
+        assert recon.indices == lex_min_reconstruction(g, erased)
+        g_r = g.submatrix_columns(recon.indices)
+        assert gf2_matmul(g_r, recon.inverse) == gf2_identity(m)
+        assert gf2_matmul(recon.inverse, g_r) == gf2_identity(m)
 
 
 def test_decode_no_erasures_round_trip():
@@ -261,14 +270,16 @@ def test_reconstruction_kept_per_generator():
 
 
 def test_reconstruction_inverts_once_per_mask(monkeypatch):
+    # One ReconstructionSet per generator and recoverable mask; a repeat
+    # read returns the kept one.
     inversions = []
-    invert = gf2.gf2_invert
+    build = gf2.ReconstructionSet
 
-    def counting_invert(a):
-        inversions.append(a)
-        return invert(a)
+    def counting_build(indices, inverse):
+        inversions.append(indices)
+        return build(indices, inverse)
 
-    monkeypatch.setattr(gf2, "gf2_invert", counting_invert)
+    monkeypatch.setattr(gf2, "ReconstructionSet", counting_build)
     generators = [random_full_rank(3, 6, 35), random_full_rank(3, 6, 35)]
     assert generators[0] == generators[1]
     recoverable = 0
@@ -296,6 +307,16 @@ def test_delta_exact_examples():
 def test_delta_exact_budget():
     with pytest.raises(BudgetExceededError):
         delta_exact(random_full_rank(2, 21, 0), F(1, 10), budget=20)
+
+
+def test_delta_rejects_probability_outside_unit_interval():
+    # p_star is checked before the budget, and Monte Carlo checks it too.
+    g = single_parity(4)
+    for p in (F(2), F(-1, 10)):
+        with pytest.raises(InvalidInstanceError):
+            delta_exact(g, p, budget=1)
+        with pytest.raises(InvalidInstanceError):
+            delta_monte_carlo(g, p, 100, 0)
 
 
 def test_delta_monte_carlo_degenerate():
@@ -344,4 +365,4 @@ def test_rank_of_columns():
 
 def test_matrix_json_round_trip():
     g = hamming_7_4()
-    assert GF2Matrix.from_json(g.to_json()) == g
+    assert GF2Matrix.from_json({"rows": g.row_strings()}) == g

@@ -1,6 +1,5 @@
 """BIT and affine tampering functions and their conversions."""
 
-import json
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -18,7 +17,6 @@ from nmavc import (
     GF2Matrix,
     NMReport,
     ReconstructionSet,
-    SingularReport,
     enumerate_bit_functions,
 )
 from nmavc.composed import SequenceReport
@@ -27,7 +25,6 @@ from nmavc.errors import BudgetExceededError
 from nmavc.gf2 import bits_to_int, int_to_bits
 from nmavc.verifier import function_key
 from oracles import (
-    affine_from_json,
     apply_actions,
     bit_function,
     bit_to_affine,
@@ -174,23 +171,13 @@ def test_enumeration_budget():
         list(enumerate_bit_functions(10, 4, budget=1000))
 
 
-def test_affine_json_round_trip():
-    g = affine(["11", "01"], "10")
-    assert affine_from_json(g.to_json()) == g
-
-
 def test_affine_renders_bitstrings():
-    # The int delta renders and parses as the same bytes a bitstring
-    # delta did: position 0 first.
+    # The int delta renders as the same bytes a bitstring delta did:
+    # position 0 first.
     g = affine(["110", "011"], "100")
-    text = '{"M": [[1, 1, 0], [0, 1, 1]], "delta": "100"}'
-    assert json.dumps(g.to_json()) == text
-    assert affine_from_json(json.loads(text)) == g
     assert g.delta == 1
     assert function_key(g) == "M=110|011;d=100"
     assert repr(g) == "AffineFunction(M=['110', '011'], delta='100')"
-    with pytest.raises(ValueError):
-        affine_from_json({"M": [[1, 0]], "delta": "1"})
 
 
 @pytest.mark.parametrize(
@@ -204,7 +191,6 @@ def test_affine_renders_bitstrings():
          lambda: Channel.from_rows([[F(9, 10), F(1, 10)], [F(1, 10), F(9, 10)]])),
         (lambda: ElementaryDecomposition((F(1, 2), 0, F(1, 4), F(1, 4), 0)),
          lambda: ElementaryDecomposition((F(1, 2), 0, F(1, 4), 0, F(1, 4)))),
-        (lambda: SingularReport(rank=1), lambda: SingularReport(rank=2)),
         (lambda: NMReport(F(1, 4), ((1, 0, 0, 0), 1), 0, (F(1, 4), F(0))),
          lambda: NMReport(F(1, 4), ((1, 0, 0, 0), 1), 1, (F(0), F(1, 4)))),
         (lambda: ReconstructionSet((0, 2), gf2_identity(2)),
@@ -213,7 +199,7 @@ def test_affine_renders_bitstrings():
          lambda: SequenceReport("K,F", F(1, 8), F(1, 4), F(1, 2), 1, 3, k=1)),
     ],
     ids=["GF2Matrix", "BITFunction", "AffineFunction", "Channel",
-         "ElementaryDecomposition", "SingularReport", "NMReport",
+         "ElementaryDecomposition", "NMReport",
          "ReconstructionSet", "SequenceReport"],
 )
 def test_value_semantics(make, other):
@@ -233,15 +219,17 @@ def test_value_semantics(make, other):
 def test_record_fields_are_set_once():
     # A record takes each of its __slots__ exactly once, by position or
     # by keyword; records of two classes never compare equal.
-    assert SingularReport(1) == SingularReport(rank=1)
-    for args, kwargs in [((), {}), ((1,), {"rank": 1}), ((1, 2), {}),
-                         ((), {"rnk": 1}), ((1,), {"rank2": 2})]:
+    inv = gf2_identity(1)
+    made = ReconstructionSet((0,), inv)
+    assert made == ReconstructionSet(indices=(0,), inverse=inv)
+    assert made == ReconstructionSet((0,), inverse=inv)
+    for args, kwargs in [((), {}), (((0,),), {}), (((0,), inv), {"indices": (0,)}),
+                         (((0,), inv, 1), {}), (((0,),), {"inverse": inv, "rank": 1}),
+                         ((), {"indices": (0,), "inv": inv})]:
         with pytest.raises(TypeError):
-            SingularReport(*args, **kwargs)
-    with pytest.raises(TypeError):
-        ReconstructionSet((0,))
+            ReconstructionSet(*args, **kwargs)
 
-    class Rank(Record):
-        __slots__ = ("rank",)
+    class Pair(Record):
+        __slots__ = ("indices", "inverse")
 
-    assert Rank(1) != SingularReport(1) and not Rank(1) == SingularReport(1)
+    assert Pair((0,), inv) != made and not Pair((0,), inv) == made
