@@ -18,11 +18,11 @@ from .channels import (
 )
 from .composed import (
     ComposedScheme,
-    SpecialStateSpec,
     certify_induced_family,
     induced_family,
     induced_tamper,
     recovery_probability,
+    special_channel,
     verify_composed,
 )
 from .distributions import all_bitstrings, format_rational, parse_rational

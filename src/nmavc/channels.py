@@ -27,10 +27,7 @@ from .errors import (
     InvalidRationalError,
     UnsupportedChannelError,
 )
-from .gf2 import ERASURE_CHAR
 from .tampering import ACTION_ORDER, BITFunction, BitAction
-
-_OUTPUT_SYMBOLS = ("0", "1", ERASURE_CHAR)
 
 
 def _check_row(row) -> tuple[Fraction, ...]:
@@ -88,10 +85,6 @@ class Channel:
         return len(self.rows[0]) == 3
 
     @property
-    def output_symbols(self) -> tuple[str, ...]:
-        return _OUTPUT_SYMBOLS[: len(self.rows[0])]
-
-    @property
     def erasure_probability(self) -> Fraction:
         return self.rows[0][2] if self.extended else Fraction(0)
 
@@ -117,7 +110,7 @@ class Channel:
         """The transition rows over one denominator, zeros dropped: (d,
         rows), d the lcm of the entries' denominators and rows[x] the
         (output index, numerator) pairs of input x's non-zero entries, in
-        the order of output_symbols."""
+        output order: 0, 1, then e in an extended channel."""
         d = math.lcm(*(p.denominator for row in self.rows for p in row))
         return d, tuple(
             tuple((y, p.numerator * (d // p.denominator)) for y, p in enumerate(row) if p)
@@ -133,16 +126,12 @@ class Channel:
         p = Fraction(p)
         return cls.from_rows([[1 - p, 0, p], [0, 1 - p, p]])
 
-    def to_extended(self, p_erase=0) -> "Channel":
-        """Lift a binary channel to the erasure-extended alphabet with
-        erasure mass p_erase."""
+    def to_extended(self) -> "Channel":
+        """Lift a binary channel to the erasure-extended alphabet, with
+        erasure mass 0."""
         if self.extended:
             raise InvalidChannelError("the channel is already erasure-extended")
-        p = Fraction(p_erase)
-        scale = 1 - p
-        return Channel(
-            tuple((row[0] * scale, row[1] * scale, p) for row in self.rows)
-        )
+        return Channel(tuple((*row, Fraction(0)) for row in self.rows))
 
 
 def channel_from_json(obj) -> Channel:
@@ -294,11 +283,6 @@ class StateSequence:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != len(channels):
             raise InvalidChannelError("one label per state expected")
-
-    @classmethod
-    def uniform(cls, ch: Channel, n: int, label: Optional[str] = None) -> "StateSequence":
-        labels = (label,) * n if label is not None else None
-        return cls((ch,) * n, labels)
 
     @property
     def n(self) -> int:

@@ -33,9 +33,9 @@ from .channels import (
 )
 from .composed import (
     ComposedScheme,
-    SpecialStateSpec,
     certify_induced_family,
     induced_family,
+    special_channel,
     verify_composed,
 )
 from .distributions import format_rational, parse_rational
@@ -239,6 +239,10 @@ def cmd_delta(generator_file, p_star, budget, trials, seed):
             "ci95": ci95,
         }
     return report, f"delta = {format_rational(value)}", True
+
+
+# A negative p_star (-1/2) is an argument for the range check, not an option.
+cmd_delta.context_settings["ignore_unknown_options"] = True
 
 
 def _load_code(path: str) -> StochasticCode:
@@ -470,14 +474,14 @@ def cmd_composed_verify(spec_file, threshold):
     outer = GF2Matrix.from_json(spec_obj["outer"])
     scheme = ComposedScheme(inner, outer)
     p_star = parse_rational(spec_obj["p_star"])
-    spec = SpecialStateSpec(p_star=p_star, n=scheme.n)
+    special = special_channel(p_star)
     states = {
         name: _extended_channel(ch)
         for name, ch in spec_obj["states"].items()
     }
     if special_name not in states:
         raise InvalidInstanceError(f"unknown special state {special_name!r}")
-    if states[special_name] != spec.channel():
+    if states[special_name] != special:
         raise InvalidInstanceError(
             f"state {special_name!r} must equal BEC(p_star) exactly"
         )
@@ -495,7 +499,7 @@ def cmd_composed_verify(spec_file, threshold):
         StateSequence([states[name] for name in row], labels=row)
         for row in rows
     ]
-    report_obj = verify_composed(scheme, sequences, spec, budget=budget)
+    report_obj = verify_composed(scheme, sequences, p_star, budget=budget)
     limit = parse_rational(threshold) if threshold is not None else None
     report = report_obj.to_json()
     report["exhaustive"] = exhaustive

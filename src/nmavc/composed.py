@@ -11,8 +11,10 @@ actual encode/tamper/decode pipeline on every inner word, both sides
 read as tables over the words: the pipeline's decoder results come from
 the generator's table for the pattern's erasure mask.
 
-Verification certifies the inner code against the distinct maps that a
-sequence's patterns induce, then runs the verifier's mixture check.
+The special state s* is BEC(p_star) (special_channel).  Verification
+requires recovery under the all-s* sequence, certifies the inner code
+against the distinct maps that every other sequence's patterns induce,
+then runs the verifier's mixture check.
 """
 
 from __future__ import annotations
@@ -48,20 +50,12 @@ from .verifier import (
 )
 
 
-class SpecialStateSpec:
-    """The designated all-erasure state: BEC with erasure probability p_star."""
-
-    __slots__ = ("p_star", "n")
-
-    def __init__(self, p_star: Fraction, n: int) -> None:
-        p = Fraction(p_star)
-        if p < 0 or p >= 1:
-            raise InvalidInstanceError(f"p_star {p} outside [0, 1)")
-        self.p_star = p
-        self.n = n
-
-    def channel(self) -> Channel:
-        return Channel.bec(self.p_star)
+def special_channel(p_star) -> Channel:
+    """The special state s*: BEC(p_star), p_star in [0, 1)."""
+    p = Fraction(p_star)
+    if p < 0 or p >= 1:
+        raise InvalidInstanceError(f"p_star {p} outside [0, 1)")
+    return Channel.bec(p)
 
 
 def _check_full_rank(outer: GF2Matrix) -> None:
@@ -173,23 +167,21 @@ def induced_family(
 
 
 def recovery_probability(
-    scheme: ComposedScheme, spec: SpecialStateSpec, budget: int = 20
+    scheme: ComposedScheme, p_star, budget: int = 20
 ) -> Fraction:
     """Exact recovery probability under the all-special sequence BEC(p*)^n.
 
-    Enumerates erasure patterns and runs the full encode/erase/decode
-    pipeline for every (message, seed); success is checked to be a
-    function of the pattern alone.  This is an independent route that
-    must equal 1 - delta_exact(outer, p*).
+    p* = p_star must lie in [0, 1) (special_channel).  Enumerates erasure
+    patterns and runs the full encode/erase/decode pipeline for every
+    (message, seed); success is checked to be a function of the pattern
+    alone.  This independent route must equal 1 - delta_exact(outer, p*).
     """
-    if spec.n != scheme.n:
-        raise InvalidInstanceError(f"spec block length {spec.n} != {scheme.n}")
+    p = special_channel(p_star).erasure_probability
     n = scheme.n
     if n > budget:
         raise BudgetExceededError(
             f"recovery enumeration needs 2^{n} patterns, budget 2^{budget}"
         )
-    p = spec.p_star
     q = 1 - p
     recovered = Fraction(0)
     for mask in range(1 << n):
@@ -256,11 +248,11 @@ def _sequence_label(seq: StateSequence, index: int) -> str:
 def verify_composed(
     scheme: ComposedScheme,
     states: Sequence[StateSequence],
-    spec: SpecialStateSpec,
+    p_star,
     budget: Optional[int] = None,
 ) -> ComposedReport:
-    """Verify recovery under the special sequence and non-malleability
-    elsewhere.
+    """Verify recovery under the all-special sequence BEC(p_star)^n and
+    non-malleability elsewhere.
 
     delta comes from the pipeline-enumeration route and is cross-checked
     against the rank-enumeration route exactly.  Each supplied sequence
@@ -269,15 +261,15 @@ def verify_composed(
     against their distinct induced maps; the weight-mixed simulator is
     then compared against the exact composed tamper distributions.
     """
-    recovery = recovery_probability(scheme, spec)
+    recovery = recovery_probability(scheme, p_star)
     delta = 1 - recovery
-    rank_route = delta_exact(scheme.outer, spec.p_star)
+    rank_route = delta_exact(scheme.outer, p_star)
     if delta != rank_route:
         raise VerificationError(
             f"recovery routes disagree: pipeline {delta}, rank {rank_route}"
         )
 
-    special = spec.channel()
+    special = special_channel(p_star)
     induced_by_pattern: dict = {}
     # One object per distinct map, the first seen: the mixtures' lookups
     # of a pattern's member then hit by identity, not by __eq__.

@@ -26,8 +26,6 @@ from typing import Iterable, Optional, Sequence
 from .distributions import Record
 from .errors import BudgetExceededError, InvalidInstanceError
 
-ERASURE_CHAR = "e"
-
 
 def bits_to_int(bits: str) -> int:
     """Pack a bitstring; bit i of the result is bits[i]."""
@@ -112,24 +110,18 @@ class GF2Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence) -> "GF2Matrix":
-        """Build from a non-empty list of equal-length rows, each a
-        bitstring or a list of 0/1 ints; InvalidInstanceError otherwise."""
+        """Build from a non-empty list of equal-length bitstring rows;
+        InvalidInstanceError otherwise."""
         if not isinstance(rows, (list, tuple)) or not rows:
             raise InvalidInstanceError(
                 f"matrix rows must be a non-empty list, got {rows!r}"
             )
-        strings = []
         for row in rows:
-            if isinstance(row, (list, tuple)) and all(
-                type(v) is int and v in (0, 1) for v in row
-            ):
-                row = "".join(map(str, row))
             if not isinstance(row, str) or not row or set(row) - {"0", "1"}:
                 raise InvalidInstanceError(f"matrix row {row!r} is not a 0/1 row")
-            strings.append(row)
-        if len(set(map(len, strings))) > 1:
+        if len(set(map(len, rows))) > 1:
             raise InvalidInstanceError("matrix rows differ in length")
-        return cls(tuple(map(bits_to_int, strings)), len(strings[0]))
+        return cls(tuple(map(bits_to_int, rows)), len(rows[0]))
 
     def row_strings(self) -> list[str]:
         return [int_to_bits(row, self.ncols) for row in self.rows]

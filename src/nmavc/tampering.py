@@ -102,10 +102,6 @@ class BITFunction:
         """Mask of the Erase positions."""
         return self.pattern[2]
 
-    @property
-    def has_erase(self) -> bool:
-        return self.erase != 0
-
     def __repr__(self) -> str:
         return f"BITFunction({self.to_string()!r})"
 

@@ -262,7 +262,7 @@ def _check_member(
     if isinstance(f, BITFunction):
         if f.n != code.n:
             raise InvalidInstanceError(f"function length {f.n} != n={code.n}")
-        if f.has_erase:
+        if f.erase:
             raise InvalidInstanceError(
                 "Erase actions are resolved by the erasure-code layer; a "
                 "plain code decodes binary words only"
@@ -334,7 +334,7 @@ def channel_map(
         )
     if seq.n != code.n:
         raise InvalidInstanceError(f"sequence length {seq.n} != n={code.n}")
-    symbols = len(seq.channels[0].output_symbols)
+    symbols = len(seq.channels[0].rows[0])
     _check_budget(code.seed_count * symbols ** code.n, budget, "channel experiment")
     scale = math.lcm(*(ch.integer_rows[0] for ch in seq.channels))
     rows = []
@@ -451,15 +451,12 @@ def optimal_simulator(rows: Sequence[Sequence[int]], total: int) -> NMReport:
 
     The non-malleability definitions are existential ("there exists a
     distribution"); this computes the witness constructively and
-    re-verifies the reported epsilon by direct summation.
+    re-verifies the reported epsilon by direct summation.  A table some
+    trivial simulator matches exactly (_trivial_simulator) needs no LP.
     """
     _check_laws(rows, total)
-    first = rows[0]
-    if all(law == first for law in rows):
-        simulator = ((*first, 0), total)
-    elif all(law[m] == total for m, law in enumerate(rows)):
-        simulator = ((0,) * len(first) + (1,), 1)
-    else:
+    bound, simulator = _trivial_simulator(rows, total)
+    if bound:
         simulator = _simulator_lp(rows, total)
 
     epsilon, worst, per_message = _worst_case(rows, total, simulator)
@@ -525,7 +522,7 @@ class _Profile(Record):
 
     laws is the profile as count rows over total = 2^rho, the very rows
     of the cache key, checked equal to tamper_map's table; bound is the
-    profile's least trivial-simulator error (_profile_bound), an upper
+    profile's least trivial-simulator error (_trivial_simulator), an upper
     bound on its optimum; report is the optimal simulator, None until
     first asked for.  It stays None for a member certification bounded
     by a trivial or pooled simulator instead.
@@ -578,14 +575,10 @@ def _count_profiles(
     a tuple of count-row tuples over 2^rho: entry y of row m counts the
     seeds r with decode(f_i(enc[m][r])) = y.  Yields member i's profile
     only when the caller reads it, so a loop that stops early builds no
-    more.  A plain code's words are looked up in its dec table.
+    more.  Words are looked up in the dec table: _check_family admits
+    no code whose decoder reads erasures.
     """
     bot = len(code.enc)
-    if type(code).decode is StochasticCode.decode:
-        decode, default = code.dec.get, bot
-    else:
-        decode, default = code.decode, 0  # decode(bits, erased=0)
-
     for f in functions:
         if f is BOT_MAP:
             yield ((0,) * bot + (code.seed_count,),) * bot
@@ -599,7 +592,7 @@ def _count_profiles(
         table = []
         for words in tampered:
             row = [0] * (bot + 1)
-            for y in map(decode, words, repeat(default)):
+            for y in map(code.dec.get, words, repeat(bot)):
                 row[y] += 1
             table.append(tuple(row))
         yield tuple(table)
@@ -638,7 +631,11 @@ def _check_family(
     functions: Iterable[TamperingFunction],
     budget: Optional[int],
 ) -> list:
-    """The members as a list, each validated for codes of code's n and rho."""
+    """The members as a list, each validated for codes of code's n and
+    rho; a code whose decoder reads erasures is certified through its
+    inner code instead."""
+    if code.erasures:
+        raise InvalidInstanceError("certify a composed scheme through its inner code")
     functions = list(functions)
     if not functions:
         raise InvalidInstanceError("empty tampering family")
@@ -679,7 +676,7 @@ def _certify_checked(
                     f"tampering experiment"
                 )
             entry = cache[key] = _Profile(
-                laws, seed_count, _profile_bound(laws, seed_count), None
+                laws, seed_count, _trivial_simulator(laws, seed_count)[0], None
             )
         members[f] = entry
         if epsilon is not None and (
@@ -703,21 +700,26 @@ def _certify_checked(
     )
 
 
-def _profile_bound(laws: Sequence[Sequence[int]], total: int) -> Fraction:
-    """The least max_m SD(T_m, Copy(D, m)) over the trivial simulators D:
-    same*, and every message's own law.  Every D is feasible, so the
-    bound is at least the member's optimum.
+def _trivial_simulator(
+    laws: Sequence[Sequence[int]], total: int
+) -> tuple[Fraction, tuple[tuple[int, ...], int]]:
+    """(bound, D): the least max_m SD(T_m, Copy(D, m)) over the trivial
+    simulators D, every message's own law and same*, and the first D that
+    attains it, the laws in message order before same*.  Every D is
+    feasible, so the bound is at least the table's optimum.
 
-    Both are taken in integers over 2 * total and made a Fraction once:
-    at message m, same* has the gap 2 * (total - c[m][m]) and the law
-    c[m'] the gap sum_y |c[m][y] - c[m'][y]|.
+    Distances are integers over 2 * total: at message m, the law c[m']
+    has the gap sum_y |c[m][y] - c[m'][y]| and same* 2 * (total - c[m][m]).
     """
-    star = 2 * max(total - law[m] for m, law in enumerate(laws))
-    own = min(
+    gaps = [
         max(sum(abs(a - b) for a, b in zip(law, other)) for law in laws)
         for other in laws
-    )
-    return Fraction(min(star, own), 2 * total)
+    ]
+    gaps.append(2 * max(total - law[m] for m, law in enumerate(laws)))
+    least = min(gaps)
+    i = gaps.index(least)
+    d = ((*laws[i], 0), total) if i < len(laws) else ((0,) * len(gaps) + (1,), 1)
+    return Fraction(least, 2 * total), d
 
 
 def certify_bit_family(

@@ -47,10 +47,12 @@ from nmavc.errors import (
     LPUnboundedError,
     NmavcError,
 )
-from nmavc.gf2 import ERASURE_CHAR, bits_to_int, int_to_bits
+from nmavc.gf2 import bits_to_int, int_to_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+ERASURE_CHAR = "e"
+OUTPUT_SYMBOLS = ("0", "1", ERASURE_CHAR)
 
 
 # ------------------------------------------------- reference distributions
@@ -272,6 +274,13 @@ def bsc(p) -> Channel:
     return Channel.from_rows([[1 - p, p], [p, 1 - p]])
 
 
+def with_erasure(ch: Channel, p) -> Channel:
+    """The binary channel ch on {0,1,e}: its rows scaled by 1 - p, and
+    erasure mass p."""
+    p = Fraction(p)
+    return Channel.from_rows([[a * (1 - p), b * (1 - p), p] for a, b in ch.rows])
+
+
 def bit_function(text: str) -> BITFunction:
     """The BIT function of an action string over K, F, 0, 1 and E."""
     return BITFunction(tuple(BitAction(ch) for ch in text))
@@ -472,7 +481,7 @@ def bit_to_affine(f: BITFunction) -> AffineFunction:
     (Keep/Flip); delta has a 1 exactly where the action inverts or sets
     the bit (Flip/Set1).
     """
-    if f.has_erase:
+    if f.erase:
         raise NotRepresentableError(
             "Erase has no affine form on {0,1}; resolve erasures first"
         )
@@ -738,7 +747,7 @@ def mixture_weights_walk(seq: StateSequence):
 
 def row_support(ch, x: int) -> list[tuple[str, Fraction]]:
     """(output symbol, probability) pairs of input bit x, zeros skipped."""
-    return [(sym, p) for sym, p in zip(ch.output_symbols, ch.rows[x]) if p > 0]
+    return [(sym, p) for sym, p in zip(OUTPUT_SYMBOLS, ch.rows[x]) if p > 0]
 
 
 def output_distribution(seq: StateSequence, x: str) -> FiniteDistribution:
@@ -884,7 +893,8 @@ def trivial_simulator_bound(laws: Mapping[str, FiniteDistribution]) -> Fraction:
 def profile_bound_by_gaps(laws: Sequence[Sequence[int]], total: int) -> Fraction:
     """The least trivial-simulator error of a law table, each simulator's
     gaps scaled to 2 * total * L (L = 1 for same*, total for a law) and
-    compared over 2 * total^2: verifier._profile_bound's earlier form."""
+    compared over 2 * total^2: the earlier form of the bound
+    verifier._trivial_simulator returns."""
 
     def gaps(d, scale):
         for m, law in enumerate(laws):

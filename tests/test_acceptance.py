@@ -20,7 +20,6 @@ from nmavc import (
     BITFunction,
     ComposedScheme,
     GF2Matrix,
-    SpecialStateSpec,
     StateSequence,
     StochasticCode,
     all_bitstrings,
@@ -266,7 +265,7 @@ def test_c08_composed_demo_definition4():
     spec_obj = json.loads((DATA_DIR / "demo_composed_spec.json").read_text())
     outer = GF2Matrix.from_json(spec_obj["outer"])
     scheme = ComposedScheme(inner, outer)
-    spec = SpecialStateSpec(F(1, 10), scheme.n)
+    p_star = F(1, 10)
 
     cert = certify_induced_family(inner, outer)
     meta = json.loads((DATA_DIR / "demo_inner_code.json").read_text())["meta"]
@@ -274,8 +273,8 @@ def test_c08_composed_demo_definition4():
 
     assert format_rational(cert.epsilon) == meta["epsilon"]
 
-    recovery = recovery_probability(scheme, spec)
-    assert recovery == 1 - delta_exact(outer, spec.p_star)
+    recovery = recovery_probability(scheme, p_star)
+    assert recovery == 1 - delta_exact(outer, p_star)
 
     states = {
         "bec": Channel.bec(F(1, 10)),
@@ -290,8 +289,8 @@ def test_c08_composed_demo_definition4():
         StateSequence([states[name] for name in row], labels=row)
         for row in rows
     ]
-    report = verify_composed(scheme, sequences, spec)
-    assert report.delta == delta_exact(outer, spec.p_star)
+    report = verify_composed(scheme, sequences, p_star)
+    assert report.delta == delta_exact(outer, p_star)
     assert report.eps_max <= cert.epsilon
     for seq_report in report.eps_by_sequence.values():
         assert seq_report.epsilon <= cert.epsilon

@@ -37,6 +37,7 @@ from oracles import (
     random_extended_channel,
     row_support,
     sample_output,
+    with_erasure,
 )
 
 K, FL, S0, S1, E = (
@@ -216,14 +217,14 @@ def test_mixture_weights_single_bsc():
 
 
 def test_mixture_weights_bsc_half_squared():
-    seq = StateSequence.uniform(bsc(F(1, 2)), 2)
+    seq = StateSequence([bsc(F(1, 2))] * 2)
     weights = dict(fraction_weights(seq))
     assert len(weights) == 4
     assert all(w == F(1, 4) for w in weights.values())
 
 
 def test_mixture_weights_identity_single_pattern():
-    seq = StateSequence.uniform(identity_channel(), 2)
+    seq = StateSequence([identity_channel()] * 2)
     assert dict(fraction_weights(seq)) == {(K, K): F(1)}
 
 
@@ -249,14 +250,14 @@ def test_mixture_weights_order_matches_walk(extended, positions):
     channels = []
     for w0, w1, p in positions:
         ch = Channel.from_rows([[w, 1 - w] for w in (w0, w1)])
-        channels.append(ch.to_extended(p) if extended else ch)
+        channels.append(with_erasure(ch, p) if extended else ch)
     seq = StateSequence(channels)
     assert fraction_weights(seq) == list(mixture_weights_walk(seq))
 
 
 def test_output_distribution_examples():
     set0 = elementary_channel(S0)
-    seq = StateSequence.uniform(set0, 3)
+    seq = StateSequence([set0] * 3)
     assert output_distribution(seq, "101") == FiniteDistribution.point("000")
 
     seq1 = StateSequence([bsc(F(3, 10))])
@@ -283,7 +284,7 @@ def test_product_equals_pattern_mixture_exactly():
 
 
 def test_extended_product_law():
-    seq = StateSequence.uniform(Channel.bec(F(1, 10)), 2)
+    seq = StateSequence([Channel.bec(F(1, 10))] * 2)
     out = output_distribution(seq, "01")
     assert out.probability("01") == F(81, 100)
     assert out.probability("e1") == F(9, 100)
@@ -293,22 +294,22 @@ def test_extended_product_law():
 # ------------------------------------------------------------------ sampling
 
 def test_sample_output_deterministic_given_seed():
-    seq = StateSequence.uniform(bsc(F(3, 10)), 32)
+    seq = StateSequence([bsc(F(3, 10))] * 32)
     x = "01" * 16
     assert sample_output(seq, x, 9) == sample_output(seq, x, 9)
 
 
 def test_sample_output_trivial_channels():
     set1 = elementary_channel(S1)
-    seq = StateSequence.uniform(set1, 5)
+    seq = StateSequence([set1] * 5)
     assert sample_output(seq, "01010", 1) == "11111"
-    ident = StateSequence.uniform(identity_channel(), 5)
+    ident = StateSequence([identity_channel()] * 5)
     assert sample_output(ident, "01010", 2) == "01010"
 
 
 def test_sample_output_binomial_concentration():
     n = 10_000
-    seq = StateSequence.uniform(bsc(F(3, 10)), n)
+    seq = StateSequence([bsc(F(3, 10))] * n)
     word = sample_output(seq, "0" * n, 42)
     ones = word.count("1")
     sigma = (n * 0.3 * 0.7) ** 0.5

@@ -96,7 +96,8 @@ def test_delta_checks_p_star_before_budget(runner, tmp_path):
     # An erasure probability outside [0, 1] is invalid input (exit 2),
     # even when the block length is also above the budget.
     path = write(tmp_path, "g45.json", {"rows": ["10001", "01001", "00101", "00011"]})
-    for args in (["2"], ["2", "--budget", "1"], ["3/2", "--budget", "1"]):
+    for args in (["2"], ["2", "--budget", "1"], ["3/2", "--budget", "1"],
+                 ["-1/2"], ["-1/2", "--budget", "1"]):
         result = runner.invoke(main, ["delta", path, *args])
         assert_invalid_input(result)
         assert "outside [0,1]" in result.output
@@ -111,10 +112,11 @@ MALFORMED_GENERATORS = [
     {"rows": [[1, 0, 2]]},
     {"rows": [[1, True]]},
     {"rows": [""]},
+    {"rows": [[1, 0, 1], [0, 1, 1]]},
 ]
 MALFORMED_GENERATOR_IDS = [
     "no-rows", "bad-symbol", "ragged", "int-row", "string-rows", "entry-2",
-    "bool-entry", "empty-row",
+    "bool-entry", "empty-row", "int-list-rows",
 ]
 
 
@@ -556,12 +558,16 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
                     "bsc": BSC, "z": NUMBER_ROWS}},
         {"states": {"bec": {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]},
                     "bsc": BSC, "z": STRING_ROWS}},
+        # A special state needs an erasure probability in [0, 1).
+        {"p_star": "1"},
+        {"p_star": "3/2"},
+        {"p_star": "-1/10"},
     ],
     ids=["string-budget", "bool-budget", "float-budget", "negative-budget",
          "list-states", "list-special-state", "unknown-state-in-row",
          "empty-sequence-list", "negative-random-count", "bool-random-count",
          "bool-random-seed", "only-special-state", "number-row-state",
-         "string-row-state"],
+         "string-row-state", "p-star-one", "p-star-above-one", "p-star-negative"],
 )
 def test_composed_verify_malformed_spec_exit_2(runner, tmp_path, fields):
     spec = json.loads((DATA / "composed_spec.json").read_text())
@@ -571,6 +577,8 @@ def test_composed_verify_malformed_spec_exit_2(runner, tmp_path, fields):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+    if "p_star" in fields:
+        assert f"p_star {fields['p_star']} outside [0, 1)" in result.output
 
 
 @pytest.mark.parametrize("spec", [5, None, [], "spec"],

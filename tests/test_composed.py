@@ -13,7 +13,6 @@ from nmavc import (
     BITFunction,
     ComposedScheme,
     GF2Matrix,
-    SpecialStateSpec,
     StateSequence,
     StochasticCode,
     all_bitstrings,
@@ -193,11 +192,11 @@ def test_composed_correctable_erasures():
 
 def test_recovery_probability_examples():
     scheme = small_scheme()
-    assert recovery_probability(scheme, SpecialStateSpec(F(0), scheme.n)) == 1
+    assert recovery_probability(scheme, F(0)) == 1
 
     ident_inner = identity_code(2)
     ident_scheme = ComposedScheme(ident_inner, gf2_identity(2))
-    got = recovery_probability(ident_scheme, SpecialStateSpec(F(1, 10), 2))
+    got = recovery_probability(ident_scheme, F(1, 10))
     assert got == F(81, 100)
 
 
@@ -211,7 +210,7 @@ def test_recovery_matches_delta_exact_two_routes():
         scheme = ComposedScheme(inner, outer)
         p = F(rng.randint(0, 5), 10)
         assert recovery_probability(
-            scheme, SpecialStateSpec(p, n)
+            scheme, p
         ) == 1 - delta_exact(outer, p)
 
 
@@ -221,10 +220,17 @@ def test_recovery_hamming_with_monte_carlo():
     outer = hamming_7_4()
     scheme = ComposedScheme(identity_code(4), outer)
     p = F(1, 10)
-    recovery = recovery_probability(scheme, SpecialStateSpec(p, 7))
+    recovery = recovery_probability(scheme, p)
     assert recovery == 1 - delta_exact(outer, p)
     estimate, ci95 = delta_monte_carlo(outer, p, 100_000, seed=44)
     assert abs(estimate - float(1 - recovery)) <= ci95
+
+
+def test_certify_family_rejects_composed_scheme():
+    # A decoder that reads erasures is certified through its inner code.
+    scheme = small_scheme()
+    with pytest.raises(InvalidInstanceError, match="through its inner code"):
+        certify_family(scheme, enumerate_bit_functions(scheme.n, 4))
 
 
 def test_dimension_mismatch_rejected():
@@ -251,10 +257,10 @@ def test_channel_experiment_matches_composed_oracle(make_scheme):
 
 def test_composed_scheme_rejects_binary_sequence():
     scheme = small_scheme()
-    seq = StateSequence.uniform(bsc(F(3, 10)), scheme.n)
+    seq = StateSequence([bsc(F(3, 10))] * scheme.n)
     with pytest.raises(InvalidInstanceError):
         channel_map(scheme, seq)
-    plain = StateSequence.uniform(Channel.bec(F(1, 10)), scheme.inner.n)
+    plain = StateSequence([Channel.bec(F(1, 10))] * scheme.inner.n)
     with pytest.raises(InvalidInstanceError):
         channel_map(scheme.inner, plain)
 
@@ -266,14 +272,14 @@ def bec(p):
 
 def test_verify_composed_trivial_sequences():
     scheme = small_scheme()
-    spec = SpecialStateSpec(F(1, 10), scheme.n)
+    p_star = F(1, 10)
     ident = identity_channel().to_extended()
     set0 = Channel.from_rows([[1, 0], [1, 0]]).to_extended()
     seqs = [
-        StateSequence.uniform(ident, scheme.n, label="id"),
-        StateSequence.uniform(set0, scheme.n, label="set0"),
+        StateSequence([ident] * scheme.n, ["id"] * scheme.n),
+        StateSequence([set0] * scheme.n, ["set0"] * scheme.n),
     ]
-    report = verify_composed(scheme, seqs, spec)
+    report = verify_composed(scheme, seqs, p_star)
     for seq_report in report.eps_by_sequence.values():
         assert seq_report.epsilon == 0
     assert report.delta == delta_exact(scheme.outer, F(1, 10))
@@ -281,10 +287,10 @@ def test_verify_composed_trivial_sequences():
 
 def test_verify_composed_rejects_special_sequence():
     scheme = small_scheme()
-    spec = SpecialStateSpec(F(1, 10), scheme.n)
-    special_seq = StateSequence.uniform(bec((1, 10)), scheme.n)
+    p_star = F(1, 10)
+    special_seq = StateSequence([bec((1, 10))] * scheme.n)
     with pytest.raises(InvalidInstanceError):
-        verify_composed(scheme, [special_seq], spec)
+        verify_composed(scheme, [special_seq], p_star)
 
 
 def test_verify_composed_mixed_sequence_bounds():
@@ -293,10 +299,10 @@ def test_verify_composed_mixed_sequence_bounds():
         trials=6, seed=8,
     )
     scheme = ComposedScheme(inner_search.code, single_parity(2))
-    spec = SpecialStateSpec(F(1, 10), scheme.n)
+    p_star = F(1, 10)
     flips = bsc(F(3, 10)).to_extended()
     seq = StateSequence([flips, bec((1, 10)), flips], labels=("bsc", "bec", "bsc"))
-    report = verify_composed(scheme, [seq], spec)
+    report = verify_composed(scheme, [seq], p_star)
     seq_report = report.eps_by_sequence["bsc,bec,bsc"]
     assert seq_report.epsilon <= seq_report.weighted_bound
     assert seq_report.weighted_bound <= seq_report.pattern_max
@@ -305,11 +311,11 @@ def test_verify_composed_mixed_sequence_bounds():
 
 def test_verify_composed_deterministic():
     scheme = small_scheme()
-    spec = SpecialStateSpec(F(1, 10), scheme.n)
+    p_star = F(1, 10)
     flips = bsc(F(3, 10)).to_extended()
-    seq = StateSequence.uniform(flips, scheme.n, label="bsc")
-    a = verify_composed(scheme, [seq], spec).to_json()
-    b = verify_composed(scheme, [seq], spec).to_json()
+    seq = StateSequence([flips] * scheme.n, ["bsc"] * scheme.n)
+    a = verify_composed(scheme, [seq], p_star).to_json()
+    b = verify_composed(scheme, [seq], p_star).to_json()
     assert a == b
 
 
@@ -345,8 +351,8 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
     z = Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]).to_extended()
     erase = bec((1, 5))
     seqs = [
-        StateSequence.uniform(flips, n, "bsc"),
-        StateSequence.uniform(z, n, "z"),
+        StateSequence([flips] * n, ["bsc"] * n),
+        StateSequence([z] * n, ["z"] * n),
         StateSequence([erase, z] + [flips] * (n - 2)),
         StateSequence([erase] * (n - 1) + [z]),
     ]
@@ -360,7 +366,7 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
     experiments = counting(monkeypatch, verifier, "tamper_map")
     simulators = counting(monkeypatch, verifier, "optimal_simulator")
     solves = counting(monkeypatch, simplex, "solve_min")
-    verify_composed(scheme, seqs, SpecialStateSpec(F(1, 10), n))
+    verify_composed(scheme, seqs, F(1, 10))
     assert (len(induced), len(profiles)) == (47, 32)
     assert len(experiments) == len(simulators) == len(profiles)
     assert len(solves) == 27
@@ -395,7 +401,7 @@ def test_verify_composed_decomposes_each_state_once(monkeypatch):
         return decompose(ch, *args, **kwargs)
 
     monkeypatch.setattr(channels, "decompose", counted)
-    verify_composed(scheme, sequences, SpecialStateSpec(F(1, 10), scheme.n))
+    verify_composed(scheme, sequences, F(1, 10))
     assert len(sequences) == 242
     assert len(decomposed) == 3
     assert {id(ch) for ch in decomposed} == {id(ch) for ch in states}
@@ -407,7 +413,7 @@ def test_verify_composed_runs_one_channel_experiment_per_sequence(monkeypatch):
     scheme = parity45_scheme()
     _, sequences = demo_sequences(scheme)
     experiments = counting(monkeypatch, verifier, "channel_map")
-    verify_composed(scheme, sequences, SpecialStateSpec(F(1, 10), scheme.n))
+    verify_composed(scheme, sequences, F(1, 10))
     assert len(experiments) == len(sequences) == 242
 
 
@@ -433,7 +439,7 @@ def test_demo_composed_verify_lp_count_is_pinned(monkeypatch):
     experiments = counting(monkeypatch, verifier, "tamper_map")
     simulators = counting(monkeypatch, verifier, "optimal_simulator")
     solves = counting(monkeypatch, simplex, "solve_min")
-    report = verify_composed(scheme, sequences, SpecialStateSpec(F(1, 10), scheme.n))
+    report = verify_composed(scheme, sequences, F(1, 10))
     assert report.eps_max == F(3903, 40000)
     assert len(experiments) == len(simulators) == 87
     assert len(solves) == 77
@@ -453,7 +459,7 @@ def test_demo_decode_work_is_pinned(monkeypatch):
     assert len(decodes) == 112
     scheme = parity45_scheme()
     _, sequences = demo_sequences(scheme)
-    verify_composed(scheme, sequences, SpecialStateSpec(F(1, 10), scheme.n))
+    verify_composed(scheme, sequences, F(1, 10))
     assert len(decodes) == 112 + 112 + 32 * 8 + 8 + 3**5
 
 
@@ -474,7 +480,7 @@ def test_verify_composed_solves_pruned_members_on_demand():
     cert = certify_family(scheme.inner, members)
     unsolved = [f for f, entry in cert.members.items() if entry.report is None]
     assert (len(members), len(unsolved)) == (20, 13)
-    report = verify_composed(scheme, [seq], SpecialStateSpec(F(1, 10), n))
+    report = verify_composed(scheme, [seq], F(1, 10))
     (got,) = report.eps_by_sequence.values()
     reference = certify_every_member(scheme.inner, members)
     simulators = {f: law_of(scheme.k, *r.simulator) for f, r in reference.reports.items()}

@@ -48,7 +48,7 @@ def test_apply_flip_set1():
 def test_apply_erase():
     f = bit_function("EK")
     assert (f.apply(bits_to_int("10")), f.erase) == split_word("e0")
-    assert f.has_erase and not bit_function("KF01").has_erase
+    assert f.erase and not bit_function("KF01").erase
 
 
 def test_apply_rejects_long_input():

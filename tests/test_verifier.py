@@ -80,6 +80,7 @@ from oracles import (
     tamper_distribution_channel_mixture,
     trivial_simulator_bound,
     uniform,
+    with_erasure,
 )
 
 point = FiniteDistribution.point
@@ -161,12 +162,10 @@ def test_erase_rejected_on_plain_code():
 
 def test_channel_tamper_identity_and_constant():
     code = identity_code(2)
-    ident = StateSequence.uniform(identity_channel(), 2)
+    ident = StateSequence([identity_channel()] * 2)
     assert laws_of(2, *channel_map(code, ident))["10"] == point("10")
 
-    set0 = StateSequence.uniform(
-        Channel.from_rows([[1, 0], [1, 0]]), 2
-    )
+    set0 = StateSequence([Channel.from_rows([[1, 0], [1, 0]])] * 2)
     assert laws_of(2, *channel_map(code, set0))["10"] == point("00")
 
 
@@ -209,7 +208,7 @@ def test_channel_route_reads_no_decomposition(monkeypatch):
 
 def test_budget_errors():
     code = identity_code(2)
-    seq = StateSequence.uniform(identity_channel(), 2)
+    seq = StateSequence([identity_channel()] * 2)
     with pytest.raises(BudgetExceededError):
         channel_map(code, seq, budget=1)
     with pytest.raises(BudgetExceededError):
@@ -239,9 +238,9 @@ def zero_heavy_channels(extended: bool) -> list[Channel]:
     return [
         *(ch.to_extended() for ch in binary[:4]),
         Channel.from_rows([[0, 0, 1], [0, 0, 1]]),
-        binary[4].to_extended(F(1, 5)),
+        with_erasure(binary[4], F(1, 5)),
         Channel.bec(F(1, 10)),
-        bsc(0).to_extended(F(2, 7)),
+        with_erasure(bsc(0), F(2, 7)),
     ]
 
 
@@ -387,7 +386,7 @@ def mixture_certificate(simulators, errors=None) -> FamilyCertificate:
 def test_ds_mixture_identity_sequence():
     code = identity_code(2)
     cert = certify_bit_family(code)
-    seq = StateSequence.uniform(identity_channel(), 2)
+    seq = StateSequence([identity_channel()] * 2)
     d_s = ds_mixture(seq, {f: law_of(2, *cert.report(f).simulator) for f in cert.members})
     assert d_s == law_of(2, *cert.report(bit_function("KK")).simulator)
     assert law_of(2, *_mixture(seq.mixture_weights(), cert)[0]) == d_s
@@ -469,11 +468,11 @@ def test_integer_mixture_matches_fraction_oracle(extended, shared, n, seed):
 def test_verify_transfer_trivial_sequences():
     code = identity_code(2)
     cert = certify_bit_family(code)
-    ident = StateSequence.uniform(identity_channel(), 2)
+    ident = StateSequence([identity_channel()] * 2)
     report = verify_transfer(code, ident, certificate=cert)
     assert report.ds_sd == 0 and report.eps_channel == 0
 
-    const = StateSequence.uniform(Channel.from_rows([[1, 0], [1, 0]]), 2)
+    const = StateSequence([Channel.from_rows([[1, 0], [1, 0]])] * 2)
     report = verify_transfer(code, const, certificate=cert)
     assert report.eps_channel == 0
 
@@ -1022,10 +1021,21 @@ def count_tables(draw):
 @given(count_tables())
 @example(([(2, 0, 0), (0, 2, 0)], 2))
 @example(([(1, 1, 0), (1, 1, 0)], 2))
-def test_profile_bound_matches_its_gap_form(table):
+def test_trivial_simulator_matches_its_gap_form(table):
     # The closed-form gaps over 2 * total give the same Fraction as each
-    # trivial simulator's _gaps sums over 2 * total^2.
-    assert verifier._profile_bound(*table) == profile_bound_by_gaps(*table)
+    # trivial simulator's _gaps sums over 2 * total^2.  The returned D is
+    # the first trivial simulator, the laws in message order before
+    # same*, whose worst-case distance is the bound; at bound 0 it is the
+    # simulator optimal_simulator returns.
+    rows, total = table
+    bound, d = verifier._trivial_simulator(rows, total)
+    assert bound == profile_bound_by_gaps(rows, total)
+    candidates = [((*law, 0), total) for law in rows]
+    candidates.append(((0,) * (len(rows) + 1) + (1,), 1))
+    errors = [verifier._worst_case(rows, total, c)[0] for c in candidates]
+    assert d == candidates[errors.index(bound)]
+    if bound == 0:
+        assert optimal_simulator(rows, total).simulator == d
 
 
 @pytest.mark.parametrize(
