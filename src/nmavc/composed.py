@@ -9,7 +9,10 @@ affine map (or the constant failure map) on the inner codeword: the
 induced map is built in its closed matrix form and checked against the
 actual encode/tamper/decode pipeline on every inner word, both sides
 read as tables over the words: the pipeline's decoder results come from
-the generator's table for the pattern's erasure mask.
+the generator's table for the pattern's erasure mask.  A closed form
+depends only on the reconstruction set R and the pattern's masks on R,
+so the generator keeps one per such key, and the loops over patterns
+read (keep, xor, erase) masks, never building a BITFunction.
 
 The special state s* is BEC(p_star) (special_channel).  Verification
 requires recovery under the all-s* sequence, certifies the inner code
@@ -40,7 +43,7 @@ from .gf2 import (
     select_reconstruction,
     words_in_order,
 )
-from .tampering import AffineFunction, BITFunction, enumerate_bit_functions
+from .tampering import AffineFunction, BITFunction, bit_patterns
 from .verifier import (
     BOT_MAP,
     FamilyCertificate,
@@ -96,19 +99,58 @@ class ComposedScheme(StochasticCode):
 
 
 def _closed_form(
-    outer: GF2Matrix, f: BITFunction, recon: ReconstructionSet
+    outer: GF2Matrix, keep: int, xor: int, recon: ReconstructionSet
 ) -> AffineFunction:
-    """((u G M_f + Delta_f) restricted to R) G_R^{-1} as explicit (M, Delta).
+    """((u G M_f + Delta_f) restricted to R) G_R^{-1} as explicit (M, Delta),
+    for the pattern with these keep and xor masks.
 
     M_f is diagonal (1 where the action preserves the input), so G M_f
     just masks columns of G; erased columns never appear in R.  Products
     with G_R^{-1} are read from its codeword table, kept per mask.
     """
-    keep, delta, _ = f.pattern
     times_inverse = recon.inverse.codewords
     rows = [times_inverse[gather_bits(row & keep, recon.indices)] for row in outer.rows]
-    delta_r = gather_bits(delta, recon.indices)
+    delta_r = gather_bits(xor, recon.indices)
     return AffineFunction(GF2Matrix(tuple(rows), outer.nrows), times_inverse[delta_r])
+
+
+def _induced_map(
+    outer: GF2Matrix, keep: int, xor: int, erase: int
+) -> Union[AffineFunction, Marker]:
+    """induced_tamper of the pattern with masks (keep, xor, erase).
+
+    The closed form reads only R and the masks' bits on R, so the
+    generator keeps one per (R, keep & R, xor & R), with its table over
+    the inner words; the pipeline check runs for every pattern.
+    """
+    recon = select_reconstruction(outer, erase)
+    if recon is None:
+        return BOT_MAP
+    on_r = sum(1 << j for j in recon.indices)
+    key = (on_r, keep & on_r, xor & on_r)
+    forms = outer._closed_forms
+    if key not in forms:
+        closed = _closed_form(outer, keep, xor, recon)
+        # u M ^ delta for every u, by XOR doubling from delta; M keeps no
+        # codeword table of its own.
+        expected = [closed.delta]
+        for row in closed.matrix.rows:
+            expected += [word ^ row for word in expected]
+        forms[key] = closed, expected
+    closed, expected = forms[key]
+    decoded = decode_table(outer, erase)
+    piped = [decoded[(word & keep) ^ xor] for word in outer.codewords]
+    if piped != expected:
+        m = outer.nrows
+        u = next(u for u, _ in words_in_order(m) if piped[u] != expected[u])
+        actual = None if piped[u] is None else int_to_bits(piped[u], m)
+        f = BITFunction.from_pattern(outer.ncols, (keep, xor, erase))
+        raise VerificationError(
+            f"induced map of {f.to_string()} disagrees with its closed "
+            f"form at input {int_to_bits(u, m)}: pipeline {actual}, "
+            f"closed form {int_to_bits(expected[u], m)}"
+        )
+    return closed
 
 
 def induced_tamper(
@@ -120,33 +162,18 @@ def induced_tamper(
     Otherwise it is the closed matrix form, built from the action masks
     and checked against the encode/tamper/decode pipeline
     ecc_decode(G, f(u*G), erase mask of f) on every inner word u, both
-    sides read as tables over u (the codeword tables of G and M, and
-    G's decode_table for the erase mask of f); a mismatch names the
-    first failing u in all_bitstrings order.  The reconstruction set
-    depends only on the erasure mask of f, never on codeword bits.
+    sides read as tables over u (G's codeword table, the closed form's
+    table of u M + Delta, and G's decode_table for the erase mask of f),
+    the closed form and its table kept on G (_induced_map); a mismatch
+    names the first failing u in all_bitstrings order.  The
+    reconstruction set depends only on the erasure mask of f, never on
+    codeword bits.
     """
     if f.n != outer.ncols:
         raise InvalidInstanceError(
             f"pattern length {f.n} != outer block length {outer.ncols}"
         )
-    recon = select_reconstruction(outer, f.erase)
-    if recon is None:
-        return BOT_MAP
-    closed = _closed_form(outer, f, recon)
-    keep, xor, erase = f.pattern
-    decoded = decode_table(outer, erase)
-    piped = [decoded[(word & keep) ^ xor] for word in outer.codewords]
-    expected = [word ^ closed.delta for word in closed.matrix.codewords]
-    if piped != expected:
-        m = outer.nrows
-        u = next(u for u, _ in words_in_order(m) if piped[u] != expected[u])
-        actual = None if piped[u] is None else int_to_bits(piped[u], m)
-        raise VerificationError(
-            f"induced map of {f.to_string()} disagrees with its closed "
-            f"form at input {int_to_bits(u, m)}: pipeline {actual}, "
-            f"closed form {int_to_bits(expected[u], m)}"
-        )
-    return closed
+    return _induced_map(outer, *f.pattern)
 
 
 def induced_family(
@@ -160,8 +187,8 @@ def induced_family(
     """
     _check_full_rank(outer)
     members: dict = {}
-    for f in enumerate_bit_functions(outer.ncols, 5, budget=budget):
-        induced = induced_tamper(outer, f)
+    for pattern in bit_patterns(outer.ncols, 5, budget=budget):
+        induced = _induced_map(outer, *pattern)
         members.setdefault(induced, induced)
     return list(members)
 
@@ -297,9 +324,7 @@ def verify_composed(
         weights = seq.mixture_weights()
         for pattern, _ in weights[1]:
             if pattern not in induced_by_pattern:
-                induced = induced_tamper(
-                    scheme.outer, BITFunction.from_pattern(scheme.n, pattern)
-                )
+                induced = _induced_map(scheme.outer, *pattern)
                 induced_by_pattern[pattern] = canonical.setdefault(induced, induced)
         expanded.append(weights)
     members = list(canonical)

@@ -12,9 +12,9 @@ lexicographically least set R of m non-erased columns whose generator
 submatrix G_R is invertible and outputs y_R * G_R^{-1}.  The choice of R
 depends only on the erasure mask, never on received bit values.  Each
 generator keeps its own R per mask, its decoder's results per mask (one
-list over the words of that mask), and a table of its codewords
-g.vec_mul(u) for every u.  Bitstrings appear only at the JSON boundary
-(from_rows, row_strings).
+list over the words of that mask), a table of its codewords
+g.vec_mul(u) for every u, and the composed layer's induced maps.
+Bitstrings appear only at the JSON boundary (from_rows, row_strings).
 """
 
 from __future__ import annotations
@@ -97,6 +97,13 @@ class GF2Matrix:
     @cached_property
     def _decode_tables(self) -> dict:
         """decode_table's lists on this generator, by erasure mask."""
+        return {}
+
+    @cached_property
+    def _closed_forms(self) -> dict:
+        """composed's induced maps on this generator and their tables
+        over the inner words, by reconstruction set and the pattern's
+        masks on it."""
         return {}
 
     @cached_property

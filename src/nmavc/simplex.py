@@ -24,10 +24,12 @@ row would not be safe: it reweights the phase-1 objective.
 The rows are sparse, and a pivot touches nonzeros only.  Each row is a
 dict from column to nonzero int, the right-hand side under the key
 `width` past the last column, so its keys are exactly its support; the
-LPs met here are mostly zeros (a simulator LP row has at most four
-nonzeros, and the k=2 tableaus stay ~85 % zeros).  Where T[r][j] = 0
-the pivot only rescales T[r] by p / d, which keeps zeros zero; and the
-cross term -T[r][j] * T[i] / d reaches only the pivot row's support.
+LPs met here are mostly zeros: a simulator LP has 2^k + 3 + sum_m
+|supp T_m| columns, and the row of each slack t(m, y) has two or three
+nonzeros, message m's epsilon row |supp T_m| + 1 and the equality row
+2^k + 2.  Where T[r][j] = 0 the pivot only rescales T[r] by p / d,
+which keeps zeros zero; and the cross term -T[r][j] * T[i] / d reaches
+only the pivot row's support.
 Entries that cancel to 0 are deleted.  The rescale is deferred: row r
 is stored as integers over the d of its last update, scales[r], and
 stands for the Bareiss row tableau[r] * d / scales[r], an exact

@@ -116,19 +116,17 @@ class AffineFunction:
             raise ValueError(f"delta {delta!r} is not a word of {{0,1}}^{n}")
         self.matrix = matrix
         self.delta = delta
+        self._hash = hash((matrix, delta))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.matrix == other.matrix and self.delta == other.delta
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.matrix, self.delta))
-
     def __hash__(self) -> int:
-        """The field hash, computed once: a map keys the family's dicts,
-        and the mixtures look each member up per sequence."""
+        """The field hash, computed once, at construction: every map the
+        library builds keys the family's dicts, and the mixtures look
+        each member up per sequence."""
         return self._hash
 
     @property
@@ -154,13 +152,14 @@ class AffineFunction:
         )
 
 
-def enumerate_bit_functions(
+def bit_patterns(
     n: int, alphabet: int = 4, budget: Optional[int] = None
-) -> Iterator[BITFunction]:
-    """All BIT functions of length n in lexicographic action order.
+) -> Iterator[tuple[int, int, int]]:
+    """The (keep, xor, erase) masks of every BIT function of length n,
+    one at a time, in lexicographic action order (position 0 slowest).
 
     alphabet=4 walks {Keep, Flip, Set0, Set1}; alphabet=5 adds Erase.
-    Each function comes with its pattern masks already set.
+    The budget caps the alphabet^n patterns before the first is made.
     """
     if alphabet not in (4, 5):
         raise ValueError("alphabet must be 4 or 5")
@@ -170,15 +169,28 @@ def enumerate_bit_functions(
         )
     if n < 1:
         raise ValueError("a BIT function needs at least one position")
-    # Each position's choices carry their mask bits already shifted, so a
-    # function's masks are sums of disjoint bits, with no per-action lookup.
-    letters = ACTION_ORDER[:alphabet]
+    # Each choice packs its three mask bits into one int, keep at bit
+    # 2n + i, xor at n + i and erase at i, so a pattern is one sum of
+    # disjoint bits, split into its masks, with no per-action lookup.
     choices = [
-        [(action, *(bit << i for bit in _ACTION_BITS[action])) for action in letters]
+        [(k << 2 * n | x << n | e) << i
+         for k, x, e in map(_ACTION_BITS.get, ACTION_ORDER[:alphabet])]
         for i in range(n)
     ]
+    word = (1 << n) - 1
     for cells in product(*choices):
-        actions, keep, xor, erase = zip(*cells)
-        f = BITFunction(actions)
-        f.__dict__["pattern"] = sum(keep), sum(xor), sum(erase)  # cached_property
+        packed = sum(cells)
+        yield packed >> 2 * n, packed >> n & word, packed & word
+
+
+def enumerate_bit_functions(
+    n: int, alphabet: int = 4, budget: Optional[int] = None
+) -> Iterator[BITFunction]:
+    """The BIT functions of bit_patterns(n, alphabet, budget), in its
+    order, each with its pattern masks already set."""
+    # The action tuples come in the same product order as the patterns.
+    actions = product(ACTION_ORDER[:alphabet], repeat=n)
+    for pattern, f_actions in zip(bit_patterns(n, alphabet, budget), actions):
+        f = BITFunction(f_actions)
+        f.__dict__["pattern"] = pattern  # cached_property
         yield f

@@ -390,35 +390,39 @@ def _simulator_lp(rows: Sequence[Sequence[int]], total: int) -> tuple[tuple[int,
     """Optimal simulator via an exact LP, as a count row over its lcm.
 
     Variables: D(z) for every outcome index z (the messages, bot, same*),
-    one slack per (message, outcome) bounding the positive part of
-    T_m - Copy(D, m), and epsilon.  Since both sides are full
-    distributions the positive parts sum to the statistical distance, so
-    per-message constraints sum-of-slacks <= epsilon pin epsilon to the
-    worst-case distance.
+    one slack per (message, outcome in the support of T_m) bounding the
+    positive part of T_m - Copy(D, m), and epsilon.  Since both sides
+    are full distributions the positive parts sum to the statistical
+    distance, so per-message constraints sum-of-slacks <= epsilon pin
+    epsilon to the worst-case distance.  Off the support the positive
+    part is 0: its row would read t >= -D(y), which t >= 0 already
+    implies, so neither the slack nor the row is built.
     """
-    ny = len(rows) + 1  # a law's outcomes: the messages and bot
-    nd = ny + 1  # a simulator's: and same*
+    nd = len(rows) + 2  # a simulator's outcomes: the messages, bot, same*
     star = nd - 1
-    n_vars = nd + len(rows) * ny + 1
-    eps_col = n_vars - 1
+    eps_col = nd + sum(1 for law in rows for count in law if count)
 
     a_ub: list[dict[int, int]] = []
     b_ub: list[int | Fraction] = []
+    t_col = nd
     for m, law in enumerate(rows):
-        t_cols = range(nd + m * ny, nd + (m + 1) * ny)
-        for y, (t_col, count) in enumerate(zip(t_cols, law)):
-            row = {y: -1, t_col: -1}
-            if y == m:
-                row[star] = -1
-            a_ub.append(row)
-            b_ub.append(Fraction(-count, total))
+        t_cols = []
+        for y, count in enumerate(law):
+            if count:
+                row = {y: -1, t_col: -1}
+                if y == m:
+                    row[star] = -1
+                a_ub.append(row)
+                b_ub.append(Fraction(-count, total))
+                t_cols.append(t_col)
+                t_col += 1
         row = dict.fromkeys(t_cols, 1)
         row[eps_col] = -1
         a_ub.append(row)
         b_ub.append(0)
     a_eq = [dict.fromkeys(range(nd), 1)]
     b_eq = [1]
-    c = [0] * n_vars
+    c = [0] * (eps_col + 1)
     c[eps_col] = 1
     x, _ = solve_min(c, a_ub, b_ub, a_eq, b_eq)
     scale = math.lcm(*(v.denominator for v in x[:nd]))
@@ -588,7 +592,9 @@ def _count_profiles(
             keep, xor, _ = f.pattern
             tampered = [[(word & keep) ^ xor for word in words] for words in code.enc]
         else:
-            tampered = [map(f.apply, words) for words in code.enc]
+            # f.apply without its range check: _check_member checked f's shape.
+            vec_mul, delta = f.matrix.vec_mul, f.delta
+            tampered = [[vec_mul(word) ^ delta for word in words] for words in code.enc]
         table = []
         for words in tampered:
             row = [0] * (bot + 1)

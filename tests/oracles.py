@@ -19,7 +19,9 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from typing import Hashable, Mapping, Optional, Sequence, Tuple
+from unittest.mock import patch
 
+import nmavc.verifier as verifier
 from nmavc import (
     AffineFunction,
     BitAction,
@@ -48,6 +50,7 @@ from nmavc.errors import (
     NmavcError,
 )
 from nmavc.gf2 import bits_to_int, int_to_bits
+from nmavc.simplex import solve_min
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -687,6 +690,56 @@ def fraction_solve_min(
     solution = x[:n]
     value = sum((ci * xi for ci, xi in zip(c, solution)), ZERO)
     return solution, value
+
+
+def recorded_lps(function):
+    """function()'s result, and the arguments of every solve_min call it
+    made through nmavc.verifier."""
+    recorded = []
+
+    def record(*args):
+        recorded.append(args)
+        return solve_min(*args)
+
+    with patch.object(verifier, "solve_min", record):
+        result = function()
+    return result, recorded
+
+
+def full_simulator_lp(
+    rows: Sequence[Sequence[int]], total: int
+) -> tuple[list[Fraction], Fraction]:
+    """(x, value) of the simulator LP over every (message, outcome) pair:
+    the form verifier._simulator_lp had before it dropped the slack and
+    row of each zero count, kept as the reference for its optimum.
+
+    Columns: D(z) for every outcome index z (the messages, bot, same*),
+    one slack per (message, outcome) bounding the positive part of
+    T_m - Copy(D, m), and epsilon last.
+    """
+    ny = len(rows) + 1  # a law's outcomes: the messages and bot
+    nd = ny + 1  # a simulator's: and same*
+    star = nd - 1
+    n_vars = nd + len(rows) * ny + 1
+    eps_col = n_vars - 1
+
+    a_ub: list[dict[int, int]] = []
+    b_ub: list[Fraction] = []
+    for m, law in enumerate(rows):
+        t_cols = range(nd + m * ny, nd + (m + 1) * ny)
+        for y, (t_col, count) in enumerate(zip(t_cols, law)):
+            row = {y: -1, t_col: -1}
+            if y == m:
+                row[star] = -1
+            a_ub.append(row)
+            b_ub.append(Fraction(-count, total))
+        row = dict.fromkeys(t_cols, 1)
+        row[eps_col] = -1
+        a_ub.append(row)
+        b_ub.append(ZERO)
+    c = [0] * n_vars
+    c[eps_col] = 1
+    return solve_min(c, a_ub, b_ub, [dict.fromkeys(range(nd), 1)], [ONE])
 
 
 def mix(components) -> FiniteDistribution:

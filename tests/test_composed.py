@@ -122,8 +122,8 @@ def test_induced_rejects_wrong_closed_form(monkeypatch):
     # every input; the first one, 000, is named.
     closed_form = composed._closed_form
 
-    def off_by_one(outer, f, recon):
-        closed = closed_form(outer, f, recon)
+    def off_by_one(outer, keep, xor, recon):
+        closed = closed_form(outer, keep, xor, recon)
         return AffineFunction(closed.matrix, flip_first_bit(closed.delta))
 
     monkeypatch.setattr(composed, "_closed_form", off_by_one)
@@ -461,6 +461,21 @@ def test_demo_decode_work_is_pinned(monkeypatch):
     _, sequences = demo_sequences(scheme)
     verify_composed(scheme, sequences, F(1, 10))
     assert len(decodes) == 112 + 112 + 32 * 8 + 8 + 3**5
+
+
+def test_closed_forms_are_built_once_per_key(monkeypatch):
+    # A closed form reads only the reconstruction set R and the pattern's
+    # keep and xor masks on R.  The 2,304 patterns of the 4 -> 5 parity
+    # code that some R survives have 1,280 such keys (1,153 distinct
+    # maps), and the demo composed-verify reads 405 keys on its own
+    # generator.  Building one per pattern took 2,304 and 648.
+    closed = counting(monkeypatch, composed, "_closed_form")
+    induced_family(single_parity(4))
+    assert len(closed) == 1280
+    scheme = parity45_scheme()
+    _, sequences = demo_sequences(scheme)
+    verify_composed(scheme, sequences, F(1, 10))
+    assert len(closed) == 1280 + 405
 
 
 def test_verify_composed_solves_pruned_members_on_demand():

@@ -4,7 +4,6 @@ agreement with the plain `Fraction` tableau it replaced."""
 import math
 from fractions import Fraction as F
 
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,7 @@ import nmavc.verifier as verifier
 from nmavc.errors import LPInfeasibleError, LPUnboundedError, NmavcError
 from nmavc.simplex import solve_min
 from nmavc.verifier import optimal_simulator, tamper_map
-from oracles import bit_function, fixed_k2n5_code, fraction_solve_min
+from oracles import bit_function, fixed_k2n5_code, fraction_solve_min, recorded_lps
 
 
 def test_basic_maximization_as_minimization():
@@ -186,19 +185,6 @@ def test_matches_fraction_tableau_on_random_lps(lp):
 )
 def test_matches_fraction_tableau_on_edge_cases(lp, expected):
     assert assert_same_as_oracle(*lp) == expected
-
-
-def recorded_lps(function):
-    """function()'s result, and the arguments of every solve_min call it made."""
-    recorded = []
-
-    def record(*args):
-        recorded.append(args)
-        return solve_min(*args)
-
-    with patch.object(verifier, "solve_min", record):
-        result = function()
-    return result, recorded
 
 
 # KKK01 is the first worst bit function of the code below.  On KK1F1 the

@@ -23,6 +23,7 @@ from nmavc.composed import SequenceReport
 from nmavc.distributions import Record
 from nmavc.errors import BudgetExceededError
 from nmavc.gf2 import bits_to_int, int_to_bits
+from nmavc.tampering import bit_patterns
 from nmavc.verifier import function_key
 from oracles import (
     apply_actions,
@@ -153,6 +154,17 @@ def test_enumeration_counts_and_order():
     assert len(list(enumerate_bit_functions(2, 4))) == 16
     assert len(list(enumerate_bit_functions(2, 5))) == 25
     assert len(set(enumerate_bit_functions(2, 5))) == 25
+    # The functions wrap the lazy pattern generator, in its order.
+    for n in range(1, 6):
+        for alphabet in (4, 5):
+            patterns = list(bit_patterns(n, alphabet))
+            assert len(patterns) == len(set(patterns)) == alphabet**n
+            assert [f.pattern for f in enumerate_bit_functions(n, alphabet)] == patterns
+            # A budget one short raises before the first pattern.
+            with pytest.raises(BudgetExceededError):
+                next(bit_patterns(n, alphabet, budget=alphabet**n - 1))
+            with pytest.raises(BudgetExceededError):
+                next(enumerate_bit_functions(n, alphabet, budget=alphabet**n - 1))
 
 
 @pytest.mark.parametrize("alphabet", [4, 5])

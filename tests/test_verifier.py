@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nmavc.channels as channel_module
@@ -58,6 +58,7 @@ from oracles import (
     ds_mixture,
     ecc_encode,
     fixed_k2n5_code,
+    full_simulator_lp,
     gf2_identity,
     grid_optimum,
     identity_channel,
@@ -74,6 +75,7 @@ from oracles import (
     random_distribution,
     random_extended_channel,
     random_full_rank,
+    recorded_lps,
     sd_event_oracle,
     single_parity,
     statistical_distance,
@@ -365,6 +367,40 @@ def test_lp_never_beaten_by_grid_oracle():
         assert max(report.per_message_sd) == report.epsilon
         grid_best = grid_optimum(tm, simulator_outcomes, 6)
         assert report.epsilon <= grid_best
+
+
+@st.composite
+def seed_law_tables(draw):
+    """A law table (rows, total) as a code's seeds give it: k in {1, 2},
+    2^rho seeds with rho <= 3, each seed of each message decoding to a
+    drawn outcome (a message or bot), so most rows hold zero counts."""
+    size = 1 << draw(st.integers(1, 2))
+    total = 1 << draw(st.integers(0, 3))
+    rows = []
+    for _ in range(size):
+        row = [0] * (size + 1)
+        for y in draw(st.lists(st.integers(0, size), min_size=total, max_size=total)):
+            row[y] += 1
+        rows.append(row)
+    return rows, total
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed_law_tables())
+@example(([[1, 0, 0], [0, 0, 1]], 1))
+def test_support_lp_matches_full_lp(table):
+    # A zero count's row says t >= -D(y), which t >= 0 implies: the LP
+    # with a slack and a row only per count in a law's support has the
+    # optimum of the LP over every (message, outcome) pair.
+    rows, total = table
+    assume(any(0 in row for row in rows))
+    simulator, ((c, a_ub, _, _, _),) = recorded_lps(
+        lambda: verifier._simulator_lp(rows, total)
+    )
+    support = sum(1 for row in rows for count in row if count)
+    assert (len(c), len(a_ub)) == (len(rows) + 3 + support, len(rows) + support)
+    _, value = full_simulator_lp(rows, total)
+    assert verifier._worst_case(rows, total, simulator)[0] == value
 
 
 # ----------------------------------------------------------------- transfer
