@@ -20,7 +20,6 @@ from .composed import (
     ComposedScheme,
     certify_induced_family,
     induced_family,
-    induced_tamper,
     recovery_probability,
     special_channel,
     verify_composed,
@@ -35,7 +34,6 @@ from .gf2 import (
 )
 from .tampering import (
     AffineFunction,
-    BitAction,
     BITFunction,
     enumerate_bit_functions,
 )

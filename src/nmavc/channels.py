@@ -27,7 +27,7 @@ from .errors import (
     InvalidRationalError,
     UnsupportedChannelError,
 )
-from .tampering import ACTION_ORDER, BITFunction, BitAction
+from .tampering import ACTION_ORDER, _ACTION_BITS
 
 
 def _check_row(row) -> tuple[Fraction, ...]:
@@ -97,12 +97,13 @@ class Channel:
     def integer_support(self) -> tuple[int, tuple[tuple[tuple[int, int, int], int], ...]]:
         """The canonical support over one denominator: (d, ((masks,
         numerator), ...)), d the lcm of the coefficients' denominators and
-        masks the one-position BITFunction.pattern of each action."""
+        masks the (keep, xor, erase) bits of each action at position 0,
+        the one-position BITFunction.pattern."""
         support = self.decomposition.support()
         d = math.lcm(*(a.denominator for _, a in support))
         return d, tuple(
-            (BITFunction((action,)).pattern, a.numerator * (d // a.denominator))
-            for action, a in support
+            (_ACTION_BITS[letter], a.numerator * (d // a.denominator))
+            for letter, a in support
         )
 
     @cached_property
@@ -151,24 +152,26 @@ def channel_from_json(obj) -> Channel:
 
 
 _ELEMENTARY_BINARY = {
-    BitAction.KEEP: Channel.from_rows([[1, 0], [0, 1]]),
-    BitAction.FLIP: Channel.from_rows([[0, 1], [1, 0]]),
-    BitAction.SET0: Channel.from_rows([[1, 0], [1, 0]]),
-    BitAction.SET1: Channel.from_rows([[0, 1], [0, 1]]),
+    "K": Channel.from_rows([[1, 0], [0, 1]]),
+    "F": Channel.from_rows([[0, 1], [1, 0]]),
+    "0": Channel.from_rows([[1, 0], [1, 0]]),
+    "1": Channel.from_rows([[0, 1], [0, 1]]),
 }
 
 
-def elementary_channel(action: BitAction, extended: bool = False) -> Channel:
-    """The deterministic channel realizing one bit action.
+def elementary_channel(letter: str, extended: bool = False) -> Channel:
+    """The deterministic channel realizing the bit action of one letter
+    of ACTION_ORDER (K, F, 0, 1 or E).
 
-    This is the single conversion point between actions and channels;
-    the per-symbol semantics themselves live with BITFunction.
+    This is the single conversion point between action letters and
+    channels; the per-symbol semantics live in the masks of
+    tampering._ACTION_BITS.
     """
-    if action is BitAction.ERASE:
+    if letter == "E":
         if not extended:
             raise InvalidChannelError("Erase is only a channel on the extended alphabet")
         return Channel.from_rows([[0, 0, 1], [0, 0, 1]])
-    base = _ELEMENTARY_BINARY[action]
+    base = _ELEMENTARY_BINARY[letter]
     return base.to_extended() if extended else base
 
 
@@ -199,19 +202,16 @@ class ElementaryDecomposition:
     def __hash__(self) -> int:
         return hash(self.alphas)
 
-    def support(self) -> list[tuple[BitAction, Fraction]]:
-        return [
-            (action, a)
-            for action, a in zip(ACTION_ORDER, self.alphas)
-            if a > 0
-        ]
+    def support(self) -> list[tuple[str, Fraction]]:
+        """The (action letter, weight) pairs of the positive weights."""
+        return [(letter, a) for letter, a in zip(ACTION_ORDER, self.alphas) if a > 0]
 
     def reconstruct(self, extended: bool = False) -> Channel:
         """Sum of alpha_i * W_i, for the exact-reconstruction check."""
         width = 3 if extended else 2
         acc = [[Fraction(0)] * width for _ in range(2)]
-        for action, a in self.support():
-            rows = elementary_channel(action, extended=extended).rows
+        for letter, a in self.support():
+            rows = elementary_channel(letter, extended=extended).rows
             for x in range(2):
                 for y in range(width):
                     acc[x][y] += a * rows[x][y]
@@ -303,10 +303,11 @@ class StateSequence:
         Returns (D, [(pattern, numerator), ...]): D is the product of the
         positions' denominators (Channel.integer_support), a pattern's
         weight is numerator / D = Prod_i alpha_{i, j_i}, and the
-        numerators sum to exactly D.  A pattern is its BIT function's
-        masks, BITFunction.pattern.  Patterns run over the product of the
-        positions' canonical supports, position 0 varying slowest; zero
-        coefficients are skipped.
+        numerators sum to exactly D.  A pattern is the (keep, xor, erase)
+        masks that make up its BIT function, BITFunction(n, *pattern);
+        only to_string renders them as letters.  Patterns run over the
+        product of the positions' canonical supports, position 0 varying
+        slowest; zero coefficients are skipped.
         """
         denominator = 1
         patterns: list = [((0, 0, 0), 1)]

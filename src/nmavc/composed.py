@@ -117,11 +117,20 @@ def _closed_form(
 def _induced_map(
     outer: GF2Matrix, keep: int, xor: int, erase: int
 ) -> Union[AffineFunction, Marker]:
-    """induced_tamper of the pattern with masks (keep, xor, erase).
+    """The map decode(f(encode(u))) on inner codewords, f the pattern with
+    masks (keep, xor, erase): BOT_MAP or affine.
 
-    The closed form reads only R and the masks' bits on R, so the
-    generator keeps one per (R, keep & R, xor & R), with its table over
-    the inner words; the pipeline check runs for every pattern.
+    With too many erasures the map is the constant failure map BOT_MAP.
+    Otherwise it is the closed matrix form, built from the masks and
+    checked against the encode/tamper/decode pipeline
+    ecc_decode(G, f(u*G), erase) on every inner word u, both sides read
+    as tables over u (G's codeword table, the closed form's table of
+    u M + Delta, and G's decode_table for the erase mask); a mismatch
+    names the first failing u in all_bitstrings order.  The
+    reconstruction set R depends only on the erase mask, never on
+    codeword bits, and the closed form reads only R and the masks' bits
+    on R, so G keeps one per (R, keep & R, xor & R), with its table; the
+    pipeline check runs for every pattern.
     """
     recon = select_reconstruction(outer, erase)
     if recon is None:
@@ -144,36 +153,13 @@ def _induced_map(
         m = outer.nrows
         u = next(u for u, _ in words_in_order(m) if piped[u] != expected[u])
         actual = None if piped[u] is None else int_to_bits(piped[u], m)
-        f = BITFunction.from_pattern(outer.ncols, (keep, xor, erase))
+        f = BITFunction(outer.ncols, keep, xor, erase)
         raise VerificationError(
             f"induced map of {f.to_string()} disagrees with its closed "
             f"form at input {int_to_bits(u, m)}: pipeline {actual}, "
             f"closed form {int_to_bits(expected[u], m)}"
         )
     return closed
-
-
-def induced_tamper(
-    outer: GF2Matrix, f: BITFunction
-) -> Union[AffineFunction, Marker]:
-    """The map decode(f(encode(u))) on inner codewords: BOT_MAP or affine.
-
-    With too many erasures the map is the constant failure map BOT_MAP.
-    Otherwise it is the closed matrix form, built from the action masks
-    and checked against the encode/tamper/decode pipeline
-    ecc_decode(G, f(u*G), erase mask of f) on every inner word u, both
-    sides read as tables over u (G's codeword table, the closed form's
-    table of u M + Delta, and G's decode_table for the erase mask of f),
-    the closed form and its table kept on G (_induced_map); a mismatch
-    names the first failing u in all_bitstrings order.  The
-    reconstruction set depends only on the erasure mask of f, never on
-    codeword bits.
-    """
-    if f.n != outer.ncols:
-        raise InvalidInstanceError(
-            f"pattern length {f.n} != outer block length {outer.ncols}"
-        )
-    return _induced_map(outer, *f.pattern)
 
 
 def induced_family(

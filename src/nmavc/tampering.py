@@ -3,104 +3,77 @@
 Bitwise independent functions act per position with one of Keep, Flip,
 Set0, Set1, or (in erasure-extended contexts) Erase.  Both families map
 words packed as ints (bit i is position i, as gf2.bits_to_int packs a
-bitstring): a BIT function by keep/xor masks, with its Erase positions
-named by an erase mask, so that x maps to the word
-(f.apply(x), f.erase) over {0,1,e}; an affine map by u -> u*M + delta
-with delta an int.  Bitstrings appear only in delta_string and repr.
+bitstring).  A BIT function is its length and three masks, keep, xor
+and erase: x maps to the word (f.apply(x), f.erase) over {0,1,e}, with
+f.apply(x) = (x & keep) ^ xor.  An affine map is u -> u*M + delta with
+delta an int.  The action letters K, F, 0, 1 and E appear only in
+to_string and repr, and bitstrings only in delta_string and repr.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
-
-from enum import Enum
 
 from .errors import BudgetExceededError
 from .gf2 import GF2Matrix, int_to_bits
 
 
-class BitAction(Enum):
-    KEEP = "K"
-    FLIP = "F"
-    SET0 = "0"
-    SET1 = "1"
-    ERASE = "E"
-
-
-#: Canonical enumeration order; the first four form the erasure-free family.
-ACTION_ORDER = (
-    BitAction.KEEP,
-    BitAction.FLIP,
-    BitAction.SET0,
-    BitAction.SET1,
-    BitAction.ERASE,
-)
+#: Canonical enumeration order of the action letters (Keep, Flip, Set0,
+#: Set1, Erase); the first four form the erasure-free family.
+ACTION_ORDER = "KF01E"
 
 #: The (keep, xor, erase) bits of each action at one position, and back.
 _ACTION_BITS = dict(zip(
     ACTION_ORDER, ((1, 0, 0), (1, 1, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1))
 ))
-_ACTION_OF_BITS = {bits: action for action, bits in _ACTION_BITS.items()}
+_ACTION_OF_BITS = {bits: letter for letter, bits in _ACTION_BITS.items()}
 
 
 class BITFunction:
-    """A bitwise independent tampering function, one action per position;
-    functions compare and hash by their actions."""
+    """A bitwise independent tampering function of length n, given by its
+    masks: Keep/Flip set bit i of keep, Flip/Set1 set bit i of xor and
+    Erase sets bit i of erase, so Set0 is 0 in all three.  Functions
+    compare and hash by (n, keep, xor, erase)."""
 
-    def __init__(self, actions: tuple[BitAction, ...]) -> None:
-        if not actions:
+    __slots__ = ("n", "keep", "xor", "erase", "_hash")
+
+    def __init__(self, n: int, keep: int, xor: int, erase: int = 0) -> None:
+        if n < 1:
             raise ValueError("a BIT function needs at least one position")
-        self.actions = actions
+        if (keep | xor | erase) >> n:
+            raise ValueError(f"masks ({keep}, {xor}, {erase}) exceed {n} positions")
+        if erase & (keep | xor):
+            raise ValueError(f"erase mask {erase} overlaps keep {keep} or xor {xor}")
+        self.n, self.keep, self.xor, self.erase = n, keep, xor, erase
+        self._hash = hash((n, keep, xor, erase))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.actions == other.actions
+        return self.n == other.n and self.pattern == other.pattern
 
     def __hash__(self) -> int:
-        return hash(self.actions)
+        """The field hash, computed once, at construction, as
+        AffineFunction's."""
+        return self._hash
 
     @property
-    def n(self) -> int:
-        return len(self.actions)
+    def pattern(self) -> tuple[int, int, int]:
+        """The masks (keep, xor, erase), which key a mixture pattern."""
+        return self.keep, self.xor, self.erase
 
     def to_string(self) -> str:
-        return "".join(action.value for action in self.actions)
+        return "".join(
+            _ACTION_OF_BITS[self.keep >> i & 1, self.xor >> i & 1, self.erase >> i & 1]
+            for i in range(self.n)
+        )
 
     def apply(self, x: int) -> int:
         """The bits (x & keep) ^ xor of f(x); Erase positions come out 0."""
-        if x >> len(self.actions):
+        if x >> self.n:
             raise ValueError(f"input {x} is not a word of {{0,1}}^{self.n}")
-        keep, xor, _ = self.pattern
-        return (x & keep) ^ xor
-
-    @cached_property
-    def pattern(self) -> tuple[int, int, int]:
-        """The masks (keep, xor, erase), which key a mixture pattern:
-        f(x) = (x & keep) ^ xor off the Erase positions named by erase.
-
-        Keep/Flip set bit i of keep, Flip/Set1 set bit i of xor.  An Erase
-        position is 0 in both.
-        """
-        keep = xor = erase = 0
-        for i, action in enumerate(self.actions):
-            k, x, e = _ACTION_BITS[action]
-            keep, xor, erase = keep | k << i, xor | x << i, erase | e << i
-        return keep, xor, erase
-
-    @classmethod
-    def from_pattern(cls, n: int, pattern: tuple[int, int, int]) -> "BITFunction":
-        """The length-n function with these pattern masks."""
-        keep, xor, erase = pattern
-        return cls(tuple(_ACTION_OF_BITS[keep >> i & 1, xor >> i & 1, erase >> i & 1]
-                         for i in range(n)))
-
-    @property
-    def erase(self) -> int:
-        """Mask of the Erase positions."""
-        return self.pattern[2]
+        return (x & self.keep) ^ self.xor
 
     def __repr__(self) -> str:
         return f"BITFunction({self.to_string()!r})"
@@ -163,12 +136,12 @@ def bit_patterns(
     """
     if alphabet not in (4, 5):
         raise ValueError("alphabet must be 4 or 5")
+    if n < 1:
+        raise ValueError("a BIT function needs at least one position")
     if budget is not None and alphabet**n > budget:
         raise BudgetExceededError(
             f"{alphabet}^{n} = {alphabet**n} functions exceed the budget {budget}"
         )
-    if n < 1:
-        raise ValueError("a BIT function needs at least one position")
     # Each choice packs its three mask bits into one int, keep at bit
     # 2n + i, xor at n + i and erase at i, so a pattern is one sum of
     # disjoint bits, split into its masks, with no per-action lookup.
@@ -186,11 +159,5 @@ def bit_patterns(
 def enumerate_bit_functions(
     n: int, alphabet: int = 4, budget: Optional[int] = None
 ) -> Iterator[BITFunction]:
-    """The BIT functions of bit_patterns(n, alphabet, budget), in its
-    order, each with its pattern masks already set."""
-    # The action tuples come in the same product order as the patterns.
-    actions = product(ACTION_ORDER[:alphabet], repeat=n)
-    for pattern, f_actions in zip(bit_patterns(n, alphabet, budget), actions):
-        f = BITFunction(f_actions)
-        f.__dict__["pattern"] = pattern  # cached_property
-        yield f
+    """The BIT functions of bit_patterns(n, alphabet, budget), in its order."""
+    return (BITFunction(n, *p) for p in bit_patterns(n, alphabet, budget))

@@ -771,10 +771,11 @@ def _mixture(
         if total is None:
             if f not in certificate.members:
                 # Masks leave trailing Set0s out: name the pattern at the
-                # length of the certificate's BIT functions, if one.
+                # length of the certificate's BIT functions, if one and
+                # the masks fit in it.
                 n = {g.n for g in certificate.members if isinstance(g, BITFunction)}
-                if len(n) == 1:
-                    pattern = BITFunction.from_pattern(*n, pattern).to_string()
+                if len(n) == 1 and not max(pattern) >> min(n):
+                    pattern = BITFunction(*n, *pattern).to_string()
                 raise InvalidInstanceError(
                     f"no simulator for positive-weight pattern {pattern}"
                 )

@@ -24,7 +24,6 @@ from unittest.mock import patch
 import nmavc.verifier as verifier
 from nmavc import (
     AffineFunction,
-    BitAction,
     BITFunction,
     Channel,
     ComposedScheme,
@@ -284,9 +283,19 @@ def with_erasure(ch: Channel, p) -> Channel:
     return Channel.from_rows([[a * (1 - p), b * (1 - p), p] for a, b in ch.rows])
 
 
+#: The (keep, xor, erase) bits of each action letter at one position.
+_LETTER_MASKS = {"K": (1, 0, 0), "F": (1, 1, 0), "0": (0, 0, 0), "1": (0, 1, 0),
+                 "E": (0, 0, 1)}
+
+
 def bit_function(text: str) -> BITFunction:
-    """The BIT function of an action string over K, F, 0, 1 and E."""
-    return BITFunction(tuple(BitAction(ch) for ch in text))
+    """The BIT function of an action string over K, F, 0, 1 and E,
+    position 0 first."""
+    keep = xor = erase = 0
+    for i, ch in enumerate(text):
+        k, x, e = _LETTER_MASKS[ch]
+        keep, xor, erase = keep | k << i, xor | x << i, erase | e << i
+    return BITFunction(len(text), keep, xor, erase)
 
 
 def add_fractions_bigint(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -374,11 +383,11 @@ def lex_min_reconstruction(g, erased) -> tuple[int, ...] | None:
 # the string-level routes it replaced, kept as reference implementations.
 
 _APPLY = {
-    BitAction.KEEP: lambda ch: ch,
-    BitAction.FLIP: lambda ch: "1" if ch == "0" else "0",
-    BitAction.SET0: lambda ch: "0",
-    BitAction.SET1: lambda ch: "1",
-    BitAction.ERASE: lambda ch: ERASURE_CHAR,
+    "K": lambda ch: ch,
+    "F": lambda ch: "1" if ch == "0" else "0",
+    "0": lambda ch: "0",
+    "1": lambda ch: "1",
+    "E": lambda ch: ERASURE_CHAR,
 }
 
 
@@ -386,7 +395,7 @@ def apply_actions(f: BITFunction, x: str) -> str:
     """Apply per-bit actions; Erase positions become 'e'."""
     if len(x) != f.n:
         raise ValueError(f"input length {len(x)} != {f.n}")
-    return "".join(_APPLY[a](ch) for a, ch in zip(f.actions, x))
+    return "".join(_APPLY[a](ch) for a, ch in zip(f.to_string(), x))
 
 
 def split_word(y: str) -> tuple[int, int]:
@@ -762,11 +771,11 @@ def mix(components) -> FiniteDistribution:
     return FiniteDistribution(masses)
 
 
-def fraction_weights(seq: StateSequence) -> list[tuple[tuple, Fraction]]:
-    """StateSequence.mixture_weights as (action tuple, Fraction weight)
-    pairs, each pattern's masks read back as its BIT function's actions."""
+def fraction_weights(seq: StateSequence) -> list[tuple[str, Fraction]]:
+    """StateSequence.mixture_weights as (action string, Fraction weight)
+    pairs, each pattern's masks read back as its BIT function's letters."""
     denominator, patterns = seq.mixture_weights()
-    return [(BITFunction.from_pattern(seq.n, pattern).actions, Fraction(w, denominator))
+    return [(BITFunction(seq.n, *pattern).to_string(), Fraction(w, denominator))
             for pattern, w in patterns]
 
 
@@ -777,7 +786,7 @@ def tamper_distribution_channel_mixture(
     of the patterns' tamper laws (cross-check)."""
     components = []
     for pattern, weight in fraction_weights(seq):
-        rows, total = tamper_map(code, BITFunction(pattern))
+        rows, total = tamper_map(code, bit_function(pattern))
         components.append((weight, law_of(code.k, rows[m], total)))
     return mix(components)
 
@@ -788,14 +797,14 @@ def mixture_weights_walk(seq: StateSequence):
     StateSequence.mixture_weights must reproduce."""
     supports = [decompose(ch).support() for ch in seq.channels]
 
-    def walk(i: int, actions: tuple, weight: Fraction):
+    def walk(i: int, letters: str, weight: Fraction):
         if i == len(supports):
-            yield actions, weight
+            yield letters, weight
             return
-        for action, a in supports[i]:
-            yield from walk(i + 1, actions + (action,), weight * a)
+        for letter, a in supports[i]:
+            yield from walk(i + 1, letters + letter, weight * a)
 
-    yield from walk(0, (), Fraction(1))
+    yield from walk(0, "", Fraction(1))
 
 
 def row_support(ch, x: int) -> list[tuple[str, Fraction]]:
@@ -867,7 +876,7 @@ def mixture_output_distribution(seq: StateSequence, x: str) -> FiniteDistributio
     if len(x) != seq.n:
         raise ValueError(f"input length {len(x)} != {seq.n}")
     components = [
-        (weight, FiniteDistribution.point(apply_actions(BITFunction(pattern), x)))
+        (weight, FiniteDistribution.point(apply_actions(bit_function(pattern), x)))
         for pattern, weight in fraction_weights(seq)
     ]
     return mix(components)
@@ -997,7 +1006,7 @@ def mixture_bounds(seq: StateSequence, errors, member_of=None) -> tuple[Fraction
 
 
 def _member(pattern, member_of):
-    return BITFunction(pattern) if member_of is None else member_of[pattern]
+    return bit_function(pattern) if member_of is None else member_of[pattern]
 
 
 def min_distance(g: GF2Matrix) -> int:

@@ -17,7 +17,6 @@ from conftest import record_criterion
 from nmavc import (
     BOT_MAP,
     Channel,
-    BITFunction,
     ComposedScheme,
     GF2Matrix,
     StateSequence,
@@ -30,7 +29,6 @@ from nmavc import (
     ecc_decode,
     enumerate_bit_functions,
     feasible_interval,
-    induced_tamper,
     optimal_simulator,
     recovery_probability,
     search_nm_code,
@@ -38,6 +36,7 @@ from nmavc import (
     verify_composed,
     verify_transfer,
 )
+from nmavc import composed
 from nmavc.gf2 import rank_of_columns, select_reconstruction
 from oracles import (
     BOT,
@@ -108,7 +107,7 @@ def test_c02_product_decomposition_exact():
                 direct = output_distribution(seq, x)
                 masses: dict = {}
                 for pattern, w in weights:
-                    word = apply_actions(BITFunction(pattern), x)
+                    word = apply_actions(bit_function(pattern), x)
                     masses[word] = masses.get(word, F(0)) + w
                 assert direct == FiniteDistribution(masses)
             sequences += 1
@@ -239,9 +238,9 @@ def test_c07_induced_affinity_full_scan():
         n = rng.randint(m + 1, 6)
         outer = random_full_rank(m, n, rng)
         for f in enumerate_bit_functions(n, 5):
-            # induced_tamper checks the closed form against the pipeline
+            # _induced_map checks the closed form against the pipeline
             # on all 2^m inputs, raising on any mismatch.
-            induced = induced_tamper(outer, f)
+            induced = composed._induced_map(outer, *f.pattern)
             has_r = select_reconstruction(outer, f.erase) is not None
             assert (induced is BOT_MAP) == (not has_r)
             patterns_checked += 1

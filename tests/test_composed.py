@@ -10,7 +10,6 @@ from nmavc import (
     AffineFunction,
     BOT_MAP,
     Channel,
-    BITFunction,
     ComposedScheme,
     GF2Matrix,
     StateSequence,
@@ -22,7 +21,6 @@ from nmavc import (
     delta_exact,
     enumerate_bit_functions,
     induced_family,
-    induced_tamper,
     recovery_probability,
     search_nm_code,
     verify_composed,
@@ -74,13 +72,13 @@ def parity45_scheme() -> ComposedScheme:
 def test_induced_identity_outer_equals_bit_to_affine():
     outer = gf2_identity(3)
     for f in enumerate_bit_functions(3, 4):
-        assert induced_tamper(outer, f) == bit_to_affine(f)
+        assert composed._induced_map(outer, *f.pattern) == bit_to_affine(f)
 
 
 def test_induced_worked_example():
     outer = GF2Matrix.from_rows(["101", "011"])
     f = bit_function("1KK")
-    induced = induced_tamper(outer, f)
+    induced = composed._induced_map(outer, *f.pattern)
     assert induced.matrix == GF2Matrix.from_rows(["00", "01"])
     assert induced.delta == bits_to_int("10")
     assert induced.apply(bits_to_int("11")) == bits_to_int("11")
@@ -89,7 +87,7 @@ def test_induced_worked_example():
 
 def test_induced_all_erased_is_failure_map():
     outer = GF2Matrix.from_rows(["101", "011"])
-    assert induced_tamper(outer, bit_function("EEE")) is BOT_MAP
+    assert composed._induced_map(outer, *bit_function("EEE").pattern) is BOT_MAP
 
 
 def test_induced_affinity_random_outers():
@@ -103,7 +101,7 @@ def test_induced_affinity_random_outers():
         n = rng.randint(m + 1, 4)
         outer = random_full_rank(m, n, rng)
         for f in enumerate_bit_functions(n, 5):
-            induced = induced_tamper(outer, f)
+            induced = composed._induced_map(outer, *f.pattern)
             for u in range(1 << m):
                 piped = ecc_decode(outer, f.apply(outer.vec_mul(u)), f.erase)
                 if induced is BOT_MAP:
@@ -128,7 +126,7 @@ def test_induced_rejects_wrong_closed_form(monkeypatch):
 
     monkeypatch.setattr(composed, "_closed_form", off_by_one)
     with pytest.raises(VerificationError, match="FK1E.*at input 000"):
-        induced_tamper(single_parity(3), bit_function("FK1E"))
+        composed._induced_map(single_parity(3), *bit_function("FK1E").pattern)
 
 
 def test_induced_rejects_pipeline_wrong_on_one_word(monkeypatch):
@@ -147,7 +145,7 @@ def test_induced_rejects_pipeline_wrong_on_one_word(monkeypatch):
 
     monkeypatch.setattr(gf2, "ecc_decode", wrong_once)
     with pytest.raises(VerificationError, match="FK1E.*at input 110:"):
-        induced_tamper(outer, f)
+        composed._induced_map(outer, *f.pattern)
 
 
 def test_induced_family_members_distinct():
@@ -357,7 +355,7 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
         StateSequence([erase] * (n - 1) + [z]),
     ]
     induced = {
-        induced_tamper(scheme.outer, BITFunction.from_pattern(n, pattern))
+        composed._induced_map(scheme.outer, *pattern)
         for seq in seqs for pattern, _ in seq.mixture_weights()[1]
     }
     profiles = {
@@ -488,7 +486,7 @@ def test_verify_composed_solves_pruned_members_on_demand():
     z = Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]).to_extended()
     seq = StateSequence([bec((1, 5)), z] + [flips] * (n - 2))
     member_of = {
-        pattern: induced_tamper(scheme.outer, BITFunction(pattern))
+        pattern: composed._induced_map(scheme.outer, *bit_function(pattern).pattern)
         for pattern, _ in mixture_weights_walk(seq)
     }
     members = list(dict.fromkeys(member_of.values()))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nmavc import (
     AffineFunction,
-    BitAction,
     BITFunction,
     Channel,
     ElementaryDecomposition,
@@ -58,10 +57,10 @@ def test_apply_rejects_long_input():
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.lists(st.sampled_from(list(BitAction)), min_size=1, max_size=8), st.data())
-def test_apply_matches_per_character_oracle(actions, data):
+@given(st.lists(st.sampled_from("KF01E"), min_size=1, max_size=8), st.data())
+def test_apply_matches_per_character_oracle(letters, data):
     # (apply(x), erase) is the word the per-character actions produce.
-    f = BITFunction(tuple(actions))
+    f = bit_function("".join(letters))
     x = "".join(data.draw(st.lists(st.sampled_from("01"), min_size=f.n, max_size=f.n)))
     assert (f.apply(bits_to_int(x)), f.erase) == split_word(apply_actions(f, x))
 
@@ -71,7 +70,7 @@ def test_pattern_round_trip():
     for f in enumerate_bit_functions(3, 5):
         keep, xor, erase = f.pattern
         assert not erase & (keep | xor)
-        assert BITFunction.from_pattern(3, f.pattern) == f
+        assert BITFunction(3, *f.pattern) == f
     assert bit_function("KF01E").pattern == (0b00011, 0b01010, 0b10000)
 
 
@@ -165,17 +164,44 @@ def test_enumeration_counts_and_order():
                 next(bit_patterns(n, alphabet, budget=alphabet**n - 1))
             with pytest.raises(BudgetExceededError):
                 next(enumerate_bit_functions(n, alphabet, budget=alphabet**n - 1))
+    # The length is checked before the budget.
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one position"):
+            next(bit_patterns(n, 4, budget=0))
 
 
 @pytest.mark.parametrize("alphabet", [4, 5])
 def test_enumerated_masks_match_actions(alphabet):
-    # The masks set during enumeration are those pattern computes from
-    # the actions, and the functions come in product order.
-    letters = list(BitAction)[:alphabet]
+    # The enumerated masks are those the letter-level parser gives each
+    # function's string, and the strings come in product order.
     for n in range(1, 5):
         got = list(enumerate_bit_functions(n, alphabet))
-        assert [f.actions for f in got] == list(product(letters, repeat=n))
-        assert [f.pattern for f in got] == [BITFunction(f.actions).pattern for f in got]
+        assert [f.to_string() for f in got] == [
+            "".join(letters) for letters in product("KF01E"[:alphabet], repeat=n)
+        ]
+        assert [f.pattern for f in got] == [bit_function(f.to_string()).pattern
+                                            for f in got]
+
+
+@pytest.mark.parametrize(
+    "n, keep, xor, erase, message",
+    [
+        (0, 0, 0, 0, "at least one position"),
+        (-1, 0, 0, 0, "at least one position"),
+        (3, 0b1000, 0, 0, "exceed 3 positions"),
+        (3, 0, 0b1001, 0, "exceed 3 positions"),
+        (3, 0, 0, 0b1000, "exceed 3 positions"),
+        (3, 0b001, 0, 0b001, "overlaps"),
+        (3, 0, 0b100, 0b110, "overlaps"),
+    ],
+    ids=["n=0", "n<0", "keep-high", "xor-high", "erase-high", "keep-erase",
+         "xor-erase"],
+)
+def test_constructor_rejects_masks_naming_no_function(n, keep, xor, erase, message):
+    # Masks name a function only within n >= 1 positions, and an Erase
+    # position keeps and flips nothing.
+    with pytest.raises(ValueError, match=message):
+        BITFunction(n, keep, xor, erase)
 
 
 def test_enumeration_budget():

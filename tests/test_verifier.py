@@ -448,6 +448,11 @@ def test_ds_mixture_missing_pattern():
     cert = mixture_certificate({bit_function("K"): ((0, 0, 0, 1), 1)})
     with pytest.raises(InvalidInstanceError, match="pattern F"):
         _mixture(seq.mixture_weights(), cert)
+    # Masks wider than the certificate's functions are named as masks,
+    # not cut to that length (which would name the member K).
+    wide = StateSequence([bsc(F(1, 2))] * 2)
+    with pytest.raises(InvalidInstanceError, match=r"pattern \(3, 0, 0\)"):
+        _mixture(wide.mixture_weights(), cert)
 
 
 def test_mixture_weights_must_sum_to_denominator():
@@ -486,15 +491,15 @@ def test_integer_mixture_matches_fraction_oracle(extended, shared, n, seed):
         members = [f"member{i}" for i in range(rng.randint(1, 4))]
         member_of = {pattern: rng.choice(members) for pattern in patterns}
     else:
-        members = [BITFunction(pattern) for pattern in patterns]
+        members = [bit_function(pattern) for pattern in patterns]
         member_of = None
     # Simulators of k = 1: columns 0, 1, bot and same*.
     simulators = {f: random_law(rng, 4) for f in members}
     errors = {f: F(rng.randint(0, 10007), 10007) * F(1, rng.randint(1, 12))
               for f in members}
     cert = mixture_certificate(simulators, errors)
-    # The walk names patterns by their actions, mixture_weights by masks.
-    masks_of = member_of and {BITFunction(p).pattern: f for p, f in member_of.items()}
+    # The walk names patterns by their letters, mixture_weights by masks.
+    masks_of = member_of and {bit_function(p).pattern: f for p, f in member_of.items()}
     d_s, *bounds = _mixture(seq.mixture_weights(), cert, masks_of)
     reference = {f: law_of(1, *d) for f, d in simulators.items()}
     assert (law_of(1, *d_s), *bounds) == (ds_mixture(seq, reference, member_of),
@@ -625,7 +630,7 @@ def assert_counts_match_tamper_map(code, functions):
         assert total == code.seed_count
         assert profile == tuple(map(tuple, rows)), f
         if isinstance(f, BITFunction):
-            seq = StateSequence([elementary_channel(a) for a in f.actions])
+            seq = StateSequence([elementary_channel(a) for a in f.to_string()])
             laws = laws_of(code.k, rows, total)
             for m, label in enumerate(all_bitstrings(code.k)):
                 assert laws[label] == product_tamper_distribution(code, seq, m), f
@@ -1176,7 +1181,7 @@ def test_transfer_solves_pruned_members_on_demand():
     seq = StateSequence([bsc(F(3, 10)), z, bsc(F(1, 5))])
     cert = certify_bit_family(code)
     unsolved = {f for f, entry in cert.members.items() if entry.report is None}
-    read = {BITFunction.from_pattern(3, p) for p, _ in seq.mixture_weights()[1]}
+    read = {BITFunction(3, *p) for p, _ in seq.mixture_weights()[1]}
     assert sorted(f.to_string() for f in read & unsolved) == [
         "F0F", "F0K", "FKF", "K0F", "K0K"
     ]
