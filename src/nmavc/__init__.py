@@ -13,7 +13,6 @@ from .channels import (
     StateSequence,
     channel_from_json,
     decompose,
-    elementary_channel,
     feasible_interval,
 )
 from .composed import (

@@ -10,7 +10,8 @@ erasure mass p becomes the Erase weight, and the rest is a convex
 combination of the four binary elementary channels, with a one-parameter
 family of coefficient choices (the Set0 weight alpha3).  The canonical
 choice takes the lower endpoint of the feasible interval, which
-maximizes the Keep mass; a channel computes it once and keeps it.
+maximizes the Keep mass; a channel computes it once and keeps it.  The
+support names each action by its masks (keep, xor, erase), as patterns do.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     InvalidRationalError,
     UnsupportedChannelError,
 )
-from .tampering import ACTION_ORDER, _ACTION_BITS
+from .tampering import ACTION_MASKS
 
 
 def _check_row(row) -> tuple[Fraction, ...]:
@@ -89,22 +90,14 @@ class Channel:
         return self.rows[0][2] if self.extended else Fraction(0)
 
     @cached_property
-    def decomposition(self) -> "ElementaryDecomposition":
-        """The canonical decomposition, computed on first use and kept."""
-        return decompose(self)
-
-    @cached_property
     def integer_support(self) -> tuple[int, tuple[tuple[tuple[int, int, int], int], ...]]:
         """The canonical support over one denominator: (d, ((masks,
         numerator), ...)), d the lcm of the coefficients' denominators and
         masks the (keep, xor, erase) bits of each action at position 0,
         the one-position BITFunction.pattern."""
-        support = self.decomposition.support()
+        support = decompose(self).support()
         d = math.lcm(*(a.denominator for _, a in support))
-        return d, tuple(
-            (_ACTION_BITS[letter], a.numerator * (d // a.denominator))
-            for letter, a in support
-        )
+        return d, tuple((bits, a.numerator * (d // a.denominator)) for bits, a in support)
 
     @cached_property
     def integer_rows(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
@@ -151,39 +144,13 @@ def channel_from_json(obj) -> Channel:
     return Channel.from_rows(parsed)
 
 
-_ELEMENTARY_BINARY = {
-    "K": Channel.from_rows([[1, 0], [0, 1]]),
-    "F": Channel.from_rows([[0, 1], [1, 0]]),
-    "0": Channel.from_rows([[1, 0], [1, 0]]),
-    "1": Channel.from_rows([[0, 1], [0, 1]]),
-}
-
-
-def elementary_channel(letter: str, extended: bool = False) -> Channel:
-    """The deterministic channel realizing the bit action of one letter
-    of ACTION_ORDER (K, F, 0, 1 or E).
-
-    This is the single conversion point between action letters and
-    channels; the per-symbol semantics live in the masks of
-    tampering._ACTION_BITS.
-    """
-    if letter == "E":
-        if not extended:
-            raise InvalidChannelError("Erase is only a channel on the extended alphabet")
-        return Channel.from_rows([[0, 0, 1], [0, 0, 1]])
-    base = _ELEMENTARY_BINARY[letter]
-    return base.to_extended() if extended else base
-
-
 class ElementaryDecomposition:
     """Convex weights over (Keep, Flip, Set0, Set1, Erase) reconstructing a
     channel; decompositions compare and hash by their weights."""
 
     __slots__ = ("alphas",)
 
-    def __init__(
-        self, alphas: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
-    ) -> None:
+    def __init__(self, alphas: tuple[Fraction, ...]) -> None:
         if len(alphas) != 5:
             raise ValueError("five coefficients expected")
         if any(a < 0 for a in alphas):
@@ -202,19 +169,19 @@ class ElementaryDecomposition:
     def __hash__(self) -> int:
         return hash(self.alphas)
 
-    def support(self) -> list[tuple[str, Fraction]]:
-        """The (action letter, weight) pairs of the positive weights."""
-        return [(letter, a) for letter, a in zip(ACTION_ORDER, self.alphas) if a > 0]
+    def support(self) -> list[tuple[tuple[int, int, int], Fraction]]:
+        """The (masks, weight) pairs of the positive weights, in ACTION_MASKS order."""
+        return [(masks, a) for masks, a in zip(ACTION_MASKS, self.alphas) if a > 0]
 
     def reconstruct(self, extended: bool = False) -> Channel:
-        """Sum of alpha_i * W_i, for the exact-reconstruction check."""
-        width = 3 if extended else 2
-        acc = [[Fraction(0)] * width for _ in range(2)]
-        for letter, a in self.support():
-            rows = elementary_channel(letter, extended=extended).rows
+        """Sum of alpha_i * W_i, for the exact-reconstruction check: W_i
+        sends x to (x & keep) ^ xor, or to e if it erases."""
+        if self.alphas[4] and not extended:
+            raise InvalidChannelError("Erase is only a channel on the extended alphabet")
+        acc = [[Fraction(0)] * (3 if extended else 2) for _ in range(2)]
+        for (keep, xor, erase), a in self.support():
             for x in range(2):
-                for y in range(width):
-                    acc[x][y] += a * rows[x][y]
+                acc[x][2 if erase else (x & keep) ^ xor] += a
         return Channel.from_rows(acc)
 
 
@@ -236,9 +203,8 @@ def decompose(
     alpha2 = 1 - p - w22 - alpha3, alpha4 = alpha3 - (w11 - w22) and
     Erase = p.  The canonical alpha3 is the lower endpoint
     max(0, w11 - w22), which maximizes the Keep mass; a binary channel
-    may take any alpha3 of its feasible interval instead.  The canonical
-    decomposition of a channel is read from ch.decomposition, which
-    calls this once.
+    may take any alpha3 of its feasible interval instead.  A channel's
+    integer_support calls this once and keeps the canonical support.
     """
     w11 = ch.rows[0][0]
     w22 = ch.rows[1][1]
@@ -255,10 +221,9 @@ def decompose(
                 f"alpha3 = {alpha3} outside the feasible interval "
                 f"[{lower}, {upper}]"
             )
-    alpha1 = w11 - alpha3
-    alpha2 = 1 - p - w22 - alpha3
-    alpha4 = alpha3 - (w11 - w22)
-    return ElementaryDecomposition((alpha1, alpha2, alpha3, alpha4, p))
+    return ElementaryDecomposition(
+        (w11 - alpha3, 1 - p - w22 - alpha3, alpha3, alpha3 - (w11 - w22), p)
+    )
 
 
 class StateSequence:

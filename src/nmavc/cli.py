@@ -45,7 +45,7 @@ from .errors import (
     NmavcError,
     VerificationError,
 )
-from .gf2 import GF2Matrix, delta_exact, delta_monte_carlo
+from .gf2 import MAX_EXACT_LENGTH, GF2Matrix, delta_exact, delta_monte_carlo
 from .verifier import (
     StochasticCode,
     certify_bit_family,
@@ -210,8 +210,8 @@ def cmd_decompose(channel_file: str, alpha3: Optional[str]):
 @_command("delta")
 @click.argument("generator_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("p_star")
-@click.option("--budget", type=click.IntRange(min=0), default=20, show_default=True,
-              help="Max block length for exact 2^n enumeration.")
+@click.option("--budget", type=click.IntRange(min=0), default=MAX_EXACT_LENGTH,
+              show_default=True, help="Max block length for exact 2^n enumeration.")
 @click.option("--monte-carlo", "trials", type=int, default=None,
               help="Also estimate by Monte Carlo with this many trials.")
 @click.option("--seed", type=int, default=0, show_default=True,

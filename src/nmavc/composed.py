@@ -33,6 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .gf2 import (
+    MAX_EXACT_LENGTH,
     GF2Matrix,
     ReconstructionSet,
     decode_table,
@@ -179,9 +180,7 @@ def induced_family(
     return list(members)
 
 
-def recovery_probability(
-    scheme: ComposedScheme, p_star, budget: int = 20
-) -> Fraction:
+def recovery_probability(scheme: ComposedScheme, p_star) -> Fraction:
     """Exact recovery probability under the all-special sequence BEC(p*)^n.
 
     p* = p_star must lie in [0, 1) (special_channel).  Enumerates erasure
@@ -191,9 +190,9 @@ def recovery_probability(
     """
     p = special_channel(p_star).erasure_probability
     n = scheme.n
-    if n > budget:
+    if n > MAX_EXACT_LENGTH:
         raise BudgetExceededError(
-            f"recovery enumeration needs 2^{n} patterns, budget 2^{budget}"
+            f"recovery enumeration needs 2^{n} patterns, budget 2^{MAX_EXACT_LENGTH}"
         )
     q = 1 - p
     recovered = Fraction(0)

@@ -255,7 +255,11 @@ def decode_table(g: GF2Matrix, erased: int) -> list[Optional[int]]:
     return tables[erased]
 
 
-def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = 20) -> Fraction:
+#: The default cap on n for an exact enumeration of 2^n erasure patterns.
+MAX_EXACT_LENGTH = 20
+
+
+def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = MAX_EXACT_LENGTH) -> Fraction:
     """Exact decoding-failure probability under per-bit erasure p_star.
 
     Sums p^{|E|} (1-p)^{n-|E|} over the 2^n erasure patterns E for which

@@ -1,7 +1,7 @@
 """Tampering function families: bitwise independent and affine over GF(2).
 
 Bitwise independent functions act per position with one of Keep, Flip,
-Set0, Set1, or (in erasure-extended contexts) Erase.  Both families map
+Set0, Set1 or Erase, whose masks ACTION_MASKS lists.  Both families map
 words packed as ints (bit i is position i, as gf2.bits_to_int packs a
 bitstring).  A BIT function is its length and three masks, keep, xor
 and erase: x maps to the word (f.apply(x), f.erase) over {0,1,e}, with
@@ -19,15 +19,12 @@ from .errors import BudgetExceededError
 from .gf2 import GF2Matrix, int_to_bits
 
 
-#: Canonical enumeration order of the action letters (Keep, Flip, Set0,
-#: Set1, Erase); the first four form the erasure-free family.
-ACTION_ORDER = "KF01E"
+#: The (keep, xor, erase) bits of each action at one position, in the order
+#: Keep, Flip, Set0, Set1, Erase; the first four form the erasure-free family.
+ACTION_MASKS = ((1, 0, 0), (1, 1, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1))
 
-#: The (keep, xor, erase) bits of each action at one position, and back.
-_ACTION_BITS = dict(zip(
-    ACTION_ORDER, ((1, 0, 0), (1, 1, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1))
-))
-_ACTION_OF_BITS = {bits: letter for letter, bits in _ACTION_BITS.items()}
+#: The letter of each action, read only by to_string and repr.
+_LETTERS = dict(zip(ACTION_MASKS, "KF01E"))
 
 
 class BITFunction:
@@ -65,7 +62,7 @@ class BITFunction:
 
     def to_string(self) -> str:
         return "".join(
-            _ACTION_OF_BITS[self.keep >> i & 1, self.xor >> i & 1, self.erase >> i & 1]
+            _LETTERS[self.keep >> i & 1, self.xor >> i & 1, self.erase >> i & 1]
             for i in range(self.n)
         )
 
@@ -146,8 +143,7 @@ def bit_patterns(
     # 2n + i, xor at n + i and erase at i, so a pattern is one sum of
     # disjoint bits, split into its masks, with no per-action lookup.
     choices = [
-        [(k << 2 * n | x << n | e) << i
-         for k, x, e in map(_ACTION_BITS.get, ACTION_ORDER[:alphabet])]
+        [(k << 2 * n | x << n | e) << i for k, x, e in ACTION_MASKS[:alphabet]]
         for i in range(n)
     ]
     word = (1 << n) - 1

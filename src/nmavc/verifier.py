@@ -873,6 +873,11 @@ def verify_transfer(
     """Check the bit-family-to-AVC transfer on one binary state sequence
     against the code's bit-family certificate: the mixture check,
     eps_channel <= ds_sd and pattern_max <= eps_bit."""
+    n = certificate.worst.n
+    if n != code.n:
+        raise InvalidInstanceError(
+            f"certificate covers length-{n} BIT functions, code has length {code.n}"
+        )
     mixture = verify_mixture(
         code, seq, seq.mixture_weights(), certificate, budget=budget
     )

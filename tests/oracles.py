@@ -288,6 +288,25 @@ _LETTER_MASKS = {"K": (1, 0, 0), "F": (1, 1, 0), "0": (0, 0, 0), "1": (0, 1, 0),
                  "E": (0, 0, 1)}
 
 
+#: The deterministic channel of each action letter, written out: rows are
+#: the inputs 0 and 1, columns the outputs 0, 1 and e.
+_ELEMENTARY_ROWS = {
+    "K": [[1, 0, 0], [0, 1, 0]],
+    "F": [[0, 1, 0], [1, 0, 0]],
+    "0": [[1, 0, 0], [1, 0, 0]],
+    "1": [[0, 1, 0], [0, 1, 0]],
+    "E": [[0, 0, 1], [0, 0, 1]],
+}
+
+
+def elementary_channel(letter: str, extended: bool = False) -> Channel:
+    """The deterministic channel of one action letter, over {0, 1} or,
+    extended, {0, 1, e}."""
+    return Channel.from_rows(
+        [row if extended else row[:2] for row in _ELEMENTARY_ROWS[letter]]
+    )
+
+
 def bit_function(text: str) -> BITFunction:
     """The BIT function of an action string over K, F, 0, 1 and E,
     position 0 first."""
@@ -794,8 +813,13 @@ def tamper_distribution_channel_mixture(
 def mixture_weights_walk(seq: StateSequence):
     """Elementary patterns with their product weights, zeros skipped,
     by a recursive walk over freshly computed decompositions: the order
-    StateSequence.mixture_weights must reproduce."""
-    supports = [decompose(ch).support() for ch in seq.channels]
+    StateSequence.mixture_weights must reproduce.  Each support's masks
+    are read back as their action letters."""
+    letter_of = {masks: letter for letter, masks in _LETTER_MASKS.items()}
+    supports = [
+        [(letter_of[masks], a) for masks, a in decompose(ch).support()]
+        for ch in seq.channels
+    ]
 
     def walk(i: int, letters: str, weight: Fraction):
         if i == len(supports):

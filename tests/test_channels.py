@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from nmavc import (
     Channel,
+    ElementaryDecomposition,
     StateSequence,
     channel_from_json,
     decompose,
-    elementary_channel,
     feasible_interval,
     format_rational,
 )
@@ -28,6 +28,7 @@ from oracles import (
     apply_actions,
     bit_function,
     bsc,
+    elementary_channel,
     fraction_weights,
     identity_channel,
     mixture_output_distribution,
@@ -188,14 +189,41 @@ def test_channel_json_round_trip_property(w0, w1, p, extended):
 
 
 def test_elementary_channels_match_actions():
-    # Every elementary channel is the deterministic law of its action.
-    for action in (K, FL, S0, S1):
-        ch = elementary_channel(action)
+    # The reconstruction of a one-hot decomposition is the channel of its
+    # action written out in the oracle, and that channel is the
+    # deterministic law of the action.
+    cases = [(a, extended) for a in (K, FL, S0, S1) for extended in (False, True)]
+    for action, extended in cases + [(E, True)]:
+        alphas = [F(0)] * 5
+        alphas["KF01E".index(action)] = F(1)
+        ch = ElementaryDecomposition(tuple(alphas)).reconstruct(extended=extended)
+        assert ch == elementary_channel(action, extended=extended), (action, extended)
         for x in (0, 1):
             row = dict(row_support(ch, x))
             assert len(row) == 1
             expected = apply_actions(bit_function(action), str(x))
             assert row[expected] == 1
+
+
+def test_reconstruct_erase_needs_extended_alphabet():
+    # An Erase weight has no binary channel to go to.
+    dec = decompose(Channel.bec(F(1, 10)))
+    assert dec.reconstruct(extended=True) == Channel.bec(F(1, 10))
+    with pytest.raises(InvalidChannelError,
+                       match="Erase is only a channel on the extended alphabet"):
+        dec.reconstruct(extended=False)
+
+
+def test_support_names_actions_by_masks():
+    # The support pairs each positive weight with its action's (keep,
+    # xor, erase) masks, in the order Keep, Flip, Set0, Set1, Erase.
+    assert decompose(bsc(F(3, 10))).support() == [
+        ((1, 0, 0), F(7, 10)), ((1, 1, 0), F(3, 10)),
+    ]
+    ch = with_erasure(Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]]), F(1, 5))
+    assert decompose(ch).support() == [
+        ((1, 0, 0), F(3, 5)), ((0, 0, 0), F(1, 5)), ((0, 0, 1), F(1, 5)),
+    ]
 
 
 # ----------------------------------------------- sequence output mixtures

@@ -28,7 +28,6 @@ from nmavc import (
     certify_bit_family,
     certify_family,
     channel_map,
-    elementary_channel,
     enumerate_bit_functions,
     optimal_simulator,
     search_nm_code,
@@ -57,6 +56,7 @@ from oracles import (
     composed_tamper_distribution,
     ds_mixture,
     ecc_encode,
+    elementary_channel,
     fixed_k2n5_code,
     full_simulator_lp,
     gf2_identity,
@@ -516,6 +516,21 @@ def test_verify_transfer_trivial_sequences():
     const = StateSequence([Channel.from_rows([[1, 0], [1, 0]])] * 2)
     report = verify_transfer(code, const, certificate=cert)
     assert report.eps_channel == 0
+
+
+def test_verify_transfer_checks_certificate_length_first(monkeypatch):
+    # A certificate over another length is refused by name before any
+    # channel experiment runs.
+    cert = certify_bit_family(identity_code(2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("channel_map ran before the length check")
+
+    monkeypatch.setattr(verifier, "channel_map", refuse)
+    seq = StateSequence([bsc(F(1, 10))] * 3)
+    with pytest.raises(InvalidInstanceError,
+                       match="certificate covers length-2 BIT functions, code has length 3"):
+        verify_transfer(identity_code(3), seq, cert)
 
 
 def test_verify_transfer_single_bsc():
