@@ -146,7 +146,7 @@ def channel_from_json(obj) -> Channel:
 
 class ElementaryDecomposition:
     """Convex weights over (Keep, Flip, Set0, Set1, Erase) reconstructing a
-    channel; decompositions compare and hash by their weights."""
+    channel."""
 
     __slots__ = ("alphas",)
 
@@ -160,14 +160,6 @@ class ElementaryDecomposition:
                 f"coefficients sum to {sum(alphas)}, expected 1"
             )
         self.alphas = alphas
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.alphas == other.alphas
-
-    def __hash__(self) -> int:
-        return hash(self.alphas)
 
     def support(self) -> list[tuple[tuple[int, int, int], Fraction]]:
         """The (masks, weight) pairs of the positive weights, in ACTION_MASKS order."""

@@ -2,24 +2,23 @@
 and sparse.
 
 Solves  minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
-exactly by integer-preserving (Bareiss) elimination: no gcd inside the
-pivot loop, and only the returned optimum is made of `Fraction`s.
+exactly by integer-preserving (Bareiss) elimination, with no gcd inside
+the pivot loop.  The caller passes integer rows, right-hand sides and
+costs, and gets back (x, d): the vertex is x[j] / d.
 
-Every constraint row and its right-hand side is multiplied by one global
-L, the lcm of all their denominators; slack and artificial columns stay
-0/+-1.  The tableau, objective row included, is then Python ints over
-one common positive denominator d, starting at d = 1.  A pivot on
-p = T[i][j] sets T[r] = (T[r] * p - T[r][j] * T[i]) / d for every other
-row r, then d = p.  Each entry stays a minor of the scaled matrix, so
-the division is exact.
+The tableau, objective row included, is Python ints over one common
+positive divisor d, starting at d = 1; slack and artificial columns
+are 0/+-1.  A pivot on p = T[i][j] sets T[r] = (T[r] * p - T[r][j] * T[i])
+/ d for every other row r, then d = p.  Each entry stays a minor of the
+input matrix, so the division is exact.
 
-Bland's rule reads only signs and ratio comparisons, and no scaling used
-here moves either: L scales every slack, artificial and the phase-1
-objective alike, the objective row carries the positive factors d and
-lcm(den c), and d cancels in every ratio.  So the entering columns,
-ratio minima, ties and zero patterns, hence the pivots and the returned
-vertex, are those of the plain rational tableau.  A separate scale L per
-row would not be safe: it reweights the phase-1 objective.
+Bland's rule reads only signs and ratio comparisons.  The objective row
+carries the positive factor d, which cancels in every ratio, so the
+pivots and the vertex are those of the plain rational tableau.  Neither
+moves under one positive factor shared by every row, or by every
+variable (which scales the right-hand sides): it scales the phase-1
+objective, the sum of the artificials, as a whole.  A factor per row
+would not be safe: it reweights that sum.
 
 The rows are sparse, and a pivot touches nonzeros only.  Each row is a
 dict from column to nonzero int, the right-hand side under the key
@@ -37,29 +36,25 @@ division.  Its next update folds the deferred factor in, as
 (T[r] * p - T[r][j] * T[i]) / scales[r], which equals the eager result,
 so a row with no entry in the pivot column costs nothing.  The objective
 row is always updated, and a row is brought to d before it is pivoted
-on or priced.  Signs and each row's rhs/coef are unchanged by the
-positive factor d / scales[r], so Bland's choices are those above.
+on, priced or read out.  Signs and each row's rhs/coef are unchanged by
+the positive factor d / scales[r], so Bland's choices are those above.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .errors import LPInfeasibleError, LPUnboundedError
 
-Rational = Union[int, Fraction]
-
 
 def solve_min(
-    c: Sequence[Rational],
-    a_ub: Sequence[Mapping[int, Rational]] = (),
-    b_ub: Sequence[Rational] = (),
-    a_eq: Sequence[Mapping[int, Rational]] = (),
-    b_eq: Sequence[Rational] = (),
-) -> tuple[list[Fraction], Fraction]:
-    """Exact LP solve; returns (x, objective value).
+    c: Sequence[int],
+    a_ub: Sequence[Mapping[int, int]] = (),
+    b_ub: Sequence[int] = (),
+    a_eq: Sequence[Mapping[int, int]] = (),
+    b_eq: Sequence[int] = (),
+) -> tuple[list[int], int]:
+    """Exact LP solve on integer data; returns (x, d), the vertex x[j] / d.
 
     Each constraint row maps a column in range(len(c)) to its
     coefficient; absent columns (and explicit zeros) are 0.  Raises
@@ -68,18 +63,15 @@ def solve_min(
     row whose basic variable has the lowest index.
     """
     n = len(c)
-    rows: list[tuple[dict[int, Rational], Rational]] = []
+    rows: list[tuple[dict[int, int], int]] = []
     kinds: list[str] = []
     for kind, a, b in (("eq", a_eq, b_eq), ("ub", a_ub, b_ub)):
         for row, rhs in zip(a, b):
-            rows.append(({j: v for j, v in row.items() if v}, rhs))
-            # A negative-rhs `ub` row is negated into -row . x >= -b > 0,
-            # which needs a surplus and an artificial.
+            # A row with a negative rhs is negated; a `ub` one then reads
+            # -row . x >= -b > 0, which needs a surplus and an artificial.
+            sign = -1 if rhs < 0 else 1
+            rows.append(({j: sign * v for j, v in row.items() if v}, sign * rhs))
             kinds.append("ge" if kind == "ub" and rhs < 0 else kind)
-    scale = math.lcm(
-        *{v.denominator for row, _ in rows for v in row.values()},
-        *{rhs.denominator for _, rhs in rows},
-    )
 
     n_slack = sum(1 for kind in kinds if kind in ("ub", "ge"))
     n_art = sum(1 for kind in kinds if kind in ("eq", "ge"))
@@ -90,13 +82,9 @@ def solve_min(
     slack_at = n
     art_at = n + n_slack
     artificial_cols = set(range(art_at, width))
-    for (row, rhs), kind in zip(rows, kinds):
-        sign = -1 if rhs < 0 else 1
-        ints = {
-            j: sign * v.numerator * (scale // v.denominator) for j, v in row.items()
-        }
+    for (ints, rhs), kind in zip(rows, kinds):
         if rhs:
-            ints[rhs_key] = sign * rhs.numerator * (scale // rhs.denominator)
+            ints[rhs_key] = rhs
         if kind != "eq":
             ints[slack_at] = 1 if kind == "ub" else -1
             slack_at += 1
@@ -107,8 +95,8 @@ def solve_min(
             basis.append(art_at)
             art_at += 1
         tableau.append(ints)
-    d = 1  # common positive denominator of the whole tableau
-    # Row r is stored over its own denominator scales[r], the d of its last
+    d = 1  # common positive divisor of the whole tableau
+    # Row r is stored over its own divisor scales[r], the d of its last
     # update: its Bareiss row at the current d is tableau[r] * d / scales[r].
     scales = [1] * len(tableau)
 
@@ -199,8 +187,7 @@ def solve_min(
     if n_art:
         obj = iterate(reduced_costs(dict.fromkeys(artificial_cols, 1)), {rhs_key})
         if obj.get(rhs_key, 0) < 0:
-            optimum = Fraction(-obj[rhs_key], d * scale)
-            raise LPInfeasibleError(f"phase 1 optimum {optimum} > 0")
+            raise LPInfeasibleError(f"phase 1 optimum {-obj[rhs_key]}/{d} > 0")
         # Drive any artificial still in the basis out of it, or drop the row.
         drop: list[int] = []
         for i in range(len(tableau)):
@@ -215,15 +202,11 @@ def solve_min(
             del basis[i]
             del scales[i]
 
-    c_scale = math.lcm(*(v.denominator for v in c))
-    phase2_cost = {
-        j: v.numerator * (c_scale // v.denominator) for j, v in enumerate(c) if v
-    }
+    phase2_cost = {j: v for j, v in enumerate(c) if v}
     iterate(reduced_costs(phase2_cost), artificial_cols | {rhs_key})
 
-    solution = [Fraction(0)] * n
+    x = [0] * n
     for i, bvar in enumerate(basis):
         if bvar < n:
-            solution[bvar] = Fraction(tableau[i].get(rhs_key, 0), scales[i])
-    value = sum((ci * xi for ci, xi in zip(c, solution)), Fraction(0))
-    return solution, value
+            x[bvar] = current(i).get(rhs_key, 0)
+    return x, d

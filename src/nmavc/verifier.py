@@ -396,14 +396,17 @@ def _simulator_lp(rows: Sequence[Sequence[int]], total: int) -> tuple[tuple[int,
     distance, so per-message constraints sum-of-slacks <= epsilon pin
     epsilon to the worst-case distance.  Off the support the positive
     part is 0: its row would read t >= -D(y), which t >= 0 already
-    implies, so neither the slack nor the row is built.
+    implies, so neither the slack nor the row is built.  Every variable
+    is in count units, total times its probability, so the rows are
+    integers and sum D = total; one factor on every variable keeps
+    Bland's pivots, so the vertex is that of the LP in probabilities.
     """
     nd = len(rows) + 2  # a simulator's outcomes: the messages, bot, same*
     star = nd - 1
     eps_col = nd + sum(1 for law in rows for count in law if count)
 
     a_ub: list[dict[int, int]] = []
-    b_ub: list[int | Fraction] = []
+    b_ub: list[int] = []
     t_col = nd
     for m, law in enumerate(rows):
         t_cols = []
@@ -413,7 +416,7 @@ def _simulator_lp(rows: Sequence[Sequence[int]], total: int) -> tuple[tuple[int,
                 if y == m:
                     row[star] = -1
                 a_ub.append(row)
-                b_ub.append(Fraction(-count, total))
+                b_ub.append(-count)
                 t_cols.append(t_col)
                 t_col += 1
         row = dict.fromkeys(t_cols, 1)
@@ -421,12 +424,12 @@ def _simulator_lp(rows: Sequence[Sequence[int]], total: int) -> tuple[tuple[int,
         a_ub.append(row)
         b_ub.append(0)
     a_eq = [dict.fromkeys(range(nd), 1)]
-    b_eq = [1]
+    b_eq = [total]
     c = [0] * (eps_col + 1)
     c[eps_col] = 1
-    x, _ = solve_min(c, a_ub, b_ub, a_eq, b_eq)
-    scale = math.lcm(*(v.denominator for v in x[:nd]))
-    return tuple(v.numerator * (scale // v.denominator) for v in x[:nd]), scale
+    x, d = solve_min(c, a_ub, b_ub, a_eq, b_eq)
+    g = math.gcd(d * total, *x[:nd])
+    return tuple(v // g for v in x[:nd]), d * total // g
 
 
 def _check_laws(rows: Sequence[Sequence[int]], total: int) -> None:

@@ -736,10 +736,12 @@ def recorded_lps(function):
 
 def full_simulator_lp(
     rows: Sequence[Sequence[int]], total: int
-) -> tuple[list[Fraction], Fraction]:
-    """(x, value) of the simulator LP over every (message, outcome) pair:
-    the form verifier._simulator_lp had before it dropped the slack and
-    row of each zero count, kept as the reference for its optimum.
+) -> tuple[list[int], int]:
+    """solve_min's (x, d) on the simulator LP over every (message,
+    outcome) pair: the form verifier._simulator_lp had before it dropped
+    the slack and row of each zero count, kept as the reference for its
+    optimum.  Like _simulator_lp it is in count units, every variable
+    total times its probability, so epsilon is x[-1] / (d * total).
 
     Columns: D(z) for every outcome index z (the messages, bot, same*),
     one slack per (message, outcome) bounding the positive part of
@@ -752,7 +754,7 @@ def full_simulator_lp(
     eps_col = n_vars - 1
 
     a_ub: list[dict[int, int]] = []
-    b_ub: list[Fraction] = []
+    b_ub: list[int] = []
     for m, law in enumerate(rows):
         t_cols = range(nd + m * ny, nd + (m + 1) * ny)
         for y, (t_col, count) in enumerate(zip(t_cols, law)):
@@ -760,14 +762,55 @@ def full_simulator_lp(
             if y == m:
                 row[star] = -1
             a_ub.append(row)
-            b_ub.append(Fraction(-count, total))
+            b_ub.append(-count)
+        row = dict.fromkeys(t_cols, 1)
+        row[eps_col] = -1
+        a_ub.append(row)
+        b_ub.append(0)
+    c = [0] * n_vars
+    c[eps_col] = 1
+    return solve_min(c, a_ub, b_ub, [dict.fromkeys(range(nd), 1)], [total])
+
+
+def rational_simulator_lp(
+    rows: Sequence[Sequence[int]], total: int
+) -> tuple[tuple[int, ...], int]:
+    """The optimal simulator of the support LP verifier._simulator_lp
+    posed in probabilities before it moved to count units: right-hand
+    sides -count/total and sum D = 1, solved by fraction_solve_min and
+    written as a row over the lcm of its reduced denominators.
+
+    Columns and rows are in _simulator_lp's order: D(z) for every outcome
+    index z, one slack per (message, outcome in the support of T_m), and
+    epsilon last; message m's support rows, then its epsilon row.
+    """
+    nd = len(rows) + 2  # a simulator's outcomes: the messages, bot, same*
+    star = nd - 1
+    eps_col = nd + sum(1 for law in rows for count in law if count)
+
+    a_ub: list[dict[int, int]] = []
+    b_ub: list[Fraction] = []
+    t_col = nd
+    for m, law in enumerate(rows):
+        t_cols = []
+        for y, count in enumerate(law):
+            if count:
+                row = {y: -1, t_col: -1}
+                if y == m:
+                    row[star] = -1
+                a_ub.append(row)
+                b_ub.append(Fraction(-count, total))
+                t_cols.append(t_col)
+                t_col += 1
         row = dict.fromkeys(t_cols, 1)
         row[eps_col] = -1
         a_ub.append(row)
         b_ub.append(ZERO)
-    c = [0] * n_vars
+    c = [0] * (eps_col + 1)
     c[eps_col] = 1
-    return solve_min(c, a_ub, b_ub, [dict.fromkeys(range(nd), 1)], [ONE])
+    x, _ = fraction_solve_min(c, a_ub, b_ub, [dict.fromkeys(range(nd), 1)], [ONE])
+    scale = math.lcm(*(v.denominator for v in x[:nd]))
+    return tuple(int(v * scale) for v in x[:nd]), scale
 
 
 def mix(components) -> FiniteDistribution:

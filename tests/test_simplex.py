@@ -16,79 +16,80 @@ from nmavc.verifier import optimal_simulator, tamper_map
 from oracles import bit_function, fixed_k2n5_code, fraction_solve_min, recorded_lps
 
 
+def solved(c, *args, **kwargs):
+    """solve_min's vertex x[j] / d as Fractions, and its value c.x."""
+    x, d = solve_min(c, *args, **kwargs)
+    x = [F(v, d) for v in x]
+    return x, sum(ci * xi for ci, xi in zip(c, x))
+
+
 def test_basic_maximization_as_minimization():
     # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6  ->  (4, 0), value 12.
-    x, value = solve_min(
-        c=[F(-3), F(-2)],
-        a_ub=[{0: F(1), 1: F(1)}, {0: F(1), 1: F(3)}],
-        b_ub=[F(4), F(6)],
+    x, value = solved(
+        c=[-3, -2],
+        a_ub=[{0: 1, 1: 1}, {0: 1, 1: 3}],
+        b_ub=[4, 6],
     )
     assert value == -12
-    assert x == [F(4), F(0)]
+    assert x == [4, 0]
 
 
 def test_equality_constraint():
     # min x + y s.t. x + 2y = 3  ->  y = 3/2.
-    x, value = solve_min(
-        c=[F(1), F(1)],
-        a_eq=[{0: F(1), 1: F(2)}],
-        b_eq=[F(3)],
-    )
+    x, value = solved(c=[1, 1], a_eq=[{0: 1, 1: 2}], b_eq=[3])
     assert value == F(3, 2)
-    assert x == [F(0), F(3, 2)]
+    assert x == [0, F(3, 2)]
 
 
 def test_negative_rhs_inequality():
     # min x s.t. -x <= -2  (i.e. x >= 2).
-    x, value = solve_min(c=[F(1)], a_ub=[{0: F(-1)}], b_ub=[F(-2)])
-    assert value == 2 and x == [F(2)]
+    x, value = solved(c=[1], a_ub=[{0: -1}], b_ub=[-2])
+    assert value == 2 and x == [2]
 
 
 def test_infeasible():
     with pytest.raises(LPInfeasibleError):
         solve_min(
-            c=[F(1)],
-            a_ub=[{0: F(1)}, {0: F(-1)}],
-            b_ub=[F(1), F(-2)],  # x <= 1 and x >= 2
+            c=[1],
+            a_ub=[{0: 1}, {0: -1}],
+            b_ub=[1, -2],  # x <= 1 and x >= 2
         )
 
 
 def test_unbounded():
     with pytest.raises(LPUnboundedError):
-        solve_min(c=[F(-1)], a_ub=[{0: F(-1)}], b_ub=[F(0)])
+        solve_min(c=[-1], a_ub=[{0: -1}], b_ub=[0])
 
 
 def test_beale_cycling_example_terminates():
-    # Beale's classic degenerate program; Dantzig's rule cycles on it,
-    # Bland's rule must terminate at value -1/20.
-    c = [F(-3, 4), F(150), F(-1, 50), F(6)]
+    # Beale's classic degenerate program with its cost and rows scaled to
+    # integers (cost by 100; rows by 100, 50 and 1).  Dantzig's rule
+    # cycles on it, Bland's rule must terminate at value 100 * -1/20.
+    c = [-75, 15000, -2, 600]
     a_ub = [
-        {0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)},
-        {0: F(1, 2), 1: F(-90), 2: F(-1, 50), 3: F(3)},
-        {2: F(1)},
+        {0: 25, 1: -6000, 2: -4, 3: 900},
+        {0: 25, 1: -4500, 2: -1, 3: 150},
+        {2: 1},
     ]
-    b_ub = [F(0), F(0), F(1)]
-    x, value = solve_min(c, a_ub, b_ub)
-    assert value == F(-1, 20)
+    b_ub = [0, 0, 1]
+    x, value = solved(c, a_ub, b_ub)
+    assert value == -5
 
 
 def test_exact_fractions_survive():
-    x, value = solve_min(
-        c=[F(1, 3), F(1, 7)],
-        a_ub=[{0: F(-1)}, {1: F(-1)}],
-        b_ub=[F(-1, 11), F(-1, 13)],
-    )
+    # min x/3 + y/7 s.t. x >= 1/11, y >= 1/13, scaled by 21 and 143.
+    x, value = solved(c=[7, 3], a_ub=[{0: -143}, {1: -143}], b_ub=[-13, -11])
     assert x == [F(1, 11), F(1, 13)]
-    assert value == F(1, 33) + F(1, 91)
+    assert value == 21 * (F(1, 33) + F(1, 91))
 
 
 def test_redundant_equalities():
     # Duplicated equality rows leave a basic artificial at zero; the
     # solver must drive it out or drop the row.
-    x, value = solve_min(
-        c=[F(1), F(1)],
-        a_eq=[{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}],
-        b_eq=[F(2), F(2), F(4)],
+    x, value = solved(
+        c=[1, 1],
+        a_eq=[{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 2, 1: 2}],
+        b_eq=[2, 2, 4],
     )
     assert value == 2
 
@@ -102,33 +103,28 @@ def outcome(solver, *args):
 
 
 def assert_same_as_oracle(*args):
-    got = outcome(solve_min, *args)
+    got = outcome(solved, *args)
     assert got == outcome(fraction_solve_min, *args)
     return got
 
 
-# Non-dyadic denominators, so the global scale L is not a power of two.
-rationals = st.builds(
-    F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6, 7])
-)
-
-
 @st.composite
 def small_lps(draw):
-    """c, a_ub, b_ub, a_eq, b_eq with eq, ub and negative-rhs (ge) rows,
-    zero right-hand sides (degenerate vertices) and scaled copies of
-    earlier rows (redundant constraints)."""
+    """Integer c, a_ub, b_ub, a_eq, b_eq with eq, ub and negative-rhs
+    (ge) rows, zero right-hand sides (degenerate vertices) and scaled
+    copies of earlier rows (redundant constraints)."""
     n = draw(st.integers(1, 4))
-    vector = st.lists(rationals, min_size=n, max_size=n)
+    entries = st.integers(-6, 6)
+    vector = st.lists(entries, min_size=n, max_size=n)
     c = draw(vector)
     rows = []
     for _ in range(draw(st.integers(0, 5))):
         if rows and draw(st.booleans()):
             row, b = rows[draw(st.integers(0, len(rows) - 1))][1:]
-            factor = draw(st.sampled_from([F(1), F(2), F(-1, 3)]))
+            factor = draw(st.sampled_from([1, 2, -3]))
             row, b = [factor * v for v in row], factor * b
         else:
-            row, b = draw(vector), draw(st.one_of(st.just(F(0)), rationals))
+            row, b = draw(vector), draw(st.one_of(st.just(0), entries))
         rows.append((draw(st.sampled_from(["eq", "ub"])), row, b))
 
     def pick(kind, i):
@@ -154,29 +150,25 @@ def test_matches_fraction_tableau_on_random_lps(lp):
     [
         # Phase 1 ends with the artificial of -x = 0 basic at level 0; its
         # row reads -x + a = 0, so x is driven in on the pivot -1.
-        (([F(1)], (), (), [{0: F(-1)}], [F(0)]), ([F(0)], F(0))),
-        # x is driven in on its coefficient -2/5; then y enters in a
+        (([1], (), (), [{0: -1}], [0]), ([0], 0)),
+        # x is driven in on its coefficient -6; then y enters in a
         # degenerate phase-2 pivot.
-        (([F(0), F(-2)], (), (), [{0: F(-2, 5), 1: F(-1, 3)}], [F(0)]),
-         ([F(0), F(0)], F(0))),
+        (([0, -2], (), (), [{0: -6, 1: -5}], [0]), ([0, 0], 0)),
         # x <= 1 and x >= 2.
-        (([F(1)], [{0: F(1)}, {0: F(-1)}], [F(1), F(-2)]), LPInfeasibleError),
-        # x + y = 1/3 and x + y = 1/7.
-        (([F(1), F(0)], (), (), [{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}],
-          [F(1, 3), F(1, 7)]),
-         LPInfeasibleError),
-        (([F(-1)], [{0: F(-1)}], [F(0)]), LPUnboundedError),
-        # min -x + y with x - y = 1/3: unbounded along x = y + 1/3.
-        (([F(-1), F(1, 2)], (), (), [{0: F(1), 1: F(-1)}], [F(1, 3)]),
-         LPUnboundedError),
+        (([1], [{0: 1}, {0: -1}], [1, -2]), LPInfeasibleError),
+        # 3x + 3y = 1 and 7x + 7y = 1.
+        (([1, 0], (), (), [{0: 3, 1: 3}, {0: 7, 1: 7}], [1, 1]), LPInfeasibleError),
+        (([-1], [{0: -1}], [0]), LPUnboundedError),
+        # min -2x + y with 3x - 3y = 1: unbounded along x = y + 1/3.
+        (([-2, 1], (), (), [{0: 3, 1: -3}], [1]), LPUnboundedError),
         # 0 <= 0: a row with no nonzero at all.
-        (([F(1)], [{}], [F(0)]), ([F(0)], F(0))),
+        (([1], [{}], [0]), ([0], 0)),
         # 0 <= -1.
-        (([F(1)], [{}], [F(-1)]), LPInfeasibleError),
-        # 0 = 2/3.
-        (([F(1)], (), (), [{}], [F(2, 3)]), LPInfeasibleError),
+        (([1], [{}], [-1]), LPInfeasibleError),
+        # 0 = 2.
+        (([1], (), (), [{}], [2]), LPInfeasibleError),
         # An explicit 0 is no entry: min x + y with 0x - y <= -2.
-        (([F(1), F(1)], [{0: F(0), 1: F(-1)}], [F(-2)]), ([F(0), F(2)], F(2))),
+        (([1, 1], [{0: 0, 1: -1}], [-2]), ([0, 2], 2)),
     ],
     ids=["drive-out-pivot-minus-1", "drive-out-then-phase-2",
          "infeasible-ub", "infeasible-eq", "unbounded-ub", "unbounded-eq",
@@ -188,16 +180,15 @@ def test_matches_fraction_tableau_on_edge_cases(lp, expected):
 
 
 # KKK01 is the first worst bit function of the code below.  On KK1F1 the
-# phase-1 path depends on the scale being global: scaling each row by its
-# own lcm reaches a different optimal simulator.
+# phase-1 path depends on every row being scaled alike: scaling each
+# rational row by its own lcm reaches a different optimal simulator.
 @pytest.mark.parametrize("function", ["KKK01", "KK1F1"])
 def test_matches_fraction_tableau_on_simulator_lp(function):
-    code = fixed_k2n5_code()
-    f = bit_function(function)
-    report, (args,) = recorded_lps(lambda: optimal_simulator(*tamper_map(code, f)))
+    rows, total = tamper_map(fixed_k2n5_code(), bit_function(function))
+    report, (args,) = recorded_lps(lambda: optimal_simulator(rows, total))
     assert report.epsilon == F(2, 3)
     x, value = assert_same_as_oracle(*args)
-    assert value == F(2, 3)
+    assert value == F(2, 3) * total  # epsilon in count units
 
 
 @st.composite

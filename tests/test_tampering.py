@@ -12,7 +12,6 @@ from nmavc import (
     AffineFunction,
     BITFunction,
     Channel,
-    ElementaryDecomposition,
     GF2Matrix,
     NMReport,
     ReconstructionSet,
@@ -227,8 +226,6 @@ def test_affine_renders_bitstrings():
         (lambda: affine(["11", "01"], "10"), lambda: affine(["11", "01"], "01")),
         (lambda: Channel.from_rows([[F(9, 10), F(1, 10)], [0, 1]]),
          lambda: Channel.from_rows([[F(9, 10), F(1, 10)], [F(1, 10), F(9, 10)]])),
-        (lambda: ElementaryDecomposition((F(1, 2), 0, F(1, 4), F(1, 4), 0)),
-         lambda: ElementaryDecomposition((F(1, 2), 0, F(1, 4), 0, F(1, 4)))),
         (lambda: NMReport(F(1, 4), ((1, 0, 0, 0), 1), 0, (F(1, 4), F(0))),
          lambda: NMReport(F(1, 4), ((1, 0, 0, 0), 1), 1, (F(0), F(1, 4)))),
         (lambda: ReconstructionSet((0, 2), gf2_identity(2)),
@@ -236,8 +233,7 @@ def test_affine_renders_bitstrings():
         (lambda: SequenceReport("K,F", F(1, 8), F(1, 4), F(1, 2), 0, 3, k=1),
          lambda: SequenceReport("K,F", F(1, 8), F(1, 4), F(1, 2), 1, 3, k=1)),
     ],
-    ids=["GF2Matrix", "BITFunction", "AffineFunction", "Channel",
-         "ElementaryDecomposition", "NMReport",
+    ids=["GF2Matrix", "BITFunction", "AffineFunction", "Channel", "NMReport",
          "ReconstructionSet", "SequenceReport"],
 )
 def test_value_semantics(make, other):

@@ -75,6 +75,7 @@ from oracles import (
     random_distribution,
     random_extended_channel,
     random_full_rank,
+    rational_simulator_lp,
     recorded_lps,
     sd_event_oracle,
     single_parity,
@@ -399,8 +400,23 @@ def test_support_lp_matches_full_lp(table):
     )
     support = sum(1 for row in rows for count in row if count)
     assert (len(c), len(a_ub)) == (len(rows) + 3 + support, len(rows) + support)
-    _, value = full_simulator_lp(rows, total)
-    assert verifier._worst_case(rows, total, simulator)[0] == value
+    x, d = full_simulator_lp(rows, total)
+    assert verifier._worst_case(rows, total, simulator)[0] == F(x[-1], d * total)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed_law_tables(), st.sampled_from([1, 2, 3]))
+@example(([[2, 2, 0], [0, 2, 2]], 4), 1)
+@example(tamper_map(fixed_k2n5_code(), bit_function("KKK01")), 1)
+@example(tamper_map(fixed_k2n5_code(), bit_function("KK1F1")), 1)
+def test_count_unit_lp_matches_rational_lp(table, factor):
+    # Every variable of the count-unit LP is total times its probability,
+    # which keeps Bland's pivots: the simulator is the vertex of the LP in
+    # probabilities, over the same lcm.  A factor > 1 makes every count
+    # share it with total, so the rational rows' lcm is below total.
+    rows, total = table
+    rows, total = [[factor * c for c in row] for row in rows], factor * total
+    assert verifier._simulator_lp(rows, total) == rational_simulator_lp(rows, total)
 
 
 # ----------------------------------------------------------------- transfer
