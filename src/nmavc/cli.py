@@ -445,6 +445,7 @@ def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[list,
               help="Exit 1 unless eps_max is <= this rational.")
 def cmd_composed_verify(spec_file, threshold):
     """Verify a composed (inner code + erasure code) scheme end to end."""
+    limit = parse_rational(threshold) if threshold is not None else None
     spec_obj = _load_json(spec_file)
     if not isinstance(spec_obj, dict):
         raise InvalidInstanceError(f"spec {spec_file} must be a JSON object")
@@ -500,7 +501,6 @@ def cmd_composed_verify(spec_file, threshold):
         for row in rows
     ]
     report_obj = verify_composed(scheme, sequences, p_star, budget=budget)
-    limit = parse_rational(threshold) if threshold is not None else None
     report = report_obj.to_json()
     report["exhaustive"] = exhaustive
     passed = _verdict(report, report_obj.eps_max, limit)

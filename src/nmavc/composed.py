@@ -15,9 +15,9 @@ so the generator keeps one per such key, and the loops over patterns
 read (keep, xor, erase) masks, never building a BITFunction.
 
 The special state s* is BEC(p_star) (special_channel).  Verification
-requires recovery under the all-s* sequence, certifies the inner code
-against the distinct maps that every other sequence's patterns induce,
-then runs the verifier's mixture check.
+requires recovery under the all-s* sequence, solves the inner code's
+optimal simulator for each distinct map that every other sequence's
+patterns induce, then runs the verifier's mixture check.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from .verifier import (
     BOT_MAP,
     FamilyCertificate,
     StochasticCode,
+    _check_family,
+    _profiled,
     certify_family,
     verify_mixture,
 )
@@ -269,9 +271,10 @@ def verify_composed(
     delta comes from the pipeline-enumeration route and is cross-checked
     against the rank-enumeration route exactly.  Each supplied sequence
     (which must differ from the all-special one) is decomposed into
-    positive-weight action patterns; the inner code is certified once
-    against their distinct induced maps; the weight-mixed simulator is
-    then compared against the exact composed tamper distributions.
+    positive-weight action patterns; the inner code's optimal simulator
+    is solved once per distinct profile of their induced maps; the
+    weight-mixed simulator is then compared against the exact composed
+    tamper distributions.
     """
     recovery = recovery_probability(scheme, p_star)
     delta = 1 - recovery
@@ -283,9 +286,6 @@ def verify_composed(
 
     special = special_channel(p_star)
     induced_by_pattern: dict = {}
-    # One object per distinct map, the first seen: the mixtures' lookups
-    # of a pattern's member then hit by identity, not by __eq__.
-    canonical: dict = {}
     expanded = []
     for seq in states:
         if not seq.extended:
@@ -309,16 +309,22 @@ def verify_composed(
         weights = seq.mixture_weights()
         for pattern, _ in weights[1]:
             if pattern not in induced_by_pattern:
-                induced = _induced_map(scheme.outer, *pattern)
-                induced_by_pattern[pattern] = canonical.setdefault(induced, induced)
+                induced_by_pattern[pattern] = _induced_map(scheme.outer, *pattern)
         expanded.append(weights)
-    members = list(canonical)
-    certificate = certify_family(scheme.inner, members) if members else None
+    # Every distinct map simulates some positive-weight pattern, so the
+    # mixtures read each one's optimum.
+    reports: dict = dict.fromkeys(induced_by_pattern.values())
+    if reports:
+        members = _check_family(scheme.inner, reports, None)
+        for f, entry in _profiled(scheme.inner, members, None, {}):
+            reports[f] = entry.solve()
 
     eps_by_sequence: dict[str, SequenceReport] = {}
     eps_max = Fraction(0)
     for index, (seq, weights) in enumerate(zip(states, expanded)):
-        mixture = verify_mixture(scheme, seq, weights, certificate, induced_by_pattern)
+        mixture = verify_mixture(
+            scheme, seq, weights, induced_by_pattern, reports.__getitem__
+        )
         # A repeated row keeps its own entry under its index.
         label = _sequence_label(seq, index)
         if label in eps_by_sequence:

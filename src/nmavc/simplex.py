@@ -16,9 +16,9 @@ Bland's rule reads only signs and ratio comparisons.  The objective row
 carries the positive factor d, which cancels in every ratio, so the
 pivots and the vertex are those of the plain rational tableau.  Neither
 moves under one positive factor shared by every row, or by every
-variable (which scales the right-hand sides): it scales the phase-1
-objective, the sum of the artificials, as a whole.  A factor per row
-would not be safe: it reweights that sum.
+variable (which multiplies the right-hand sides): it multiplies the
+phase-1 objective, the sum of the artificials, as a whole.  A factor
+per row would not be safe: it reweights that sum.
 
 The rows are sparse, and a pivot touches nonzeros only.  Each row is a
 dict from column to nonzero int, the right-hand side under the key
@@ -26,18 +26,9 @@ dict from column to nonzero int, the right-hand side under the key
 LPs met here are mostly zeros: a simulator LP has 2^k + 3 + sum_m
 |supp T_m| columns, and the row of each slack t(m, y) has two or three
 nonzeros, message m's epsilon row |supp T_m| + 1 and the equality row
-2^k + 2.  Where T[r][j] = 0 the pivot only rescales T[r] by p / d,
+2^k + 2.  Where T[r][j] = 0 the pivot only multiplies T[r] by p / d,
 which keeps zeros zero; and the cross term -T[r][j] * T[i] / d reaches
-only the pivot row's support.
-Entries that cancel to 0 are deleted.  The rescale is deferred: row r
-is stored as integers over the d of its last update, scales[r], and
-stands for the Bareiss row tableau[r] * d / scales[r], an exact
-division.  Its next update folds the deferred factor in, as
-(T[r] * p - T[r][j] * T[i]) / scales[r], which equals the eager result,
-so a row with no entry in the pivot column costs nothing.  The objective
-row is always updated, and a row is brought to d before it is pivoted
-on, priced or read out.  Signs and each row's rhs/coef are unchanged by
-the positive factor d / scales[r], so Bland's choices are those above.
+only the pivot row's support.  Entries that cancel to 0 are deleted.
 """
 
 from __future__ import annotations
@@ -96,17 +87,6 @@ def solve_min(
             art_at += 1
         tableau.append(ints)
     d = 1  # common positive divisor of the whole tableau
-    # Row r is stored over its own divisor scales[r], the d of its last
-    # update: its Bareiss row at the current d is tableau[r] * d / scales[r].
-    scales = [1] * len(tableau)
-
-    def current(i: int) -> dict[int, int]:
-        """Row i brought to the current d."""
-        e = scales[i]
-        if e != d:
-            tableau[i] = {k: v * d // e for k, v in tableau[i].items()}
-            scales[i] = d
-        return tableau[i]
 
     def reduced_costs(cost: dict[int, int]) -> dict[int, int]:
         """d times the reduced-cost row of a sparse integer cost vector."""
@@ -114,7 +94,7 @@ def solve_min(
         for i, bvar in enumerate(basis):
             cb = cost.get(bvar)
             if cb:
-                for j, v in current(i).items():
+                for j, v in tableau[i].items():
                     o = obj.get(j, 0) - cb * v
                     if o:
                         obj[j] = o
@@ -125,7 +105,7 @@ def solve_min(
     def pivot(i: int, j: int, obj: Optional[dict]) -> Optional[dict]:
         """Bareiss pivot on T[i][j]; returns the updated `obj` when given."""
         nonlocal d
-        prow = current(i)
+        prow = tableau[i]
         p = prow[j]
         if p < 0:
             # Only a phase-1 drive-out pivot can be negative; negating the
@@ -134,13 +114,17 @@ def solve_min(
             tableau[i] = prow = {k: -w for k, w in prow.items()}
         support = [(k, w) for k, w in prow.items() if k != j]
 
-        def eliminate(row: dict[int, int], e: int) -> dict[int, int]:
-            """(row * p - row[j] * prow) / e for a row over e with row[j] != 0."""
+        def rescale(row: dict[int, int]) -> dict[int, int]:
+            """row * p / d, exact for a row with row[j] == 0."""
+            return row if p == d else {k: v * p // d for k, v in row.items()}
+
+        def eliminate(row: dict[int, int]) -> dict[int, int]:
+            """(row * p - row[j] * prow) / d for a row with row[j] != 0."""
             f = row.pop(j)
             get = row.get
-            # From the old entries: on the support v * p // e need not be exact.
-            crossed = {k: (get(k, 0) * p - f * w) // e for k, w in support}
-            new = row if p == e else {k: v * p // e for k, v in row.items()}
+            # From the old entries: on the support v * p // d need not be exact.
+            crossed = {k: (get(k, 0) * p - f * w) // d for k, w in support}
+            new = rescale(row)
             new.update(crossed)
             if 0 in crossed.values():
                 for k in [k for k, v in crossed.items() if not v]:
@@ -148,12 +132,11 @@ def solve_min(
             return new
 
         for r, row in enumerate(tableau):
-            if r != i and j in row:
-                tableau[r] = eliminate(row, scales[r])
-                scales[r] = p
+            if r != i:
+                tableau[r] = eliminate(row) if j in row else rescale(row)
         if obj is not None:
-            obj = eliminate(obj, d)
-        scales[i] = d = p
+            obj = eliminate(obj)
+        d = p
         basis[i] = j
         return obj
 
@@ -200,7 +183,6 @@ def solve_min(
         for i in reversed(drop):
             del tableau[i]
             del basis[i]
-            del scales[i]
 
     phase2_cost = {j: v for j, v in enumerate(c) if v}
     iterate(reduced_costs(phase2_cost), artificial_cols | {rhs_key})
@@ -208,5 +190,5 @@ def solve_min(
     x = [0] * n
     for i, bvar in enumerate(basis):
         if bvar < n:
-            x[bvar] = current(i).get(rhs_key, 0)
+            x[bvar] = tableau[i].get(rhs_key, 0)
     return x, d

@@ -23,7 +23,9 @@ solves the LP only for members that could raise the running epsilon;
 each other member is bounded by an explicit feasible simulator (a
 trivial one, or an optimum an earlier member's LP returned) whose
 distance is summed in integers from the member's counts, and its own
-optimum is solved when a mixture reads it.
+optimum is solved when a mixture reads it.  The composed scheme's
+mixtures read every member's optimum, so they solve each distinct
+profile directly, with no certification.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ import math
 import random
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union
+from typing import (
+    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union,
+)
 
 from .channels import StateSequence
 from .distributions import Marker, Record, all_bitstrings, format_rational
@@ -653,6 +657,33 @@ def _check_family(
     return functions
 
 
+def _profiled(
+    code: StochasticCode, functions: list, budget: Optional[int], cache: dict
+) -> Iterator[tuple[TamperingFunction, _Profile]]:
+    """(member, entry) for each member of a family already passed through
+    _check_family, in list order, building each profile only when the
+    caller reads it (_count_profiles).  entry is the member's _Profile in
+    `cache`, one per distinct (2^rho, profile); on a miss the member's
+    tamper map is re-derived seed by seed by tamper_map and checked
+    equal to the counts."""
+    code.check_correctness()
+    seed_count = code.seed_count
+    for f, laws in zip(functions, _count_profiles(code, functions)):
+        key = (seed_count, laws)
+        entry = cache.get(key)
+        if entry is None:
+            table, _ = tamper_map(code, f, budget=budget)
+            if list(map(list, laws)) != table:
+                raise VerificationError(
+                    f"count profile of {function_key(f)} disagrees with its "
+                    f"tampering experiment"
+                )
+            entry = cache[key] = _Profile(
+                laws, seed_count, _trivial_simulator(laws, seed_count)[0], None
+            )
+        yield f, entry
+
+
 def _certify_checked(
     code: StochasticCode,
     functions: list,
@@ -667,31 +698,15 @@ def _certify_checked(
     about strictly better codes.  The simulator pool is this call's own:
     each simulator the loop reads from an entry, solved now or earlier,
     moves to the pool's front, and the oldest beyond _POOL_SIZE leaves."""
-    code.check_correctness()
-    seed_count = code.seed_count
-    profiles = _count_profiles(code, functions)
-
     epsilon: Optional[Fraction] = None
     members: dict = {}
     pool: list = []  # distinct optimal simulators, latest first
-    for f, laws in zip(functions, profiles):
-        key = (seed_count, laws)
-        entry = cache.get(key)
-        if entry is None:
-            table, _ = tamper_map(code, f, budget=budget)
-            if list(map(list, laws)) != table:
-                raise VerificationError(
-                    f"count profile of {function_key(f)} disagrees with its "
-                    f"tampering experiment"
-                )
-            entry = cache[key] = _Profile(
-                laws, seed_count, _trivial_simulator(laws, seed_count)[0], None
-            )
+    for f, entry in _profiled(code, functions, budget, cache):
         members[f] = entry
         if epsilon is not None and (
             entry.bound <= epsilon
             or (entry.report is None
-                and any(_within(laws, seed_count, d, epsilon) for d in pool))
+                and any(_within(entry.laws, entry.total, d, epsilon) for d in pool))
         ):
             continue  # f's optimum <= a feasible D's error <= epsilon
         report = entry.solve()
@@ -741,56 +756,41 @@ def certify_bit_family(
 
 def _mixture(
     weights: tuple[int, Iterable[tuple[tuple[int, int, int], int]]],
-    certificate: FamilyCertificate,
-    member_of: Optional[Mapping] = None,
+    member_of: Mapping,
+    report_of: Callable[[TamperingFunction], NMReport],
 ) -> tuple[tuple[list[int], int], Fraction, Fraction]:
     """D_s and the error bounds of a sequence's integer pattern weights:
     (D_s, weighted_bound, pattern_max).
 
     weights is (D, [(pattern, numerator), ...]), as mixture_weights
     returns it, each pattern the (keep, xor, erase) masks of a BIT
-    function.  A pattern's member is member_of[pattern], by default the
-    certificate's BIT function with those masks; a pattern with no member
-    is an error, as the mixture would not sum to 1.  Each member's
-    simulator and error come from certificate.report, which solves the
-    LP of a member certification skipped.  The numerators are
-    first summed per member, and must total exactly D.  The members'
-    simulator rows are then mixed as one row over D * L, L the lcm of
-    their totals, and their errors as one sum over D * E, E the lcm of
-    the errors' denominators, which becomes a Fraction once, at the end;
-    pattern_max is the largest error numerator over E.
+    function.  A pattern's member is member_of[pattern]; a pattern with
+    no member is an error, as the mixture would not sum to 1.  Each
+    member's optimal simulator and error come from report_of(member).
+    The numerators are first summed per member, and must total exactly D.
+    The members' simulator rows are then mixed as one row over D * L, L
+    the lcm of their totals, and their errors as one sum over D * E, E
+    the lcm of the errors' denominators, which becomes a Fraction once,
+    at the end; pattern_max is the largest error numerator over E.
     """
     denominator, patterns = weights
-    if member_of is None:
-        member_of = {
-            f.pattern: f for f in certificate.members if isinstance(f, BITFunction)
-        }
     grouped: dict = {}
     for pattern, weight in patterns:
         if weight < 0:
             raise InvalidMixtureError(f"negative mixture weight {weight}/{denominator}")
         f = member_of.get(pattern)
-        total = grouped.get(f)
-        if total is None:
-            if f not in certificate.members:
-                # Masks leave trailing Set0s out: name the pattern at the
-                # length of the certificate's BIT functions, if one and
-                # the masks fit in it.
-                n = {g.n for g in certificate.members if isinstance(g, BITFunction)}
-                if len(n) == 1 and not max(pattern) >> min(n):
-                    pattern = BITFunction(*n, *pattern).to_string()
-                raise InvalidInstanceError(
-                    f"no simulator for positive-weight pattern {pattern}"
-                )
-            total = 0
-        grouped[f] = total + weight
+        if f is None:
+            raise InvalidInstanceError(
+                f"no simulator for positive-weight pattern {pattern}"
+            )
+        grouped[f] = grouped.get(f, 0) + weight
     if sum(grouped.values()) != denominator:
         raise InvalidMixtureError(
             f"mixture weights sum to {sum(grouped.values())}/{denominator}, "
             f"expected exactly 1"
         )
 
-    reports = [(w, certificate.report(f)) for f, w in grouped.items()]
+    reports = [(w, report_of(f)) for f, w in grouped.items()]
     scale = math.lcm(*(report.simulator[1] for _, report in reports))
     mixed = [0] * len(reports[0][1].simulator[0])
     for w, report in reports:
@@ -818,21 +818,21 @@ def verify_mixture(
     code: StochasticCode,
     seq: StateSequence,
     weights: tuple[int, Iterable[tuple[tuple, int]]],
-    certificate: FamilyCertificate,
-    member_of: Optional[Mapping] = None,
+    member_of: Mapping,
+    report_of: Callable[[TamperingFunction], NMReport],
     budget: Optional[int] = None,
 ) -> MixtureReport:
-    """D_s, the certified simulators mixed by seq's integer pattern
-    weights (D, [(pattern, numerator), ...]), against seq's direct
-    channel laws; member_of maps a pattern to the certified member
-    simulating it (default: its own BIT function).
+    """D_s, the members' optimal simulators mixed by seq's integer
+    pattern weights (D, [(pattern, numerator), ...]), against seq's
+    direct channel laws; member_of maps a pattern to the member
+    simulating it, and report_of gives a member's optimal simulator.
 
-    The mixture side (_mixture) reads only the weights and the
-    certificate, and the laws only the channels, so the two routes stay
+    The mixture side (_mixture) reads only the weights and the members'
+    reports, and the laws only the channels, so the two routes stay
     independent.
     """
     laws = channel_map(code, seq, budget=budget)
-    d_s, weighted_bound, pattern_max = _mixture(weights, certificate, member_of)
+    d_s, weighted_bound, pattern_max = _mixture(weights, member_of, report_of)
     ds_sd, worst, _ = _worst_case(*laws, d_s)
     if not ds_sd <= weighted_bound <= pattern_max:
         raise VerificationError(
@@ -882,7 +882,8 @@ def verify_transfer(
             f"certificate covers length-{n} BIT functions, code has length {code.n}"
         )
     mixture = verify_mixture(
-        code, seq, seq.mixture_weights(), certificate, budget=budget
+        code, seq, seq.mixture_weights(), {f.pattern: f for f in certificate.members},
+        certificate.report, budget=budget,
     )
     eps_channel = optimal_simulator(*mixture.laws).epsilon
     if not (eps_channel <= mixture.ds_sd

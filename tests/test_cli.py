@@ -474,15 +474,25 @@ def test_composed_verify_demo_spec(runner, tmp_path):
     assert report["passed"] is True
 
 
-@pytest.mark.parametrize("budget, exit_code", [(31, 3), (32, 0)])
-def test_composed_verify_demo_pattern_budget(runner, tmp_path, budget, exit_code):
+@pytest.mark.parametrize(
+    "budget, threshold, exit_code",
+    [(31, None, 3), (32, None, 0), (1, "abc", 2)],
+    ids=["31-3", "32-0", "malformed-threshold"],
+)
+def test_composed_verify_demo_pattern_budget(
+    runner, tmp_path, budget, threshold, exit_code
+):
     # Every demo sequence expands into 2^5 patterns (two per position);
-    # a budget below that stops the run before any pattern is built.
+    # a budget below that stops the run before any pattern is built.  A
+    # malformed --threshold stops it earlier still, before any work.
     spec_file = demo_spec_with(tmp_path, budget=budget)
-    result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
+    options = ["--threshold", threshold] if threshold else []
+    result = runner.invoke(main, ["composed-verify", "--spec", spec_file, *options])
     assert result.exit_code == exit_code, result.output
     if exit_code == 3:
         assert "sequence expands into 32 patterns, budget 31" in result.output
+    if exit_code == 2:
+        assert "bad rational string: 'abc'" in result.output
 
 
 def test_composed_verify_huge_random_count_exits_3_at_once(runner, tmp_path):

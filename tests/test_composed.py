@@ -429,18 +429,21 @@ def test_demo_certify_inner_lp_count_is_pinned(monkeypatch):
 
 
 def test_demo_composed_verify_lp_count_is_pinned(monkeypatch):
-    # Every certified member has a positive-weight pattern, so the
-    # mixtures solve each member certification skipped: the demo's 242
-    # sequences need 77 LPs, and one experiment per distinct profile.
+    # Every induced map has a positive-weight pattern, so the mixtures
+    # read every member's optimum, and no family is certified: the demo's
+    # 242 sequences need 77 LPs, and one experiment per distinct profile.
     scheme = parity45_scheme()
     _, sequences = demo_sequences(scheme)
     experiments = counting(monkeypatch, verifier, "tamper_map")
     simulators = counting(monkeypatch, verifier, "optimal_simulator")
     solves = counting(monkeypatch, simplex, "solve_min")
+    certifications = counting(monkeypatch, verifier, "certify_family")
+    pool_checks = counting(monkeypatch, verifier, "_within")
     report = verify_composed(scheme, sequences, F(1, 10))
     assert report.eps_max == F(3903, 40000)
     assert len(experiments) == len(simulators) == 87
     assert len(solves) == 77
+    assert len(certifications) == len(pool_checks) == 0
 
 
 def test_demo_decode_work_is_pinned(monkeypatch):
@@ -477,9 +480,10 @@ def test_closed_forms_are_built_once_per_key(monkeypatch):
 
 
 def test_verify_composed_solves_pruned_members_on_demand():
-    # Certifying this sequence's 20 induced maps leaves 13 unsolved; its
-    # mixture solves them on demand, and the sequence's report matches
-    # the reference that solves every member.
+    # Certifying this sequence's 20 induced maps leaves 13 unsolved, and
+    # report(f) solves each on demand as the reference does.  The
+    # sequence's mixture reads every member's optimum, and its report
+    # matches the reference that solves every member.
     scheme = parity45_scheme()
     n = scheme.n
     flips = bsc(F(3, 10)).to_extended()

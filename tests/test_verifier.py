@@ -441,7 +441,8 @@ def test_ds_mixture_identity_sequence():
     seq = StateSequence([identity_channel()] * 2)
     d_s = ds_mixture(seq, {f: law_of(2, *cert.report(f).simulator) for f in cert.members})
     assert d_s == law_of(2, *cert.report(bit_function("KK")).simulator)
-    assert law_of(2, *_mixture(seq.mixture_weights(), cert)[0]) == d_s
+    masks_of = {f.pattern: f for f in cert.members}
+    assert law_of(2, *_mixture(seq.mixture_weights(), masks_of, cert.report)[0]) == d_s
 
 
 def test_ds_mixture_example():
@@ -456,29 +457,32 @@ def test_ds_mixture_example():
         {SAME_STAR: F(1, 2), "0": F(1, 4), "1": F(1, 4)}
     )
     cert = mixture_certificate(simulators)
-    assert law_of(1, *_mixture(seq.mixture_weights(), cert)[0]) == d_s
+    masks_of = {f.pattern: f for f in cert.members}
+    assert law_of(1, *_mixture(seq.mixture_weights(), masks_of, cert.report)[0]) == d_s
 
 
 def test_ds_mixture_missing_pattern():
     seq = StateSequence([bsc(F(1, 2))])
     cert = mixture_certificate({bit_function("K"): ((0, 0, 0, 1), 1)})
-    with pytest.raises(InvalidInstanceError, match="pattern F"):
-        _mixture(seq.mixture_weights(), cert)
-    # Masks wider than the certificate's functions are named as masks,
-    # not cut to that length (which would name the member K).
+    masks_of = {f.pattern: f for f in cert.members}
+    # A missing pattern is named by its (keep, xor, erase) masks: F's,
+    # and on two positions KK's, which the member K's (1, 0, 0) miss.
+    with pytest.raises(InvalidInstanceError, match=r"pattern \(1, 1, 0\)"):
+        _mixture(seq.mixture_weights(), masks_of, cert.report)
     wide = StateSequence([bsc(F(1, 2))] * 2)
     with pytest.raises(InvalidInstanceError, match=r"pattern \(3, 0, 0\)"):
-        _mixture(wide.mixture_weights(), cert)
+        _mixture(wide.mixture_weights(), masks_of, cert.report)
 
 
 def test_mixture_weights_must_sum_to_denominator():
     keep, flip = bit_function("K"), bit_function("F")
     cert = mixture_certificate({keep: ((0, 0, 0, 1), 1), flip: ((1, 0, 0, 0), 1)})
+    masks_of = {f.pattern: f for f in cert.members}
     patterns = [(keep.pattern, 1), (flip.pattern, 1)]
     with pytest.raises(InvalidMixtureError, match="sum to 2/3"):
-        _mixture((3, patterns), cert)
+        _mixture((3, patterns), masks_of, cert.report)
     with pytest.raises(InvalidMixtureError, match="negative"):
-        _mixture((1, [(keep.pattern, 2), (flip.pattern, -1)]), cert)
+        _mixture((1, [(keep.pattern, 2), (flip.pattern, -1)]), masks_of, cert.report)
 
 
 def random_law(rng: random.Random, width: int) -> tuple[tuple[int, ...], int]:
@@ -515,8 +519,11 @@ def test_integer_mixture_matches_fraction_oracle(extended, shared, n, seed):
               for f in members}
     cert = mixture_certificate(simulators, errors)
     # The walk names patterns by their letters, mixture_weights by masks.
-    masks_of = member_of and {bit_function(p).pattern: f for p, f in member_of.items()}
-    d_s, *bounds = _mixture(seq.mixture_weights(), cert, masks_of)
+    if member_of is None:
+        masks_of = {f.pattern: f for f in members}
+    else:
+        masks_of = {bit_function(p).pattern: f for p, f in member_of.items()}
+    d_s, *bounds = _mixture(seq.mixture_weights(), masks_of, cert.report)
     reference = {f: law_of(1, *d) for f, d in simulators.items()}
     assert (law_of(1, *d_s), *bounds) == (ds_mixture(seq, reference, member_of),
                                           *mixture_bounds(seq, errors, member_of))
