@@ -15,9 +15,10 @@ so the generator keeps one per such key, and the loops over patterns
 read (keep, xor, erase) masks, never building a BITFunction.
 
 The special state s* is BEC(p_star) (special_channel).  Verification
-requires recovery under the all-s* sequence, solves the inner code's
-optimal simulator for each distinct map that every other sequence's
-patterns induce, then runs the verifier's mixture check.
+requires recovery under the all-s* sequence, maps every other
+sequence's patterns to the inner code's profile entries of the maps
+they induce, then runs the verifier's mixture check, which solves each
+distinct profile's optimal simulator when it first reads it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ class ComposedScheme(StochasticCode):
     itself a code whose decoder reads words over {0,1,e}.
 
     enc[m][r] is outer.vec_mul(inner.enc[m][r]); the decoder is decode,
-    so the plain decoder table dec stays empty.
+    so the plain decoder table dec stays empty.  inner and outer are set
+    first, so the constructor's correctness audit runs through decode.
     """
 
     __slots__ = ("inner", "outer")
@@ -89,7 +91,6 @@ class ComposedScheme(StochasticCode):
                 f"{outer.nrows}"
             )
         _check_full_rank(outer)
-        inner.check_correctness()
         self.inner = inner
         self.outer = outer
         enc = [[outer.vec_mul(word) for word in words] for words in inner.enc]
@@ -271,10 +272,11 @@ def verify_composed(
     delta comes from the pipeline-enumeration route and is cross-checked
     against the rank-enumeration route exactly.  Each supplied sequence
     (which must differ from the all-special one) is decomposed into
-    positive-weight action patterns; the inner code's optimal simulator
-    is solved once per distinct profile of their induced maps; the
-    weight-mixed simulator is then compared against the exact composed
-    tamper distributions.
+    positive-weight action patterns, and each pattern is mapped to the
+    inner code's cache entry for the profile of its induced map.  The
+    mixtures solve each entry's optimal simulator once, when they first
+    read it, and compare the weight-mixed simulator against the exact
+    composed tamper distributions.
     """
     recovery = recovery_probability(scheme, p_star)
     delta = 1 - recovery
@@ -285,7 +287,7 @@ def verify_composed(
         )
 
     special = special_channel(p_star)
-    induced_by_pattern: dict = {}
+    induced_by_pattern: dict = {}  # pattern -> its induced map
     expanded = []
     for seq in states:
         if not seq.extended:
@@ -311,20 +313,18 @@ def verify_composed(
             if pattern not in induced_by_pattern:
                 induced_by_pattern[pattern] = _induced_map(scheme.outer, *pattern)
         expanded.append(weights)
-    # Every distinct map simulates some positive-weight pattern, so the
-    # mixtures read each one's optimum.
-    reports: dict = dict.fromkeys(induced_by_pattern.values())
-    if reports:
-        members = _check_family(scheme.inner, reports, None)
-        for f, entry in _profiled(scheme.inner, members, None, {}):
-            reports[f] = entry.solve()
+    # One cache entry per distinct profile of the induced maps.
+    entry_of: dict = {}
+    if induced_by_pattern:
+        distinct = dict.fromkeys(induced_by_pattern.values())
+        maps = _check_family(scheme.inner, distinct, None)
+        entries = dict(_profiled(scheme.inner, maps, None, {}))
+        entry_of = {pattern: entries[f] for pattern, f in induced_by_pattern.items()}
 
     eps_by_sequence: dict[str, SequenceReport] = {}
     eps_max = Fraction(0)
     for index, (seq, weights) in enumerate(zip(states, expanded)):
-        mixture = verify_mixture(
-            scheme, seq, weights, induced_by_pattern, reports.__getitem__
-        )
+        mixture = verify_mixture(scheme, seq, weights, entry_of)
         # A repeated row keeps its own entry under its index.
         label = _sequence_label(seq, index)
         if label in eps_by_sequence:

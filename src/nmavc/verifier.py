@@ -17,15 +17,16 @@ same* at 2^k + 1.  A law table is (rows, total): one count row of width
 width 2^k + 2 over its own total.  Labels appear only in from_tables
 and the to_json methods.
 
+A code is audited for perfect correctness once, when it is made.
 Every reported (epsilon, D) pair is re-verified by direct statistical
-distance computation before it is returned.  Family certification
-solves the LP only for members that could raise the running epsilon;
-each other member is bounded by an explicit feasible simulator (a
-trivial one, or an optimum an earlier member's LP returned) whose
-distance is summed in integers from the member's counts, and its own
-optimum is solved when a mixture reads it.  The composed scheme's
-mixtures read every member's optimum, so they solve each distinct
-profile directly, with no certification.
+distance computation before it is returned.  Certification and the
+mixtures pass around one currency, a distinct tamper profile's cache
+entry (_Profile), whose optimum is solved once, on first read.  Family
+certification solves the LP only for members that could raise the
+running epsilon; each other member is bounded by an explicit feasible
+simulator (a trivial one, or an optimum an earlier member's LP
+returned) whose distance is summed in integers from the member's
+counts.  A mixture reads an entry per pattern, with no certification.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import random
 from fractions import Fraction
 from itertools import repeat
 from typing import (
-    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union,
+    Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union,
 )
 
 from .channels import StateSequence
@@ -71,12 +72,12 @@ class StochasticCode:
     words to message indices; every other word decodes to bot.
     decode(bits, erased) is the one decoding entry point, which a code
     whose decoder reads erasures overrides.  The constructor validates
-    the tables; perfect correctness (decode(enc[m][r]) = m for every m
-    and seed) is audited exhaustively before any verification uses the
-    code.  Bitstrings appear only in from_tables/to_json.
+    the tables, then audits perfect correctness (decode(enc[m][r]) = m
+    for every m and seed) exhaustively, so every code that exists is
+    correct.  Bitstrings appear only in from_tables/to_json.
     """
 
-    __slots__ = ("k", "n", "rho", "enc", "dec", "_audited", "_dec_table")
+    __slots__ = ("k", "n", "rho", "enc", "dec", "_dec_table")
     erasures = False  # True when decode reads words over {0,1,e}
 
     def __init__(
@@ -115,8 +116,8 @@ class StochasticCode:
         self.rho = rho
         self.enc = tuple(tuple(words) for words in enc)
         self.dec = dict(dec)
-        self._audited = False
         self._dec_table = None
+        self.check_correctness()
 
     @property
     def seed_count(self) -> int:
@@ -130,9 +131,7 @@ class StochasticCode:
         return bot if erased else self.dec.get(bits, bot)
 
     def check_correctness(self) -> None:
-        """Exhaustive decode(enc[m][r]) = m audit; cached after first pass."""
-        if self._audited:
-            return
+        """Exhaustive decode(enc[m][r]) = m audit."""
         for m, words in enumerate(self.enc):
             for r, word in enumerate(words):
                 decoded = self.decode(word)
@@ -142,7 +141,6 @@ class StochasticCode:
                         f"dec(enc({labels[m]!r}, {r})) = {labels[decoded]!r}, "
                         f"violating perfect correctness"
                     )
-        self._audited = True
 
     def decoder_table(self) -> list[int]:
         """decode(y) for every word y over the decoder's alphabet ({0,1},
@@ -291,11 +289,9 @@ def tamper_map(
     seed: for every message m, the count of each outcome index over
     total 2^rho.
 
-    Validates the code and f once, then runs the experiment seed by
-    seed: one f.apply and one decode per codeword.  Costs 2^rho per
-    message.
+    Validates f once, then runs the experiment seed by seed: one
+    f.apply and one decode per codeword.  Costs 2^rho per message.
     """
-    code.check_correctness()
     _check_member(code, f, budget)
     bot = len(code.enc)
     rows = []
@@ -329,7 +325,6 @@ def channel_map(
     Prod_j nnz_j per message; the budget is charged 2^rho |Y|^n, the
     words the decoder table covers.
     """
-    code.check_correctness()
     if seq.extended != code.erasures:
         raise InvalidInstanceError(
             "extended sequences tamper the composed scheme, not a plain code"
@@ -554,7 +549,7 @@ class FamilyCertificate(Record):
     cache entry.  Only the worst member's optimum is needed for epsilon,
     so certification leaves unsolved each member that a trivial simulator
     or an earlier member's optimal simulator keeps within epsilon;
-    report(f) gives any member's, solving its LP on first use.
+    members[f].solve() gives any member's, solving its LP on first use.
     """
 
     __slots__ = ("epsilon", "worst", "worst_report", "members")
@@ -562,10 +557,6 @@ class FamilyCertificate(Record):
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def report(self, f: TamperingFunction) -> NMReport:
-        """Member f's optimal simulator and its exact error."""
-        return self.members[f].solve()
 
     def to_json(self) -> dict:
         return {
@@ -636,7 +627,7 @@ def certify_family(
     to reach the maximum.
     """
     functions = _check_family(code, functions, budget)
-    return _certify_checked(code, functions, budget, {}, None)
+    return _certify(_profiled(code, functions, budget, {}), None)
 
 
 def _check_family(
@@ -666,7 +657,6 @@ def _profiled(
     `cache`, one per distinct (2^rho, profile); on a miss the member's
     tamper map is re-derived seed by seed by tamper_map and checked
     equal to the counts."""
-    code.check_correctness()
     seed_count = code.seed_count
     for f, laws in zip(functions, _count_profiles(code, functions)):
         key = (seed_count, laws)
@@ -684,24 +674,21 @@ def _profiled(
         yield f, entry
 
 
-def _certify_checked(
-    code: StochasticCode,
-    functions: list,
-    budget: Optional[int],
-    cache: dict,
+def _certify(
+    entries: Iterable[tuple[TamperingFunction, _Profile]],
     stop_at_or_above: Optional[Fraction],
 ) -> Optional[FamilyCertificate]:
-    """certify_family on a family already passed through _check_family,
-    with its _Profile entries kept in `cache` across calls.  Returns
-    None as soon as the running maximum reaches `stop_at_or_above`,
-    building no later member's profile: the search loop only cares
-    about strictly better codes.  The simulator pool is this call's own:
-    each simulator the loop reads from an entry, solved now or earlier,
-    moves to the pool's front, and the oldest beyond _POOL_SIZE leaves."""
+    """The certificate of a stream of (member, entry) pairs, such as
+    _profiled yields, read in order.  Returns None as soon as the
+    running maximum reaches `stop_at_or_above`, reading no later pair:
+    the search loop only cares about strictly better codes.  The
+    simulator pool is this call's own: each simulator the loop reads
+    from an entry, solved now or earlier, moves to the pool's front, and
+    the oldest beyond _POOL_SIZE leaves."""
     epsilon: Optional[Fraction] = None
     members: dict = {}
     pool: list = []  # distinct optimal simulators, latest first
-    for f, entry in _profiled(code, functions, budget, cache):
+    for f, entry in entries:
         members[f] = entry
         if epsilon is not None and (
             entry.bound <= epsilon
@@ -756,41 +743,41 @@ def certify_bit_family(
 
 def _mixture(
     weights: tuple[int, Iterable[tuple[tuple[int, int, int], int]]],
-    member_of: Mapping,
-    report_of: Callable[[TamperingFunction], NMReport],
+    entry_of: Mapping[tuple[int, int, int], _Profile],
 ) -> tuple[tuple[list[int], int], Fraction, Fraction]:
     """D_s and the error bounds of a sequence's integer pattern weights:
     (D_s, weighted_bound, pattern_max).
 
     weights is (D, [(pattern, numerator), ...]), as mixture_weights
     returns it, each pattern the (keep, xor, erase) masks of a BIT
-    function.  A pattern's member is member_of[pattern]; a pattern with
-    no member is an error, as the mixture would not sum to 1.  Each
-    member's optimal simulator and error come from report_of(member).
-    The numerators are first summed per member, and must total exactly D.
-    The members' simulator rows are then mixed as one row over D * L, L
-    the lcm of their totals, and their errors as one sum over D * E, E
-    the lcm of the errors' denominators, which becomes a Fraction once,
-    at the end; pattern_max is the largest error numerator over E.
+    function.  entry_of[pattern] is the _Profile entry of the member
+    simulating the pattern; a pattern with no entry is an error, as the
+    mixture would not sum to 1.  The numerators are first summed per
+    entry, by identity, and must total exactly D; each entry's optimal
+    simulator and error are then read, solved on first read.  The
+    simulator rows are mixed as one row over D * L, L the lcm of their
+    totals, and the errors as one sum over D * E, E the lcm of the
+    errors' denominators, which becomes a Fraction once, at the end;
+    pattern_max is the largest error numerator over E.
     """
     denominator, patterns = weights
-    grouped: dict = {}
+    grouped: dict = {}  # id(entry) -> [summed numerator, entry]
     for pattern, weight in patterns:
         if weight < 0:
             raise InvalidMixtureError(f"negative mixture weight {weight}/{denominator}")
-        f = member_of.get(pattern)
-        if f is None:
+        entry = entry_of.get(pattern)
+        if entry is None:
             raise InvalidInstanceError(
                 f"no simulator for positive-weight pattern {pattern}"
             )
-        grouped[f] = grouped.get(f, 0) + weight
-    if sum(grouped.values()) != denominator:
+        grouped.setdefault(id(entry), [0, entry])[0] += weight
+    total = sum(w for w, _ in grouped.values())
+    if total != denominator:
         raise InvalidMixtureError(
-            f"mixture weights sum to {sum(grouped.values())}/{denominator}, "
-            f"expected exactly 1"
+            f"mixture weights sum to {total}/{denominator}, expected exactly 1"
         )
 
-    reports = [(w, report_of(f)) for f, w in grouped.items()]
+    reports = [(w, entry.solve()) for w, entry in grouped.values()]
     scale = math.lcm(*(report.simulator[1] for _, report in reports))
     mixed = [0] * len(reports[0][1].simulator[0])
     for w, report in reports:
@@ -818,21 +805,21 @@ def verify_mixture(
     code: StochasticCode,
     seq: StateSequence,
     weights: tuple[int, Iterable[tuple[tuple, int]]],
-    member_of: Mapping,
-    report_of: Callable[[TamperingFunction], NMReport],
+    entry_of: Mapping[tuple[int, int, int], _Profile],
     budget: Optional[int] = None,
 ) -> MixtureReport:
-    """D_s, the members' optimal simulators mixed by seq's integer
-    pattern weights (D, [(pattern, numerator), ...]), against seq's
-    direct channel laws; member_of maps a pattern to the member
-    simulating it, and report_of gives a member's optimal simulator.
+    """D_s, the optimal simulators of seq's patterns mixed by its
+    integer pattern weights (D, [(pattern, numerator), ...]), against
+    seq's direct channel laws; entry_of maps a pattern to the _Profile
+    entry of the member simulating it, whose optimum is solved on first
+    read.
 
-    The mixture side (_mixture) reads only the weights and the members'
-    reports, and the laws only the channels, so the two routes stay
+    The mixture side (_mixture) reads only the weights and the entries'
+    optima, and the laws only the channels, so the two routes stay
     independent.
     """
     laws = channel_map(code, seq, budget=budget)
-    d_s, weighted_bound, pattern_max = _mixture(weights, member_of, report_of)
+    d_s, weighted_bound, pattern_max = _mixture(weights, entry_of)
     ds_sd, worst, _ = _worst_case(*laws, d_s)
     if not ds_sd <= weighted_bound <= pattern_max:
         raise VerificationError(
@@ -875,15 +862,23 @@ def verify_transfer(
 ) -> TransferReport:
     """Check the bit-family-to-AVC transfer on one binary state sequence
     against the code's bit-family certificate: the mixture check,
-    eps_channel <= ds_sd and pattern_max <= eps_bit."""
+    eps_channel <= ds_sd and pattern_max <= eps_bit.  A certificate of
+    another code shape (n, k or rho) is refused before any experiment."""
     n = certificate.worst.n
     if n != code.n:
         raise InvalidInstanceError(
             f"certificate covers length-{n} BIT functions, code has length {code.n}"
         )
+    worst = certificate.members[certificate.worst]
+    if len(worst.laws) != len(code.enc) or worst.total != code.seed_count:
+        raise InvalidInstanceError(
+            f"certificate covers codes of k={len(worst.laws).bit_length() - 1}, "
+            f"rho={worst.total.bit_length() - 1}, code has k={code.k}, rho={code.rho}"
+        )
     mixture = verify_mixture(
-        code, seq, seq.mixture_weights(), {f.pattern: f for f in certificate.members},
-        certificate.report, budget=budget,
+        code, seq, seq.mixture_weights(),
+        {f.pattern: entry for f, entry in certificate.members.items()},
+        budget=budget,
     )
     eps_channel = optimal_simulator(*mixture.laws).epsilon
     if not (eps_channel <= mixture.ds_sd
@@ -977,7 +972,7 @@ def search_nm_code(
             # member validation reads, so the family is checked once.
             checked = _check_family(code, functions, budget)
         stop = best.certificate.epsilon if best is not None else None
-        cert = _certify_checked(code, checked, budget, cache, stop)
+        cert = _certify(_profiled(code, checked, budget, cache), stop)
         if cert is None:
             continue
         best = SearchResult(

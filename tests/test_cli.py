@@ -273,41 +273,56 @@ def time_limit(seconds: float):
 
 
 @pytest.mark.parametrize(
-    "code",
+    "code, message",
     [
         # A codeword with a non-bit symbol, once certified at eps = 1/2.
-        {"k": 1, "n": 2, "rho": 0, "enc": {"0": ["0x"], "1": ["11"]},
-         "dec": {"0x": "0", "11": "1"}},
+        ({"k": 1, "n": 2, "rho": 0, "enc": {"0": ["0x"], "1": ["11"]},
+          "dec": {"0x": "0", "11": "1"}},
+         "word '0x' is not in {0,1}^2"),
         # A decoder value outside {0,1}^k.
-        {"k": 1, "n": 2, "rho": 0, "enc": {"0": ["00"], "1": ["11"]},
-         "dec": {"00": "0", "11": "1", "01": "7"}},
+        ({"k": 1, "n": 2, "rho": 0, "enc": {"0": ["00"], "1": ["11"]},
+          "dec": {"00": "0", "11": "1", "01": "7"}},
+         "decoder maps '01' to '7', not a message in {0,1}^1"),
         # A decoder key of the wrong length.
-        {"k": 1, "n": 2, "rho": 0, "enc": {"0": ["00"], "1": ["11"]},
-         "dec": {"00": "0", "11": "1", "111": "1"}},
+        ({"k": 1, "n": 2, "rho": 0, "enc": {"0": ["00"], "1": ["11"]},
+          "dec": {"00": "0", "11": "1", "111": "1"}},
+         "word '111' is not in {0,1}^2"),
         # Not a code object, and dimensions that are not integers >= 0.
-        [1, 2],
-        {"k": "x", "n": 1, "rho": 0, "enc": {}, "dec": {}},
-        {"k": -1, "n": 1, "rho": 0, "enc": {}, "dec": {}},
-        {"k": True, "n": 1, "rho": 0, "enc": {"0": ["0"], "1": ["1"]},
-         "dec": {"0": "0", "1": "1"}},
+        ([1, 2], "code JSON must be an object"),
+        ({"k": "x", "n": 1, "rho": 0, "enc": {}, "dec": {}},
+         "k must be an integer, got 'x'"),
+        ({"k": -1, "n": 1, "rho": 0, "enc": {}, "dec": {}},
+         "bad dimensions k=-1, n=1, rho=0"),
+        ({"k": True, "n": 1, "rho": 0, "enc": {"0": ["0"], "1": ["1"]},
+          "dec": {"0": "0", "1": "1"}},
+         "k must be an integer, got True"),
         # An encoder table that is not an object.
-        {"k": 1, "n": 1, "rho": 0, "enc": [], "dec": {}},
+        ({"k": 1, "n": 1, "rho": 0, "enc": [], "dec": {}},
+         "encoder and decoder tables must be objects"),
         # 2^40 messages are named and none is given.
-        {"k": 40, "n": 41, "rho": 0, "enc": {}, "dec": {}},
+        ({"k": 40, "n": 41, "rho": 0, "enc": {}, "dec": {}},
+         "encoder table must cover every message"),
+        # Well-formed tables whose decoder sends message 0's codeword to 1.
+        ({"k": 1, "n": 2, "rho": 0, "enc": {"0": ["00"], "1": ["11"]},
+          "dec": {"00": "1", "11": "1"}},
+         "dec(enc('0', 0)) = '1', violating perfect correctness"),
     ],
     ids=["non-bit-codeword", "non-message-dec-value", "long-dec-key",
          "json-array", "string-k", "negative-k", "bool-k", "list-enc",
-         "huge-k"],
+         "huge-k", "incorrect-decoder"],
 )
-def test_nm_verify_malformed_code_exit_2(runner, tmp_path, code):
+def test_nm_verify_malformed_code_exit_2(runner, tmp_path, code, message):
+    # A malformed code is refused when it is loaded, before any budget is
+    # charged: budget 0 would stop every certification with exit 3.
     path = write(tmp_path, "code.json", code)
     with time_limit(2):
         result = runner.invoke(
-            main, ["nm-verify", path, "--family", "bit", "--budget", "1000"]
+            main, ["nm-verify", path, "--family", "bit", "--budget", "0"]
         )
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+    assert f"error: {message}" in result.output
 
 
 FUZZ_CODE = {
@@ -606,8 +621,8 @@ def test_composed_verify_non_object_spec_exit_2(runner, tmp_path, spec):
 def test_composed_verify_decodes_each_word_once(runner, tmp_path, monkeypatch):
     # The channel experiments of all 242 demo sequences read one decoder
     # table: each word of {0,1,e}^5 is decoded once.  The only other
-    # decodes are the correctness audit's, one per (message, seed): 2 * 4,
-    # and the recovery route's, one per (erasure pattern, message, seed).
+    # decodes are the recovery route's, one per (erasure pattern, message,
+    # seed); the correctness audit's 2 * 4 ran when the scheme was built.
     from nmavc import ComposedScheme, cli
 
     decoded = []
@@ -630,7 +645,7 @@ def test_composed_verify_decodes_each_word_once(runner, tmp_path, monkeypatch):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(Path(out).read_text())["sequences_checked"] == 242
-    assert len(decoded) == 3**5 + 2 * 4 + 2**5 * 2 * 4
+    assert len(decoded) == 3**5 + 2**5 * 2 * 4
     assert set(decoded) == {split_word("".join(w)) for w in product("01e", repeat=5)}
 
 

@@ -507,7 +507,7 @@ def test_verify_composed_solves_pruned_members_on_demand():
         statistical_distance(composed_tamper_distribution(scheme, seq, m), apply_copy(d_s, label))
         for m, label in enumerate(all_bitstrings(scheme.k))
     )
-    assert all(cert.report(f) == reference.reports[f] for f in unsolved)
+    assert all(cert.members[f].solve() == reference.reports[f] for f in unsolved)
     assert (got.epsilon, got.weighted_bound, got.pattern_max) == (
         epsilon, *mixture_bounds(seq, errors, member_of)
     )

@@ -19,7 +19,6 @@ from nmavc import (
     Channel,
     BITFunction,
     ComposedScheme,
-    FamilyCertificate,
     GF2Matrix,
     NMReport,
     StateSequence,
@@ -105,10 +104,9 @@ def test_identity_code_correctness():
 
 
 def test_broken_code_rejected():
-    # Every word decodes to bot.
-    code = StochasticCode(1, 1, 0, [(0,), (1,)], {})
-    with pytest.raises(InvalidCodeError):
-        code.check_correctness()
+    # Every word decodes to bot: the constructor's audit refuses it.
+    with pytest.raises(InvalidCodeError, match="violating perfect correctness"):
+        StochasticCode(1, 1, 0, [(0,), (1,)], {})
 
 
 def test_non_bit_codeword_rejected():
@@ -421,28 +419,28 @@ def test_count_unit_lp_matches_rational_lp(table, factor):
 
 # ----------------------------------------------------------------- transfer
 
-def mixture_certificate(simulators, errors=None) -> FamilyCertificate:
-    """A certificate holding only what the mixture reads: each member's
-    solved report, with its simulator (row, total) and error (0 unless
-    given)."""
+def mixture_entries(simulators, errors=None) -> dict:
+    """Each member's profile entry, holding only what the mixture reads:
+    its solved report, with its simulator (row, total) and error (0
+    unless given)."""
     if errors is None:
         errors = dict.fromkeys(simulators, F(0))
-    members = {
+    return {
         f: verifier._Profile((), 1, errors[f], NMReport(errors[f], simulators[f], 0, []))
         for f in simulators
     }
-    worst = max(errors, key=errors.get)
-    return FamilyCertificate(errors[worst], worst, None, members)
 
 
 def test_ds_mixture_identity_sequence():
     code = identity_code(2)
     cert = certify_bit_family(code)
     seq = StateSequence([identity_channel()] * 2)
-    d_s = ds_mixture(seq, {f: law_of(2, *cert.report(f).simulator) for f in cert.members})
-    assert d_s == law_of(2, *cert.report(bit_function("KK")).simulator)
-    masks_of = {f.pattern: f for f in cert.members}
-    assert law_of(2, *_mixture(seq.mixture_weights(), masks_of, cert.report)[0]) == d_s
+    d_s = ds_mixture(
+        seq, {f: law_of(2, *e.solve().simulator) for f, e in cert.members.items()}
+    )
+    assert d_s == law_of(2, *cert.members[bit_function("KK")].solve().simulator)
+    entry_of = {f.pattern: e for f, e in cert.members.items()}
+    assert law_of(2, *_mixture(seq.mixture_weights(), entry_of)[0]) == d_s
 
 
 def test_ds_mixture_example():
@@ -456,33 +454,32 @@ def test_ds_mixture_example():
     assert d_s == FiniteDistribution(
         {SAME_STAR: F(1, 2), "0": F(1, 4), "1": F(1, 4)}
     )
-    cert = mixture_certificate(simulators)
-    masks_of = {f.pattern: f for f in cert.members}
-    assert law_of(1, *_mixture(seq.mixture_weights(), masks_of, cert.report)[0]) == d_s
+    entry_of = {f.pattern: e for f, e in mixture_entries(simulators).items()}
+    assert law_of(1, *_mixture(seq.mixture_weights(), entry_of)[0]) == d_s
 
 
 def test_ds_mixture_missing_pattern():
     seq = StateSequence([bsc(F(1, 2))])
-    cert = mixture_certificate({bit_function("K"): ((0, 0, 0, 1), 1)})
-    masks_of = {f.pattern: f for f in cert.members}
+    entries = mixture_entries({bit_function("K"): ((0, 0, 0, 1), 1)})
+    entry_of = {f.pattern: e for f, e in entries.items()}
     # A missing pattern is named by its (keep, xor, erase) masks: F's,
     # and on two positions KK's, which the member K's (1, 0, 0) miss.
     with pytest.raises(InvalidInstanceError, match=r"pattern \(1, 1, 0\)"):
-        _mixture(seq.mixture_weights(), masks_of, cert.report)
+        _mixture(seq.mixture_weights(), entry_of)
     wide = StateSequence([bsc(F(1, 2))] * 2)
     with pytest.raises(InvalidInstanceError, match=r"pattern \(3, 0, 0\)"):
-        _mixture(wide.mixture_weights(), masks_of, cert.report)
+        _mixture(wide.mixture_weights(), entry_of)
 
 
 def test_mixture_weights_must_sum_to_denominator():
     keep, flip = bit_function("K"), bit_function("F")
-    cert = mixture_certificate({keep: ((0, 0, 0, 1), 1), flip: ((1, 0, 0, 0), 1)})
-    masks_of = {f.pattern: f for f in cert.members}
+    entries = mixture_entries({keep: ((0, 0, 0, 1), 1), flip: ((1, 0, 0, 0), 1)})
+    entry_of = {f.pattern: e for f, e in entries.items()}
     patterns = [(keep.pattern, 1), (flip.pattern, 1)]
     with pytest.raises(InvalidMixtureError, match="sum to 2/3"):
-        _mixture((3, patterns), masks_of, cert.report)
+        _mixture((3, patterns), entry_of)
     with pytest.raises(InvalidMixtureError, match="negative"):
-        _mixture((1, [(keep.pattern, 2), (flip.pattern, -1)]), masks_of, cert.report)
+        _mixture((1, [(keep.pattern, 2), (flip.pattern, -1)]), entry_of)
 
 
 def random_law(rng: random.Random, width: int) -> tuple[tuple[int, ...], int]:
@@ -494,12 +491,16 @@ def random_law(rng: random.Random, width: int) -> tuple[tuple[int, ...], int]:
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
-@given(st.booleans(), st.booleans(), st.integers(1, 4), st.integers(0, 2**32))
-def test_integer_mixture_matches_fraction_oracle(extended, shared, n, seed):
+@given(st.booleans(), st.booleans(), st.booleans(), st.integers(1, 4),
+       st.integers(0, 2**32))
+@example(extended=False, shared=False, merged=True, n=2, seed=7)
+def test_integer_mixture_matches_fraction_oracle(extended, shared, merged, n, seed):
     # D_s, the weighted bound and the pattern max of the integer route
     # equal the pattern-by-pattern Fraction mix of the independent walk,
     # with per-position denominators up to 10007 and, when shared, a few
     # members each standing for many patterns (as induced maps do).
+    # When merged, two members of one profile share one cache entry,
+    # whose weights the integer route sums as one.
     rng = random.Random(seed)
     seq = StateSequence([
         random_extended_channel(rng, rng.choice([2, 10, 10007])) if extended
@@ -517,13 +518,18 @@ def test_integer_mixture_matches_fraction_oracle(extended, shared, n, seed):
     simulators = {f: random_law(rng, 4) for f in members}
     errors = {f: F(rng.randint(0, 10007), 10007) * F(1, rng.randint(1, 12))
               for f in members}
-    cert = mixture_certificate(simulators, errors)
+    entries = mixture_entries(simulators, errors)
+    used = members if member_of is None else list(dict.fromkeys(member_of.values()))
+    if merged and len(used) > 1:
+        first, last = used[0], used[-1]
+        simulators[last], errors[last] = simulators[first], errors[first]
+        entries[last] = entries[first]
     # The walk names patterns by their letters, mixture_weights by masks.
     if member_of is None:
-        masks_of = {f.pattern: f for f in members}
+        entry_of = {f.pattern: entries[f] for f in members}
     else:
-        masks_of = {bit_function(p).pattern: f for p, f in member_of.items()}
-    d_s, *bounds = _mixture(seq.mixture_weights(), masks_of, cert.report)
+        entry_of = {bit_function(p).pattern: entries[f] for p, f in member_of.items()}
+    d_s, *bounds = _mixture(seq.mixture_weights(), entry_of)
     reference = {f: law_of(1, *d) for f, d in simulators.items()}
     assert (law_of(1, *d_s), *bounds) == (ds_mixture(seq, reference, member_of),
                                           *mixture_bounds(seq, errors, member_of))
@@ -542,18 +548,30 @@ def test_verify_transfer_trivial_sequences():
 
 
 def test_verify_transfer_checks_certificate_length_first(monkeypatch):
-    # A certificate over another length is refused by name before any
-    # channel experiment runs.
+    # A certificate over another length, message count or seed count is
+    # refused by name before any channel experiment runs.
     cert = certify_bit_family(identity_code(2))
+    repetition = StochasticCode(1, 2, 0, [(0b00,), (0b11,)], {0b00: 0, 0b11: 1})
+    seedless = StochasticCode(1, 3, 0, [(0b000,), (0b111,)], {0b000: 0, 0b111: 1})
+    seeded = StochasticCode(
+        1, 3, 2, [(0, 1, 2, 3), (4, 5, 6, 7)], {w: w >> 2 for w in range(8)}
+    )
 
     def refuse(*args, **kwargs):
-        raise AssertionError("channel_map ran before the length check")
+        raise AssertionError("channel_map ran before the shape check")
 
     monkeypatch.setattr(verifier, "channel_map", refuse)
     seq = StateSequence([bsc(F(1, 10))] * 3)
     with pytest.raises(InvalidInstanceError,
                        match="certificate covers length-2 BIT functions, code has length 3"):
         verify_transfer(identity_code(3), seq, cert)
+    with pytest.raises(InvalidInstanceError,
+                       match="certificate covers codes of k=1, rho=0, code has k=2, rho=0"):
+        verify_transfer(identity_code(2), StateSequence([bsc(F(1, 10))] * 2),
+                        certify_bit_family(repetition))
+    with pytest.raises(InvalidInstanceError,
+                       match="certificate covers codes of k=1, rho=0, code has k=1, rho=2"):
+        verify_transfer(seeded, seq, certify_bit_family(seedless))
 
 
 def test_verify_transfer_single_bsc():
@@ -611,7 +629,7 @@ def test_certificates_reverify():
     result = search_nm_code(k=1, n=3, rho=1, trials=4, seed=2)
     code = result.code
     for f in result.certificate.members:
-        report = result.certificate.report(f)
+        report = result.certificate.members[f].solve()
         tm = laws_of(code.k, *tamper_map(code, f))
         simulator = law_of(code.k, *report.simulator)
         worst = max(statistical_distance(t, apply_copy(simulator, m)) for m, t in tm.items())
@@ -716,7 +734,7 @@ def test_count_profiles_wide_words():
     ]
     assert_counts_match_tamper_map(code, functions)
     cert = certify_family(code, functions)
-    assert cert.report(BOT_MAP).epsilon == 0
+    assert cert.members[BOT_MAP].solve().epsilon == 0
 
 
 def test_count_profile_checked_against_tampering_experiment(monkeypatch):
@@ -841,8 +859,8 @@ def test_certify_family_rejects_like_the_eager_loop(data):
 def certify_checked(code, functions, cache=None, stop=None):
     """The search's cached, early-stopping certification path."""
     checked = verifier._check_family(code, functions, None)
-    return verifier._certify_checked(
-        code, checked, None, {} if cache is None else cache, stop
+    return verifier._certify(
+        verifier._profiled(code, checked, None, {} if cache is None else cache), stop
     )
 
 
@@ -947,9 +965,9 @@ def test_tamper_map_runs_once_per_cache_miss(monkeypatch):
     again = certify_checked(code, enumerate_bit_functions(code.n), cache)
     assert len(experiments) == len(cache)
     assert len(simulators) == 4
-    reports = {f: again.report(f) for f in again.members}
+    reports = {f: again.members[f].solve() for f in again.members}
     assert len(simulators) == len(cache)
-    assert reports == {f: first.report(f) for f in first.members}
+    assert reports == {f: first.members[f].solve() for f in first.members}
 
 
 def test_shared_cache_keeps_codes_apart():
@@ -973,7 +991,8 @@ def test_shared_cache_keeps_codes_apart():
         assert got.epsilon == alone.epsilon
         assert got.worst == alone.worst
         assert list(got.members) == list(alone.members)
-        assert all(got.report(f) == alone.report(f) for f in got.members)
+        assert all(got.members[f].solve() == alone.members[f].solve()
+                   for f in got.members)
 
 
 # ------------------------------------------------- pruned certification
@@ -1080,7 +1099,7 @@ def test_pruned_certificate_matches_every_member_solved(case):
     for f, entry in cert.members.items():
         assert entry.bound == trivial_simulator_bound(laws_of(code.k, *tamper_map(code, f)))
         assert reference.reports[f].epsilon <= entry.bound
-        assert cert.report(f) == reference.reports[f]
+        assert cert.members[f].solve() == reference.reports[f]
 
 
 @st.composite
@@ -1164,7 +1183,7 @@ def test_pooled_simulator_alone_skips_a_member(monkeypatch):
     ) == F(1, 4)
     reference = certify_every_member(code, [first, second])
     assert_same_certificate(cert, reference)
-    assert all(cert.report(f) == reference.reports[f] for f in (first, second))
+    assert all(cert.members[f].solve() == reference.reports[f] for f in (first, second))
 
 
 @st.composite
@@ -1225,7 +1244,7 @@ def test_transfer_solves_pruned_members_on_demand():
     ]
     report = verify_transfer(code, seq, cert)
     reference = certify_every_member(code, enumerate_bit_functions(3))
-    assert all(cert.report(f) == reference.reports[f] for f in read)
+    assert all(cert.members[f].solve() == reference.reports[f] for f in read)
     simulators = {f: law_of(1, *r.simulator) for f, r in reference.reports.items()}
     errors = {f: r.epsilon for f, r in reference.reports.items()}
     d_s = ds_mixture(seq, simulators)
