@@ -71,6 +71,15 @@ def _check_full_rank(outer: GF2Matrix) -> None:
         raise InvalidInstanceError("outer generator must have full row rank")
 
 
+def _check_lengths(inner: StochasticCode, outer: GF2Matrix) -> None:
+    """Raise unless the inner codewords are the outer messages' length."""
+    if inner.n != outer.nrows:
+        raise InvalidInstanceError(
+            f"inner codeword length {inner.n} != outer message length "
+            f"{outer.nrows}"
+        )
+
+
 class ComposedScheme(StochasticCode):
     """Inner (k -> m) stochastic code encoded by an outer (m -> n) generator,
     itself a code whose decoder reads words over {0,1,e}.
@@ -85,11 +94,7 @@ class ComposedScheme(StochasticCode):
     erasures = True
 
     def __init__(self, inner: StochasticCode, outer: GF2Matrix) -> None:
-        if inner.n != outer.nrows:
-            raise InvalidInstanceError(
-                f"inner codeword length {inner.n} != outer message length "
-                f"{outer.nrows}"
-            )
+        _check_lengths(inner, outer)
         _check_full_rank(outer)
         self.inner = inner
         self.outer = outer
@@ -351,5 +356,8 @@ def verify_composed(
 def certify_induced_family(
     inner: StochasticCode, outer: GF2Matrix, budget: Optional[int] = None
 ) -> FamilyCertificate:
-    """Certify the inner code against every map induced by the outer code."""
+    """Certify the inner code against every map induced by the outer code.
+
+    The lengths are checked before the 5^n action patterns are walked."""
+    _check_lengths(inner, outer)
     return certify_family(inner, induced_family(outer, budget=budget), budget=budget)

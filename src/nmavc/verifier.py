@@ -12,16 +12,17 @@ scheme's induced maps.
 
 A decoded outcome is an index: the messages are 0..2^k - 1 (in the
 order of all_bitstrings(k)), failure (bot) is 2^k, and a simulator adds
-same* at 2^k + 1.  A law table is (rows, total): one count row of width
-2^k + 1 per message, all over one total; a simulator is one row of
-width 2^k + 2 over its own total.  Labels appear only in from_tables
+same* at 2^k + 1.  A law table is (rows, total): one count-row tuple of
+width 2^k + 1 per message, all over one total; a simulator is one row
+of width 2^k + 2 over its own total.  Labels appear only in from_tables
 and the to_json methods.
 
 A code is audited for perfect correctness once, when it is made.
 Every reported (epsilon, D) pair is re-verified by direct statistical
-distance computation before it is returned.  Certification and the
-mixtures pass around one currency, a distinct tamper profile's cache
-entry (_Profile), whose optimum is solved once, on first read.  Family
+distance computation before it is returned.  One tampering experiment,
+tamper_map, gives every member's tamper profile.  Certification and the
+mixtures pass around one currency, a distinct profile's cache entry
+(_Profile), whose optimum is solved once, on first read.  Family
 certification solves the LP only for members that could raise the
 running epsilon; each other member is bounded by an explicit feasible
 simulator (a trivial one, or an optimum an earlier member's LP
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import repeat
 from typing import (
     Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union,
 )
@@ -279,7 +279,7 @@ def _check_member(
     _check_budget(code.seed_count, budget, "tampering experiment")
 
 
-Laws = tuple[list[list[int]], int]
+Laws = tuple[tuple[tuple[int, ...], ...], int]
 
 
 def tamper_map(
@@ -287,7 +287,8 @@ def tamper_map(
 ) -> Laws:
     """Exact law table of decode(f(enc[m][r])) over the uniform encoder
     seed: for every message m, the count of each outcome index over
-    total 2^rho.
+    total 2^rho, as a tuple of count-row tuples.  This is the one
+    tampering experiment: certification reads every profile from it.
 
     Validates f once, then runs the experiment seed by seed: one
     f.apply and one decode per codeword.  Costs 2^rho per message.
@@ -302,8 +303,8 @@ def tamper_map(
         else:
             for word in words:
                 row[code.decode(f.apply(word))] += 1
-        rows.append(row)
-    return rows, code.seed_count
+        rows.append(tuple(row))
+    return tuple(rows), code.seed_count
 
 
 def channel_map(
@@ -353,8 +354,8 @@ def channel_map(
                 law = [(i * symbols + y, a * b) for i, a in law for y, b in row]
             for i, w in law:
                 counts[table[i]] += w
-        laws.append(counts)
-    return laws, scale ** code.n * code.seed_count
+        laws.append(tuple(counts))
+    return tuple(laws), scale ** code.n * code.seed_count
 
 
 class NMReport(Record):
@@ -526,12 +527,12 @@ def function_key(f: TamperingFunction) -> str:
 class _Profile(Record):
     """The shared cache entry of one distinct tamper profile.
 
-    laws is the profile as count rows over total = 2^rho, the very rows
-    of the cache key, checked equal to tamper_map's table; bound is the
-    profile's least trivial-simulator error (_trivial_simulator), an upper
-    bound on its optimum; report is the optimal simulator, None until
-    first asked for.  It stays None for a member certification bounded
-    by a trivial or pooled simulator instead.
+    laws is the profile, tamper_map's count-row table over total =
+    2^rho, the very rows of the cache key; bound is the profile's least
+    trivial-simulator error (_trivial_simulator), an upper bound on its
+    optimum; report is the optimal simulator, None until first asked
+    for.  It stays None for a member certification bounded by a trivial
+    or pooled simulator instead.
     """
 
     __slots__ = ("laws", "total", "bound", "report")
@@ -568,40 +569,6 @@ class FamilyCertificate(Record):
         }
 
 
-def _count_profiles(
-    code: StochasticCode, functions: list
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Integer tamper profiles of the (validated) members, one at a time.
-
-    Member i's profile is the law table tamper_map(code, f_i) gives, as
-    a tuple of count-row tuples over 2^rho: entry y of row m counts the
-    seeds r with decode(f_i(enc[m][r])) = y.  Yields member i's profile
-    only when the caller reads it, so a loop that stops early builds no
-    more.  Words are looked up in the dec table: _check_family admits
-    no code whose decoder reads erasures.
-    """
-    bot = len(code.enc)
-    for f in functions:
-        if f is BOT_MAP:
-            yield ((0,) * bot + (code.seed_count,),) * bot
-            continue
-        if isinstance(f, BITFunction):
-            # f.apply without a call per word: the search's hot loop.
-            keep, xor, _ = f.pattern
-            tampered = [[(word & keep) ^ xor for word in words] for words in code.enc]
-        else:
-            # f.apply without its range check: _check_member checked f's shape.
-            vec_mul, delta = f.matrix.vec_mul, f.delta
-            tampered = [[vec_mul(word) ^ delta for word in words] for words in code.enc]
-        table = []
-        for words in tampered:
-            row = [0] * (bot + 1)
-            for y in map(code.dec.get, words, repeat(bot)):
-                row[y] += 1
-            table.append(tuple(row))
-        yield tuple(table)
-
-
 def certify_family(
     code: StochasticCode,
     functions: Iterable[TamperingFunction],
@@ -611,14 +578,12 @@ def certify_family(
 
     Every member is validated first, in list order.  Then each member's
     tamper profile, its law table in integer counts over 2^rho, is built
-    when its turn comes (_count_profiles).  One _Profile is kept per
-    distinct (2^rho, profile), which determines the optimum.  On a miss,
-    the member's tamper map is re-derived seed by seed by the tampering
-    experiment (tamper_map: one apply and one decode per codeword) and
-    checked equal to the counts.  Any feasible simulator D bounds a
-    member's optimum by max_m SD(T_m, Copy(D, m)), so a member that some
-    D keeps at or below the running maximum cannot raise it, and its LP
-    is skipped.  D is tried first among the trivial simulators (the
+    by the tampering experiment (tamper_map) when its turn comes
+    (_profiled).  One _Profile is kept per distinct law table, which
+    determines the optimum.  Any feasible simulator D bounds a member's
+    optimum by max_m SD(T_m, Copy(D, m)), so a member that some D keeps
+    at or below the running maximum cannot raise it, and its LP is
+    skipped.  D is tried first among the trivial simulators (the
     entry's bound), then, for a member not solved yet, among a pool of
     the _POOL_SIZE distinct optimal simulators this certification solved
     most recently, newest first, each checked in integers (_within).
@@ -652,24 +617,16 @@ def _profiled(
     code: StochasticCode, functions: list, budget: Optional[int], cache: dict
 ) -> Iterator[tuple[TamperingFunction, _Profile]]:
     """(member, entry) for each member of a family already passed through
-    _check_family, in list order, building each profile only when the
-    caller reads it (_count_profiles).  entry is the member's _Profile in
-    `cache`, one per distinct (2^rho, profile); on a miss the member's
-    tamper map is re-derived seed by seed by tamper_map and checked
-    equal to the counts."""
-    seed_count = code.seed_count
-    for f, laws in zip(functions, _count_profiles(code, functions)):
-        key = (seed_count, laws)
+    _check_family, in list order, running each member's tampering
+    experiment (tamper_map) only when the caller reads it, so a loop
+    that stops early runs no more.  entry is the member's _Profile in
+    `cache`, one per distinct law table (profile, 2^rho)."""
+    for f in functions:
+        key = laws, total = tamper_map(code, f, budget)
         entry = cache.get(key)
         if entry is None:
-            table, _ = tamper_map(code, f, budget=budget)
-            if list(map(list, laws)) != table:
-                raise VerificationError(
-                    f"count profile of {function_key(f)} disagrees with its "
-                    f"tampering experiment"
-                )
             entry = cache[key] = _Profile(
-                laws, seed_count, _trivial_simulator(laws, seed_count)[0], None
+                laws, total, _trivial_simulator(laws, total)[0], None
             )
         yield f, entry
 
@@ -863,7 +820,13 @@ def verify_transfer(
     """Check the bit-family-to-AVC transfer on one binary state sequence
     against the code's bit-family certificate: the mixture check,
     eps_channel <= ds_sd and pattern_max <= eps_bit.  A certificate of
-    another code shape (n, k or rho) is refused before any experiment."""
+    another code shape (n, k or rho), or one over other tampering
+    functions, is refused before any experiment."""
+    for f in certificate.members:
+        if not isinstance(f, BITFunction):
+            raise InvalidInstanceError(
+                f"certificate covers {function_key(f)}, not a BIT function"
+            )
     n = certificate.worst.n
     if n != code.n:
         raise InvalidInstanceError(

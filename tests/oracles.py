@@ -430,11 +430,21 @@ def split_word(y: str) -> tuple[int, int]:
     return bits, erased
 
 
+def xor_strings(a: str, b: str) -> str:
+    """The position-wise XOR of two bitstrings of one length."""
+    return "".join("01"[x != y] for x, y in zip(a, b))
+
+
 def ecc_encode(g: GF2Matrix, u: str) -> str:
-    """Codeword u*G for a message bitstring u of length m."""
+    """Codeword u*G for a message bitstring u of length m, summed over
+    G's row strings, with no packed arithmetic."""
     if len(u) != g.nrows:
         raise ValueError(f"message length {len(u)} != {g.nrows}")
-    return int_to_bits(g.vec_mul(bits_to_int(u)), g.ncols)
+    word = "0" * g.ncols
+    for bit, row in zip(u, g.row_strings()):
+        if bit == "1":
+            word = xor_strings(word, row)
+    return word
 
 
 def erasure_set(y: str) -> frozenset[int]:
@@ -932,6 +942,21 @@ def product_tamper_distribution(
         for word, p in output_distribution(seq, int_to_bits(x, code.n)).items():
             outcome = named[code.decode(*split_word(word))]
             masses[outcome] = masses.get(outcome, Fraction(0)) + share * p
+    return FiniteDistribution(masses)
+
+
+def affine_tamper_distribution(
+    code: StochasticCode, f: AffineFunction, m: int
+) -> FiniteDistribution:
+    """Law of dec(f(x)) for message m and an affine map f, each tampered
+    word the string product ecc_encode(M, x) XOR delta."""
+    share = Fraction(1, code.seed_count)
+    named = outcomes(code.k)
+    masses: dict = {}
+    for x in code.enc[m]:
+        word = xor_strings(ecc_encode(f.matrix, int_to_bits(x, code.n)), f.delta_string())
+        outcome = named[code.decode(bits_to_int(word))]
+        masses[outcome] = masses.get(outcome, Fraction(0)) + share
     return FiniteDistribution(masses)
 
 

@@ -161,6 +161,18 @@ def test_rank_deficient_outer_exit_2(runner, tmp_path, command):
     assert_invalid_input(runner.invoke(main, args))
 
 
+def test_certify_inner_checks_lengths_before_patterns(runner, tmp_path):
+    # The 4 -> 5 parity generator takes 4-bit messages and the code has
+    # 5-bit codewords: invalid input, refused before the 5^5 action
+    # patterns that a budget of 10 would refuse as too costly.
+    gen = write(tmp_path, "g.json", {"rows": ["10001", "01001", "00101", "00011"]})
+    result = runner.invoke(main, [
+        "certify-inner", str(DATA / "fixed_k2n5_code.json"), gen, "--budget", "10",
+    ])
+    assert_invalid_input(result)
+    assert "inner codeword length 5 != outer message length 4" in result.output
+
+
 def test_nm_verify_identity_code(runner, tmp_path):
     code = write(tmp_path, "code.json", IDENTITY_CODE_K1)
     seqs = write(

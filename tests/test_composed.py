@@ -358,15 +358,15 @@ def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
         composed._induced_map(scheme.outer, *pattern)
         for seq in seqs for pattern, _ in seq.mixture_weights()[1]
     }
-    profiles = {
-        tuple(map(tuple, verifier.tamper_map(scheme.inner, f)[0])) for f in induced
-    }
+    profiles = {verifier.tamper_map(scheme.inner, f) for f in induced}
     experiments = counting(monkeypatch, verifier, "tamper_map")
     simulators = counting(monkeypatch, verifier, "optimal_simulator")
     solves = counting(monkeypatch, simplex, "solve_min")
     verify_composed(scheme, seqs, F(1, 10))
+    # One experiment per induced map, one simulator per distinct profile.
     assert (len(induced), len(profiles)) == (47, 32)
-    assert len(experiments) == len(simulators) == len(profiles)
+    assert len(experiments) == len(induced)
+    assert len(simulators) == len(profiles)
     assert len(solves) == 27
 
 
@@ -416,22 +416,24 @@ def test_verify_composed_runs_one_channel_experiment_per_sequence(monkeypatch):
 
 
 def test_demo_certify_inner_lp_count_is_pinned(monkeypatch):
-    # 1,153 induced maps over 104 distinct profiles: the LP runs only for
-    # the members neither a trivial simulator nor a pooled optimal one
-    # keeps within the running epsilon.
+    # 1,153 induced maps, one experiment each: the LP runs only for the
+    # members neither a trivial simulator nor a pooled optimal one keeps
+    # within the running epsilon.
     scheme = parity45_scheme()
     experiments = counting(monkeypatch, verifier, "tamper_map")
     solves = counting(monkeypatch, simplex, "solve_min")
     cert = certify_induced_family(scheme.inner, scheme.outer)
     assert (cert.size, cert.epsilon) == (1153, F(3, 8))
-    assert len(experiments) == 104
+    assert len(experiments) == 1153
+    assert len({id(entry) for entry in cert.members.values()}) == 104
     assert len(solves) == 15
 
 
 def test_demo_composed_verify_lp_count_is_pinned(monkeypatch):
     # Every induced map has a positive-weight pattern, so the mixtures
     # read every member's optimum, and no family is certified: the demo's
-    # 242 sequences need 77 LPs, and one experiment per distinct profile.
+    # 242 sequences need one experiment per induced map (338), one
+    # simulator per distinct profile (87) and 77 LPs.
     scheme = parity45_scheme()
     _, sequences = demo_sequences(scheme)
     experiments = counting(monkeypatch, verifier, "tamper_map")
@@ -441,7 +443,8 @@ def test_demo_composed_verify_lp_count_is_pinned(monkeypatch):
     pool_checks = counting(monkeypatch, verifier, "_within")
     report = verify_composed(scheme, sequences, F(1, 10))
     assert report.eps_max == F(3903, 40000)
-    assert len(experiments) == len(simulators) == 87
+    assert len(experiments) == 338
+    assert len(simulators) == 87
     assert len(solves) == 77
     assert len(certifications) == len(pool_checks) == 0
 

@@ -26,6 +26,7 @@ from nmavc import (
     all_bitstrings,
     certify_bit_family,
     certify_family,
+    certify_induced_family,
     channel_map,
     enumerate_bit_functions,
     optimal_simulator,
@@ -47,6 +48,7 @@ from oracles import (
     BOT,
     SAME_STAR,
     FiniteDistribution,
+    affine_tamper_distribution,
     apply_copy,
     bit_function,
     bit_to_affine,
@@ -548,8 +550,9 @@ def test_verify_transfer_trivial_sequences():
 
 
 def test_verify_transfer_checks_certificate_length_first(monkeypatch):
-    # A certificate over another length, message count or seed count is
-    # refused by name before any channel experiment runs.
+    # A certificate over another length, message count or seed count, or
+    # over other tampering functions, is refused by name before any
+    # channel experiment runs.
     cert = certify_bit_family(identity_code(2))
     repetition = StochasticCode(1, 2, 0, [(0b00,), (0b11,)], {0b00: 0, 0b11: 1})
     seedless = StochasticCode(1, 3, 0, [(0b000,), (0b111,)], {0b000: 0, 0b111: 1})
@@ -572,6 +575,15 @@ def test_verify_transfer_checks_certificate_length_first(monkeypatch):
     with pytest.raises(InvalidInstanceError,
                        match="certificate covers codes of k=1, rho=0, code has k=1, rho=2"):
         verify_transfer(seeded, seq, certify_bit_family(seedless))
+    pair = StateSequence([bsc(F(1, 10))] * 2)
+    induced = certify_induced_family(identity_code(2), single_parity(2))
+    assert isinstance(induced.worst, AffineFunction)
+    with pytest.raises(InvalidInstanceError, match="not a BIT function"):
+        verify_transfer(identity_code(2), pair, induced)
+    with pytest.raises(InvalidInstanceError,
+                       match="certificate covers bot-map, not a BIT function"):
+        verify_transfer(identity_code(2), pair,
+                        certify_family(identity_code(2), [BOT_MAP]))
 
 
 def test_verify_transfer_single_bsc():
@@ -677,19 +689,28 @@ def members(n: int):
 
 
 def assert_counts_match_tamper_map(code, functions):
-    # Each profile is its member's tamper_map table as count-row tuples;
-    # a BIT function's laws are also the deterministic channels of its
-    # actions, so they equal the Fraction product of output_distribution.
-    counts = verifier._count_profiles(code, functions)
-    for f, profile in zip(functions, counts):
-        rows, total = tamper_map(code, f)
-        assert total == code.seed_count
-        assert profile == tuple(map(tuple, rows)), f
+    # Each _profiled entry holds its member's tamper_map table as
+    # count-row tuples over 2^rho.  Its laws are checked against oracles
+    # with no packed matrix product: a BIT function's laws are the
+    # deterministic channels of its actions, so they equal the Fraction
+    # product of output_distribution; an affine map's tampered words are
+    # the string product ecc_encode(M, x) XOR delta; BOT_MAP always fails.
+    checked = verifier._check_family(code, functions, None)
+    for f, entry in verifier._profiled(code, checked, None, {}):
+        assert (entry.laws, entry.total) == tamper_map(code, f)
+        assert entry.total == code.seed_count
+        assert all(type(row) is tuple for row in entry.laws), f
+        laws = laws_of(code.k, entry.laws, entry.total)
         if isinstance(f, BITFunction):
             seq = StateSequence([elementary_channel(a) for a in f.to_string()])
-            laws = laws_of(code.k, rows, total)
-            for m, label in enumerate(all_bitstrings(code.k)):
-                assert laws[label] == product_tamper_distribution(code, seq, m), f
+        for m, label in enumerate(all_bitstrings(code.k)):
+            if f is BOT_MAP:
+                expected = point(BOT)
+            elif isinstance(f, BITFunction):
+                expected = product_tamper_distribution(code, seq, m)
+            else:
+                expected = affine_tamper_distribution(code, f, m)
+            assert laws[label] == expected, f
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -711,7 +732,7 @@ def test_code_json_round_trip_keeps_tables(code):
 
 
 def test_count_profiles_wide_words():
-    """Words wider than a 64-bit machine word count the same as tamper_map."""
+    """Words wider than a 64-bit machine word profile as the oracles do."""
     n = 70
     rng = random.Random(5)
     words = [int_to_bits(rng.getrandbits(n), n) for _ in range(4)]
@@ -735,23 +756,6 @@ def test_count_profiles_wide_words():
     assert_counts_match_tamper_map(code, functions)
     cert = certify_family(code, functions)
     assert cert.members[BOT_MAP].solve().epsilon == 0
-
-
-def test_count_profile_checked_against_tampering_experiment(monkeypatch):
-    # A profile that disagrees with the seed-by-seed experiment never
-    # reaches the LP.
-    counted = verifier._count_profiles
-
-    def shifted(code, functions):
-        profiles = list(counted(code, functions))
-        rows = [list(row) for row in profiles[0]]
-        rows[0][0:2] = [rows[0][0] - 1, rows[0][1] + 1]
-        profiles[0] = tuple(map(tuple, rows))
-        return profiles
-
-    monkeypatch.setattr(verifier, "_count_profiles", shifted)
-    with pytest.raises(VerificationError, match="count profile of KK disagrees"):
-        certify_family(identity_code(2), [bit_function("KK")])
 
 
 # ------------------------------------------------- integer channel laws
@@ -912,41 +916,31 @@ def test_early_stop_applies_no_later_member():
 def test_search_profile_count_is_pinned(monkeypatch):
     # Each code after the best one stops at the first member whose
     # epsilon reaches the best epsilon; no later member's profile is
-    # built, so 1,351 of the 200 * 256 profiles are.  A profile is
-    # counted when _count_profiles reads its member to build it.
-    built = []
-    counted = verifier._count_profiles
-
-    def counting_profiles(code, functions):
-        def read():
-            for f in functions:
-                built.append(f)
-                yield f
-        return counted(code, read())
-
-    monkeypatch.setattr(verifier, "_count_profiles", counting_profiles)
+    # built, so 1,351 of the 200 * 256 profiles are, one tampering
+    # experiment each, into 144 distinct cache entries.
     solves = counting(monkeypatch, "solve_min")
     experiments = counting(monkeypatch, "tamper_map")
+    entries = counting(monkeypatch, "_Profile")
     result = search_nm_code(1, 4, 2, trials=200, seed=404)
-    assert len(built) == 1351
+    assert len(experiments) == 1351
+    assert len(entries) == 144
     assert len(solves) == 77
-    assert len(experiments) == 144
     assert result.certificate.epsilon == F(1, 4)
     assert result.best_trial == 9
 
 
 def test_search_validates_the_family_once(monkeypatch):
     # The 256 members are checked once for all 200 codes; the only other
-    # checks are the seed-by-seed experiment's, one on each of the 144
-    # distinct profiles, solved or not.
+    # checks are the tampering experiment's, one on each of the 1,351
+    # profiles built, solved or not.
     checks = counting(monkeypatch, "_check_member")
     experiments = counting(monkeypatch, "tamper_map")
     search_nm_code(1, 4, 2, trials=200, seed=404)
-    assert len(experiments) == 144
-    assert len(checks) == 4**4 + 144
+    assert len(experiments) == 1351
+    assert len(checks) == 4**4 + 1351
 
 
-def test_tamper_map_runs_once_per_cache_miss(monkeypatch):
+def test_tamper_map_runs_once_per_member(monkeypatch):
     code = StochasticCode.from_tables(
         1, 4, 1,
         {"0": ["0000", "0110"], "1": ["1011", "1101"]},
@@ -956,14 +950,15 @@ def test_tamper_map_runs_once_per_cache_miss(monkeypatch):
     simulators = counting(monkeypatch, "optimal_simulator")
     cache: dict = {}
     first = certify_checked(code, enumerate_bit_functions(code.n), cache)
-    # Every distinct profile is checked once; 20 of the 24 are kept at
-    # or below the running epsilon by a trivial or pooled simulator,
-    # unsolved.
-    assert len(experiments) == len(cache) == 24
+    # Every member's profile is built once per pass, into 24 distinct
+    # entries; 20 of them are kept at or below the running epsilon by a
+    # trivial or pooled simulator, unsolved.
+    assert len(experiments) == 4 ** code.n
+    assert len(cache) == 24
     assert len(simulators) == 4
-    assert 0 < len(cache) < 4 ** code.n
     again = certify_checked(code, enumerate_bit_functions(code.n), cache)
-    assert len(experiments) == len(cache)
+    assert len(experiments) == 2 * 4 ** code.n
+    assert len(cache) == 24
     assert len(simulators) == 4
     reports = {f: again.members[f].solve() for f in again.members}
     assert len(simulators) == len(cache)
