@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import click
 
@@ -48,6 +48,7 @@ from .errors import (
 from .gf2 import MAX_EXACT_LENGTH, GF2Matrix, delta_exact, delta_monte_carlo
 from .verifier import (
     StochasticCode,
+    _check_sequence,
     certify_bit_family,
     search_nm_code,
     verify_transfer,
@@ -316,11 +317,13 @@ def cmd_nm_verify(code_file, family, sequences_file, budget, threshold):
         sequences = _load_sequences(sequences_file)
         if not sequences:
             raise InvalidInstanceError("no sequences to verify")
+        for seq in sequences:
+            _check_sequence(code, seq)
         cert = certify_bit_family(code, budget=budget)
         per_sequence = {}
         epsilon = Fraction(0)
-        for index, seq in enumerate(sequences):
-            result = verify_transfer(code, seq, cert, budget=budget)
+        results = verify_transfer(code, sequences, cert, budget=budget)
+        for index, result in enumerate(results):
             # Repeated rows and inline channels (labelled by position)
             # share labels; every sequence keeps an entry.
             label = result.sequence_label
@@ -387,16 +390,14 @@ def _extended_channel(obj) -> Channel:
     return channel if channel.extended else channel.to_extended()
 
 
-def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[list, bool]:
-    """(rows, exhaustive); a random count above a non-null budget stops
-    before the first row is drawn."""
+def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[Iterable, bool]:
+    """(rows, exhaustive), the exhaustive rows a lazy walk; a random count
+    above a non-null budget stops before the first row is drawn."""
     listing = spec_obj["sequences"]
     if listing == "exhaustive":
-        rows = [
-            row for row in product(names, repeat=n)
-            if set(row) != {special_name}
-        ]
-        return rows, True
+        return (
+            row for row in product(names, repeat=n) if set(row) != {special_name}
+        ), True
     if isinstance(listing, dict):
         count = listing.get("random")
         seed = listing.get("seed")
@@ -494,12 +495,10 @@ def cmd_composed_verify(spec_file, threshold):
     rows, exhaustive = _composed_sequences(
         spec_obj, names, special_name, scheme.n, budget
     )
-    if not rows:
-        raise InvalidInstanceError("no sequences to verify")
-    sequences = [
+    sequences = (
         StateSequence([states[name] for name in row], labels=row)
         for row in rows
-    ]
+    )
     report_obj = verify_composed(scheme, sequences, p_star, budget=budget)
     report = report_obj.to_json()
     report["exhaustive"] = exhaustive

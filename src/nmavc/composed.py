@@ -15,16 +15,17 @@ so the generator keeps one per such key, and the loops over patterns
 read (keep, xor, erase) masks, never building a BITFunction.
 
 The special state s* is BEC(p_star) (special_channel).  Verification
-requires recovery under the all-s* sequence, maps every other
-sequence's patterns to the inner code's profile entries of the maps
-they induce, then runs the verifier's mixture check, which solves each
-distinct profile's optimal simulator when it first reads it.
+requires recovery under the all-s* sequence, then walks every other
+sequence once: it maps the sequence's patterns to the inner code's
+profile entries of the maps they induce and runs the verifier's
+mixture check, which solves each distinct profile's optimal simulator
+when it first reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .channels import Channel, StateSequence
 from .distributions import Marker, Record, all_bitstrings, format_rational
@@ -50,7 +51,7 @@ from .verifier import (
     BOT_MAP,
     FamilyCertificate,
     StochasticCode,
-    _check_family,
+    _check_sequence,
     _profiled,
     certify_family,
     verify_mixture,
@@ -267,7 +268,7 @@ def _sequence_label(seq: StateSequence, index: int) -> str:
 
 def verify_composed(
     scheme: ComposedScheme,
-    states: Sequence[StateSequence],
+    states: Iterable[StateSequence],
     p_star,
     budget: Optional[int] = None,
 ) -> ComposedReport:
@@ -275,13 +276,15 @@ def verify_composed(
     non-malleability elsewhere.
 
     delta comes from the pipeline-enumeration route and is cross-checked
-    against the rank-enumeration route exactly.  Each supplied sequence
-    (which must differ from the all-special one) is decomposed into
-    positive-weight action patterns, and each pattern is mapped to the
-    inner code's cache entry for the profile of its induced map.  The
-    mixtures solve each entry's optimal simulator once, when they first
-    read it, and compare the weight-mixed simulator against the exact
-    composed tamper distributions.
+    against the rank-enumeration route exactly.  The sequences (any
+    iterable) are then walked once, one at a time, and none is kept.
+    Each is checked (_check_sequence, not all-special, pattern count
+    within budget) before its positive-weight action patterns are built,
+    and each pattern not seen before is mapped to the inner code's cache
+    entry for the profile of its induced map.  The mixture solves each
+    entry's optimal simulator once, when it first reads it, and compares
+    the weight-mixed simulator against the exact composed tamper
+    distributions.  An empty walk is an error.
     """
     recovery = recovery_probability(scheme, p_star)
     delta = 1 - recovery
@@ -292,17 +295,13 @@ def verify_composed(
         )
 
     special = special_channel(p_star)
-    induced_by_pattern: dict = {}  # pattern -> its induced map
-    expanded = []
-    for seq in states:
-        if not seq.extended:
-            raise InvalidInstanceError(
-                "composed verification needs erasure-extended sequences"
-            )
-        if seq.n != scheme.n:
-            raise InvalidInstanceError(
-                f"sequence length {seq.n} != block length {scheme.n}"
-            )
+    cache: dict = {}  # one _Profile per distinct profile
+    entry_of: dict = {}  # pattern -> its induced map's entry
+    entry_of_map: dict = {}  # induced map -> its entry
+    eps_by_sequence: dict[str, SequenceReport] = {}
+    eps_max = Fraction(0)
+    for index, seq in enumerate(states):
+        _check_sequence(scheme, seq)
         if all(ch == special for ch in seq.channels):
             raise InvalidInstanceError(
                 "the all-special sequence is covered by the recovery "
@@ -315,20 +314,11 @@ def verify_composed(
             )
         weights = seq.mixture_weights()
         for pattern, _ in weights[1]:
-            if pattern not in induced_by_pattern:
-                induced_by_pattern[pattern] = _induced_map(scheme.outer, *pattern)
-        expanded.append(weights)
-    # One cache entry per distinct profile of the induced maps.
-    entry_of: dict = {}
-    if induced_by_pattern:
-        distinct = dict.fromkeys(induced_by_pattern.values())
-        maps = _check_family(scheme.inner, distinct, None)
-        entries = dict(_profiled(scheme.inner, maps, None, {}))
-        entry_of = {pattern: entries[f] for pattern, f in induced_by_pattern.items()}
-
-    eps_by_sequence: dict[str, SequenceReport] = {}
-    eps_max = Fraction(0)
-    for index, (seq, weights) in enumerate(zip(states, expanded)):
+            if pattern not in entry_of:
+                f = _induced_map(scheme.outer, *pattern)
+                if f not in entry_of_map:
+                    [(_, entry_of_map[f])] = _profiled(scheme.inner, [f], None, cache)
+                entry_of[pattern] = entry_of_map[f]
         mixture = verify_mixture(scheme, seq, weights, entry_of)
         # A repeated row keeps its own entry under its index.
         label = _sequence_label(seq, index)
@@ -344,12 +334,14 @@ def verify_composed(
             k=scheme.k,
         )
         eps_max = max(eps_max, mixture.ds_sd)
+    if not eps_by_sequence:
+        raise InvalidInstanceError("no sequences to verify")
     return ComposedReport(
         delta=delta,
         recovery=recovery,
         eps_by_sequence=eps_by_sequence,
         eps_max=eps_max,
-        sequences_checked=len(states),
+        sequences_checked=len(eps_by_sequence),
     )
 
 

@@ -307,6 +307,19 @@ def tamper_map(
     return tuple(rows), code.seed_count
 
 
+def _check_sequence(code: StochasticCode, seq: StateSequence) -> None:
+    """Raise unless seq has code's length and its decoder's alphabet:
+    {0,1,e} (extended) for a decoder that reads erasures, {0,1} else."""
+    if seq.extended != code.erasures:
+        raise InvalidInstanceError(
+            "extended sequences tamper the composed scheme, not a plain code"
+            if seq.extended else
+            "the composed scheme is tampered by extended sequences"
+        )
+    if seq.n != code.n:
+        raise InvalidInstanceError(f"sequence length {seq.n} != n={code.n}")
+
+
 def channel_map(
     code: StochasticCode, seq: StateSequence, budget: Optional[int] = None
 ) -> Laws:
@@ -326,14 +339,7 @@ def channel_map(
     Prod_j nnz_j per message; the budget is charged 2^rho |Y|^n, the
     words the decoder table covers.
     """
-    if seq.extended != code.erasures:
-        raise InvalidInstanceError(
-            "extended sequences tamper the composed scheme, not a plain code"
-            if seq.extended else
-            "the composed scheme is tampered by extended sequences"
-        )
-    if seq.n != code.n:
-        raise InvalidInstanceError(f"sequence length {seq.n} != n={code.n}")
+    _check_sequence(code, seq)
     symbols = len(seq.channels[0].rows[0])
     _check_budget(code.seed_count * symbols ** code.n, budget, "channel experiment")
     scale = math.lcm(*(ch.integer_rows[0] for ch in seq.channels))
@@ -616,11 +622,11 @@ def _check_family(
 def _profiled(
     code: StochasticCode, functions: list, budget: Optional[int], cache: dict
 ) -> Iterator[tuple[TamperingFunction, _Profile]]:
-    """(member, entry) for each member of a family already passed through
-    _check_family, in list order, running each member's tampering
-    experiment (tamper_map) only when the caller reads it, so a loop
-    that stops early runs no more.  entry is the member's _Profile in
-    `cache`, one per distinct law table (profile, 2^rho)."""
+    """(member, entry) for each member, in list order, running each
+    member's tampering experiment (tamper_map, which validates it) only
+    when the caller reads it, so a loop that stops early runs no more.
+    entry is the member's _Profile in `cache`, one per distinct law
+    table (profile, 2^rho)."""
     for f in functions:
         key = laws, total = tamper_map(code, f, budget)
         entry = cache.get(key)
@@ -813,15 +819,16 @@ class TransferReport(Record):
 
 def verify_transfer(
     code: StochasticCode,
-    seq: StateSequence,
+    sequences: Iterable[StateSequence],
     certificate: FamilyCertificate,
     budget: Optional[int] = None,
-) -> TransferReport:
-    """Check the bit-family-to-AVC transfer on one binary state sequence
-    against the code's bit-family certificate: the mixture check,
-    eps_channel <= ds_sd and pattern_max <= eps_bit.  A certificate of
-    another code shape (n, k or rho), or one over other tampering
-    functions, is refused before any experiment."""
+) -> list[TransferReport]:
+    """Check the bit-family-to-AVC transfer on each binary state sequence
+    against the code's bit-family certificate, one TransferReport per
+    sequence in order: the mixture check, eps_channel <= ds_sd and
+    pattern_max <= eps_bit.  A certificate of another code shape (n, k
+    or rho), or one over other tampering functions, is refused before
+    any experiment; it is checked, and its pattern map built, once."""
     for f in certificate.members:
         if not isinstance(f, BITFunction):
             raise InvalidInstanceError(
@@ -838,29 +845,30 @@ def verify_transfer(
             f"certificate covers codes of k={len(worst.laws).bit_length() - 1}, "
             f"rho={worst.total.bit_length() - 1}, code has k={code.k}, rho={code.rho}"
         )
-    mixture = verify_mixture(
-        code, seq, seq.mixture_weights(),
-        {f.pattern: entry for f, entry in certificate.members.items()},
-        budget=budget,
-    )
-    eps_channel = optimal_simulator(*mixture.laws).epsilon
-    if not (eps_channel <= mixture.ds_sd
-            and mixture.pattern_max <= certificate.epsilon):
-        raise VerificationError(
-            f"transfer inequality violated: eps_channel={eps_channel}, "
-            f"ds_sd={mixture.ds_sd}, weighted={mixture.weighted_bound}, "
-            f"eps_bit={certificate.epsilon}"
+    entry_of = {f.pattern: entry for f, entry in certificate.members.items()}
+    reports = []
+    for seq in sequences:
+        mixture = verify_mixture(
+            code, seq, seq.mixture_weights(), entry_of, budget=budget
         )
-    label = ",".join(seq.labels) if seq.labels else f"n={seq.n}"
-    return TransferReport(
-        eps_bit=certificate.epsilon,
-        eps_channel=eps_channel,
-        ds_sd=mixture.ds_sd,
-        weighted_bound=mixture.weighted_bound,
-        worst_message=mixture.worst_message,
-        sequence_label=label,
-        k=code.k,
-    )
+        eps_channel = optimal_simulator(*mixture.laws).epsilon
+        if not (eps_channel <= mixture.ds_sd
+                and mixture.pattern_max <= certificate.epsilon):
+            raise VerificationError(
+                f"transfer inequality violated: eps_channel={eps_channel}, "
+                f"ds_sd={mixture.ds_sd}, weighted={mixture.weighted_bound}, "
+                f"eps_bit={certificate.epsilon}"
+            )
+        reports.append(TransferReport(
+            eps_bit=certificate.epsilon,
+            eps_channel=eps_channel,
+            ds_sd=mixture.ds_sd,
+            weighted_bound=mixture.weighted_bound,
+            worst_message=mixture.worst_message,
+            sequence_label=",".join(seq.labels) if seq.labels else f"n={seq.n}",
+            k=code.k,
+        ))
+    return reports
 
 
 class SearchResult(Record):

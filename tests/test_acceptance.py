@@ -129,7 +129,7 @@ def test_c03_bit_transfer_end_to_end():
     worst = F(0)
     for _ in range(20):
         seq = StateSequence([random_binary_channel(rng) for _ in range(4)])
-        report = verify_transfer(result.code, seq, certificate=cert)
+        (report,) = verify_transfer(result.code, [seq], certificate=cert)
         assert report.ds_sd <= cert.epsilon
         assert report.ds_sd <= report.weighted_bound <= cert.epsilon
         worst = max(worst, report.ds_sd)

@@ -1,5 +1,6 @@
 """CLI contract: commands, formats, exit codes, reproducibility."""
 
+import ast
 import json
 import os
 import signal
@@ -229,15 +230,40 @@ def test_nm_verify_malformed_channel_exit_2(runner, tmp_path, channel, inline):
 
 @pytest.mark.parametrize(
     "listing",
-    [{"sequences": 5}, {"sequences": [5]}, {"sequences": [["a"]], "channels": 3}],
-    ids=["sequences-not-list", "row-not-list", "channels-not-object"],
+    [{"sequences": 5}, {"sequences": [5]}, {"sequences": [["a"]], "channels": 3},
+     {"sequences": []}],
+    ids=["sequences-not-list", "row-not-list", "channels-not-object", "no-sequences"],
 )
 def test_nm_verify_malformed_sequences_exit_2(runner, tmp_path, listing):
     code = write(tmp_path, "code.json", IDENTITY_CODE_K1)
     seqs = write(tmp_path, "seqs.json", listing)
-    assert_invalid_input(runner.invoke(
+    result = runner.invoke(
         main, ["nm-verify", code, "--sequences", seqs, "--budget", "1000"]
-    ))
+    )
+    assert_invalid_input(result)
+    if listing == {"sequences": []}:
+        assert "no sequences to verify" in result.output
+
+
+BEC_2X3 = {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [([BSC] * 4, "sequence length 4 != n=5"),
+     ([BEC_2X3] * 5, "extended sequences tamper the composed scheme, not a plain code")],
+    ids=["short-row", "erasure-row"],
+)
+def test_nm_verify_checks_sequences_before_certifying(runner, tmp_path, row, message):
+    # Certifying the 4^5 bit family would need 2048 evaluations, far over
+    # budget 10; a row the code cannot read is refused first.
+    seqs = write(tmp_path, "seqs.json", {"sequences": [row]})
+    result = runner.invoke(
+        main, ["nm-verify", str(DATA / "fixed_k2n5_code.json"),
+               "--sequences", seqs, "--budget", "10"]
+    )
+    assert_invalid_input(result)
+    assert message in result.output
 
 
 def test_nm_verify_threshold_failure(runner, tmp_path):
@@ -585,6 +611,7 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
         {"sequences": [["foo", "foo", "foo", "foo", "foo"]]},
         # Specs that would verify no sequence, and so pass vacuously.
         {"sequences": []},
+        {"sequences": {"random": 0, "seed": 1}},
         {"sequences": {"random": -1, "seed": 1}},
         {"sequences": {"random": True, "seed": 1}},
         {"sequences": {"random": 2, "seed": True}},
@@ -602,7 +629,7 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
     ],
     ids=["string-budget", "bool-budget", "float-budget", "negative-budget",
          "list-states", "list-special-state", "unknown-state-in-row",
-         "empty-sequence-list", "negative-random-count", "bool-random-count",
+         "empty-sequence-list", "zero-random-count", "negative-random-count", "bool-random-count",
          "bool-random-seed", "only-special-state", "number-row-state",
          "string-row-state", "p-star-one", "p-star-above-one", "p-star-negative"],
 )
@@ -616,6 +643,8 @@ def test_composed_verify_malformed_spec_exit_2(runner, tmp_path, fields):
     assert "Traceback" not in result.output
     if "p_star" in fields:
         assert f"p_star {fields['p_star']} outside [0, 1)" in result.output
+    if fields.get("sequences") in ([], {"random": 0, "seed": 1}):
+        assert "no sequences to verify" in result.output
 
 
 @pytest.mark.parametrize("spec", [5, None, [], "spec"],
@@ -825,6 +854,27 @@ def run_cli_process(args: list[str]) -> tuple[int, bool, bool]:
     assert numpy.startswith("numpy imported: "), done.stderr
     assert dataclasses.startswith("dataclasses imported: "), done.stderr
     return done.returncode, numpy.endswith("True"), dataclasses.endswith("True")
+
+
+def test_cli_import_loads_every_traced_module():
+    # The benchmark's tracer wraps functions in the modules its TARGETS
+    # name, looked up in sys.modules after `import nmavc.cli`; a module
+    # that import leaves unloaded fails every traced run.
+    traced = Path(__file__).parent.parent / "perfbench" / "traced.py"
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(traced.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    modules = sorted({module for _, module, _ in targets})
+    script = "import json, sys\nimport nmavc.cli\nprint(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert modules and [m for m in modules if m not in loaded] == []
 
 
 @pytest.mark.parametrize(

@@ -415,6 +415,29 @@ def test_verify_composed_runs_one_channel_experiment_per_sequence(monkeypatch):
     assert len(experiments) == len(sequences) == 242
 
 
+def test_verify_composed_reads_its_sequences_in_one_pass(monkeypatch):
+    # A one-shot generator is read once: sequence i is drawn only after
+    # the previous i sequences were verified, and the report is the one
+    # the list gives.
+    scheme = parity45_scheme()
+    _, sequences = demo_sequences(scheme)
+    expected = verify_composed(scheme, sequences, F(1, 10))
+    experiments = counting(monkeypatch, verifier, "channel_map")
+
+    def one_at_a_time():
+        for i, seq in enumerate(sequences):
+            assert len(experiments) == i
+            yield seq
+
+    assert verify_composed(scheme, one_at_a_time(), F(1, 10)) == expected
+    assert len(experiments) == 242
+
+
+def test_verify_composed_refuses_no_sequences():
+    with pytest.raises(InvalidInstanceError, match="no sequences to verify"):
+        verify_composed(parity45_scheme(), [], F(1, 10))
+
+
 def test_demo_certify_inner_lp_count_is_pinned(monkeypatch):
     # 1,153 induced maps, one experiment each: the LP runs only for the
     # members neither a trivial simulator nor a pooled optimal one keeps

@@ -541,11 +541,11 @@ def test_verify_transfer_trivial_sequences():
     code = identity_code(2)
     cert = certify_bit_family(code)
     ident = StateSequence([identity_channel()] * 2)
-    report = verify_transfer(code, ident, certificate=cert)
+    (report,) = verify_transfer(code, [ident], certificate=cert)
     assert report.ds_sd == 0 and report.eps_channel == 0
 
     const = StateSequence([Channel.from_rows([[1, 0], [1, 0]])] * 2)
-    report = verify_transfer(code, const, certificate=cert)
+    (report,) = verify_transfer(code, [const], certificate=cert)
     assert report.eps_channel == 0
 
 
@@ -567,22 +567,22 @@ def test_verify_transfer_checks_certificate_length_first(monkeypatch):
     seq = StateSequence([bsc(F(1, 10))] * 3)
     with pytest.raises(InvalidInstanceError,
                        match="certificate covers length-2 BIT functions, code has length 3"):
-        verify_transfer(identity_code(3), seq, cert)
+        verify_transfer(identity_code(3), [seq], cert)
     with pytest.raises(InvalidInstanceError,
                        match="certificate covers codes of k=1, rho=0, code has k=2, rho=0"):
-        verify_transfer(identity_code(2), StateSequence([bsc(F(1, 10))] * 2),
+        verify_transfer(identity_code(2), [StateSequence([bsc(F(1, 10))] * 2)],
                         certify_bit_family(repetition))
     with pytest.raises(InvalidInstanceError,
                        match="certificate covers codes of k=1, rho=0, code has k=1, rho=2"):
-        verify_transfer(seeded, seq, certify_bit_family(seedless))
+        verify_transfer(seeded, [seq], certify_bit_family(seedless))
     pair = StateSequence([bsc(F(1, 10))] * 2)
     induced = certify_induced_family(identity_code(2), single_parity(2))
     assert isinstance(induced.worst, AffineFunction)
     with pytest.raises(InvalidInstanceError, match="not a BIT function"):
-        verify_transfer(identity_code(2), pair, induced)
+        verify_transfer(identity_code(2), [pair], induced)
     with pytest.raises(InvalidInstanceError,
                        match="certificate covers bot-map, not a BIT function"):
-        verify_transfer(identity_code(2), pair,
+        verify_transfer(identity_code(2), [pair],
                         certify_family(identity_code(2), [BOT_MAP]))
 
 
@@ -590,7 +590,7 @@ def test_verify_transfer_single_bsc():
     code = identity_code(1)
     seq = StateSequence([bsc(F(3, 10))])
     cert = certify_bit_family(code, budget=10_000)
-    report = verify_transfer(code, seq, cert, budget=10_000)
+    (report,) = verify_transfer(code, [seq], cert, budget=10_000)
     assert report.eps_bit == F(1, 2)  # the Flip pattern
     assert report.eps_channel == 0  # symmetric noise is simulatable
 
@@ -600,7 +600,7 @@ def test_verify_transfer_random_sequences():
     result = search_nm_code(k=1, n=3, rho=1, trials=8, seed=9)
     for _ in range(5):
         seq = StateSequence([random_binary_channel(rng) for _ in range(3)])
-        report = verify_transfer(result.code, seq, certificate=result.certificate)
+        (report,) = verify_transfer(result.code, [seq], certificate=result.certificate)
         assert (
             report.eps_channel
             <= report.ds_sd
@@ -1237,7 +1237,7 @@ def test_transfer_solves_pruned_members_on_demand():
     assert sorted(f.to_string() for f in read & unsolved) == [
         "F0F", "F0K", "FKF", "K0F", "K0K"
     ]
-    report = verify_transfer(code, seq, cert)
+    (report,) = verify_transfer(code, [seq], cert)
     reference = certify_every_member(code, enumerate_bit_functions(3))
     assert all(cert.members[f].solve() == reference.reports[f] for f in read)
     simulators = {f: law_of(1, *r.simulator) for f, r in reference.reports.items()}
