@@ -319,23 +319,13 @@ def cmd_nm_verify(code_file, family, sequences_file, budget, threshold):
             raise InvalidInstanceError("no sequences to verify")
         for seq in sequences:
             _check_sequence(code, seq)
-        cert = certify_bit_family(code, budget=budget)
-        per_sequence = {}
-        epsilon = Fraction(0)
-        results = verify_transfer(code, sequences, cert, budget=budget)
-        for index, result in enumerate(results):
-            # Repeated rows and inline channels (labelled by position)
-            # share labels; every sequence keeps an entry.
-            label = result.sequence_label
-            if label in per_sequence:
-                label = f"{label}#{index}"
-            per_sequence[label] = result.to_json()
-            epsilon = max(epsilon, result.eps_channel)
+        cert, results = verify_transfer(code, sequences, budget=budget)
+        epsilon = max(result.eps_channel for result in results.values())
         report = {
             "mode": "sequences",
             "eps_bit": format_rational(cert.epsilon),
             "eps_max_over_sequences": format_rational(epsilon),
-            "sequences": per_sequence,
+            "sequences": {label: result.to_json() for label, result in results.items()},
             "provenance": _provenance(
                 input=code_file, sequences=sequences_file, budget=budget
             ),

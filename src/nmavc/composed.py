@@ -15,11 +15,10 @@ so the generator keeps one per such key, and the loops over patterns
 read (keep, xor, erase) masks, never building a BITFunction.
 
 The special state s* is BEC(p_star) (special_channel).  Verification
-requires recovery under the all-s* sequence, then walks every other
-sequence once: it maps the sequence's patterns to the inner code's
-profile entries of the maps they induce and runs the verifier's
-mixture check, which solves each distinct profile's optimal simulator
-when it first reads it.
+requires recovery under the all-s* sequence, then feeds every other
+sequence to the verifier's one sequence walk, which maps each pattern
+to the inner code's profile entry of the map it induces and solves
+each distinct profile's optimal simulator when it first reads it.
 """
 
 from __future__ import annotations
@@ -51,10 +50,9 @@ from .verifier import (
     BOT_MAP,
     FamilyCertificate,
     StochasticCode,
-    _check_sequence,
     _profiled,
+    _verify_sequences,
     certify_family,
-    verify_mixture,
 )
 
 
@@ -260,12 +258,6 @@ class ComposedReport(Record):
         }
 
 
-def _sequence_label(seq: StateSequence, index: int) -> str:
-    if seq.labels:
-        return ",".join(seq.labels)
-    return f"seq{index}"
-
-
 def verify_composed(
     scheme: ComposedScheme,
     states: Iterable[StateSequence],
@@ -277,14 +269,12 @@ def verify_composed(
 
     delta comes from the pipeline-enumeration route and is cross-checked
     against the rank-enumeration route exactly.  The sequences (any
-    iterable) are then walked once, one at a time, and none is kept.
-    Each is checked (_check_sequence, not all-special, pattern count
-    within budget) before its positive-weight action patterns are built,
-    and each pattern not seen before is mapped to the inner code's cache
-    entry for the profile of its induced map.  The mixture solves each
-    entry's optimal simulator once, when it first reads it, and compares
-    the weight-mixed simulator against the exact composed tamper
-    distributions.  An empty walk is an error.
+    iterable) are then walked once by the verifier's sequence walk,
+    which keeps none; the all-special sequence is refused as it is
+    drawn.  Each pattern not seen before is mapped to the inner code's
+    cache entry for the profile of its induced map, one tampering
+    experiment per distinct map, and each entry's optimal simulator is
+    solved once, when the mixture first reads it.
     """
     recovery = recovery_probability(scheme, p_star)
     delta = 1 - recovery
@@ -295,52 +285,44 @@ def verify_composed(
         )
 
     special = special_channel(p_star)
+
+    def non_special():
+        for seq in states:
+            if all(ch == special for ch in seq.channels):
+                raise InvalidInstanceError(
+                    "the all-special sequence is covered by the recovery "
+                    "requirement, not the non-malleability one"
+                )
+            yield seq
+
     cache: dict = {}  # one _Profile per distinct profile
-    entry_of: dict = {}  # pattern -> its induced map's entry
     entry_of_map: dict = {}  # induced map -> its entry
-    eps_by_sequence: dict[str, SequenceReport] = {}
-    eps_max = Fraction(0)
-    for index, seq in enumerate(states):
-        _check_sequence(scheme, seq)
-        if all(ch == special for ch in seq.channels):
-            raise InvalidInstanceError(
-                "the all-special sequence is covered by the recovery "
-                "requirement, not the non-malleability one"
-            )
-        count = seq.pattern_count
-        if budget is not None and count > budget:
-            raise BudgetExceededError(
-                f"sequence expands into {count} patterns, budget {budget}"
-            )
-        weights = seq.mixture_weights()
-        for pattern, _ in weights[1]:
-            if pattern not in entry_of:
-                f = _induced_map(scheme.outer, *pattern)
-                if f not in entry_of_map:
-                    [(_, entry_of_map[f])] = _profiled(scheme.inner, [f], None, cache)
-                entry_of[pattern] = entry_of_map[f]
-        mixture = verify_mixture(scheme, seq, weights, entry_of)
-        # A repeated row keeps its own entry under its index.
-        label = _sequence_label(seq, index)
-        if label in eps_by_sequence:
-            label = f"{label}#{index}"
-        eps_by_sequence[label] = SequenceReport(
+
+    def entry_for(pattern):
+        f = _induced_map(scheme.outer, *pattern)
+        if f not in entry_of_map:
+            [(_, entry_of_map[f])] = _profiled(scheme.inner, [f], None, cache)
+        return entry_of_map[f]
+
+    eps_by_sequence = {
+        label: SequenceReport(
             label=label,
             epsilon=mixture.ds_sd,
             weighted_bound=mixture.weighted_bound,
             pattern_max=mixture.pattern_max,
             worst_message=mixture.worst_message,
-            pattern_count=len(weights[1]),
+            pattern_count=seq.pattern_count,
             k=scheme.k,
         )
-        eps_max = max(eps_max, mixture.ds_sd)
-    if not eps_by_sequence:
-        raise InvalidInstanceError("no sequences to verify")
+        for label, seq, mixture in _verify_sequences(
+            scheme, non_special(), entry_for, budget
+        )
+    }
     return ComposedReport(
         delta=delta,
         recovery=recovery,
         eps_by_sequence=eps_by_sequence,
-        eps_max=eps_max,
+        eps_max=max(report.epsilon for report in eps_by_sequence.values()),
         sequences_checked=len(eps_by_sequence),
     )
 

@@ -5,10 +5,12 @@ seed, deterministic decoder), this module computes the exact decoded
 law under a tampering function or a channel state sequence (over {0,1},
 or {0,1,e} for a decoder that reads erasures), finds the optimal
 message-independent simulator by an exact-rational LP, and checks the
-transfer from a certified family to a state sequence: the per-pattern
+transfer from a certified family to state sequences: the per-pattern
 simulators, mixed by pattern weight, stay within the weighted family
-error.  One mixture check serves the bit family and the composed
-scheme's induced maps.
+error.  One walk over state sequences (_verify_sequences) runs that
+mixture check and names each sequence, for the bit family (the
+transfer, which certifies its own code first) and for the composed
+scheme's induced maps alike.
 
 A decoded outcome is an index: the messages are 0..2^k - 1 (in the
 order of all_bitstrings(k)), failure (bot) is 2^k, and a simulator adds
@@ -36,7 +38,7 @@ import math
 import random
 from fractions import Fraction
 from typing import (
-    Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union,
+    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Sized, Union,
 )
 
 from .channels import StateSequence
@@ -764,32 +766,56 @@ class MixtureReport(Record):
     __slots__ = ("laws", "ds_sd", "weighted_bound", "pattern_max", "worst_message")
 
 
-def verify_mixture(
+def _verify_sequences(
     code: StochasticCode,
-    seq: StateSequence,
-    weights: tuple[int, Iterable[tuple[tuple, int]]],
-    entry_of: Mapping[tuple[int, int, int], _Profile],
-    budget: Optional[int] = None,
-) -> MixtureReport:
-    """D_s, the optimal simulators of seq's patterns mixed by its
-    integer pattern weights (D, [(pattern, numerator), ...]), against
-    seq's direct channel laws; entry_of maps a pattern to the _Profile
-    entry of the member simulating it, whose optimum is solved on first
-    read.
+    sequences: Iterable[StateSequence],
+    entry_for: Callable[[tuple[int, int, int]], _Profile],
+    budget: Optional[int],
+) -> Iterator[tuple[str, StateSequence, MixtureReport]]:
+    """The one walk over state sequences: (label, seq, MixtureReport) for
+    each sequence of any iterable, in order, keeping none of them.
 
-    The mixture side (_mixture) reads only the weights and the entries'
-    optima, and the laws only the channels, so the two routes stay
-    independent.
+    Each sequence is checked (_check_sequence, its pattern count within
+    budget) before its positive-weight patterns are built, and each
+    pattern not seen before in the walk is mapped through entry_for to
+    the _Profile entry of the member simulating it, whose optimum is
+    solved on first read.  D_s, those optima mixed by the sequence's
+    integer pattern weights (_mixture), is then held against the
+    sequence's direct channel laws (channel_map): the mixture side reads
+    only the weights and the entries, the laws only the channels.
+
+    A label is the state names joined by commas (seq<index> without
+    names), with #index appended until no earlier sequence has it.  An
+    empty walk is an error.
     """
-    laws = channel_map(code, seq, budget=budget)
-    d_s, weighted_bound, pattern_max = _mixture(weights, entry_of)
-    ds_sd, worst, _ = _worst_case(*laws, d_s)
-    if not ds_sd <= weighted_bound <= pattern_max:
-        raise VerificationError(
-            f"mixture bound violated: ds_sd={ds_sd}, "
-            f"weighted={weighted_bound}, max={pattern_max}"
-        )
-    return MixtureReport(laws, ds_sd, weighted_bound, pattern_max, worst)
+    entry_of: dict = {}  # pattern -> entry_for(pattern)
+    labels: set = set()
+    for index, seq in enumerate(sequences):
+        _check_sequence(code, seq)
+        count = seq.pattern_count
+        if budget is not None and count > budget:
+            raise BudgetExceededError(
+                f"sequence expands into {count} patterns, budget {budget}"
+            )
+        weights = seq.mixture_weights()
+        for pattern, _ in weights[1]:
+            if pattern not in entry_of:
+                entry_of[pattern] = entry_for(pattern)
+        laws = channel_map(code, seq)
+        d_s, weighted_bound, pattern_max = _mixture(weights, entry_of)
+        ds_sd, worst, _ = _worst_case(*laws, d_s)
+        if not ds_sd <= weighted_bound <= pattern_max:
+            raise VerificationError(
+                f"mixture bound violated: ds_sd={ds_sd}, "
+                f"weighted={weighted_bound}, max={pattern_max}"
+            )
+        label = ",".join(seq.labels) if seq.labels else f"seq{index}"
+        while label in labels:
+            label = f"{label}#{index}"
+        labels.add(label)
+        yield label, seq, MixtureReport(laws, ds_sd, weighted_bound, pattern_max, worst)
+    if not labels:
+        raise InvalidInstanceError("no sequences to verify")
 
 
 class TransferReport(Record):
@@ -797,7 +823,9 @@ class TransferReport(Record):
 
     Invariant chain, checked exactly on every run:
     eps_channel <= ds_sd <= weighted_bound <= eps_bit.  worst_message is
-    a message index of the code's k.
+    a message index of the code's k; sequence_label is the state names
+    joined by commas, without the walk's #index (the walk label for a
+    sequence without names).
     """
 
     __slots__ = ("eps_bit", "eps_channel", "ds_sd", "weighted_bound",
@@ -820,55 +848,39 @@ class TransferReport(Record):
 def verify_transfer(
     code: StochasticCode,
     sequences: Iterable[StateSequence],
-    certificate: FamilyCertificate,
     budget: Optional[int] = None,
-) -> list[TransferReport]:
-    """Check the bit-family-to-AVC transfer on each binary state sequence
-    against the code's bit-family certificate, one TransferReport per
-    sequence in order: the mixture check, eps_channel <= ds_sd and
-    pattern_max <= eps_bit.  A certificate of another code shape (n, k
-    or rho), or one over other tampering functions, is refused before
-    any experiment; it is checked, and its pattern map built, once."""
-    for f in certificate.members:
-        if not isinstance(f, BITFunction):
-            raise InvalidInstanceError(
-                f"certificate covers {function_key(f)}, not a BIT function"
-            )
-    n = certificate.worst.n
-    if n != code.n:
-        raise InvalidInstanceError(
-            f"certificate covers length-{n} BIT functions, code has length {code.n}"
-        )
-    worst = certificate.members[certificate.worst]
-    if len(worst.laws) != len(code.enc) or worst.total != code.seed_count:
-        raise InvalidInstanceError(
-            f"certificate covers codes of k={len(worst.laws).bit_length() - 1}, "
-            f"rho={worst.total.bit_length() - 1}, code has k={code.k}, rho={code.rho}"
-        )
-    entry_of = {f.pattern: entry for f, entry in certificate.members.items()}
-    reports = []
-    for seq in sequences:
-        mixture = verify_mixture(
-            code, seq, seq.mixture_weights(), entry_of, budget=budget
-        )
+) -> tuple[FamilyCertificate, dict[str, TransferReport]]:
+    """Certify the code's bit family, then check the bit-family-to-AVC
+    transfer on each binary state sequence: (certificate, {label:
+    TransferReport}), one report per sequence under its walk label.
+
+    The sequences (any iterable) are walked once, after certification
+    (_verify_sequences), each pattern simulated by its BIT function's
+    entry, which solves the LP of a member certification skipped.  Each
+    sequence adds eps_channel <= ds_sd and pattern_max <= eps_bit to
+    the walk's mixture check.
+    """
+    cert = certify_bit_family(code, budget)
+    entry_for = {f.pattern: e for f, e in cert.members.items()}.__getitem__
+    reports = {}
+    for label, seq, mixture in _verify_sequences(code, sequences, entry_for, budget):
         eps_channel = optimal_simulator(*mixture.laws).epsilon
-        if not (eps_channel <= mixture.ds_sd
-                and mixture.pattern_max <= certificate.epsilon):
+        if not (eps_channel <= mixture.ds_sd and mixture.pattern_max <= cert.epsilon):
             raise VerificationError(
                 f"transfer inequality violated: eps_channel={eps_channel}, "
                 f"ds_sd={mixture.ds_sd}, weighted={mixture.weighted_bound}, "
-                f"eps_bit={certificate.epsilon}"
+                f"eps_bit={cert.epsilon}"
             )
-        reports.append(TransferReport(
-            eps_bit=certificate.epsilon,
+        reports[label] = TransferReport(
+            eps_bit=cert.epsilon,
             eps_channel=eps_channel,
             ds_sd=mixture.ds_sd,
             weighted_bound=mixture.weighted_bound,
             worst_message=mixture.worst_message,
-            sequence_label=",".join(seq.labels) if seq.labels else f"n={seq.n}",
+            sequence_label=",".join(seq.labels) if seq.labels else label,
             k=code.k,
-        ))
-    return reports
+        )
+    return cert, reports
 
 
 class SearchResult(Record):
@@ -916,13 +928,13 @@ def search_nm_code(
     code attaining the lowest worst-case epsilon.  Bit-for-bit
     reproducible from the seed.
     """
-    if k + rho > n:
-        raise InvalidInstanceError(
-            f"injective encoding needs k + rho <= n, got {k}+{rho} > {n}"
-        )
     if k < 0 or rho < 0 or n < 1:
         raise InvalidInstanceError(
             f"search needs k >= 0, rho >= 0 and n >= 1, got k={k}, n={n}, rho={rho}"
+        )
+    if k + rho > n:
+        raise InvalidInstanceError(
+            f"injective encoding needs k + rho <= n, got {k}+{rho} > {n}"
         )
     if trials < 1:
         raise InvalidInstanceError("trials must be >= 1")

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Hashable, Mapping, Optional, Sequence, Tuple
 from unittest.mock import patch
 
+import nmavc.composed as composed
 import nmavc.verifier as verifier
 from nmavc import (
     AffineFunction,
@@ -742,6 +743,22 @@ def recorded_lps(function):
     with patch.object(verifier, "solve_min", record):
         result = function()
     return result, recorded
+
+
+def counting(monkeypatch, module, name):
+    """Count calls to module.<name> wherever module, verifier or
+    composed bind it."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for owner in {module, verifier, composed}:
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def full_simulator_lp(

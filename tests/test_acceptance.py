@@ -126,10 +126,14 @@ def test_c03_bit_transfer_end_to_end():
     assert cert.size == 4**4
     assert cert.epsilon < 1
     rng = random.Random(1003)
+    sequences = [
+        StateSequence([random_binary_channel(rng) for _ in range(4)]) for _ in range(20)
+    ]
+    transfer_cert, reports = verify_transfer(result.code, sequences)
+    assert transfer_cert.epsilon == cert.epsilon
+    assert len(reports) == 20
     worst = F(0)
-    for _ in range(20):
-        seq = StateSequence([random_binary_channel(rng) for _ in range(4)])
-        (report,) = verify_transfer(result.code, [seq], certificate=cert)
+    for report in reports.values():
         assert report.ds_sd <= cert.epsilon
         assert report.ds_sd <= report.weighted_bound <= cert.epsilon
         worst = max(worst, report.ds_sd)

@@ -15,8 +15,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nmavc import cli
 from nmavc.cli import main
-from oracles import split_word
+from oracles import counting, split_word
 
 BSC = {"rows": [["7/10", "3/10"], ["3/10", "7/10"]]}
 BAD_ROW_SUM = {"rows": [["7/10", "7/10"], ["3/10", "7/10"]]}
@@ -191,29 +192,40 @@ def test_nm_verify_identity_code(runner, tmp_path):
 
 
 def test_nm_verify_keeps_sequences_with_equal_labels(runner, tmp_path):
-    # Inline channels are labelled by position, so these two different
-    # sequences share the label "inline0,inline1"; both must be reported.
-    code = write(tmp_path, "code.json", LINEAR_CODE_K1_N3)
+    # Inline channels are labelled by position, so the first listing's
+    # three sequences share the label "inline0,inline1,inline2"; in the
+    # second, a channel named "x#2" spells the label the third row's
+    # "#index" would give.  Every sequence must be reported, its "#index"
+    # appended until its label is new.
     flip = {"rows": [["0", "1"], ["1", "0"]]}
-    seqs = write(
-        tmp_path, "seqs.json",
-        {"sequences": [[BSC, BSC, BSC], [flip, BSC, BSC], [BSC, BSC, BSC]]},
-    )
-    out = str(tmp_path / "report.json")
-    result = runner.invoke(
-        main, ["nm-verify", code, "--sequences", seqs, "--budget", "1000",
-               "--out", out],
-    )
-    assert result.exit_code == 0, result.output
-    assert "over 3 sequences" in result.output
-    reported = json.loads(Path(out).read_text())["sequences"]
-    assert sorted(reported) == [
-        "inline0,inline1,inline2",
-        "inline0,inline1,inline2#1",
-        "inline0,inline1,inline2#2",
+    cases = [
+        (LINEAR_CODE_K1_N3,
+         {"sequences": [[BSC, BSC, BSC], [flip, BSC, BSC], [BSC, BSC, BSC]]},
+         ["inline0,inline1,inline2", "inline0,inline1,inline2#1",
+          "inline0,inline1,inline2#2"]),
+        (IDENTITY_CODE_K1,
+         {"channels": {"x": {"rows": [["1", "0"], ["0", "1"]]}, "x#2": flip},
+          "sequences": [["x"], ["x#2"], ["x"]]},
+         ["x", "x#2", "x#2#2"]),
     ]
-    assert reported["inline0,inline1,inline2#1"] != reported["inline0,inline1,inline2"]
-    assert reported["inline0,inline1,inline2#2"] == reported["inline0,inline1,inline2"]
+    for code_json, listing, (first, other, repeat) in cases:
+        code = write(tmp_path, "code.json", code_json)
+        seqs = write(tmp_path, "seqs.json", listing)
+        out = str(tmp_path / "report.json")
+        result = runner.invoke(
+            main, ["nm-verify", code, "--sequences", seqs, "--budget", "1000",
+                   "--out", out],
+        )
+        assert result.exit_code == 0, result.output
+        assert "over 3 sequences" in result.output
+        reported = json.loads(Path(out).read_text())["sequences"]
+        assert sorted(reported) == [first, other, repeat]
+        assert reported[other] != reported[first]
+        assert reported[repeat] == reported[first]
+    # The flip, not the third row's identity, holds "x#2".
+    assert reported["x#2"]["eps_channel"] == "1/2"
+    assert reported["x#2#2"]["eps_channel"] == "0"
+
 
 @pytest.mark.parametrize("channel", [NUMBER_ROWS, STRING_ROWS],
                          ids=["number-rows", "string-rows"])
@@ -287,6 +299,36 @@ def test_nm_verify_budget_exit_3(runner, tmp_path):
         main, ["nm-verify", code, "--family", "bit", "--budget", "10"]
     )
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("budget, exit_code", [("2048", 0), ("2047", 3)])
+def test_nm_verify_sequences_budget_is_certification(runner, tmp_path, budget,
+                                                     exit_code):
+    # Certifying the 4^5 bit family of the k=2, n=5, rho=1 code charges
+    # 4^5 * 2^1 = 2048 evaluations, which covers the row's 2^5 patterns
+    # and its channel experiment (2^1 * 2^5 words).
+    seqs = write(tmp_path, "seqs.json", {
+        "channels": {"bsc": BSC, "z": {"rows": [["1", "0"], ["1/4", "3/4"]]}},
+        "sequences": [["bsc", "z", "bsc", "z", "bsc"]],
+    })
+    result = runner.invoke(
+        main, ["nm-verify", str(DATA / "fixed_k2n5_code.json"),
+               "--sequences", seqs, "--budget", budget]
+    )
+    assert result.exit_code == exit_code, result.output
+    if exit_code == 3:
+        assert ("bit-family certification needs 2048 evaluations, budget 2047"
+                in result.output)
+
+
+def test_nm_verify_sequences_certifies_once(runner, monkeypatch):
+    certifications = counting(monkeypatch, cli, "certify_bit_family")
+    result = runner.invoke(
+        main, ["nm-verify", str(DATA / "transfer_code.json"), "--sequences",
+               str(DATA / "transfer_sequences.json"), "--budget", "1000"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(certifications) == 1
 
 
 def test_nm_verify_requires_one_mode(runner, tmp_path):
@@ -435,10 +477,11 @@ def test_nm_verify_fuzzed_code_exit_2(runner, tmp_path, code):
 
 @pytest.mark.parametrize(
     "dims",
-    [("1", "2", "-1"), ("-1", "2", "0"), ("0", "0", "0")],
-    ids=["negative-rho", "negative-k", "empty-block"],
+    [("1", "2", "-1"), ("-1", "2", "0"), ("0", "0", "0"), ("-3", "1", "5")],
+    ids=["negative-rho", "negative-k", "empty-block", "negative-k-over-length"],
 )
 def test_search_bad_dimensions_exit_2(runner, dims):
+    # A negative k is named as such, even when k + rho also exceeds n.
     k, n, rho = dims
     result = runner.invoke(
         main, ["search", "--k", k, "--n", n, "--rho", rho,
@@ -447,6 +490,7 @@ def test_search_bad_dimensions_exit_2(runner, dims):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+    assert "search needs k >= 0" in result.output
 
 
 def test_search_reports_micro_epsilon(runner, tmp_path):
@@ -571,9 +615,12 @@ def test_composed_verify_random_sequence_budget(runner, tmp_path, count, exit_co
 
 
 def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
-    # The first row is listed twice; each listing keeps its own entry.
+    # In the first spec the first row is listed twice; in the second a
+    # state named "bsc#2" spells the label the third row's "#index"
+    # would give.  Each listing keeps its own entry, its "#index"
+    # appended until its label is new.
     bec = {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}
-    spec = {
+    listed = {
         "inner_code": json.loads((DATA / "transfer_code.json").read_text()),
         "outer": json.loads((DATA / "parity34.json").read_text()),
         "p_star": "1/10",
@@ -583,20 +630,35 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
                       ["bsc", "bec", "bsc", "bsc"]],
         "budget": 1000,
     }
-    spec_file = write(tmp_path, "spec.json", spec)
-    out = str(tmp_path / "report.json")
-    result = runner.invoke(
-        main, ["composed-verify", "--spec", spec_file, "--out", out]
-    )
-    assert result.exit_code == 0, result.output
-    assert "over 3 sequences" in result.output
-    reported = json.loads(Path(out).read_text())["sequences"]
-    assert sorted(reported) == [
-        "bsc,bec,bsc,bsc", "bsc,bec,bsc,bsc#2", "bsc,bsc,bsc,bsc",
+    shipped = json.loads((DATA / "composed_spec.json").read_text())
+    flip = {"rows": [["0", "1", "0"], ["1", "0", "0"]]}
+    named = {
+        **shipped,
+        "states": {**shipped["states"], "bsc#2": flip},
+        "sequences": [["bsc"] * 4 + ["bsc#2"], ["bsc"] * 5, ["bsc"] * 5],
+    }
+    cases = [
+        (listed, ["bsc,bec,bsc,bsc", "bsc,bec,bsc,bsc#2", "bsc,bsc,bsc,bsc"],
+         "bsc,bec,bsc,bsc", "bsc,bec,bsc,bsc#2"),
+        (named, ["bsc,bsc,bsc,bsc,bsc", "bsc,bsc,bsc,bsc,bsc#2",
+                 "bsc,bsc,bsc,bsc,bsc#2#2"],
+         "bsc,bsc,bsc,bsc,bsc", "bsc,bsc,bsc,bsc,bsc#2#2"),
     ]
-    first, repeat = reported["bsc,bec,bsc,bsc"], reported["bsc,bec,bsc,bsc#2"]
-    assert repeat["sequence"] == "bsc,bec,bsc,bsc#2"
-    assert {**repeat, "sequence": first["sequence"]} == first
+    for spec, labels, first_label, repeat_label in cases:
+        spec_file = write(tmp_path, "spec.json", spec)
+        out = str(tmp_path / "report.json")
+        result = runner.invoke(
+            main, ["composed-verify", "--spec", spec_file, "--out", out]
+        )
+        assert result.exit_code == 0, result.output
+        assert "over 3 sequences" in result.output
+        report = json.loads(Path(out).read_text())
+        assert report["sequences_checked"] == 3
+        reported = report["sequences"]
+        assert sorted(reported) == labels
+        first, repeat = reported[first_label], reported[repeat_label]
+        assert repeat["sequence"] == repeat_label
+        assert {**repeat, "sequence": first["sequence"]} == first
 
 
 @pytest.mark.parametrize(
@@ -725,7 +787,9 @@ def test_text_format(runner, tmp_path):
 # _random_injective_code(1, 4, 2, Random(5)) and
 # _random_injective_code(0, 2, 1, Random(1))) before laws became integer
 # rows over the outcome index: the first pins a simulator with same*
-# mass, the second the empty message label of k = 0;
+# mass, the second the empty message label of k = 0; and (delta-exact,
+# the 3 -> 4 parity code at p* = 1/10) before the nm-verify and
+# composed-verify sequence walks became one;
 # the whole JSON must stay the same apart from the timestamp and the
 # input paths the provenance echoes.
 
@@ -773,11 +837,14 @@ def report_without_run_fields(path) -> dict:
         (["nm-verify", str(DATA / "random_k0n2_code.json"), "--family", "bit",
           "--budget", "4096"],
          "golden_nm_verify_bit_k0n2.json"),
+        (["delta", str(DATA / "parity34.json"), "1/10"],
+         "golden_delta_parity34.json"),
     ],
     ids=["nm-verify-sequences", "composed-verify", "composed-demo", "certify-inner",
          "decompose-alpha3", "decompose-lifted-bsc", "decompose-erase",
          "search-k1n4", "nm-verify-bit", "nm-verify-bit-k2n5",
-         "nm-verify-bit-k1n4-same-star", "nm-verify-bit-k0n2-empty-message"],
+         "nm-verify-bit-k1n4-same-star", "nm-verify-bit-k0n2-empty-message",
+         "delta-exact"],
 )
 def test_report_matches_golden(runner, tmp_path, args, golden):
     out = tmp_path / "report.json"

@@ -24,6 +24,7 @@ from nmavc import (
     recovery_probability,
     search_nm_code,
     verify_composed,
+    verify_transfer,
 )
 from nmavc import channels, composed, gf2, simplex, verifier
 from nmavc.errors import InvalidInstanceError, VerificationError
@@ -35,6 +36,7 @@ from oracles import (
     bsc,
     certify_every_member,
     composed_tamper_distribution,
+    counting,
     ds_mixture,
     gf2_identity,
     hamming_7_4,
@@ -326,22 +328,6 @@ def test_certify_induced_family_bound_holds():
     assert cert.epsilon == inner.certificate.epsilon
 
 
-
-def counting(monkeypatch, module, name):
-    """Count calls to module.<name> wherever verifier or composed bind it."""
-    calls = []
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    for owner in {module, verifier, composed}:
-        if getattr(owner, name, None) is original:
-            monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
 def test_verify_composed_runs_one_experiment_per_profile(monkeypatch):
     scheme = parity45_scheme()
     n = scheme.n
@@ -416,21 +402,34 @@ def test_verify_composed_runs_one_channel_experiment_per_sequence(monkeypatch):
 
 
 def test_verify_composed_reads_its_sequences_in_one_pass(monkeypatch):
-    # A one-shot generator is read once: sequence i is drawn only after
+    # A one-shot generator is read once, by verify_composed and by
+    # verify_transfer after it certifies: sequence i is drawn only after
     # the previous i sequences were verified, and the report is the one
     # the list gives.
     scheme = parity45_scheme()
-    _, sequences = demo_sequences(scheme)
-    expected = verify_composed(scheme, sequences, F(1, 10))
-    experiments = counting(monkeypatch, verifier, "channel_map")
+    _, demo = demo_sequences(scheme)
+    code = search_nm_code(k=1, n=3, rho=1, trials=4, seed=9).code
+    z = Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]])
+    binary = [
+        StateSequence(row)
+        for row in product([bsc(F(1, 10)), z, identity_channel()], repeat=3)
+    ]
+    cases = [
+        (lambda seqs: verify_composed(scheme, seqs, F(1, 10)), demo, 242),
+        (lambda seqs: verify_transfer(code, seqs), binary, 27),
+    ]
+    for verify, sequences, count in cases:
+        expected = verify(sequences)
+        with monkeypatch.context() as patch:
+            experiments = counting(patch, verifier, "channel_map")
 
-    def one_at_a_time():
-        for i, seq in enumerate(sequences):
-            assert len(experiments) == i
-            yield seq
+            def one_at_a_time():
+                for i, seq in enumerate(sequences):
+                    assert len(experiments) == i
+                    yield seq
 
-    assert verify_composed(scheme, one_at_a_time(), F(1, 10)) == expected
-    assert len(experiments) == 242
+            assert verify(one_at_a_time()) == expected
+            assert len(experiments) == count
 
 
 def test_verify_composed_refuses_no_sequences():

@@ -26,7 +26,6 @@ from nmavc import (
     all_bitstrings,
     certify_bit_family,
     certify_family,
-    certify_induced_family,
     channel_map,
     enumerate_bit_functions,
     optimal_simulator,
@@ -539,58 +538,20 @@ def test_integer_mixture_matches_fraction_oracle(extended, shared, merged, n, se
 
 def test_verify_transfer_trivial_sequences():
     code = identity_code(2)
-    cert = certify_bit_family(code)
     ident = StateSequence([identity_channel()] * 2)
-    (report,) = verify_transfer(code, [ident], certificate=cert)
+    (report,) = verify_transfer(code, [ident])[1].values()
     assert report.ds_sd == 0 and report.eps_channel == 0
 
     const = StateSequence([Channel.from_rows([[1, 0], [1, 0]])] * 2)
-    (report,) = verify_transfer(code, [const], certificate=cert)
+    (report,) = verify_transfer(code, [const])[1].values()
     assert report.eps_channel == 0
-
-
-def test_verify_transfer_checks_certificate_length_first(monkeypatch):
-    # A certificate over another length, message count or seed count, or
-    # over other tampering functions, is refused by name before any
-    # channel experiment runs.
-    cert = certify_bit_family(identity_code(2))
-    repetition = StochasticCode(1, 2, 0, [(0b00,), (0b11,)], {0b00: 0, 0b11: 1})
-    seedless = StochasticCode(1, 3, 0, [(0b000,), (0b111,)], {0b000: 0, 0b111: 1})
-    seeded = StochasticCode(
-        1, 3, 2, [(0, 1, 2, 3), (4, 5, 6, 7)], {w: w >> 2 for w in range(8)}
-    )
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("channel_map ran before the shape check")
-
-    monkeypatch.setattr(verifier, "channel_map", refuse)
-    seq = StateSequence([bsc(F(1, 10))] * 3)
-    with pytest.raises(InvalidInstanceError,
-                       match="certificate covers length-2 BIT functions, code has length 3"):
-        verify_transfer(identity_code(3), [seq], cert)
-    with pytest.raises(InvalidInstanceError,
-                       match="certificate covers codes of k=1, rho=0, code has k=2, rho=0"):
-        verify_transfer(identity_code(2), [StateSequence([bsc(F(1, 10))] * 2)],
-                        certify_bit_family(repetition))
-    with pytest.raises(InvalidInstanceError,
-                       match="certificate covers codes of k=1, rho=0, code has k=1, rho=2"):
-        verify_transfer(seeded, [seq], certify_bit_family(seedless))
-    pair = StateSequence([bsc(F(1, 10))] * 2)
-    induced = certify_induced_family(identity_code(2), single_parity(2))
-    assert isinstance(induced.worst, AffineFunction)
-    with pytest.raises(InvalidInstanceError, match="not a BIT function"):
-        verify_transfer(identity_code(2), [pair], induced)
-    with pytest.raises(InvalidInstanceError,
-                       match="certificate covers bot-map, not a BIT function"):
-        verify_transfer(identity_code(2), [pair],
-                        certify_family(identity_code(2), [BOT_MAP]))
 
 
 def test_verify_transfer_single_bsc():
     code = identity_code(1)
     seq = StateSequence([bsc(F(3, 10))])
-    cert = certify_bit_family(code, budget=10_000)
-    (report,) = verify_transfer(code, [seq], cert, budget=10_000)
+    _, reports = verify_transfer(code, [seq], budget=10_000)
+    (report,) = reports.values()
     assert report.eps_bit == F(1, 2)  # the Flip pattern
     assert report.eps_channel == 0  # symmetric noise is simulatable
 
@@ -598,9 +559,13 @@ def test_verify_transfer_single_bsc():
 def test_verify_transfer_random_sequences():
     rng = random.Random(52)
     result = search_nm_code(k=1, n=3, rho=1, trials=8, seed=9)
-    for _ in range(5):
-        seq = StateSequence([random_binary_channel(rng) for _ in range(3)])
-        (report,) = verify_transfer(result.code, [seq], certificate=result.certificate)
+    sequences = [
+        StateSequence([random_binary_channel(rng) for _ in range(3)]) for _ in range(5)
+    ]
+    cert, reports = verify_transfer(result.code, sequences)
+    assert cert.epsilon == result.certificate.epsilon
+    assert len(reports) == 5
+    for report in reports.values():
         assert (
             report.eps_channel
             <= report.ds_sd
@@ -1231,13 +1196,15 @@ def test_transfer_solves_pruned_members_on_demand():
     code = k1n3_code()
     z = Channel.from_rows([[1, 0], [F(1, 4), F(3, 4)]])
     seq = StateSequence([bsc(F(3, 10)), z, bsc(F(1, 5))])
-    cert = certify_bit_family(code)
-    unsolved = {f for f, entry in cert.members.items() if entry.report is None}
+    certified = certify_bit_family(code)
+    unsolved = {f for f, entry in certified.members.items() if entry.report is None}
     read = {BITFunction(3, *p) for p, _ in seq.mixture_weights()[1]}
     assert sorted(f.to_string() for f in read & unsolved) == [
         "F0F", "F0K", "FKF", "K0F", "K0K"
     ]
-    (report,) = verify_transfer(code, [seq], cert)
+    cert, reports = verify_transfer(code, [seq])
+    (report,) = reports.values()
+    assert all(cert.members[f].report is not None for f in read)
     reference = certify_every_member(code, enumerate_bit_functions(3))
     assert all(cert.members[f].solve() == reference.reports[f] for f in read)
     simulators = {f: law_of(1, *r.simulator) for f, r in reference.reports.items()}
