@@ -9,10 +9,11 @@ affine map (or the constant failure map) on the inner codeword: the
 induced map is built in its closed matrix form and checked against the
 actual encode/tamper/decode pipeline on every inner word, both sides
 read as tables over the words: the pipeline's decoder results come from
-the generator's table for the pattern's erasure mask.  A closed form
-depends only on the reconstruction set R and the pattern's masks on R,
-so the generator keeps one per such key, and the loops over patterns
-read (keep, xor, erase) masks, never building a BITFunction.
+the generator's one entry for the pattern's erasure mask, which also
+holds its reconstruction set R.  A closed form depends only on R and
+the pattern's masks on R, so the generator keeps one per such key, and
+the loops over patterns read (keep, xor, erase) masks, never building
+a BITFunction.
 
 The special state s* is BEC(p_star) (special_channel).  Verification
 requires recovery under the all-s* sequence, then feeds every other
@@ -37,12 +38,11 @@ from .gf2 import (
     MAX_EXACT_LENGTH,
     GF2Matrix,
     ReconstructionSet,
-    decode_table,
     delta_exact,
     ecc_decode,
     gather_bits,
     int_to_bits,
-    select_reconstruction,
+    mask_decoder,
     words_in_order,
 )
 from .tampering import AffineFunction, BITFunction, bit_patterns
@@ -128,34 +128,35 @@ def _induced_map(
     """The map decode(f(encode(u))) on inner codewords, f the pattern with
     masks (keep, xor, erase): BOT_MAP or affine.
 
-    With too many erasures the map is the constant failure map BOT_MAP.
-    Otherwise it is the closed matrix form, built from the masks and
-    checked against the encode/tamper/decode pipeline
+    The erase mask is looked up once, in G's entry for it (mask_decoder):
+    the reconstruction set R, R's mask and the decode table.  With too
+    many erasures there is no R, and the map is the constant failure
+    map BOT_MAP.  Otherwise it is the closed matrix form, built from the
+    masks and checked against the encode/tamper/decode pipeline
     ecc_decode(G, f(u*G), erase) on every inner word u, both sides read
     as tables over u (G's codeword table, the closed form's table of
-    u M + Delta, and G's decode_table for the erase mask); a mismatch
-    names the first failing u in all_bitstrings order.  The
-    reconstruction set R depends only on the erase mask, never on
-    codeword bits, and the closed form reads only R and the masks' bits
-    on R, so G keeps one per (R, keep & R, xor & R), with its table; the
-    pipeline check runs for every pattern.
+    u M + Delta, and the entry's decode table); a mismatch names the
+    first failing u in all_bitstrings order.  R depends only on the
+    erase mask, never on codeword bits, and the closed form reads only
+    R and the masks' bits on R, so G keeps one per (R, keep & R,
+    xor & R), with its table; the pipeline check runs for every pattern.
     """
-    recon = select_reconstruction(outer, erase)
-    if recon is None:
+    entry = mask_decoder(outer, erase)
+    if entry is None:
         return BOT_MAP
-    on_r = sum(1 << j for j in recon.indices)
+    recon, on_r, decoded = entry
     key = (on_r, keep & on_r, xor & on_r)
     forms = outer._closed_forms
-    if key not in forms:
+    form = forms.get(key)
+    if form is None:
         closed = _closed_form(outer, keep, xor, recon)
         # u M ^ delta for every u, by XOR doubling from delta; M keeps no
         # codeword table of its own.
         expected = [closed.delta]
         for row in closed.matrix.rows:
             expected += [word ^ row for word in expected]
-        forms[key] = closed, expected
-    closed, expected = forms[key]
-    decoded = decode_table(outer, erase)
+        form = forms[key] = closed, expected
+    closed, expected = form
     piped = [decoded[(word & keep) ^ xor] for word in outer.codewords]
     if piped != expected:
         m = outer.nrows

@@ -11,8 +11,9 @@ follows the reconstruction-set discipline: it picks the
 lexicographically least set R of m non-erased columns whose generator
 submatrix G_R is invertible and outputs y_R * G_R^{-1}.  The choice of R
 depends only on the erasure mask, never on received bit values.  Each
-generator keeps its own R per mask, its decoder's results per mask (one
-list over the words of that mask), a table of its codewords
+generator keeps its own R per mask, one entry per mask (mask_decoder)
+holding R, R's mask and its decoder's results (one list over the words
+of that mask, built only where an R survives), a table of its codewords
 g.vec_mul(u) for every u, and the composed layer's induced maps.
 Bitstrings appear only at the JSON boundary (from_rows, row_strings).
 """
@@ -95,8 +96,8 @@ class GF2Matrix:
         return {}
 
     @cached_property
-    def _decode_tables(self) -> dict:
-        """decode_table's lists on this generator, by erasure mask."""
+    def _mask_decoders(self) -> dict:
+        """mask_decoder's entries on this generator, by erasure mask."""
         return {}
 
     @cached_property
@@ -229,7 +230,7 @@ def ecc_decode(g: GF2Matrix, bits: int, erased: int) -> Optional[int]:
 
     Returns the message u with u*G equal to bits on R, or None, the
     failure output, when no reconstruction set survives the erasures.
-    Decodes afresh from the R kept on g for the mask; decode_table keeps
+    Decodes afresh from the R kept on g for the mask; mask_decoder keeps
     a mask's results for every word.
     """
     if (bits | erased) >> g.ncols or bits & erased:
@@ -240,19 +241,28 @@ def ecc_decode(g: GF2Matrix, bits: int, erased: int) -> Optional[int]:
     return recon.inverse.vec_mul(gather_bits(bits, recon.indices))
 
 
-def decode_table(g: GF2Matrix, erased: int) -> list[Optional[int]]:
-    """ecc_decode(g, bits, erased) for every bits in [0, 2^n), indexed by
+def mask_decoder(
+    g: GF2Matrix, erased: int
+) -> Optional[tuple[ReconstructionSet, int, list[Optional[int]]]]:
+    """(R, R's mask, decode table) of an erasure mask, or None when no
+    reconstruction set R survives it.
+
+    R's mask has bit j set for each j in R.  The decode table holds
+    ecc_decode(g, bits, erased) for every bits in [0, 2^n), indexed by
     bits; an entry whose bits meet the erased positions is not a word,
-    and is None.  Kept on g, one list per mask, built on the mask's first
-    read with one ecc_decode call per word: 2^(n - |erased|) calls.
+    and is None.  Kept on g, one entry per mask, built on the mask's
+    first read with one ecc_decode call per word: 2^(n - |erased|) calls.
     """
-    tables = g._decode_tables
-    if erased not in tables:
-        tables[erased] = [
-            None if bits & erased else ecc_decode(g, bits, erased)
-            for bits in range(1 << g.ncols)
-        ]
-    return tables[erased]
+    entries = g._mask_decoders
+    if erased not in entries:
+        recon = select_reconstruction(g, erased)
+        entries[erased] = None if recon is None else (
+            recon,
+            sum(1 << j for j in recon.indices),
+            [None if bits & erased else ecc_decode(g, bits, erased)
+             for bits in range(1 << g.ncols)],
+        )
+    return entries[erased]
 
 
 #: The default cap on n for an exact enumeration of 2^n erasure patterns.

@@ -29,6 +29,15 @@ nonzeros, message m's epsilon row |supp T_m| + 1 and the equality row
 2^k + 2.  Where T[r][j] = 0 the pivot only multiplies T[r] by p / d,
 which keeps zeros zero; and the cross term -T[r][j] * T[i] / d reaches
 only the pivot row's support.  Entries that cancel to 0 are deleted.
+
+Rows are updated in place; each is a copy made when the tableau is
+built, so the caller's rows are never touched.  When p == d, most
+pivots on these LPs, a row with T[r][j] = 0 is left as it is, and a
+row with f = T[r][j] != 0 changes only on the pivot row's support,
+where it loses f * T[i][k] / d (d divides f * T[i][k], since the entry
+(T[r][k] * d - f * T[i][k]) / d is exact).  Otherwise every entry is
+multiplied by p / d, and on the support the new entry is computed from
+the old ones.
 """
 
 from __future__ import annotations
@@ -102,8 +111,9 @@ def solve_min(
                         del obj[j]
         return obj
 
-    def pivot(i: int, j: int, obj: Optional[dict]) -> Optional[dict]:
-        """Bareiss pivot on T[i][j]; returns the updated `obj` when given."""
+    def pivot(i: int, j: int, obj: Optional[dict]) -> None:
+        """Bareiss pivot on T[i][j]: every other row, and `obj` when
+        given, is updated in place."""
         nonlocal d
         prow = tableau[i]
         p = prow[j]
@@ -113,32 +123,39 @@ def solve_min(
             p = -p
             tableau[i] = prow = {k: -w for k, w in prow.items()}
         support = [(k, w) for k, w in prow.items() if k != j]
-
-        def rescale(row: dict[int, int]) -> dict[int, int]:
-            """row * p / d, exact for a row with row[j] == 0."""
-            return row if p == d else {k: v * p // d for k, v in row.items()}
-
-        def eliminate(row: dict[int, int]) -> dict[int, int]:
-            """(row * p - row[j] * prow) / d for a row with row[j] != 0."""
-            f = row.pop(j)
-            get = row.get
-            # From the old entries: on the support v * p // d need not be exact.
-            crossed = {k: (get(k, 0) * p - f * w) // d for k, w in support}
-            new = rescale(row)
-            new.update(crossed)
-            if 0 in crossed.values():
-                for k in [k for k, v in crossed.items() if not v]:
-                    del new[k]
-            return new
-
-        for r, row in enumerate(tableau):
-            if r != i:
-                tableau[r] = eliminate(row) if j in row else rescale(row)
+        rows = [row for row in tableau if row is not prow]
         if obj is not None:
-            obj = eliminate(obj)
+            rows.append(obj)
+        if p == d:
+            # Every row is over the new divisor already: only the cross
+            # term moves a row, on the support, and d divides each f * w.
+            for row in rows:
+                if j in row:
+                    f = row.pop(j)
+                    get = row.get
+                    for k, w in support:
+                        v = get(k, 0) - f * w // d
+                        if v:
+                            row[k] = v
+                        else:
+                            del row[k]
+        else:
+            for row in rows:
+                f = row.pop(j, 0)
+                # From the old entries: on the support v * p // d need not
+                # be exact.
+                get = row.get
+                crossed = [(k, (get(k, 0) * p - f * w) // d)
+                           for k, w in support] if f else ()
+                for k, v in row.items():
+                    row[k] = v * p // d
+                for k, v in crossed:
+                    if v:
+                        row[k] = v
+                    elif k in row:
+                        del row[k]
         d = p
         basis[i] = j
-        return obj
 
     def iterate(obj: dict[int, int], banned: set[int]) -> dict[int, int]:
         while True:
@@ -165,7 +182,7 @@ def solve_min(
                         leaving = i
             if leaving is None:
                 raise LPUnboundedError("objective unbounded below")
-            obj = pivot(leaving, entering, obj)
+            pivot(leaving, entering, obj)
 
     if n_art:
         obj = iterate(reduced_costs(dict.fromkeys(artificial_cols, 1)), {rhs_key})

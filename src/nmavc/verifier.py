@@ -297,14 +297,14 @@ def tamper_map(
     """
     _check_member(code, f, budget)
     bot = len(code.enc)
+    if f is BOT_MAP:
+        return ((0,) * bot + (code.seed_count,),) * bot, code.seed_count
+    decode, apply = code.decode, f.apply
     rows = []
     for words in code.enc:
         row = [0] * (bot + 1)
-        if f is BOT_MAP:
-            row[bot] = code.seed_count
-        else:
-            for word in words:
-                row[code.decode(f.apply(word))] += 1
+        for word in words:
+            row[decode(apply(word))] += 1
         rows.append(tuple(row))
     return tuple(rows), code.seed_count
 
@@ -330,16 +330,18 @@ def channel_map(
 
     Computed in integers, without the elementary-pattern decomposition:
     each channel's non-zero entries over its own lcm (Channel.integer_rows)
-    are scaled to the lcm D of the n channels' denominators.  A
-    codeword's output law is the product of its positions' sparse rows:
-    only the words whose every symbol has a non-zero entry, at most
-    Prod_j nnz_j of the |Y|^n, each with its integer weight over D^n.
-    Their weights go straight into the message's outcome counts through
-    the code's decoder table (one decode per word, kept on the code),
-    summed over the 2^rho seeds into counts over D^n 2^rho.  The checks,
-    D and the scaled rows are set up once per sequence.  Costs 2^rho
-    Prod_j nnz_j per message; the budget is charged 2^rho |Y|^n, the
-    words the decoder table covers.
+    are scaled to the lcm D of the n channels' denominators; a channel
+    whose lcm is D already keeps its rows.  A codeword's output law is
+    the product of its positions' sparse rows: only the words whose
+    every symbol has a non-zero entry, at most Prod_j nnz_j of the
+    |Y|^n, each with its integer weight over D^n.  The product is built
+    as a list over the first n - 1 positions only; the last position's
+    entries add each word's weight straight into the message's outcome
+    counts through the code's decoder table (one decode per word, kept
+    on the code), summed over the 2^rho seeds into counts over
+    D^n 2^rho.  The checks, D and the scaled rows are set up once per
+    sequence.  Costs 2^rho Prod_j nnz_j per message; the budget is
+    charged 2^rho |Y|^n, the words the decoder table covers.
     """
     _check_sequence(code, seq)
     symbols = len(seq.channels[0].rows[0])
@@ -348,20 +350,27 @@ def channel_map(
     rows = []
     for ch in seq.channels:
         d, ch_rows = ch.integer_rows
-        rows.append([[(y, w * (scale // d)) for y, w in row] for row in ch_rows])
+        if d != scale:
+            ch_rows = [[(y, w * (scale // d)) for y, w in row] for row in ch_rows]
+        rows.append(ch_rows)
+    *head, last = rows
+    shift = code.n - 1
     table = code.decoder_table()
     laws = []
     for words in code.enc:
         counts = [0] * (len(code.enc) + 1)
         for word in words:
-            # (index in words_in_order, weight) of each reachable word;
+            # (index in words_in_order, weight) of each reachable prefix;
             # position 0 is the most significant symbol.
             law = [(0, 1)]
-            for j, ch_rows in enumerate(rows):
+            for j, ch_rows in enumerate(head):
                 row = ch_rows[(word >> j) & 1]
                 law = [(i * symbols + y, a * b) for i, a in law for y, b in row]
-            for i, w in law:
-                counts[table[i]] += w
+            row = last[(word >> shift) & 1]
+            for i, a in law:
+                i *= symbols
+                for y, b in row:
+                    counts[table[i + y]] += a * b
         laws.append(tuple(counts))
     return tuple(laws), scale ** code.n * code.seed_count
 
@@ -708,33 +717,29 @@ def certify_bit_family(
 
 def _mixture(
     weights: tuple[int, Iterable[tuple[tuple[int, int, int], int]]],
-    entry_of: Mapping[tuple[int, int, int], _Profile],
+    entry_of: Callable[[tuple[int, int, int]], _Profile],
 ) -> tuple[tuple[list[int], int], Fraction, Fraction]:
     """D_s and the error bounds of a sequence's integer pattern weights:
     (D_s, weighted_bound, pattern_max).
 
     weights is (D, [(pattern, numerator), ...]), as mixture_weights
     returns it, each pattern the (keep, xor, erase) masks of a BIT
-    function.  entry_of[pattern] is the _Profile entry of the member
-    simulating the pattern; a pattern with no entry is an error, as the
-    mixture would not sum to 1.  The numerators are first summed per
-    entry, by identity, and must total exactly D; each entry's optimal
-    simulator and error are then read, solved on first read.  The
-    simulator rows are mixed as one row over D * L, L the lcm of their
-    totals, and the errors as one sum over D * E, E the lcm of the
-    errors' denominators, which becomes a Fraction once, at the end;
-    pattern_max is the largest error numerator over E.
+    function.  entry_of(pattern) is the _Profile entry of the member
+    simulating the pattern, read once per pattern, in order.  The
+    numerators are summed per entry, by identity, in the same pass, and
+    must total exactly D; each entry's optimal simulator and error are
+    then read, solved on first read.  The simulator rows are mixed as
+    one row over D * L, L the lcm of their totals, and the errors as one
+    sum over D * E, E the lcm of the errors' denominators, which becomes
+    a Fraction once, at the end; pattern_max is the largest error
+    numerator over E.
     """
     denominator, patterns = weights
     grouped: dict = {}  # id(entry) -> [summed numerator, entry]
     for pattern, weight in patterns:
         if weight < 0:
             raise InvalidMixtureError(f"negative mixture weight {weight}/{denominator}")
-        entry = entry_of.get(pattern)
-        if entry is None:
-            raise InvalidInstanceError(
-                f"no simulator for positive-weight pattern {pattern}"
-            )
+        entry = entry_of(pattern)
         grouped.setdefault(id(entry), [0, entry])[0] += weight
     total = sum(w for w, _ in grouped.values())
     if total != denominator:
@@ -776,19 +781,27 @@ def _verify_sequences(
     each sequence of any iterable, in order, keeping none of them.
 
     Each sequence is checked (_check_sequence, its pattern count within
-    budget) before its positive-weight patterns are built, and each
-    pattern not seen before in the walk is mapped through entry_for to
-    the _Profile entry of the member simulating it, whose optimum is
-    solved on first read.  D_s, those optima mixed by the sequence's
-    integer pattern weights (_mixture), is then held against the
-    sequence's direct channel laws (channel_map): the mixture side reads
-    only the weights and the entries, the laws only the channels.
+    budget) before its positive-weight patterns are built.  Its direct
+    channel laws (channel_map) are then held against D_s, the members'
+    optima mixed by the sequence's integer pattern weights (_mixture),
+    which reads each pattern's entry in one pass: a pattern not seen
+    before in the walk is mapped through entry_for to the _Profile entry
+    of the member simulating it, whose optimum is solved on first read.
+    The mixture side reads only the weights and the entries, the laws
+    only the channels.
 
     A label is the state names joined by commas (seq<index> without
     names), with #index appended until no earlier sequence has it.  An
     empty walk is an error.
     """
     entry_of: dict = {}  # pattern -> entry_for(pattern)
+
+    def lookup(pattern: tuple[int, int, int]) -> _Profile:
+        entry = entry_of.get(pattern)
+        if entry is None:
+            entry = entry_of[pattern] = entry_for(pattern)
+        return entry
+
     labels: set = set()
     for index, seq in enumerate(sequences):
         _check_sequence(code, seq)
@@ -797,12 +810,8 @@ def _verify_sequences(
             raise BudgetExceededError(
                 f"sequence expands into {count} patterns, budget {budget}"
             )
-        weights = seq.mixture_weights()
-        for pattern, _ in weights[1]:
-            if pattern not in entry_of:
-                entry_of[pattern] = entry_for(pattern)
         laws = channel_map(code, seq)
-        d_s, weighted_bound, pattern_max = _mixture(weights, entry_of)
+        d_s, weighted_bound, pattern_max = _mixture(seq.mixture_weights(), lookup)
         ds_sd, worst, _ = _worst_case(*laws, d_s)
         if not ds_sd <= weighted_bound <= pattern_max:
             raise VerificationError(

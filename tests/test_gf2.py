@@ -20,8 +20,8 @@ from nmavc import gf2
 from nmavc.errors import BudgetExceededError, InvalidInstanceError
 from nmavc.gf2 import (
     bits_to_int,
-    decode_table,
     int_to_bits,
+    mask_decoder,
     rank_of_columns,
     select_reconstruction,
     words_in_order,
@@ -206,9 +206,10 @@ def test_decode_rejects_non_words():
 
 
 def test_decode_kept_per_generator(monkeypatch):
-    # Each mask's table is built once, with one decode per word of the
-    # mask; a second read returns the kept list, and a generator equal to
-    # it builds its own.
+    # Each mask's entry is built once, with one decode per word of the
+    # mask where a reconstruction set survives and none elsewhere; a
+    # second read returns the kept entry, and a generator equal to it
+    # builds its own.
     calls = []
     decode = gf2.ecc_decode
 
@@ -219,26 +220,38 @@ def test_decode_kept_per_generator(monkeypatch):
     monkeypatch.setattr(gf2, "ecc_decode", counting_decode)
     generators = [random_full_rank(3, 5, 36), random_full_rank(3, 5, 36)]
     words = words_in_order(5, erasures=True)
-    first = [decode_table(generators[0], erased) for erased in range(32)]
-    assert all(decode_table(generators[0], erased) is first[erased] for erased in range(32))
-    assert sorted(calls) == sorted(words)
-    assert [decode_table(generators[1], erased) for erased in range(32)] == first
-    assert len(calls) == 2 * len(words)
+    first = [mask_decoder(generators[0], erased) for erased in range(32)]
+    assert all(mask_decoder(generators[0], erased) is first[erased] for erased in range(32))
+    recoverable = [(bits, erased) for bits, erased in words
+                   if select_reconstruction(generators[0], erased) is not None]
+    assert 0 < len(recoverable) < len(words)
+    assert sorted(calls) == sorted(recoverable)
+    assert [mask_decoder(generators[1], erased) for erased in range(32)] == first
+    assert len(calls) == 2 * len(recoverable)
 
 
 def test_decode_table_matches_ecc_decode():
-    # Every mask's table holds ecc_decode's result at each word of the
-    # mask, and the string decoder's; bits on an erased position make no
-    # word, which the table leaves None and ecc_decode rejects.
+    # Every mask's entry holds its reconstruction set, the mask of that
+    # set, and ecc_decode's result at each word of the mask, which is the
+    # string decoder's; bits on an erased position make no word, which
+    # the table leaves None and ecc_decode rejects.  A mask no set
+    # survives has no entry, and every word of it decodes to failure.
     g = single_parity(3)
     for word in map("".join, product("01e", repeat=g.ncols)):
         bits, erased = split_word(word)
-        u = decode_table(g, erased)[bits]
+        entry = mask_decoder(g, erased)
+        u = None if entry is None else entry[2][bits]
         assert u == ecc_decode(g, bits, erased)
         expected = ecc_decode_string(g, word)
         assert u == (None if expected is None else bits_to_int(expected.message))
     for erased in range(1 << g.ncols):
-        table = decode_table(g, erased)
+        entry = mask_decoder(g, erased)
+        recon = select_reconstruction(g, erased)
+        if recon is None:
+            assert entry is None
+            continue
+        assert entry[:2] == (recon, sum(1 << j for j in recon.indices))
+        table = entry[2]
         assert len(table) == 1 << g.ncols
         for bits in range(1 << g.ncols):
             if bits & erased:

@@ -1,7 +1,9 @@
 """The exact simplex: textbook optima, degeneracy, edge cases, and
 agreement with the plain `Fraction` tableau it replaced."""
 
+import copy
 import math
+import random
 from fractions import Fraction as F
 
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import nmavc.verifier as verifier
 from nmavc.errors import LPInfeasibleError, LPUnboundedError, NmavcError
 from nmavc.simplex import solve_min
-from nmavc.verifier import optimal_simulator, tamper_map
+from nmavc.verifier import certify_bit_family, optimal_simulator, tamper_map
 from oracles import bit_function, fixed_k2n5_code, fraction_solve_min, recorded_lps
 
 
@@ -103,7 +105,10 @@ def outcome(solver, *args):
 
 
 def assert_same_as_oracle(*args):
+    # The pivots update rows in place: none of them may be the caller's.
+    before = copy.deepcopy(args)
     got = outcome(solved, *args)
+    assert args == before
     assert got == outcome(fraction_solve_min, *args)
     return got
 
@@ -213,3 +218,14 @@ def tamper_laws(draw):
 def test_matches_fraction_tableau_on_simulator_lps(laws):
     _, (args,) = recorded_lps(lambda: verifier._simulator_lp(*laws))
     assert_same_as_oracle(*args)
+
+
+def test_matches_fraction_tableau_on_k3_simulator_lps():
+    # Larger tableaus: the first 12 of the 66 LPs that certify a k = 3,
+    # n = 6 code take 294 pivots with p == d and 73 with p != d, so both
+    # row updates run many times.
+    code = verifier._random_injective_code(3, 6, 1, random.Random(404))
+    _, lps = recorded_lps(lambda: certify_bit_family(code))
+    assert len(lps) == 66
+    for args in lps[:12]:
+        assert_same_as_oracle(*args)

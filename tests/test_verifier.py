@@ -441,7 +441,7 @@ def test_ds_mixture_identity_sequence():
     )
     assert d_s == law_of(2, *cert.members[bit_function("KK")].solve().simulator)
     entry_of = {f.pattern: e for f, e in cert.members.items()}
-    assert law_of(2, *_mixture(seq.mixture_weights(), entry_of)[0]) == d_s
+    assert law_of(2, *_mixture(seq.mixture_weights(), entry_of.__getitem__)[0]) == d_s
 
 
 def test_ds_mixture_example():
@@ -456,20 +456,30 @@ def test_ds_mixture_example():
         {SAME_STAR: F(1, 2), "0": F(1, 4), "1": F(1, 4)}
     )
     entry_of = {f.pattern: e for f, e in mixture_entries(simulators).items()}
-    assert law_of(1, *_mixture(seq.mixture_weights(), entry_of)[0]) == d_s
+    assert law_of(1, *_mixture(seq.mixture_weights(), entry_of.__getitem__)[0]) == d_s
 
 
 def test_ds_mixture_missing_pattern():
+    # _mixture reads each positive-weight pattern through its lookup, in
+    # the order of mixture_weights, so a pattern the lookup lacks surfaces
+    # as the lookup's own error, named by its (keep, xor, erase) masks:
+    # F's, after K's, and on two positions KK's, which the member K's
+    # (1, 0, 0) miss.
     seq = StateSequence([bsc(F(1, 2))])
     entries = mixture_entries({bit_function("K"): ((0, 0, 0, 1), 1)})
     entry_of = {f.pattern: e for f, e in entries.items()}
-    # A missing pattern is named by its (keep, xor, erase) masks: F's,
-    # and on two positions KK's, which the member K's (1, 0, 0) miss.
-    with pytest.raises(InvalidInstanceError, match=r"pattern \(1, 1, 0\)"):
-        _mixture(seq.mixture_weights(), entry_of)
+    read = []
+
+    def lookup(pattern):
+        read.append(pattern)
+        return entry_of[pattern]
+
+    with pytest.raises(KeyError, match=r"\(1, 1, 0\)"):
+        _mixture(seq.mixture_weights(), lookup)
+    assert read == [(1, 0, 0), (1, 1, 0)]
     wide = StateSequence([bsc(F(1, 2))] * 2)
-    with pytest.raises(InvalidInstanceError, match=r"pattern \(3, 0, 0\)"):
-        _mixture(wide.mixture_weights(), entry_of)
+    with pytest.raises(KeyError, match=r"\(3, 0, 0\)"):
+        _mixture(wide.mixture_weights(), lookup)
 
 
 def test_mixture_weights_must_sum_to_denominator():
@@ -478,9 +488,9 @@ def test_mixture_weights_must_sum_to_denominator():
     entry_of = {f.pattern: e for f, e in entries.items()}
     patterns = [(keep.pattern, 1), (flip.pattern, 1)]
     with pytest.raises(InvalidMixtureError, match="sum to 2/3"):
-        _mixture((3, patterns), entry_of)
+        _mixture((3, patterns), entry_of.__getitem__)
     with pytest.raises(InvalidMixtureError, match="negative"):
-        _mixture((1, [(keep.pattern, 2), (flip.pattern, -1)]), entry_of)
+        _mixture((1, [(keep.pattern, 2), (flip.pattern, -1)]), entry_of.__getitem__)
 
 
 def random_law(rng: random.Random, width: int) -> tuple[tuple[int, ...], int]:
@@ -530,7 +540,7 @@ def test_integer_mixture_matches_fraction_oracle(extended, shared, merged, n, se
         entry_of = {f.pattern: entries[f] for f in members}
     else:
         entry_of = {bit_function(p).pattern: entries[f] for p, f in member_of.items()}
-    d_s, *bounds = _mixture(seq.mixture_weights(), entry_of)
+    d_s, *bounds = _mixture(seq.mixture_weights(), entry_of.__getitem__)
     reference = {f: law_of(1, *d) for f, d in simulators.items()}
     assert (law_of(1, *d_s), *bounds) == (ds_mixture(seq, reference, member_of),
                                           *mixture_bounds(seq, errors, member_of))
