@@ -17,7 +17,7 @@ import random
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -73,6 +73,10 @@ def _load_json(path: str):
         raise InvalidInstanceError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInstanceError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise InvalidInstanceError(f"{path} is not readable JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInstanceError(f"{path} is nested too deeply to read") from None
 
 
 def _provenance(**fields) -> dict:
@@ -381,8 +385,9 @@ def _extended_channel(obj) -> Channel:
 
 
 def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[Iterable, bool]:
-    """(rows, exhaustive), the exhaustive rows a lazy walk; a random count
-    above a non-null budget stops before the first row is drawn."""
+    """(rows, exhaustive), the exhaustive and random rows lazy walks; a
+    random count above a non-null budget stops before the first row is
+    drawn."""
     listing = spec_obj["sequences"]
     if listing == "exhaustive":
         return (
@@ -399,14 +404,11 @@ def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[Itera
             raise BudgetExceededError(
                 f"spec draws {count} random sequences, budget {budget}"
             )
+        # Drawn as the walk reads them; an all-special row is redrawn.
         rng = random.Random(seed)
-        rows = []
-        while len(rows) < count:
-            row = tuple(rng.choice(names) for _ in range(n))
-            if set(row) == {special_name}:
-                continue
-            rows.append(row)
-        return rows, False
+        draws = iter(lambda: tuple(rng.choice(names) for _ in range(n)), None)
+        rows = (row for row in draws if set(row) != {special_name})
+        return islice(rows, max(count, 0)), False
     if isinstance(listing, list):
         rows = []
         for row in listing:

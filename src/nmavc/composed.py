@@ -12,8 +12,10 @@ read as tables over the words: the pipeline's decoder results come from
 the generator's one entry for the pattern's erasure mask, which also
 holds its reconstruction set R.  A closed form depends only on R and
 the pattern's masks on R, so the generator keeps one per such key, and
-the loops over patterns read (keep, xor, erase) masks, never building
-a BITFunction.
+reads the masks' bits on R from one gather table per R.  Each induced
+map keeps its table over the inner words, which its tampering
+experiment indexes.  The loops over patterns read (keep, xor, erase)
+masks, never building a BITFunction.
 
 The special state s* is BEC(p_star) (special_channel).  Verification
 requires recovery under the all-s* sequence, then feeds every other
@@ -40,7 +42,7 @@ from .gf2 import (
     ReconstructionSet,
     delta_exact,
     ecc_decode,
-    gather_bits,
+    gather_table,
     int_to_bits,
     mask_decoder,
     words_in_order,
@@ -113,13 +115,14 @@ def _closed_form(
     for the pattern with these keep and xor masks.
 
     M_f is diagonal (1 where the action preserves the input), so G M_f
-    just masks columns of G; erased columns never appear in R.  Products
-    with G_R^{-1} are read from its codeword table, kept per mask.
+    just masks columns of G; erased columns never appear in R.  A word's
+    bits on R are read from G's gather table for R (gather_table), their
+    product with G_R^{-1} from its codeword table, kept per mask.
     """
     times_inverse = recon.inverse.codewords
-    rows = [times_inverse[gather_bits(row & keep, recon.indices)] for row in outer.rows]
-    delta_r = gather_bits(xor, recon.indices)
-    return AffineFunction(GF2Matrix(tuple(rows), outer.nrows), times_inverse[delta_r])
+    gathered = gather_table(outer, recon.indices)
+    rows = [times_inverse[gathered[row & keep]] for row in outer.rows]
+    return AffineFunction(GF2Matrix(tuple(rows), outer.nrows), times_inverse[gathered[xor]])
 
 
 def _induced_map(
@@ -140,6 +143,8 @@ def _induced_map(
     erase mask, never on codeword bits, and the closed form reads only
     R and the masks' bits on R, so G keeps one per (R, keep & R,
     xor & R), with its table; the pipeline check runs for every pattern.
+    The table is the map's own (AffineFunction.tabulate), so its
+    tampering experiment indexes it instead of multiplying by M.
     """
     entry = mask_decoder(outer, erase)
     if entry is None:
@@ -150,12 +155,7 @@ def _induced_map(
     form = forms.get(key)
     if form is None:
         closed = _closed_form(outer, keep, xor, recon)
-        # u M ^ delta for every u, by XOR doubling from delta; M keeps no
-        # codeword table of its own.
-        expected = [closed.delta]
-        for row in closed.matrix.rows:
-            expected += [word ^ row for word in expected]
-        form = forms[key] = closed, expected
+        form = forms[key] = closed, closed.tabulate()
     closed, expected = form
     piped = [decoded[(word & keep) ^ xor] for word in outer.codewords]
     if piped != expected:

@@ -13,8 +13,9 @@ submatrix G_R is invertible and outputs y_R * G_R^{-1}.  The choice of R
 depends only on the erasure mask, never on received bit values.  Each
 generator keeps its own R per mask, one entry per mask (mask_decoder)
 holding R, R's mask and its decoder's results (one list over the words
-of that mask, built only where an R survives), a table of its codewords
-g.vec_mul(u) for every u, and the composed layer's induced maps.
+of that mask, built only where an R survives), one table per R of every
+word's bits on R (gather_table), a table of its codewords g.vec_mul(u)
+for every u, and the composed layer's induced maps.
 Bitstrings appear only at the JSON boundary (from_rows, row_strings).
 """
 
@@ -98,6 +99,11 @@ class GF2Matrix:
     @cached_property
     def _mask_decoders(self) -> dict:
         """mask_decoder's entries on this generator, by erasure mask."""
+        return {}
+
+    @cached_property
+    def _gathers(self) -> dict:
+        """gather_table's tables on this generator, by reconstruction set."""
         return {}
 
     @cached_property
@@ -239,6 +245,17 @@ def ecc_decode(g: GF2Matrix, bits: int, erased: int) -> Optional[int]:
     if recon is None:
         return None
     return recon.inverse.vec_mul(gather_bits(bits, recon.indices))
+
+
+def gather_table(g: GF2Matrix, indices: tuple[int, ...]) -> tuple[int, ...]:
+    """gather_bits(word, indices) for every word in [0, 2^ncols), indexed
+    by word: the codeword table of the 0/1 matrix whose row j picks
+    column j if it is in indices.  Kept on g, one per R."""
+    tables = g._gathers
+    if indices not in tables:
+        picks = tuple(1 << indices.index(j) if j in indices else 0 for j in range(g.ncols))
+        tables[indices] = GF2Matrix(picks, len(indices)).codewords
+    return tables[indices]
 
 
 def mask_decoder(

@@ -112,6 +112,15 @@ class AffineFunction:
             raise ValueError(f"input {u} is not a word of {{0,1}}^{self.in_dim}")
         return self.matrix.vec_mul(u) ^ self.delta
 
+    def tabulate(self) -> list[int]:
+        """u*M + delta for every u, by XOR doubling from delta; apply then
+        indexes it (only induced maps, with few inputs, tabulate)."""
+        table = [self.delta]
+        for row in self.matrix.rows:
+            table += [word ^ row for word in table]
+        self.apply = table.__getitem__
+        return table
+
     def delta_string(self) -> str:
         return int_to_bits(self.delta, self.out_dim)
 

@@ -334,13 +334,15 @@ def channel_map(
     whose lcm is D already keeps its rows.  A codeword's output law is
     the product of its positions' sparse rows: only the words whose
     every symbol has a non-zero entry, at most Prod_j nnz_j of the
-    |Y|^n, each with its integer weight over D^n.  The product is built
-    as a list over the first n - 1 positions only; the last position's
-    entries add each word's weight straight into the message's outcome
-    counts through the code's decoder table (one decode per word, kept
-    on the code), summed over the 2^rho seeds into counts over
-    D^n 2^rho.  The checks, D and the scaled rows are set up once per
-    sequence.  Costs 2^rho Prod_j nnz_j per message; the budget is
+    |Y|^n, each with its integer weight over D^n.  The last two
+    positions (all when n <= 2) are folded into one table per pair of
+    input bits; the product over the other positions is built as a
+    list, and each word's weight times the folded entries goes straight
+    into the message's outcome counts through the code's decoder table
+    (one decode per word, kept on the code), summed over the 2^rho seeds
+    into counts over D^n 2^rho.  The checks, D, the scaled rows and the
+    folded table are set up once per sequence.  Costs
+    2^rho Prod_j nnz_j per message; the budget is
     charged 2^rho |Y|^n, the words the decoder table covers.
     """
     _check_sequence(code, seq)
@@ -354,7 +356,12 @@ def channel_map(
             ch_rows = [[(y, w * (scale // d)) for y, w in row] for row in ch_rows]
         rows.append(ch_rows)
     *head, last = rows
-    shift = code.n - 1
+    if head:  # one table per input-bit pair x of the last two positions
+        prev = head.pop()
+        last = [[(y * symbols + z, a * b) for y, a in prev[x & 1] for z, b in last[x >> 1]]
+                for x in range(4)]
+    cut = len(head)
+    width = symbols ** (code.n - cut)
     table = code.decoder_table()
     laws = []
     for words in code.enc:
@@ -366,10 +373,10 @@ def channel_map(
             for j, ch_rows in enumerate(head):
                 row = ch_rows[(word >> j) & 1]
                 law = [(i * symbols + y, a * b) for i, a in law for y, b in row]
-            row = last[(word >> shift) & 1]
+            tail = last[word >> cut]
             for i, a in law:
-                i *= symbols
-                for y, b in row:
+                i *= width
+                for y, b in tail:
                     counts[table[i + y]] += a * b
         laws.append(tuple(counts))
     return tuple(laws), scale ** code.n * code.seed_count
@@ -483,24 +490,22 @@ def optimal_simulator(rows: Sequence[Sequence[int]], total: int) -> NMReport:
     if bound:
         simulator = _simulator_lp(rows, total)
 
-    epsilon, worst, per_message = _worst_case(rows, total, simulator)
-    return NMReport(epsilon, simulator, worst, per_message)
+    epsilon, worst, gaps = _worst_case(rows, total, simulator)
+    over = 2 * total * simulator[1]
+    return NMReport(epsilon, simulator, worst, tuple(Fraction(g, over) for g in gaps))
 
 
 def _worst_case(
     rows: Sequence[Sequence[int]], total: int, simulator: tuple[Sequence[int], int]
-) -> tuple[Fraction, int, tuple[Fraction, ...]]:
-    """(epsilon, worst, per_message): the SD of every message's law to
-    Copy(simulator, m), their maximum epsilon, and the least message
+) -> tuple[Fraction, int, list[int]]:
+    """(epsilon, worst, gaps): every message's SD to Copy(simulator, m)
+    as an integer over 2 * total * L, L the simulator's total (_gaps),
+    their maximum epsilon, made the one Fraction, and the least message
     that reaches it.
-
-    A distance is one integer sum over total * L, L the simulator's
-    total (_gaps), made a Fraction once.
     """
-    over = 2 * total * simulator[1]
-    per_message = tuple(Fraction(gap, over) for gap in _gaps(rows, total, simulator))
-    epsilon = max(per_message)
-    return epsilon, per_message.index(epsilon), per_message
+    gaps = list(_gaps(rows, total, simulator))
+    top = max(gaps)
+    return Fraction(top, 2 * total * simulator[1]), gaps.index(top), gaps
 
 
 def _gaps(
@@ -549,15 +554,24 @@ class _Profile(Record):
     trivial-simulator error (_trivial_simulator), an upper bound on its
     optimum; report is the optimal simulator, None until first asked
     for.  It stays None for a member certification bounded by a trivial
-    or pooled simulator instead.
+    or pooled simulator instead.  terms is the optimum as a mixture
+    reads it, None until first read (mixture_terms).
     """
 
-    __slots__ = ("laws", "total", "bound", "report")
+    __slots__ = ("laws", "total", "bound", "report", "terms")
 
     def solve(self) -> NMReport:
         if self.report is None:
             self.report = optimal_simulator(self.laws, self.total)
         return self.report
+
+    def mixture_terms(self) -> tuple[tuple[int, ...], int, int, int]:
+        """The optimum as plain ints, read once: the simulator's count row,
+        its total, and epsilon's numerator and denominator."""
+        if self.terms is None:
+            (row, total), eps = self.solve().simulator, self.report.epsilon
+            self.terms = row, total, eps.numerator, eps.denominator
+        return self.terms
 
 
 class FamilyCertificate(Record):
@@ -643,7 +657,7 @@ def _profiled(
         entry = cache.get(key)
         if entry is None:
             entry = cache[key] = _Profile(
-                laws, total, _trivial_simulator(laws, total)[0], None
+                laws, total, _trivial_simulator(laws, total)[0], None, None
             )
         yield f, entry
 
@@ -727,12 +741,12 @@ def _mixture(
     function.  entry_of(pattern) is the _Profile entry of the member
     simulating the pattern, read once per pattern, in order.  The
     numerators are summed per entry, by identity, in the same pass, and
-    must total exactly D; each entry's optimal simulator and error are
-    then read, solved on first read.  The simulator rows are mixed as
-    one row over D * L, L the lcm of their totals, and the errors as one
-    sum over D * E, E the lcm of the errors' denominators, which becomes
-    a Fraction once, at the end; pattern_max is the largest error
-    numerator over E.
+    must total exactly D; each entry's optimum is then read as plain
+    ints (_Profile.mixture_terms), solved on first read.  The simulator
+    rows are mixed as one row over D * L, L the lcm of their totals,
+    and the errors as one sum over D * E, E the lcm of the errors'
+    denominators, which becomes a Fraction once, at the end;
+    pattern_max is the largest error numerator over E.
     """
     denominator, patterns = weights
     grouped: dict = {}  # id(entry) -> [summed numerator, entry]
@@ -747,21 +761,19 @@ def _mixture(
             f"mixture weights sum to {total}/{denominator}, expected exactly 1"
         )
 
-    reports = [(w, entry.solve()) for w, entry in grouped.values()]
-    scale = math.lcm(*(report.simulator[1] for _, report in reports))
-    mixed = [0] * len(reports[0][1].simulator[0])
-    for w, report in reports:
-        row, total = report.simulator
+    terms = [(w, entry.mixture_terms()) for w, entry in grouped.values()]
+    scale = math.lcm(*(t[1] for _, t in terms))
+    error_lcm = math.lcm(*(t[3] for _, t in terms))
+    mixed = [0] * len(terms[0][1][0])
+    weighted = top = 0
+    for w, (row, total, num, den) in terms:
         factor = w * (scale // total)
         mixed = [a + factor * c for a, c in zip(mixed, row)]
-    d_s = (mixed, denominator * scale)
-
-    errors = [report.epsilon for _, report in reports]
-    error_lcm = math.lcm(*(eps.denominator for eps in errors))
-    scaled = [eps.numerator * (error_lcm // eps.denominator) for eps in errors]
-    weighted = sum(w * e for (w, _), e in zip(reports, scaled))
-    return (d_s, Fraction(weighted, denominator * error_lcm),
-            Fraction(max(scaled), error_lcm))
+        error = num * (error_lcm // den)
+        weighted += w * error
+        top = max(top, error)
+    return ((mixed, denominator * scale), Fraction(weighted, denominator * error_lcm),
+            Fraction(top, error_lcm))
 
 
 class MixtureReport(Record):

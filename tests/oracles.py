@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 from typing import Hashable, Mapping, Optional, Sequence, Tuple
 from unittest.mock import patch
@@ -396,6 +396,18 @@ def lex_min_reconstruction(g, erased) -> tuple[int, ...] | None:
         if rank_of_columns(g, cols) == m:
             return cols
     return None
+
+
+def reconstruction_sets(g) -> set[tuple[int, ...]]:
+    """Every reconstruction set some erasure mask of g selects, by the
+    brute-force scan of lex_min_reconstruction over all 2^n masks."""
+    sets = set()
+    for mask in range(1 << g.ncols):
+        erased = {j for j in range(g.ncols) if mask >> j & 1}
+        cols = lex_min_reconstruction(g, erased)
+        if cols is not None:
+            sets.add(cols)
+    return sets
 
 
 # ------------------------------------------------- words as strings over {0,1,e}
@@ -975,6 +987,27 @@ def affine_tamper_distribution(
         outcome = named[code.decode(bits_to_int(word))]
         masses[outcome] = masses.get(outcome, Fraction(0)) + share
     return FiniteDistribution(masses)
+
+
+def brute_force_channel_laws(code: StochasticCode, seq: StateSequence) -> list[list[Fraction]]:
+    """Per message, the probability of each outcome index of decode(y):
+    the sum, over every seed's codeword c and every output word y of the
+    sequence's alphabet, zero-probability words included, of
+    Prod_j W_j(y_j | c_j) / 2^rho.  No sparsity, no integer scaling and
+    no decoder table."""
+    symbols = OUTPUT_SYMBOLS[:len(seq.channels[0].rows[0])]
+    laws = []
+    for words in code.enc:
+        law = [Fraction(0)] * (len(code.enc) + 1)
+        for x in words:
+            c = int_to_bits(x, code.n)
+            for y in product(symbols, repeat=code.n):
+                p = Fraction(1, len(words))
+                for ch, bit, sym in zip(seq.channels, c, y):
+                    p *= ch.rows[int(bit)][symbols.index(sym)]
+                law[code.decode(*split_word("".join(y)))] += p
+        laws.append(law)
+    return laws
 
 
 def mixture_output_distribution(seq: StateSequence, x: str) -> FiniteDistribution:

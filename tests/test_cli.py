@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -601,6 +602,25 @@ def test_composed_verify_huge_random_count_exits_3_at_once(runner, tmp_path):
     assert "spec draws 1000000000000 random sequences, budget 1000000" in result.output
 
 
+@pytest.mark.parametrize("seed", [0, 1, 13, 404])
+def test_random_sequence_rows_are_drawn_lazily(seed):
+    # The random rows are a generator that draws each row as the walk
+    # reads it, with the same rng calls in the same order as drawing
+    # every row up front: on two positions of three states one row in
+    # nine is all-special and redrawn.
+    names, special = ["bec", "bsc", "z"], "bec"
+    spec = {"sequences": {"random": 40, "seed": seed}}
+    rows, exhaustive = cli._composed_sequences(spec, names, special, 2, None)
+    assert not exhaustive and iter(rows) is rows
+    rng = random.Random(seed)
+    eager = []
+    while len(eager) < 40:
+        row = tuple(rng.choice(names) for _ in range(2))
+        if set(row) != {special}:
+            eager.append(row)
+    assert list(rows) == eager
+
+
 @pytest.mark.parametrize("count, exit_code", [(33, 3), (32, 0)])
 def test_composed_verify_random_sequence_budget(runner, tmp_path, count, exit_code):
     # Budget 32 admits each sequence's 2^5 patterns, so only the count of
@@ -1009,3 +1029,53 @@ def test_monte_carlo_delta_keeps_its_estimate(tmp_path):
         "trials": 100000, "seed": 7,
         "estimate": 0.05163, "ci95": 0.0013715007125516196,
     }
+
+
+#: A JSON array nested 200,000 deep: Python's decoder gives up with a
+#: RecursionError long before the end.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+#: An integer of 4,301 digits, one over Python's int conversion limit:
+#: the decoder raises a ValueError that is not a JSONDecodeError.
+HUGE_INT = "9" * 4301
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", "{file}"],
+        ["nm-verify", "{file}", "--family", "bit", "--budget", "10"],
+        ["certify-inner", "{file}", str(DATA / "parity34.json")],
+        ["composed-verify", "--spec", "{file}"],
+    ],
+    ids=["decompose", "nm-verify", "certify-inner", "composed-verify"],
+)
+def test_deeply_nested_json_exits_2(runner, tmp_path, args):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    result = runner.invoke(main, [arg.format(file=path) for arg in args])
+    assert_invalid_input(result)
+    assert result.output.count("error:") == 1
+    assert f"error: {path} is nested too deeply to read" in result.output
+
+
+@pytest.mark.parametrize("field", ["k", "budget"])
+def test_integer_over_digit_limit_exits_2(runner, tmp_path, field):
+    # "k" in a code file (nm-verify and certify-inner read it), "budget"
+    # in a composed spec.
+    if field == "k":
+        text = json.dumps(IDENTITY_CODE_K1).replace('"k": 1', f'"k": {HUGE_INT}')
+        path = tmp_path / "code.json"
+        commands = [["nm-verify", str(path), "--family", "bit", "--budget", "10"],
+                    ["certify-inner", str(path), str(DATA / "parity34.json")]]
+    else:
+        spec = json.loads(Path(demo_spec_with(tmp_path)).read_text())
+        text = json.dumps({**spec, "budget": 0}).replace('"budget": 0', f'"budget": {HUGE_INT}')
+        path = tmp_path / "huge.json"
+        commands = [["composed-verify", "--spec", str(path)]]
+    assert HUGE_INT in text
+    path.write_text(text)
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert_invalid_input(result)
+        assert result.output.count("error:") == 1
+        assert f"error: {path} is not readable JSON: Exceeds the limit" in result.output

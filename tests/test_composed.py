@@ -494,14 +494,21 @@ def test_closed_forms_are_built_once_per_key(monkeypatch):
     # keep and xor masks on R.  The 2,304 patterns of the 4 -> 5 parity
     # code that some R survives have 1,280 such keys (1,153 distinct
     # maps), and the demo composed-verify reads 405 keys on its own
-    # generator.  Building one per pattern took 2,304 and 648.
+    # generator.  Building one per pattern took 2,304 and 648.  Each
+    # generator keeps one gather table per R: the masks with at most one
+    # erasure select 5 sets R (no erasure and erasing position 4 share
+    # R = 0123).  Gathering bit by bit took 5 gather_bits calls per
+    # closed form, 6,400 in the family.
     closed = counting(monkeypatch, composed, "_closed_form")
-    induced_family(single_parity(4))
+    outer = single_parity(4)
+    induced_family(outer)
     assert len(closed) == 1280
+    assert len(outer._gathers) == 5
     scheme = parity45_scheme()
     _, sequences = demo_sequences(scheme)
     verify_composed(scheme, sequences, F(1, 10))
     assert len(closed) == 1280 + 405
+    assert len(scheme.outer._gathers) == 5
 
 
 def test_verify_composed_solves_pruned_members_on_demand():

@@ -17,9 +17,12 @@ from nmavc import (
     ecc_decode,
 )
 from nmavc import gf2
+import nmavc.composed as composed
 from nmavc.errors import BudgetExceededError, InvalidInstanceError
 from nmavc.gf2 import (
     bits_to_int,
+    gather_bits,
+    gather_table,
     int_to_bits,
     mask_decoder,
     rank_of_columns,
@@ -35,6 +38,7 @@ from oracles import (
     lex_min_reconstruction,
     min_distance,
     random_full_rank,
+    reconstruction_sets,
     single_parity,
     split_word,
 )
@@ -269,6 +273,25 @@ def test_codeword_table_matches_vec_mul(data):
                               min_size=nrows, max_size=nrows))
     g = GF2Matrix(tuple(rows), ncols)
     assert g.codewords == tuple(g.vec_mul(u) for u in range(1 << nrows))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_gather_tables_match_gather_bits(data):
+    # Induced maps build one gather table per reconstruction set their
+    # patterns select, each holding every word's bits on R as gather_bits
+    # packs them.  One pattern per erasure mask (Keep elsewhere) reaches
+    # every R.
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, min(n, 4)))
+    g = random_full_rank(m, n, data.draw(st.integers(0, 2**32)))
+    word = (1 << n) - 1
+    for erase in range(1 << n):
+        composed._induced_map(g, word & ~erase, 0, erase)
+    assert set(g._gathers) == reconstruction_sets(g)
+    for indices, table in g._gathers.items():
+        assert gather_table(g, indices) is table
+        assert table == tuple(gather_bits(word, indices) for word in range(1 << n))
 
 
 def test_reconstruction_kept_per_generator():

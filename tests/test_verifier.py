@@ -51,6 +51,7 @@ from oracles import (
     apply_copy,
     bit_function,
     bit_to_affine,
+    brute_force_channel_laws,
     bsc,
     certify_every_member,
     composed_tamper_distribution,
@@ -286,6 +287,29 @@ def test_sparse_channel_laws_match_fraction_oracles(extended, picks, seed):
     assert channel_map(code, seq, budget=cost) == (rows, total)
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(extended=st.booleans(), n=st.integers(1, 5), seed=st.integers(0, 2**32))
+@example(extended=False, n=1, seed=0)
+@example(extended=True, n=2, seed=0)
+def test_channel_laws_match_brute_force_sum(extended, n, seed):
+    # channel_map folds the last two positions (the whole word when
+    # n <= 2) into one table per input-bit pair.  Its laws equal the sum
+    # over every output word of Prod_j W_j(y_j | c_j), on a plain code or
+    # a composed scheme, each position with its own denominators.
+    rng = random.Random(seed)
+    m = rng.randint(1, n) if extended else n
+    k = rng.randint(0, min(m, 2))
+    code = verifier._random_injective_code(k, m, rng.randint(0, min(m - k, 1)), rng)
+    if extended:
+        code = ComposedScheme(code, random_full_rank(m, n, rng))
+        channels = [random_extended_channel(rng, rng.choice([1, 3, 10])) for _ in range(n)]
+    else:
+        channels = [random_binary_channel(rng, rng.choice([1, 3, 7, 12])) for _ in range(n)]
+    seq = StateSequence(channels)
+    rows, total = channel_map(code, seq)
+    assert [[F(c, total) for c in row] for row in rows] == brute_force_channel_laws(code, seq)
+
+
 # ------------------------------------------------------------------- the LP
 
 def test_simulator_for_perfect_transmission():
@@ -427,7 +451,9 @@ def mixture_entries(simulators, errors=None) -> dict:
     if errors is None:
         errors = dict.fromkeys(simulators, F(0))
     return {
-        f: verifier._Profile((), 1, errors[f], NMReport(errors[f], simulators[f], 0, []))
+        f: verifier._Profile(
+            (), 1, errors[f], NMReport(errors[f], simulators[f], 0, []), None
+        )
         for f in simulators
     }
 
