@@ -19,9 +19,9 @@ masks, never building a BITFunction.
 
 The special state s* is BEC(p_star) (special_channel).  Verification
 requires recovery under the all-s* sequence, then feeds every other
-sequence to the verifier's one sequence walk, which maps each pattern
-to the inner code's profile entry of the map it induces and solves
-each distinct profile's optimal simulator when it first reads it.
+sequence to the verifier's one sequence walk, with a memo from each
+pattern to the inner code's profile entry of the map it induces; the
+walk solves each distinct profile's optimal simulator on first read.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ from .verifier import (
     BOT_MAP,
     FamilyCertificate,
     StochasticCode,
-    _profiled,
+    _entry,
     _verify_sequences,
     certify_family,
+    tamper_map,
 )
 
 
@@ -272,10 +273,10 @@ def verify_composed(
     against the rank-enumeration route exactly.  The sequences (any
     iterable) are then walked once by the verifier's sequence walk,
     which keeps none; the all-special sequence is refused as it is
-    drawn.  Each pattern not seen before is mapped to the inner code's
-    cache entry for the profile of its induced map, one tampering
-    experiment per distinct map, and each entry's optimal simulator is
-    solved once, when the mixture first reads it.
+    drawn.  Its entry_for maps each pattern not seen before to its
+    induced map, and each map not seen before to the inner code's entry
+    for its profile (_entry), one tampering experiment per distinct map;
+    each entry's optimum is solved when the mixture first reads it.
     """
     recovery = recovery_probability(scheme, p_star)
     delta = 1 - recovery
@@ -298,12 +299,16 @@ def verify_composed(
 
     cache: dict = {}  # one _Profile per distinct profile
     entry_of_map: dict = {}  # induced map -> its entry
+    entry_of: dict = {}  # pattern -> its induced map's entry
 
     def entry_for(pattern):
-        f = _induced_map(scheme.outer, *pattern)
-        if f not in entry_of_map:
-            [(_, entry_of_map[f])] = _profiled(scheme.inner, [f], None, cache)
-        return entry_of_map[f]
+        entry = entry_of.get(pattern)
+        if entry is None:
+            f = _induced_map(scheme.outer, *pattern)
+            if f not in entry_of_map:
+                entry_of_map[f] = _entry(cache, tamper_map(scheme.inner, f))
+            entry = entry_of[pattern] = entry_of_map[f]
+        return entry
 
     eps_by_sequence = {
         label: SequenceReport(

@@ -330,6 +330,7 @@ def delta_monte_carlo(
     Returns (estimate, 95% normal-approximation half-width).  Erasure
     patterns are drawn with the counter-based Philox generator so the
     result is deterministic given the seed and independent of chunking.
+    A draw too large for numpy to allocate is a BudgetExceededError.
     numpy, for the Philox stream, is imported here only: the exact
     routes run on Python ints.
     """
@@ -341,7 +342,10 @@ def delta_monte_carlo(
         raise InvalidInstanceError("seed must be >= 0")
     p = float(_erasure_probability(p_star))
     rng = np.random.Generator(np.random.Philox(seed))
-    draws = rng.random((trials, g.ncols)) < p
+    try:
+        draws = rng.random((trials, g.ncols)) < p
+    except (ValueError, MemoryError) as exc:  # numpy refuses the array
+        raise BudgetExceededError(f"{trials} x {g.ncols} Monte-Carlo draws: {exc}") from exc
     # Masks are packed 62 columns at a time, so no int64 weight overflows.
     masks = [0] * trials
     for start in range(0, g.ncols, 62):

@@ -113,11 +113,10 @@ class AffineFunction:
         return self.matrix.vec_mul(u) ^ self.delta
 
     def tabulate(self) -> list[int]:
-        """u*M + delta for every u, by XOR doubling from delta; apply then
+        """u*M + delta for every u, from M's codeword table; apply then
         indexes it (only induced maps, with few inputs, tabulate)."""
-        table = [self.delta]
-        for row in self.matrix.rows:
-            table += [word ^ row for word in table]
+        delta = self.delta
+        table = [word ^ delta for word in self.matrix.codewords]
         self.apply = table.__getitem__
         return table
 

@@ -607,59 +607,44 @@ def certify_family(
 ) -> FamilyCertificate:
     """Worst-case optimal simulator error over the family.
 
-    Every member is validated first, in list order.  Then each member's
-    tamper profile, its law table in integer counts over 2^rho, is built
-    by the tampering experiment (tamper_map) when its turn comes
-    (_profiled).  One _Profile is kept per distinct law table, which
-    determines the optimum.  Any feasible simulator D bounds a member's
-    optimum by max_m SD(T_m, Copy(D, m)), so a member that some D keeps
-    at or below the running maximum cannot raise it, and its LP is
-    skipped.  D is tried first among the trivial simulators (the
-    entry's bound), then, for a member not solved yet, among a pool of
-    the _POOL_SIZE distinct optimal simulators this certification solved
-    most recently, newest first, each checked in integers (_within).
-    Every other member's LP is solved.  The pool is deterministic, and
-    a skip never changes epsilon or the worst member, which is the first
-    to reach the maximum.
+    A code whose decoder reads erasures is certified through its inner
+    code instead.  Each member's tampering experiment (tamper_map)
+    validates it and builds its tamper profile, its law table in
+    integer counts over 2^rho, when the loop reads it (_profiled).  One
+    _Profile is kept per distinct law table, which determines the
+    optimum.  Any feasible simulator D bounds a member's optimum by
+    max_m SD(T_m, Copy(D, m)), so a member that some D keeps at or below
+    the running maximum cannot raise it, and its LP is skipped.  D is
+    tried first among the trivial simulators (the entry's bound), then,
+    for a member not solved yet, among a pool of the _POOL_SIZE distinct
+    optimal simulators this certification solved most recently, newest
+    first, each checked in integers (_within).  Every other member's LP
+    is solved.  The pool is deterministic, and a skip never changes
+    epsilon or the worst member, which is the first to reach the maximum.
     """
-    functions = _check_family(code, functions, budget)
+    if code.erasures:
+        raise InvalidInstanceError("certify a composed scheme through its inner code")
     return _certify(_profiled(code, functions, budget, {}), None)
 
 
-def _check_family(
-    code: StochasticCode,
-    functions: Iterable[TamperingFunction],
-    budget: Optional[int],
-) -> list:
-    """The members as a list, each validated for codes of code's n and
-    rho; a code whose decoder reads erasures is certified through its
-    inner code instead."""
-    if code.erasures:
-        raise InvalidInstanceError("certify a composed scheme through its inner code")
-    functions = list(functions)
-    if not functions:
-        raise InvalidInstanceError("empty tampering family")
-    for f in functions:
-        _check_member(code, f, budget)
-    return functions
+def _entry(cache: dict, key: Laws) -> _Profile:
+    """The _Profile of the law table key = (laws, total), as tamper_map
+    returns it: cache's entry for key, made on first sight."""
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = _Profile(*key, _trivial_simulator(*key)[0], None, None)
+    return entry
 
 
 def _profiled(
-    code: StochasticCode, functions: list, budget: Optional[int], cache: dict
+    code: StochasticCode, functions: Iterable, budget: Optional[int], cache: dict
 ) -> Iterator[tuple[TamperingFunction, _Profile]]:
-    """(member, entry) for each member, in list order, running each
-    member's tampering experiment (tamper_map, which validates it) only
-    when the caller reads it, so a loop that stops early runs no more.
-    entry is the member's _Profile in `cache`, one per distinct law
-    table (profile, 2^rho)."""
+    """(member, entry) for each member, in order, running each member's
+    tampering experiment (tamper_map, which validates it) only when the
+    caller reads it, so a loop that stops early runs and checks no more.
+    entry is the member's _Profile in `cache` (_entry)."""
     for f in functions:
-        key = laws, total = tamper_map(code, f, budget)
-        entry = cache.get(key)
-        if entry is None:
-            entry = cache[key] = _Profile(
-                laws, total, _trivial_simulator(laws, total)[0], None, None
-            )
-        yield f, entry
+        yield f, _entry(cache, tamper_map(code, f, budget))
 
 
 def _certify(
@@ -667,12 +652,13 @@ def _certify(
     stop_at_or_above: Optional[Fraction],
 ) -> Optional[FamilyCertificate]:
     """The certificate of a stream of (member, entry) pairs, such as
-    _profiled yields, read in order.  Returns None as soon as the
-    running maximum reaches `stop_at_or_above`, reading no later pair:
-    the search loop only cares about strictly better codes.  The
-    simulator pool is this call's own: each simulator the loop reads
-    from an entry, solved now or earlier, moves to the pool's front, and
-    the oldest beyond _POOL_SIZE leaves."""
+    _profiled yields, read in order; an empty stream is an error.
+    Returns None as soon as the running maximum reaches
+    `stop_at_or_above`, reading no later pair: the search loop only
+    cares about strictly better codes.  The simulator pool is this
+    call's own: each simulator the loop reads from an entry, solved now
+    or earlier, moves to the pool's front, and the oldest beyond
+    _POOL_SIZE leaves."""
     epsilon: Optional[Fraction] = None
     members: dict = {}
     pool: list = []  # distinct optimal simulators, latest first
@@ -694,6 +680,8 @@ def _certify(
             worst, worst_report = f, report
         if stop_at_or_above is not None and epsilon >= stop_at_or_above:
             return None
+    if not members:
+        raise InvalidInstanceError("empty tampering family")
     return FamilyCertificate(
         epsilon=epsilon, worst=worst, worst_report=worst_report, members=members
     )
@@ -740,13 +728,14 @@ def _mixture(
     returns it, each pattern the (keep, xor, erase) masks of a BIT
     function.  entry_of(pattern) is the _Profile entry of the member
     simulating the pattern, read once per pattern, in order.  The
-    numerators are summed per entry, by identity, in the same pass, and
-    must total exactly D; each entry's optimum is then read as plain
-    ints (_Profile.mixture_terms), solved on first read.  The simulator
-    rows are mixed as one row over D * L, L the lcm of their totals,
-    and the errors as one sum over D * E, E the lcm of the errors'
-    denominators, which becomes a Fraction once, at the end;
-    pattern_max is the largest error numerator over E.
+    numerators are summed per entry, by identity, in the same pass, in
+    the order each entry is first read, and must total exactly D; each
+    entry's optimum is then read as plain ints (_Profile.mixture_terms),
+    solved on first read.  The simulator rows are mixed as one row over
+    D * L, L the lcm of their totals, and the errors as one sum over
+    D * E, E the lcm of the errors' denominators, which becomes a
+    Fraction once, at the end; pattern_max is the largest error
+    numerator over E.
     """
     denominator, patterns = weights
     grouped: dict = {}  # id(entry) -> [summed numerator, entry]
@@ -754,7 +743,11 @@ def _mixture(
         if weight < 0:
             raise InvalidMixtureError(f"negative mixture weight {weight}/{denominator}")
         entry = entry_of(pattern)
-        grouped.setdefault(id(entry), [0, entry])[0] += weight
+        group = grouped.get(id(entry))
+        if group is None:
+            grouped[id(entry)] = [weight, entry]
+        else:
+            group[0] += weight
     total = sum(w for w, _ in grouped.values())
     if total != denominator:
         raise InvalidMixtureError(
@@ -796,24 +789,16 @@ def _verify_sequences(
     budget) before its positive-weight patterns are built.  Its direct
     channel laws (channel_map) are then held against D_s, the members'
     optima mixed by the sequence's integer pattern weights (_mixture),
-    which reads each pattern's entry in one pass: a pattern not seen
-    before in the walk is mapped through entry_for to the _Profile entry
-    of the member simulating it, whose optimum is solved on first read.
-    The mixture side reads only the weights and the entries, the laws
-    only the channels.
+    which reads each pattern's entry in one pass: entry_for maps every
+    pattern of every sequence to the _Profile entry of the member
+    simulating it, whose optimum is solved on first read; a caller whose
+    mapping costs more than a lookup memoises it.  The mixture side
+    reads only the weights and the entries, the laws only the channels.
 
     A label is the state names joined by commas (seq<index> without
     names), with #index appended until no earlier sequence has it.  An
     empty walk is an error.
     """
-    entry_of: dict = {}  # pattern -> entry_for(pattern)
-
-    def lookup(pattern: tuple[int, int, int]) -> _Profile:
-        entry = entry_of.get(pattern)
-        if entry is None:
-            entry = entry_of[pattern] = entry_for(pattern)
-        return entry
-
     labels: set = set()
     for index, seq in enumerate(sequences):
         _check_sequence(code, seq)
@@ -823,7 +808,7 @@ def _verify_sequences(
                 f"sequence expands into {count} patterns, budget {budget}"
             )
         laws = channel_map(code, seq)
-        d_s, weighted_bound, pattern_max = _mixture(seq.mixture_weights(), lookup)
+        d_s, weighted_bound, pattern_max = _mixture(seq.mixture_weights(), entry_for)
         ds_sd, worst, _ = _worst_case(*laws, d_s)
         if not ds_sd <= weighted_bound <= pattern_max:
             raise VerificationError(
@@ -959,24 +944,15 @@ def search_nm_code(
         )
     if trials < 1:
         raise InvalidInstanceError("trials must be >= 1")
-    if family == "bit":
-        functions: list[TamperingFunction] = list(
-            enumerate_bit_functions(n, 4, budget=budget)
-        )
-    else:
-        functions = list(family)
+    bit = family == "bit"
+    functions = list(enumerate_bit_functions(n, 4, budget=budget) if bit else family)
     rng = random.Random(seed)
     cache: dict = {}
     best: Optional[SearchResult] = None
-    checked: Optional[list] = None
     for trial in range(trials):
         code = _random_injective_code(k, n, rho, rng)
-        if checked is None:
-            # Every trial's code has the same n and rho, which is all
-            # member validation reads, so the family is checked once.
-            checked = _check_family(code, functions, budget)
         stop = best.certificate.epsilon if best is not None else None
-        cert = _certify(_profiled(code, checked, budget, cache), stop)
+        cert = _certify(_profiled(code, functions, budget, cache), stop)
         if cert is None:
             continue
         best = SearchResult(

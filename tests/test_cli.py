@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nmavc import cli
+from nmavc import GF2Matrix, cli, induced_family, search_nm_code
 from nmavc.cli import main
 from oracles import counting, split_word
 
@@ -93,6 +93,18 @@ def test_delta_budget_exit_3(runner, tmp_path):
     path = write(tmp_path, "wide.json", wide)
     result = runner.invoke(main, ["delta", path, "1/10", "--budget", "20"])
     assert result.exit_code == 3
+
+
+def test_delta_monte_carlo_too_large_exit_3(runner):
+    # numpy refuses 10^18 x 4 uniforms before it allocates any: the
+    # refusal is a budget overrun, one error line, no traceback.
+    result = runner.invoke(main, ["delta", str(DATA / "parity34.json"), "1/10",
+                                  "--monte-carlo", str(10**18)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    [line] = result.output.splitlines()
+    assert line.startswith(f"error: {10**18} x 4 Monte-Carlo draws: ")
 
 
 def test_delta_checks_p_star_before_budget(runner, tmp_path):
@@ -492,6 +504,56 @@ def test_search_bad_dimensions_exit_2(runner, dims):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "search needs k >= 0" in result.output
+
+
+@pytest.mark.parametrize("budget, exit_code", [("255", 3), ("256", 0)])
+def test_search_bit_family_budget(runner, budget, exit_code):
+    # The 4^4 = 256 BIT functions are counted against the budget before
+    # the first one is made.
+    result = runner.invoke(main, ["search", "--k", "1", "--n", "4", "--rho", "0",
+                                  "--seed", "1", "--trials", "2", "--budget", budget])
+    assert result.exit_code == exit_code, result.output
+    if exit_code == 3:
+        assert "4^4 = 256 functions exceed the budget 255" in result.output
+
+
+def demo_outer(tmp_path) -> str:
+    """The shipped demo spec's outer generator, as its own file."""
+    return write(tmp_path, "outer.json",
+                 json.loads(Path(demo_spec_path()).read_text())["outer"])
+
+
+@pytest.mark.parametrize("budget, exit_code", [("3124", 3), ("3125", 0)])
+def test_induced_family_budget(runner, tmp_path, budget, exit_code):
+    # certify-inner and search --induced-by count the 5^5 action
+    # patterns of the demo's 4 -> 5 generator against the budget.
+    outer = demo_outer(tmp_path)
+    for args in (
+        ["certify-inner", str(Path(demo_spec_path()).parent / "demo_inner_code.json"),
+         outer],
+        ["search", "--k", "1", "--n", "4", "--rho", "1", "--seed", "404",
+         "--trials", "3", "--induced-by", outer],
+    ):
+        result = runner.invoke(main, [*args, "--budget", budget])
+        assert result.exit_code == exit_code, result.output
+        if exit_code == 3:
+            assert "5^5 = 3125 functions exceed the budget 3124" in result.output
+
+
+def test_search_induced_by_matches_library(runner, tmp_path):
+    outer_file = demo_outer(tmp_path)
+    out = tmp_path / "searched.json"
+    result = runner.invoke(main, ["search", "--k", "1", "--n", "4", "--rho", "1",
+                                  "--seed", "404", "--trials", "3",
+                                  "--induced-by", outer_file, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(out.read_text())
+    report.pop("provenance")
+    assert report["meta"]["family_size"] == 1153
+    assert report["meta"]["epsilon"] == "1/2"
+    outer = GF2Matrix.from_json(json.loads(Path(outer_file).read_text()))
+    expected = search_nm_code(1, 4, 1, family=induced_family(outer), trials=3, seed=404)
+    assert report == expected.to_json()
 
 
 def test_search_reports_micro_epsilon(runner, tmp_path):

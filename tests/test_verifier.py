@@ -696,8 +696,7 @@ def assert_counts_match_tamper_map(code, functions):
     # deterministic channels of its actions, so they equal the Fraction
     # product of output_distribution; an affine map's tampered words are
     # the string product ecc_encode(M, x) XOR delta; BOT_MAP always fails.
-    checked = verifier._check_family(code, functions, None)
-    for f, entry in verifier._profiled(code, checked, None, {}):
+    for f, entry in verifier._profiled(code, functions, None, {}):
         assert (entry.laws, entry.total) == tamper_map(code, f)
         assert entry.total == code.seed_count
         assert all(type(row) is tuple for row in entry.laws), f
@@ -863,9 +862,8 @@ def test_certify_family_rejects_like_the_eager_loop(data):
 
 def certify_checked(code, functions, cache=None, stop=None):
     """The search's cached, early-stopping certification path."""
-    checked = verifier._check_family(code, functions, None)
     return verifier._certify(
-        verifier._profiled(code, checked, None, {} if cache is None else cache), stop
+        verifier._profiled(code, functions, None, {} if cache is None else cache), stop
     )
 
 
@@ -930,15 +928,25 @@ def test_search_profile_count_is_pinned(monkeypatch):
     assert result.best_trial == 9
 
 
-def test_search_validates_the_family_once(monkeypatch):
-    # The 256 members are checked once for all 200 codes; the only other
-    # checks are the tampering experiment's, one on each of the 1,351
-    # profiles built, solved or not.
+def test_search_checks_each_member_once_per_experiment(monkeypatch):
+    # A member is checked only by its tampering experiment, once on each
+    # of the 1,351 profiles built, solved or not; the first trial reads
+    # all 256 members, so each is checked at least once.
     checks = counting(monkeypatch, "_check_member")
     experiments = counting(monkeypatch, "tamper_map")
     search_nm_code(1, 4, 2, trials=200, seed=404)
     assert len(experiments) == 1351
-    assert len(checks) == 4**4 + 1351
+    assert len(checks) == 1351
+
+
+@pytest.mark.parametrize("family", [[], iter(())], ids=["list", "iterator"])
+def test_empty_family_is_refused_by_the_stream(family):
+    # The members are not listed up front: certification refuses a
+    # stream that yields none, whatever iterable it came from.
+    with pytest.raises(InvalidInstanceError, match="empty tampering family"):
+        certify_family(identity_code(2), family)
+    with pytest.raises(InvalidInstanceError, match="empty tampering family"):
+        search_nm_code(1, 2, 0, family=family, trials=3, seed=0)
 
 
 def test_tamper_map_runs_once_per_member(monkeypatch):
