@@ -384,14 +384,14 @@ def _extended_channel(obj) -> Channel:
     return channel if channel.extended else channel.to_extended()
 
 
-def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[Iterable, bool]:
-    """(rows, exhaustive), the exhaustive and random rows lazy walks; a
-    random count above a non-null budget stops before the first row is
-    drawn."""
+def _composed_sequences(spec_obj, names, specials, n, budget) -> tuple[Iterable, bool]:
+    """(rows, exhaustive), the exhaustive and random rows lazy walks that
+    skip a row of specials only (the states equal to the special channel);
+    a random count above a non-null budget stops before any row is drawn."""
     listing = spec_obj["sequences"]
     if listing == "exhaustive":
         return (
-            row for row in product(names, repeat=n) if set(row) != {special_name}
+            row for row in product(names, repeat=n) if not specials.issuperset(row)
         ), True
     if isinstance(listing, dict):
         count = listing.get("random")
@@ -407,7 +407,7 @@ def _composed_sequences(spec_obj, names, special_name, n, budget) -> tuple[Itera
         # Drawn as the walk reads them; an all-special row is redrawn.
         rng = random.Random(seed)
         draws = iter(lambda: tuple(rng.choice(names) for _ in range(n)), None)
-        rows = (row for row in draws if set(row) != {special_name})
+        rows = (row for row in draws if not specials.issuperset(row))
         return islice(rows, max(count, 0)), False
     if isinstance(listing, list):
         rows = []
@@ -480,13 +480,12 @@ def cmd_composed_verify(spec_file, threshold):
             f"state {special_name!r} must equal BEC(p_star) exactly"
         )
     names = sorted(states)
-    if names == [special_name]:
+    specials = {name for name in names if states[name] == special}
+    if len(specials) == len(names):
         raise InvalidInstanceError(
             "states need at least one channel besides the special state"
         )
-    rows, exhaustive = _composed_sequences(
-        spec_obj, names, special_name, scheme.n, budget
-    )
+    rows, exhaustive = _composed_sequences(spec_obj, names, specials, scheme.n, budget)
     sequences = (
         StateSequence([states[name] for name in row], labels=row)
         for row in rows

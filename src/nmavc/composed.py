@@ -21,7 +21,8 @@ The special state s* is BEC(p_star) (special_channel).  Verification
 requires recovery under the all-s* sequence, then feeds every other
 sequence to the verifier's one sequence walk, with a memo from each
 pattern to the inner code's profile entry of the map it induces; the
-walk solves each distinct profile's optimal simulator on first read.
+walk solves each distinct profile's optimal simulator on first read
+and gives the report's record (SequenceReport) of each sequence.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .channels import Channel, StateSequence
-from .distributions import Marker, Record, all_bitstrings, format_rational
+from .distributions import Marker, Record, format_rational
 from .errors import (
     BudgetExceededError,
     InvalidInstanceError,
@@ -51,6 +52,7 @@ from .tampering import AffineFunction, BITFunction, bit_patterns
 from .verifier import (
     BOT_MAP,
     FamilyCertificate,
+    SequenceReport,
     StochasticCode,
     _entry,
     _verify_sequences,
@@ -220,25 +222,6 @@ def recovery_probability(scheme: ComposedScheme, p_star) -> Fraction:
     return recovered
 
 
-class SequenceReport(Record):
-    """Per-sequence composed verification outcome (exact); worst_message
-    is a message index of the inner code's k."""
-
-    __slots__ = ("label", "epsilon", "weighted_bound", "pattern_max",
-                 "worst_message", "pattern_count", "k")
-
-    def to_json(self) -> dict:
-        return {
-            "sequence": self.label,
-            "epsilon": format_rational(self.epsilon),
-            "epsilon_float": float(self.epsilon),
-            "weighted_bound": format_rational(self.weighted_bound),
-            "pattern_max": format_rational(self.pattern_max),
-            "worst_message": all_bitstrings(self.k)[self.worst_message],
-            "patterns": self.pattern_count,
-        }
-
-
 class ComposedReport(Record):
     """Recovery probability plus per-sequence worst-case distances."""
 
@@ -272,11 +255,12 @@ def verify_composed(
     delta comes from the pipeline-enumeration route and is cross-checked
     against the rank-enumeration route exactly.  The sequences (any
     iterable) are then walked once by the verifier's sequence walk,
-    which keeps none; the all-special sequence is refused as it is
-    drawn.  Its entry_for maps each pattern not seen before to its
-    induced map, and each map not seen before to the inner code's entry
-    for its profile (_entry), one tampering experiment per distinct map;
-    each entry's optimum is solved when the mixture first reads it.
+    which keeps none; a sequence whose every channel is BEC(p_star) is
+    refused as it is drawn.  Its entry_for maps each pattern not seen
+    before to its induced map, and each map not seen before to the inner
+    code's entry for its profile (_entry), one tampering experiment per
+    distinct map; each entry's optimum is solved when the mixture first
+    reads it.  The walk's records are kept as they come.
     """
     recovery = recovery_probability(scheme, p_star)
     delta = 1 - recovery
@@ -310,20 +294,8 @@ def verify_composed(
             entry = entry_of[pattern] = entry_of_map[f]
         return entry
 
-    eps_by_sequence = {
-        label: SequenceReport(
-            label=label,
-            epsilon=mixture.ds_sd,
-            weighted_bound=mixture.weighted_bound,
-            pattern_max=mixture.pattern_max,
-            worst_message=mixture.worst_message,
-            pattern_count=seq.pattern_count,
-            k=scheme.k,
-        )
-        for label, seq, mixture in _verify_sequences(
-            scheme, non_special(), entry_for, budget
-        )
-    }
+    walk = _verify_sequences(scheme, non_special(), entry_for, budget)
+    eps_by_sequence: dict[str, SequenceReport] = {r.label: r for _, _, r in walk}
     return ComposedReport(
         delta=delta,
         recovery=recovery,

@@ -53,6 +53,16 @@ def gather_bits(word: int, positions: Sequence[int]) -> int:
     return packed
 
 
+def xor_span(rows: Sequence[int]) -> list[int]:
+    """u times the matrix of these rows for every u in [0, 2^len(rows)),
+    indexed by u, by XOR doubling: each row doubles the table so far.
+    Uncached; GF2Matrix.codewords keeps its own."""
+    table = [0]
+    for row in rows:
+        table += [word ^ row for word in table]
+    return table
+
+
 def words_in_order(n: int, erasures: bool = False) -> list[tuple[int, int]]:
     """Every word over {0,1}^n (or {0,1,e}^n) as a (bits, erased) pair, in
     lexicographic order of the symbols 0 < 1 < e, position 0 most
@@ -115,12 +125,9 @@ class GF2Matrix:
 
     @cached_property
     def codewords(self) -> tuple[int, ...]:
-        """vec_mul(u) for every u in [0, 2^nrows), indexed by u, built by
-        XOR doubling: each row doubles the table so far."""
-        table = [0]
-        for row in self.rows:
-            table += [word ^ row for word in table]
-        return tuple(table)
+        """vec_mul(u) for every u in [0, 2^nrows), indexed by u
+        (xor_span), kept on the matrix."""
+        return tuple(xor_span(self.rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence) -> "GF2Matrix":
@@ -249,12 +256,12 @@ def ecc_decode(g: GF2Matrix, bits: int, erased: int) -> Optional[int]:
 
 def gather_table(g: GF2Matrix, indices: tuple[int, ...]) -> tuple[int, ...]:
     """gather_bits(word, indices) for every word in [0, 2^ncols), indexed
-    by word: the codeword table of the 0/1 matrix whose row j picks
+    by word: the XOR span (xor_span) of the rows whose row j picks
     column j if it is in indices.  Kept on g, one per R."""
     tables = g._gathers
     if indices not in tables:
-        picks = tuple(1 << indices.index(j) if j in indices else 0 for j in range(g.ncols))
-        tables[indices] = GF2Matrix(picks, len(indices)).codewords
+        picks = [1 << indices.index(j) if j in indices else 0 for j in range(g.ncols)]
+        tables[indices] = tuple(xor_span(picks))
     return tables[indices]
 
 

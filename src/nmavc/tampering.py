@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .errors import BudgetExceededError
-from .gf2 import GF2Matrix, int_to_bits
+from .gf2 import GF2Matrix, int_to_bits, xor_span
 
 
 #: The (keep, xor, erase) bits of each action at one position, in the order
@@ -113,10 +113,10 @@ class AffineFunction:
         return self.matrix.vec_mul(u) ^ self.delta
 
     def tabulate(self) -> list[int]:
-        """u*M + delta for every u, from M's codeword table; apply then
-        indexes it (only induced maps, with few inputs, tabulate)."""
+        """u*M + delta for every u, from xor_span(M's rows), not kept on M;
+        apply then indexes it (only induced maps, with few inputs, do)."""
         delta = self.delta
-        table = [word ^ delta for word in self.matrix.codewords]
+        table = [word ^ delta for word in xor_span(self.matrix.rows)]
         self.apply = table.__getitem__
         return table
 

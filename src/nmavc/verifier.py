@@ -59,10 +59,6 @@ BOT_MAP = Marker("bot-map")
 
 TamperingFunction = Union[BITFunction, AffineFunction, Marker]
 
-#: How many distinct optimal simulators one certification keeps, most
-#: recently solved first, to bound later members before their LP.
-_POOL_SIZE = 16
-
 
 class StochasticCode:
     """A (k, n)-coding scheme with a rho-bit uniform encoder seed, as tables.
@@ -616,11 +612,11 @@ def certify_family(
     max_m SD(T_m, Copy(D, m)), so a member that some D keeps at or below
     the running maximum cannot raise it, and its LP is skipped.  D is
     tried first among the trivial simulators (the entry's bound), then,
-    for a member not solved yet, among a pool of the _POOL_SIZE distinct
-    optimal simulators this certification solved most recently, newest
-    first, each checked in integers (_within).  Every other member's LP
-    is solved.  The pool is deterministic, and a skip never changes
-    epsilon or the worst member, which is the first to reach the maximum.
+    for a member not solved yet, among every distinct optimal simulator
+    this certification has read, most recent first, each checked in
+    integers (_within).  Every other member's LP is solved.  The pool is
+    deterministic, and a skip never changes epsilon or the worst member,
+    which is the first to reach the maximum.
     """
     if code.erasures:
         raise InvalidInstanceError("certify a composed scheme through its inner code")
@@ -656,9 +652,8 @@ def _certify(
     Returns None as soon as the running maximum reaches
     `stop_at_or_above`, reading no later pair: the search loop only
     cares about strictly better codes.  The simulator pool is this
-    call's own: each simulator the loop reads from an entry, solved now
-    or earlier, moves to the pool's front, and the oldest beyond
-    _POOL_SIZE leaves."""
+    call's own and keeps every distinct simulator the loop reads from an
+    entry, solved now or earlier, each moved to the front when read."""
     epsilon: Optional[Fraction] = None
     members: dict = {}
     pool: list = []  # distinct optimal simulators, latest first
@@ -674,7 +669,6 @@ def _certify(
         if report.simulator in pool:
             pool.remove(report.simulator)
         pool.insert(0, report.simulator)
-        del pool[_POOL_SIZE:]
         if epsilon is None or report.epsilon > epsilon:
             epsilon = report.epsilon
             worst, worst_report = f, report
@@ -769,11 +763,24 @@ def _mixture(
             Fraction(top, error_lcm))
 
 
-class MixtureReport(Record):
-    """D_s against a sequence's law table: ds_sd <= weighted_bound <=
-    pattern_max, first reached at the message index worst_message."""
+class SequenceReport(Record):
+    """The walk's exact outcome on one sequence: epsilon (ds_sd) = max_m
+    SD(T^s_m, Copy(D_s, m)) <= weighted_bound <= pattern_max, first
+    reached at worst_message, a message index of the code's k."""
 
-    __slots__ = ("laws", "ds_sd", "weighted_bound", "pattern_max", "worst_message")
+    __slots__ = ("label", "epsilon", "weighted_bound", "pattern_max",
+                 "worst_message", "pattern_count", "k")
+
+    def to_json(self) -> dict:
+        return {
+            "sequence": self.label,
+            "epsilon": format_rational(self.epsilon),
+            "epsilon_float": float(self.epsilon),
+            "weighted_bound": format_rational(self.weighted_bound),
+            "pattern_max": format_rational(self.pattern_max),
+            "worst_message": all_bitstrings(self.k)[self.worst_message],
+            "patterns": self.pattern_count,
+        }
 
 
 def _verify_sequences(
@@ -781,9 +788,10 @@ def _verify_sequences(
     sequences: Iterable[StateSequence],
     entry_for: Callable[[tuple[int, int, int]], _Profile],
     budget: Optional[int],
-) -> Iterator[tuple[str, StateSequence, MixtureReport]]:
-    """The one walk over state sequences: (label, seq, MixtureReport) for
-    each sequence of any iterable, in order, keeping none of them.
+) -> Iterator[tuple[StateSequence, Laws, SequenceReport]]:
+    """The one walk over state sequences: (seq, laws, SequenceReport) for
+    each sequence of any iterable, in order, keeping none of them; laws
+    is the sequence's channel law table.
 
     Each sequence is checked (_check_sequence, its pattern count within
     budget) before its positive-weight patterns are built.  Its direct
@@ -819,7 +827,9 @@ def _verify_sequences(
         while label in labels:
             label = f"{label}#{index}"
         labels.add(label)
-        yield label, seq, MixtureReport(laws, ds_sd, weighted_bound, pattern_max, worst)
+        yield seq, laws, SequenceReport(
+            label, ds_sd, weighted_bound, pattern_max, worst, count, code.k
+        )
     if not labels:
         raise InvalidInstanceError("no sequences to verify")
 
@@ -869,21 +879,21 @@ def verify_transfer(
     cert = certify_bit_family(code, budget)
     entry_for = {f.pattern: e for f, e in cert.members.items()}.__getitem__
     reports = {}
-    for label, seq, mixture in _verify_sequences(code, sequences, entry_for, budget):
-        eps_channel = optimal_simulator(*mixture.laws).epsilon
-        if not (eps_channel <= mixture.ds_sd and mixture.pattern_max <= cert.epsilon):
+    for seq, laws, record in _verify_sequences(code, sequences, entry_for, budget):
+        eps_channel = optimal_simulator(*laws).epsilon
+        if not (eps_channel <= record.epsilon and record.pattern_max <= cert.epsilon):
             raise VerificationError(
                 f"transfer inequality violated: eps_channel={eps_channel}, "
-                f"ds_sd={mixture.ds_sd}, weighted={mixture.weighted_bound}, "
+                f"ds_sd={record.epsilon}, weighted={record.weighted_bound}, "
                 f"eps_bit={cert.epsilon}"
             )
-        reports[label] = TransferReport(
+        reports[record.label] = TransferReport(
             eps_bit=cert.epsilon,
             eps_channel=eps_channel,
-            ds_sd=mixture.ds_sd,
-            weighted_bound=mixture.weighted_bound,
-            worst_message=mixture.worst_message,
-            sequence_label=",".join(seq.labels) if seq.labels else label,
+            ds_sd=record.epsilon,
+            weighted_bound=record.weighted_bound,
+            worst_message=record.worst_message,
+            sequence_label=",".join(seq.labels) if seq.labels else record.label,
             k=code.k,
         )
     return cert, reports

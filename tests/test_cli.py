@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -29,6 +30,7 @@ IDENTITY_2 = {"rows": ["10", "01"]}
 NUMBER_ROWS = {"rows": [5, 6]}
 STRING_ROWS = {"rows": ["10", "01"]}
 PARITY_45 = {"rows": ["10001", "01001", "00101", "00011"]}
+BEC_1_10 = {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}
 
 IDENTITY_CODE_K1 = {
     "k": 1, "n": 1, "rho": 0,
@@ -672,7 +674,7 @@ def test_random_sequence_rows_are_drawn_lazily(seed):
     # nine is all-special and redrawn.
     names, special = ["bec", "bsc", "z"], "bec"
     spec = {"sequences": {"random": 40, "seed": seed}}
-    rows, exhaustive = cli._composed_sequences(spec, names, special, 2, None)
+    rows, exhaustive = cli._composed_sequences(spec, names, {special}, 2, None)
     assert not exhaustive and iter(rows) is rows
     rng = random.Random(seed)
     eager = []
@@ -759,9 +761,13 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
         {"sequences": {"random": -1, "seed": 1}},
         {"sequences": {"random": True, "seed": 1}},
         {"sequences": {"random": 2, "seed": True}},
-        # Only the special state: a random spec would never draw a row.
+        # Only the special state, or copies of it: a random spec would
+        # never draw a row.
         {"states": {"bec": {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}},
          "sequences": "exhaustive"},
+        {"states": {"bec": BEC_1_10, "bec2": BEC_1_10}, "sequences": "exhaustive"},
+        {"states": {"bec": BEC_1_10, "bec2": BEC_1_10},
+         "sequences": {"random": 5, "seed": 3}},
         {"states": {"bec": {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]},
                     "bsc": BSC, "z": NUMBER_ROWS}},
         {"states": {"bec": {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]},
@@ -774,17 +780,21 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
     ids=["string-budget", "bool-budget", "float-budget", "negative-budget",
          "list-states", "list-special-state", "unknown-state-in-row",
          "empty-sequence-list", "zero-random-count", "negative-random-count", "bool-random-count",
-         "bool-random-seed", "only-special-state", "number-row-state",
+         "bool-random-seed", "only-special-state", "only-special-copies",
+         "only-special-copies-random", "number-row-state",
          "string-row-state", "p-star-one", "p-star-above-one", "p-star-negative"],
 )
 def test_composed_verify_malformed_spec_exit_2(runner, tmp_path, fields):
     spec = json.loads((DATA / "composed_spec.json").read_text())
     spec.update(fields)
     spec_file = write(tmp_path, "spec.json", spec)
-    result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
+    with time_limit(5):
+        result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+    if "bec2" in fields.get("states", {}):
+        assert "states need at least one channel besides the special state" in result.output
     if "p_star" in fields:
         assert f"p_star {fields['p_star']} outside [0, 1)" in result.output
     if fields.get("sequences") in ([], {"random": 0, "seed": 1}):
@@ -838,6 +848,126 @@ def test_composed_verify_missing_field_exit_2(runner, tmp_path):
     spec_file = write(tmp_path, "spec.json", {"outer": PARITY_45})
     result = runner.invoke(main, ["composed-verify", "--spec", str(spec_file)])
     assert result.exit_code == 2
+
+
+def assert_one_error(result, exit_code, text):
+    """The contract's failure shape: the exit code, one error: line that
+    holds text, and no traceback."""
+    assert result.exit_code == exit_code, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and text in errors[0], result.output
+    assert "Traceback" not in result.output
+
+
+def demo_states_with_copy() -> dict:
+    """The demo's states and "bec2", a second state equal to the special
+    state BEC(1/10)."""
+    states = json.loads(Path(demo_spec_path()).read_text())["states"]
+    return {**states, "bec2": states["bec"]}
+
+
+@pytest.mark.parametrize(
+    "sequences, checked",
+    [("exhaustive", 4**5 - 2**5), ({"random": 50, "seed": 3}, 50)],
+    ids=["exhaustive", "random"],
+)
+def test_composed_verify_skips_rows_of_special_copies(runner, tmp_path, sequences,
+                                                      checked):
+    # A state equal to BEC(p_star) is special whatever its name: the
+    # exhaustive walk skips the 2^5 rows over {bec, bec2} of the 4^5, and
+    # the random walk redraws them (seed 3 draws two before its 50th
+    # row), so the library's all-special refusal is never reached.
+    states = demo_states_with_copy()
+    spec_file = demo_spec_with(tmp_path, states=states, sequences=sequences)
+    out = str(tmp_path / "report.json")
+    result = runner.invoke(main, ["composed-verify", "--spec", spec_file, "--out", out])
+    assert result.exit_code == 0, result.output
+    report = json.loads(Path(out).read_text())
+    assert report["sequences_checked"] == checked
+    for label in report["sequences"]:
+        assert not set(label.split("#")[0].split(",")) <= {"bec", "bec2"}
+
+
+@pytest.mark.parametrize(
+    "row, exit_code",
+    [(["bec", "bec2", "bec", "bec2", "bec"], 2),
+     (["bec", "bec2", "bsc", "bec2", "bec"], 0)],
+    ids=["all-special", "mixed"],
+)
+def test_composed_verify_listed_special_copies(runner, tmp_path, row, exit_code):
+    # A listed row is run as listed: one over copies of the special state
+    # is refused by the library, one that mixes in bsc verifies.
+    spec_file = demo_spec_with(tmp_path, states=demo_states_with_copy(),
+                               sequences=[row])
+    result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
+    if exit_code:
+        assert_one_error(result, 2, "the all-special sequence is covered by the "
+                                    "recovery requirement")
+    else:
+        assert result.exit_code == 0, result.output
+
+
+def test_composed_verify_disagreeing_recovery_routes_exit_1(runner, monkeypatch):
+    # The pipeline route and the rank route to delta must agree exactly.
+    from nmavc import composed
+
+    rank_route = composed.delta_exact
+    monkeypatch.setattr(composed, "delta_exact",
+                        lambda g, p: rank_route(g, p) + Fraction(1, 10**6))
+    result = runner.invoke(
+        main, ["composed-verify", "--spec", str(DATA / "composed_spec.json")]
+    )
+    assert_one_error(result, 1, "exact invariant violated: recovery routes disagree")
+
+
+def test_nm_verify_violated_mixture_bound_exit_1(runner, monkeypatch):
+    # The walk holds ds_sd <= weighted_bound for every sequence; a weighted
+    # bound below every distance breaks it.
+    from nmavc import verifier
+
+    mixture = verifier._mixture
+
+    def below(weights, entry_of):
+        d_s, _, pattern_max = mixture(weights, entry_of)
+        return d_s, Fraction(-1), pattern_max
+
+    monkeypatch.setattr(verifier, "_mixture", below)
+    result = runner.invoke(main, [
+        "nm-verify", str(DATA / "transfer_code.json"), "--sequences",
+        str(DATA / "transfer_sequences.json"), "--budget", "1000",
+    ])
+    assert_one_error(result, 1, "exact invariant violated: mixture bound violated")
+
+
+def test_nm_verify_violated_transfer_inequality_exit_1(runner, monkeypatch):
+    # The transfer holds eps_channel <= ds_sd for every sequence; a walk
+    # that reports a negative ds_sd breaks it.
+    from nmavc import verifier
+
+    walk = verifier._verify_sequences
+
+    def negative(*args):
+        for seq, laws, record in walk(*args):
+            record.epsilon = Fraction(-1)
+            yield seq, laws, record
+
+    monkeypatch.setattr(verifier, "_verify_sequences", negative)
+    result = runner.invoke(main, [
+        "nm-verify", str(DATA / "transfer_code.json"), "--sequences",
+        str(DATA / "transfer_sequences.json"), "--budget", "1000",
+    ])
+    assert_one_error(result, 1, "exact invariant violated: transfer inequality violated")
+
+
+def test_composed_verify_long_outer_exit_3(runner, tmp_path):
+    # A 4 x 21 outer generator: the recovery route would enumerate 2^21
+    # erasure patterns, over the 2^20 cap, so it stops before the first.
+    rows = ["0" * i + "1" + "0" * (19 - i) + "1" for i in range(4)]
+    spec_file = demo_spec_with(tmp_path, outer={"rows": rows})
+    with time_limit(5):
+        result = runner.invoke(main, ["composed-verify", "--spec", spec_file])
+    assert_one_error(result, 3, "recovery enumeration needs 2^21 patterns")
 
 
 def test_csv_format(runner, tmp_path):
