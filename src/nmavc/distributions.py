@@ -69,9 +69,9 @@ class Marker(Record):
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string.
 
-    Strings may be "num/den", a plain integer, or a decimal with at most
-    9 fractional digits (parsed exactly as num/10^d).  Floats are
-    rejected: they carry binary rounding and are never exact.
+    Strings may be "num/den", a plain integer, or a decimal of ASCII digits
+    with one optional sign and at most 9 fractional digits (parsed exactly
+    as num/10^d).  Floats are rejected: they carry binary rounding.
     """
     if isinstance(value, Fraction):
         return value
@@ -109,8 +109,9 @@ def parse_rational(value) -> Fraction:
                 f"fractional digits: {value!r}"
             )
         sign = -1 if whole.startswith("-") else 1
-        whole_digits = whole.lstrip("+-") or "0"
-        if not (whole_digits.isdigit() and frac.isdigit()):
+        whole_digits = (whole[1:] if whole.startswith(("+", "-")) else whole) or "0"
+        digits = whole_digits + frac
+        if not (digits.isascii() and digits.isdigit()):
             raise InvalidRationalError(f"bad decimal string: {value!r}")
         scale = 10 ** len(frac)
         return Fraction(sign * (int(whole_digits) * scale + int(frac)), scale)

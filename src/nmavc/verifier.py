@@ -26,9 +26,9 @@ tamper_map, gives every member's tamper profile.  Certification and the
 mixtures pass around one currency, a distinct profile's cache entry
 (_Profile), whose optimum is solved once, on first read.  Family
 certification solves the LP only for members that could raise the
-running epsilon; each other member is bounded by an explicit feasible
-simulator (a trivial one, or an optimum an earlier member's LP
-returned) whose distance is summed in integers from the member's
+running epsilon; each other member is kept within it by an explicit
+feasible simulator (same*, a message's own law, or an optimum an
+earlier member's LP returned), decided in integers from the member's
 counts.  A mixture reads an entry per pattern, with no certification.
 """
 
@@ -478,12 +478,16 @@ def optimal_simulator(rows: Sequence[Sequence[int]], total: int) -> NMReport:
 
     The non-malleability definitions are existential ("there exists a
     distribution"); this computes the witness constructively and
-    re-verifies the reported epsilon by direct summation.  A table some
-    trivial simulator matches exactly (_trivial_simulator) needs no LP.
+    re-verifies the reported epsilon by direct summation.  An exact match
+    (the optimum is 0) needs no LP: law 0 when every law equals it, else
+    same* when every law is all on its own message.
     """
     _check_laws(rows, total)
-    bound, simulator = _trivial_simulator(rows, total)
-    if bound:
+    if all(law == rows[0] for law in rows):
+        simulator = ((*rows[0], 0), total)
+    elif all(law[m] == total for m, law in enumerate(rows)):
+        simulator = ((0,) * (len(rows) + 1) + (1,), 1)
+    else:
         simulator = _simulator_lp(rows, total)
 
     epsilon, worst, gaps = _worst_case(rows, total, simulator)
@@ -546,15 +550,14 @@ class _Profile(Record):
     """The shared cache entry of one distinct tamper profile.
 
     laws is the profile, tamper_map's count-row table over total =
-    2^rho, the very rows of the cache key; bound is the profile's least
-    trivial-simulator error (_trivial_simulator), an upper bound on its
-    optimum; report is the optimal simulator, None until first asked
-    for.  It stays None for a member certification bounded by a trivial
-    or pooled simulator instead.  terms is the optimum as a mixture
-    reads it, None until first read (mixture_terms).
+    2^rho, the very rows of the cache key; report is the optimal
+    simulator, None until first asked for.  It stays None for a member
+    certification kept within epsilon by a trivial or pooled simulator
+    instead.  terms is the optimum as a mixture reads it, None until
+    first read (mixture_terms).
     """
 
-    __slots__ = ("laws", "total", "bound", "report", "terms")
+    __slots__ = ("laws", "total", "report", "terms")
 
     def solve(self) -> NMReport:
         if self.report is None:
@@ -610,13 +613,14 @@ def certify_family(
     _Profile is kept per distinct law table, which determines the
     optimum.  Any feasible simulator D bounds a member's optimum by
     max_m SD(T_m, Copy(D, m)), so a member that some D keeps at or below
-    the running maximum cannot raise it, and its LP is skipped.  D is
-    tried first among the trivial simulators (the entry's bound), then,
-    for a member not solved yet, among every distinct optimal simulator
-    this certification has read, most recent first, each checked in
-    integers (_within).  Every other member's LP is solved.  The pool is
-    deterministic, and a skip never changes epsilon or the worst member,
-    which is the first to reach the maximum.
+    the running maximum cannot raise it, and its LP is skipped.  Each read
+    first asks whether same* or a message's own law keeps the member
+    within epsilon (_trivially_within); then, for a member not solved yet,
+    whether one of the distinct optimal simulators this certification has
+    read does, most recent first, each checked in integers (_within).
+    Every other member's LP is solved.  The pool is deterministic, and a
+    skip never changes epsilon or the worst member, which is the first to
+    reach the maximum.
     """
     if code.erasures:
         raise InvalidInstanceError("certify a composed scheme through its inner code")
@@ -628,7 +632,7 @@ def _entry(cache: dict, key: Laws) -> _Profile:
     returns it: cache's entry for key, made on first sight."""
     entry = cache.get(key)
     if entry is None:
-        entry = cache[key] = _Profile(*key, _trivial_simulator(*key)[0], None, None)
+        entry = cache[key] = _Profile(*key, None, None)
     return entry
 
 
@@ -660,7 +664,7 @@ def _certify(
     for f, entry in entries:
         members[f] = entry
         if epsilon is not None and (
-            entry.bound <= epsilon
+            _trivially_within(entry.laws, entry.total, epsilon)
             or (entry.report is None
                 and any(_within(entry.laws, entry.total, d, epsilon) for d in pool))
         ):
@@ -681,26 +685,21 @@ def _certify(
     )
 
 
-def _trivial_simulator(
-    laws: Sequence[Sequence[int]], total: int
-) -> tuple[Fraction, tuple[tuple[int, ...], int]]:
-    """(bound, D): the least max_m SD(T_m, Copy(D, m)) over the trivial
-    simulators D, every message's own law and same*, and the first D that
-    attains it, the laws in message order before same*.  Every D is
-    feasible, so the bound is at least the table's optimum.
-
-    Distances are integers over 2 * total: at message m, the law c[m']
-    has the gap sum_y |c[m][y] - c[m'][y]| and same* 2 * (total - c[m][m]).
+def _trivially_within(
+    laws: Sequence[Sequence[int]], total: int, epsilon: Fraction
+) -> bool:
+    """Whether a trivial simulator keeps every message within epsilon:
+    same*, else each message's own law in order, each stopping at the
+    first message over.  Distances are integers over 2 * total, so each
+    is held against cap = floor(2 * total * epsilon) exactly: at message
+    m, same* has the gap 2 * (total - c[m][m]), the law c[m'] the gap
+    sum_y |c[m][y] - c[m'][y]|.
     """
-    gaps = [
-        max(sum(abs(a - b) for a, b in zip(law, other)) for law in laws)
+    cap = 2 * total * epsilon.numerator // epsilon.denominator
+    return all(total - law[m] <= cap // 2 for m, law in enumerate(laws)) or any(
+        all(sum(abs(a - b) for a, b in zip(law, other)) <= cap for law in laws)
         for other in laws
-    ]
-    gaps.append(2 * max(total - law[m] for m, law in enumerate(laws)))
-    least = min(gaps)
-    i = gaps.index(least)
-    d = ((*laws[i], 0), total) if i < len(laws) else ((0,) * len(gaps) + (1,), 1)
-    return Fraction(least, 2 * total), d
+    )
 
 
 def certify_bit_family(

@@ -1097,8 +1097,8 @@ def trivial_simulator_bound(laws: Mapping[str, FiniteDistribution]) -> Fraction:
 def profile_bound_by_gaps(laws: Sequence[Sequence[int]], total: int) -> Fraction:
     """The least trivial-simulator error of a law table, each simulator's
     gaps scaled to 2 * total * L (L = 1 for same*, total for a law) and
-    compared over 2 * total^2: the earlier form of the bound
-    verifier._trivial_simulator returns."""
+    compared over 2 * total^2: the bound verifier._trivially_within holds
+    against epsilon without computing it."""
 
     def gaps(d, scale):
         for m, law in enumerate(laws):

@@ -120,6 +120,17 @@ def test_delta_checks_p_star_before_budget(runner, tmp_path):
         assert "outside [0,1]" in result.output
 
 
+@pytest.mark.parametrize("p_star", ["0.²", "+-0.5"])
+def test_delta_rejects_malformed_decimal(runner, tmp_path, p_star):
+    # A decimal is ASCII digits under at most one sign: a superscript
+    # digit is invalid input, not a traceback, and a doubled sign is
+    # invalid input, not 1/2.
+    path = write(tmp_path, "g45.json", {"rows": ["10001", "01001", "00101", "00011"]})
+    result = runner.invoke(main, ["delta", path, p_star])
+    assert_invalid_input(result)
+    assert f"bad decimal string: {p_star!r}" in result.output
+
+
 MALFORMED_GENERATORS = [
     {"rows": []},
     {"rows": ["10x"]},
@@ -638,15 +649,16 @@ def test_composed_verify_demo_spec(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "budget, threshold, exit_code",
-    [(31, None, 3), (32, None, 0), (1, "abc", 2)],
-    ids=["31-3", "32-0", "malformed-threshold"],
+    [(31, None, 3), (32, None, 0), (1, "abc", 2), (1, "0.²", 2)],
+    ids=["31-3", "32-0", "malformed-threshold", "malformed-decimal-threshold"],
 )
 def test_composed_verify_demo_pattern_budget(
     runner, tmp_path, budget, threshold, exit_code
 ):
     # Every demo sequence expands into 2^5 patterns (two per position);
     # a budget below that stops the run before any pattern is built.  A
-    # malformed --threshold stops it earlier still, before any work.
+    # malformed --threshold stops it earlier still, before any work; a
+    # superscript digit is not a decimal digit.
     spec_file = demo_spec_with(tmp_path, budget=budget)
     options = ["--threshold", threshold] if threshold else []
     result = runner.invoke(main, ["composed-verify", "--spec", spec_file, *options])
@@ -654,7 +666,8 @@ def test_composed_verify_demo_pattern_budget(
     if exit_code == 3:
         assert "sequence expands into 32 patterns, budget 31" in result.output
     if exit_code == 2:
-        assert "bad rational string: 'abc'" in result.output
+        kind = "decimal" if "." in threshold else "rational"
+        assert f"bad {kind} string: {threshold!r}" in result.output
 
 
 def test_composed_verify_huge_random_count_exits_3_at_once(runner, tmp_path):

@@ -3,11 +3,11 @@
 Each shipped input in tests/data is fed, after one or two structural
 mutations (a key deleted, a value of another JSON type, a value wrapped
 in a list, a float or a huge number, an unknown name, a length
-changed), to every command that reads it, with the command's original
---budget.  Whatever the mutation, the command ends in 0 (pass), 1 (an
-exact invariant failed, or a report that did not pass), 2 (invalid
-input) or 3 (budget exceeded), with exactly one error: line for 2 and
-3, and never in a traceback.
+changed, a malformed rational string), to every command that reads it,
+with the command's original --budget.  Whatever the mutation, the
+command ends in 0 (pass), 1 (an exact invariant failed, or a report
+that did not pass), 2 (invalid input) or 3 (budget exceeded), with
+exactly one error: line for 2 and 3, and never in a traceback.
 """
 
 import json
@@ -57,7 +57,10 @@ INPUTS = {
 JSON_VALUES = [None, True, 3, 0.5, "x", [], {}]
 
 MUTATIONS = ["delete", "retype", "wrap", "float", "huge", "unknown-name", "longer",
-             "shorter"]
+             "shorter", "bad-rational"]
+
+#: Strings no rational parser may accept: a superscript digit, two signs.
+BAD_RATIONALS = ["0.²", "+-1/2"]
 
 
 def paths(doc, prefix=()):
@@ -104,6 +107,8 @@ def mutate(doc, path, kind, draw):
         parent[last] = 2**70 if isinstance(value, int) else f"1/{2**70}"
     elif kind == "unknown-name":
         parent[last] = "nowhere"
+    elif kind == "bad-rational":  # any value; the rationals are strings
+        parent[last] = draw(st.sampled_from(BAD_RATIONALS))
     elif isinstance(value, (list, str)) and value:
         parent[last] = (value + value[-1:] if kind == "longer" else value[:-1])
     elif isinstance(value, int) and not isinstance(value, bool):

@@ -50,7 +50,9 @@ def test_parse_rational(text, expected):
 
 
 @pytest.mark.parametrize(
-    "bad", ["0.1234567891", "1/0", "1/-2", "a/b", "", "1.0e-3", 0.5, None, True]
+    "bad",
+    ["0.1234567891", "1/0", "1/-2", "a/b", "", "1.0e-3", 0.5, None, True,
+     "0.²", "+-0.5", "--1.5"],
 )
 def test_parse_rational_rejects(bad):
     with pytest.raises(InvalidRationalError):

@@ -229,3 +229,13 @@ def test_matches_fraction_tableau_on_k3_simulator_lps():
     assert len(lps) == 45
     for args in lps[:12]:
         assert_same_as_oracle(*args)
+
+
+def test_k4_certification_is_pinned():
+    # A k = 4, n = 5 code without seed bits: the trivial simulators and
+    # the pool leave 86 of the 1,024 members to the LP.
+    code = verifier._random_injective_code(4, 5, 0, random.Random(404))
+    cert, lps = recorded_lps(lambda: certify_bit_family(code))
+    assert len(lps) == 86
+    assert cert.epsilon == F(12, 13)
+    assert cert.worst == bit_function("KFFKK")

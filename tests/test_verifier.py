@@ -451,9 +451,7 @@ def mixture_entries(simulators, errors=None) -> dict:
     if errors is None:
         errors = dict.fromkeys(simulators, F(0))
     return {
-        f: verifier._Profile(
-            (), 1, errors[f], NMReport(errors[f], simulators[f], 0, []), None
-        )
+        f: verifier._Profile((), 1, NMReport(errors[f], simulators[f], 0, []), None)
         for f in simulators
     }
 
@@ -1074,11 +1072,11 @@ def pruning_cases(draw):
 @example((k2n4_code(), [bit_function("KK1F"), bit_function("K1FK")], F(1)))
 def test_pruned_certificate_matches_every_member_solved(case):
     # Certification skips the LP of a member that a trivial simulator
-    # (its entry's bound) or a pooled optimal simulator keeps within the
-    # running epsilon.  With or without an early stop (on one shared
-    # cache, so pruned entries are read again), it matches the reference
-    # that solves every member, and each member's optimum is at most its
-    # bound, which a trivial simulator attains.  The explicit examples
+    # (same* or a message's own law) or a pooled optimal simulator keeps
+    # within the running epsilon.  With or without an early stop (on one
+    # shared cache, so pruned entries are read again), it matches the
+    # reference that solves every member, and each member's optimum is at
+    # most the least trivial-simulator error.  The explicit examples
     # are POOL_CASES, where the pool skips members in both runs, and a
     # member the pool misses by 1/20 (k2n4_code).
     code, functions, stop = case
@@ -1100,9 +1098,9 @@ def test_pruned_certificate_matches_every_member_solved(case):
         if f in unsolved:
             assert reference.reports[f].epsilon <= running
         running = max(running, reference.reports[f].epsilon)
-    for f, entry in cert.members.items():
-        assert entry.bound == trivial_simulator_bound(laws_of(code.k, *tamper_map(code, f)))
-        assert reference.reports[f].epsilon <= entry.bound
+    for f in cert.members:
+        bound = trivial_simulator_bound(laws_of(code.k, *tamper_map(code, f)))
+        assert reference.reports[f].epsilon <= bound
         assert cert.members[f].solve() == reference.reports[f]
 
 
@@ -1119,25 +1117,30 @@ def count_tables(draw):
     return [row() for _ in range(size)], total
 
 
+EPSILON_GRID = [F(0), F(1, 12), F(1, 7), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(11, 12), F(1)]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(count_tables())
 @example(([(2, 0, 0), (0, 2, 0)], 2))
 @example(([(1, 1, 0), (1, 1, 0)], 2))
+@example(([(1, 0)], 1))
 def test_trivial_simulator_matches_its_gap_form(table):
-    # The closed-form gaps over 2 * total give the same Fraction as each
-    # trivial simulator's _gaps sums over 2 * total^2.  The returned D is
-    # the first trivial simulator, the laws in message order before
-    # same*, whose worst-case distance is the bound; at bound 0 it is the
-    # simulator optimal_simulator returns.
+    # The integer decision, capped at floor(2 * total * epsilon), says
+    # yes exactly when the oracle's least trivial-simulator error, each
+    # simulator's gaps summed over 2 * total^2, is at most epsilon: on a
+    # grid and at the bound itself.  At bound 0, optimal_simulator's shortcut returns
+    # the first zero-error trivial simulator, the laws in message order
+    # before same*.
     rows, total = table
-    bound, d = verifier._trivial_simulator(rows, total)
-    assert bound == profile_bound_by_gaps(rows, total)
-    candidates = [((*law, 0), total) for law in rows]
-    candidates.append(((0,) * (len(rows) + 1) + (1,), 1))
-    errors = [verifier._worst_case(rows, total, c)[0] for c in candidates]
-    assert d == candidates[errors.index(bound)]
+    bound = profile_bound_by_gaps(rows, total)
+    for epsilon in [*EPSILON_GRID, bound]:
+        assert verifier._trivially_within(rows, total, epsilon) == (bound <= epsilon)
     if bound == 0:
-        assert optimal_simulator(rows, total).simulator == d
+        candidates = [((*law, 0), total) for law in rows]
+        candidates.append(((0,) * (len(rows) + 1) + (1,), 1))
+        errors = [verifier._worst_case(rows, total, c)[0] for c in candidates]
+        assert optimal_simulator(rows, total).simulator == candidates[errors.index(0)]
 
 
 @pytest.mark.parametrize(
@@ -1177,7 +1180,8 @@ def test_pooled_simulator_alone_skips_a_member(monkeypatch):
     cert = certify_family(code, [first, second])
     assert len(solves) == 1
     laws = laws_of(code.k, *tamper_map(code, second))
-    assert cert.members[second].bound == trivial_simulator_bound(laws) == F(1, 2)
+    assert trivial_simulator_bound(laws) == F(1, 2)
+    assert not verifier._trivially_within(*tamper_map(code, second), cert.epsilon)
     assert cert.epsilon == F(1, 4)
     assert cert.members[second].report is None
     pooled = law_of(code.k, *cert.members[first].report.simulator)
