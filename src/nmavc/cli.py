@@ -254,37 +254,77 @@ def _load_code(path: str) -> StochasticCode:
     return StochasticCode.from_json(_load_json(path))
 
 
-def _channel_from_entry(entry, dictionary: dict):
-    if isinstance(entry, str):
-        if entry not in dictionary:
-            raise InvalidInstanceError(f"unknown channel name {entry!r}")
-        return dictionary[entry]
-    return channel_from_json(entry)
+def _sequences(obj, field, code, budget, special=None) -> tuple[Iterable, bool]:
+    """(sequences, exhaustive): the state sequences obj lists for code,
+    refused on anything that can be checked before the first is walked.
 
-
-def _load_sequences(path: str) -> list[StateSequence]:
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "sequences" not in obj:
-        raise InvalidInstanceError(
-            f'{path} must be {{"channels": {{...}}, "sequences": [...]}}'
-        )
-    named = obj.get("channels", {})
+    obj[field] names channels, each lifted to {0,1,e} when code reads
+    erasures.  obj["sequences"] is a list of rows, each a list of names
+    or inline channels (labelled inline<i>); or "exhaustive", the sorted
+    names to the power code.n; or {"random": count, "seed": seed},
+    drawn as the walk reads them, a count above a non-null budget
+    refused before the first draw.  Both lazy forms skip a row whose
+    states all equal special.
+    """
+    named = obj.get(field, {})
     if not isinstance(named, dict):
-        raise InvalidInstanceError(f'"channels" in {path} must be an object')
-    if not isinstance(obj["sequences"], list):
-        raise InvalidInstanceError(f'"sequences" in {path} must be a list')
-    dictionary = {name: channel_from_json(ch) for name, ch in named.items()}
-    sequences = []
-    for row in obj["sequences"]:
-        if not isinstance(row, list):
-            raise InvalidInstanceError(f"sequence {row!r} must be a list of channels")
-        channels = [_channel_from_entry(entry, dictionary) for entry in row]
-        labels = [
-            entry if isinstance(entry, str) else f"inline{i}"
-            for i, entry in enumerate(row)
-        ]
-        sequences.append(StateSequence(channels, labels))
-    return sequences
+        raise InvalidInstanceError(f'"{field}" must be an object of named channels')
+
+    def parse(entry) -> Channel:
+        channel = channel_from_json(entry)
+        return channel.to_extended() if code.erasures and not channel.extended else channel
+
+    states = {name: parse(entry) for name, entry in named.items()}
+    names = sorted(states)
+    specials = {name for name in names if states[name] == special}
+    if special is not None and len(specials) == len(names):
+        raise InvalidInstanceError(
+            f"{field} need at least one channel besides the special state"
+        )
+    listing = obj["sequences"]
+    if isinstance(listing, list):
+        sequences = []
+        for row in listing:
+            if not isinstance(row, list):
+                raise InvalidInstanceError(f"sequence {row!r} must be a list of channels")
+            unknown = [e for e in row if isinstance(e, str) and e not in states]
+            if unknown:
+                raise InvalidInstanceError(f"sequence {row} names unknown {unknown}")
+            seq = StateSequence(
+                [states[e] if isinstance(e, str) else parse(e) for e in row],
+                [e if isinstance(e, str) else f"inline{i}" for i, e in enumerate(row)],
+            )
+            _check_sequence(code, seq)
+            sequences.append(seq)
+        if not sequences:
+            raise InvalidInstanceError("no sequences to verify")
+        return sequences, False
+    count = None
+    if listing == "exhaustive":
+        rows = product(names, repeat=code.n)
+    elif isinstance(listing, dict):
+        count, seed = listing.get("random"), listing.get("seed")
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (count, seed)):
+            raise InvalidInstanceError(
+                'random sequences need {"random": count, "seed": seed}'
+            )
+        if budget is not None and count > budget:
+            raise BudgetExceededError(
+                f"spec draws {count} random sequences, budget {budget}"
+            )
+        rng = random.Random(seed)
+        rows = iter(lambda: tuple(rng.choice(names) for _ in range(code.n)), None)
+    else:
+        raise InvalidInstanceError("sequences must be a list, 'exhaustive', or random spec")
+    if not names or (count is not None and count < 1):
+        raise InvalidInstanceError("no sequences to verify")
+    for channel in states.values():
+        _check_sequence(code, StateSequence([channel] * code.n))
+    # Drawn as the walk reads them; a random all-special row is redrawn.
+    kept = (row for row in rows if not specials.issuperset(row))
+    return (
+        StateSequence([states[name] for name in row], row) for row in islice(kept, count)
+    ), listing == "exhaustive"
 
 
 @_command("nm-verify")
@@ -318,11 +358,12 @@ def cmd_nm_verify(code_file, family, sequences_file, budget, threshold):
             f"(worst: {report['certificate']['worst_function']})"
         )
     else:
-        sequences = _load_sequences(sequences_file)
-        if not sequences:
-            raise InvalidInstanceError("no sequences to verify")
-        for seq in sequences:
-            _check_sequence(code, seq)
+        obj = _load_json(sequences_file)
+        if not isinstance(obj, dict) or "sequences" not in obj:
+            raise InvalidInstanceError(
+                f'{sequences_file} must be {{"channels": {{...}}, "sequences": [...]}}'
+            )
+        sequences, _ = _sequences(obj, "channels", code, budget)
         cert, results = verify_transfer(code, sequences, budget=budget)
         epsilon = max(result.eps_channel for result in results.values())
         report = {
@@ -336,7 +377,7 @@ def cmd_nm_verify(code_file, family, sequences_file, budget, threshold):
         }
         summary = (
             f"max per-sequence eps = {format_rational(epsilon)} over "
-            f"{len(sequences)} sequences (bit-family bound "
+            f"{len(results)} sequences (bit-family bound "
             f"{format_rational(cert.epsilon)})"
         )
     return report, summary, _verdict(report, epsilon, limit)
@@ -379,57 +420,6 @@ def cmd_search(k, n, rho, trials, seed, generator_file, budget):
     return report, summary, True
 
 
-def _extended_channel(obj) -> Channel:
-    channel = channel_from_json(obj)
-    return channel if channel.extended else channel.to_extended()
-
-
-def _composed_sequences(spec_obj, names, specials, n, budget) -> tuple[Iterable, bool]:
-    """(rows, exhaustive), the exhaustive and random rows lazy walks that
-    skip a row of specials only (the states equal to the special channel);
-    a random count above a non-null budget stops before any row is drawn."""
-    listing = spec_obj["sequences"]
-    if listing == "exhaustive":
-        return (
-            row for row in product(names, repeat=n) if not specials.issuperset(row)
-        ), True
-    if isinstance(listing, dict):
-        count = listing.get("random")
-        seed = listing.get("seed")
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in (count, seed)):
-            raise InvalidInstanceError(
-                'random sequences need {"random": count, "seed": seed}'
-            )
-        if budget is not None and count > budget:
-            raise BudgetExceededError(
-                f"spec draws {count} random sequences, budget {budget}"
-            )
-        # Drawn as the walk reads them; an all-special row is redrawn.
-        rng = random.Random(seed)
-        draws = iter(lambda: tuple(rng.choice(names) for _ in range(n)), None)
-        rows = (row for row in draws if not specials.issuperset(row))
-        return islice(rows, max(count, 0)), False
-    if isinstance(listing, list):
-        rows = []
-        for row in listing:
-            if not isinstance(row, list):
-                raise InvalidInstanceError(
-                    f"sequence {row!r} must be a list of state names"
-                )
-            if len(row) != n:
-                raise InvalidInstanceError(
-                    f"sequence {row} has length {len(row)}, expected {n}"
-                )
-            unknown = [name for name in row if name not in names]
-            if unknown:
-                raise InvalidInstanceError(
-                    f"sequence {row} names unknown states {unknown}"
-                )
-            rows.append(tuple(row))
-        return rows, False
-    raise InvalidInstanceError("sequences must be a list, 'exhaustive', or random spec")
-
-
 @_command("composed-verify")
 @click.option("--spec", "spec_file", required=True,
               type=click.Path(exists=True, dir_okay=False),
@@ -453,8 +443,6 @@ def cmd_composed_verify(spec_file, threshold):
         raise InvalidInstanceError(
             f"budget must be a non-negative integer or null, got {budget!r}"
         )
-    if not isinstance(spec_obj["states"], dict):
-        raise InvalidInstanceError("states must be an object of named channels")
     special_name = spec_obj["special_state"]
     if not isinstance(special_name, str):
         raise InvalidInstanceError(
@@ -465,31 +453,17 @@ def cmd_composed_verify(spec_file, threshold):
         inner = _load_code(str(Path(spec_file).parent / inner_ref))
     else:
         inner = StochasticCode.from_json(inner_ref)
-    outer = GF2Matrix.from_json(spec_obj["outer"])
-    scheme = ComposedScheme(inner, outer)
+    scheme = ComposedScheme(inner, GF2Matrix.from_json(spec_obj["outer"]))
     p_star = parse_rational(spec_obj["p_star"])
     special = special_channel(p_star)
-    states = {
-        name: _extended_channel(ch)
-        for name, ch in spec_obj["states"].items()
-    }
+    sequences, exhaustive = _sequences(spec_obj, "states", scheme, budget, special)
+    states = spec_obj["states"]
     if special_name not in states:
         raise InvalidInstanceError(f"unknown special state {special_name!r}")
-    if states[special_name] != special:
+    if channel_from_json(states[special_name]) != special:
         raise InvalidInstanceError(
             f"state {special_name!r} must equal BEC(p_star) exactly"
         )
-    names = sorted(states)
-    specials = {name for name in names if states[name] == special}
-    if len(specials) == len(names):
-        raise InvalidInstanceError(
-            "states need at least one channel besides the special state"
-        )
-    rows, exhaustive = _composed_sequences(spec_obj, names, specials, scheme.n, budget)
-    sequences = (
-        StateSequence([states[name] for name in row], labels=row)
-        for row in rows
-    )
     report_obj = verify_composed(scheme, sequences, p_star, budget=budget)
     report = report_obj.to_json()
     report["exhaustive"] = exhaustive

@@ -69,9 +69,10 @@ class Marker(Record):
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string.
 
-    Strings may be "num/den", a plain integer, or a decimal of ASCII digits
-    with one optional sign and at most 9 fractional digits (parsed exactly
-    as num/10^d).  Floats are rejected: they carry binary rounding.
+    Strings may be "num/den", a plain integer, or a decimal with at most 9
+    fractional digits (parsed exactly as num/10^d); each integer in them
+    is ASCII digits after at most one sign.  Floats are rejected: they
+    carry binary rounding.
     """
     if isinstance(value, Fraction):
         return value
@@ -91,11 +92,7 @@ def parse_rational(value) -> Fraction:
         raise InvalidRationalError("empty rational string")
     if "/" in text:
         num, _, den = text.partition("/")
-        try:
-            numerator = int(num)
-            denominator = int(den)
-        except ValueError:
-            raise InvalidRationalError(f"bad rational string: {value!r}") from None
+        numerator, denominator = _integer(num, value), _integer(den, value)
         if denominator <= 0:
             raise InvalidRationalError(
                 f"denominator must be positive: {value!r}"
@@ -108,17 +105,23 @@ def parse_rational(value) -> Fraction:
                 f"decimal string must have 1..{MAX_DECIMAL_DIGITS} "
                 f"fractional digits: {value!r}"
             )
-        sign = -1 if whole.startswith("-") else 1
-        whole_digits = (whole[1:] if whole.startswith(("+", "-")) else whole) or "0"
-        digits = whole_digits + frac
-        if not (digits.isascii() and digits.isdigit()):
-            raise InvalidRationalError(f"bad decimal string: {value!r}")
-        scale = 10 ** len(frac)
-        return Fraction(sign * (int(whole_digits) * scale + int(frac)), scale)
-    try:
-        return Fraction(int(text))
-    except ValueError:
-        raise InvalidRationalError(f"bad rational string: {value!r}") from None
+        # "-1.25" is -125/100; an empty whole part reads as 0, so ".+5" is bad.
+        digits = _integer((whole or "0") + frac, value, "decimal")
+        return Fraction(digits, 10 ** len(frac))
+    return Fraction(_integer(text, value))
+
+
+def _integer(text: str, value, kind: str = "rational") -> int:
+    """The int that text spells: at most one leading sign, then ASCII
+    digits only (int() alone also reads other Unicode digits, "_" and
+    inner spaces), within Python's digit limit."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past Python's digit limit
+            pass
+    raise InvalidRationalError(f"bad {kind} string: {value!r}")
 
 
 def format_rational(q: Fraction) -> str:

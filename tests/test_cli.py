@@ -17,7 +17,15 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nmavc import GF2Matrix, cli, induced_family, search_nm_code
+from nmavc import (
+    ComposedScheme,
+    GF2Matrix,
+    StochasticCode,
+    cli,
+    induced_family,
+    search_nm_code,
+    special_channel,
+)
 from nmavc.cli import main
 from oracles import counting, split_word
 
@@ -31,6 +39,7 @@ NUMBER_ROWS = {"rows": [5, 6]}
 STRING_ROWS = {"rows": ["10", "01"]}
 PARITY_45 = {"rows": ["10001", "01001", "00101", "00011"]}
 BEC_1_10 = {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}
+Z_CHANNEL = {"rows": [["1", "0"], ["1/4", "3/4"]]}
 
 IDENTITY_CODE_K1 = {
     "k": 1, "n": 1, "rho": 0,
@@ -287,21 +296,72 @@ BEC_2X3 = {"rows": [["9/10", "0", "1/10"], ["0", "9/10", "1/10"]]}
 
 
 @pytest.mark.parametrize(
-    "row, message",
-    [([BSC] * 4, "sequence length 4 != n=5"),
-     ([BEC_2X3] * 5, "extended sequences tamper the composed scheme, not a plain code")],
-    ids=["short-row", "erasure-row"],
+    "listing, message",
+    [({"sequences": [[BSC] * 4]}, "sequence length 4 != n=5"),
+     ({"sequences": [[BEC_2X3] * 5]},
+      "extended sequences tamper the composed scheme, not a plain code"),
+     ({"sequences": []}, "no sequences to verify"),
+     ({"channels": {"bsc": BSC, "bec": BEC_2X3}, "sequences": "exhaustive"},
+      "extended sequences tamper the composed scheme, not a plain code")],
+    ids=["short-row", "erasure-row", "no-sequences", "erasure-channel-exhaustive"],
 )
-def test_nm_verify_checks_sequences_before_certifying(runner, tmp_path, row, message):
+def test_nm_verify_checks_sequences_before_certifying(runner, tmp_path, listing,
+                                                      message):
     # Certifying the 4^5 bit family would need 2048 evaluations, far over
-    # budget 10; a row the code cannot read is refused first.
-    seqs = write(tmp_path, "seqs.json", {"sequences": [row]})
+    # budget 10; a listing the code cannot read is refused first.  A lazy
+    # listing has each named channel's alphabet checked once.
+    seqs = write(tmp_path, "seqs.json", listing)
     result = runner.invoke(
         main, ["nm-verify", str(DATA / "fixed_k2n5_code.json"),
                "--sequences", seqs, "--budget", "10"]
     )
     assert_invalid_input(result)
     assert message in result.output
+
+
+def test_nm_verify_exhaustive_listing_is_its_rows(runner, tmp_path):
+    # "exhaustive" over the file's three named channels is their 3^3 rows,
+    # so its report is that of the explicit list of the 27 rows: the
+    # maximum over S^n.
+    channels = json.loads((DATA / "transfer_sequences.json").read_text())["channels"]
+    rows = [list(row) for row in product(sorted(channels), repeat=3)]
+    reports = []
+    for listing in ("exhaustive", rows):
+        seqs = write(tmp_path, "seqs.json", {"channels": channels, "sequences": listing})
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["nm-verify", str(DATA / "transfer_code.json"), "--sequences", seqs,
+                   "--budget", "1000", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert "= 1/16 over 27 sequences (bit-family bound 1/2)" in result.output
+        report = json.loads(out.read_text())
+        report.pop("provenance")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert len(reports[0]["sequences"]) == 27
+
+
+@pytest.mark.parametrize("count, exit_code", [(1001, 3), (4, 0)])
+def test_nm_verify_random_listing_budget(runner, tmp_path, monkeypatch, count,
+                                         exit_code):
+    # A random count above --budget exits 3 before the bit family is
+    # certified; within it, the drawn rows are verified.
+    certifications = counting(monkeypatch, cli, "certify_bit_family")
+    channels = json.loads((DATA / "transfer_sequences.json").read_text())["channels"]
+    seqs = write(tmp_path, "seqs.json", {
+        "channels": channels, "sequences": {"random": count, "seed": 7},
+    })
+    result = runner.invoke(
+        main, ["nm-verify", str(DATA / "transfer_code.json"), "--sequences", seqs,
+               "--budget", "1000"]
+    )
+    assert result.exit_code == exit_code, result.output
+    if exit_code == 3:
+        assert "spec draws 1001 random sequences, budget 1000" in result.output
+        assert not certifications
+    else:
+        assert f"over {count} sequences" in result.output
 
 
 def test_nm_verify_threshold_failure(runner, tmp_path):
@@ -649,8 +709,11 @@ def test_composed_verify_demo_spec(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "budget, threshold, exit_code",
-    [(31, None, 3), (32, None, 0), (1, "abc", 2), (1, "0.²", 2)],
-    ids=["31-3", "32-0", "malformed-threshold", "malformed-decimal-threshold"],
+    [(31, None, 3), (32, None, 0), (1, "abc", 2), (1, "0.²", 2),
+     (1, "٣/4", 2), (1, "1_0/3", 2), (1, " 1 / 2", 2), (1, "١", 2), (1, "1_000", 2)],
+    ids=["31-3", "32-0", "malformed-threshold", "malformed-decimal-threshold",
+         "arabic-indic-numerator", "underscore-numerator", "inner-spaces",
+         "arabic-indic-integer", "underscore-integer"],
 )
 def test_composed_verify_demo_pattern_budget(
     runner, tmp_path, budget, threshold, exit_code
@@ -658,7 +721,8 @@ def test_composed_verify_demo_pattern_budget(
     # Every demo sequence expands into 2^5 patterns (two per position);
     # a budget below that stops the run before any pattern is built.  A
     # malformed --threshold stops it earlier still, before any work; a
-    # superscript digit is not a decimal digit.
+    # superscript digit is not a decimal digit, and int() reads digits,
+    # underscores and inner spaces that a rational may not hold.
     spec_file = demo_spec_with(tmp_path, budget=budget)
     options = ["--threshold", threshold] if threshold else []
     result = runner.invoke(main, ["composed-verify", "--spec", spec_file, *options])
@@ -685,17 +749,24 @@ def test_random_sequence_rows_are_drawn_lazily(seed):
     # reads it, with the same rng calls in the same order as drawing
     # every row up front: on two positions of three states one row in
     # nine is all-special and redrawn.
+    # The scheme is the identity inner code under the 1 -> 2 repetition
+    # outer code, so rows have two positions.
     names, special = ["bec", "bsc", "z"], "bec"
-    spec = {"sequences": {"random": 40, "seed": seed}}
-    rows, exhaustive = cli._composed_sequences(spec, names, {special}, 2, None)
-    assert not exhaustive and iter(rows) is rows
+    scheme = ComposedScheme(StochasticCode.from_json(IDENTITY_CODE_K1),
+                            GF2Matrix.from_json({"rows": ["11"]}))
+    spec = {"states": {"bec": BEC_1_10, "bsc": BSC, "z": Z_CHANNEL},
+            "sequences": {"random": 40, "seed": seed}}
+    sequences, exhaustive = cli._sequences(
+        spec, "states", scheme, None, special_channel("1/10")
+    )
+    assert not exhaustive and iter(sequences) is sequences
     rng = random.Random(seed)
     eager = []
     while len(eager) < 40:
         row = tuple(rng.choice(names) for _ in range(2))
         if set(row) != {special}:
             eager.append(row)
-    assert list(rows) == eager
+    assert [seq.labels for seq in sequences] == eager
 
 
 @pytest.mark.parametrize("count, exit_code", [(33, 3), (32, 0)])
@@ -756,6 +827,22 @@ def test_composed_verify_keeps_repeated_sequences(runner, tmp_path):
         first, repeat = reported[first_label], reported[repeat_label]
         assert repeat["sequence"] == repeat_label
         assert {**repeat, "sequence": first["sequence"]} == first
+
+
+def test_composed_verify_inline_state_copy(runner, tmp_path):
+    # A row may give a state inline, as nm-verify's rows may: a binary
+    # copy of "bsc", lifted to {0,1,e}, gives bsc's record under its own
+    # label.
+    spec = json.loads((DATA / "composed_spec.json").read_text())
+    spec["sequences"] = [["z", "bec", "bsc", "bec", "z"], ["z", "bec", BSC, "bec", "z"]]
+    spec_file = write(tmp_path, "spec.json", spec)
+    out = str(tmp_path / "report.json")
+    result = runner.invoke(main, ["composed-verify", "--spec", spec_file, "--out", out])
+    assert result.exit_code == 0, result.output
+    reported = json.loads(Path(out).read_text())["sequences"]
+    named, inline = reported["z,bec,bsc,bec,z"], reported["z,bec,inline2,bec,z"]
+    assert inline["sequence"] == "z,bec,inline2,bec,z"
+    assert {**inline, "sequence": named["sequence"]} == named
 
 
 @pytest.mark.parametrize(
@@ -831,8 +918,6 @@ def test_composed_verify_decodes_each_word_once(runner, tmp_path, monkeypatch):
     # table: each word of {0,1,e}^5 is decoded once.  The only other
     # decodes are the recovery route's, one per (erasure pattern, message,
     # seed); the correctness audit's 2 * 4 ran when the scheme was built.
-    from nmavc import ComposedScheme, cli
-
     decoded = []
     verify = cli.verify_composed
 

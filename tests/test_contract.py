@@ -3,7 +3,8 @@
 Each shipped input in tests/data is fed, after one or two structural
 mutations (a key deleted, a value of another JSON type, a value wrapped
 in a list, a float or a huge number, an unknown name, a length
-changed, a malformed rational string), to every command that reads it,
+changed, a malformed rational string, an "exhaustive" or random state
+listing), to every command that reads it,
 with the command's original --budget.  Whatever the mutation, the
 command ends in 0 (pass), 1 (an exact invariant failed, or a report
 that did not pass), 2 (invalid input) or 3 (budget exceeded), with
@@ -57,10 +58,15 @@ INPUTS = {
 JSON_VALUES = [None, True, 3, 0.5, "x", [], {}]
 
 MUTATIONS = ["delete", "retype", "wrap", "float", "huge", "unknown-name", "longer",
-             "shorter", "bad-rational"]
+             "shorter", "bad-rational", "listing"]
 
-#: Strings no rational parser may accept: a superscript digit, two signs.
-BAD_RATIONALS = ["0.²", "+-1/2"]
+#: Strings no rational parser may accept: a superscript digit, two signs,
+#: an Arabic-Indic digit, an underscore.
+BAD_RATIONALS = ["0.²", "+-1/2", "٣/4", "1_0/3"]
+
+#: The lazy forms of a state listing, a fresh object at each draw.
+LISTINGS = st.just("exhaustive") | st.fixed_dictionaries(
+    {"random": st.just(3), "seed": st.just(1)})
 
 
 def paths(doc, prefix=()):
@@ -109,6 +115,8 @@ def mutate(doc, path, kind, draw):
         parent[last] = "nowhere"
     elif kind == "bad-rational":  # any value; the rationals are strings
         parent[last] = draw(st.sampled_from(BAD_RATIONALS))
+    elif kind == "listing":
+        parent[last] = draw(LISTINGS)
     elif isinstance(value, (list, str)) and value:
         parent[last] = (value + value[-1:] if kind == "longer" else value[:-1])
     elif isinstance(value, int) and not isinstance(value, bool):
@@ -123,8 +131,11 @@ def mutated(draw, name):
     """The shipped input `name` after one or two mutations."""
     doc = json.loads((DATA / INPUTS[name][0]).read_text())
     for _ in range(draw(st.integers(1, 2))):
-        path = draw(st.sampled_from(list(paths(doc))))
-        doc = mutate(doc, path, draw(st.sampled_from(MUTATIONS)), draw)
+        kind = draw(st.sampled_from(MUTATIONS))
+        candidates = list(paths(doc))
+        if kind == "listing":  # aimed at the input's listing, if it has one
+            candidates = [p for p in candidates if p == ("sequences",)] or candidates
+        doc = mutate(doc, draw(st.sampled_from(candidates)), kind, draw)
     return doc
 
 

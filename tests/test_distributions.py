@@ -52,7 +52,7 @@ def test_parse_rational(text, expected):
 @pytest.mark.parametrize(
     "bad",
     ["0.1234567891", "1/0", "1/-2", "a/b", "", "1.0e-3", 0.5, None, True,
-     "0.²", "+-0.5", "--1.5"],
+     "0.²", "+-0.5", "--1.5", "٣/4", "1_0/3", " 1 / 2", "١", "1_000"],
 )
 def test_parse_rational_rejects(bad):
     with pytest.raises(InvalidRationalError):
