@@ -44,6 +44,7 @@ from .errors import (
     InvalidInstanceError,
     NmavcError,
     VerificationError,
+    check_budget,
 )
 from .gf2 import MAX_EXACT_LENGTH, GF2Matrix, delta_exact, delta_monte_carlo
 from .verifier import (
@@ -308,10 +309,7 @@ def _sequences(obj, field, code, budget, special=None) -> tuple[Iterable, bool]:
             raise InvalidInstanceError(
                 'random sequences need {"random": count, "seed": seed}'
             )
-        if budget is not None and count > budget:
-            raise BudgetExceededError(
-                f"spec draws {count} random sequences, budget {budget}"
-            )
+        check_budget(count, budget, "spec draws {cost} random sequences, budget {budget}")
         rng = random.Random(seed)
         rows = iter(lambda: tuple(rng.choice(names) for _ in range(code.n)), None)
     else:

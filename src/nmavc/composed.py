@@ -32,11 +32,7 @@ from typing import Iterable, Optional, Union
 
 from .channels import Channel, StateSequence
 from .distributions import Marker, Record, format_rational
-from .errors import (
-    BudgetExceededError,
-    InvalidInstanceError,
-    VerificationError,
-)
+from .errors import InvalidInstanceError, VerificationError, check_budget
 from .gf2 import (
     MAX_EXACT_LENGTH,
     GF2Matrix,
@@ -201,10 +197,8 @@ def recovery_probability(scheme: ComposedScheme, p_star) -> Fraction:
     """
     p = special_channel(p_star).erasure_probability
     n = scheme.n
-    if n > MAX_EXACT_LENGTH:
-        raise BudgetExceededError(
-            f"recovery enumeration needs 2^{n} patterns, budget 2^{MAX_EXACT_LENGTH}"
-        )
+    check_budget(n, MAX_EXACT_LENGTH, "recovery enumeration needs 2^{cost} patterns, "
+                                      "budget 2^{budget}")
     q = 1 - p
     recovered = Fraction(0)
     for mask in range(1 << n):

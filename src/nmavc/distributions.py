@@ -87,7 +87,7 @@ def parse_rational(value) -> Fraction:
         )
     if not isinstance(value, str):
         raise InvalidRationalError(f"not a rational: {value!r}")
-    text = value.strip()
+    text = value.strip(" \t\n\r\v\f")  # ASCII only: str.strip() takes more
     if not text:
         raise InvalidRationalError("empty rational string")
     if "/" in text:

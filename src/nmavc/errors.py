@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one budget check."""
 
 
 class NmavcError(Exception):
@@ -38,6 +38,16 @@ class InvalidInstanceError(NmavcError, ValueError):
 
 class BudgetExceededError(NmavcError):
     """An exponential enumeration would exceed the caller's budget."""
+
+
+def check_budget(cost: int, budget: int | None, message: str) -> None:
+    """The one budget policy: None admits any cost, a negative budget is
+    invalid input, and a cost above the budget raises BudgetExceededError
+    with message.format(cost=cost, budget=budget), formatted only then."""
+    if budget is not None and budget < 0:
+        raise InvalidInstanceError(f"budget must be >= 0, got {budget}")
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(message.format(cost=cost, budget=budget))
 
 
 class LPInfeasibleError(NmavcError):

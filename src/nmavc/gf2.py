@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .distributions import Record
-from .errors import BudgetExceededError, InvalidInstanceError
+from .errors import BudgetExceededError, InvalidInstanceError, check_budget
 
 
 def bits_to_int(bits: str) -> int:
@@ -301,11 +301,8 @@ def delta_exact(g: GF2Matrix, p_star: Fraction, budget: int = MAX_EXACT_LENGTH) 
     """
     p = _erasure_probability(p_star)
     n = g.ncols
-    if n > budget:
-        raise BudgetExceededError(
-            f"delta_exact enumerates 2^{n} erasure patterns, above the "
-            f"budget of 2^{budget}; use delta_monte_carlo instead"
-        )
+    check_budget(n, budget, "delta_exact enumerates 2^{cost} erasure patterns, above "
+                            "the budget of 2^{budget}; use delta_monte_carlo instead")
     p_pow = [p ** i for i in range(n + 1)]
     q_pow = [(1 - p) ** i for i in range(n + 1)]
     failure = Fraction(0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .gf2 import GF2Matrix, int_to_bits, xor_span
 
 
@@ -114,10 +114,17 @@ class AffineFunction:
 
     def tabulate(self) -> list[int]:
         """u*M + delta for every u, from xor_span(M's rows), not kept on M;
-        apply then indexes it (only induced maps, with few inputs, do)."""
-        delta = self.delta
+        apply then indexes it, after the same input check (only induced
+        maps, with few inputs, do)."""
+        delta, in_dim = self.delta, self.in_dim
         table = [word ^ delta for word in xor_span(self.matrix.rows)]
-        self.apply = table.__getitem__
+
+        def apply(u: int) -> int:
+            if u >> in_dim:
+                raise ValueError(f"input {u} is not a word of {{0,1}}^{in_dim}")
+            return table[u]
+
+        self.apply = apply
         return table
 
     def delta_string(self) -> str:
@@ -143,10 +150,8 @@ def bit_patterns(
         raise ValueError("alphabet must be 4 or 5")
     if n < 1:
         raise ValueError("a BIT function needs at least one position")
-    if budget is not None and alphabet**n > budget:
-        raise BudgetExceededError(
-            f"{alphabet}^{n} = {alphabet**n} functions exceed the budget {budget}"
-        )
+    check_budget(alphabet**n, budget,
+                 f"{alphabet}^{n} = {{cost}} functions exceed the budget {{budget}}")
     # Each choice packs its three mask bits into one int, keep at bit
     # 2n + i, xor at n + i and erase at i, so a pattern is one sum of
     # disjoint bits, split into its masks, with no per-action lookup.

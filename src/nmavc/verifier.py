@@ -44,11 +44,11 @@ from typing import (
 from .channels import StateSequence
 from .distributions import Marker, Record, all_bitstrings, format_rational
 from .errors import (
-    BudgetExceededError,
     InvalidCodeError,
     InvalidInstanceError,
     InvalidMixtureError,
     VerificationError,
+    check_budget,
 )
 from .gf2 import bits_to_int, int_to_bits, words_in_order
 from .simplex import solve_min
@@ -248,11 +248,6 @@ def _labels(k: int) -> list[str]:
     return [*all_bitstrings(k), "bot", "same*"]
 
 
-def _check_budget(cost: int, budget: Optional[int], what: str) -> None:
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(f"{what} needs {cost} evaluations, budget {budget}")
-
-
 def _check_member(
     code: StochasticCode, f: TamperingFunction, budget: Optional[int]
 ) -> None:
@@ -274,7 +269,8 @@ def _check_member(
             )
     else:
         raise InvalidInstanceError(f"not a tampering function: {f!r}")
-    _check_budget(code.seed_count, budget, "tampering experiment")
+    check_budget(code.seed_count, budget,
+                 "tampering experiment needs {cost} evaluations, budget {budget}")
 
 
 Laws = tuple[tuple[tuple[int, ...], ...], int]
@@ -343,7 +339,8 @@ def channel_map(
     """
     _check_sequence(code, seq)
     symbols = len(seq.channels[0].rows[0])
-    _check_budget(code.seed_count * symbols ** code.n, budget, "channel experiment")
+    check_budget(code.seed_count * symbols ** code.n, budget,
+                 "channel experiment needs {cost} evaluations, budget {budget}")
     scale = math.lcm(*(ch.integer_rows[0] for ch in seq.channels))
     rows = []
     for ch in seq.channels:
@@ -551,26 +548,17 @@ class _Profile(Record):
 
     laws is the profile, tamper_map's count-row table over total =
     2^rho, the very rows of the cache key; report is the optimal
-    simulator, None until first asked for.  It stays None for a member
-    certification kept within epsilon by a trivial or pooled simulator
-    instead.  terms is the optimum as a mixture reads it, None until
-    first read (mixture_terms).
+    simulator, None until first asked for (solve).  It stays None for a
+    member certification kept within epsilon by a trivial or pooled
+    simulator instead.
     """
 
-    __slots__ = ("laws", "total", "report", "terms")
+    __slots__ = ("laws", "total", "report")
 
     def solve(self) -> NMReport:
         if self.report is None:
             self.report = optimal_simulator(self.laws, self.total)
         return self.report
-
-    def mixture_terms(self) -> tuple[tuple[int, ...], int, int, int]:
-        """The optimum as plain ints, read once: the simulator's count row,
-        its total, and epsilon's numerator and denominator."""
-        if self.terms is None:
-            (row, total), eps = self.solve().simulator, self.report.epsilon
-            self.terms = row, total, eps.numerator, eps.denominator
-        return self.terms
 
 
 class FamilyCertificate(Record):
@@ -632,7 +620,7 @@ def _entry(cache: dict, key: Laws) -> _Profile:
     returns it: cache's entry for key, made on first sight."""
     entry = cache.get(key)
     if entry is None:
-        entry = cache[key] = _Profile(*key, None, None)
+        entry = cache[key] = _Profile(*key, None)
     return entry
 
 
@@ -706,7 +694,8 @@ def certify_bit_family(
     code: StochasticCode, budget: Optional[int] = None
 ) -> FamilyCertificate:
     """Certificate over the full 4^n bitwise independent family."""
-    _check_budget((4 ** code.n) * code.seed_count, budget, "bit-family certification")
+    check_budget(4 ** code.n * code.seed_count, budget,
+                 "bit-family certification needs {cost} evaluations, budget {budget}")
     return certify_family(code, enumerate_bit_functions(code.n, 4), budget=budget)
 
 
@@ -723,8 +712,8 @@ def _mixture(
     simulating the pattern, read once per pattern, in order.  The
     numerators are summed per entry, by identity, in the same pass, in
     the order each entry is first read, and must total exactly D; each
-    entry's optimum is then read as plain ints (_Profile.mixture_terms),
-    solved on first read.  The simulator rows are mixed as one row over
+    entry's optimum is then read from its report (_Profile.solve), solved
+    on first read.  The simulator rows are mixed as one row over
     D * L, L the lcm of their totals, and the errors as one sum over
     D * E, E the lcm of the errors' denominators, which becomes a
     Fraction once, at the end; pattern_max is the largest error
@@ -747,15 +736,16 @@ def _mixture(
             f"mixture weights sum to {total}/{denominator}, expected exactly 1"
         )
 
-    terms = [(w, entry.mixture_terms()) for w, entry in grouped.values()]
-    scale = math.lcm(*(t[1] for _, t in terms))
-    error_lcm = math.lcm(*(t[3] for _, t in terms))
-    mixed = [0] * len(terms[0][1][0])
+    reports = [(w, entry.solve()) for w, entry in grouped.values()]
+    scale = math.lcm(*(r.simulator[1] for _, r in reports))
+    error_lcm = math.lcm(*(r.epsilon.denominator for _, r in reports))
+    mixed = [0] * len(reports[0][1].simulator[0])
     weighted = top = 0
-    for w, (row, total, num, den) in terms:
+    for w, report in reports:
+        (row, total), eps = report.simulator, report.epsilon
         factor = w * (scale // total)
         mixed = [a + factor * c for a, c in zip(mixed, row)]
-        error = num * (error_lcm // den)
+        error = eps.numerator * (error_lcm // eps.denominator)
         weighted += w * error
         top = max(top, error)
     return ((mixed, denominator * scale), Fraction(weighted, denominator * error_lcm),
@@ -810,10 +800,7 @@ def _verify_sequences(
     for index, seq in enumerate(sequences):
         _check_sequence(code, seq)
         count = seq.pattern_count
-        if budget is not None and count > budget:
-            raise BudgetExceededError(
-                f"sequence expands into {count} patterns, budget {budget}"
-            )
+        check_budget(count, budget, "sequence expands into {cost} patterns, budget {budget}")
         laws = channel_map(code, seq)
         d_s, weighted_bound, pattern_max = _mixture(seq.mixture_weights(), entry_for)
         ds_sd, worst, _ = _worst_case(*laws, d_s)

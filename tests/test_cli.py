@@ -106,6 +106,19 @@ def test_delta_budget_exit_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_delta_budget_boundary(runner, tmp_path):
+    # The budget caps n: a 4 x 5 generator runs at --budget 5 and is
+    # refused, with exit 3, at --budget 4.
+    path = write(tmp_path, "g45.json", PARITY_45)
+    assert runner.invoke(main, ["delta", path, "1/10", "--budget", "5"]).exit_code == 0
+    result = runner.invoke(main, ["delta", path, "1/10", "--budget", "4"])
+    assert result.exit_code == 3
+    assert result.output == (
+        "error: delta_exact enumerates 2^5 erasure patterns, above the budget "
+        "of 2^4; use delta_monte_carlo instead\n"
+    )
+
+
 def test_delta_monte_carlo_too_large_exit_3(runner):
     # numpy refuses 10^18 x 4 uniforms before it allocates any: the
     # refusal is a budget overrun, one error line, no traceback.

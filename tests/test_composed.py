@@ -8,6 +8,7 @@ import pytest
 
 from nmavc import (
     AffineFunction,
+    BITFunction,
     BOT_MAP,
     Channel,
     ComposedScheme,
@@ -15,6 +16,7 @@ from nmavc import (
     StateSequence,
     StochasticCode,
     all_bitstrings,
+    certify_bit_family,
     certify_family,
     certify_induced_family,
     channel_map,
@@ -23,12 +25,19 @@ from nmavc import (
     induced_family,
     recovery_probability,
     search_nm_code,
+    tamper_map,
     verify_composed,
     verify_transfer,
 )
 from nmavc import channels, composed, gf2, simplex, verifier
-from nmavc.errors import InvalidInstanceError, VerificationError
+from nmavc.errors import (
+    BudgetExceededError,
+    InvalidInstanceError,
+    VerificationError,
+    check_budget,
+)
 from nmavc.gf2 import bits_to_int, int_to_bits, select_reconstruction
+from nmavc.tampering import bit_patterns
 from oracles import (
     apply_copy,
     bit_function,
@@ -543,3 +552,58 @@ def test_verify_composed_solves_pruned_members_on_demand():
     assert (got.epsilon, got.weighted_bound, got.pattern_max) == (
         epsilon, *mixture_bounds(seq, errors, member_of)
     )
+
+
+def test_tabulated_maps_check_their_input():
+    # An induced map applies through its table, with the same input check
+    # as an equal map that multiplies by M: neither reads -1 as the last
+    # word nor lets 2^m escape as an IndexError.
+    for f in induced_family(single_parity(4)):
+        if f is BOT_MAP:
+            continue
+        plain = AffineFunction(f.matrix, f.delta)
+        for u in (-1, 16):
+            with pytest.raises(ValueError, match=f"input {u} is not a word of") as got:
+                f.apply(u)
+            with pytest.raises(ValueError) as expected:
+                plain.apply(u)
+            assert str(got.value) == str(expected.value)
+        assert [f.apply(u) for u in range(16)] == [plain.apply(u) for u in range(16)]
+
+
+# ------------------------------------------------------------------ budgets
+
+def test_check_budget_policy():
+    # None admits any cost; a cost at the budget passes and one above it
+    # raises the formatted message; a negative budget is invalid input.
+    check_budget(10**9, None, "{nothing}")
+    check_budget(5, 5, "{nothing}")  # formatted only on refusal
+    with pytest.raises(BudgetExceededError, match="^6 over 5$"):
+        check_budget(6, 5, "{cost} over {budget}")
+    with pytest.raises(InvalidInstanceError, match="budget must be >= 0, got -1"):
+        check_budget(0, -1, "{cost} over {budget}")
+
+
+def test_library_refuses_a_negative_budget():
+    # Every public entry point that takes a budget refuses -1 as invalid
+    # input, before it does the budgeted work.
+    code = identity_code(2)
+    binary = StateSequence([identity_channel()] * 2)
+    scheme = parity45_scheme()
+    extended = StateSequence([bsc(F(3, 10)).to_extended()] * scheme.n)
+    outer = single_parity(2)
+    calls = [
+        lambda: tamper_map(code, BITFunction(2, 3, 0), budget=-1),
+        lambda: channel_map(code, binary, budget=-1),
+        lambda: certify_family(code, enumerate_bit_functions(2, 4), budget=-1),
+        lambda: certify_bit_family(code, budget=-1),
+        lambda: next(bit_patterns(2, 4, budget=-1)),
+        lambda: search_nm_code(1, 2, 0, trials=1, budget=-1),
+        lambda: induced_family(outer, budget=-1),
+        lambda: verify_transfer(code, [binary], budget=-1),
+        lambda: verify_composed(scheme, [extended], F(1, 10), budget=-1),
+        lambda: delta_exact(outer, F(1, 10), budget=-1),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInstanceError, match="budget must be >= 0"):
+            call()

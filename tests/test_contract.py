@@ -61,8 +61,9 @@ MUTATIONS = ["delete", "retype", "wrap", "float", "huge", "unknown-name", "longe
              "shorter", "bad-rational", "listing"]
 
 #: Strings no rational parser may accept: a superscript digit, two signs,
-#: an Arabic-Indic digit, an underscore.
-BAD_RATIONALS = ["0.²", "+-1/2", "٣/4", "1_0/3"]
+#: an Arabic-Indic digit, an underscore, and padding that str.strip()
+#: removes but is not ASCII whitespace (an ideographic space, \x1c, \x1d).
+BAD_RATIONALS = ["0.²", "+-1/2", "٣/4", "1_0/3", "\u30001/2 ", "\x1c3/4\x1d"]
 
 #: The lazy forms of a state listing, a fresh object at each draw.
 LISTINGS = st.just("exhaustive") | st.fixed_dictionaries(

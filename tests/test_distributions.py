@@ -43,6 +43,7 @@ point = FiniteDistribution.point
         ("-1/2", F(-1, 2)),
         (7, F(7)),
         (F(2, 4), F(1, 2)),
+        (" 1/2 ", F(1, 2)),
     ],
 )
 def test_parse_rational(text, expected):
@@ -52,7 +53,8 @@ def test_parse_rational(text, expected):
 @pytest.mark.parametrize(
     "bad",
     ["0.1234567891", "1/0", "1/-2", "a/b", "", "1.0e-3", 0.5, None, True,
-     "0.²", "+-0.5", "--1.5", "٣/4", "1_0/3", " 1 / 2", "١", "1_000"],
+     "0.²", "+-0.5", "--1.5", "٣/4", "1_0/3", " 1 / 2", "١", "1_000",
+     "\u30001/2 ", "\x1c3/4\x1d"],
 )
 def test_parse_rational_rejects(bad):
     with pytest.raises(InvalidRationalError):

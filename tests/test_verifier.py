@@ -451,7 +451,7 @@ def mixture_entries(simulators, errors=None) -> dict:
     if errors is None:
         errors = dict.fromkeys(simulators, F(0))
     return {
-        f: verifier._Profile((), 1, NMReport(errors[f], simulators[f], 0, []), None)
+        f: verifier._Profile((), 1, NMReport(errors[f], simulators[f], 0, []))
         for f in simulators
     }
 
